@@ -48,14 +48,29 @@ let time_ms f =
   let result = f () in
   (result, (Unix.gettimeofday () -. t0) *. 1000.0)
 
-(* Scratch directory for the journal/serving sections (J1, O1): cleared
-   in-process, no shell-out. *)
+(* Scratch directories for the durable-state sections (J1, O1, F1, C1,
+   R1, S1): cleared in-process, no shell-out, and every one of them is
+   removed again when the process exits. *)
+let scratch_dirs = ref []
+
+let () =
+  at_exit (fun () ->
+      List.iter
+        (fun dir ->
+          try Fsutil.rm_rf dir
+          with
+          | Unix.Unix_error (e, _, path) ->
+            Printf.eprintf "bench: cannot remove %s: %s\n" path (Unix.error_message e)
+          | Sys_error msg -> Printf.eprintf "bench: cannot remove %s: %s\n" dir msg)
+        !scratch_dirs)
+
 let fresh_dir tag =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "hg_bench_%s_%d" tag (Unix.getpid ()))
   in
   Fsutil.rm_rf dir;
+  if not (List.mem dir !scratch_dirs) then scratch_dirs := dir :: !scratch_dirs;
   dir
 
 (* ------------------------------------------------------------------ E1 *)
@@ -1614,9 +1629,8 @@ let usage () =
   print_endline "       bench compare BASELINE.json CURRENT.json [--threshold PCT] [--warn-only]";
   print_endline "";
   print_endline "  (no flags)    run every experiment section with human-readable output";
-  print_endline "  --json        run the trajectory sections (P1, P2, FIG9, A3, F1, C1, R1)";
-  print_endline "                and write";
-  print_endline "                BENCH_<TAG>.json (default tag: local)";
+  print_endline "  --json        run the trajectory sections (P1, P2, FIG9, A3, F1, C1, R1, S1)";
+  print_endline "                and write BENCH_<TAG>.json (default tag: local)";
   print_endline "  --smoke       reduced iteration quota, for CI smoke runs";
   print_endline "  --no-bitset   disable the small-domain bitset fast path";
   print_endline "  --no-memo     disable formula hash-consing and NNF/DNF memoization";

@@ -58,17 +58,11 @@ let sensed_feature_of_trigger (trigger : Rule.trigger) =
   | Rule.Event { attribute; _ } -> Env.of_sensor_attribute attribute
   | Rule.Scheduled _ -> None
 
-(** Variables of a formula that sense the given environment feature,
-    e.g. feature [Temperature] matches variable "tSensor.temperature". *)
-let vars_sensing feature formula =
-  List.filter
-    (fun var ->
-      match String.rindex_opt var '.' with
-      | Some i ->
-        let attr = String.sub var (i + 1) (String.length var - i - 1) in
-        Env.of_sensor_attribute attr = Some feature
-      | None -> false)
-    (Formula.free_vars formula)
+(** Does a variable's attribute (the part after its last '.', if any)
+    sense the given environment feature? *)
+let attr_senses feature = function
+  | Some attr -> Env.of_sensor_attribute attr = Some feature
+  | None -> false
 
 (** How a formula constrains a variable: which direction of change could
     satisfy (or violate) it. Derived from the comparison atoms that

@@ -20,8 +20,9 @@ val environment_effects :
 
 val sensed_feature_of_trigger : Rule.trigger -> Env.t option
 
-val vars_sensing : Env.t -> Formula.t -> string list
-(** Variables of a formula whose attribute measures the feature. *)
+val attr_senses : Env.t -> string option -> bool
+(** Does a variable with this attribute ([None]: no attribute) sense
+    the feature? *)
 
 type direction_need = Needs_high | Needs_low | Needs_value of Term.t | Needs_any
 

@@ -131,19 +131,37 @@ let solve_fingerprint config =
 let pair_fingerprint config =
   solve_fingerprint config ^ (if config.reuse then ";r1" else ";r0")
 
-(* Pure planning facts recomputed for every pair an app participates in:
-   device matching re-classifies switch text from titles/descriptions,
-   channel maps re-scan the capability registry, and condition
-   predicates are re-expanded per action. Each ctx caches them once —
-   apps are identified by name, unique within an audit, and every worker
-   domain owns its own ctx, so the tables need no locking. *)
+(* Solver-free planning facts of one app, derived once per ctx: the
+   planner's pre-filters and every detector then read them instead of
+   re-deriving device classes, channel maps and expanded conditions for
+   each rule pair an app takes part in. *)
+type action_facts = {
+  af_action : Rule.action;
+  af_writes : Channels.attr_write list;
+  af_effects : (Env.t * Effects.polarity) list;
+}
+
+type rule_facts = {
+  rf_rule : Rule.t;
+  rf_actions : action_facts list;
+  rf_sensed : Env.t option;
+  rf_cond : Formula.t;
+  rf_cond_vars : (string * string * string option) list;
+}
+
+type app_facts = {
+  app_inputs : (string * string * Effects.device_class) list;
+  app_rules : rule_facts list;
+}
+
+(* Per-ctx memo tables: app facts by app name (unique within an audit),
+   plus the config-dependent device matching and the command-opposition
+   map. Every worker domain owns its own ctx, so the tables need no
+   locking. *)
 type caches = {
-  same_device_c : (string * string * string * string, bool) Hashtbl.t;
+  same_device_c : (string * string, string -> string -> bool) Hashtbl.t;
   unify_pairs_c : (string * string, (string * string) list) Hashtbl.t;
-  attr_writes_c : (string * Rule.action, Channels.attr_write list) Hashtbl.t;
-  env_effects_c : (string * Rule.action, (Env.t * Effects.polarity) list) Hashtbl.t;
-  device_inputs_c : (string, string list) Hashtbl.t;
-  cond_vars_c : (string * string, Formula.t * string list) Hashtbl.t;
+  facts_c : (string, app_facts) Hashtbl.t;
   opposite_cmds_c : (string * string, bool) Hashtbl.t;
 }
 
@@ -151,10 +169,7 @@ let create_caches () =
   {
     same_device_c = Hashtbl.create 256;
     unify_pairs_c = Hashtbl.create 64;
-    attr_writes_c = Hashtbl.create 64;
-    env_effects_c = Hashtbl.create 64;
-    device_inputs_c = Hashtbl.create 16;
-    cond_vars_c = Hashtbl.create 64;
+    facts_c = Hashtbl.create 64;
     opposite_cmds_c = Hashtbl.create 64;
   }
 
@@ -171,11 +186,13 @@ type ctx = {
   mutable undecided_solves : int;  (** solves still undecided after escalation *)
 }
 
-(* [?caches] shares planning facts across ctxs: sound only when every
-   sharing config's [same_device] behaves identically (the other tables
-   are config-independent), and only from one domain at a time — the
-   tables are unsynchronized. Fleet sweeps over many homes in one
-   matching mode amortize device classification this way. *)
+(* [?caches] shares planning facts and device matchers across ctxs:
+   sound only when every sharing config's [same_device] behaves
+   identically (a shared matcher asks the config of the ctx that made
+   it; the facts are config-independent) and equal app names mean equal
+   apps, and only from one domain at a time — the tables are
+   unsynchronized. Fleet sweeps over many homes in one matching mode
+   amortize fact derivation this way. *)
 let create ?caches config =
   {
     config;
@@ -196,25 +213,80 @@ let memo tbl key compute =
     Hashtbl.add tbl key v;
     v
 
-(* Memoizing views over the config matcher and the channel maps. *)
-let same_device ctx (app1 : Rule.smartapp) v1 (app2 : Rule.smartapp) v2 =
-  memo ctx.caches.same_device_c (app1.Rule.name, v1, app2.Rule.name, v2) (fun () ->
-      ctx.config.same_device app1 v1 app2 v2)
+(* Split a variable "v.attr" (or "App::v.attr") into its base and
+   attribute. *)
+let split_attr var =
+  match String.rindex_opt var '.' with
+  | Some i -> (String.sub var 0 i, Some (String.sub var (i + 1) (String.length var - i - 1)))
+  | None -> (var, None)
 
-let attribute_writes ctx (app : Rule.smartapp) a =
-  memo ctx.caches.attr_writes_c (app.Rule.name, a) (fun () -> Channels.attribute_writes app a)
+let action_facts (app : Rule.smartapp) inputs (a : Rule.action) =
+  let effects =
+    match a.Rule.target with
+    | Rule.Act_device var -> (
+      match List.find_opt (fun (v, _, _) -> v = var) inputs with
+      | Some (_, _, cls) -> Effects.device_effects cls a
+      | None -> Effects.effects_of_action app a)
+    | _ -> Effects.effects_of_action app a
+  in
+  { af_action = a; af_writes = Channels.attribute_writes app a; af_effects = effects }
 
-let environment_effects ctx (app : Rule.smartapp) a =
-  memo ctx.caches.env_effects_c (app.Rule.name, a) (fun () -> Channels.environment_effects app a)
+let rule_facts_of (app : Rule.smartapp) inputs (r : Rule.t) =
+  let cond = Rule.expanded_predicate r in
+  {
+    rf_rule = r;
+    rf_actions = List.map (action_facts app inputs) r.Rule.actions;
+    rf_sensed = Channels.sensed_feature_of_trigger r.Rule.trigger;
+    rf_cond = cond;
+    rf_cond_vars =
+      List.map
+        (fun v ->
+          let base, attr = split_attr v in
+          (v, base, attr))
+        (Formula.free_vars cond);
+  }
 
-let device_inputs ctx (app : Rule.smartapp) =
-  memo ctx.caches.device_inputs_c app.Rule.name (fun () -> Rule.device_inputs app)
+let app_facts_of (app : Rule.smartapp) =
+  let inputs =
+    List.filter_map
+      (fun (i : Rule.input_decl) ->
+        Option.map
+          (fun cap -> (i.Rule.var, cap, Effects.classify app i.Rule.var))
+          (Rule.capability_of_input app i.Rule.var))
+      app.Rule.inputs
+  in
+  { app_inputs = inputs; app_rules = List.map (rule_facts_of app inputs) app.Rule.rules }
 
-(* Expanded condition predicate of a rule plus its free variables. *)
-let expanded_condition ctx (app : Rule.smartapp) (r : Rule.t) =
-  memo ctx.caches.cond_vars_c (app.Rule.name, r.Rule.rule_id) (fun () ->
-      let cond = Rule.expanded_predicate r in
-      (cond, Formula.free_vars cond))
+let app_facts ctx (app : Rule.smartapp) =
+  memo ctx.caches.facts_c app.Rule.name (fun () -> app_facts_of app)
+
+(* A rule's facts, found by identity among its app's rules; a rule from
+   outside the app's rule list gets fresh, uncached facts. *)
+let rule_facts ctx ((app, r) : tagged_rule) =
+  let facts = app_facts ctx app in
+  match List.find_opt (fun rf -> rf.rf_rule == r) facts.app_rules with
+  | Some rf -> rf
+  | None -> rule_facts_of app facts.app_inputs r
+
+(* A device matcher between two apps: [device_matcher config app1 app2
+   v1 v2] asks [config.same_device app1 v1 app2 v2] once, then answers
+   from the app pair's few cells. *)
+let device_matcher config (app1 : Rule.smartapp) (app2 : Rule.smartapp) =
+  let cells = ref [] in
+  fun v1 v2 ->
+    let rec find = function
+      | (c1, c2, same) :: rest -> if c1 = v1 && c2 = v2 then same else find rest
+      | [] ->
+        let same = config.same_device app1 v1 app2 v2 in
+        cells := (v1, v2, same) :: !cells;
+        same
+    in
+    find !cells
+
+(* One matcher per app pair and ctx, for the detectors. *)
+let same_device ctx (app1 : Rule.smartapp) (app2 : Rule.smartapp) =
+  memo ctx.caches.same_device_c (app1.Rule.name, app2.Rule.name) (fun () ->
+      device_matcher ctx.config app1 app2)
 
 let commands_opposite ctx c1 c2 =
   memo ctx.caches.opposite_cmds_c (c1, c2) (fun () ->
@@ -254,27 +326,26 @@ let is_shared_var var =
 
 let qualify app_name var = if is_shared_var var then var else app_name ^ "::" ^ var
 
-(* Split a qualified variable "App::v.attr" into its base and attribute. *)
-let split_attr var =
-  match String.rindex_opt var '.' with
-  | Some i -> (String.sub var 0 i, Some (String.sub var (i + 1) (String.length var - i - 1)))
-  | None -> (var, None)
+(* The same-device relation over two apps' device inputs, in
+   input-declaration order. *)
+let unify_pairs ctx (app1 : Rule.smartapp) (app2 : Rule.smartapp) =
+  memo ctx.caches.unify_pairs_c (app1.Rule.name, app2.Rule.name) (fun () ->
+      let same_device = same_device ctx app1 app2 in
+      List.concat_map
+        (fun (v1, _, _) ->
+          List.filter_map
+            (fun (v2, _, _) -> if same_device v1 v2 then Some (v1, v2) else None)
+            (app_facts ctx app2).app_inputs)
+        (app_facts ctx app1).app_inputs)
 
 (* Build the unification renaming: matched device variables of app2 are
    renamed to app1's qualified name so shared state is shared in the
    solver. *)
 let unifier ctx (app1 : Rule.smartapp) (app2 : Rule.smartapp) =
   let pairs =
-    memo ctx.caches.unify_pairs_c (app1.Rule.name, app2.Rule.name) (fun () ->
-        List.concat_map
-          (fun v1 ->
-            List.filter_map
-              (fun v2 ->
-                if same_device ctx app1 v1 app2 v2 then
-                  Some (qualify app2.Rule.name v2, qualify app1.Rule.name v1)
-                else None)
-              (device_inputs ctx app2))
-          (device_inputs ctx app1))
+    List.map
+      (fun (v1, v2) -> (qualify app2.Rule.name v2, qualify app1.Rule.name v1))
+      (unify_pairs ctx app1 app2)
   in
   fun var ->
     let base, attr = split_attr var in
@@ -337,7 +408,6 @@ let qualified_formula ctx ~situation (app : Rule.smartapp) (rule : Rule.t) renam
 (* Store typing qualified variables by resolving each base back to its
    app's input declarations. *)
 let store_for ctx apps formula =
-  ignore ctx;
   let cap_of_var base =
     match String.index_opt base ':' with
     | Some i when i + 1 < String.length base && base.[i + 1] = ':' ->
@@ -345,7 +415,11 @@ let store_for ctx apps formula =
       let var = String.sub base (i + 2) (String.length base - i - 2) in
       List.find_map
         (fun (app : Rule.smartapp) ->
-          if app.Rule.name = app_name then Rule.capability_of_input app var else None)
+          if app.Rule.name <> app_name then None
+          else
+            List.find_map
+              (fun (v, cap, _) -> if v = var then Some cap else None)
+              (app_facts ctx app).app_inputs)
         apps
     | _ -> None
   in
@@ -396,9 +470,9 @@ let conditions_overlap ctx p1 p2 = solve_overlap ctx ~situation:false p1 p2
 
 (* -- Action-Interference (AR, GC) ----------------------------------------- *)
 
-let same_action_target ctx (app1, a1) (app2, a2) =
+let same_action_target same_device a1 a2 =
   match (a1.Rule.target, a2.Rule.target) with
-  | Rule.Act_device v1, Rule.Act_device v2 -> same_device ctx app1 v1 app2 v2
+  | Rule.Act_device v1, Rule.Act_device v2 -> same_device v1 v2
   | Rule.Act_location_mode, Rule.Act_location_mode -> true
   | _ -> false
 
@@ -406,9 +480,7 @@ let const_param a = match a.Rule.params with (Term.Int _ | Term.Str _) as t :: _
 
 (* Contradictory commands: declared opposites, or same command with
    different constant parameters. *)
-let commands_contradict ctx (app1, (a1 : Rule.action)) (app2, (a2 : Rule.action)) =
-  ignore app1;
-  ignore app2;
+let commands_contradict ctx (a1 : Rule.action) (a2 : Rule.action) =
   let opposite = commands_opposite ctx a1.Rule.command a2.Rule.command in
   let conflicting_params =
     a1.Rule.command = a2.Rule.command
@@ -419,17 +491,20 @@ let commands_contradict ctx (app1, (a1 : Rule.action)) (app2, (a2 : Rule.action)
   in
   opposite || conflicting_params
 
-(** Actuator-Race candidate: some pair of actions issues contradictory
-    commands to the same actuator. *)
-let ar_candidate ctx ((app1, r1) : tagged_rule) ((app2, r2) : tagged_rule) =
+(* Some pair of actions issues contradictory commands to the same
+   actuator. *)
+let actions_race ctx same_device (r1 : Rule.t) (r2 : Rule.t) =
   List.exists
     (fun a1 ->
       List.exists
-        (fun a2 ->
-          same_action_target ctx (app1, a1) (app2, a2)
-          && commands_contradict ctx (app1, a1) (app2, a2))
+        (fun a2 -> same_action_target same_device a1 a2 && commands_contradict ctx a1 a2)
         r2.Rule.actions)
     r1.Rule.actions
+
+(** Actuator-Race candidate: some pair of actions issues contradictory
+    commands to the same actuator. *)
+let ar_candidate ctx ((app1, r1) : tagged_rule) ((app2, r2) : tagged_rule) =
+  actions_race ctx (same_device ctx app1 app2) r1 r2
 
 let triggers_unify ctx ((app1, r1) : tagged_rule) ((app2, r2) : tagged_rule) =
   match (r1.Rule.trigger, r2.Rule.trigger) with
@@ -437,7 +512,7 @@ let triggers_unify ctx ((app1, r1) : tagged_rule) ((app2, r2) : tagged_rule) =
     e1.attribute = e2.attribute
     &&
     match (e1.subject, e2.subject) with
-    | Rule.Device v1, Rule.Device v2 -> same_device ctx app1 v1 app2 v2
+    | Rule.Device v1, Rule.Device v2 -> same_device ctx app1 app2 v1 v2
     | Rule.Location, Rule.Location -> true
     | Rule.App_touch, Rule.App_touch -> true
     | _ -> false)
@@ -476,23 +551,25 @@ let detect_ar ctx p1 p2 =
 
 (* Pairs of environment goals the two rules' actions push in opposite
    directions (solver-free; the GC candidate filter). *)
-let conflicting_goal_pairs ctx ((app1, r1) : tagged_rule) ((app2, r2) : tagged_rule) =
+let conflicting_goal_pairs same_device f1 f2 =
   List.concat_map
     (fun a1 ->
       List.concat_map
         (fun a2 ->
-          if same_action_target ctx (app1, a1) (app2, a2) then []
-          else
-            Effects.conflicting_goals
-              (environment_effects ctx app1 a1)
-              (environment_effects ctx app2 a2))
-        r2.Rule.actions)
-    r1.Rule.actions
+          match Effects.conflicting_goals a1.af_effects a2.af_effects with
+          | [] -> []
+          | goals ->
+            if same_action_target same_device a1.af_action a2.af_action then []
+            else goals)
+        f2.rf_actions)
+    f1.rf_actions
   |> List.sort_uniq compare
 
 let detect_gc ctx p1 p2 =
   let app1, r1 = p1 and app2, r2 = p2 in
-  let goal_pairs = conflicting_goal_pairs ctx p1 p2 in
+  let goal_pairs =
+    conflicting_goal_pairs (same_device ctx app1 app2) (rule_facts ctx p1) (rule_facts ctx p2)
+  in
   if goal_pairs = [] then []
   else
     let detail =
@@ -512,7 +589,8 @@ let detect_gc ctx p1 p2 =
    the written-value compatibility solve (over-approximating: a value
    mismatch is treated as compatible) so the check is solver-free and
    usable as a planning pre-filter. *)
-let action_triggers ?(approx = false) ctx ((app1 : Rule.smartapp), (a1 : Rule.action)) ((app2, r2) : tagged_rule) =
+let action_triggers ?(approx = false) ctx same_device ((app1 : Rule.smartapp), a1) (app2, f2) =
+  let r2 = f2.rf_rule in
   match r2.Rule.trigger with
   | Rule.Scheduled _ -> None
   | Rule.Event { subject; attribute; constraint_ } -> (
@@ -523,7 +601,7 @@ let action_triggers ?(approx = false) ctx ((app1 : Rule.smartapp), (a1 : Rule.ac
           let subject_matches =
             match (w.Channels.w_target, subject) with
             | Rule.Act_device v1, Rule.Device v2 ->
-              same_device ctx app1 v1 app2 v2 && w.Channels.w_attr = attribute
+              w.Channels.w_attr = attribute && same_device v1 v2
             | Rule.Act_location_mode, Rule.Location -> attribute = "mode"
             | _ -> false
           in
@@ -561,19 +639,18 @@ let action_triggers ?(approx = false) ctx ((app1 : Rule.smartapp), (a1 : Rule.ac
             in
             if value_ok then
               Some
-                (Printf.sprintf "command %s sets %s, the trigger of %s" a1.Rule.command
-                   attribute r2.Rule.rule_id)
+                (Printf.sprintf "command %s sets %s, the trigger of %s"
+                   a1.af_action.Rule.command attribute r2.Rule.rule_id)
             else None)
-        (attribute_writes ctx app1 a1)
+        a1.af_writes
     in
     match direct with
     | Some _ -> direct
     | None -> (
       (* way 2: through the environment *)
-      match Channels.sensed_feature_of_trigger r2.Rule.trigger with
+      match f2.rf_sensed with
       | None -> None
       | Some feature ->
-        let effects = environment_effects ctx app1 a1 in
         List.find_map
           (fun (f, pol) ->
             if f <> feature then None
@@ -591,9 +668,9 @@ let action_triggers ?(approx = false) ctx ((app1 : Rule.smartapp), (a1 : Rule.ac
               if compatible then
                 Some
                   (Printf.sprintf "command %s changes %s sensed by %s's trigger"
-                     a1.Rule.command (Env.to_string f) r2.Rule.rule_id)
+                     a1.af_action.Rule.command (Env.to_string f) r2.Rule.rule_id)
               else None)
-          effects))
+          a1.af_effects))
 
 (* A triggering edge: [Some (witness, severity, detail)]. A decisive
    non-overlap kills the edge; an undecided overlap keeps it alive as a
@@ -601,8 +678,11 @@ let action_triggers ?(approx = false) ctx ((app1 : Rule.smartapp), (a1 : Rule.ac
 let ct_edge ctx ((app1, r1) as p1 : tagged_rule) ((app2, r2) as p2 : tagged_rule) =
   if r1.Rule.rule_id = r2.Rule.rule_id && app1.Rule.name = app2.Rule.name then None
   else
+    let same_device = same_device ctx app1 app2 and f2 = (app2, rule_facts ctx p2) in
     let channel =
-      List.find_map (fun a1 -> action_triggers ctx (app1, a1) (app2, r2)) r1.Rule.actions
+      List.find_map
+        (fun a1 -> action_triggers ctx same_device (app1, a1) f2)
+        (rule_facts ctx p1).rf_actions
     in
     match channel with
     | None -> None
@@ -670,19 +750,17 @@ let detect_trigger_interference ctx p1 p2 =
    predicate is used with data constraints expanded so pure bindings
    (e.g. [t = sensor.temperature] feeding only the trigger) don't count
    as condition state. *)
-let condition_effects ctx ((app1 : Rule.smartapp), (a1 : Rule.action)) ((app2, r2) : tagged_rule) =
-  let cond, cond_vars = expanded_condition ctx app2 r2 in
+let condition_effects same_device a1 f2 =
   (* way 1: direct writes to condition-tested attributes *)
   let direct =
     List.concat_map
       (fun (w : Channels.attr_write) ->
         List.filter_map
-          (fun var ->
-            let base, attr = split_attr var in
+          (fun (var, base, attr) ->
             let matches =
               match (w.Channels.w_target, attr) with
               | Rule.Act_device v1, Some a when a = w.Channels.w_attr ->
-                base <> "location" && same_device ctx app1 v1 app2 base
+                base <> "location" && same_device v1 base
               | Rule.Act_location_mode, Some "mode" -> base = "location"
               | _ -> false
             in
@@ -691,27 +769,30 @@ let condition_effects ctx ((app1 : Rule.smartapp), (a1 : Rule.action)) ((app2, r
               match w.Channels.w_value with
               | Some value -> Some (`Eq (var, value))
               | None -> Some (`Touches var))
-          cond_vars)
-      (attribute_writes ctx app1 a1)
+          f2.rf_cond_vars)
+      a1.af_writes
   in
   (* way 2: environment effects on sensed condition variables *)
+  let { Rule.command; params; _ } = a1.af_action in
   let env_effects =
     List.concat_map
       (fun (feature, pol) ->
-        List.map
-          (fun var ->
-            match (a1.Rule.params, pol) with
-            | ((Term.Int _ | Term.Var _) as p) :: _, Effects.Incr
-              when a1.Rule.command = "setHeatingSetpoint" ->
-              `Ge (var, p)
-            | ((Term.Int _ | Term.Var _) as p) :: _, Effects.Decr
-              when a1.Rule.command = "setCoolingSetpoint" ->
-              `Le (var, p)
-            | _ -> `Dir (var, pol))
-          (Channels.vars_sensing feature cond))
-      (environment_effects ctx app1 a1)
+        List.filter_map
+          (fun (var, _, attr) ->
+            if not (Channels.attr_senses feature attr) then None
+            else
+              match (params, pol) with
+              | ((Term.Int _ | Term.Var _) as p) :: _, Effects.Incr
+                when command = "setHeatingSetpoint" ->
+                Some (`Ge (var, p))
+              | ((Term.Int _ | Term.Var _) as p) :: _, Effects.Decr
+                when command = "setCoolingSetpoint" ->
+                Some (`Le (var, p))
+              | _ -> Some (`Dir (var, pol)))
+          f2.rf_cond_vars)
+      a1.af_effects
   in
-  (direct @ env_effects, cond)
+  direct @ env_effects
 
 (* One budgeted enable/disable solve: Sat means the write can enable the
    condition (EC, with witness); a decisive Unsat means it provably
@@ -735,24 +816,19 @@ let solved_effect ctx apps ~bindings f ~verb ~rule_id =
     ( Threat.EC, None, undecided_severity reason,
       Printf.sprintf "%s possibly enabling %s's condition" verb rule_id )
 
-let detect_condition_interference_dir ctx ((app1, r1) : tagged_rule)
+let detect_condition_interference_dir ctx ((app1, r1) as p1 : tagged_rule)
     ((app2, r2) as p2 : tagged_rule) =
   if r1.Rule.rule_id = r2.Rule.rule_id && app1.Rule.name = app2.Rule.name then []
   else
+    let same_device = same_device ctx app1 app2 and f2 = rule_facts ctx p2 in
     let all_effects =
       List.concat_map
         (fun a1 ->
-          let effects, cond = condition_effects ctx (app1, a1) p2 in
-          List.map (fun e -> (a1, e, cond)) effects)
-        r1.Rule.actions
+          List.map (fun e -> (a1.af_action, e)) (condition_effects same_device a1 f2))
+        (rule_facts ctx p1).rf_actions
     in
     if all_effects = [] then []
     else
-      (* merge effect constraints with R2's condition and solve; solvable
-         means the condition may be enabled, otherwise disabled *)
-      let qualified_cond rename =
-        qualified_formula ctx ~situation:false app2 r2 rename
-      in
       (* Rename app1's matched device variables to app2's qualified
          names (as [solve_overlap] does) so an action parameter that
          reads a shared device is the *same* solver variable as the one
@@ -768,11 +844,13 @@ let detect_condition_interference_dir ctx ((app1, r1) : tagged_rule)
       let bindings =
         qualified_bindings ctx app2 @ qualified_bindings ctx ~rename app1
       in
+      (* merge effect constraints with R2's condition and solve; solvable
+         means the condition may be enabled, otherwise disabled *)
+      let cond_q = qualified_formula ctx ~situation:false app2 r2 rename in
+      let q v = qualify app2.Rule.name v in
       let results =
         List.filter_map
-          (fun (a1, effect, _cond) ->
-            let q v = qualify app2.Rule.name v in
-            let cond_q = qualified_cond rename in
+          (fun (a1, effect) ->
             match effect with
             | `Eq (var, value) ->
               let f =
@@ -799,9 +877,9 @@ let detect_condition_interference_dir ctx ((app1, r1) : tagged_rule)
                    ~verb:(Printf.sprintf "%s lowers %s" a1.Rule.command var)
                    ~rule_id:r2.Rule.rule_id)
             | `Dir (var, pol) ->
-              let can = Channels.polarity_can_satisfy _cond var pol in
+              let can = Channels.polarity_can_satisfy f2.rf_cond var pol in
               let opposite =
-                Channels.polarity_can_satisfy _cond var
+                Channels.polarity_can_satisfy f2.rf_cond var
                   (match pol with Effects.Incr -> Effects.Decr | Effects.Decr -> Effects.Incr)
               in
               if can then
@@ -855,13 +933,22 @@ let detect_pair ctx (p1 : tagged_rule) (p2 : tagged_rule) =
 
 (* -- planning and batched parallel execution ------------------------------- *)
 
-(* Something in detect_pair has an action of app1 that can reach r2's
-   condition state. Solver-free. *)
-let has_condition_effects ctx ((app1, r1) : tagged_rule) ((app2, r2) as p2 : tagged_rule) =
-  (not (r1.Rule.rule_id = r2.Rule.rule_id && app1.Rule.name = app2.Rule.name))
-  && List.exists
-       (fun a1 -> fst (condition_effects ctx (app1, a1) p2) <> [])
-       r1.Rule.actions
+(* The solver-free pre-filters over one rule pair's facts, given the
+   app pair's device matchers in both directions: could any category's
+   analysis produce a threat? *)
+let facts_candidate ctx (sd12, sd21) ((_, f1) as p1) ((_, f2) as p2) =
+  let may_trigger same_device (appa, fa) pb =
+    List.exists
+      (fun a -> action_triggers ~approx:true ctx same_device (appa, a) pb <> None)
+      fa.rf_actions
+  in
+  let has_condition_effects same_device fa fb =
+    List.exists (fun a -> condition_effects same_device a fb <> []) fa.rf_actions
+  in
+  actions_race ctx sd12 f1.rf_rule f2.rf_rule
+  || conflicting_goal_pairs sd12 f1 f2 <> []
+  || may_trigger sd12 p1 p2 || may_trigger sd21 p2 p1
+  || has_condition_effects sd12 f1 f2 || has_condition_effects sd21 f2 f1
 
 (** Cheap, solver-free over-approximation of [detect_pair <> []]: the
     per-category candidate pre-filters (action targets, goal effects,
@@ -869,33 +956,58 @@ let has_condition_effects ctx ((app1, r1) : tagged_rule) ((app2, r2) as p2 : tag
     A pair that fails every pre-filter cannot produce a threat, so the
     planner drops it before scheduling. *)
 let pair_candidate ctx ((app1, r1) as p1 : tagged_rule) ((app2, r2) as p2 : tagged_rule) =
-  if app1.Rule.name = app2.Rule.name && r1.Rule.rule_id = r2.Rule.rule_id then false
-  else
-    let may_trigger ((appa, ra) : tagged_rule) pb =
-      List.exists
-        (fun a -> action_triggers ~approx:true ctx (appa, a) pb <> None)
-        ra.Rule.actions
-    in
-    ar_candidate ctx p1 p2
-    || conflicting_goal_pairs ctx p1 p2 <> []
-    || may_trigger p1 p2 || may_trigger p2 p1
-    || has_condition_effects ctx p1 p2 || has_condition_effects ctx p2 p1
+  (not (app1.Rule.name = app2.Rule.name && r1.Rule.rule_id = r2.Rule.rule_id))
+  && facts_candidate ctx
+       (same_device ctx app1 app2, same_device ctx app2 app1)
+       (app1, rule_facts ctx p1) (app2, rule_facts ctx p2)
+
+(* An app with the facts of each of its rules, in rule order. *)
+let with_rule_facts ctx (app : Rule.smartapp) =
+  (app, List.map (fun r -> rule_facts ctx (app, r)) app.Rule.rules)
+
+(* [pair_candidate] for every rule pair of two differently named apps:
+   [m.(i).(j)] for rule [i] of the first and rule [j] of the second. The
+   facts are looked up once for the app pair, and its device matchers
+   are private to it: planning visits every app pair once, so sharing
+   them through the ctx table would only grow it. *)
+let candidate_matrix ctx ((a, fa) : Rule.smartapp * rule_facts list) (b, fb) =
+  let matchers = (device_matcher ctx.config a b, device_matcher ctx.config b a) in
+  Array.of_list
+    (List.map
+       (fun f1 ->
+         Array.of_list (List.map (fun f2 -> facts_candidate ctx matchers (a, f1) (b, f2)) fb))
+       fa)
 
 (** The audit plan: every cross-app rule pair that survives the cheap
     pre-filters, in the deterministic sequential enumeration order. *)
 let candidate_pairs ctx (apps : Rule.smartapp list) =
-  let tagged =
-    List.concat_map (fun app -> List.map (fun r -> (app, r)) app.Rule.rules) apps
-  in
-  let rec pairs = function
-    | [] -> []
-    | p :: rest -> List.map (fun q -> (p, q)) rest @ pairs rest
-  in
-  pairs tagged
-  |> List.filter (fun (((app1, _) : tagged_rule), ((app2, _) : tagged_rule)) ->
-         app1.Rule.name <> app2.Rule.name)
-  |> List.filter (fun (p1, p2) -> pair_candidate ctx p1 p2)
-  |> Array.of_list
+  let apps = Array.of_list (List.map (with_rule_facts ctx) apps) in
+  let n = Array.length apps in
+  let plan = ref [] in
+  for p = 0 to n - 1 do
+    let a, fa = apps.(p) in
+    (* the sequential order: each rule of app [p] against every rule of
+       every later, differently named app *)
+    let later =
+      List.filter_map
+        (fun q ->
+          let b, fb = apps.(q) in
+          if b.Rule.name = a.Rule.name then None
+          else Some (b, fb, candidate_matrix ctx apps.(p) apps.(q)))
+        (List.init (n - p - 1) (fun k -> p + 1 + k))
+    in
+    List.iteri
+      (fun i f1 ->
+        List.iter
+          (fun (b, fb, m) ->
+            List.iteri
+              (fun j f2 ->
+                if m.(i).(j) then plan := ((a, f1.rf_rule), (b, f2.rf_rule)) :: !plan)
+              fb)
+          later)
+      fa
+  done;
+  Array.of_list (List.rev !plan)
 
 (* -- crash-isolated execution ---------------------------------------------- *)
 
@@ -1052,16 +1164,13 @@ let group_matrix ctx ~failures ~retried (a : Rule.smartapp) (b : Rule.smartapp) 
           :: !failures;
         [])
   in
-  Array.of_list
-    (List.map
-       (fun ra ->
-         Array.of_list
-           (List.map
-              (fun rb ->
-                let p1 = (a, ra) and p2 = (b, rb) in
-                if pair_candidate ctx p1 p2 then detect p1 p2 else [])
-              b.Rule.rules))
-       a.Rule.rules)
+  let candidates = candidate_matrix ctx (with_rule_facts ctx a) (with_rule_facts ctx b) in
+  Array.mapi
+    (fun i ra ->
+      Array.mapi
+        (fun j rb -> if candidates.(i).(j) then detect (a, ra) (b, rb) else [])
+        (Array.of_list b.Rule.rules))
+    (Array.of_list a.Rule.rules)
 
 let matrix_has_undecided (m : pair_matrix) =
   Array.exists
@@ -1101,13 +1210,7 @@ let audit_all_grouped ?(cancel = fun () -> false) pc ctx (apps : Rule.smartapp l
           {
             pa_apps = (a, b);
             pa_bindings = (ctx.config.app_constraints a, ctx.config.app_constraints b);
-            pa_unify =
-              List.concat_map
-                (fun v1 ->
-                  List.filter_map
-                    (fun v2 -> if same_device ctx a v1 b v2 then Some (v1, v2) else None)
-                    (device_inputs ctx b))
-                (device_inputs ctx a);
+            pa_unify = unify_pairs ctx a b;
             pa_fingerprint = ctx.pair_fp;
           }
         in

@@ -94,17 +94,48 @@ val offline_config : config
 (** Corpus-audit mode: device-type matching, no config constraints,
     {!Budget.default_spec} budgets. *)
 
+(** {2 Planning facts}
+
+    Everything the solver-free pre-filters and the detectors read about
+    one app, derived once per ctx instead of once per rule pair. *)
+
+type action_facts = {
+  af_action : Rule.action;
+  af_writes : Channels.attr_write list;  (** {!Channels.attribute_writes} *)
+  af_effects : (Homeguard_st.Env_feature.t * Effects.polarity) list;
+      (** {!Effects.effects_of_action} *)
+}
+
+type rule_facts = {
+  rf_rule : Rule.t;  (** the rule itself (facts are found by identity) *)
+  rf_actions : action_facts list;  (** one per action, in order *)
+  rf_sensed : Homeguard_st.Env_feature.t option;
+      (** {!Channels.sensed_feature_of_trigger} of the trigger *)
+  rf_cond : Homeguard_solver.Formula.t;  (** {!Rule.expanded_predicate} *)
+  rf_cond_vars : (string * string * string option) list;
+      (** free vars of [rf_cond], each as (var, base, attr): ["t.temperature"]
+          is [("t.temperature", "t", Some "temperature")] *)
+}
+
+type app_facts = {
+  app_inputs : (string * string * Effects.device_class) list;
+      (** {!Rule.device_inputs}, each with its capability and
+          {!Effects.classify} class *)
+  app_rules : rule_facts list;  (** one per rule, in order *)
+}
+
 type caches
-(** Per-ctx memo tables for pure, solver-free planning facts (device
-    matching, channel maps, expanded conditions). One per ctx — worker
+(** Per-ctx memo tables: one {!app_facts} record per app name (names
+    are unique within an audit), the config's same-device answers per
+    app pair, and the command-opposition map. One per ctx — worker
     domains each own a ctx, so the tables need no locking. *)
 
 val create_caches : unit -> caches
-(** Fresh planning-fact tables, for sharing across ctxs via
-    {!create}'s [?caches]: sound only when every sharing config's
-    [same_device] behaves identically (the other facts are
-    config-independent), and only from one domain at a time — the
-    tables are unsynchronized. *)
+(** Fresh tables, for sharing across ctxs via {!create}'s [?caches]:
+    sound only when every sharing config's [same_device] behaves
+    identically and equal app names mean equal apps across the sharing
+    ctxs (the facts themselves are config-independent), and only from
+    one domain at a time — the tables are unsynchronized. *)
 
 type ctx = {
   config : config;
@@ -120,8 +151,12 @@ type ctx = {
 }
 
 val create : ?caches:caches -> config -> ctx
-(** A detection context. [?caches] shares planning facts with other
-    ctxs — see {!create_caches} for when that is sound. *)
+(** A detection context. [?caches] shares planning facts and device
+    matching with other ctxs — see {!create_caches} for when that is
+    sound. *)
+
+val app_facts : ctx -> Rule.smartapp -> app_facts
+(** The app's planning facts, derived on first use in the ctx. *)
 
 val situations_overlap :
   ctx -> tagged_rule -> tagged_rule -> Homeguard_solver.Solver.verdict

@@ -14,6 +14,7 @@ let () =
       ("json", Test_json.tests);
       ("symexec", Test_symexec.tests);
       ("detector", Test_detector.tests);
+      ("planner", Test_planner.tests);
       ("schedule", Test_schedule.tests);
       ("exec-more", Test_exec_more.tests);
       ("chain", Test_chain.tests);

@@ -1,0 +1,312 @@
+(** Differential tests for the planner's fast paths: the allocation-free
+    switch classifier against the lowercase-and-substring reference it
+    replaced, and the fact-driven plan against [detect_pair] over every
+    cross-app rule pair. *)
+
+module Rule = Homeguard_rules.Rule
+module Formula = Homeguard_solver.Formula
+module Detector = Homeguard_detector.Detector
+module Threat = Homeguard_detector.Threat
+module Effects = Homeguard_detector.Effects
+module Channels = Homeguard_detector.Channels
+module Corpus = Homeguard_corpus.Corpus
+module App_entry = Homeguard_corpus.App_entry
+module Config_uri = Homeguard_config.Config_uri
+module Recorder = Homeguard_config.Recorder
+open Helpers
+
+(* -- reference classifier ---------------------------------------------------- *)
+
+let ref_contains_word haystack word =
+  let h = String.lowercase_ascii haystack and n = String.length word in
+  let hl = String.length h in
+  let rec go i = i + n <= hl && (String.sub h i n = word || go (i + 1)) in
+  go 0
+
+let ref_classify_switch_text text =
+  let has w = ref_contains_word text w in
+  if has "light" || has "lamp" || has "bulb" || has "led" then Effects.Light
+  else if has "tv" || has "television" then Effects.Tv
+  else if has "heater" || has "heating" then Effects.Heater
+  else if has "air condition" || has " ac " || has "a/c" || has "aircon" then
+    Effects.Air_conditioner
+  else if has "fan" then Effects.Fan
+  else if has "window" then Effects.Window_opener
+  else if has "curtain" || has "blind" then Effects.Curtain
+  else if has "speaker" || has "sound" then Effects.Speaker
+  else if has "camera" then Effects.Camera
+  else if has "coffee" then Effects.Coffee_maker
+  else if has "humidifier" then Effects.Humidifier
+  else if has "outlet" || has "plug" then Effects.Outlet
+  else Effects.Generic_switch
+
+let ref_classify (app : Rule.smartapp) var =
+  match Rule.capability_of_input app var with
+  | None -> Effects.Other "unknown"
+  | Some cap -> (
+    match cap with
+    | "lock" -> Effects.Lock_device
+    | "doorControl" | "garageDoorControl" -> Effects.Door
+    | "valve" -> Effects.Valve_device
+    | "thermostat" | "thermostatHeatingSetpoint" | "thermostatCoolingSetpoint" ->
+      Effects.Thermostat_device
+    | "alarm" -> Effects.Alarm_device
+    | "windowShade" -> Effects.Shade
+    | "musicPlayer" -> Effects.Music_player
+    | "switch" | "switchLevel" -> (
+      let input = List.find_opt (fun i -> i.Rule.var = var) app.Rule.inputs in
+      let title = match input with Some { Rule.title = Some t; _ } -> t | _ -> "" in
+      match ref_classify_switch_text (var ^ " " ^ title) with
+      | Effects.Generic_switch ->
+        ref_classify_switch_text (String.concat " " [ app.Rule.name; app.Rule.description ])
+      | cls -> cls)
+    | cap -> Effects.Other cap)
+
+let class_str = Effects.class_to_string
+
+let extract_entry (e : App_entry.t) = extract ~name:e.App_entry.name e.App_entry.source
+let corpus_apps = lazy (List.map extract_entry Corpus.all)
+
+let classifier_matches_reference_on_corpus =
+  test "classifier agrees with the reference on every corpus and synth input" (fun () ->
+      (* synthetic homes draw their apps from the audit pool: check each
+         app any of them installs, as extracted for that home *)
+      let synth_apps =
+        List.concat_map
+          (fun seed ->
+            List.concat_map
+              (fun (h : Homeguard_corpus.Synth.home) ->
+                List.map extract_entry h.Homeguard_corpus.Synth.apps)
+              (Corpus.synth ~seed ~n_homes:20))
+          [ 1; 2; 3 ]
+      in
+      let checked = ref 0 in
+      List.iter
+        (fun (app : Rule.smartapp) ->
+          let texts =
+            String.concat " " [ app.Rule.name; app.Rule.description ]
+            :: List.map
+                 (fun (i : Rule.input_decl) ->
+                   i.Rule.var ^ " " ^ Option.value ~default:"" i.Rule.title)
+                 app.Rule.inputs
+          in
+          List.iter
+            (fun text ->
+              check_string text
+                (class_str (ref_classify_switch_text text))
+                (class_str (Effects.classify_switch_text text)))
+            texts;
+          List.iter
+            (fun (i : Rule.input_decl) ->
+              incr checked;
+              check_string
+                (app.Rule.name ^ "/" ^ i.Rule.var)
+                (class_str (ref_classify app i.Rule.var))
+                (class_str (Effects.classify app i.Rule.var)))
+            app.Rule.inputs)
+        (Lazy.force corpus_apps @ synth_apps);
+      check_bool "inputs checked" true (!checked > 100))
+
+(* Mixed-case text assembled from keywords (in random case), near
+   misses, separators and filler, so keywords land at the start, the
+   end, inside words and overlapping one another. *)
+let gen_text =
+  let open QCheck2.Gen in
+  let fragments =
+    [
+      "light"; "lamp"; "bulb"; "led"; "tv"; "television"; "heater"; "heating";
+      "air condition"; " ac "; "a/c"; "aircon"; "fan"; "window"; "curtain"; "blind";
+      "speaker"; "sound"; "camera"; "coffee"; "humidifier"; "outlet"; "plug"; "ac"; "a/";
+      "air"; "lig"; "tele"; "sw"; "switch"; "on"; "the"; "/"; " "; "  "; "-"; "x";
+    ]
+  in
+  let recase s =
+    map
+      (fun bits ->
+        String.mapi
+          (fun i c ->
+            if List.nth bits (i mod List.length bits) then Char.uppercase_ascii c else c)
+          s)
+      (list_size (int_range 1 8) bool)
+  in
+  map (String.concat "")
+    (list_size (int_range 0 8) (oneofl fragments >>= recase))
+
+let classifier_matches_reference_on_generated =
+  qtest ~count:2000 "classifier agrees with the reference on generated mixed-case text"
+    gen_text (fun text ->
+      Effects.classify_switch_text text = ref_classify_switch_text text)
+
+let classifier_edge_cases =
+  test "classifier edge cases: keyword at either end, overlaps, case" (fun () ->
+      List.iter
+        (fun text ->
+          check_string text
+            (class_str (ref_classify_switch_text text))
+            (class_str (Effects.classify_switch_text text)))
+        [
+          ""; "LIGHT"; "xx lamp"; "Fan"; "the AC unit"; " ac "; "ac"; " AC"; "A/C";
+          "a/c unit"; "aa/cc"; "heater outlet"; "PlugLight"; "TVfan"; "televisio";
+          "air conditionER"; "smart plug"; "blinds and curtains"; "sound of the fan";
+        ])
+
+(* -- same name, different description ---------------------------------------- *)
+
+let class_table_keys_on_description =
+  test "an app with the same name but a different description is classified anew"
+    (fun () ->
+      let app description =
+        {
+          Rule.name = "Renamed";
+          description;
+          inputs =
+            [
+              {
+                Rule.var = "dev";
+                input_type = "capability.switch";
+                title = Some "Device";
+                multiple = false;
+              };
+            ];
+          rules = [];
+          uses_web_services = false;
+        }
+      in
+      let heater = app "Turns on the heater" and lamp = app "Turns on the lamp" in
+      check_string "heater" "heater" (class_str (Effects.classify heater "dev"));
+      check_string "lamp" "light" (class_str (Effects.classify lamp "dev"));
+      check_string "heater again" "heater" (class_str (Effects.classify heater "dev")))
+
+(* -- planner reference -------------------------------------------------------- *)
+
+let threat_key (t : Threat.t) = (Threat.to_string t, t.Threat.witness, t.Threat.severity)
+
+(* Every cross-app rule pair, in the planner's enumeration order, run
+   through [detect_pair] with no planning pre-filter. *)
+let reference_threats config (apps : Rule.smartapp list) =
+  let ctx = Detector.create config in
+  let tagged = List.concat_map (fun app -> List.map (fun r -> (app, r)) app.Rule.rules) apps in
+  let rec go = function
+    | [] -> []
+    | ((a, _) as p) :: rest ->
+      List.concat_map
+        (fun ((b, _) as q) ->
+          if a.Rule.name = b.Rule.name then [] else Detector.detect_pair ctx p q)
+        rest
+      @ go rest
+  in
+  go tagged
+
+let check_plan label config apps =
+  let ctx = Detector.create config in
+  let plan = Detector.candidate_pairs ctx apps in
+  let planned = (Detector.audit_pairs ctx plan).Detector.threats in
+  let reference = reference_threats config apps in
+  check_int (label ^ ": threat count") (List.length reference) (List.length planned);
+  check_bool (label ^ ": threats and order") true
+    (List.map threat_key planned = List.map threat_key reference)
+
+(* Every fact field equals the direct derivation it caches. *)
+let check_facts config (apps : Rule.smartapp list) =
+  let ctx = Detector.create config in
+  List.iter
+    (fun (app : Rule.smartapp) ->
+      let f = Detector.app_facts ctx app in
+      let name = app.Rule.name in
+      check_bool (name ^ " inputs") true
+        (List.map (fun (v, _, _) -> v) f.Detector.app_inputs = Rule.device_inputs app);
+      List.iter
+        (fun (v, cap, cls) ->
+          check_bool (name ^ " capability of " ^ v) true
+            (Rule.capability_of_input app v = Some cap);
+          check_bool (name ^ " class of " ^ v) true (Effects.classify app v = cls))
+        f.Detector.app_inputs;
+      check_int (name ^ " rules") (List.length app.Rule.rules)
+        (List.length f.Detector.app_rules);
+      List.iter2
+        (fun (r : Rule.t) (rf : Detector.rule_facts) ->
+          let id = name ^ "/" ^ r.Rule.rule_id in
+          check_bool (id ^ " rule") true (rf.Detector.rf_rule == r);
+          check_bool (id ^ " sensed") true
+            (rf.Detector.rf_sensed = Channels.sensed_feature_of_trigger r.Rule.trigger);
+          let cond = Rule.expanded_predicate r in
+          check_bool (id ^ " cond") true (rf.Detector.rf_cond = cond);
+          check_bool (id ^ " cond vars") true
+            (List.map (fun (v, _, _) -> v) rf.Detector.rf_cond_vars = Formula.free_vars cond);
+          List.iter
+            (fun (v, base, attr) ->
+              let joined = match attr with Some a -> base ^ "." ^ a | None -> base in
+              check_string (id ^ " split " ^ v) v joined;
+              check_bool (id ^ " attr of " ^ v) true
+                (not (String.contains (Option.value attr ~default:v) '.')))
+            rf.Detector.rf_cond_vars;
+          check_int (id ^ " actions") (List.length r.Rule.actions)
+            (List.length rf.Detector.rf_actions);
+          List.iter2
+            (fun (a : Rule.action) (af : Detector.action_facts) ->
+              check_bool (id ^ " action") true (af.Detector.af_action == a);
+              check_bool (id ^ " writes") true
+                (af.Detector.af_writes = Channels.attribute_writes app a);
+              check_bool (id ^ " effects") true
+                (af.Detector.af_effects = Effects.effects_of_action app a))
+            r.Rule.actions rf.Detector.rf_actions)
+        app.Rule.rules f.Detector.app_rules)
+    apps
+
+let audit_pool = lazy (List.map extract_entry Corpus.audit_apps)
+
+(* A synthetic home as the fleet audits it: its apps plus a recorder fed
+   its configuration URIs, so device matching and value bindings are
+   the home's own. *)
+let home_setup (h : Homeguard_corpus.Synth.home) =
+  let apps = List.map extract_entry h.Homeguard_corpus.Synth.apps in
+  let recorder = Recorder.create () in
+  List.iter
+    (fun uri ->
+      match Config_uri.decode uri with
+      | u -> Recorder.record_uri recorder u
+      | exception Config_uri.Malformed _ -> ())
+    h.Homeguard_corpus.Synth.configs;
+  (apps, Recorder.detector_config recorder)
+
+let synth_seeds = [ 3; 17; 101 ]
+
+let plan_matches_reference_on_audit_pool =
+  test "plan = detect_pair over every cross-app pair (125-app audit pool)" (fun () ->
+      check_plan "audit pool" Detector.offline_config (Lazy.force audit_pool))
+
+let plan_matches_reference_on_synth =
+  test "plan = detect_pair over every cross-app pair (synth homes, three seeds)" (fun () ->
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun (h : Homeguard_corpus.Synth.home) ->
+              let apps, config = home_setup h in
+              let label = Printf.sprintf "seed %d %s" seed h.Homeguard_corpus.Synth.id in
+              check_plan (label ^ " offline") Detector.offline_config apps;
+              check_plan (label ^ " recorded") config apps)
+            (Corpus.synth ~seed ~n_homes:25))
+        synth_seeds)
+
+let facts_match_direct_derivations =
+  test "every planning fact equals its direct derivation" (fun () ->
+      check_facts Detector.offline_config (Lazy.force audit_pool);
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun h ->
+              let apps, config = home_setup h in
+              check_facts config apps)
+            (Corpus.synth ~seed ~n_homes:25))
+        synth_seeds)
+
+let tests =
+  [
+    classifier_matches_reference_on_corpus;
+    classifier_matches_reference_on_generated;
+    classifier_edge_cases;
+    class_table_keys_on_description;
+    plan_matches_reference_on_audit_pool;
+    plan_matches_reference_on_synth;
+    facts_match_direct_derivations;
+  ]
