@@ -146,6 +146,13 @@ let propose ?config ?cancel t (app : Rule.smartapp) =
 
 exception No_pending_install
 
+(* The one "keep" step, shared by a live [decide Keep] and replay:
+   install the rules, allow the threat edges, remember the threats. *)
+let keep t app threats =
+  ignore (Rule_db.install t.db app);
+  Chain.allow t.allowed threats;
+  t.kept <- t.kept @ threats
+
 (** Step 4: the user's one-time decision. [Keep] installs the app and
     records its threat pairs as allowed; [Reject] discards it;
     [Reconfigure] discards the proposal so the user can re-run with a
@@ -156,11 +163,16 @@ let decide t decision =
   | Some report ->
     t.pending <- None;
     (match decision with
-    | Keep ->
-      ignore (Rule_db.install t.db report.app);
-      Chain.allow t.allowed report.threats;
-      t.kept <- t.kept @ report.threats
+    | Keep -> keep t report.app report.threats
     | Reject | Reconfigure -> ())
+
+(** Journal replay of a kept install: the same audit as {!propose}
+    followed by the same {!keep} step, but no report — no chains, texts
+    or recommendations — and [pending] is left untouched. *)
+let replay_install t (app : Rule.smartapp) =
+  let ctx = Detector.create t.detector_config in
+  let audit = Detector.audit_new_app ctx (detection_db t) app in
+  keep t app audit.Detector.threats
 
 let installed_apps t = Rule_db.installed_apps t.db
 
@@ -187,6 +199,7 @@ let set_decision t threat_id decision = Policy.set_by_id t.policies threat_id de
 let policies t = t.policies
 
 let kept_threats t = t.kept
+let allowed_edges t = Chain.allowed_edges t.allowed
 
 (** Compile the runtime reference monitor for everything kept so far,
     under the current decisions. *)

@@ -45,6 +45,12 @@ val decide : t -> decision -> unit
 (** [Keep] installs and records the threat pairs as allowed; [Reject]
     and [Reconfigure] discard the proposal. *)
 
+val replay_install : t -> Rule.smartapp -> unit
+(** Recovery's replay of a kept install: runs the install-time audit
+    against the installed home and applies the same keep step as
+    [decide Keep], without building a report (no chains, texts or
+    recommendations). [pending] is left untouched. *)
+
 val installed_apps : t -> Rule.smartapp list
 
 val pending : t -> report option
@@ -79,6 +85,10 @@ val policies : t -> Homeguard_handling.Policy.store
 
 val kept_threats : t -> Homeguard_detector.Threat.t list
 (** Threats accepted (via [Keep]) so far — the mediator's input. *)
+
+val allowed_edges : t -> Homeguard_detector.Chain.allowed_edge list
+(** The Allowed list: the edges of every kept threat, which chain
+    detection extends. *)
 
 val mediator :
   ?defer_delay_ms:int -> ?max_deferrals:int -> t -> Homeguard_handling.Mediator.t

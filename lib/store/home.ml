@@ -8,8 +8,9 @@
     operation in flight. {!open_} recovers by letting {!Journal.recover}
     truncate a torn tail and quarantine corrupted records, then
     replaying the snapshot and journal events in order; install events
-    re-run the install-time detection ({!Install_flow.propose} +
-    [Keep]), which is deterministic, so the recovered state — rule
+    re-run the install-time detection ({!Install_flow.replay_install}:
+    the audit and the [Keep] step, without rendering a report), which
+    is deterministic, so the recovered state — rule
     database, recorder bindings, allowed list, kept threats and hence
     the compiled mediator — matches the pre-crash state exactly.
 
@@ -119,10 +120,6 @@ let apply_config t ~seq uri =
     set_config t u.Config_uri.app_name ~seq uri
   | exception Config_uri.Malformed _ -> t.skipped <- t.skipped + 1
 
-let install_now t app =
-  ignore (Install_flow.propose t.flow app);
-  Install_flow.decide t.flow Install_flow.Keep
-
 let same_rule_file a b = Rule_json.to_string a = Rule_json.to_string b
 
 (** Idempotent event application: replaying a journal whose events were
@@ -133,8 +130,8 @@ let apply_event t = function
     | Some existing when same_rule_file existing app -> ()
     | Some _ ->
       Install_flow.uninstall t.flow app.Rule.name;
-      install_now t app
-    | None -> install_now t app)
+      Install_flow.replay_install t.flow app
+    | None -> Install_flow.replay_install t.flow app)
   | Event.Uninstall name -> Install_flow.uninstall t.flow name
   | Event.Config { seq; uri } ->
     let stale = match seq with Some s -> s <= Ingest.ack (ingest t) | None -> false in

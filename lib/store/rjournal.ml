@@ -27,26 +27,36 @@ module Fault = Homeguard_solver.Fault
 (* Shortest common supersequence of two lists, via the LCS backtrack:
    both are subsequences of one true history, so their SCS is the
    minimal stream containing every record either replica kept, in a
-   consistent order. *)
+   consistent order.
+
+   The backtrack emits equal heads first, and the table over two
+   suffixes depends only on those suffixes, so the common prefix is
+   emitted without a table and the table spans only the diverged
+   remainder. Identical replicas, or one that is only some frames
+   ahead, merge in one linear pass that returns the longer list
+   itself. *)
 let scs (a : string list) (b : string list) =
-  match (a, b) with
-  | [], ys -> ys
-  | xs, [] -> xs
-  | _ ->
-    let xa = Array.of_list a and xb = Array.of_list b in
+  let rec common p x y =
+    match (x, y) with
+    | [], _ -> b
+    | _, [] -> a
+    | u :: x', v :: y' when String.equal u v -> common (p + 1) x' y'
+    | _ -> diverged p x y
+  and diverged p x y =
+    let xa = Array.of_list x and xb = Array.of_list y in
     let n = Array.length xa and m = Array.length xb in
     let lcs = Array.make_matrix (n + 1) (m + 1) 0 in
     for i = n - 1 downto 0 do
       for j = m - 1 downto 0 do
         lcs.(i).(j) <-
-          (if xa.(i) = xb.(j) then 1 + lcs.(i + 1).(j + 1)
+          (if String.equal xa.(i) xb.(j) then 1 + lcs.(i + 1).(j + 1)
            else max lcs.(i + 1).(j) lcs.(i).(j + 1))
       done
     done;
-    let out = ref [] in
+    let out = ref (List.rev (List.filteri (fun k _ -> k < p) a)) in
     let i = ref 0 and j = ref 0 in
     while !i < n && !j < m do
-      if xa.(!i) = xb.(!j) then begin
+      if String.equal xa.(!i) xb.(!j) then begin
         out := xa.(!i) :: !out;
         incr i;
         incr j
@@ -69,6 +79,8 @@ let scs (a : string list) (b : string list) =
       incr j
     done;
     List.rev !out
+  in
+  common 0 a b
 
 let merge_records = function
   | [] -> []

@@ -36,7 +36,11 @@ val write_atomic_all : ?fsync:bool -> ?epoch:int -> string list -> string list -
 
 val merge_records : string list list -> string list
 (** The shortest common supersequence of the replicas' record streams —
-    every record that survived anywhere, in a consistent order. *)
+    every record that survived anywhere, in a consistent order — folded
+    pairwise. Each pairwise merge is linear in the shared prefix and
+    allocates no table for it: identical replicas, or one that is a few
+    frames ahead, merge in one pass. Only the remainder after the first
+    disagreement pays the O(n·m) LCS table. *)
 
 (** {2 Recovery} *)
 

@@ -109,7 +109,9 @@ type store = {
   max_entries : int;
   mutex : Mutex.t;
   table : (string, entry) Hashtbl.t;
-  queue : string Queue.t;  (** insertion order, for oldest-first eviction *)
+  queue : string Queue.t;
+      (** insertion order, for oldest-first eviction: each live key once,
+          at its latest insertion (see [prune_queue]) *)
   inflight : (string, Condition.t) Hashtbl.t;
   pair_table : (string, Detector.pair_matrix) Hashtbl.t;
       (** L1: whole app-pair audit results, exact-keyed. In-memory
@@ -264,6 +266,28 @@ let apply_record st payload =
   | [ "d"; key ] -> Hashtbl.remove st.table (Scanf.unescaped key)
   | _ -> raise Exit
 
+(* A replayed deletion or a compaction removes a key without popping
+   it, and a later re-insert queues the key again, so the stale element
+   would evict the fresh entry at its old position. Keep each live key
+   once, at its last (latest) insertion. Eviction pops the keys it
+   removes, so the queue is exact again after this until the next
+   replay or compaction. *)
+let prune_queue st =
+  let seen = Hashtbl.create (Hashtbl.length st.table) in
+  let live =
+    List.fold_left
+      (fun acc key ->
+        if Hashtbl.mem st.table key && not (Hashtbl.mem seen key) then begin
+          Hashtbl.replace seen key ();
+          key :: acc
+        end
+        else acc)
+      []
+      (List.rev (List.of_seq (Queue.to_seq st.queue)))
+  in
+  Queue.clear st.queue;
+  List.iter (fun key -> Queue.push key st.queue) live
+
 (* The fence gate in front of every durable cache byte: an append made
    under a superseded ownership epoch is refused (and counted) before
    anything is framed, exactly as a home-journal append would be. *)
@@ -325,6 +349,7 @@ let compact_locked st =
     Hashtbl.iter
       (fun k e -> match e with Unknown_e _ -> Hashtbl.remove st.table k | _ -> ())
       (Hashtbl.copy st.table);
+    prune_queue st;
     let payloads =
       List.map (fun k -> enc_ins k (Hashtbl.find st.table k)) (sorted_keys st)
     in
@@ -392,6 +417,7 @@ let open_store ?(fsync = true) ?(max_entries = 65536) ?(replicas = []) ?fence_ke
      grants made on this store resume above anything ever written *)
   st.epoch <- max snap_epoch jour_epoch;
   ignore (Fence.acquire st.fence_base st.epoch);
+  prune_queue st;
   evict_overflow st None ~fkey:st.fence_base ~fepoch:st.epoch;
   if !undecodable > 0 then
     (* a frame that decodes to no entry can never be served: drop it

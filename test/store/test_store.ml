@@ -719,6 +719,72 @@ let replay_determinism_property =
               h.Synth.id)
         synth)
 
+let replayed_install_equals_live =
+  test "synth homes: replayed installs equal live propose + keep" (fun () ->
+      let chain_edges reports =
+        (* the Allowed list built straight from the live reports *)
+        let c = Homeguard_detector.Chain.create () in
+        List.iter
+          (fun (r : Install_flow.report) ->
+            Homeguard_detector.Chain.allow c r.Install_flow.threats)
+          reports;
+        Homeguard_detector.Chain.allowed_edges c
+      in
+      let kept f = List.map Policy.threat_id (Install_flow.kept_threats f) in
+      let names f =
+        List.map (fun (a : Rule.smartapp) -> a.Rule.name) (Install_flow.installed_apps f)
+      in
+      let any_edges = ref false in
+      List.iter
+        (fun h ->
+          let apps =
+            List.map
+              (fun (e : App_entry.t) ->
+                (Extract.extract_source ~name:e.App_entry.name e.App_entry.source)
+                  .Extract.app)
+              h.Synth.apps
+          in
+          (* flow level: live propose + decide Keep vs replay *)
+          let live = Install_flow.create () and replayed = Install_flow.create () in
+          let reports =
+            List.map
+              (fun app ->
+                let r = Install_flow.propose live app in
+                Install_flow.decide live Install_flow.Keep;
+                Install_flow.replay_install replayed app;
+                r)
+              apps
+          in
+          let reference = chain_edges reports in
+          if reference <> [] then any_edges := true;
+          check_bool "kept threats" true (kept live = kept replayed);
+          check_bool "live Allowed list matches its reports" true
+            (Install_flow.allowed_edges live = reference);
+          check_bool "replayed Allowed list matches the live reports" true
+            (Install_flow.allowed_edges replayed = reference);
+          check_bool "installed apps" true (names live = names replayed);
+          check_bool "replay leaves no pending proposal" true
+            (Install_flow.pending replayed = None);
+          (* home level: a live home against its recovered replay *)
+          let dir = fresh_dir () in
+          let home, _ = Home.open_ ~dir () in
+          List.iter (fun app -> ignore (Home.install_app home app)) apps;
+          List.iteri
+            (fun i uri -> ignore (Home.deliver home ~seq:(i + 1) uri))
+            h.Synth.configs;
+          let digest = Home.state_digest home in
+          let edges = Install_flow.allowed_edges (Home.flow home) in
+          Home.close home;
+          let home2, _ = Home.open_ ~dir () in
+          check_string "recovered state digest" digest (Home.state_digest home2);
+          check_bool "recovered Allowed list" true
+            (Install_flow.allowed_edges (Home.flow home2) = edges);
+          check_bool "recovered home has no pending proposal" true
+            (Install_flow.pending (Home.flow home2) = None);
+          Home.close home2)
+        (Homeguard_corpus.Corpus.synth ~seed:5 ~n_homes:6);
+      check_bool "some home kept a threat edge" true !any_edges)
+
 (* -- the checked-in corrupted fixture ------------------------------------------ *)
 
 let fixture_recovers =
@@ -791,6 +857,8 @@ let () =
           fence_rejects_stale_appends;
           scrub_repairs_and_audit_is_identical;
           replay_determinism_property;
+          replayed_install_equals_live;
         ] );
+      ("merge", Test_merge.tests);
       ("fixture", [ fixture_recovers ]);
     ]

@@ -303,6 +303,45 @@ let eviction_is_bounded_and_journaled =
       check_bool "replay honors the deletions" true (Vcache.dump st2 = live);
       Vcache.close_store st2)
 
+(* A removed key left behind in the eviction queue must not make its
+   re-inserted successor the oldest entry: each live key is queued once,
+   at its latest insertion. *)
+let replayed_delete_requeues =
+  test "a key deleted then re-inserted by replay is evicted as the newest"
+    (fun () ->
+      let dir = fresh_dir () in
+      Homeguard_store.Journal.write_atomic ~fsync:false
+        (Filename.concat dir "cache.journal")
+        [ "i\tk1\tU"; "i\tk2\tU"; "d\tk1"; "i\tk3\tU"; "i\tk1\tU" ];
+      let st = Vcache.open_store ~fsync:false ~max_entries:2 ~dir () in
+      Alcotest.(check (list string))
+        "oldest-first keeps k3 and k1" [ "k1"; "k3" ]
+        (List.map fst (Vcache.dump st));
+      Vcache.close_store st)
+
+let compacted_unknown_requeues =
+  test "an Unknown marker dropped by compaction re-enters the queue at the back"
+    (fun () ->
+      let st = Vcache.open_store ~fsync:false ~max_entries:2 ~dir:(fresh_dir ()) () in
+      let h = Vcache.attach st ~owner:"t" in
+      let calls = ref 0 in
+      let key t = (family_classify t).Abstract.key in
+      check_bool "three distinct classes" true
+        (key 200 <> key 990 && key 990 <> key (-990) && key 200 <> key (-990));
+      ignore
+        (Vcache.hook h (family_query 200) (fun () ->
+             Budget.Unknown { Budget.trip = Budget.Prop_fuel; where = "test" }));
+      ignore (counting_hook h calls (family_query 990) 990);
+      Vcache.compact st;
+      check_int "compaction dropped the marker" 1 (Vcache.entries st);
+      ignore (counting_hook h calls (family_query 200) 200);
+      ignore (counting_hook h calls (family_query (-990)) (-990));
+      Alcotest.(check (list string))
+        "the oldest live entry was evicted"
+        (List.sort compare [ key 200; key (-990) ])
+        (List.map fst (Vcache.dump st));
+      Vcache.close_store st)
+
 (* -- corpus property ----------------------------------------------------------- *)
 
 let sweep_is_byte_identical =
@@ -337,7 +376,12 @@ let () =
           single_flight_dedup;
         ] );
       ( "persistence",
-        [ reopen_round_trip; torn_tail_dropped; eviction_is_bounded_and_journaled ]
-      );
+        [
+          reopen_round_trip;
+          torn_tail_dropped;
+          eviction_is_bounded_and_journaled;
+          replayed_delete_requeues;
+          compacted_unknown_requeues;
+        ] );
       ("property", [ sweep_is_byte_identical ]);
     ]
