@@ -8,6 +8,7 @@
 
 module Rule = Homeguard_rules.Rule
 module Term = Homeguard_solver.Term
+module Detector = Homeguard_detector.Detector
 
 type app_config = {
   app_name : string;
@@ -59,9 +60,14 @@ let find t app_name = List.find_opt (fun c -> c.app_name = app_name) t.configs
 let device_id t app_name var =
   Option.bind (find t app_name) (fun c -> List.assoc_opt var c.devices)
 
-(** Online same-device test: identical 128-bit device ids. *)
-let same_device t (app1 : Rule.smartapp) v1 (app2 : Rule.smartapp) v2 =
-  match (device_id t app1.Rule.name v1, device_id t app2.Rule.name v2) with
+(** Online same-device test: identical 128-bit device ids, looked up
+    by app name and var. The capability in the descriptors is not read:
+    a device id bound to any var, capability input or not, counts. *)
+let same_device t (d1 : Detector.device_input) (d2 : Detector.device_input) =
+  match
+    ( device_id t d1.Detector.di_app.Rule.name d1.Detector.di_var,
+      device_id t d2.Detector.di_app.Rule.name d2.Detector.di_var )
+  with
   | Some id1, Some id2 -> id1 = id2
   | _ -> false
 
@@ -71,9 +77,9 @@ let app_constraints t (app : Rule.smartapp) =
 
 (** A detector configuration backed by this recorder (the online,
     deployment-accurate mode). *)
-let detector_config t : Homeguard_detector.Detector.config =
+let detector_config t : Detector.config =
   {
-    Homeguard_detector.Detector.same_device = same_device t;
+    Detector.same_device = same_device t;
     app_constraints = app_constraints t;
     reuse = true;
     budget = Homeguard_solver.Budget.default_spec;

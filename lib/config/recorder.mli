@@ -26,6 +26,14 @@ val decimal_of_string_opt : string -> int option
 val record_uri : t -> Config_uri.t -> unit
 val find : t -> string -> app_config option
 val device_id : t -> string -> string -> string option
-val same_device : t -> Rule.smartapp -> string -> Rule.smartapp -> string -> bool
+
+val same_device :
+  t -> Homeguard_detector.Detector.device_input -> Homeguard_detector.Detector.device_input -> bool
+(** The online device relation: both descriptors' vars are bound to the
+    same 128-bit device id, looked up by [di_app]'s name and [di_var].
+    The descriptors' capability fields are not read, so a var that is
+    not a declared capability input still matches when the received
+    configuration bound it to a device. *)
+
 val app_constraints : t -> Rule.smartapp -> (string * Term.t) list
 val detector_config : t -> Homeguard_detector.Detector.config

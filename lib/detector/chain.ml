@@ -83,9 +83,13 @@ let find_chains t (new_threats : Threat.t list) =
           })
         new_threats
   in
-  let successors rule_id =
-    List.filter (fun e -> e.from_rule = rule_id && propagating e.category) all_edges
-  in
+  (* from_rule -> its propagating edges, in list order, built once per
+     call so a search step reads only its own successors *)
+  let index = Hashtbl.create 256 in
+  List.iter
+    (fun e -> if propagating e.category then Hashtbl.add index e.from_rule e)
+    (List.rev all_edges);
+  let successors rule_id = Hashtbl.find_all index rule_id in
   let max_len = 6 in
   let rec extend visited cats rule_id =
     let chains_here =

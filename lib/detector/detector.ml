@@ -62,8 +62,19 @@ type pair_cache = {
   pair_store : pair_audit -> pair_matrix -> unit;
 }
 
+(* One input variable as the device relation sees it: the app, the var
+   and, for a declared capability input, its capability and device
+   class. [app_facts] derives the descriptor once per declared input. *)
+type device_input = {
+  di_app : Rule.smartapp;
+  di_var : string;
+  di_device : (string * Effects.device_class) option;
+      (** capability and device class; [None] for a var that is not a
+          declared capability input *)
+}
+
 type config = {
-  same_device : Rule.smartapp -> string -> Rule.smartapp -> string -> bool;
+  same_device : device_input -> device_input -> bool;
       (** do two input variables denote the same device? *)
   app_constraints : Rule.smartapp -> (string * Term.t) list;
       (** configuration values: user-input variable bindings *)
@@ -94,15 +105,24 @@ type config = {
     unclassifiable switch may be bound to any switch device, so it
     matches every switch class (this is what lets Energy Saver's generic
     "devices to turn off" disable It's Too Hot's air conditioner). *)
-let offline_same_device app1 v1 app2 v2 =
-  match (Rule.capability_of_input app1 v1, Rule.capability_of_input app2 v2) with
-  | Some c1, Some c2 when c1 = c2 ->
-    if c1 = "switch" || c1 = "switchLevel" then begin
-      let cls1 = Effects.classify app1 v1 and cls2 = Effects.classify app2 v2 in
+let offline_same_device d1 d2 =
+  match (d1.di_device, d2.di_device) with
+  | Some (c1, cls1), Some (c2, cls2) when c1 = c2 ->
+    if c1 = "switch" || c1 = "switchLevel" then
       cls1 = cls2 || cls1 = Effects.Generic_switch || cls2 = Effects.Generic_switch
-    end
     else true
   | _ -> false
+
+(* The descriptor of [var], derived directly from the app's input
+   declarations: capability first, device class only for a capability
+   input. *)
+let device_input (app : Rule.smartapp) var =
+  {
+    di_app = app;
+    di_var = var;
+    di_device =
+      Option.map (fun cap -> (cap, Effects.classify app var)) (Rule.capability_of_input app var);
+  }
 
 let offline_config =
   {
@@ -150,16 +170,15 @@ type rule_facts = {
 }
 
 type app_facts = {
-  app_inputs : (string * string * Effects.device_class) list;
+  app_inputs : device_input list;
   app_rules : rule_facts list;
 }
 
 (* Per-ctx memo tables: app facts by app name (unique within an audit),
-   plus the config-dependent device matching and the command-opposition
-   map. Every worker domain owns its own ctx, so the tables need no
-   locking. *)
+   plus the config-dependent same-device relation and the
+   command-opposition map. Every worker domain owns its own ctx, so the
+   tables need no locking. *)
 type caches = {
-  same_device_c : (string * string, string -> string -> bool) Hashtbl.t;
   unify_pairs_c : (string * string, (string * string) list) Hashtbl.t;
   facts_c : (string, app_facts) Hashtbl.t;
   opposite_cmds_c : (string * string, bool) Hashtbl.t;
@@ -167,7 +186,6 @@ type caches = {
 
 let create_caches () =
   {
-    same_device_c = Hashtbl.create 256;
     unify_pairs_c = Hashtbl.create 64;
     facts_c = Hashtbl.create 64;
     opposite_cmds_c = Hashtbl.create 64;
@@ -186,11 +204,11 @@ type ctx = {
   mutable undecided_solves : int;  (** solves still undecided after escalation *)
 }
 
-(* [?caches] shares planning facts and device matchers across ctxs:
-   sound only when every sharing config's [same_device] behaves
-   identically (a shared matcher asks the config of the ctx that made
-   it; the facts are config-independent) and equal app names mean equal
-   apps, and only from one domain at a time — the tables are
+(* [?caches] shares planning facts and same-device relations across
+   ctxs: sound only when every sharing config's [same_device] behaves
+   identically (a shared relation was asked of the config of the ctx
+   that made it; the facts are config-independent) and equal app names
+   mean equal apps, and only from one domain at a time — the tables are
    unsynchronized. Fleet sweeps over many homes in one matching mode
    amortize fact derivation this way. *)
 let create ?caches config =
@@ -224,9 +242,9 @@ let action_facts (app : Rule.smartapp) inputs (a : Rule.action) =
   let effects =
     match a.Rule.target with
     | Rule.Act_device var -> (
-      match List.find_opt (fun (v, _, _) -> v = var) inputs with
-      | Some (_, _, cls) -> Effects.device_effects cls a
-      | None -> Effects.effects_of_action app a)
+      match List.find_opt (fun d -> d.di_var = var) inputs with
+      | Some { di_device = Some (_, cls); _ } -> Effects.device_effects cls a
+      | _ -> Effects.effects_of_action app a)
     | _ -> Effects.effects_of_action app a
   in
   { af_action = a; af_writes = Channels.attribute_writes app a; af_effects = effects }
@@ -250,9 +268,8 @@ let app_facts_of (app : Rule.smartapp) =
   let inputs =
     List.filter_map
       (fun (i : Rule.input_decl) ->
-        Option.map
-          (fun cap -> (i.Rule.var, cap, Effects.classify app i.Rule.var))
-          (Rule.capability_of_input app i.Rule.var))
+        let d = device_input app i.Rule.var in
+        if d.di_device = None then None else Some d)
       app.Rule.inputs
   in
   { app_inputs = inputs; app_rules = List.map (rule_facts_of app inputs) app.Rule.rules }
@@ -268,25 +285,19 @@ let rule_facts ctx ((app, r) : tagged_rule) =
   | Some rf -> rf
   | None -> rule_facts_of app facts.app_inputs r
 
-(* A device matcher between two apps: [device_matcher config app1 app2
-   v1 v2] asks [config.same_device app1 v1 app2 v2] once, then answers
-   from the app pair's few cells. *)
-let device_matcher config (app1 : Rule.smartapp) (app2 : Rule.smartapp) =
-  let cells = ref [] in
-  fun v1 v2 ->
-    let rec find = function
-      | (c1, c2, same) :: rest -> if c1 = v1 && c2 = v2 then same else find rest
-      | [] ->
-        let same = config.same_device app1 v1 app2 v2 in
-        cells := (v1, v2, same) :: !cells;
-        same
-    in
-    find !cells
+(* The descriptor of [var] among an app's facts: a declared capability
+   input's precomputed one, or a bare one for any other var. *)
+let input_of (app : Rule.smartapp) facts var =
+  match List.find_opt (fun d -> d.di_var = var) facts.app_inputs with
+  | Some d -> d
+  | None -> { di_app = app; di_var = var; di_device = None }
 
-(* One matcher per app pair and ctx, for the detectors. *)
+(* The device matcher between two apps: [same_device ctx app1 app2 v1
+   v2] finds both vars' descriptors among the apps' facts and asks
+   [config.same_device] of them — no per-cell derivation. *)
 let same_device ctx (app1 : Rule.smartapp) (app2 : Rule.smartapp) =
-  memo ctx.caches.same_device_c (app1.Rule.name, app2.Rule.name) (fun () ->
-      device_matcher ctx.config app1 app2)
+  let f1 = app_facts ctx app1 and f2 = app_facts ctx app2 in
+  fun v1 v2 -> ctx.config.same_device (input_of app1 f1 v1) (input_of app2 f2 v2)
 
 let commands_opposite ctx c1 c2 =
   memo ctx.caches.opposite_cmds_c (c1, c2) (fun () ->
@@ -330,12 +341,13 @@ let qualify app_name var = if is_shared_var var then var else app_name ^ "::" ^ 
    input-declaration order. *)
 let unify_pairs ctx (app1 : Rule.smartapp) (app2 : Rule.smartapp) =
   memo ctx.caches.unify_pairs_c (app1.Rule.name, app2.Rule.name) (fun () ->
-      let same_device = same_device ctx app1 app2 in
+      let inputs2 = (app_facts ctx app2).app_inputs in
       List.concat_map
-        (fun (v1, _, _) ->
+        (fun d1 ->
           List.filter_map
-            (fun (v2, _, _) -> if same_device v1 v2 then Some (v1, v2) else None)
-            (app_facts ctx app2).app_inputs)
+            (fun d2 ->
+              if ctx.config.same_device d1 d2 then Some (d1.di_var, d2.di_var) else None)
+            inputs2)
         (app_facts ctx app1).app_inputs)
 
 (* Build the unification renaming: matched device variables of app2 are
@@ -418,7 +430,7 @@ let store_for ctx apps formula =
           if app.Rule.name <> app_name then None
           else
             List.find_map
-              (fun (v, cap, _) -> if v = var then Some cap else None)
+              (fun d -> if d.di_var = var then Option.map fst d.di_device else None)
               (app_facts ctx app).app_inputs)
         apps
     | _ -> None
@@ -967,11 +979,10 @@ let with_rule_facts ctx (app : Rule.smartapp) =
 
 (* [pair_candidate] for every rule pair of two differently named apps:
    [m.(i).(j)] for rule [i] of the first and rule [j] of the second. The
-   facts are looked up once for the app pair, and its device matchers
-   are private to it: planning visits every app pair once, so sharing
-   them through the ctx table would only grow it. *)
+   facts and the two device matchers are looked up once for the app
+   pair. *)
 let candidate_matrix ctx ((a, fa) : Rule.smartapp * rule_facts list) (b, fb) =
-  let matchers = (device_matcher ctx.config a b, device_matcher ctx.config b a) in
+  let matchers = (same_device ctx a b, same_device ctx b a) in
   Array.of_list
     (List.map
        (fun f1 ->
@@ -1197,6 +1208,9 @@ let audit_all_grouped ?(cancel = fun () -> false) pc ctx (apps : Rule.smartapp l
   let failures = ref [] and retried = ref 0 in
   let cancelled = ref false and shed = ref 0 in
   let matrices = Hashtbl.create 16 in
+  (* each app's bindings are read once per audit, so every key of the
+     audit shares them physically *)
+  let bindings = Array.map ctx.config.app_constraints apps_a in
   for p = 0 to n - 1 do
     for q = p + 1 to n - 1 do
       let a = apps_a.(p) and b = apps_a.(q) in
@@ -1209,7 +1223,7 @@ let audit_all_grouped ?(cancel = fun () -> false) pc ctx (apps : Rule.smartapp l
         let pa =
           {
             pa_apps = (a, b);
-            pa_bindings = (ctx.config.app_constraints a, ctx.config.app_constraints b);
+            pa_bindings = (bindings.(p), bindings.(q));
             pa_unify = unify_pairs ctx a b;
             pa_fingerprint = ctx.pair_fp;
           }

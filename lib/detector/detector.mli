@@ -30,8 +30,28 @@ type solve_query = {
     would receive; a hook must return either its compute thunk's result
     or a verdict byte-identical to it. *)
 
+type device_input = {
+  di_app : Rule.smartapp;
+  di_var : string;
+  di_device : (string * Effects.device_class) option;
+      (** the capability and {!Effects.classify} class of a declared
+          capability input; [None] for any other var *)
+}
+(** One input variable as the device relation sees it. {!app_facts}
+    derives the descriptor of every declared capability input once, so
+    a relation reads two precomputed fields instead of re-deriving
+    them per cell. *)
+
 type config = {
-  same_device : Rule.smartapp -> string -> Rule.smartapp -> string -> bool;
+  same_device : device_input -> device_input -> bool;
+      (** do two input variables denote the same device? The detector
+          asks it once per input cell of the same-device relation and
+          once per device question of a detector, always with the
+          descriptors of the apps' facts (a bare [di_device = None]
+          descriptor for a var that is not a declared capability
+          input). It must depend only on the two descriptors; it may
+          read [di_app] by name, as the recorder's device-id lookup
+          does. *)
   app_constraints : Rule.smartapp -> (string * Homeguard_solver.Term.t) list;
   reuse : bool;
   budget : Budget.spec;
@@ -86,9 +106,15 @@ val pair_fingerprint : config -> string
 (** {!solve_fingerprint} plus the solver-result [reuse] switch — the
     pair-tier cache fingerprint. *)
 
-val offline_same_device : Rule.smartapp -> string -> Rule.smartapp -> string -> bool
+val offline_same_device : device_input -> device_input -> bool
 (** Same-capability matching with switch classes disambiguated by
-    titles/descriptions; generic switches act as wildcards. *)
+    titles/descriptions; generic switches act as wildcards. Compares
+    the two descriptors' [di_device] fields only. *)
+
+val device_input : Rule.smartapp -> string -> device_input
+(** A var's descriptor derived directly from the app's input
+    declarations ({!Rule.capability_of_input}, {!Effects.classify}) —
+    what {!app_facts} holds for each declared capability input. *)
 
 val offline_config : config
 (** Corpus-audit mode: device-type matching, no config constraints,
@@ -118,15 +144,15 @@ type rule_facts = {
 }
 
 type app_facts = {
-  app_inputs : (string * string * Effects.device_class) list;
-      (** {!Rule.device_inputs}, each with its capability and
-          {!Effects.classify} class *)
+  app_inputs : device_input list;
+      (** {!Rule.device_inputs}, each as its {!device_input}
+          descriptor *)
   app_rules : rule_facts list;  (** one per rule, in order *)
 }
 
 type caches
 (** Per-ctx memo tables: one {!app_facts} record per app name (names
-    are unique within an audit), the config's same-device answers per
+    are unique within an audit), the config's same-device relation per
     app pair, and the command-opposition map. One per ctx — worker
     domains each own a ctx, so the tables need no locking. *)
 
@@ -157,6 +183,11 @@ val create : ?caches:caches -> config -> ctx
 
 val app_facts : ctx -> Rule.smartapp -> app_facts
 (** The app's planning facts, derived on first use in the ctx. *)
+
+val same_device : ctx -> Rule.smartapp -> Rule.smartapp -> string -> string -> bool
+(** [same_device ctx app1 app2 v1 v2]: the detectors' device question.
+    Looks both vars' descriptors up among the apps' facts and asks
+    [config.same_device] of them. *)
 
 val situations_overlap :
   ctx -> tagged_rule -> tagged_rule -> Homeguard_solver.Solver.verdict

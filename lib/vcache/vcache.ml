@@ -119,14 +119,22 @@ type store = {
           across restarts the journaled verdict tier below re-warms
           the solver layer instead *)
   pair_queue : string Queue.t;  (** L1 insertion order, FIFO eviction *)
-  digests : (string, Rule.smartapp * string) Hashtbl.t;
-      (** app-name → (app, rule-structure digest) memo for L1 keys;
-          revalidated by physical identity so a changed catalog entry
-          under a reused name re-digests (and so changes every key it
-          appears in) *)
+  key_parts : (string, key_part) Hashtbl.t;
+      (** app-name → the app's L1 key part, memoized; see
+          [app_key_part] *)
   mutable journal : Rjournal.t option;
   mutable handles : handle list;
   mutable damage : int;  (** damaged/undecodable frames dropped on opens *)
+}
+
+(* One app's share of every L1 key it appears in: ["name:digest"] and
+   its rendered configuration bindings, for the app value and bindings
+   list it was rendered from. *)
+and key_part = {
+  kp_app : Rule.smartapp;
+  kp_digest : string;  (** rule-structure digest of [kp_app] *)
+  kp_bindings : (string * Term.t) list;
+  kp_text : string;
 }
 
 and handle = {
@@ -384,7 +392,7 @@ let open_store ?(fsync = true) ?(max_entries = 65536) ?(replicas = []) ?fence_ke
       inflight = Hashtbl.create 8;
       pair_table = Hashtbl.create 1024;
       pair_queue = Queue.create ();
-      digests = Hashtbl.create 64;
+      key_parts = Hashtbl.create 64;
       journal = None;
       handles = [];
       damage = 0;
@@ -749,46 +757,57 @@ let lookup_or_compute h (cls : Abstract.classified) ~qstore ~formula compute =
 
 (* -- pair tier (L1) --------------------------------------------------------- *)
 
-(* Rule-structure digest of an app, memoized per store. Physical
-   identity gates the memo: shards share one extracted app value per
-   catalog entry, so steady state is one JSON render per app per
-   process, while an updated catalog entry (new value, same name)
-   re-digests and thereby invalidates every key it appears in. *)
-let app_digest st (app : Rule.smartapp) =
-  match Hashtbl.find_opt st.digests app.Rule.name with
-  | Some (a, d) when a == app -> d
+let render_bindings bs =
+  String.concat ";"
+    (List.map
+       (fun (v, t) -> v ^ "=" ^ Term.to_string t)
+       (List.sort (fun (x, _) (y, _) -> compare x y) bs))
+
+(* An app's L1 key part, memoized per store and app name. Physical
+   identity of the app and of its bindings list is the fast check: one
+   audit reads each app's bindings once, so every pair key of the audit
+   after the first reuses the rendered part. When it fails — a
+   recovered fleet parses its own copy of every app per home, and
+   homes bind different values — the entry is revalidated structurally:
+   a structurally equal app renders the same JSON, so its digest is
+   kept and only the bindings are re-rendered if they differ. Only an
+   app whose rule structure changed (an updated catalog entry under a
+   reused name) pays the JSON render and MD5 again, which changes every
+   key it appears in. The entry then holds the latest values, so the
+   rest of the audit hits physically. *)
+let app_key_part st (app : Rule.smartapp) bindings =
+  let cached = Hashtbl.find_opt st.key_parts app.Rule.name in
+  match cached with
+  | Some kp when kp.kp_app == app && kp.kp_bindings == bindings -> kp.kp_text
   | _ ->
-    let d = Digest.to_hex (Digest.string (Rule_json.to_string app)) in
-    Hashtbl.replace st.digests app.Rule.name (app, d);
-    d
+    let digest =
+      match cached with
+      | Some kp when kp.kp_app == app || compare kp.kp_app app = 0 -> kp.kp_digest
+      | _ -> Digest.to_hex (Digest.string (Rule_json.to_string app))
+    in
+    let text =
+      match cached with
+      | Some kp when kp.kp_digest = digest && kp.kp_bindings = bindings -> kp.kp_text
+      | _ -> app.Rule.name ^ ":" ^ digest ^ "\n" ^ render_bindings bindings
+    in
+    Hashtbl.replace st.key_parts app.Rule.name
+      { kp_app = app; kp_digest = digest; kp_bindings = bindings; kp_text = text };
+    text
 
 (* L1 keys are exact (no cell abstraction): the pair in install order —
    detection is orientation-sensitive — with each app's rule digest,
    its concrete configuration bindings and the same-device relation.
    Exactness is what lets hits return stored threats verbatim, witness
-   bytes included. *)
+   bytes included. A key is one join of the two apps' memoized parts,
+   the fingerprint and the rendered relation. *)
 let pair_key st (pa : Detector.pair_audit) =
   let a, b = pa.Detector.pa_apps in
   let ba, bb = pa.Detector.pa_bindings in
-  let bindings bs =
-    String.concat ";"
-      (List.map
-         (fun (v, t) -> v ^ "=" ^ Term.to_string t)
-         (List.sort (fun (x, _) (y, _) -> compare x y) bs))
-  in
   let unify =
     String.concat ";" (List.map (fun (v1, v2) -> v1 ^ "~" ^ v2) pa.Detector.pa_unify)
   in
   String.concat "\n"
-    [
-      "vcp1";
-      pa.Detector.pa_fingerprint;
-      a.Rule.name ^ ":" ^ app_digest st a;
-      bindings ba;
-      b.Rule.name ^ ":" ^ app_digest st b;
-      bindings bb;
-      unify;
-    ]
+    [ "vcp1"; pa.Detector.pa_fingerprint; app_key_part st a ba; app_key_part st b bb; unify ]
 
 let pair_lookup h pa =
   let st = h.h_store in

@@ -153,6 +153,13 @@ val total_counters : store -> counters
 val hook : handle -> Detector.solve_query -> (unit -> Solver.verdict) -> Solver.verdict
 (** The [shared_cache] implementation (L2: abstracted solve classes). *)
 
+val pair_key : store -> Detector.pair_audit -> string
+(** The exact L1 key of a pair audit: the pair fingerprint, each app's
+    name, rule-structure digest and sorted rendered bindings, in install
+    order, and the rendered same-device relation. Equal pair audits give
+    equal keys, and changing any one component changes the key. Each
+    app's part is memoized per store, so a key costs one join. *)
+
 val pair_lookup : handle -> Detector.pair_audit -> Detector.pair_matrix option
 val pair_store : handle -> Detector.pair_audit -> Detector.pair_matrix -> unit
 (** The [pair_cache] implementation (L1): whole app-pair audit results

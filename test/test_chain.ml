@@ -68,6 +68,93 @@ let chain_rendering =
       let c = { Chain.rules = [ "A#1"; "B#1"; "C#1" ]; categories = [ Threat.CT; Threat.CT ] } in
       check_string "format" "A#1 -> B#1 -> C#1 [CT,CT]" (Chain.chain_to_string c))
 
+(* -- indexed search vs the linear scan ----------------------------------------- *)
+
+(* The search as it was before the successor index: every step filters
+   the whole edge list. *)
+let ref_find_chains edges (new_threats : Threat.t list) =
+  let all_edges =
+    edges
+    @ List.map
+        (fun (th : Threat.t) ->
+          {
+            Chain.from_rule = th.Threat.rule1.Rule.rule_id;
+            to_rule = th.Threat.rule2.Rule.rule_id;
+            category = th.Threat.category;
+          })
+        new_threats
+  in
+  let propagating = function Threat.CT | Threat.EC -> true | _ -> false in
+  let successors rule_id =
+    List.filter (fun e -> e.Chain.from_rule = rule_id && propagating e.Chain.category) all_edges
+  in
+  let max_len = 6 in
+  let rec extend visited cats rule_id =
+    let chains_here =
+      if List.length visited >= 3 then
+        [ { Chain.rules = List.rev visited; categories = List.rev cats } ]
+      else []
+    in
+    if List.length visited >= max_len then chains_here
+    else
+      chains_here
+      @ List.concat_map
+          (fun e ->
+            if List.mem e.Chain.to_rule visited then []
+            else extend (e.Chain.to_rule :: visited) (e.Chain.category :: cats) e.Chain.to_rule)
+          (successors rule_id)
+  in
+  List.concat_map
+    (fun (th : Threat.t) ->
+      if not (propagating th.Threat.category) then []
+      else
+        let r1 = th.Threat.rule1.Rule.rule_id and r2 = th.Threat.rule2.Rule.rule_id in
+        extend [ r2; r1 ] [ th.Threat.category ] r2)
+    new_threats
+  |> List.sort_uniq compare
+
+(* A random threat over five apps of two rules each, so generated
+   graphs are dense: duplicate edges, cycles, self-loops and every
+   category, directional or not. *)
+let random_threat st =
+  let app () = String.make 1 (Char.chr (Char.code 'A' + Random.State.int st 5)) in
+  let rule a = Printf.sprintf "%s#%d" a (1 + Random.State.int st 2) in
+  let a1 = app () and a2 = app () in
+  let cat = List.nth Threat.all_categories (Random.State.int st 7) in
+  threat cat a1 (rule a1) a2 (rule a2)
+
+let indexed_search_matches_linear_scan =
+  test "indexed chain search = linear-scan reference on generated Allowed graphs" (fun () ->
+      let longest = ref 0 and disallowed = ref 0 and undirected = ref 0 and chains = ref 0 in
+      for seed = 1 to 400 do
+        let st = Random.State.make [| 0xc4a1; seed |] in
+        let t = Chain.create () in
+        for _ = 1 to 1 + Random.State.int st 6 do
+          if Random.State.int st 4 = 0 then begin
+            incr disallowed;
+            Chain.disallow_prefix t (String.make 1 (Char.chr (Char.code 'A' + Random.State.int st 5)) ^ "#")
+          end
+          else begin
+            let batch = List.init (Random.State.int st 8) (fun _ -> random_threat st) in
+            List.iter
+              (fun (th : Threat.t) ->
+                if not (Threat.is_directional th.Threat.category) then incr undirected)
+              batch;
+            Chain.allow t batch
+          end
+        done;
+        let fresh = List.init (1 + Random.State.int st 4) (fun _ -> random_threat st) in
+        let got = Chain.find_chains t fresh in
+        let expected = ref_find_chains (Chain.allowed_edges t) fresh in
+        check_bool (Printf.sprintf "seed %d: chains equal" seed) true (got = expected);
+        chains := !chains + List.length got;
+        List.iter (fun c -> longest := max !longest (List.length c.Chain.rules)) got
+      done;
+      check_bool "some chains found" true (!chains > 0);
+      check_int "paths reach max_len" 6 !longest;
+      check_bool "graphs after disallow_prefix" true (!disallowed > 0);
+      check_bool "non-directional threats allowed" true (!undirected > 0))
+
 let tests =
   [
     two_hop_chain;
@@ -76,4 +163,5 @@ let tests =
     cycles_terminate;
     no_allowed_no_chain;
     chain_rendering;
+    indexed_search_matches_linear_scan;
   ]

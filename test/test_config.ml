@@ -347,8 +347,13 @@ let recorder_same_device =
         { Recorder.app_name = "B"; devices = [ ("light", sample_id); ("other", other_id) ]; values = [] };
       let appA = { Rule.name = "A"; description = ""; inputs = []; rules = []; uses_web_services = false } in
       let appB = { appA with Rule.name = "B" } in
-      check_bool "same id" true (Recorder.same_device r appA "sw" appB "light");
-      check_bool "different id" false (Recorder.same_device r appA "sw" appB "other"))
+      let same a1 v1 a2 v2 =
+        Recorder.same_device r
+          (Homeguard_detector.Detector.device_input a1 v1)
+          (Homeguard_detector.Detector.device_input a2 v2)
+      in
+      check_bool "same id" true (same appA "sw" appB "light");
+      check_bool "different id" false (same appA "sw" appB "other"))
 
 let recorder_values_become_constraints =
   test "recorded values become solver constraints" (fun () ->

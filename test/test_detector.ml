@@ -435,8 +435,9 @@ let offline_same_device_rules =
       in
       let lamp1 = mk "A" "Floor lamp" and lamp2 = mk "B" "Desk lamp bulb" in
       let fan = mk "C" "Ceiling fan" in
-      check_bool "lamp = lamp" true (Detector.offline_same_device lamp1 "sw" lamp2 "sw");
-      check_bool "lamp <> fan" false (Detector.offline_same_device lamp1 "sw" fan "sw"))
+      let same a b = Detector.offline_same_device (Detector.device_input a "sw") (Detector.device_input b "sw") in
+      check_bool "lamp = lamp" true (same lamp1 lamp2);
+      check_bool "lamp <> fan" false (same lamp1 fan))
 
 let tests =
   [

@@ -214,12 +214,14 @@ let check_facts config (apps : Rule.smartapp list) =
       let f = Detector.app_facts ctx app in
       let name = app.Rule.name in
       check_bool (name ^ " inputs") true
-        (List.map (fun (v, _, _) -> v) f.Detector.app_inputs = Rule.device_inputs app);
+        (List.map (fun d -> d.Detector.di_var) f.Detector.app_inputs = Rule.device_inputs app);
       List.iter
-        (fun (v, cap, cls) ->
-          check_bool (name ^ " capability of " ^ v) true
-            (Rule.capability_of_input app v = Some cap);
-          check_bool (name ^ " class of " ^ v) true (Effects.classify app v = cls))
+        (fun (d : Detector.device_input) ->
+          let v = d.Detector.di_var in
+          check_bool (name ^ " app of " ^ v) true (d.Detector.di_app == app);
+          check_bool (name ^ " capability and class of " ^ v) true
+            (Option.map (fun cap -> (cap, Effects.classify app v)) (Rule.capability_of_input app v)
+            = d.Detector.di_device))
         f.Detector.app_inputs;
       check_int (name ^ " rules") (List.length app.Rule.rules)
         (List.length f.Detector.app_rules);
@@ -300,6 +302,204 @@ let facts_match_direct_derivations =
             (Corpus.synth ~seed ~n_homes:25))
         synth_seeds)
 
+(* -- device relation reference ------------------------------------------------ *)
+
+(* The cell-by-cell relations the facts-based matcher replaced: every
+   question re-derives both vars' capability and switch class from the
+   apps (offline), or looks both device ids up (online). *)
+let ref_offline_same_device app1 v1 app2 v2 =
+  match (Rule.capability_of_input app1 v1, Rule.capability_of_input app2 v2) with
+  | Some c1, Some c2 when c1 = c2 ->
+    if c1 = "switch" || c1 = "switchLevel" then
+      let cls1 = ref_classify app1 v1 and cls2 = ref_classify app2 v2 in
+      cls1 = cls2 || cls1 = Effects.Generic_switch || cls2 = Effects.Generic_switch
+    else true
+  | _ -> false
+
+let ref_online_same_device recorder (app1 : Rule.smartapp) v1 (app2 : Rule.smartapp) v2 =
+  match
+    (Recorder.device_id recorder app1.Rule.name v1, Recorder.device_id recorder app2.Rule.name v2)
+  with
+  | Some id1, Some id2 -> id1 = id2
+  | _ -> false
+
+let ref_unify same (app1 : Rule.smartapp) (app2 : Rule.smartapp) =
+  List.concat_map
+    (fun v1 ->
+      List.filter_map
+        (fun v2 -> if same app1 v1 app2 v2 then Some (v1, v2) else None)
+        (Rule.device_inputs app2))
+    (Rule.device_inputs app1)
+
+(* Every var a detector may ask about: declared inputs, trigger
+   subjects, action targets and the bases of condition vars (data
+   bindings such as [t] are not inputs at all). *)
+let asked_vars (app : Rule.smartapp) =
+  let base v = match String.rindex_opt v '.' with Some i -> String.sub v 0 i | None -> v in
+  let of_rule (r : Rule.t) =
+    (match r.Rule.trigger with Rule.Event { subject = Rule.Device v; _ } -> [ v ] | _ -> [])
+    @ List.filter_map
+        (fun (a : Rule.action) ->
+          match a.Rule.target with Rule.Act_device v -> Some v | _ -> None)
+        r.Rule.actions
+    @ List.map base (Formula.free_vars (Rule.expanded_predicate r))
+  in
+  List.sort_uniq compare
+    (List.map (fun (i : Rule.input_decl) -> i.Rule.var) app.Rule.inputs
+    @ List.concat_map of_rule app.Rule.rules)
+
+(* Online bindings with collisions: every asked var, capability input or
+   not, gets one of five device ids, and about one in seven stays
+   unbound. *)
+let online_recorder (apps : Rule.smartapp list) =
+  let recorder = Recorder.create () in
+  List.iter
+    (fun (app : Rule.smartapp) ->
+      let devices =
+        List.filter_map
+          (fun v ->
+            let h = Hashtbl.hash (app.Rule.name, v) in
+            if h mod 7 = 0 then None else Some (v, Printf.sprintf "id%d" (h mod 5)))
+          (asked_vars app)
+      in
+      Recorder.record recorder
+        { Recorder.app_name = app.Rule.name; devices; values = [ ("threshold1", Homeguard_solver.Term.Int 7) ] })
+    apps;
+  recorder
+
+type relation_stats = {
+  mutable asked : int;
+  mutable bare_matches : int;  (** true answers involving a non-input var *)
+  mutable mismatches : string list;
+}
+
+(* A config whose every device question is checked against the
+   reference, keyed by (app, var) only: a descriptor with the wrong
+   capability or class answers differently and is caught. *)
+let checked_config stats reference (config : Detector.config) =
+  let memo = Hashtbl.create 4096 in
+  let same (d1 : Detector.device_input) (d2 : Detector.device_input) =
+    let answer = config.Detector.same_device d1 d2 in
+    let a1 = d1.Detector.di_app and a2 = d2.Detector.di_app in
+    let v1 = d1.Detector.di_var and v2 = d2.Detector.di_var in
+    let expected =
+      let key = (a1.Rule.name, v1, a2.Rule.name, v2) in
+      match Hashtbl.find_opt memo key with
+      | Some e -> e
+      | None ->
+        let e = reference a1 v1 a2 v2 in
+        Hashtbl.add memo key e;
+        e
+    in
+    stats.asked <- stats.asked + 1;
+    if answer && (d1.Detector.di_device = None || d2.Detector.di_device = None) then
+      stats.bare_matches <- stats.bare_matches + 1;
+    if answer <> expected && List.length stats.mismatches < 5 then
+      stats.mismatches <-
+        Printf.sprintf "%s/%s ~ %s/%s: got %b" a1.Rule.name v1 a2.Rule.name v2 answer
+        :: stats.mismatches;
+    answer
+  in
+  { config with Detector.same_device = same }
+
+(* [pa_unify] of every ordered pair of differently named apps, read
+   through a pair cache that answers every lookup with an empty matrix
+   (so nothing is detected), in both install orders. *)
+let pair_relations config (apps : Rule.smartapp list) =
+  let seen = ref [] in
+  let pc =
+    {
+      Detector.pair_lookup =
+        (fun pa ->
+          let a, b = pa.Detector.pa_apps in
+          seen := (a, b, pa.Detector.pa_unify) :: !seen;
+          Some
+            (Array.make_matrix (List.length a.Rule.rules) (List.length b.Rule.rules) []));
+      pair_store = (fun _ _ -> ());
+    }
+  in
+  let config = { config with Detector.pair_cache = Some pc } in
+  ignore (Detector.audit_all (Detector.create config) apps);
+  ignore (Detector.audit_all (Detector.create config) (List.rev apps));
+  !seen
+
+let check_relation label ~full reference config (apps : Rule.smartapp list) =
+  let stats = { asked = 0; bare_matches = 0; mismatches = [] } in
+  let config = checked_config stats reference config in
+  let relations = pair_relations config apps in
+  let distinct = List.length (List.sort_uniq compare (List.map (fun (a : Rule.smartapp) -> a.Rule.name) apps)) in
+  check_int (label ^ ": every ordered pair") (distinct * (distinct - 1)) (List.length relations);
+  let wrong_unify =
+    List.filter_map
+      (fun ((a : Rule.smartapp), (b : Rule.smartapp), unify) ->
+        if unify = ref_unify reference a b then None
+        else Some (Printf.sprintf "pa_unify %s ~ %s" a.Rule.name b.Rule.name))
+      relations
+  in
+  Alcotest.(check (list string)) (label ^ ": pa_unify equals the reference") [] wrong_unify;
+  (* the detectors' questions: planning's pre-filters always, and every
+     per-category detector on a full audit *)
+  let ctx = Detector.create config in
+  let plan = Detector.candidate_pairs ctx apps in
+  if full then ignore (Detector.audit_pairs ctx plan);
+  (* and the matcher asked directly, over every var a detector may name *)
+  List.iter
+    (fun (a : Rule.smartapp) ->
+      List.iter
+        (fun (b : Rule.smartapp) ->
+          if a.Rule.name <> b.Rule.name then
+            List.iter
+              (fun v1 ->
+                List.iter
+                  (fun v2 -> ignore (Detector.same_device ctx a b v1 v2))
+                  (asked_vars b))
+              (asked_vars a))
+        apps)
+    (if full then apps else []);
+  Alcotest.(check (list string)) (label ^ ": every answer equals the reference") [] stats.mismatches;
+  stats
+
+let device_relation_matches_reference =
+  test "device relation = cell-by-cell reference (pool and synth, three modes)" (fun () ->
+      let pool = Lazy.force audit_pool in
+      let recorder = online_recorder pool in
+      let mixed r =
+        { Detector.offline_config with Detector.app_constraints = Recorder.app_constraints r }
+      in
+      ignore (check_relation "pool offline" ~full:true ref_offline_same_device Detector.offline_config pool);
+      ignore (check_relation "pool mixed" ~full:false ref_offline_same_device (mixed recorder) pool);
+      let online =
+        check_relation "pool online" ~full:false (ref_online_same_device recorder)
+          (Recorder.detector_config recorder) pool
+      in
+      check_bool "online: non-input vars matched by device id" true (online.bare_matches > 0);
+      let bare = ref 0 and asked = ref 0 in
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun (h : Homeguard_corpus.Synth.home) ->
+              let apps, _ = home_setup h in
+              let recorder = online_recorder apps in
+              let label = Printf.sprintf "seed %d %s" seed h.Homeguard_corpus.Synth.id in
+              let offline =
+                check_relation (label ^ " offline") ~full:true ref_offline_same_device
+                  Detector.offline_config apps
+              in
+              let mixed =
+                check_relation (label ^ " mixed") ~full:true ref_offline_same_device
+                  (mixed recorder) apps
+              in
+              let online =
+                check_relation (label ^ " online") ~full:true (ref_online_same_device recorder)
+                  (Recorder.detector_config recorder) apps
+              in
+              asked := !asked + offline.asked + mixed.asked + online.asked;
+              bare := !bare + online.bare_matches)
+            (Corpus.synth ~seed ~n_homes:25))
+        synth_seeds;
+      check_bool "synth: questions asked" true (!asked > 0);
+      check_bool "synth online: non-input vars matched by device id" true (!bare > 0))
+
 let tests =
   [
     classifier_matches_reference_on_corpus;
@@ -309,4 +509,5 @@ let tests =
     plan_matches_reference_on_audit_pool;
     plan_matches_reference_on_synth;
     facts_match_direct_derivations;
+    device_relation_matches_reference;
   ]

@@ -2,7 +2,10 @@
     corpus (cached sweeps byte-identical to uncached, distinct cells
     never share a key), witness-template rehydration, Unknown markers
     never served, single-flight dedup across domains, journal
-    round-trip and damage tolerance, and FIFO eviction. *)
+    round-trip and damage tolerance, and FIFO eviction; for the pair
+    tier (L1), exact keys built from memoized per-app parts, hits shared
+    by separately parsed copies of one app, and misses for a same-name
+    app whose rules changed. *)
 
 module Vcache = Homeguard_vcache.Vcache
 module Abstract = Homeguard_vcache.Abstract
@@ -20,6 +23,8 @@ module Config_uri = Homeguard_config.Config_uri
 module Corpus = Homeguard_corpus.Corpus
 module Synth = Homeguard_corpus.Synth
 module App_entry = Homeguard_corpus.App_entry
+module Rule = Homeguard_rules.Rule
+module Rule_json = Homeguard_rules.Rule_json
 
 let test name f = (name, `Quick, f)
 let check_int = Alcotest.(check int)
@@ -365,6 +370,219 @@ let sweep_is_byte_identical =
         (Vcache.counters h).Vcache.conflicts;
       Vcache.close_store st)
 
+(* -- pair tier (L1) -------------------------------------------------------------- *)
+
+(* The L1 key rendered in full on every call, as before per-app parts:
+   both apps' JSON digested, both binding sets rendered. *)
+let ref_pair_key (pa : Detector.pair_audit) =
+  let a, b = pa.Detector.pa_apps and ba, bb = pa.Detector.pa_bindings in
+  let digest app = Digest.to_hex (Digest.string (Rule_json.to_string app)) in
+  let bindings bs =
+    String.concat ";"
+      (List.map
+         (fun (v, t) -> v ^ "=" ^ Term.to_string t)
+         (List.sort (fun (x, _) (y, _) -> compare x y) bs))
+  in
+  String.concat "\n"
+    [
+      "vcp1";
+      pa.Detector.pa_fingerprint;
+      a.Rule.name ^ ":" ^ digest a;
+      bindings ba;
+      b.Rule.name ^ ":" ^ digest b;
+      bindings bb;
+      String.concat ";" (List.map (fun (v1, v2) -> v1 ^ "~" ^ v2) pa.Detector.pa_unify);
+    ]
+
+(* A home as the grouped audit sees it: apps in install order and a
+   recorder fed the home's configuration URIs. *)
+type l1_home = { mutable apps : Rule.smartapp list; recorder : Recorder.t }
+
+let l1_home (h : Synth.home) =
+  let recorder = Recorder.create () in
+  List.iter
+    (fun uri ->
+      match Config_uri.decode uri with
+      | u -> Recorder.record_uri recorder u
+      | exception Config_uri.Malformed _ -> ())
+    h.Synth.configs;
+  { apps = List.map extract_app h.Synth.apps; recorder }
+
+let mixed_config (home : l1_home) =
+  {
+    Detector.offline_config with
+    Detector.app_constraints = Recorder.app_constraints home.recorder;
+  }
+
+let threat_view (t : Threat.t) = (Threat.to_string t, t.Threat.witness, t.Threat.severity)
+
+(* The grouped audit through the L1 tier, with every pair audit it asks
+   about recorded on the way. *)
+let cached_audit ?(seen = ref []) h home =
+  let config = Vcache.configure h (mixed_config home) in
+  let pc = Option.get config.Detector.pair_cache in
+  let pair_lookup pa =
+    seen := pa :: !seen;
+    pc.Detector.pair_lookup pa
+  in
+  let config = { config with Detector.pair_cache = Some { pc with Detector.pair_lookup } } in
+  List.map threat_view (Detector.audit_all (Detector.create config) home.apps).Detector.threats
+
+(* The flat, uncached plan: what the grouped audit must reproduce. *)
+let flat_audit home =
+  let ctx = Detector.create (mixed_config home) in
+  List.map threat_view
+    (Detector.audit_pairs ctx (Detector.candidate_pairs ctx home.apps)).Detector.threats
+
+let n_pairs home =
+  let n = List.length home.apps in
+  n * (n - 1) / 2
+
+let l1_homes ~seed ~min_apps =
+  List.filter
+    (fun (h : Synth.home) -> List.length h.Synth.apps >= min_apps)
+    (Corpus.synth ~seed ~n_homes:40)
+
+let l1_shared_across_parsed_copies =
+  test "separately parsed copies of the same apps share L1 hits; a changed app misses"
+    (fun () ->
+      let st = Vcache.open_store ~fsync:false ~dir:(fresh_dir ()) () in
+      let h = Vcache.attach st ~owner:"l1" in
+      let synth = List.hd (l1_homes ~seed:5 ~min_apps:4) in
+      let home1 = l1_home synth and home2 = l1_home synth in
+      check_bool "copies are distinct values" true
+        (List.for_all2 ( != ) home1.apps home2.apps);
+      let expected = flat_audit home1 in
+      check_bool "first home: cold audit = flat plan" true (cached_audit h home1 = expected);
+      let c = Vcache.counters h in
+      check_int "first home: every pair misses" (n_pairs home1) c.Vcache.pair_misses;
+      check_int "first home: no hit" 0 c.Vcache.pair_hits;
+      check_bool "second home: audit = flat plan" true (cached_audit h home2 = expected);
+      check_int "second home: every pair hits" (n_pairs home2) c.Vcache.pair_hits;
+      check_int "second home: no new miss" (n_pairs home1) c.Vcache.pair_misses;
+      (* the same name with one rule fewer: every pair it is in misses *)
+      let changed =
+        List.mapi
+          (fun i (a : Rule.smartapp) ->
+            if i = 0 then { a with Rule.rules = List.tl a.Rule.rules } else a)
+          home2.apps
+      in
+      check_bool "the changed app has rules to drop" true
+        ((List.hd home2.apps).Rule.rules <> []);
+      let home3 = { home2 with apps = changed } in
+      let hits = c.Vcache.pair_hits and misses = c.Vcache.pair_misses in
+      check_bool "changed app: audit = flat plan" true (cached_audit h home3 = flat_audit home3);
+      let others = List.length home3.apps - 1 in
+      check_int "changed app: its pairs miss" (misses + others) c.Vcache.pair_misses;
+      check_int "changed app: the other pairs hit" (hits + n_pairs home3 - others)
+        c.Vcache.pair_hits;
+      Vcache.close_store st)
+
+(* Variants of a pair audit, each changing exactly one key component. *)
+let one_component_changes (pa : Detector.pair_audit) =
+  let a, b = pa.Detector.pa_apps and ba, bb = pa.Detector.pa_bindings in
+  let fewer_rules (app : Rule.smartapp) =
+    match app.Rule.rules with [] -> None | _ :: rest -> Some { app with Rule.rules = rest }
+  in
+  let extra = ("zz_extra", Term.Int 1) in
+  let bump = function (v, Term.Int n) :: rest -> Some ((v, Term.Int (n + 1)) :: rest) | _ -> None in
+  List.filter_map
+    (fun (what, v) -> Option.map (fun pa' -> (what, pa')) v)
+    [
+      ("fingerprint", Some { pa with Detector.pa_fingerprint = pa.Detector.pa_fingerprint ^ ";x" });
+      ("first app's rules", Option.map (fun a' -> { pa with Detector.pa_apps = (a', b) }) (fewer_rules a));
+      ("second app's rules", Option.map (fun b' -> { pa with Detector.pa_apps = (a, b') }) (fewer_rules b));
+      ("first app's bindings", Some { pa with Detector.pa_bindings = (extra :: ba, bb) });
+      ("second app's bindings", Some { pa with Detector.pa_bindings = (ba, extra :: bb) });
+      ("first app's values", Option.map (fun ba' -> { pa with Detector.pa_bindings = (ba', bb) }) (bump ba));
+      ("second app's values", Option.map (fun bb' -> { pa with Detector.pa_bindings = (ba, bb') }) (bump bb));
+      ("relation", Some { pa with Detector.pa_unify = ("zz_v1", "zz_v2") :: pa.Detector.pa_unify });
+      ( "relation",
+        match pa.Detector.pa_unify with
+        | [] -> None
+        | _ :: rest -> Some { pa with Detector.pa_unify = rest } );
+    ]
+
+let reparse (app : Rule.smartapp) =
+  match Corpus.find app.Rule.name with
+  | Some e -> extract_app e
+  | None -> Alcotest.failf "not a corpus app: %s" app.Rule.name
+
+let l1_keys_exact_over_events =
+  test "L1 keys stay exact over reinstall and reconfigure events" (fun () ->
+      let st = Vcache.open_store ~fsync:false ~dir:(fresh_dir ()) () in
+      let h = Vcache.attach st ~owner:"keys" in
+      let seen = ref [] and events = ref 0 and variants = ref 0 in
+      List.iteri
+        (fun k synth ->
+          let home = l1_home synth in
+          let check_event label =
+            incr events;
+            check_bool (label ^ ": grouped cached audit = flat plan") true
+              (cached_audit ~seen h home = flat_audit home)
+          in
+          check_event (synth.Synth.id ^ " grown");
+          let n = List.length home.apps in
+          for e = 1 to 6 do
+            let target = List.nth home.apps ((k + e) mod n) in
+            if e mod 2 = 1 then begin
+              (* reinstall: a fresh parse of the app moves to the end *)
+              home.apps <-
+                List.filter (fun (a : Rule.smartapp) -> a != target) home.apps @ [ reparse target ];
+              check_event (Printf.sprintf "%s reinstall %s" synth.Synth.id target.Rule.name)
+            end
+            else begin
+              (* reconfigure: the app's values change, its devices stay *)
+              let devices =
+                match Recorder.find home.recorder target.Rule.name with
+                | Some c -> c.Recorder.devices
+                | None -> []
+              in
+              Recorder.record home.recorder
+                {
+                  Recorder.app_name = target.Rule.name;
+                  devices;
+                  values = [ ("threshold1", Term.Int (10 * e)); ("threshold2", Term.Str "on") ];
+                };
+              check_event (Printf.sprintf "%s reconfigure %s" synth.Synth.id target.Rule.name)
+            end
+          done)
+        (List.filteri (fun i _ -> i < 6) (l1_homes ~seed:7 ~min_apps:3));
+      check_bool "events ran" true (!events >= 30);
+      (* every key the audits asked for is the full rendering *)
+      List.iter
+        (fun pa -> check_bool "key = full rendering" true (Vcache.pair_key st pa = ref_pair_key pa))
+        !seen;
+      (* equal pair audits give equal keys; one changed component changes it *)
+      List.iteri
+        (fun i (pa : Detector.pair_audit) ->
+          if i mod 7 = 0 then begin
+            let key = Vcache.pair_key st pa in
+            let a, b = pa.Detector.pa_apps and ba, bb = pa.Detector.pa_bindings in
+            let copy =
+              {
+                pa with
+                Detector.pa_apps = (reparse a, reparse b);
+                pa_bindings = (List.map Fun.id ba, List.map Fun.id bb);
+                pa_unify = List.map Fun.id pa.Detector.pa_unify;
+              }
+            in
+            check_bool "an equal pair audit gives the same key" true
+              (Vcache.pair_key st copy = key);
+            List.iter
+              (fun (what, pa') ->
+                incr variants;
+                let key' = Vcache.pair_key st pa' in
+                check_bool ("changing the " ^ what ^ " changes the key") true (key' <> key);
+                check_bool ("changed " ^ what ^ ": key = full rendering") true
+                  (key' = ref_pair_key pa');
+                check_bool "the original key is unchanged" true (Vcache.pair_key st pa = key))
+              (one_component_changes pa)
+          end)
+        !seen;
+      check_bool "variants checked" true (!variants > 100);
+      Vcache.close_store st)
+
 let () =
   Alcotest.run "homeguard-vcache"
     [
@@ -384,4 +602,5 @@ let () =
           compacted_unknown_requeues;
         ] );
       ("property", [ sweep_is_byte_identical ]);
+      ("pair tier", [ l1_shared_across_parsed_copies; l1_keys_exact_over_events ]);
     ]
