@@ -87,7 +87,7 @@ let to_json t =
              t.sections) );
     ]
 
-let to_string t = Json.to_string (to_json t) ^ "\n"
+let to_string t = Json.to_string_pretty (to_json t) ^ "\n"
 
 let ( let* ) = Result.bind
 

@@ -1153,11 +1153,14 @@ let audit_new_app ?(jobs = 1) ?cancel ctx db new_app =
 
 (* One app pair's full rule-pair matrix, with the same per-pair crash
    isolation and single coordinator retry [run_pairs] gives the flat
-   plan. Failed rule pairs land in [failures] and contribute no
-   threats, exactly like the flat path. *)
-let group_matrix ctx ~failures ~retried (a : Rule.smartapp) (b : Rule.smartapp) :
-    pair_matrix =
-  let detect p1 p2 =
+   plan, and the failed rule pairs of each row of the first app, most
+   recent first. Failed pairs contribute no threats, exactly like the
+   flat path. *)
+let group_matrix ctx ~retried (a : Rule.smartapp) (b : Rule.smartapp) :
+    pair_matrix * failure list array =
+  let rows = Array.of_list a.Rule.rules in
+  let failed = Array.make (Array.length rows) [] in
+  let detect i p1 p2 =
     match Schedule.capture (fun () -> detect_pair ctx p1 p2) with
     | Ok ts -> ts
     | Error (_ : Schedule.exn_info) -> (
@@ -1165,23 +1168,26 @@ let group_matrix ctx ~failures ~retried (a : Rule.smartapp) (b : Rule.smartapp) 
       match Schedule.capture (fun () -> detect_pair ctx p1 p2) with
       | Ok ts -> ts
       | Error info ->
-        failures :=
+        failed.(i) <-
           {
             pair = pair_label p1 p2;
             apps = (a.Rule.name, b.Rule.name);
             exn = info.Schedule.exn;
             backtrace = info.Schedule.backtrace;
           }
-          :: !failures;
+          :: failed.(i);
         [])
   in
   let candidates = candidate_matrix ctx (with_rule_facts ctx a) (with_rule_facts ctx b) in
-  Array.mapi
-    (fun i ra ->
-      Array.mapi
-        (fun j rb -> if candidates.(i).(j) then detect (a, ra) (b, rb) else [])
-        (Array.of_list b.Rule.rules))
-    (Array.of_list a.Rule.rules)
+  let m =
+    Array.mapi
+      (fun i ra ->
+        Array.mapi
+          (fun j rb -> if candidates.(i).(j) then detect i (a, ra) (b, rb) else [])
+          (Array.of_list b.Rule.rules))
+      rows
+  in
+  (m, failed)
 
 let matrix_has_undecided (m : pair_matrix) =
   Array.exists
@@ -1191,7 +1197,8 @@ let matrix_has_undecided (m : pair_matrix) =
 (* Pair-cached exhaustive audit. Matrices are fetched or computed per
    app pair (in install order — detection is orientation-sensitive),
    then reassembled in the flat plan's enumeration order: for each
-   tagged rule, all later apps' rules in order. Threats, failures and
+   tagged rule, all later apps' rules in order; a group's failures are
+   emitted at their rule row in that same pass. Threats, failures and
    the undecided count are byte-identical to the flat path; only the
    order in which pairs are *computed* differs, which no detection
    depends on. Groups that crashed or contain an undecided threat are
@@ -1205,7 +1212,7 @@ let matrix_has_undecided (m : pair_matrix) =
 let audit_all_grouped ?(cancel = fun () -> false) pc ctx (apps : Rule.smartapp list) =
   let apps_a = Array.of_list apps in
   let n = Array.length apps_a in
-  let failures = ref [] and retried = ref 0 in
+  let retried = ref 0 in
   let cancelled = ref false and shed = ref 0 in
   let matrices = Hashtbl.create 16 in
   (* each app's bindings are read once per audit, so every key of the
@@ -1228,27 +1235,28 @@ let audit_all_grouped ?(cancel = fun () -> false) pc ctx (apps : Rule.smartapp l
             pa_fingerprint = ctx.pair_fp;
           }
         in
-        let m =
+        let group =
           match pc.pair_lookup pa with
-          | Some m -> m
+          | Some m -> (m, Array.make (Array.length m) [])
           | None ->
-            let before = !failures in
-            let m = group_matrix ctx ~failures ~retried a b in
-            if !failures == before && not (matrix_has_undecided m) then
+            let ((m, failed) as group) = group_matrix ctx ~retried a b in
+            if Array.for_all (( = ) []) failed && not (matrix_has_undecided m) then
               pc.pair_store pa m;
-            m
+            group
         in
-        Hashtbl.replace matrices (p, q) m
+        Hashtbl.replace matrices (p, q) group
       end
     done
   done;
-  let threats = ref [] in
+  let threats = ref [] and failures = ref [] in
   for p = 0 to n - 1 do
     List.iteri
       (fun i _ ->
         for q = p + 1 to n - 1 do
           match Hashtbl.find_opt matrices (p, q) with
-          | Some m -> Array.iter (fun ts -> threats := ts :: !threats) m.(i)
+          | Some (m, failed) ->
+            Array.iter (fun ts -> threats := ts :: !threats) m.(i);
+            failures := failed.(i) @ !failures
           | None -> ()
         done)
       apps_a.(p).Rule.rules

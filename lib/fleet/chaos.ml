@@ -35,6 +35,7 @@ module Home = Homeguard_store.Home
 module Fence = Homeguard_store.Fence
 module Scrub = Homeguard_store.Scrub
 module Journal = Homeguard_store.Journal
+module Rjournal = Homeguard_store.Rjournal
 module Broker = Homeguard_serve.Broker
 module Shed = Homeguard_serve.Shed
 module Install_flow = Homeguard_frontend.Install_flow
@@ -1164,19 +1165,13 @@ let split_chunks n xs =
   in
   go 0 xs []
 
-let rec mkdir_p d =
-  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let shrink ?(config = smoke_config) ?(enforce_fence = true) ~dir ~invariant
     schedule =
   let trials = ref 0 in
   let fails sched =
     incr trials;
     let tdir = Filename.concat dir (Printf.sprintf "trial-%04d" !trials) in
-    mkdir_p tdir;
+    Rjournal.mkdirs tdir;
     let campaign () = run ~config ~schedule:sched ~dir:tdir () in
     let r =
       if enforce_fence then campaign ()

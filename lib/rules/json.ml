@@ -1,228 +1,269 @@
-(** Minimal JSON representation, printer and parser.
+(** The one JSON codec: rule files (paper §VIII-C reports ~6.2 KB per
+    app), journal events, verdict-cache keys and bench trajectories.
 
-    The HomeGuard backend stores extracted rules as JSON strings (paper
-    §VIII-C reports ~6.2 KB per app); no JSON package is available in
-    the sealed environment, so this is a small self-contained
-    implementation sufficient for rule files. *)
+    Hand-rolled on purpose — the repo carries no JSON dependency. The
+    parser is total: any byte string yields [Ok] or [Error], never an
+    exception, because journal payloads are untrusted once they are on
+    disk. *)
 
 type t =
   | Null
   | Bool of bool
   | Int of int
   | Float of float
-  | String of string
+  | Str of string
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
+(* -- printing ------------------------------------------------------------ *)
+
+let escape_into buf s =
   String.iter
     (fun c ->
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
       | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
       | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
-    s;
+    s
+
+let escape_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  escape_into buf s;
   Buffer.contents buf
 
-let rec to_buf buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (string_of_bool b)
-  | Int n -> Buffer.add_string buf (string_of_int n)
-  | Float f -> Buffer.add_string buf (Printf.sprintf "%.12g" f)
-  | String s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
-  | List items ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i item ->
-        if i > 0 then Buffer.add_char buf ',';
-        to_buf buf item)
-      items;
-    Buffer.add_char buf ']'
-  | Obj fields ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf "\":";
-        to_buf buf v)
-      fields;
-    Buffer.add_char buf '}'
+let float_to_string f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else Printf.sprintf "%.17g" f
 
-let to_string json =
+(* One printer for both layouts: [~pretty] puts each element on its own
+   line at a 2-space indent and a space after each colon. *)
+let print ~pretty v =
   let buf = Buffer.create 256 in
-  to_buf buf json;
+  let quoted s =
+    Buffer.add_char buf '"';
+    escape_into buf s;
+    Buffer.add_char buf '"'
+  in
+  let newline indent =
+    if pretty then begin
+      Buffer.add_char buf '\n';
+      Buffer.add_string buf (String.make indent ' ')
+    end
+  in
+  let rec go indent = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (string_of_bool b)
+    | Int n -> Buffer.add_string buf (string_of_int n)
+    | Float f -> Buffer.add_string buf (float_to_string f)
+    | Str s -> quoted s
+    | List [] -> Buffer.add_string buf "[]"
+    | Obj [] -> Buffer.add_string buf "{}"
+    | List items -> seq indent '[' ']' go items
+    | Obj fields ->
+      seq indent '{' '}'
+        (fun indent (k, item) ->
+          quoted k;
+          Buffer.add_string buf (if pretty then ": " else ":");
+          go indent item)
+        fields
+  and seq : 'a. int -> char -> char -> (int -> 'a -> unit) -> 'a list -> unit =
+   fun indent opening closing item items ->
+    Buffer.add_char buf opening;
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char buf ',';
+        newline (indent + 2);
+        item (indent + 2) x)
+      items;
+    newline indent;
+    Buffer.add_char buf closing
+  in
+  go 0 v;
   Buffer.contents buf
+
+let to_string v = print ~pretty:false v
+
+let to_string_pretty v = print ~pretty:true v
+
+(* -- parsing ------------------------------------------------------------- *)
 
 exception Parse_error of string
 
-(* -- parser -------------------------------------------------------------- *)
+let parse_error fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
-type pstate = { src : string; mutable pos : int }
+type cursor = { src : string; mutable pos : int }
 
-let peek_char st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
 
-let skip_ws st =
-  while
-    st.pos < String.length st.src
-    && match st.src.[st.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-  do
-    st.pos <- st.pos + 1
-  done
+let advance c = c.pos <- c.pos + 1
 
-let expect st c =
-  if peek_char st = Some c then st.pos <- st.pos + 1
-  else raise (Parse_error (Printf.sprintf "expected %C at %d" c st.pos))
+let rec skip_ws c =
+  match peek c with
+  | Some (' ' | '\t' | '\n' | '\r') ->
+    advance c;
+    skip_ws c
+  | _ -> ()
 
-let parse_string_body st =
-  expect st '"';
+let expect c ch =
+  match peek c with
+  | Some x when x = ch -> advance c
+  | Some x -> parse_error "expected '%c' at offset %d, found '%c'" ch c.pos x
+  | None -> parse_error "expected '%c' at offset %d, found end of input" ch c.pos
+
+let expect_word c word value =
+  if
+    c.pos + String.length word <= String.length c.src
+    && String.sub c.src c.pos (String.length word) = word
+  then begin
+    c.pos <- c.pos + String.length word;
+    value
+  end
+  else parse_error "invalid literal at offset %d" c.pos
+
+(* Encode a Unicode code point as UTF-8. *)
+let add_utf8 buf cp =
+  if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
+  else if cp < 0x800 then begin
+    Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
+    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
+  end
+  else begin
+    Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
+  end
+
+let parse_string_body c =
   let buf = Buffer.create 16 in
   let rec go () =
-    match peek_char st with
-    | None -> raise (Parse_error "unterminated string")
-    | Some '"' -> st.pos <- st.pos + 1
+    match peek c with
+    | None -> parse_error "unterminated string"
+    | Some '"' -> advance c
     | Some '\\' -> (
-      st.pos <- st.pos + 1;
-      match peek_char st with
-      | Some 'n' ->
-        Buffer.add_char buf '\n';
-        st.pos <- st.pos + 1;
-        go ()
-      | Some 't' ->
-        Buffer.add_char buf '\t';
-        st.pos <- st.pos + 1;
-        go ()
-      | Some 'r' ->
-        Buffer.add_char buf '\r';
-        st.pos <- st.pos + 1;
-        go ()
+      advance c;
+      match peek c with
+      | Some '"' -> advance c; Buffer.add_char buf '"'; go ()
+      | Some '\\' -> advance c; Buffer.add_char buf '\\'; go ()
+      | Some '/' -> advance c; Buffer.add_char buf '/'; go ()
+      | Some 'n' -> advance c; Buffer.add_char buf '\n'; go ()
+      | Some 't' -> advance c; Buffer.add_char buf '\t'; go ()
+      | Some 'r' -> advance c; Buffer.add_char buf '\r'; go ()
+      | Some 'b' -> advance c; Buffer.add_char buf '\b'; go ()
+      | Some 'f' -> advance c; Buffer.add_char buf '\012'; go ()
       | Some 'u' ->
-        let hex = String.sub st.src (st.pos + 1) 4 in
-        Buffer.add_char buf (Char.chr (int_of_string ("0x" ^ hex) land 0xff));
-        st.pos <- st.pos + 5;
+        advance c;
+        if c.pos + 4 > String.length c.src then parse_error "truncated \\u escape";
+        let hex = String.sub c.src c.pos 4 in
+        c.pos <- c.pos + 4;
+        (match int_of_string_opt ("0x" ^ hex) with
+        | Some cp -> add_utf8 buf cp
+        | None -> parse_error "invalid \\u escape '%s'" hex);
         go ()
-      | Some c ->
-        Buffer.add_char buf c;
-        st.pos <- st.pos + 1;
-        go ()
-      | None -> raise (Parse_error "unterminated escape"))
-    | Some c ->
-      Buffer.add_char buf c;
-      st.pos <- st.pos + 1;
+      | _ -> parse_error "invalid escape at offset %d" c.pos)
+    | Some ch ->
+      advance c;
+      Buffer.add_char buf ch;
       go ()
   in
   go ();
   Buffer.contents buf
 
-let rec parse_value st =
-  skip_ws st;
-  match peek_char st with
-  | Some '"' -> String (parse_string_body st)
+let parse_number c =
+  let start = c.pos in
+  let is_num_char = function
+    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+    | _ -> false
+  in
+  while (match peek c with Some ch -> is_num_char ch | None -> false) do
+    advance c
+  done;
+  let text = String.sub c.src start (c.pos - start) in
+  match int_of_string_opt text with
+  | Some n -> Int n
+  | None -> (
+    match float_of_string_opt text with
+    | Some f -> Float f
+    | None -> parse_error "invalid number '%s' at offset %d" text start)
+
+(* Far above any rule file's or event's nesting; a deeper payload is
+   rejected instead of recursing until the stack runs out. *)
+let max_depth = 1000
+
+let rec parse_value c depth =
+  skip_ws c;
+  match peek c with
+  | None -> parse_error "unexpected end of input"
+  | Some ('{' | '[') when depth >= max_depth ->
+    parse_error "nesting deeper than %d at offset %d" max_depth c.pos
   | Some '{' ->
-    st.pos <- st.pos + 1;
-    skip_ws st;
-    if peek_char st = Some '}' then begin
-      st.pos <- st.pos + 1;
-      Obj []
-    end
+    advance c;
+    skip_ws c;
+    if peek c = Some '}' then begin advance c; Obj [] end
     else begin
-      let rec fields acc =
-        skip_ws st;
-        let k = parse_string_body st in
-        skip_ws st;
-        expect st ':';
-        let v = parse_value st in
-        skip_ws st;
-        match peek_char st with
-        | Some ',' ->
-          st.pos <- st.pos + 1;
-          fields ((k, v) :: acc)
-        | Some '}' ->
-          st.pos <- st.pos + 1;
-          List.rev ((k, v) :: acc)
-        | _ -> raise (Parse_error "expected ',' or '}'")
+      let fields = ref [] in
+      let rec fields_loop () =
+        skip_ws c;
+        expect c '"';
+        let key = parse_string_body c in
+        skip_ws c;
+        expect c ':';
+        let v = parse_value c (depth + 1) in
+        fields := (key, v) :: !fields;
+        skip_ws c;
+        match peek c with
+        | Some ',' -> advance c; fields_loop ()
+        | Some '}' -> advance c
+        | _ -> parse_error "expected ',' or '}' at offset %d" c.pos
       in
-      Obj (fields [])
+      fields_loop ();
+      Obj (List.rev !fields)
     end
   | Some '[' ->
-    st.pos <- st.pos + 1;
-    skip_ws st;
-    if peek_char st = Some ']' then begin
-      st.pos <- st.pos + 1;
-      List []
-    end
+    advance c;
+    skip_ws c;
+    if peek c = Some ']' then begin advance c; List [] end
     else begin
-      let rec items acc =
-        let v = parse_value st in
-        skip_ws st;
-        match peek_char st with
-        | Some ',' ->
-          st.pos <- st.pos + 1;
-          items (v :: acc)
-        | Some ']' ->
-          st.pos <- st.pos + 1;
-          List.rev (v :: acc)
-        | _ -> raise (Parse_error "expected ',' or ']'")
+      let items = ref [] in
+      let rec items_loop () =
+        let v = parse_value c (depth + 1) in
+        items := v :: !items;
+        skip_ws c;
+        match peek c with
+        | Some ',' -> advance c; items_loop ()
+        | Some ']' -> advance c
+        | _ -> parse_error "expected ',' or ']' at offset %d" c.pos
       in
-      List (items [])
+      items_loop ();
+      List (List.rev !items)
     end
-  | Some 't' ->
-    if String.length st.src - st.pos >= 4 && String.sub st.src st.pos 4 = "true" then begin
-      st.pos <- st.pos + 4;
-      Bool true
-    end
-    else raise (Parse_error "bad literal")
-  | Some 'f' ->
-    if String.length st.src - st.pos >= 5 && String.sub st.src st.pos 5 = "false" then begin
-      st.pos <- st.pos + 5;
-      Bool false
-    end
-    else raise (Parse_error "bad literal")
-  | Some 'n' ->
-    if String.length st.src - st.pos >= 4 && String.sub st.src st.pos 4 = "null" then begin
-      st.pos <- st.pos + 4;
-      Null
-    end
-    else raise (Parse_error "bad literal")
-  | Some c when c = '-' || (c >= '0' && c <= '9') ->
-    let start = st.pos in
-    let is_float = ref false in
-    let rec scan () =
-      match peek_char st with
-      | Some c when (c >= '0' && c <= '9') || c = '-' || c = '+' ->
-        st.pos <- st.pos + 1;
-        scan ()
-      | Some ('.' | 'e' | 'E') ->
-        is_float := true;
-        st.pos <- st.pos + 1;
-        scan ()
-      | _ -> ()
-    in
-    scan ();
-    let text = String.sub st.src start (st.pos - start) in
-    if !is_float then Float (float_of_string text) else Int (int_of_string text)
-  | _ -> raise (Parse_error (Printf.sprintf "unexpected input at %d" st.pos))
+  | Some '"' ->
+    advance c;
+    Str (parse_string_body c)
+  | Some 't' -> expect_word c "true" (Bool true)
+  | Some 'f' -> expect_word c "false" (Bool false)
+  | Some 'n' -> expect_word c "null" Null
+  | Some ('-' | '0' .. '9') -> parse_number c
+  | Some ch -> parse_error "unexpected '%c' at offset %d" ch c.pos
 
-let of_string src =
-  let st = { src; pos = 0 } in
-  let v = parse_value st in
-  skip_ws st;
-  if st.pos <> String.length src then raise (Parse_error "trailing input");
-  v
+let of_string s =
+  let c = { src = s; pos = 0 } in
+  match parse_value c 0 with
+  | v ->
+    skip_ws c;
+    if c.pos <> String.length s then Error (Printf.sprintf "trailing input at offset %d" c.pos)
+    else Ok v
+  | exception Parse_error msg -> Error msg
 
 (* -- accessors ----------------------------------------------------------- *)
 
 let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
 
-let get_string = function String s -> Some s | _ -> None
-let get_int = function Int n -> Some n | _ -> None
-let get_list = function List l -> Some l | _ -> None
+let to_list = function List items -> Some items | _ -> None
+
+let to_str = function Str s -> Some s | _ -> None
+
+let to_number = function Int n -> Some (float_of_int n) | Float f -> Some f | _ -> None

@@ -9,8 +9,8 @@ module Term = Homeguard_solver.Term
 
 let rec term_to_json = function
   | Term.Int n -> Json.Obj [ ("int", Json.Int n) ]
-  | Term.Str s -> Json.Obj [ ("str", Json.String s) ]
-  | Term.Var v -> Json.Obj [ ("var", Json.String v) ]
+  | Term.Str s -> Json.Obj [ ("str", Json.Str s) ]
+  | Term.Var v -> Json.Obj [ ("var", Json.Str v) ]
   | Term.Add (a, b) -> Json.Obj [ ("add", Json.List [ term_to_json a; term_to_json b ]) ]
   | Term.Sub (a, b) -> Json.Obj [ ("sub", Json.List [ term_to_json a; term_to_json b ]) ]
   | Term.Mul (a, b) -> Json.Obj [ ("mul", Json.List [ term_to_json a; term_to_json b ]) ]
@@ -22,8 +22,8 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Decode_error m)) fmt
 
 let rec term_of_json = function
   | Json.Obj [ ("int", Json.Int n) ] -> Term.Int n
-  | Json.Obj [ ("str", Json.String s) ] -> Term.Str s
-  | Json.Obj [ ("var", Json.String v) ] -> Term.Var v
+  | Json.Obj [ ("str", Json.Str s) ] -> Term.Str s
+  | Json.Obj [ ("var", Json.Str v) ] -> Term.Var v
   | Json.Obj [ ("add", Json.List [ a; b ]) ] -> Term.Add (term_of_json a, term_of_json b)
   | Json.Obj [ ("sub", Json.List [ a; b ]) ] -> Term.Sub (term_of_json a, term_of_json b)
   | Json.Obj [ ("mul", Json.List [ a; b ]) ] -> Term.Mul (term_of_json a, term_of_json b)
@@ -47,7 +47,7 @@ let rec formula_to_json = function
   | Formula.Atom (cmp, a, b) ->
     Json.Obj
       [
-        ("cmp", Json.String (cmp_to_string cmp)); ("lhs", term_to_json a); ("rhs", term_to_json b);
+        ("cmp", Json.Str (cmp_to_string cmp)); ("lhs", term_to_json a); ("rhs", term_to_json b);
       ]
   | Formula.And fs -> Json.Obj [ ("and", Json.List (List.map formula_to_json fs)) ]
   | Formula.Or fs -> Json.Obj [ ("or", Json.List (List.map formula_to_json fs)) ]
@@ -56,7 +56,7 @@ let rec formula_to_json = function
 let rec formula_of_json = function
   | Json.Obj [ ("true", Json.Null) ] -> Formula.True
   | Json.Obj [ ("false", Json.Null) ] -> Formula.False
-  | Json.Obj [ ("cmp", Json.String c); ("lhs", a); ("rhs", b) ] ->
+  | Json.Obj [ ("cmp", Json.Str c); ("lhs", a); ("rhs", b) ] ->
     Formula.Atom (cmp_of_string c, term_of_json a, term_of_json b)
   | Json.Obj [ ("and", Json.List fs) ] -> Formula.And (List.map formula_of_json fs)
   | Json.Obj [ ("or", Json.List fs) ] -> Formula.Or (List.map formula_of_json fs)
@@ -64,12 +64,12 @@ let rec formula_of_json = function
   | j -> fail "bad formula: %s" (Json.to_string j)
 
 let subject_to_json = function
-  | Rule.Device v -> Json.Obj [ ("device", Json.String v) ]
+  | Rule.Device v -> Json.Obj [ ("device", Json.Str v) ]
   | Rule.Location -> Json.Obj [ ("location", Json.Null) ]
   | Rule.App_touch -> Json.Obj [ ("app", Json.Null) ]
 
 let subject_of_json = function
-  | Json.Obj [ ("device", Json.String v) ] -> Rule.Device v
+  | Json.Obj [ ("device", Json.Str v) ] -> Rule.Device v
   | Json.Obj [ ("location", Json.Null) ] -> Rule.Location
   | Json.Obj [ ("app", Json.Null) ] -> Rule.App_touch
   | j -> fail "bad subject: %s" (Json.to_string j)
@@ -79,7 +79,7 @@ let trigger_to_json = function
     Json.Obj
       [
         ("subject", subject_to_json subject);
-        ("attribute", Json.String attribute);
+        ("attribute", Json.Str attribute);
         ("constraint", formula_to_json constraint_);
       ]
   | Rule.Scheduled { at_minutes; period_seconds } ->
@@ -90,7 +90,7 @@ let trigger_to_json = function
       ]
 
 let trigger_of_json = function
-  | Json.Obj [ ("subject", s); ("attribute", Json.String a); ("constraint", c) ] ->
+  | Json.Obj [ ("subject", s); ("attribute", Json.Str a); ("constraint", c) ] ->
     Rule.Event { subject = subject_of_json s; attribute = a; constraint_ = formula_of_json c }
   | Json.Obj [ ("at", at); ("period", period) ] ->
     let opt_int = function Json.Int n -> Some n | _ -> None in
@@ -98,26 +98,26 @@ let trigger_of_json = function
   | j -> fail "bad trigger: %s" (Json.to_string j)
 
 let data_to_json data =
-  Json.List (List.map (fun (v, t) -> Json.Obj [ ("var", Json.String v); ("val", term_to_json t) ]) data)
+  Json.List (List.map (fun (v, t) -> Json.Obj [ ("var", Json.Str v); ("val", term_to_json t) ]) data)
 
 let data_of_json = function
   | Json.List items ->
     List.map
       (function
-        | Json.Obj [ ("var", Json.String v); ("val", t) ] -> (v, term_of_json t)
+        | Json.Obj [ ("var", Json.Str v); ("val", t) ] -> (v, term_of_json t)
         | j -> fail "bad data constraint: %s" (Json.to_string j))
       items
   | j -> fail "bad data constraints: %s" (Json.to_string j)
 
 let target_to_json = function
-  | Rule.Act_device v -> Json.Obj [ ("device", Json.String v) ]
+  | Rule.Act_device v -> Json.Obj [ ("device", Json.Str v) ]
   | Rule.Act_location_mode -> Json.Obj [ ("mode", Json.Null) ]
   | Rule.Act_messaging -> Json.Obj [ ("messaging", Json.Null) ]
   | Rule.Act_http -> Json.Obj [ ("http", Json.Null) ]
   | Rule.Act_hub -> Json.Obj [ ("hub", Json.Null) ]
 
 let target_of_json = function
-  | Json.Obj [ ("device", Json.String v) ] -> Rule.Act_device v
+  | Json.Obj [ ("device", Json.Str v) ] -> Rule.Act_device v
   | Json.Obj [ ("mode", Json.Null) ] -> Rule.Act_location_mode
   | Json.Obj [ ("messaging", Json.Null) ] -> Rule.Act_messaging
   | Json.Obj [ ("http", Json.Null) ] -> Rule.Act_http
@@ -128,7 +128,7 @@ let action_to_json (a : Rule.action) =
   Json.Obj
     [
       ("target", target_to_json a.target);
-      ("command", Json.String a.command);
+      ("command", Json.Str a.command);
       ("params", Json.List (List.map term_to_json a.params));
       ("when", Json.Int a.when_);
       ("period", Json.Int a.period);
@@ -139,7 +139,7 @@ let action_of_json = function
   | Json.Obj
       [
         ("target", t);
-        ("command", Json.String c);
+        ("command", Json.Str c);
         ("params", Json.List ps);
         ("when", Json.Int w);
         ("period", Json.Int p);
@@ -158,8 +158,8 @@ let action_of_json = function
 let rule_to_json (r : Rule.t) =
   Json.Obj
     [
-      ("app", Json.String r.app_name);
-      ("id", Json.String r.rule_id);
+      ("app", Json.Str r.app_name);
+      ("id", Json.Str r.rule_id);
       ("trigger", trigger_to_json r.trigger);
       ( "condition",
         Json.Obj
@@ -173,8 +173,8 @@ let rule_to_json (r : Rule.t) =
 let rule_of_json = function
   | Json.Obj
       [
-        ("app", Json.String app);
-        ("id", Json.String id);
+        ("app", Json.Str app);
+        ("id", Json.Str id);
         ("trigger", t);
         ("condition", Json.Obj [ ("data", d); ("predicate", p) ]);
         ("actions", Json.List actions);
@@ -191,20 +191,20 @@ let rule_of_json = function
 let input_to_json (i : Rule.input_decl) =
   Json.Obj
     [
-      ("var", Json.String i.var);
-      ("type", Json.String i.input_type);
-      ("title", match i.title with Some t -> Json.String t | None -> Json.Null);
+      ("var", Json.Str i.var);
+      ("type", Json.Str i.input_type);
+      ("title", match i.title with Some t -> Json.Str t | None -> Json.Null);
       ("multiple", Json.Bool i.multiple);
     ]
 
 let input_of_json = function
   | Json.Obj
-      [ ("var", Json.String v); ("type", Json.String t); ("title", title); ("multiple", Json.Bool m) ]
+      [ ("var", Json.Str v); ("type", Json.Str t); ("title", title); ("multiple", Json.Bool m) ]
     ->
     {
       Rule.var = v;
       input_type = t;
-      title = (match title with Json.String s -> Some s | _ -> None);
+      title = (match title with Json.Str s -> Some s | _ -> None);
       multiple = m;
     }
   | j -> fail "bad input: %s" (Json.to_string j)
@@ -212,8 +212,8 @@ let input_of_json = function
 let smartapp_to_json (app : Rule.smartapp) =
   Json.Obj
     [
-      ("name", Json.String app.name);
-      ("description", Json.String app.description);
+      ("name", Json.Str app.name);
+      ("description", Json.Str app.description);
       ("inputs", Json.List (List.map input_to_json app.inputs));
       ("rules", Json.List (List.map rule_to_json app.rules));
       ("webServices", Json.Bool app.uses_web_services);
@@ -222,8 +222,8 @@ let smartapp_to_json (app : Rule.smartapp) =
 let smartapp_of_json = function
   | Json.Obj
       [
-        ("name", Json.String name);
-        ("description", Json.String description);
+        ("name", Json.Str name);
+        ("description", Json.Str description);
         ("inputs", Json.List inputs);
         ("rules", Json.List rules);
         ("webServices", Json.Bool ws);
@@ -241,4 +241,7 @@ let smartapp_of_json = function
 let to_string app = Json.to_string (smartapp_to_json app)
 
 (** Parse a rule-file string. *)
-let of_string s = smartapp_of_json (Json.of_string s)
+let of_string s =
+  match Json.of_string s with
+  | Ok j -> smartapp_of_json j
+  | Error m -> fail "unparseable rule file: %s" m

@@ -13,4 +13,9 @@ val smartapp_to_json : Rule.smartapp -> Json.t
 val smartapp_of_json : Json.t -> Rule.smartapp
 
 val to_string : Rule.smartapp -> string
+(** The compact rule-file bytes the journal stores and the verdict
+    cache hashes. *)
+
 val of_string : string -> Rule.smartapp
+(** Raises {!Decode_error}, and nothing else, on any input that is not
+    a rule file, malformed JSON included. *)

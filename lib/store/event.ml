@@ -39,22 +39,22 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Decode_error m)) fmt
 
 let decision_to_json = function
   | Policy.Allow -> Json.Obj [ ("allow", Json.Null) ]
-  | Policy.Prioritize { winner } -> Json.Obj [ ("prioritize", Json.String winner) ]
-  | Policy.Block { rule } -> Json.Obj [ ("block", Json.String rule) ]
+  | Policy.Prioritize { winner } -> Json.Obj [ ("prioritize", Json.Str winner) ]
+  | Policy.Block { rule } -> Json.Obj [ ("block", Json.Str rule) ]
   | Policy.Break_chain { hop_budget } -> Json.Obj [ ("break", Json.Int hop_budget) ]
   | Policy.Confirm -> Json.Obj [ ("confirm", Json.Null) ]
 
 let decision_of_json = function
   | Json.Obj [ ("allow", Json.Null) ] -> Policy.Allow
-  | Json.Obj [ ("prioritize", Json.String winner) ] -> Policy.Prioritize { winner }
-  | Json.Obj [ ("block", Json.String rule) ] -> Policy.Block { rule }
+  | Json.Obj [ ("prioritize", Json.Str winner) ] -> Policy.Prioritize { winner }
+  | Json.Obj [ ("block", Json.Str rule) ] -> Policy.Block { rule }
   | Json.Obj [ ("break", Json.Int hop_budget) ] -> Policy.Break_chain { hop_budget }
   | Json.Obj [ ("confirm", Json.Null) ] -> Policy.Confirm
   | j -> fail "bad decision: %s" (Json.to_string j)
 
 let to_json = function
   | Install app -> Json.Obj [ ("install", Rule_json.smartapp_to_json app) ]
-  | Uninstall name -> Json.Obj [ ("uninstall", Json.String name) ]
+  | Uninstall name -> Json.Obj [ ("uninstall", Json.Str name) ]
   | Config { seq; uri } ->
     Json.Obj
       [
@@ -62,49 +62,49 @@ let to_json = function
           Json.Obj
             [
               ("seq", match seq with Some s -> Json.Int s | None -> Json.Null);
-              ("uri", Json.String uri);
+              ("uri", Json.Str uri);
             ] );
       ]
   | Decision { threat_id; decision } ->
     Json.Obj
       [
         ( "decision",
-          Json.Obj [ ("id", Json.String threat_id); ("d", decision_to_json decision) ] );
+          Json.Obj [ ("id", Json.Str threat_id); ("d", decision_to_json decision) ] );
       ]
   | Watermark n -> Json.Obj [ ("watermark", Json.Int n) ]
   | Quarantine { app; reason } ->
     Json.Obj
       [
         ( "quarantine",
-          Json.Obj [ ("app", Json.String app); ("reason", Json.String reason) ] );
+          Json.Obj [ ("app", Json.Str app); ("reason", Json.Str reason) ] );
       ]
-  | Unquarantine app -> Json.Obj [ ("unquarantine", Json.String app) ]
+  | Unquarantine app -> Json.Obj [ ("unquarantine", Json.Str app) ]
   | Epoch n -> Json.Obj [ ("epoch", Json.Int n) ]
 
 let of_json = function
   | Json.Obj [ ("install", app) ] -> Install (Rule_json.smartapp_of_json app)
-  | Json.Obj [ ("uninstall", Json.String name) ] -> Uninstall name
-  | Json.Obj [ ("config", Json.Obj [ ("seq", seq); ("uri", Json.String uri) ]) ] ->
+  | Json.Obj [ ("uninstall", Json.Str name) ] -> Uninstall name
+  | Json.Obj [ ("config", Json.Obj [ ("seq", seq); ("uri", Json.Str uri) ]) ] ->
     Config { seq = (match seq with Json.Int s -> Some s | _ -> None); uri }
-  | Json.Obj [ ("decision", Json.Obj [ ("id", Json.String threat_id); ("d", d) ]) ] ->
+  | Json.Obj [ ("decision", Json.Obj [ ("id", Json.Str threat_id); ("d", d) ]) ] ->
     Decision { threat_id; decision = decision_of_json d }
   | Json.Obj [ ("watermark", Json.Int n) ] -> Watermark n
   | Json.Obj
       [
         ( "quarantine",
-          Json.Obj [ ("app", Json.String app); ("reason", Json.String reason) ] );
+          Json.Obj [ ("app", Json.Str app); ("reason", Json.Str reason) ] );
       ] ->
     Quarantine { app; reason }
-  | Json.Obj [ ("unquarantine", Json.String app) ] -> Unquarantine app
+  | Json.Obj [ ("unquarantine", Json.Str app) ] -> Unquarantine app
   | Json.Obj [ ("epoch", Json.Int n) ] -> Epoch n
   | j -> fail "bad event: %s" (Json.to_string j)
 
 let to_string e = Json.to_string (to_json e)
 
 let of_string s =
-  try of_json (Json.of_string s) with
-  | Json.Parse_error m -> fail "unparseable event: %s" m
-  | Rule_json.Decode_error m -> fail "bad rule file in event: %s" m
+  match Json.of_string s with
+  | Error m -> fail "unparseable event: %s" m
+  | Ok j -> ( try of_json j with Rule_json.Decode_error m -> fail "bad rule file in event: %s" m)
 
 let describe = function
   | Install app -> "install " ^ app.Rule.name

@@ -27,5 +27,9 @@ val decision_of_json : Homeguard_rules.Json.t -> Policy.decision
 val to_json : t -> Homeguard_rules.Json.t
 val of_json : Homeguard_rules.Json.t -> t
 val to_string : t -> string
+
 val of_string : string -> t
+(** Raises {!Decode_error}, and nothing else, on any payload that is not
+    an event, malformed JSON included. *)
+
 val describe : t -> string

@@ -256,12 +256,6 @@ let mediator ?defer_delay_ms ?max_deferrals t =
 
 (* -- recovery ---------------------------------------------------------------- *)
 
-let rec mkdirs dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdirs (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let replay t records =
   List.iter
     (fun payload ->
@@ -282,7 +276,7 @@ let installs_from records idx =
 let open_ ?(fsync = true) ?(mode = Mixed) ?(window = 64) ?(configure = Fun.id)
     ?(replicas = []) ?epoch ~dir () =
   let dirs = dir :: replicas in
-  List.iter mkdirs dirs;
+  List.iter Rjournal.mkdirs dirs;
   let snap_paths = List.map (fun d -> Filename.concat d "snapshot") dirs in
   let journal_paths = List.map (fun d -> Filename.concat d "journal") dirs in
   let rs = Rjournal.recover ~fsync snap_paths in

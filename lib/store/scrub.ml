@@ -73,12 +73,6 @@ let read_file path =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
 
-let rec mkdirs dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdirs (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let write_all fd b =
   let rec go off rem =
     if rem > 0 then begin
@@ -99,7 +93,7 @@ let patch_file ~fsync path ~current ~target =
   let p = ref 0 in
   while !p < maxp && current.[!p] = target.[!p] do incr p done;
   let prefix = !p in
-  mkdirs (Filename.dirname path);
+  Rjournal.mkdirs (Filename.dirname path);
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)

@@ -356,6 +356,21 @@ let home_persists =
         (Install_flow.kept_threats (Home.flow home) <> []);
       Home.close home)
 
+(* A frame can pass its CRC and still hold a payload the event decoder
+   rejects, whether the JSON itself is malformed or merely foreign. Both
+   are counted as skipped; neither may escape [open_]. *)
+let home_skips_undecodable_payloads =
+  test "a CRC-valid frame with an undecodable payload is skipped" (fun () ->
+      List.iter
+        (fun payload ->
+          let dir = fresh_dir () in
+          Rjournal.mkdirs dir;
+          Journal.write_atomic (Filename.concat dir "journal") [ payload ];
+          let home, r = Home.open_ ~dir () in
+          Home.close home;
+          check_int payload 1 r.Home.skipped_events)
+        [ {|{"watermark":1e}|}; {|{"watermark":{}}|} ])
+
 let home_rerun_is_idempotent =
   test "re-running the workload over a live home changes nothing" (fun () ->
       let dir = fresh_dir () in
@@ -843,6 +858,7 @@ let () =
       ( "home",
         [
           home_persists;
+          home_skips_undecodable_payloads;
           home_rerun_is_idempotent;
           home_out_of_order_equals_in_order;
           home_uninstall_and_update;

@@ -177,6 +177,19 @@ let rm_rf_tree =
       (* second removal is a no-op, not an error *)
       Fsutil.rm_rf root)
 
+(* The checked-in trajectories are the bench's history: parsing one and
+   rendering it back must reproduce the file byte for byte. *)
+let trajectory_files_golden =
+  Helpers.test "checked-in trajectory files re-render byte-identically" (fun () ->
+      List.iter
+        (fun tag ->
+          let path = Printf.sprintf "../BENCH_%s.json" tag in
+          let text = In_channel.with_open_bin path In_channel.input_all in
+          match Trajectory.of_string text with
+          | Ok t -> Helpers.check_string path text (Trajectory.to_string t)
+          | Error e -> Alcotest.failf "%s: %s" path e)
+        [ "P6"; "P7"; "P8"; "P9"; "P10" ])
+
 let tests =
   [
     json_roundtrip;
@@ -190,4 +203,5 @@ let tests =
     compare_improvement;
     key_drift;
     rm_rf_tree;
+    trajectory_files_golden;
   ]

@@ -7,36 +7,38 @@ open Helpers
 
 let json = Alcotest.testable (fun fmt j -> Format.fprintf fmt "%s" (Json.to_string j)) ( = )
 
+let parse s = match Json.of_string s with Ok j -> j | Error e -> Alcotest.failf "%S: %s" s e
+
 let print_basic =
   test "printing basics" (fun () ->
       check_string "obj" {|{"a":1,"b":[true,null],"c":"x"}|}
         (Json.to_string
            (Json.Obj
               [ ("a", Json.Int 1); ("b", Json.List [ Json.Bool true; Json.Null ]);
-                ("c", Json.String "x");
+                ("c", Json.Str "x");
               ])))
 
 let escape_string =
   test "string escaping" (fun () ->
-      check_string "escaped" {|"a\"b\\c\nd"|} (Json.to_string (Json.String "a\"b\\c\nd")))
+      check_string "escaped" {|"a\"b\\c\nd"|} (Json.to_string (Json.Str "a\"b\\c\nd")))
 
 let parse_basic =
   test "parsing basics" (fun () ->
       Alcotest.check json "roundtrip"
-        (Json.Obj [ ("k", Json.List [ Json.Int 1; Json.Float 2.5; Json.String "s" ]) ])
-        (Json.of_string {| {"k": [1, 2.5, "s"]} |}))
+        (Json.Obj [ ("k", Json.List [ Json.Int 1; Json.Float 2.5; Json.Str "s" ]) ])
+        (parse {| {"k": [1, 2.5, "s"]} |}))
 
 let parse_negative =
   test "negative numbers" (fun () ->
-      Alcotest.check json "neg" (Json.Int (-42)) (Json.of_string "-42"))
+      Alcotest.check json "neg" (Json.Int (-42)) (parse "-42"))
 
 let parse_errors =
   test "malformed input raises" (fun () ->
       List.iter
         (fun src ->
           match Json.of_string src with
-          | exception Json.Parse_error _ -> ()
-          | _ -> Alcotest.failf "expected parse error on %s" src)
+          | Error _ -> ()
+          | Ok _ -> Alcotest.failf "expected parse error on %s" src)
         [ "{"; "[1,"; "tru"; "\"unterminated"; "{\"a\" 1}"; "1 2" ])
 
 let gen_json =
@@ -49,7 +51,7 @@ let gen_json =
                return Json.Null;
                map (fun b -> Json.Bool b) bool;
                map (fun i -> Json.Int i) (int_range (-1000) 1000);
-               map (fun s -> Json.String s) (string_size ~gen:(char_range 'a' 'z') (int_bound 8));
+               map (fun s -> Json.Str s) (string_size ~gen:(char_range 'a' 'z') (int_bound 8));
              ]
          in
          if n <= 0 then leaf
@@ -68,7 +70,7 @@ let gen_json =
 
 let roundtrip_prop =
   qtest ~count:300 "JSON print/parse round-trip" gen_json (fun j ->
-      Json.of_string (Json.to_string j) = j)
+      Json.of_string (Json.to_string j) = Ok j)
 
 let rule_file_roundtrip =
   test "rule files round-trip for every corpus app" (fun () ->
@@ -115,6 +117,45 @@ let decode_error =
       | exception Rule_json.Decode_error _ -> ()
       | _ -> Alcotest.fail "expected Decode_error")
 
+(* The bytes of rule files and journal payloads are what the journal
+   compares, replays and the verdict cache hashes into its L1 keys. This
+   digest was taken before the rules-side codec was replaced by the
+   shared one; a change to any escape, separator or field order moves it. *)
+module Event = Homeguard_store.Event
+module Policy = Homeguard_handling.Policy
+
+let golden_events =
+  let tricky = "q\"b\\s/n\nt\tr\rc\001\031d\127é" in
+  [
+    Event.Install (extract_corpus "ComfortTV");
+    Event.Uninstall tricky;
+    Event.Config { seq = Some 7; uri = "homeguard://cfg?a=1&b=" ^ tricky };
+    Event.Config { seq = None; uri = "" };
+    Event.Decision { threat_id = "AR:a/r1->b/r2"; decision = Policy.Allow };
+    Event.Decision { threat_id = tricky; decision = Policy.Prioritize { winner = "w" } };
+    Event.Decision { threat_id = "GC:x"; decision = Policy.Block { rule = tricky } };
+    Event.Decision { threat_id = "CT:y"; decision = Policy.Break_chain { hop_budget = -3 } };
+    Event.Decision { threat_id = "DC:z"; decision = Policy.Confirm };
+    Event.Watermark 0;
+    Event.Watermark max_int;
+    Event.Quarantine { app = "Poison"; reason = tricky };
+    Event.Unquarantine "Poison";
+    Event.Epoch min_int;
+  ]
+
+let golden_bytes =
+  test "rule-file and event bytes match the pre-swap digest" (fun () ->
+      let buf = Buffer.create (1 lsl 20) in
+      List.iter
+        (fun (e : Homeguard_corpus.App_entry.t) ->
+          Buffer.add_string buf
+            (Rule_json.to_string
+               (extract ~name:e.Homeguard_corpus.App_entry.name e.Homeguard_corpus.App_entry.source));
+          Buffer.add_char buf '\n')
+        Homeguard_corpus.Corpus.all;
+      List.iter (fun e -> Buffer.add_string buf (Event.to_string e ^ "\n")) golden_events;
+      check_string "md5" "379b2ed2f5ebd66f3b01acf0fa2d24e7" (Digest.to_hex (Digest.string (Buffer.contents buf))))
+
 let tests =
   [
     print_basic;
@@ -127,6 +168,7 @@ let tests =
     rule_file_string_fixpoint;
     rule_file_size_reasonable;
     decode_error;
+    golden_bytes;
   ]
 
 (* appended: randomized rule-file round-trips beyond the corpus *)

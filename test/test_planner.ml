@@ -500,6 +500,29 @@ let device_relation_matches_reference =
       check_bool "synth: questions asked" true (!asked > 0);
       check_bool "synth online: non-input vars matched by device id" true (!bare > 0))
 
+(* A solve hook that always raises makes every pair that reaches the
+   solver fail twice. The grouped audit (a pair cache that never hits)
+   must report those failures in the flat plan's order. *)
+let grouped_failures_in_flat_order =
+  test "grouped audit reports failures in flat-plan order" (fun () ->
+      let apps = List.filteri (fun i _ -> i < 12) (Lazy.force audit_pool) in
+      let config =
+        { Detector.offline_config with Detector.shared_cache = Some (fun _ _ -> failwith "hook") }
+      in
+      let labels (r : Detector.audit_result) =
+        List.map (fun (f : Detector.failure) -> f.Detector.pair) r.Detector.failures
+      in
+      let ctx = Detector.create config in
+      let flat = Detector.audit_pairs ctx (Detector.candidate_pairs ctx apps) in
+      let missing =
+        { Detector.pair_lookup = (fun _ -> None); pair_store = (fun _ _ -> ()) }
+      in
+      let grouped =
+        Detector.audit_all (Detector.create { config with Detector.pair_cache = Some missing }) apps
+      in
+      check_bool "some pairs failed" true (flat.Detector.failures <> []);
+      Alcotest.(check (list string)) "failure order" (labels flat) (labels grouped))
+
 let tests =
   [
     classifier_matches_reference_on_corpus;
@@ -510,4 +533,5 @@ let tests =
     plan_matches_reference_on_synth;
     facts_match_direct_derivations;
     device_relation_matches_reference;
+    grouped_failures_in_flat_order;
   ]

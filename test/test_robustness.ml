@@ -126,7 +126,7 @@ let json_rejects_mutations =
       let s = Homeguard_rules.Rule_json.to_string (extract_corpus "ComfortTV") in
       let corrupt = String.map (fun c -> if c = ':' then ';' else c) s in
       match Homeguard_rules.Rule_json.of_string corrupt with
-      | exception _ -> ()
+      | exception Homeguard_rules.Rule_json.Decode_error _ -> ()
       | _ -> Alcotest.fail "expected decode failure")
 
 let tests =
