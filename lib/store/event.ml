@@ -101,10 +101,36 @@ let of_json = function
 
 let to_string e = Json.to_string (to_json e)
 
-let of_string s =
+let decode s =
   match Json.of_string s with
   | Error m -> fail "unparseable event: %s" m
   | Ok j -> ( try of_json j with Rule_json.Decode_error m -> fail "bad rule file in event: %s" m)
+
+(* Decoded Install payloads, interned once per process. Every Install
+   record carries the app's full rule file, and a fleet restart replays
+   the same catalog apps in every home: keyed by the payload bytes, the
+   second decode of a payload is one hash and one compare, and the
+   homes share one immutable [Rule.smartapp]. Only successful decodes
+   are kept; the table is emptied once it reaches [intern_bound]
+   entries, and locked because audits run on several domains. *)
+let intern_bound = 1024
+let interned : (string, t) Hashtbl.t = Hashtbl.create 256
+let intern_lock = Mutex.create ()
+
+let of_string s =
+  if not (String.starts_with ~prefix:"{\"install\":" s) then decode s
+  else
+    match Mutex.protect intern_lock (fun () -> Hashtbl.find_opt interned s) with
+    | Some ev -> ev
+    | None ->
+      let ev = decode s in
+      Mutex.protect intern_lock (fun () ->
+          match Hashtbl.find_opt interned s with
+          | Some first -> first
+          | None ->
+            if Hashtbl.length interned >= intern_bound then Hashtbl.reset interned;
+            Hashtbl.add interned s ev;
+            ev)
 
 let describe = function
   | Install app -> "install " ^ app.Rule.name

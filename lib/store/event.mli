@@ -30,6 +30,12 @@ val to_string : t -> string
 
 val of_string : string -> t
 (** Raises {!Decode_error}, and nothing else, on any payload that is not
-    an event, malformed JSON included. *)
+    an event, malformed JSON included. Install payloads are interned per
+    process: decoding the same bytes again returns the same (physically
+    equal) app, so recovered homes share one immutable rule set. *)
+
+val intern_bound : int
+(** The interned-Install table is emptied when it reaches this many
+    entries. *)
 
 val describe : t -> string

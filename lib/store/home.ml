@@ -486,25 +486,11 @@ let surfaced_corruption ?(replicas = []) ~dir () =
     go 0
   in
   let count path =
-    let side = path ^ ".quarantine" in
-    if not (Sys.file_exists side) then 0
-    else
-      let ic = open_in_bin side in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let n = ref 0 in
-          (try
-             while true do
-               let line = input_line ic in
-               if
-                 String.length line >= 2
-                 && String.sub line 0 2 = "##"
-                 && contains ~sub:"kind=corrupt" line
-               then incr n
-             done
-           with End_of_file -> ());
-          !n)
+    Journal.read_file (path ^ ".quarantine")
+    |> String.split_on_char '\n'
+    |> List.filter (fun line ->
+           String.starts_with ~prefix:"##" line && contains ~sub:"kind=corrupt" line)
+    |> List.length
   in
   List.fold_left
     (fun acc d ->

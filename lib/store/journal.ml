@@ -47,11 +47,41 @@ let frame_epoch ~epoch payload =
     Printf.sprintf "%s%08x %08x %08x\n%s\n" magic2 (String.length payload)
       (Crc32.string payload) epoch payload
 
+(* -- raw-descriptor I/O -------------------------------------------------------- *)
+
+(* The store reads and writes through Unix descriptors, never OCaml
+   channels: a channel carries a 64 KB inline buffer that is charged in
+   full to the major GC, so the thousands of opens of a fleet restart
+   would cost hundreds of needless major collections. *)
+
+let write_sub fd s pos len = ignore (Unix.write_substring fd s pos len)
+let write_string fd s = write_sub fd s 0 (String.length s)
+
+let fsync_fd fd = try Unix.fsync fd with Unix.Unix_error _ -> ()
+let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
+let with_descr fd f = Fun.protect ~finally:(fun () -> close_noerr fd) (fun () -> f fd)
+
+let read_file path =
+  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ""
+  | fd ->
+    with_descr fd (fun fd ->
+        let len = (Unix.fstat fd).Unix.st_size in
+        let b = Bytes.create len in
+        let rec go off =
+          if off = len then off
+          else match Unix.read fd b off (len - off) with 0 -> off | n -> go (off + n)
+        in
+        let got = go 0 in
+        if got = len then Bytes.unsafe_to_string b else Bytes.sub_string b 0 got)
+
+let append_flags = [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ]
+
 (* -- appending --------------------------------------------------------------- *)
 
 type t = {
   path : string;
-  mutable oc : out_channel option;
+  mutable fd : Unix.file_descr option;
   fsync : bool;
   epoch : int;  (** stamped on every frame this writer appends *)
   fault_key : string;  (** storage-fault key base (replica-distinct) *)
@@ -59,18 +89,14 @@ type t = {
 }
 
 let open_append ?(fsync = true) ?(epoch = 0) ?fault_key path =
-  let oc = open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644 path in
+  let fd = Unix.openfile path append_flags 0o644 in
   let fault_key =
     match fault_key with Some k -> k | None -> Filename.basename path
   in
-  { path; oc = Some oc; fsync; epoch; fault_key; appended = 0 }
+  { path; fd = Some fd; fsync; epoch; fault_key; appended = 0 }
 
-let channel t =
-  match t.oc with Some oc -> oc | None -> invalid_arg ("Journal: closed: " ^ t.path)
-
-let fsync_channel oc =
-  flush oc;
-  try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()
+let descr t =
+  match t.fd with Some fd -> fd | None -> invalid_arg ("Journal: closed: " ^ t.path)
 
 (* After renaming (or creating) a directory entry, the entry itself
    lives in the parent directory's data: without fsyncing the parent, a
@@ -78,39 +104,34 @@ let fsync_channel oc =
    were fsynced. *)
 let fsync_dir dir =
   match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
+  | fd -> with_descr fd fsync_fd
   | exception Unix.Unix_error _ -> ()
 
 let append t payload =
-  let oc = channel t in
+  let fd = descr t in
   t.appended <- t.appended + 1;
   let key = Printf.sprintf "%s#%d" t.fault_key t.appended in
   Fault.crash_point ("journal/append/enter:" ^ key);
   (match Fault.on_write ("journal/write:" ^ key) (frame_epoch ~epoch:t.epoch payload) with
-  | `Write data -> output_string oc data
+  | `Write data -> write_string fd data
   | `Torn prefix ->
     (* a torn write is a crash mid-write: the prefix reaches the disk,
        the rest never does *)
-    output_string oc prefix;
-    fsync_channel oc;
+    write_string fd prefix;
+    fsync_fd fd;
     raise (Fault.Crashed ("torn write: " ^ key)));
-  flush oc;
   Fault.crash_point ("journal/append/written:" ^ key);
-  if t.fsync then fsync_channel oc;
+  if t.fsync then fsync_fd fd;
   Fault.crash_point ("journal/append/synced:" ^ key)
 
-let sync t = fsync_channel (channel t)
+let sync t = fsync_fd (descr t)
 
 let close t =
-  match t.oc with
+  match t.fd with
   | None -> ()
-  | Some oc ->
-    t.oc <- None;
-    (try flush oc with Sys_error _ -> ());
-    close_out_noerr oc
+  | Some fd ->
+    t.fd <- None;
+    close_noerr fd
 
 (** Replace [path] with a journal holding exactly [payloads] (stamped
     with [epoch] when given), via temp file + atomic rename + parent
@@ -118,13 +139,9 @@ let close t =
     the rename-durable window before the dirfd fsync). *)
 let write_atomic ?(fsync = true) ?(epoch = 0) path payloads =
   let tmp = path ^ ".tmp" in
-  let oc = open_out_gen [ Open_wronly; Open_trunc; Open_creat; Open_binary ] 0o644 tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      List.iter (fun p -> output_string oc (frame_epoch ~epoch p)) payloads;
-      flush oc;
-      if fsync then fsync_channel oc);
+  with_descr (Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC; Unix.O_CREAT ] 0o644) (fun fd ->
+      write_string fd (String.concat "" (List.map (frame_epoch ~epoch) payloads));
+      if fsync then fsync_fd fd);
   Fault.crash_point ("journal/rename:" ^ Filename.basename path);
   Sys.rename tmp path;
   (* the rename is not durable until the parent directory is: a crash
@@ -255,9 +272,8 @@ let scan_string s =
             step next
           | None -> note (Torn_tail { offset = pos; raw = String.sub s pos (n - pos) }))
         else
-          let payload = String.sub s (pos + hlen) plen in
-          if s.[fin - 1] = '\n' && Crc32.string payload = crc then begin
-            records := payload :: !records;
+          if s.[fin - 1] = '\n' && Crc32.substring s (pos + hlen) plen = crc then begin
+            records := String.sub s (pos + hlen) plen :: !records;
             frames := String.sub s pos (fin - pos) :: !frames;
             epochs := epoch :: !epochs;
             if epoch < !max_epoch then incr regressions
@@ -285,13 +301,7 @@ let scan_string s =
     epoch_regressions = !regressions;
   }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let scan path = if Sys.file_exists path then scan_string (read_file path) else scan_string ""
+let scan path = scan_string (read_file path)
 
 (* -- recovery ---------------------------------------------------------------- *)
 
@@ -311,21 +321,19 @@ let damage_bytes = function Torn_tail { raw; _ } | Corrupt { raw; _ } -> String.
 let quarantine_damage ?quarantine path damage =
   if damage <> [] then begin
     let qpath = match quarantine with Some q -> q | None -> path ^ ".quarantine" in
-    let oc = open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644 qpath in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        List.iter
-          (fun d ->
-            let kind, offset, raw =
-              match d with
-              | Torn_tail { offset; raw } -> ("torn", offset, raw)
-              | Corrupt { offset; raw } -> ("corrupt", offset, raw)
-            in
-            Printf.fprintf oc "## %s kind=%s offset=%d bytes=%d\n%s\n" (Filename.basename path)
-              kind offset (String.length raw) raw)
-          damage;
-        flush oc)
+    let b = Buffer.create 256 in
+    List.iter
+      (fun d ->
+        let kind, offset, raw =
+          match d with
+          | Torn_tail { offset; raw } -> ("torn", offset, raw)
+          | Corrupt { offset; raw } -> ("corrupt", offset, raw)
+        in
+        Printf.bprintf b "## %s kind=%s offset=%d bytes=%d\n%s\n" (Filename.basename path) kind
+          offset (String.length raw) raw)
+      damage;
+    with_descr (Unix.openfile qpath append_flags 0o644) (fun fd ->
+        write_string fd (Buffer.contents b))
   end
 
 (** Scan [path]; when damaged, move each damaged region into the

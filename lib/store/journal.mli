@@ -17,6 +17,19 @@ val header_len : int
 val header_len2 : int
 (** Bytes before the payload in an epoch-stamped ([HGJ2]) frame. *)
 
+(** {2 Raw-descriptor I/O}
+
+    The store opens no OCaml channel: each channel's 64 KB buffer is
+    charged to the major GC, which a fleet restart's thousands of opens
+    turn into hundreds of collections. *)
+
+val read_file : string -> string
+(** The whole file, read with [fstat] and a [read] loop into one buffer.
+    A missing file reads as [""]; other errors raise [Unix.Unix_error]. *)
+
+val write_sub : Unix.file_descr -> string -> int -> int -> unit
+(** [write_sub fd s pos len] writes all [len] bytes of [s] from [pos]. *)
+
 (** {2 Appending} *)
 
 type t

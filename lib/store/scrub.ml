@@ -65,23 +65,6 @@ type home_report = {
 
 (* -- frame-level repair of one logical file across the replica set ------------- *)
 
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> ""
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_all fd b =
-  let rec go off rem =
-    if rem > 0 then begin
-      let n = Unix.write fd b off rem in
-      go (off + n) (rem - n)
-    end
-  in
-  go 0 (Bytes.length b)
-
 (** Patch [path] in place so its bytes become [target], writing only
     between the first and last differing byte. Returns the byte range
     written as [(offset, length)] — the repair-I/O bound. Not atomic: a
@@ -110,14 +93,14 @@ let patch_file ~fsync path ~current ~target =
           let len = tl - !s - prefix in
           if len > 0 then begin
             ignore (Unix.lseek fd prefix Unix.SEEK_SET);
-            write_all fd (Bytes.of_string (String.sub target prefix len))
+            Journal.write_sub fd target prefix len
           end;
           (prefix, len)
         end
         else begin
           (* length changed: rewrite from the first divergence, truncate *)
           ignore (Unix.lseek fd prefix Unix.SEEK_SET);
-          write_all fd (Bytes.of_string (String.sub target prefix (tl - prefix)));
+          Journal.write_sub fd target prefix (tl - prefix);
           Unix.ftruncate fd tl;
           (prefix, tl - prefix)
         end
@@ -236,7 +219,7 @@ let repair_file ~fsync dirs name =
              sc.Journal.damage)
       in
       let target, spans = target_of own in
-      let current = if present then read_file path else "" in
+      let current = Journal.read_file path in
       (* an absent file with nothing to hold is a fresh open, not a lost
          replica — creating it would make every first open look like a
          repair *)

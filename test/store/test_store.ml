@@ -65,6 +65,50 @@ let crc_vectors =
       check_int "check string" 0xCBF43926 (Crc32.string "123456789");
       check_int "fox" 0x414FA339 (Crc32.string "The quick brown fox jumps over the lazy dog"))
 
+(* The bytewise table CRC the slicing-by-8 one replaced: the reference. *)
+let reference_crc s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8)) s;
+  !c lxor 0xFFFFFFFF
+
+let crc_matches_bytewise_reference =
+  test "slicing CRC-32 equals the bytewise reference at every length and offset" (fun () ->
+      let st = Random.State.make [| 16 |] in
+      let random_string n = String.init n (fun _ -> Char.chr (Random.State.int st 256)) in
+      let agree what s =
+        if Crc32.string s <> reference_crc s then
+          Alcotest.failf "%s: length %d differs" what (String.length s)
+      in
+      for n = 0 to 64 do
+        agree "short" (random_string n)
+      done;
+      for _ = 1 to 200 do
+        agree "random" (random_string (Random.State.int st 16385))
+      done;
+      (* every start offset within one buffer, so every alignment of the
+         8-byte steps meets every tail length *)
+      let buf = random_string 16500 in
+      for off = 0 to 7 do
+        List.iter
+          (fun len ->
+            let expect = reference_crc (String.sub buf off len) in
+            if Crc32.substring buf off len <> expect then
+              Alcotest.failf "substring at %d, length %d differs" off len)
+          (List.init 65 Fun.id @ [ 127; 6200; 16384 ])
+      done;
+      check_bool "out-of-range substring rejected" true
+        (match Crc32.substring buf 16000 501 with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+
 (* -- framing and scanning ----------------------------------------------------- *)
 
 let payloads = [ "alpha"; "{\"k\": [1, 2]}"; String.make 300 'x'; "with\nnewlines\nand | bars" ]
@@ -186,6 +230,88 @@ let append_then_scan =
       let sc = Journal.scan path in
       check_bool "all back" true (sc.Journal.records = payloads && sc.Journal.damage = []))
 
+(* The journal's own raw-descriptor I/O: exact frame bytes on disk, the
+   closed-writer contract, the torn-write fault and no leaked descriptor. *)
+let appended_bytes_are_the_frame =
+  test "appended frames hit the disk byte-for-byte" (fun () ->
+      let dir = fresh_dir () in
+      Unix.mkdir dir 0o755;
+      let path = Filename.concat dir "j" in
+      let j = Journal.open_append ~epoch:5 path in
+      Journal.append j "first";
+      Journal.append j (String.make 70_000 'z');
+      Journal.close j;
+      check_string "on-disk bytes"
+        (Journal.frame_epoch ~epoch:5 "first" ^ Journal.frame_epoch ~epoch:5 (String.make 70_000 'z'))
+        (read_file path);
+      check_string "read_file agrees" (read_file path) (Journal.read_file path);
+      check_string "a missing file reads as empty" ""
+        (Journal.read_file (Filename.concat dir "absent")))
+
+let closed_writer_contract =
+  test "append after close raises and close is idempotent" (fun () ->
+      let dir = fresh_dir () in
+      Unix.mkdir dir 0o755;
+      let j = Journal.open_append (Filename.concat dir "j") in
+      Journal.close j;
+      Journal.close j;
+      check_bool "append raises Invalid_argument" true
+        (match Journal.append j "late" with exception Invalid_argument _ -> true | () -> false);
+      check_bool "sync raises Invalid_argument" true
+        (match Journal.sync j with exception Invalid_argument _ -> true | () -> false))
+
+let torn_append_leaves_the_prefix =
+  test "a torn append leaves exactly its prefix, scanned as a torn tail" (fun () ->
+      let dir = fresh_dir () in
+      Unix.mkdir dir 0o755;
+      let path = Filename.concat dir "j" in
+      let j = Journal.open_append path in
+      Journal.append j "kept";
+      let frame = Journal.frame "lost in the tear" in
+      Fault.arm_storage ~seed:1 ~rate_per_thousand:1000 ~only:"journal/write:j#2" Fault.Torn;
+      let prefix =
+        match Fault.on_write "journal/write:j#2" frame with `Torn p -> p | `Write _ -> ""
+      in
+      let crashed =
+        Fun.protect
+          ~finally:(fun () -> Fault.disarm_storage ())
+          (fun () ->
+            match Journal.append j "lost in the tear" with
+            | exception Fault.Crashed _ -> true
+            | () -> false)
+      in
+      Journal.close j;
+      check_bool "crashed" true crashed;
+      check_bool "the cut falls inside the frame" true (prefix <> "");
+      check_string "file is the good frame plus the prefix" (Journal.frame "kept" ^ prefix)
+        (read_file path);
+      let sc = Journal.scan path in
+      check_bool "good record kept" true (sc.Journal.records = [ "kept" ]);
+      match sc.Journal.damage with
+      | [ Journal.Torn_tail { offset; raw } ] ->
+        check_int "tear offset" (String.length (Journal.frame "kept")) offset;
+        check_string "torn bytes" prefix raw
+      | _ -> Alcotest.fail "expected exactly one torn tail")
+
+let store_io_leaks_no_descriptor =
+  test "journal open/append/close, reads and rewrites leak no descriptor" (fun () ->
+      let fd_dir = "/proc/self/fd" in
+      if Sys.file_exists fd_dir then begin
+        let open_fds () = Array.length (Sys.readdir fd_dir) in
+        let dir = fresh_dir () in
+        Unix.mkdir dir 0o755;
+        let path = Filename.concat dir "j" in
+        let before = open_fds () in
+        let j = Journal.open_append path in
+        Journal.append j "one";
+        Journal.sync j;
+        Journal.close j;
+        ignore (Journal.scan path);
+        Journal.write_atomic path [ "two" ];
+        Journal.quarantine_damage path [ Journal.Corrupt { offset = 0; raw = "x" } ];
+        check_int "descriptors after the cycle" before (open_fds ())
+      end)
+
 (* -- events ------------------------------------------------------------------- *)
 
 let event_roundtrip =
@@ -218,6 +344,75 @@ let event_roundtrip =
       match Event.of_string "{\"nonsense\": 1}" with
       | exception Event.Decode_error _ -> ()
       | _ -> Alcotest.fail "expected Decode_error")
+
+(* Install payloads are interned per process: the same bytes decode to
+   the same app, any other bytes decode afresh, and a failed decode is
+   never remembered. [Event.of_json] is the uninterned reference. *)
+let reference_decode p =
+  match Homeguard_rules.Json.of_string p with
+  | Ok j -> Event.of_json j
+  | Error m -> Alcotest.failf "reference decode: %s" m
+
+let install_app_of = function
+  | Event.Install app -> app
+  | e -> Alcotest.failf "expected an install, got %s" (Event.describe e)
+
+let interned_installs_are_shared =
+  test "the same install payload decodes to one shared app" (fun () ->
+      let p = Event.to_string (Event.Install (corpus_app "ComfortTV")) in
+      let a1 = install_app_of (Event.of_string p) in
+      (* a fresh copy of the bytes, as a second home's journal read gives *)
+      let a2 = install_app_of (Event.of_string (String.sub p 0 (String.length p))) in
+      check_bool "physically equal" true (a1 == a2);
+      check_bool "equal to the reference decode" true (Event.Install a1 = reference_decode p))
+
+let interned_one_byte_apart =
+  test "a payload one byte apart decodes to its own correct app" (fun () ->
+      let p = Event.to_string (Event.Install (corpus_app "ComfortTV")) in
+      let a = install_app_of (Event.of_string p) in
+      let q = Bytes.of_string p in
+      (* the last byte of the app's name: ComfortTV -> ComfortTW *)
+      let i = String.index_from p (String.length "{\"install\":") 'V' in
+      Bytes.set q i 'W';
+      let q = Bytes.to_string q in
+      let b = install_app_of (Event.of_string q) in
+      check_bool "distinct app" true (a != b && a <> b);
+      check_bool "correct app" true (Event.Install b = reference_decode q);
+      check_bool "the original is still shared" true
+        (install_app_of (Event.of_string p) == a))
+
+let interned_never_caches_failures =
+  test "a corrupt install payload fails on every decode and every replay" (fun () ->
+      let p = Event.to_string (Event.Install (corpus_app "ComfortTV")) in
+      let bad = String.sub p 0 (String.length p - 2) in
+      for _ = 1 to 2 do
+        check_bool "Decode_error" true
+          (match Event.of_string bad with exception Event.Decode_error _ -> true | _ -> false)
+      done;
+      let dir = fresh_dir () in
+      Rjournal.mkdirs dir;
+      Journal.write_atomic (Filename.concat dir "journal") [ bad ];
+      for _ = 1 to 2 do
+        let home, r = Home.open_ ~dir () in
+        Home.close home;
+        check_int "skipped on this replay" 1 r.Home.skipped_events
+      done)
+
+let interned_past_the_bound =
+  test "decoding past the intern table's bound stays correct" (fun () ->
+      let base = corpus_app "ComfortTV" in
+      let payload i =
+        Event.to_string (Event.Install { base with Rule.name = Printf.sprintf "Filler%05d" i })
+      in
+      for i = 0 to Event.intern_bound + 10 do
+        let p = payload i in
+        if Event.of_string p <> reference_decode p then Alcotest.failf "payload %d" i
+      done;
+      let p = payload 0 in
+      check_bool "an evicted payload decodes correctly" true
+        (Event.of_string p = reference_decode p);
+      check_bool "and is shared again" true
+        (install_app_of (Event.of_string p) == install_app_of (Event.of_string p)))
 
 (* -- ingestion ---------------------------------------------------------------- *)
 
@@ -370,6 +565,24 @@ let home_skips_undecodable_payloads =
           Home.close home;
           check_int payload 1 r.Home.skipped_events)
         [ {|{"watermark":1e}|}; {|{"watermark":{}}|} ])
+
+let homes_from_same_bytes_agree =
+  test "two homes recovered from the same journal bytes agree" (fun () ->
+      let a = fresh_dir () in
+      let home, _ = Home.open_ ~dir:a () in
+      workload home;
+      Home.close home;
+      let b = fresh_dir () in
+      Rjournal.mkdirs b;
+      List.iter
+        (fun f -> write_file (Filename.concat b f) (read_file (Filename.concat a f)))
+        [ "snapshot"; "journal" ];
+      let ha, _ = Home.open_ ~dir:a () and hb, _ = Home.open_ ~dir:b () in
+      check_string "state digests" (Home.state_digest ha) (Home.state_digest hb);
+      check_bool "the homes share their decoded apps" true
+        (List.for_all2 ( == ) (Home.installed_apps ha) (Home.installed_apps hb));
+      Home.close ha;
+      Home.close hb)
 
 let home_rerun_is_idempotent =
   test "re-running the workload over a live home changes nothing" (fun () ->
@@ -837,6 +1050,7 @@ let () =
       ( "journal",
         [
           crc_vectors;
+          crc_matches_bytewise_reference;
           scan_roundtrip;
           scan_empty;
           torn_tail_every_cut;
@@ -845,7 +1059,15 @@ let () =
           flip_magic_resyncs;
           recover_rewrites_and_quarantines;
           append_then_scan;
+          appended_bytes_are_the_frame;
+          closed_writer_contract;
+          torn_append_leaves_the_prefix;
+          store_io_leaks_no_descriptor;
           event_roundtrip;
+          interned_installs_are_shared;
+          interned_one_byte_apart;
+          interned_never_caches_failures;
+          interned_past_the_bound;
         ] );
       ( "ingest",
         [
@@ -859,6 +1081,7 @@ let () =
         [
           home_persists;
           home_skips_undecodable_payloads;
+          homes_from_same_bytes_agree;
           home_rerun_is_idempotent;
           home_out_of_order_equals_in_order;
           home_uninstall_and_update;
