@@ -68,6 +68,34 @@ let chain_to_string c =
 (* Edges that propagate influence forward. *)
 let propagating = function Threat.CT | Threat.EC -> true | _ -> false
 
+let category_rank = function
+  | Threat.AR -> 0
+  | Threat.GC -> 1
+  | Threat.CT -> 2
+  | Threat.SD -> 3
+  | Threat.LT -> 4
+  | Threat.EC -> 5
+  | Threat.DC -> 6
+
+let rec compare_list cmp l1 l2 =
+  match (l1, l2) with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | x :: xs, y :: ys ->
+    let c = cmp x y in
+    if c <> 0 then c else compare_list cmp xs ys
+
+(** Polymorphic [compare]'s order on chains, without its generic
+    traversal: rules first, by [String.compare] element-wise with a
+    prefix first, then categories in constructor order. *)
+let compare_chain c1 c2 =
+  let c = compare_list String.compare c1.rules c2.rules in
+  if c <> 0 then c
+  else
+    compare_list (fun a b -> Int.compare (category_rank a) (category_rank b)) c1.categories
+      c2.categories
+
 (** [find_chains t new_threats] — starting from each freshly detected
     propagating edge, follow allowed propagating edges to longer chains
     (3+ rules, cycle-free). *)
@@ -89,28 +117,23 @@ let find_chains t (new_threats : Threat.t list) =
   List.iter
     (fun e -> if propagating e.category then Hashtbl.add index e.from_rule e)
     (List.rev all_edges);
-  let successors rule_id = Hashtbl.find_all index rule_id in
   let max_len = 6 in
-  let rec extend visited cats rule_id =
-    let chains_here =
-      if List.length visited >= 3 then
-        [ { rules = List.rev visited; categories = List.rev cats } ]
-      else []
-    in
-    if List.length visited >= max_len then chains_here
-    else
-      chains_here
-      @ List.concat_map
-          (fun e ->
-            if List.mem e.to_rule visited then []
-            else extend (e.to_rule :: visited) (e.category :: cats) e.to_rule)
-          (successors rule_id)
+  (* every path of [len] >= 3 rules is a chain; the result is sorted,
+     so the order they are found in does not matter *)
+  let chains = ref [] in
+  let rec extend visited len cats rule_id =
+    if len >= 3 then chains := { rules = List.rev visited; categories = List.rev cats } :: !chains;
+    if len < max_len then
+      List.iter
+        (fun e ->
+          if not (List.mem e.to_rule visited) then
+            extend (e.to_rule :: visited) (len + 1) (e.category :: cats) e.to_rule)
+        (Hashtbl.find_all index rule_id)
   in
-  List.concat_map
+  List.iter
     (fun (th : Threat.t) ->
-      if not (propagating th.Threat.category) then []
-      else
+      if propagating th.Threat.category then
         let r1 = th.Threat.rule1.Rule.rule_id and r2 = th.Threat.rule2.Rule.rule_id in
-        extend [ r2; r1 ] [ th.Threat.category ] r2)
-    new_threats
-  |> List.sort_uniq compare
+        extend [ r2; r1 ] 2 [ th.Threat.category ] r2)
+    new_threats;
+  List.sort_uniq compare_chain !chains

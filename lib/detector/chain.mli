@@ -23,6 +23,11 @@ type chain = { rules : string list; categories : Threat.category list }
 
 val chain_to_string : chain -> string
 
+val compare_chain : chain -> chain -> int
+(** Exactly polymorphic [compare]'s order on chains, monomorphically:
+    rules element-wise by [String.compare] (a prefix first), then
+    categories in constructor order. *)
+
 val find_chains : t -> Threat.t list -> chain list
 (** Extend freshly detected propagating edges (CT/EC) through allowed
     edges into chains of three or more rules. *)

@@ -1194,30 +1194,97 @@ let matrix_has_undecided (m : pair_matrix) =
     (Array.exists (List.exists (fun t -> Threat.is_undecided t.Threat.severity)))
     m
 
-(* Pair-cached exhaustive audit. Matrices are fetched or computed per
-   app pair (in install order — detection is orientation-sensitive),
-   then reassembled in the flat plan's enumeration order: for each
-   tagged rule, all later apps' rules in order; a group's failures are
-   emitted at their rule row in that same pass. Threats, failures and
-   the undecided count are byte-identical to the flat path; only the
-   order in which pairs are *computed* differs, which no detection
+(* Slot of app pair [p < q] among [n] apps in a triangular array of
+   [n * (n - 1) / 2] slots, row-major: all of [p]'s later partners in
+   order. *)
+let tri n p q = (p * ((2 * n) - p - 1) / 2) + (q - p - 1)
+
+(* The empty slot: a pair never audited (same-name apps, shed), or one
+   the index does not keep. Compared physically, so no computed matrix
+   is ever mistaken for it. *)
+let no_matrix : pair_matrix = [| [||] |]
+
+(* The failures of a group with none, shared by every clean group. *)
+let no_failures : failure list array = [||]
+
+(* The last complete grouped audit of one home: its apps in install
+   order, each app's bindings, and one slot per app pair holding the
+   matrix that audit produced, or [no_matrix] where the group crashed,
+   held an [Undecided] threat or was skipped. *)
+type pair_index = {
+  mutable ix_apps : Rule.smartapp array;
+  mutable ix_bindings : (string * Term.t) list array;
+  mutable ix_slots : pair_matrix array;
+  mutable ix_fp : string;  (** {!pair_fingerprint} the slots were built under *)
+}
+
+let create_pair_index () = { ix_apps = [||]; ix_bindings = [||]; ix_slots = [||]; ix_fp = "" }
+
+(* Drop every slot in the rows and columns of the apps named [name]. *)
+let invalidate_app ix name =
+  let n = Array.length ix.ix_apps in
+  Array.iteri
+    (fun p (a : Rule.smartapp) ->
+      if a.Rule.name = name then
+        for q = 0 to n - 1 do
+          if q <> p then ix.ix_slots.(tri n (min p q) (max p q)) <- no_matrix
+        done)
+    ix.ix_apps
+
+(* For each app of this audit, its position in the index's audit when
+   its slots may be reused there — the same app (physically, or one
+   structural compare for a reparsed copy) with structurally equal
+   bindings — else [-1]. *)
+let index_positions ix apps bindings =
+  let pos = Hashtbl.create (Array.length ix.ix_apps) in
+  Array.iteri (fun i (a : Rule.smartapp) -> Hashtbl.replace pos a.Rule.name i) ix.ix_apps;
+  Array.mapi
+    (fun p (a : Rule.smartapp) ->
+      match Hashtbl.find_opt pos a.Rule.name with
+      | Some i
+        when (ix.ix_apps.(i) == a || compare ix.ix_apps.(i) a = 0)
+             && ix.ix_bindings.(i) = bindings.(p) ->
+        i
+      | _ -> -1)
+    apps
+
+(* Pair-cached exhaustive audit. Each app pair's matrix (in install
+   order — detection is orientation-sensitive) comes from the first of:
+   the home's [index], when both apps and their bindings are unchanged
+   since its audit, in the same orientation, under the same pair
+   fingerprint; the L1 [pair_cache]; a fresh [group_matrix]. The
+   results are reassembled in the flat plan's enumeration order: for
+   each tagged rule, all later apps' rules in order; a group's failures
+   are emitted at their rule row in that same pass. Threats, failures
+   and the undecided count are byte-identical to the flat path; only
+   the order in which pairs are *computed* differs, which no detection
    depends on. Groups that crashed or contain an undecided threat are
-   never stored — an undecided result is a budget artifact, not a
-   verdict, and must be recomputed (and possibly escalated) next time.
-   Once [cancel] fires, every remaining group is shed whole: the shed
-   count is the groups' full rule-pair cross product, an
-   over-approximation of the flat plan's candidate count (counting
-   exactly would require planning the groups we are shedding to avoid
-   planning), with the same sign: [shed > 0] iff incomplete. *)
-let audit_all_grouped ?(cancel = fun () -> false) pc ctx (apps : Rule.smartapp list) =
+   never stored, in L1 or the index — an undecided result is a budget
+   artifact, not a verdict, and must be recomputed (and possibly
+   escalated) next time. Once [cancel] fires, every remaining group is
+   shed whole: the shed count is the groups' full rule-pair cross
+   product, an over-approximation of the flat plan's candidate count
+   (counting exactly would require planning the groups we are shedding
+   to avoid planning), with the same sign: [shed > 0] iff incomplete.
+   Only a complete audit replaces the index. *)
+let audit_all_grouped ?(cancel = fun () -> false) ?index pc ctx (apps : Rule.smartapp list) =
   let apps_a = Array.of_list apps in
   let n = Array.length apps_a in
   let retried = ref 0 in
   let cancelled = ref false and shed = ref 0 in
-  let matrices = Hashtbl.create 16 in
   (* each app's bindings are read once per audit, so every key of the
      audit shares them physically *)
   let bindings = Array.map ctx.config.app_constraints apps_a in
+  (* [prev.(p)]: app [p]'s position among the index's [n_prev] apps, or -1 *)
+  let prev, prev_slots, n_prev =
+    match index with
+    | Some ix when ix.ix_fp = ctx.pair_fp ->
+      (index_positions ix apps_a bindings, ix.ix_slots, Array.length ix.ix_apps)
+    | _ -> (Array.make n (-1), [||], 0)
+  in
+  let slots = Array.make (n * (n - 1) / 2) no_matrix in
+  let fails = Array.make (Array.length slots) no_failures in
+  let unkept = ref [] in
   for p = 0 to n - 1 do
     for q = p + 1 to n - 1 do
       let a = apps_a.(p) and b = apps_a.(q) in
@@ -1227,25 +1294,29 @@ let audit_all_grouped ?(cancel = fun () -> false) pc ctx (apps : Rule.smartapp l
           shed := !shed + (List.length a.Rule.rules * List.length b.Rule.rules)
         end
         else begin
-        let pa =
-          {
-            pa_apps = (a, b);
-            pa_bindings = (bindings.(p), bindings.(q));
-            pa_unify = unify_pairs ctx a b;
-            pa_fingerprint = ctx.pair_fp;
-          }
-        in
-        let group =
-          match pc.pair_lookup pa with
-          | Some m -> (m, Array.make (Array.length m) [])
-          | None ->
-            let ((m, failed) as group) = group_matrix ctx ~retried a b in
-            if Array.for_all (( = ) []) failed && not (matrix_has_undecided m) then
-              pc.pair_store pa m;
-            group
-        in
-        Hashtbl.replace matrices (p, q) group
-      end
+          let k = tri n p q in
+          let p' = prev.(p) and q' = prev.(q) in
+          let reused = if p' >= 0 && q' > p' then prev_slots.(tri n_prev p' q') else no_matrix in
+          if reused != no_matrix then slots.(k) <- reused
+          else
+            let pa =
+              {
+                pa_apps = (a, b);
+                pa_bindings = (bindings.(p), bindings.(q));
+                pa_unify = unify_pairs ctx a b;
+                pa_fingerprint = ctx.pair_fp;
+              }
+            in
+            match pc.pair_lookup pa with
+            | Some m -> slots.(k) <- m
+            | None ->
+              let m, failed = group_matrix ctx ~retried a b in
+              slots.(k) <- m;
+              let clean = Array.for_all (( = ) []) failed in
+              if not clean then fails.(k) <- failed;
+              if clean && not (matrix_has_undecided m) then pc.pair_store pa m
+              else unkept := k :: !unkept
+        end
     done
   done;
   let threats = ref [] and failures = ref [] in
@@ -1253,14 +1324,24 @@ let audit_all_grouped ?(cancel = fun () -> false) pc ctx (apps : Rule.smartapp l
     List.iteri
       (fun i _ ->
         for q = p + 1 to n - 1 do
-          match Hashtbl.find_opt matrices (p, q) with
-          | Some (m, failed) ->
+          let k = tri n p q in
+          let m = slots.(k) in
+          if m != no_matrix then begin
             Array.iter (fun ts -> threats := ts :: !threats) m.(i);
-            failures := failed.(i) @ !failures
-          | None -> ()
+            let failed = fails.(k) in
+            if failed != no_failures then failures := failed.(i) @ !failures
+          end
         done)
       apps_a.(p).Rule.rules
   done;
+  (match index with
+  | Some ix when not !cancelled ->
+    List.iter (fun k -> slots.(k) <- no_matrix) !unkept;
+    ix.ix_apps <- apps_a;
+    ix.ix_bindings <- bindings;
+    ix.ix_slots <- slots;
+    ix.ix_fp <- ctx.pair_fp
+  | _ -> ());
   let threats = List.concat (List.rev !threats) in
   {
     threats;
@@ -1275,10 +1356,11 @@ let audit_all_grouped ?(cancel = fun () -> false) pc ctx (apps : Rule.smartapp l
     §VIII-B). With a [pair_cache] configured the plan is grouped by app
     pair and cached results replace planning and detection wholesale
     ([jobs] is ignored — groups run on the coordinator; output is
-    byte-identical to the flat plan at every job count). *)
-let audit_all ?(jobs = 1) ?cancel ctx (apps : Rule.smartapp list) =
+    byte-identical to the flat plan at every job count); [index], if
+    given, serves the pairs its last audit left untouched. *)
+let audit_all ?(jobs = 1) ?cancel ?index ctx (apps : Rule.smartapp list) =
   match ctx.config.pair_cache with
-  | Some pc -> audit_all_grouped ?cancel pc ctx apps
+  | Some pc -> audit_all_grouped ?cancel ?index pc ctx apps
   | None -> run_pairs ~jobs ?cancel ctx (candidate_pairs ctx apps)
 
 (** Threat-list views of the audits, for callers that only consume the

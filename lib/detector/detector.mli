@@ -267,8 +267,27 @@ val audit_new_app :
   audit_result
 (** Install-time flow: the new app against every installed rule. *)
 
+type pair_index
+(** One home's last complete grouped audit: its apps in install order,
+    each app's bindings and one slot per app pair (one word each)
+    sharing the matrix that audit produced. The owner must call
+    {!invalidate_app} whenever anything [same_device] reads about an
+    app changes; app values, bindings and the pair fingerprint are
+    checked on every audit. *)
+
+val create_pair_index : unit -> pair_index
+
+val invalidate_app : pair_index -> string -> unit
+(** Drop every slot in the rows and columns of the apps with this name
+    (a configuration applied to it may have changed its device ids). *)
+
 val audit_all :
-  ?jobs:int -> ?cancel:(unit -> bool) -> ctx -> Rule.smartapp list -> audit_result
+  ?jobs:int ->
+  ?cancel:(unit -> bool) ->
+  ?index:pair_index ->
+  ctx ->
+  Rule.smartapp list ->
+  audit_result
 (** Exhaustive pairwise audit across distinct apps. With [~jobs] > 1
     each domain detects on its own ctx; per-domain caches and counters
     are merged back before the coordinator retries any failed pair.
@@ -277,7 +296,15 @@ val audit_all :
     planning and detection wholesale; output is byte-identical to the
     flat plan at every job count. A cancelled grouped audit sheds
     remaining groups whole, counting their full rule-pair cross
-    product ([shed > 0] iff incomplete, as in the flat plan). *)
+    product ([shed > 0] iff incomplete, as in the flat plan).
+
+    [?index] (grouped mode only) reuses, with no planning, key or cache
+    lookup, the matrix of every app pair whose apps (same value, or
+    structurally equal) and bindings are unchanged since the index's
+    audit, in the same install orientation and under the same
+    {!pair_fingerprint}. A complete audit then replaces the index,
+    keeping no group that crashed or holds an [Undecided] threat; a
+    cancelled one leaves it as it was. *)
 
 val detect_new_app :
   ?jobs:int -> ctx -> Homeguard_rules.Rule_db.t -> Rule.smartapp -> Threat.t list

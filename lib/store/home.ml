@@ -51,6 +51,9 @@ type t = {
   recorder : Recorder.t;
   flow : Install_flow.t;
   dconfig : Detector.config;
+  index : Detector.pair_index option;
+      (** the last full re-audit's per-pair results, kept only when
+          [dconfig] has a pair cache; {!apply_config} invalidates *)
   mutable configs : (string * (int option * string)) list;
       (** app -> (seq, last raw URI), oldest-first; compaction's source *)
   mutable ingest : Ingest.t option;
@@ -117,6 +120,9 @@ let apply_config t ~seq uri =
   match Config_uri.decode uri with
   | u ->
     Recorder.record_uri t.recorder u;
+    (* the recorder's only writer: in Online mode the app's device ids,
+       and so its pairs' device relation, may have changed *)
+    Option.iter (fun ix -> Detector.invalidate_app ix u.Config_uri.app_name) t.index;
     set_config t u.Config_uri.app_name ~seq uri
   | exception Config_uri.Malformed _ -> t.skipped <- t.skipped + 1
 
@@ -306,6 +312,7 @@ let open_ ?(fsync = true) ?(mode = Mixed) ?(window = 64) ?(configure = Fun.id)
       recorder;
       flow;
       dconfig;
+      index = Option.map (fun _ -> Detector.create_pair_index ()) dconfig.Detector.pair_cache;
       configs = [];
       ingest = None;
       skipped = 0;
@@ -510,7 +517,7 @@ let auditable_apps t =
 
 let audit ?(jobs = 1) ?cancel t =
   let ctx = Detector.create t.dconfig in
-  Detector.audit_all ~jobs ?cancel ctx (auditable_apps t)
+  Detector.audit_all ~jobs ?cancel ?index:t.index ctx (auditable_apps t)
 
 (** Canonical rendering of a full re-audit plus the durable state that
     feeds the mediator. Recovery's acceptance invariant is that this is

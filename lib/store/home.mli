@@ -195,7 +195,10 @@ val scrub : t -> Scrub.home_report
 val audit : ?jobs:int -> ?cancel:(unit -> bool) -> t -> Detector.audit_result
 (** Full re-audit of the installed (non-quarantined) apps. [?cancel]
     cuts the batched run short; skipped pairs are counted in
-    [audit_result.shed], never reported threat-free. *)
+    [audit_result.shed], never reported threat-free. With a pair cache
+    configured the home keeps a {!Detector.pair_index}: an app pair
+    untouched since the last complete re-audit is served from it, and
+    applying a configuration drops the configured app's pairs. *)
 
 val audit_text : t -> string
 (** Canonical rendering of a full re-audit plus the durable state

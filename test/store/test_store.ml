@@ -1099,5 +1099,6 @@ let () =
           replayed_install_equals_live;
         ] );
       ("merge", Test_merge.tests);
+      ("pair-index", Test_index.tests);
       ("fixture", [ fixture_recovers ]);
     ]

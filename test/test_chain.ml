@@ -155,6 +155,58 @@ let indexed_search_matches_linear_scan =
       check_bool "graphs after disallow_prefix" true (!disallowed > 0);
       check_bool "non-directional threats allowed" true (!undirected > 0))
 
+(* Generated chains over a tiny alphabet — rule ids that are prefixes
+   of each other, lists that are prefixes of each other, equal rule
+   lists under different categories, and exact duplicates. *)
+let compare_chain_is_polymorphic_order =
+  test "compare_chain sorts exactly as polymorphic compare" (fun () ->
+      let ids = [| ""; "A"; "A#1"; "A#10"; "A#2"; "B#1"; "a#1" |] in
+      let shared = ref 0 and recategorized = ref 0 in
+      for seed = 1 to 300 do
+        let st = Random.State.make [| 0xc0de; seed |] in
+        let random_list n f = List.init (Random.State.int st n) (fun _ -> f ()) in
+        let random_cats () =
+          random_list 4 (fun () -> List.nth Threat.all_categories (Random.State.int st 7))
+        in
+        let base =
+          List.init (1 + Random.State.int st 12) (fun _ ->
+              {
+                Chain.rules = random_list 6 (fun () -> ids.(Random.State.int st (Array.length ids)));
+                categories = random_cats ();
+              })
+        in
+        let variants =
+          List.concat_map
+            (fun (c : Chain.chain) ->
+              match Random.State.int st 4 with
+              | 0 -> [ c; c ]
+              | 1 ->
+                incr recategorized;
+                [ c; { c with Chain.categories = random_cats () } ]
+              | 2 -> (
+                match List.rev c.Chain.rules with
+                | _ :: rest ->
+                  incr shared;
+                  [ c; { c with Chain.rules = List.rev rest } ]
+                | [] -> [ c ])
+              | _ -> [ c ])
+            base
+        in
+        let chains = variants @ List.rev base in
+        check_bool (Printf.sprintf "seed %d: same order" seed) true
+          (List.sort_uniq Chain.compare_chain chains = List.sort_uniq compare chains);
+        List.iter
+          (fun a ->
+            List.iter
+              (fun b ->
+                check_int "same sign" (compare (compare a b) 0)
+                  (compare (Chain.compare_chain a b) 0))
+              chains)
+          base
+      done;
+      check_bool "lists sharing a prefix generated" true (!shared > 0);
+      check_bool "recategorized lists generated" true (!recategorized > 0))
+
 let tests =
   [
     two_hop_chain;
@@ -164,4 +216,5 @@ let tests =
     no_allowed_no_chain;
     chain_rendering;
     indexed_search_matches_linear_scan;
+    compare_chain_is_polymorphic_order;
   ]
