@@ -93,10 +93,10 @@ type config = {
           or a cached verdict byte-identical to what the thunk would
           produce. [None] (default) solves everything locally. *)
   pair_cache : pair_cache option;
-      (** pair-level result cache: [audit_all] groups its plan by app
-          pair and a lookup hit replaces planning and detection for the
-          whole pair. A hit must be byte-identical to what the grouped
-          compute would produce. [None] (default) plans flat. *)
+      (** pair-level result cache: in [audit_all] a lookup hit
+          replaces planning and detection for the whole app pair. A hit
+          must be byte-identical to what detecting the pair would
+          produce. [None] (default) plans every pair. *)
 }
 
 (** Offline corpus mode: two inputs denote the same device when they
@@ -147,7 +147,7 @@ let solve_fingerprint config =
 (* Pair-tier fingerprint: the solve fingerprint plus the memoization
    switch. [reuse] cannot change a verdict, but it can change which
    solver results back a witness, and pair-cache hits must be
-   byte-identical to the grouped compute — so it keys. *)
+   byte-identical to detecting the pair — so it keys. *)
 let pair_fingerprint config =
   solve_fingerprint config ^ (if config.reuse then ";r1" else ";r0")
 
@@ -973,52 +973,18 @@ let pair_candidate ctx ((app1, r1) as p1 : tagged_rule) ((app2, r2) as p2 : tagg
        (same_device ctx app1 app2, same_device ctx app2 app1)
        (app1, rule_facts ctx p1) (app2, rule_facts ctx p2)
 
-(* An app with the facts of each of its rules, in rule order. *)
-let with_rule_facts ctx (app : Rule.smartapp) =
-  (app, List.map (fun r -> rule_facts ctx (app, r)) app.Rule.rules)
-
-(* [pair_candidate] for every rule pair of two differently named apps:
-   [m.(i).(j)] for rule [i] of the first and rule [j] of the second. The
-   facts and the two device matchers are looked up once for the app
-   pair. *)
-let candidate_matrix ctx ((a, fa) : Rule.smartapp * rule_facts list) (b, fb) =
+(* For each rule fact of [a], the indices of [b]'s rule facts that pass
+   the pre-filters, in order; the device matchers are built once. *)
+let candidates ctx (a : Rule.smartapp) fa (b : Rule.smartapp) fb =
   let matchers = (same_device ctx a b, same_device ctx b a) in
-  Array.of_list
-    (List.map
-       (fun f1 ->
-         Array.of_list (List.map (fun f2 -> facts_candidate ctx matchers (a, f1) (b, f2)) fb))
-       fa)
-
-(** The audit plan: every cross-app rule pair that survives the cheap
-    pre-filters, in the deterministic sequential enumeration order. *)
-let candidate_pairs ctx (apps : Rule.smartapp list) =
-  let apps = Array.of_list (List.map (with_rule_facts ctx) apps) in
-  let n = Array.length apps in
-  let plan = ref [] in
-  for p = 0 to n - 1 do
-    let a, fa = apps.(p) in
-    (* the sequential order: each rule of app [p] against every rule of
-       every later, differently named app *)
-    let later =
-      List.filter_map
-        (fun q ->
-          let b, fb = apps.(q) in
-          if b.Rule.name = a.Rule.name then None
-          else Some (b, fb, candidate_matrix ctx apps.(p) apps.(q)))
-        (List.init (n - p - 1) (fun k -> p + 1 + k))
-    in
-    List.iteri
-      (fun i f1 ->
-        List.iter
-          (fun (b, fb, m) ->
-            List.iteri
-              (fun j f2 ->
-                if m.(i).(j) then plan := ((a, f1.rf_rule), (b, f2.rf_rule)) :: !plan)
-              fb)
-          later)
-      fa
-  done;
-  Array.of_list (List.rev !plan)
+  Array.map
+    (fun f1 ->
+      let js = ref [] in
+      for j = Array.length fb - 1 downto 0 do
+        if facts_candidate ctx matchers (a, f1) (b, fb.(j)) then js := j :: !js
+      done;
+      !js)
+    fa
 
 (* -- crash-isolated execution ---------------------------------------------- *)
 
@@ -1035,10 +1001,10 @@ type audit_result = {
   failures : failure list;  (** pairs whose detection crashed twice *)
   retried : int;  (** pairs retried on the coordinator after a crash *)
   shed : int;
-      (** pairs never audited because the run was cancelled (deadline or
-          load shed). A result with [shed > 0] is incomplete and must be
-          treated conservatively — it can support "threats found" but
-          never "no threat" *)
+      (** planned pairs never audited because the run was cancelled
+          (deadline or load shed). A result with [shed > 0] is
+          incomplete and must be treated conservatively — it can
+          support "threats found" but never "no threat" *)
 }
 
 let pair_label ((app1, r1) : tagged_rule) ((app2, r2) : tagged_rule) =
@@ -1054,25 +1020,38 @@ let merge_ctx into c =
       if not (Hashtbl.mem into.overlap_cache k) then Hashtbl.add into.overlap_cache k v)
     c.overlap_cache
 
-(* Run a planned pair array with per-item crash isolation. Each pair is
-   detected under [Schedule.capture], so one raising pair cannot tear
-   down its batch or the audit. [jobs <= 1] detects sequentially in the
-   caller's ctx. Otherwise batches fan out across domains, each with its
-   own ctx — the overlap cache and counters are mutable and not
-   thread-safe — and the per-domain ctxs are merged back *before* the
-   coordinator retries failed pairs, so a retry sees the same cache
-   state the sequential mode would. Failed pairs are retried exactly
-   once on the coordinator domain; pairs that fail both attempts land in
-   [failures], in pair order. Per-pair detection does not depend on
-   cache contents, so threats, undecided set and failures are identical
-   (and identically ordered) for every [jobs]. *)
-let run_pairs ~jobs ?(cancel = fun () -> false) ctx
-    (pairs : (tagged_rule * tagged_rule) array) =
-  (* [None] = never attempted: the run was cancelled before this pair. *)
-  let detect_one c (p1, p2) =
-    if cancel () then None else Some (Schedule.capture (fun () -> detect_pair c p1 p2))
+(* One planned pair's outcome: its threats, its failure, or [None] when
+   the run was cancelled before the pair. *)
+type outcome = (Threat.t list, failure) result option
+
+(* Run a planned pair array with per-pair crash isolation: the only
+   executor of every audit. One raising pair cannot tear down its batch
+   or the audit. [jobs <= 1] detects sequentially in the caller's ctx;
+   otherwise batches fan out across domains, each with its own ctx (the
+   overlap cache and counters are not thread-safe), merged back
+   *before* the coordinator retries each failed pair once, so a retry
+   sees the cache state the sequential mode would. [cancel] is polled
+   before every pair. Returns each pair's outcome, in plan order, and
+   the number of retries; detection does not depend on cache contents,
+   so the outcomes are identical for every [jobs]. *)
+let run_pairs ~jobs ~cancel ctx (pairs : (tagged_rule * tagged_rule) array) =
+  let detect_one c (p1, p2) : outcome =
+    if cancel () then None
+    else
+      match detect_pair c p1 p2 with
+      | ts -> Some (Ok ts)
+      | exception e ->
+        let info = Schedule.exn_info_of e in
+        Some
+          (Error
+             {
+               pair = pair_label p1 p2;
+               apps = ((fst p1).Rule.name, (fst p2).Rule.name);
+               exn = info.Schedule.exn;
+               backtrace = info.Schedule.backtrace;
+             })
   in
-  let first_pass =
+  let outcomes =
     if jobs <= 1 then Array.map (detect_one ctx) pairs
     else begin
       let results =
@@ -1087,130 +1066,77 @@ let run_pairs ~jobs ?(cancel = fun () -> false) ctx
          batches the cancellation skipped *)
       let batch_sizes = Array.map Array.length (Schedule.batches ~jobs pairs) in
       Array.concat
-        (List.concat
-           (List.mapi
-              (fun i slot ->
-                match slot with
-                | Some (rs, _) -> [ rs ]
-                | None -> [ Array.make batch_sizes.(i) None ])
-              (Array.to_list results)))
+        (List.mapi
+           (fun i slot ->
+             match slot with Some (os, _) -> os | None -> Array.make batch_sizes.(i) None)
+           (Array.to_list results))
     end
   in
-  let retried = ref 0 and failures = ref [] and threats = ref [] and shed = ref 0 in
+  let retried = ref 0 in
   Array.iteri
-    (fun i result ->
-      let p1, p2 = pairs.(i) in
-      match result with
-      | None -> incr shed
-      | Some (Ok ts) -> threats := ts :: !threats
-      | Some (Error (_ : Schedule.exn_info)) -> (
+    (fun i o ->
+      match o with
+      | Some (Error _) ->
         incr retried;
-        match detect_one ctx (p1, p2) with
-        | None -> incr shed
-        | Some (Ok ts) -> threats := ts :: !threats
-        | Some (Error info) ->
-          failures :=
-            {
-              pair = pair_label p1 p2;
-              apps = ((fst p1).Rule.name, (fst p2).Rule.name);
-              exn = info.Schedule.exn;
-              backtrace = info.Schedule.backtrace;
-            }
-            :: !failures))
-    first_pass;
-  let threats = List.concat (List.rev !threats) in
+        outcomes.(i) <- detect_one ctx pairs.(i)
+      | _ -> ())
+    outcomes;
+  (outcomes, !retried)
+
+(* An audit's result, gathered in the flat order: threat lists and
+   failures most recent first, and the shed count. *)
+type gather = {
+  mutable g_threats : Threat.t list list;
+  mutable g_failures : failure list;
+  mutable g_shed : int;
+}
+
+let gather () = { g_threats = []; g_failures = []; g_shed = 0 }
+
+let gather_outcome g (o : outcome) =
+  match o with
+  | Some (Ok ts) -> g.g_threats <- ts :: g.g_threats
+  | Some (Error f) -> g.g_failures <- f :: g.g_failures
+  | None -> g.g_shed <- g.g_shed + 1
+
+let has_undecided ts = List.exists (fun t -> Threat.is_undecided t.Threat.severity) ts
+
+let gathered g ~retried =
+  let threats = List.concat (List.rev g.g_threats) in
   {
     threats;
-    undecided =
-      List.length (List.filter (fun t -> Threat.is_undecided t.Threat.severity) threats);
-    failures = List.rev !failures;
-    retried = !retried;
-    shed = !shed;
+    undecided = List.length (List.filter (fun t -> Threat.is_undecided t.Threat.severity) threats);
+    failures = List.rev g.g_failures;
+    retried;
+    shed = g.g_shed;
   }
 
+let never () = false
+
 (** Crash-isolated audit of an explicit pair plan. *)
-let audit_pairs ?(jobs = 1) ?cancel ctx pairs = run_pairs ~jobs ?cancel ctx pairs
+let audit_pairs ?(jobs = 1) ?(cancel = never) ctx pairs =
+  let outcomes, retried = run_pairs ~jobs ~cancel ctx pairs in
+  let g = gather () in
+  Array.iter (gather_outcome g) outcomes;
+  gathered g ~retried
 
-let new_app_pairs ctx (db : Homeguard_rules.Rule_db.t) (new_app : Rule.smartapp) =
-  let installed = Homeguard_rules.Rule_db.all_rules db in
-  List.concat_map
-    (fun new_rule ->
-      List.filter_map
-        (fun ((old_app, old_rule) : tagged_rule) ->
-          if old_app.Rule.name = new_app.Rule.name then None
-          else Some ((new_app, new_rule), (old_app, old_rule)))
-        installed)
-    new_app.Rule.rules
-  |> List.filter (fun (p1, p2) -> pair_candidate ctx p1 p2)
-  |> Array.of_list
-
-(** Install-time audit of a newly installed app against every
-    already-installed app recorded in [db] (the online flow, §IV-C). *)
-let audit_new_app ?(jobs = 1) ?cancel ctx db new_app =
-  run_pairs ~jobs ?cancel ctx (new_app_pairs ctx db new_app)
-
-(* -- pair-cached audit ------------------------------------------------------ *)
-
-(* One app pair's full rule-pair matrix, with the same per-pair crash
-   isolation and single coordinator retry [run_pairs] gives the flat
-   plan, and the failed rule pairs of each row of the first app, most
-   recent first. Failed pairs contribute no threats, exactly like the
-   flat path. *)
-let group_matrix ctx ~retried (a : Rule.smartapp) (b : Rule.smartapp) :
-    pair_matrix * failure list array =
-  let rows = Array.of_list a.Rule.rules in
-  let failed = Array.make (Array.length rows) [] in
-  let detect i p1 p2 =
-    match Schedule.capture (fun () -> detect_pair ctx p1 p2) with
-    | Ok ts -> ts
-    | Error (_ : Schedule.exn_info) -> (
-      incr retried;
-      match Schedule.capture (fun () -> detect_pair ctx p1 p2) with
-      | Ok ts -> ts
-      | Error info ->
-        failed.(i) <-
-          {
-            pair = pair_label p1 p2;
-            apps = (a.Rule.name, b.Rule.name);
-            exn = info.Schedule.exn;
-            backtrace = info.Schedule.backtrace;
-          }
-          :: failed.(i);
-        [])
-  in
-  let candidates = candidate_matrix ctx (with_rule_facts ctx a) (with_rule_facts ctx b) in
-  let m =
-    Array.mapi
-      (fun i ra ->
-        Array.mapi
-          (fun j rb -> if candidates.(i).(j) then detect i (a, ra) (b, rb) else [])
-          (Array.of_list b.Rule.rules))
-      rows
-  in
-  (m, failed)
-
-let matrix_has_undecided (m : pair_matrix) =
-  Array.exists
-    (Array.exists (List.exists (fun t -> Threat.is_undecided t.Threat.severity)))
-    m
+(* -- per-home pair index ----------------------------------------------------- *)
 
 (* Slot of app pair [p < q] among [n] apps in a triangular array of
    [n * (n - 1) / 2] slots, row-major: all of [p]'s later partners in
    order. *)
 let tri n p q = (p * ((2 * n) - p - 1) / 2) + (q - p - 1)
 
-(* The empty slot: a pair never audited (same-name apps, shed), or one
-   the index does not keep. Compared physically, so no computed matrix
-   is ever mistaken for it. *)
+(* The empty slot: a pair never audited (same-name apps), one left to
+   detect with no matrix to fill, or one the index does not keep.
+   Compared physically, so no computed matrix is ever mistaken for
+   it. *)
 let no_matrix : pair_matrix = [| [||] |]
 
-(* The failures of a group with none, shared by every clean group. *)
-let no_failures : failure list array = [||]
-
-(* The last complete grouped audit of one home: its apps in install
-   order, each app's bindings, and one slot per app pair holding the
-   matrix that audit produced, or [no_matrix] where the group crashed,
-   held an [Undecided] threat or was skipped. *)
+(* The last complete full audit of one home: its apps in install order,
+   each app's bindings, and one slot per app pair holding the matrix
+   that audit produced, or [no_matrix] where the pair crashed, held an
+   [Undecided] threat or was skipped. *)
 type pair_index = {
   mutable ix_apps : Rule.smartapp array;
   mutable ix_bindings : (string * Term.t) list array;
@@ -1248,123 +1174,190 @@ let index_positions ix apps bindings =
       | _ -> -1)
     apps
 
-(* Pair-cached exhaustive audit. Each app pair's matrix (in install
-   order — detection is orientation-sensitive) comes from the first of:
-   the home's [index], when both apps and their bindings are unchanged
-   since its audit, in the same orientation, under the same pair
-   fingerprint; the L1 [pair_cache]; a fresh [group_matrix]. The
-   results are reassembled in the flat plan's enumeration order: for
-   each tagged rule, all later apps' rules in order; a group's failures
-   are emitted at their rule row in that same pass. Threats, failures
-   and the undecided count are byte-identical to the flat path; only
-   the order in which pairs are *computed* differs, which no detection
-   depends on. Groups that crashed or contain an undecided threat are
-   never stored, in L1 or the index — an undecided result is a budget
-   artifact, not a verdict, and must be recomputed (and possibly
-   escalated) next time. Once [cancel] fires, every remaining group is
-   shed whole: the shed count is the groups' full rule-pair cross
-   product, an over-approximation of the flat plan's candidate count
-   (counting exactly would require planning the groups we are shedding
-   to avoid planning), with the same sign: [shed > 0] iff incomplete.
-   Only a complete audit replaces the index. *)
-let audit_all_grouped ?(cancel = fun () -> false) ?index pc ctx (apps : Rule.smartapp list) =
-  let apps_a = Array.of_list apps in
-  let n = Array.length apps_a in
-  let retried = ref 0 in
-  let cancelled = ref false and shed = ref 0 in
+(* -- the audit driver ---------------------------------------------------------- *)
+
+(* One row of an audit: app [p] of the audit's apps against the partners
+   [lo .. hi - 1]. Its cells are the app pairs (row app first) with
+   each partner of another name. *)
+type row = { p : int; lo : int; hi : int }
+
+(* A full audit: every app against every later app. Its cells are laid
+   out exactly as [tri n p q]. *)
+let triangle n = Array.init n (fun p -> { p; lo = p + 1; hi = n })
+
+(* A cell left to detect: its slot, its partner, per rule of the row app
+   the partner rules that survived the pre-filters, and its L1 key when
+   a pair cache is configured. [keep] turns false when one of its pairs
+   crashed, was shed or holds an [Undecided] threat: a crash or budget
+   artifact, not a verdict, so never stored. *)
+type cell = {
+  slot : int;
+  q : int;
+  cand : int list array;
+  key : pair_audit option;
+  mutable keep : bool;
+}
+
+(* Plan an audit of [rows] over [apps], row by row. A cell's matrix
+   comes from the [index], else the L1 [pc], else the pre-filters; with
+   a tier configured, a cell left to detect gets a fresh matrix in its
+   slot. Returns the slots (one per cell, row-major), each row's cells
+   to detect in partner order, the plan — row by row, each rule of the
+   row app against every candidate of every cell to detect: the flat
+   order — and each app's bindings ([||] without tiers). *)
+let plan_rows ?index ~pc ctx apps rows =
+  let n = Array.length apps in
+  let tiered = Option.is_some pc || Option.is_some index in
   (* each app's bindings are read once per audit, so every key of the
      audit shares them physically *)
-  let bindings = Array.map ctx.config.app_constraints apps_a in
+  let bindings = if tiered then Array.map ctx.config.app_constraints apps else [||] in
   (* [prev.(p)]: app [p]'s position among the index's [n_prev] apps, or -1 *)
   let prev, prev_slots, n_prev =
     match index with
     | Some ix when ix.ix_fp = ctx.pair_fp ->
-      (index_positions ix apps_a bindings, ix.ix_slots, Array.length ix.ix_apps)
+      (index_positions ix apps bindings, ix.ix_slots, Array.length ix.ix_apps)
     | _ -> (Array.make n (-1), [||], 0)
   in
-  let slots = Array.make (n * (n - 1) / 2) no_matrix in
-  let fails = Array.make (Array.length slots) no_failures in
-  let unkept = ref [] in
-  for p = 0 to n - 1 do
-    for q = p + 1 to n - 1 do
-      let a = apps_a.(p) and b = apps_a.(q) in
-      if a.Rule.name <> b.Rule.name then
-        if !cancelled || cancel () then begin
-          cancelled := true;
-          shed := !shed + (List.length a.Rule.rules * List.length b.Rule.rules)
-        end
-        else begin
-          let k = tri n p q in
+  (* each app's rule facts, derived when a cell first needs them *)
+  let facts = Array.make n [||] in
+  let facts_of q =
+    if Array.length facts.(q) = 0 then
+      facts.(q) <-
+        Array.of_list (List.map (fun r -> rule_facts ctx (apps.(q), r)) apps.(q).Rule.rules);
+    facts.(q)
+  in
+  let slots = Array.make (Array.fold_left (fun acc r -> acc + r.hi - r.lo) 0 rows) no_matrix in
+  let row_cells = Array.make (Array.length rows) [] in
+  let plan = ref [] and base = ref 0 in
+  Array.iteri
+    (fun r { p; lo; hi } ->
+      let a = apps.(p) in
+      let cells = ref [] in
+      for q = lo to hi - 1 do
+        let b = apps.(q) in
+        if b.Rule.name <> a.Rule.name then begin
+          let k = !base + q - lo in
           let p' = prev.(p) and q' = prev.(q) in
           let reused = if p' >= 0 && q' > p' then prev_slots.(tri n_prev p' q') else no_matrix in
           if reused != no_matrix then slots.(k) <- reused
           else
-            let pa =
-              {
-                pa_apps = (a, b);
-                pa_bindings = (bindings.(p), bindings.(q));
-                pa_unify = unify_pairs ctx a b;
-                pa_fingerprint = ctx.pair_fp;
-              }
+            let key =
+              Option.map
+                (fun _ ->
+                  {
+                    pa_apps = (a, b);
+                    pa_bindings = (bindings.(p), bindings.(q));
+                    pa_unify = unify_pairs ctx a b;
+                    pa_fingerprint = ctx.pair_fp;
+                  })
+                pc
             in
-            match pc.pair_lookup pa with
+            let hit = match (pc, key) with Some pc, Some pa -> pc.pair_lookup pa | _ -> None in
+            match hit with
             | Some m -> slots.(k) <- m
             | None ->
-              let m, failed = group_matrix ctx ~retried a b in
-              slots.(k) <- m;
-              let clean = Array.for_all (( = ) []) failed in
-              if not clean then fails.(k) <- failed;
-              if clean && not (matrix_has_undecided m) then pc.pair_store pa m
-              else unkept := k :: !unkept
+              let fa = facts_of p in
+              let fb = facts_of q in
+              let cand = candidates ctx a fa b fb in
+              if tiered || Array.exists (function [] -> false | _ -> true) cand then begin
+                if tiered then slots.(k) <- Array.map (fun _ -> Array.make (Array.length fb) []) fa;
+                cells := { slot = k; q; cand; key; keep = true } :: !cells
+              end
         end
-    done
-  done;
-  let threats = ref [] and failures = ref [] in
-  for p = 0 to n - 1 do
-    List.iteri
-      (fun i _ ->
-        for q = p + 1 to n - 1 do
-          let k = tri n p q in
+      done;
+      let cells = List.rev !cells in
+      (* a row with no cell to detect emits nothing, facts or not *)
+      Array.iteri
+        (fun i f1 ->
+          List.iter
+            (fun c ->
+              let b = apps.(c.q) and fb = facts.(c.q) in
+              List.iter
+                (fun j -> plan := ((a, f1.rf_rule), (b, fb.(j).rf_rule)) :: !plan)
+                c.cand.(i))
+            cells)
+        facts.(p);
+      row_cells.(r) <- cells;
+      base := !base + hi - lo)
+    rows;
+  (slots, row_cells, Array.of_list (List.rev !plan), bindings)
+
+(* The one audit driver: plan, run the plan through [run_pairs], then
+   reassemble in the flat order — for each row and each rule of the row
+   app, every cell in partner order, a tier's matrix row or the detected
+   outcomes, which also fill the cell's fresh matrix. Kept cells are
+   stored in L1; a complete audit (nothing shed) replaces the [index]. *)
+let audit_rows ~jobs ~cancel ?index ~pc ctx apps rows =
+  let slots, row_cells, plan, bindings = plan_rows ?index ~pc ctx apps rows in
+  let outcomes, retried = run_pairs ~jobs ~cancel ctx plan in
+  let g = gather () and next = ref 0 and base = ref 0 in
+  Array.iteri
+    (fun r { p; lo; hi } ->
+      let cells = row_cells.(r) in
+      for i = 0 to List.length apps.(p).Rule.rules - 1 do
+        let pending = ref cells in
+        for q = lo to hi - 1 do
+          let k = !base + q - lo in
           let m = slots.(k) in
-          if m != no_matrix then begin
-            Array.iter (fun ts -> threats := ts :: !threats) m.(i);
-            let failed = fails.(k) in
-            if failed != no_failures then failures := failed.(i) @ !failures
-          end
-        done)
-      apps_a.(p).Rule.rules
-  done;
+          match !pending with
+          | c :: rest when c.slot = k ->
+            pending := rest;
+            List.iter
+              (fun j ->
+                let o = outcomes.(!next) in
+                incr next;
+                gather_outcome g o;
+                match o with
+                | Some (Ok ts) when m != no_matrix ->
+                  m.(i).(j) <- ts;
+                  if has_undecided ts then c.keep <- false
+                | Some (Ok _) -> ()
+                | _ -> c.keep <- false)
+              c.cand.(i)
+          | _ ->
+            if m != no_matrix then Array.iter (fun ts -> g.g_threats <- ts :: g.g_threats) m.(i)
+        done
+      done;
+      List.iter
+        (fun c ->
+          if not c.keep then slots.(c.slot) <- no_matrix
+          else match (pc, c.key) with Some pc, Some pa -> pc.pair_store pa slots.(c.slot) | _ -> ())
+        cells;
+      base := !base + hi - lo)
+    rows;
   (match index with
-  | Some ix when not !cancelled ->
-    List.iter (fun k -> slots.(k) <- no_matrix) !unkept;
-    ix.ix_apps <- apps_a;
+  | Some ix when g.g_shed = 0 ->
+    ix.ix_apps <- apps;
     ix.ix_bindings <- bindings;
     ix.ix_slots <- slots;
     ix.ix_fp <- ctx.pair_fp
   | _ -> ());
-  let threats = List.concat (List.rev !threats) in
-  {
-    threats;
-    undecided =
-      List.length (List.filter (fun t -> Threat.is_undecided t.Threat.severity) threats);
-    failures = List.rev !failures;
-    retried = !retried;
-    shed = !shed;
-  }
+  gathered g ~retried
+
+(** The audit plan: every cross-app rule pair that survives the cheap
+    pre-filters, in the deterministic sequential enumeration order — the
+    full audit's plan with no tiers. *)
+let candidate_pairs ctx (apps : Rule.smartapp list) =
+  let apps = Array.of_list apps in
+  let _, _, plan, _ = plan_rows ~pc:None ctx apps (triangle (Array.length apps)) in
+  plan
 
 (** Exhaustive pairwise audit over a set of apps (the corpus audit,
-    §VIII-B). With a [pair_cache] configured the plan is grouped by app
-    pair and cached results replace planning and detection wholesale
-    ([jobs] is ignored — groups run on the coordinator; output is
-    byte-identical to the flat plan at every job count); [index], if
-    given, serves the pairs its last audit left untouched. *)
-let audit_all ?(jobs = 1) ?cancel ?index ctx (apps : Rule.smartapp list) =
-  match ctx.config.pair_cache with
-  | Some pc -> audit_all_grouped ?cancel ?index pc ctx apps
-  | None -> run_pairs ~jobs ?cancel ctx (candidate_pairs ctx apps)
+    §VIII-B): the triangle, through the [index] and the configured
+    [pair_cache]. *)
+let audit_all ?(jobs = 1) ?(cancel = never) ?index ctx (apps : Rule.smartapp list) =
+  let apps = Array.of_list apps in
+  audit_rows ~jobs ~cancel ?index ~pc:ctx.config.pair_cache ctx apps (triangle (Array.length apps))
 
-(** Threat-list views of the audits, for callers that only consume the
-    reports (the structured counts stay available via [audit_*]). *)
-let detect_new_app ?jobs ctx db new_app = (audit_new_app ?jobs ctx db new_app).threats
+(** Install-time audit of a newly installed app against every installed
+    app of another name (the online flow, §IV-C): one row, new app
+    first, consulting neither the index nor L1. *)
+let audit_new_app ?(jobs = 1) ?(cancel = never) ctx (installed : Rule.smartapp list) new_app =
+  let apps = Array.of_list (installed @ [ new_app ]) in
+  let n = Array.length apps - 1 in
+  audit_rows ~jobs ~cancel ~pc:None ctx apps [| { p = n; lo = 0; hi = n } |]
 
+(** Threat-list view of the exhaustive audit, for callers that only
+    consume the reports (the structured counts stay available via
+    [audit_all]). *)
 let detect_all ?jobs ctx apps = (audit_all ?jobs ctx apps).threats

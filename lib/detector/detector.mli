@@ -66,9 +66,9 @@ type config = {
     option;
       (** fleet-shared verdict cache hook ([None] = solve locally) *)
   pair_cache : pair_cache option;
-      (** pair-level result cache: [audit_all] groups its plan by app
-          pair, and a hit replaces planning and detection for the whole
-          pair ([None] = plan flat) *)
+      (** pair-level result cache: in [audit_all], a hit replaces
+          planning and detection for the whole app pair ([None] = every
+          pair is planned) *)
 }
 
 and pair_audit = {
@@ -216,7 +216,8 @@ val pair_candidate : ctx -> tagged_rule -> tagged_rule -> bool
 val candidate_pairs :
   ctx -> Rule.smartapp list -> (tagged_rule * tagged_rule) array
 (** The audit plan: every cross-app rule pair surviving the cheap
-    pre-filters, in the deterministic sequential enumeration order. *)
+    pre-filters, in the deterministic flat order — {!audit_all}'s plan
+    with no pair cache or index. *)
 
 (** {2 Crash-isolated audits} *)
 
@@ -235,9 +236,11 @@ type audit_result = {
   failures : failure list;  (** pairs whose detection crashed twice *)
   retried : int;  (** pairs retried on the coordinator after a crash *)
   shed : int;
-      (** pairs never audited because [?cancel] fired (deadline or load
-          shed). [shed > 0] marks the result incomplete: it may support
-          "threats found" but never "no threat" *)
+      (** exactly the planned pairs that never ran because [?cancel]
+          fired (deadline or load shed), in every audit; pairs a tier
+          answered are never planned. [shed > 0] marks the result
+          incomplete: it may support "threats found" but never "no
+          threat" *)
 }
 
 val audit_pairs :
@@ -262,13 +265,17 @@ val audit_new_app :
   ?jobs:int ->
   ?cancel:(unit -> bool) ->
   ctx ->
-  Homeguard_rules.Rule_db.t ->
+  Rule.smartapp list ->
   Rule.smartapp ->
   audit_result
-(** Install-time flow: the new app against every installed rule. *)
+(** Install-time flow: [app] against every app of [installed] with
+    another name, in order — each rule of [app] against each of theirs
+    that passes {!pair_candidate}, run as {!audit_pairs} runs a plan.
+    It consults neither a pair cache nor an index: no full audit stores
+    the new-app-first orientation. *)
 
 type pair_index
-(** One home's last complete grouped audit: its apps in install order,
+(** One home's last complete full audit: its apps in install order,
     each app's bindings and one slot per app pair (one word each)
     sharing the matrix that audit produced. The owner must call
     {!invalidate_app} whenever anything [same_device] reads about an
@@ -288,27 +295,22 @@ val audit_all :
   ctx ->
   Rule.smartapp list ->
   audit_result
-(** Exhaustive pairwise audit across distinct apps. With [~jobs] > 1
-    each domain detects on its own ctx; per-domain caches and counters
-    are merged back before the coordinator retries any failed pair.
-    With a [pair_cache] configured the plan is instead grouped by app
-    pair on the coordinator ([jobs] is ignored) and cache hits replace
-    planning and detection wholesale; output is byte-identical to the
-    flat plan at every job count. A cancelled grouped audit sheds
-    remaining groups whole, counting their full rule-pair cross
-    product ([shed > 0] iff incomplete, as in the flat plan).
+(** Exhaustive pairwise audit: every app against every later app of
+    another name. Each app pair's matrix comes from [?index], else the
+    config's [pair_cache], else the pre-filters, whose candidates join
+    one plan run as {!audit_pairs} runs one ([~jobs], crash isolation,
+    per-pair [?cancel]) whether or not a pair cache is configured; tier
+    lookups and planning are not cancelled. The result is
+    byte-identical to [audit_pairs ctx (candidate_pairs ctx apps)] at
+    every job count. A detected pair's matrix is stored in the pair
+    cache unless one of its pairs crashed twice, was shed or holds an
+    [Undecided] threat.
 
-    [?index] (grouped mode only) reuses, with no planning, key or cache
-    lookup, the matrix of every app pair whose apps (same value, or
-    structurally equal) and bindings are unchanged since the index's
-    audit, in the same install orientation and under the same
-    {!pair_fingerprint}. A complete audit then replaces the index,
-    keeping no group that crashed or holds an [Undecided] threat; a
-    cancelled one leaves it as it was. *)
-
-val detect_new_app :
-  ?jobs:int -> ctx -> Homeguard_rules.Rule_db.t -> Rule.smartapp -> Threat.t list
-(** [(audit_new_app ...).threats]. *)
+    [?index] serves, with no planning, key or lookup, every app pair
+    whose apps (same value, or structurally equal) and bindings are
+    unchanged since its audit, in the same orientation, under the same
+    {!pair_fingerprint}. A complete audit (nothing shed) replaces it,
+    keeping no pair L1 would not store; a cancelled one leaves it. *)
 
 val detect_all : ?jobs:int -> ctx -> Rule.smartapp list -> Threat.t list
 (** [(audit_all ...).threats]. *)

@@ -81,18 +81,13 @@ let unquarantine t name =
 let quarantined t = t.quarantined
 let is_quarantined t name = List.mem_assoc name t.quarantined
 
-(* The detection database minus quarantined apps: a poison app's rules
-   must not be able to crash every later install's audit. *)
-let detection_db t =
-  if t.quarantined = [] then t.db
-  else begin
-    let db = Rule_db.create () in
-    List.iter
-      (fun (a : Rule.smartapp) ->
-        if not (is_quarantined t a.Rule.name) then ignore (Rule_db.install db a))
-      (Rule_db.installed_apps t.db);
-    db
-  end
+(* The installed apps minus quarantined ones, in install order: a
+   poison app's rules must not be able to crash every later install's
+   audit. *)
+let detection_apps t =
+  List.filter
+    (fun (a : Rule.smartapp) -> not (is_quarantined t a.Rule.name))
+    (Rule_db.installed_apps t.db)
 
 let quarantine_note t (app : Rule.smartapp) =
   match List.assoc_opt app.Rule.name t.quarantined with
@@ -122,7 +117,7 @@ let quarantine_note t (app : Rule.smartapp) =
     short, leaving [report.audit.shed > 0]. *)
 let propose ?config ?cancel t (app : Rule.smartapp) =
   let ctx = Detector.create (Option.value ~default:t.detector_config config) in
-  let audit = Detector.audit_new_app ?cancel ctx (detection_db t) app in
+  let audit = Detector.audit_new_app ?cancel ctx (detection_apps t) app in
   let threats = audit.Detector.threats in
   let chains = Chain.find_chains t.allowed threats in
   let recommendations =
@@ -171,7 +166,7 @@ let decide t decision =
     or recommendations — and [pending] is left untouched. *)
 let replay_install t (app : Rule.smartapp) =
   let ctx = Detector.create t.detector_config in
-  let audit = Detector.audit_new_app ctx (detection_db t) app in
+  let audit = Detector.audit_new_app ctx (detection_apps t) app in
   keep t app audit.Detector.threats
 
 let installed_apps t = Rule_db.installed_apps t.db

@@ -574,11 +574,6 @@ let reaudit_changed ?(jobs = 1) t (report : recovery_report) =
       | None -> None
       | Some _ when Install_flow.is_quarantined t.flow name -> None
       | Some app ->
-        let db = Rule_db.create () in
-        List.iter
-          (fun (a : Rule.smartapp) ->
-            if a.Rule.name <> name then ignore (Rule_db.install db a))
-          (auditable_apps t);
         let ctx = Detector.create t.dconfig in
-        Some (name, Detector.audit_new_app ~jobs ctx db app))
+        Some (name, Detector.audit_new_app ~jobs ctx (auditable_apps t) app))
     report.changed_apps

@@ -174,6 +174,17 @@ let audit_cancellation_counts_shed =
       in
       check_int "no pair audited" (Array.length pairs) all_shed.Detector.shed;
       check_bool "no threats claimed" true (all_shed.Detector.threats = []);
+      (* a full audit through a pair cache that always misses sheds the
+         same exact count: the planned pairs, not the app pairs' cross
+         products *)
+      let missing = { Detector.pair_lookup = (fun _ -> None); pair_store = (fun _ _ -> ()) } in
+      let cached =
+        Detector.audit_all ~cancel:(fun () -> true)
+          (Detector.create { Detector.offline_config with Detector.pair_cache = Some missing })
+          apps
+      in
+      check_int "cached audit sheds exactly the plan" (Array.length pairs) cached.Detector.shed;
+      check_bool "no threats claimed by the cached audit" true (cached.Detector.threats = []);
       (* cancel after the first pair: partial results plus a shed count *)
       let count = ref 0 in
       let ctx2 = Detector.create Detector.offline_config in

@@ -523,6 +523,103 @@ let grouped_failures_in_flat_order =
       check_bool "some pairs failed" true (flat.Detector.failures <> []);
       Alcotest.(check (list string)) "failure order" (labels flat) (labels grouped))
 
+(* -- install-row reference ------------------------------------------------------ *)
+
+(* The flat install plan the one-row driver replaced: each rule of the
+   new app against every rule of each installed app of another name, in
+   install order, filtered by [pair_candidate]. *)
+let reference_install_plan ctx (installed : Rule.smartapp list) (app : Rule.smartapp) =
+  let old_rules =
+    List.concat_map
+      (fun (a : Rule.smartapp) ->
+        if a.Rule.name = app.Rule.name then [] else List.map (fun r -> (a, r)) a.Rule.rules)
+      installed
+  in
+  List.concat_map
+    (fun r ->
+      List.filter_map
+        (fun p2 ->
+          let p1 = (app, r) in
+          if Detector.pair_candidate ctx p1 p2 then Some (p1, p2) else None)
+        old_rules)
+    app.Rule.rules
+  |> Array.of_list
+
+let failure_labels (r : Detector.audit_result) =
+  List.map (fun (f : Detector.failure) -> f.Detector.pair) r.Detector.failures
+
+(* [audit_new_app] against the reference plan run by [audit_pairs]:
+   uncancelled, and cancelled after a few polls. Returns the number of
+   failures seen. *)
+let check_install label config installed (app : Rule.smartapp) =
+  let cancel_after = function
+    | None -> None
+    | Some k ->
+      let polls = ref 0 in
+      Some
+        (fun () ->
+          incr polls;
+          !polls > k)
+  in
+  List.fold_left
+    (fun failures cut ->
+      let label = label ^ " " ^ app.Rule.name ^ if cut = None then "" else " cut" in
+      let ctx = Detector.create config in
+      let expected =
+        Detector.audit_pairs ?cancel:(cancel_after cut) ctx
+          (reference_install_plan ctx installed app)
+      in
+      let got =
+        Detector.audit_new_app ?cancel:(cancel_after cut) (Detector.create config) installed app
+      in
+      Alcotest.(check (list string)) (label ^ ": threats")
+        (List.map Threat.to_string expected.Detector.threats)
+        (List.map Threat.to_string got.Detector.threats);
+      check_bool (label ^ ": witnesses and severities") true
+        (List.map threat_key expected.Detector.threats = List.map threat_key got.Detector.threats);
+      check_int (label ^ ": undecided") expected.Detector.undecided got.Detector.undecided;
+      Alcotest.(check (list string)) (label ^ ": failures") (failure_labels expected)
+        (failure_labels got);
+      check_int (label ^ ": shed") expected.Detector.shed got.Detector.shed;
+      failures + List.length got.Detector.failures)
+    0 [ None; Some 3 ]
+
+(* Each app of [apps] installed last, against all of [apps]: its own
+   name is skipped. *)
+let check_installs label config apps =
+  List.fold_left (fun acc app -> acc + check_install label config apps app) 0 apps
+
+let install_row_matches_reference =
+  test "install row = flat install plan (pool, synth homes, reused name, failures)" (fun () ->
+      let pool = Lazy.force audit_pool in
+      ignore (check_installs "pool" Detector.offline_config pool : int);
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun (h : Homeguard_corpus.Synth.home) ->
+              let apps, config = home_setup h in
+              let label = Printf.sprintf "seed %d %s" seed h.Homeguard_corpus.Synth.id in
+              ignore (check_installs (label ^ " offline") Detector.offline_config apps : int);
+              ignore (check_installs (label ^ " recorded") config apps : int))
+            (Corpus.synth ~seed ~n_homes:10))
+        synth_seeds;
+      (* a reinstall under a reused name: another app's source extracted
+         under an installed app's name replaces it in the audit *)
+      let entries = Array.of_list Corpus.audit_apps in
+      List.iter
+        (fun (i, j) ->
+          let reused = entries.(i).App_entry.name in
+          let app = extract ~name:reused entries.(j).App_entry.source in
+          ignore (check_install ("reused name " ^ reused) Detector.offline_config pool app : int))
+        [ (0, 1); (5, 40); (17, 3); (60, 61) ];
+      (* every pair that reaches the solver fails twice *)
+      let raising =
+        { Detector.offline_config with Detector.shared_cache = Some (fun _ _ -> failwith "hook") }
+      in
+      let first_12 = List.filteri (fun i _ -> i < 12) pool in
+      let failures = check_installs "raising hook" raising first_12 in
+      check_bool "some pairs failed" true (failures > 0))
+
 let tests =
   [
     classifier_matches_reference_on_corpus;
@@ -534,4 +631,5 @@ let tests =
     facts_match_direct_derivations;
     device_relation_matches_reference;
     grouped_failures_in_flat_order;
+    install_row_matches_reference;
   ]

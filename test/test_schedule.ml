@@ -113,14 +113,12 @@ let detect_all_matches_unplanned_pairwise =
 
 let detect_new_app_jobs_deterministic =
   test "detect_new_app: parallel install-time check matches sequential" (fun () ->
-      let db = Homeguard_rules.Rule_db.create () in
-      List.iter
-        (fun app -> ignore (Homeguard_rules.Rule_db.install db app : int))
-        [ extract_corpus "ComfortTV"; extract_corpus "CatchLiveShow" ];
+      let installed = [ extract_corpus "ComfortTV"; extract_corpus "CatchLiveShow" ] in
       let newcomer = extract_corpus "ColdDefender" in
       let run jobs =
         let c = Detector.create Detector.offline_config in
-        List.map Threat.to_string (Detector.detect_new_app ~jobs c db newcomer)
+        List.map Threat.to_string
+          (Detector.audit_new_app ~jobs c installed newcomer).Detector.threats
       in
       let seq = run 1 in
       check_bool "finds the Fig 3 race" true (seq <> []);

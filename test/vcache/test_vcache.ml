@@ -49,7 +49,7 @@ let extract_app (e : App_entry.t) =
 
 (* One synthetic home audited exactly the way the fleet audits it:
    extracted apps, recorded configuration, exhaustive pairwise audit. *)
-let home_threats ?hook ~jobs (h : Synth.home) =
+let home_threats ?hook ?(layer = Fun.id) ~jobs (h : Synth.home) =
   let apps = List.map extract_app h.Synth.apps in
   let recorder = Recorder.create () in
   List.iter
@@ -59,11 +59,12 @@ let home_threats ?hook ~jobs (h : Synth.home) =
       | exception Config_uri.Malformed _ -> ())
     h.Synth.configs;
   let config =
-    {
-      Detector.offline_config with
-      Detector.app_constraints = Recorder.app_constraints recorder;
-      Detector.shared_cache = hook;
-    }
+    layer
+      {
+        Detector.offline_config with
+        Detector.app_constraints = Recorder.app_constraints recorder;
+        Detector.shared_cache = hook;
+      }
   in
   let ctx = Detector.create config in
   let r = Detector.audit_all ~jobs ctx apps in
@@ -368,7 +369,24 @@ let sweep_is_byte_identical =
       check_bool "parallel cached sweep is byte-identical" true (base = parallel);
       check_int "zero conflicts after every sweep" 0
         (Vcache.counters h).Vcache.conflicts;
-      Vcache.close_store st)
+      Vcache.close_store st;
+      (* both tiers on a fresh store: [jobs] fans out the detected pairs
+         while L1 stores stay on the coordinator *)
+      let tiered jobs =
+        let st = Vcache.open_store ~fsync:false ~dir:(fresh_dir ()) () in
+        let h = Vcache.attach st ~owner:"tiers" in
+        let threats = List.map (home_threats ~layer:(Vcache.configure h) ~jobs) homes in
+        let c = Vcache.counters h in
+        Vcache.close_store st;
+        check_int "zero conflicts with both tiers" 0 c.Vcache.conflicts;
+        (threats, c.Vcache.pair_inserts)
+      in
+      let seq, seq_inserts = tiered 1 in
+      let par, par_inserts = tiered 2 in
+      check_bool "both tiers at jobs 1 are byte-identical" true (base = seq);
+      check_bool "both tiers at jobs 2 are byte-identical" true (base = par);
+      check_bool "L1 stored pair matrices" true (seq_inserts > 0);
+      check_int "L1 inserts at jobs 2 equal jobs 1" seq_inserts par_inserts)
 
 (* -- pair tier (L1) -------------------------------------------------------------- *)
 
