@@ -79,30 +79,6 @@ let strict_arg =
            budget exhausted) or failed (detection crashed), instead of \
            completing best-effort.")
 
-(* Shared solver fast-path switches: A/B levers for the hot-path
-   optimizations. Both default on; disabling them changes timing only —
-   the threat output is identical either way. *)
-let fastpath_arg =
-  let no_bitset =
-    Arg.(
-      value & flag
-      & info [ "no-bitset" ]
-          ~doc:"Disable the solver's small-domain bitset fast path (debug/ablation).")
-  in
-  let no_memo =
-    Arg.(
-      value & flag
-      & info [ "no-solver-memo" ]
-          ~doc:
-            "Disable formula hash-consing and NNF/DNF memoization in the solver \
-             (debug/ablation).")
-  in
-  let apply no_bitset no_memo =
-    if no_bitset then Homeguard_solver.Domain.bitset_enabled := false;
-    if no_memo then Homeguard_solver.Formula.memo_enabled := false
-  in
-  Term.(const apply $ no_bitset $ no_memo)
-
 let config_with_budget budget =
   { Detector.offline_config with Detector.budget = resolve_budget budget }
 
@@ -174,7 +150,7 @@ let detect_cmd =
   in
   Cmd.v
     (Cmd.info "detect" ~doc:"Detect cross-app interference threats among SmartApps")
-    Term.(const (fun () -> run) $ fastpath_arg $ files $ jobs_arg $ budget_arg $ strict_arg)
+    Term.(const run $ files $ jobs_arg $ budget_arg $ strict_arg)
 
 (* -- audit ------------------------------------------------------------------ *)
 
@@ -210,7 +186,7 @@ let audit_cmd =
   in
   Cmd.v
     (Cmd.info "audit" ~doc:"Audit the bundled corpus pairwise (the paper's §VIII-B run)")
-    Term.(const (fun () -> run) $ fastpath_arg $ jobs_arg $ budget_arg $ strict_arg)
+    Term.(const run $ jobs_arg $ budget_arg $ strict_arg)
 
 (* -- instrument -------------------------------------------------------------- *)
 
@@ -390,7 +366,7 @@ let handle_cmd =
        ~doc:
          "Report detected threats with their recommended handling decisions (paper §VII); \
           the same defaults are enforced by simulate --enforce")
-    Term.(const (fun () -> run) $ fastpath_arg $ files $ jobs_arg $ budget_arg $ strict_arg)
+    Term.(const run $ files $ jobs_arg $ budget_arg $ strict_arg)
 
 (* -- corpus ------------------------------------------------------------------ *)
 
@@ -750,7 +726,7 @@ let serve_cmd =
           Requests pass admission control (bounded queues, busy replies), carry \
           deadlines down to the solver, and repeatedly-failing apps are quarantined")
     Term.(
-      const (fun () -> run) $ fastpath_arg $ state_dir_arg $ replica_root_arg
+      const run $ state_dir_arg $ replica_root_arg
       $ no_fsync_arg $ online_arg $ max_queue_arg $ deadline_ms_arg
       $ quarantine_after_arg $ jobs_arg $ cache_dir_arg)
 

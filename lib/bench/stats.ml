@@ -1,17 +1,9 @@
-(** Tiny order statistics for bench reporting. All functions are total:
-    an empty sample yields [None] instead of raising, so a bench section
-    that completed zero requests reports that honestly rather than
-    crashing on [List.nth]. *)
-
-let mean = function
-  | [] -> None
-  | xs -> Some (List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs))
-
 (** Nearest-rank percentile: the smallest value with at least [p]
     (in [0,1]) of the sample at or below it, i.e. 1-based rank
     [ceil (p * n)]. Unlike truncating [int_of_float (p * n)], this
     never overshoots into a higher rank (p95 of 20 samples is the 19th
-    value, not the maximum). *)
+    value, not the maximum). Total: an empty sample yields [None]
+    instead of raising. *)
 let percentile p = function
   | [] -> None
   | xs ->

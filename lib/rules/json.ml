@@ -1,5 +1,5 @@
 (** The one JSON codec: rule files (paper §VIII-C reports ~6.2 KB per
-    app), journal events, verdict-cache keys and bench trajectories.
+    app), journal events and verdict-cache keys.
 
     Hand-rolled on purpose — the repo carries no JSON dependency. The
     parser is total: any byte string yields [Ok] or [Error], never an
@@ -39,55 +39,39 @@ let float_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
   else Printf.sprintf "%.17g" f
 
-(* One printer for both layouts: [~pretty] puts each element on its own
-   line at a 2-space indent and a space after each colon. *)
-let print ~pretty v =
+let to_string v =
   let buf = Buffer.create 256 in
   let quoted s =
     Buffer.add_char buf '"';
     escape_into buf s;
     Buffer.add_char buf '"'
   in
-  let newline indent =
-    if pretty then begin
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (String.make indent ' ')
-    end
-  in
-  let rec go indent = function
+  let rec go = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (string_of_bool b)
     | Int n -> Buffer.add_string buf (string_of_int n)
     | Float f -> Buffer.add_string buf (float_to_string f)
     | Str s -> quoted s
-    | List [] -> Buffer.add_string buf "[]"
-    | Obj [] -> Buffer.add_string buf "{}"
-    | List items -> seq indent '[' ']' go items
+    | List items -> seq '[' ']' go items
     | Obj fields ->
-      seq indent '{' '}'
-        (fun indent (k, item) ->
+      seq '{' '}'
+        (fun (k, item) ->
           quoted k;
-          Buffer.add_string buf (if pretty then ": " else ":");
-          go indent item)
+          Buffer.add_char buf ':';
+          go item)
         fields
-  and seq : 'a. int -> char -> char -> (int -> 'a -> unit) -> 'a list -> unit =
-   fun indent opening closing item items ->
+  and seq : 'a. char -> char -> ('a -> unit) -> 'a list -> unit =
+   fun opening closing item items ->
     Buffer.add_char buf opening;
     List.iteri
       (fun i x ->
         if i > 0 then Buffer.add_char buf ',';
-        newline (indent + 2);
-        item (indent + 2) x)
+        item x)
       items;
-    newline indent;
     Buffer.add_char buf closing
   in
-  go 0 v;
+  go v;
   Buffer.contents buf
-
-let to_string v = print ~pretty:false v
-
-let to_string_pretty v = print ~pretty:true v
 
 (* -- parsing ------------------------------------------------------------- *)
 

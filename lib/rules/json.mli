@@ -1,5 +1,5 @@
-(** The one JSON codec: rule files, journal events, verdict-cache keys
-    and bench trajectories. The parser is total over arbitrary bytes. *)
+(** The one JSON codec: rule files, journal events and verdict-cache
+    keys. The parser is total over arbitrary bytes. *)
 
 type t =
   | Null
@@ -13,9 +13,6 @@ type t =
 val to_string : t -> string
 (** Compact rendering, no whitespace: the bytes of rule files, journal
     payloads and cache keys. *)
-
-val to_string_pretty : t -> string
-(** 2-space indented rendering, for trajectory files. *)
 
 val escape_string : string -> string
 (** The body of a JSON string literal, without the quotes. *)

@@ -479,6 +479,65 @@ let supervisor_scrub_converges =
       | _ -> Alcotest.fail "scrubbed home must keep serving");
       Supervisor.close t)
 
+(* Fault isolation in proportion: 16 synthetic homes on 4 shards, with
+   0, 1 and 2 shards killed and held down (no tick, so nothing
+   restarts). Every home a surviving shard owns is served in full;
+   every home a dead shard owns is refused. *)
+let dead_shards_refuse_only_their_homes =
+  test "dead shards refuse exactly their own homes (16/12/10 served)" (fun () ->
+      let synth = Corpus.synth ~seed:7 ~n_homes:16 in
+      check_int "fleet size" 16 (List.length synth);
+      let sweep dead =
+        let config =
+          { Supervisor.default_config with Supervisor.shards = 4; fsync = false }
+        in
+        let t =
+          Supervisor.create ~config ~dir:(fresh_dir ())
+            ~homes:(List.map (fun (h : Synth.home) -> h.Synth.id) synth)
+            ()
+        in
+        for s = 0 to dead - 1 do
+          check_bool "kill lands" true (Supervisor.kill t s)
+        done;
+        let live id =
+          match Supervisor.owner_of t id with
+          | Some s -> Supervisor.shard_state t s = `Running
+          | None -> false
+        in
+        let served = ref 0 and refused = ref 0 in
+        List.iter
+          (fun (h : Synth.home) ->
+            let expect_live = live h.Synth.id in
+            List.iteri
+              (fun i uri ->
+                let ok =
+                  match Supervisor.deliver t ~home:h.Synth.id ~seq:(i + 1) uri with
+                  | Supervisor.Done _ ->
+                    incr served;
+                    expect_live
+                  | Supervisor.Unavailable _ | Supervisor.Crashed _ ->
+                    incr refused;
+                    not expect_live
+                in
+                if not ok then
+                  Alcotest.failf "dead=%d: home %s breaks isolation" dead h.Synth.id)
+              h.Synth.configs)
+          synth;
+        let homes = List.length (List.filter (fun (h : Synth.home) -> live h.Synth.id) synth) in
+        Supervisor.close t;
+        (homes, !served, !refused)
+      in
+      let homes0, ops0, refused0 = sweep 0 in
+      check_int "homes served, none dead" 16 homes0;
+      check_int "ops served, none dead" 24 ops0;
+      check_int "ops refused, none dead" 0 refused0;
+      let homes1, ops1, _ = sweep 1 in
+      check_int "homes served, one dead" 12 homes1;
+      check_int "ops served, one dead" 18 ops1;
+      let homes2, ops2, _ = sweep 2 in
+      check_int "homes served, two dead" 10 homes2;
+      check_int "ops served, two dead" 16 ops2)
+
 (* -- chaos -------------------------------------------------------------------- *)
 
 let chaos_smoke_campaign =
@@ -491,10 +550,8 @@ let chaos_smoke_campaign =
           if not i.Chaos.ok then
             Alcotest.failf "invariant %s violated: %s" i.Chaos.name i.Chaos.detail)
         report.Chaos.invariants;
-      check_bool "killed at least 2 distinct shards" true
-        (report.Chaos.shards_killed >= 2);
-      check_bool "recovered at least 2 distinct shards" true
-        (report.Chaos.shards_recovered >= 2);
+      check_int "distinct shards killed" 3 report.Chaos.shards_killed;
+      check_int "distinct shards recovered" 3 report.Chaos.shards_recovered;
       check_bool "healthy shards served while others were down" true
         (report.Chaos.served_while_impaired > 0);
       check_bool "render is non-empty" true
@@ -503,6 +560,17 @@ let chaos_smoke_campaign =
          zombie whose appends were all fenced *)
       check_bool "zombie appends attempted" true (report.Chaos.zombie_rejected > 0);
       check_int "no stale append went durable" 0 report.Chaos.zombie_accepted;
+      (* the verdict cache rides the same schedule: two cache-replica
+         faults, and no stale cache probe accepted *)
+      check_int "scheduled cache faults" 2
+        (List.length
+           (List.filter
+              (fun (e : Chaos.scheduled) ->
+                match e.Chaos.ev with
+                | Chaos.Cache_destroy _ | Chaos.Cache_corrupt _ -> true
+                | _ -> false)
+              report.Chaos.schedule));
+      check_int "no stale cache probe accepted" 0 report.Chaos.cache_probe_accepted;
       (* anti-entropy coverage: the scrub pass walked every home and
          converged the fleet; the second pass had nothing to do *)
       check_int "scrub covered the fleet" report.Chaos.config.Chaos.homes
@@ -658,6 +726,26 @@ let flip_byte_at path off =
       ignore (Unix.lseek fd off Unix.SEEK_SET);
       ignore (Unix.write fd b 0 1))
 
+(* Bit-rot one byte in the middle of [victim], a replica's cache
+   journal, then scrub twice: the first pass patches exactly the
+   damaged frame, the second finds nothing to write. *)
+let check_frame_repair label victim scrub =
+  let check_bool m = check_bool (label ^ ": " ^ m)
+  and check_int m = check_int (label ^ ": " ^ m) in
+  check_bool "replica cache journal exists" true (Sys.file_exists victim);
+  let size = (Unix.stat victim).Unix.st_size in
+  check_bool "cache journal is non-trivial" true (size > 64);
+  flip_byte_at victim (size / 2);
+  let r = scrub () in
+  check_bool "scrub converged the cache replicas" true r.Scrub.converged;
+  check_int "exactly the damaged frame was patched" 1 r.Scrub.patched_frames;
+  check_bool "repair I/O bounded by the damage, not the file size" true
+    (r.Scrub.repair_bytes > 0 && r.Scrub.repair_bytes < size);
+  let r2 = scrub () in
+  check_bool "second pass finds a healthy converged cache" true
+    (r2.Scrub.healthy && r2.Scrub.converged);
+  check_int "second pass writes nothing" 0 r2.Scrub.repair_bytes
+
 let cache_scrub_patches_frames =
   test "cache scrub patches only the damaged frame and is idempotent" (fun () ->
       let clock, _ = manual_clock () in
@@ -687,22 +775,29 @@ let cache_scrub_patches_frames =
             ignore (Supervisor.drain t ~shard)
           | _ -> ())
         homes4;
-      (* bit-rot one byte in the middle of the replica's cache journal *)
-      let victim = Filename.concat dir "r1/vcache/cache.journal" in
-      check_bool "replica cache journal exists" true (Sys.file_exists victim);
-      let size = (Unix.stat victim).Unix.st_size in
-      check_bool "cache journal is non-trivial" true (size > 64);
-      flip_byte_at victim (size / 2);
-      let r = Option.get (Supervisor.scrub_cache t) in
-      check_bool "scrub converged the cache replicas" true r.Scrub.converged;
-      check_int "exactly the damaged frame was patched" 1 r.Scrub.patched_frames;
-      check_bool "repair I/O bounded by the damage, not the file size" true
-        (r.Scrub.repair_bytes > 0 && r.Scrub.repair_bytes < size);
-      let r2 = Option.get (Supervisor.scrub_cache t) in
-      check_bool "second pass finds a healthy converged cache" true
-        (r2.Scrub.healthy && r2.Scrub.converged);
-      check_int "second pass writes nothing" 0 r2.Scrub.repair_bytes;
-      Supervisor.close t)
+      check_frame_repair "audited fleet"
+        (Filename.concat dir "r1/vcache/cache.journal")
+        (fun () -> Option.get (Supervisor.scrub_cache t));
+      Supervisor.close t;
+      (* a closed two-replica store holding 20 probe records, scrubbed
+         offline *)
+      let root = fresh_dir () in
+      let primary = Filename.concat root "vcache"
+      and replica = Filename.concat root "r1/vcache" in
+      let st = Vcache.open_store ~fsync:false ~replicas:[ replica ] ~dir:primary () in
+      let h = Vcache.attach st ~owner:"probe" in
+      for _ = 1 to 20 do
+        match Vcache.probe_write h with
+        | `Accepted -> ()
+        | `Fenced | `Dropped -> Alcotest.fail "a probe append must land"
+      done;
+      Vcache.close_store st;
+      check_frame_repair "probe-filled store"
+        (Filename.concat replica "cache.journal")
+        (fun () ->
+          Scrub.scrub_home ~fsync:false
+            ~files:[ "cache.snapshot"; "cache.journal" ]
+            [ primary; replica ]))
 
 (* -- repros and the shrinker --------------------------------------------------- *)
 
@@ -760,8 +855,7 @@ let chaos_shrinker_minimizes_fence_bug =
       in
       check_bool "the schedule shrank" true
         (List.length minimal < List.length schedule);
-      check_bool "minimal repro is at most 3 events" true
-        (List.length minimal <= 3);
+      check_int "minimal repro is one event" 1 (List.length minimal);
       check_bool "the shrinker ran trial campaigns" true (trials > 1);
       (* the minimized schedule replays deterministically: two buggy
          runs violate identically, and an enforced run passes *)
@@ -857,6 +951,7 @@ let () =
           crashed_reply_carries_retry_hint;
           wedged_shard_is_fenced;
           supervisor_scrub_converges;
+          dead_shards_refuse_only_their_homes;
         ] );
       ("chaos",
         [ chaos_smoke_campaign; chaos_cache_invariants; chaos_is_deterministic ]);

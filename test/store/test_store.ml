@@ -1013,6 +1013,74 @@ let replayed_install_equals_live =
         (Homeguard_corpus.Corpus.synth ~seed:5 ~n_homes:6);
       check_bool "some home kept a threat edge" true !any_edges)
 
+(* Replication is transparent and its cost is the replica writes
+   alone: 6 synthetic homes (seed 23) ingested at R=1 and at R=2 reach
+   the same state and audit; at R=2 every replica journal equals its
+   primary byte for byte; and re-audits append to no journal at either
+   R. *)
+let replication_is_transparent =
+  test "R=2 ingest mirrors R=1 state; replicas equal the primary; audits write nothing"
+    (fun () ->
+      let synth = Homeguard_corpus.Corpus.synth ~seed:23 ~n_homes:6 in
+      check_int "homes" 6 (List.length synth);
+      let extract (e : App_entry.t) =
+        (Extract.extract_source ~name:e.App_entry.name e.App_entry.source).Extract.app
+      in
+      let run r =
+        let root = fresh_dir () in
+        let homes =
+          List.map
+            (fun (h : Synth.home) ->
+              let dir = Filename.concat root ("h_" ^ h.Synth.id) in
+              let replicas =
+                List.init (r - 1) (fun k ->
+                    Filename.concat root (Printf.sprintf "r%d/h_%s" (k + 1) h.Synth.id))
+              in
+              fst (Home.open_ ~fsync:false ~replicas ~dir ()))
+            synth
+        in
+        List.iter2
+          (fun home (h : Synth.home) ->
+            List.iter (fun e -> ignore (Home.install_app home (extract e))) h.Synth.apps;
+            List.iteri
+              (fun i uri -> ignore (Home.deliver home ~seq:(i + 1) uri))
+              h.Synth.configs)
+          homes synth;
+        (* each home's journals, primary first *)
+        let journals home =
+          List.filter Sys.file_exists
+            (List.map (fun d -> Filename.concat d "journal") (Home.replica_dirs home))
+        in
+        let sizes () =
+          List.concat_map
+            (fun home -> List.map (fun p -> (Unix.stat p).Unix.st_size) (journals home))
+            homes
+        in
+        let ingested = sizes () in
+        let texts = List.map Home.audit_text homes in
+        List.iter (fun home -> ignore (Home.audit home)) homes;
+        Alcotest.(check (list int))
+          (Printf.sprintf "R=%d: audits leave every journal's size unchanged" r)
+          ingested (sizes ());
+        List.iter
+          (fun home ->
+            match List.map read_file (journals home) with
+            | primary :: replicas ->
+              List.iter (check_string "replica journal equals the primary" primary) replicas
+            | [] -> Alcotest.fail "a home without a journal")
+          homes;
+        let digests = List.map Home.state_digest homes in
+        let n_journals = List.length (List.concat_map journals homes) in
+        List.iter Home.close homes;
+        (digests, texts, n_journals)
+      in
+      let d1, t1, j1 = run 1 in
+      let d2, t2, j2 = run 2 in
+      check_int "journals at R=1" 6 j1;
+      check_int "journals at R=2" 12 j2;
+      Alcotest.(check (list string)) "state digests at R=1 and R=2" d1 d2;
+      Alcotest.(check (list string)) "audit text at R=1 and R=2" t1 t2)
+
 (* -- the checked-in corrupted fixture ------------------------------------------ *)
 
 let fixture_recovers =
@@ -1097,6 +1165,7 @@ let () =
           scrub_repairs_and_audit_is_identical;
           replay_determinism_property;
           replayed_install_equals_live;
+          replication_is_transparent;
         ] );
       ("merge", Test_merge.tests);
       ("pair-index", Test_index.tests);

@@ -1,10 +1,8 @@
 (** The bench support library: JSON round-trips, nearest-rank
-    percentiles, trajectory compare semantics and the in-process
-    recursive remove. *)
+    percentiles and the in-process recursive remove. *)
 
 module Json = Homeguard_bench.Json
 module Stats = Homeguard_bench.Stats
-module Trajectory = Homeguard_bench.Trajectory
 module Fsutil = Homeguard_bench.Fsutil
 
 (* -- JSON ---------------------------------------------------------------- *)
@@ -62,101 +60,7 @@ let percentile_nearest_rank =
 
 let percentile_empty =
   Helpers.test "empty sample yields None, not a raise" (fun () ->
-      Helpers.check_bool "percentile" true (Stats.percentile 0.95 [] = None);
-      Helpers.check_bool "mean" true (Stats.mean [] = None))
-
-(* -- trajectory ---------------------------------------------------------- *)
-
-let key = { Trajectory.dataset_id = "d"; snapshot_hash = "h"; config = "c"; code_version = "v" }
-
-let traj sections = { Trajectory.key; sections }
-
-let sec title metrics = { Trajectory.title; metrics }
-
-let trajectory_roundtrip =
-  Helpers.test "trajectory file round-trips" (fun () ->
-      let t =
-        traj
-          [
-            sec "P1"
-              Trajectory.
-                [
-                  metric ~direction:Exact "threats" 3845.0;
-                  metric ~unit_:"ms" ~direction:Lower_better "wall_ms" 123.456;
-                ];
-            sec "A3" Trajectory.[ metric ~unit_:"us" ~direction:Lower_better "dnf" 39.0 ];
-          ]
-      in
-      match Trajectory.of_string (Trajectory.to_string t) with
-      | Ok t' -> Helpers.check_bool "equal" true (t = t')
-      | Error e -> Alcotest.failf "parse failed: %s" e)
-
-let compare_directions =
-  Helpers.test "compare honors per-metric directions" (fun () ->
-      let base =
-        traj
-          [
-            sec "S"
-              Trajectory.
-                [
-                  metric ~direction:Exact "count" 10.0;
-                  metric ~direction:Lower_better "ms" 100.0;
-                  metric ~direction:Higher_better "rate" 100.0;
-                  metric ~direction:Info "noise" 100.0;
-                ];
-          ]
-      in
-      let cur =
-        traj
-          [
-            sec "S"
-              Trajectory.
-                [
-                  metric ~direction:Exact "count" 11.0;
-                  metric ~direction:Lower_better "ms" 110.0;
-                  metric ~direction:Higher_better "rate" 60.0;
-                  metric ~direction:Info "noise" 900.0;
-                ];
-          ]
-      in
-      let status name deltas =
-        (List.find (fun d -> d.Trajectory.metric_name = name) deltas).Trajectory.status
-      in
-      let d25 = Trajectory.compare ~threshold_pct:25.0 ~baseline:base ~current:cur in
-      Helpers.check_bool "exact drift regresses" true (status "count" d25 = Trajectory.Regressed);
-      Helpers.check_bool "+10% under 25% threshold ok" true
-        (status "ms" d25 = Trajectory.Unchanged);
-      Helpers.check_bool "-40% throughput regresses" true
-        (status "rate" d25 = Trajectory.Regressed);
-      Helpers.check_bool "info never gates" true (status "noise" d25 = Trajectory.Unchanged);
-      let d5 = Trajectory.compare ~threshold_pct:5.0 ~baseline:base ~current:cur in
-      Helpers.check_bool "+10% over 5% threshold regresses" true
-        (status "ms" d5 = Trajectory.Regressed);
-      Helpers.check_bool "regression detected" true (Trajectory.has_regression d5))
-
-let compare_missing_added =
-  Helpers.test "missing and added metrics never fail the comparison" (fun () ->
-      let base = traj [ sec "S" Trajectory.[ metric ~direction:Exact "gone" 1.0 ] ] in
-      let cur = traj [ sec "S" Trajectory.[ metric ~direction:Exact "new" 1.0 ] ] in
-      let deltas = Trajectory.compare ~threshold_pct:25.0 ~baseline:base ~current:cur in
-      Helpers.check_int "two rows" 2 (List.length deltas);
-      Helpers.check_bool "no regression" false (Trajectory.has_regression deltas))
-
-let compare_improvement =
-  Helpers.test "improvements are reported, not penalized" (fun () ->
-      let base = traj [ sec "S" Trajectory.[ metric ~direction:Lower_better "ms" 100.0 ] ] in
-      let cur = traj [ sec "S" Trajectory.[ metric ~direction:Lower_better "ms" 30.0 ] ] in
-      match Trajectory.compare ~threshold_pct:25.0 ~baseline:base ~current:cur with
-      | [ d ] -> Helpers.check_bool "improved" true (d.Trajectory.status = Trajectory.Improved)
-      | _ -> Alcotest.fail "expected one delta")
-
-let key_drift =
-  Helpers.test "key drift is surfaced field by field" (fun () ->
-      let other = { key with Trajectory.snapshot_hash = "h2"; code_version = "v2" } in
-      let drift =
-        Trajectory.key_drift ~baseline:(traj []) ~current:{ Trajectory.key = other; sections = [] }
-      in
-      Helpers.check_int "two drifting fields" 2 (List.length drift))
+      Helpers.check_bool "percentile" true (Stats.percentile 0.95 [] = None))
 
 (* -- rm_rf --------------------------------------------------------------- *)
 
@@ -177,19 +81,6 @@ let rm_rf_tree =
       (* second removal is a no-op, not an error *)
       Fsutil.rm_rf root)
 
-(* The checked-in trajectories are the bench's history: parsing one and
-   rendering it back must reproduce the file byte for byte. *)
-let trajectory_files_golden =
-  Helpers.test "checked-in trajectory files re-render byte-identically" (fun () ->
-      List.iter
-        (fun tag ->
-          let path = Printf.sprintf "../BENCH_%s.json" tag in
-          let text = In_channel.with_open_bin path In_channel.input_all in
-          match Trajectory.of_string text with
-          | Ok t -> Helpers.check_string path text (Trajectory.to_string t)
-          | Error e -> Alcotest.failf "%s: %s" path e)
-        [ "P6"; "P7"; "P8"; "P9"; "P10" ])
-
 let tests =
   [
     json_roundtrip;
@@ -197,11 +88,5 @@ let tests =
     json_rejects_garbage;
     percentile_nearest_rank;
     percentile_empty;
-    trajectory_roundtrip;
-    compare_directions;
-    compare_missing_added;
-    compare_improvement;
-    key_drift;
     rm_rf_tree;
-    trajectory_files_golden;
   ]

@@ -1,10 +1,11 @@
 (** Differential tests for the planner's fast paths: the allocation-free
     switch classifier against the lowercase-and-substring reference it
     replaced, and the fact-driven plan against [detect_pair] over every
-    cross-app rule pair. *)
+    cross-app rule pair; and the audit pool's exact counters. *)
 
 module Rule = Homeguard_rules.Rule
 module Formula = Homeguard_solver.Formula
+module Budget = Homeguard_solver.Budget
 module Detector = Homeguard_detector.Detector
 module Threat = Homeguard_detector.Threat
 module Effects = Homeguard_detector.Effects
@@ -620,6 +621,53 @@ let install_row_matches_reference =
       let failures = check_installs "raising hook" raising first_12 in
       check_bool "some pairs failed" true (failures > 0))
 
+(* -- audit pool counters ------------------------------------------------------- *)
+
+(* The 125-app audit's exact counters. Any drift in the plan, the
+   detector or the solver-result reuse shows up here first. *)
+let audit_pool_counters =
+  test "audit pool: 2868 pairs, 3845 threats, 3917 solves (4247 unshared), all decided"
+    (fun () ->
+      let apps = Lazy.force audit_pool in
+      check_int "candidate pairs" 2868
+        (Array.length (Detector.candidate_pairs (Detector.create Detector.offline_config) apps));
+      let run config jobs =
+        let ctx = Detector.create config in
+        let threats = Detector.detect_all ~jobs ctx apps in
+        (List.map Threat.to_string threats, ctx.Detector.solver_calls)
+      in
+      let t1, calls = run Detector.offline_config 1 in
+      let t2, _ = run Detector.offline_config 2 in
+      check_int "threats" 3845 (List.length t1);
+      Alcotest.(check (list string)) "threat lines at jobs 1 and 2" t1 t2;
+      check_int "solver calls" 3917 calls;
+      check_int "solver calls without reuse" 4247
+        (snd (run { Detector.offline_config with Detector.reuse = false } 1));
+      List.iter
+        (fun (label, budget) ->
+          List.iter
+            (fun jobs ->
+              let ctx = Detector.create { Detector.offline_config with Detector.budget } in
+              let r = Detector.audit_all ~jobs ctx apps in
+              let label = Printf.sprintf "%s budget, jobs=%d" label jobs in
+              check_int (label ^ ": undecided") 0 r.Detector.undecided;
+              check_int (label ^ ": failed") 0 (List.length r.Detector.failures))
+            [ 1; 2 ])
+        [ ("unlimited", Budget.unlimited_spec); ("default", Budget.default_spec) ];
+      (* paper Fig 9's A1 pair: AR and CT ask the same conditions-overlap
+         question, which reuse answers once *)
+      let a1_solves reuse =
+        let first name =
+          let a = extract_corpus name in
+          (a, List.hd a.Rule.rules)
+        in
+        let ctx = Detector.create { Detector.offline_config with Detector.reuse } in
+        ignore (Detector.detect_pair ctx (first "ItsTooHot") (first "EnergySaver"));
+        ctx.Detector.solver_calls
+      in
+      check_int "A1 solves with reuse" 1 (a1_solves true);
+      check_int "A1 solves without reuse" 2 (a1_solves false))
+
 let tests =
   [
     classifier_matches_reference_on_corpus;
@@ -632,4 +680,5 @@ let tests =
     device_relation_matches_reference;
     grouped_failures_in_flat_order;
     install_row_matches_reference;
+    audit_pool_counters;
   ]

@@ -388,6 +388,31 @@ let sweep_is_byte_identical =
       check_bool "L1 stored pair matrices" true (seq_inserts > 0);
       check_int "L1 inserts at jobs 2 equal jobs 1" seq_inserts par_inserts)
 
+(* The fixed fleet pass: 400 homes (seed 13) audited uncached, then
+   through one store cold and warm, with both tiers on. Its counters
+   are exact. *)
+let fixed_fleet_counters =
+  test "400-home fleet: cached == uncached at jobs 1 and 2; exact class and hit counts"
+    (fun () ->
+      let homes = Corpus.synth ~seed:13 ~n_homes:400 in
+      let base = List.map (home_threats ~jobs:1) homes in
+      let same label threats = Alcotest.(check (list (list string))) label base threats in
+      same "uncached at jobs 2" (List.map (home_threats ~jobs:2) homes);
+      let st = Vcache.open_store ~fsync:false ~dir:(fresh_dir ()) () in
+      let h = Vcache.attach st ~owner:"fixed" in
+      let cached jobs = List.map (home_threats ~layer:(Vcache.configure h) ~jobs) homes in
+      same "cold at jobs 1" (cached 1);
+      let c = Vcache.counters h in
+      check_int "cold solve hits" 71 c.Vcache.hits;
+      check_int "cold solve misses" 709 c.Vcache.misses;
+      check_int "cold pair hits" 11 c.Vcache.pair_hits;
+      check_int "solve classes" 707 (Vcache.entries st);
+      check_int "pair classes" 1923 (Vcache.pair_entries st);
+      same "warm at jobs 1" (cached 1);
+      same "warm at jobs 2" (cached 2);
+      check_int "conflicts" 0 (Vcache.counters h).Vcache.conflicts;
+      Vcache.close_store st)
+
 (* -- pair tier (L1) -------------------------------------------------------------- *)
 
 (* The L1 key rendered in full on every call, as before per-app parts:
@@ -619,6 +644,6 @@ let () =
           replayed_delete_requeues;
           compacted_unknown_requeues;
         ] );
-      ("property", [ sweep_is_byte_identical ]);
+      ("property", [ sweep_is_byte_identical; fixed_fleet_counters ]);
       ("pair tier", [ l1_shared_across_parsed_copies; l1_keys_exact_over_events ]);
     ]

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Net line count of the library code against a base commit:
+# Net line count of the OCaml code against a base commit:
 #   bash tools/netloc.sh BASE
-# Sums `git diff --numstat BASE` over the .ml and .mli files under lib/
-# (BASE against the working tree, so staged new files count) and prints
-# one line per changed file, then the lines added, removed and net.
+# Sums `git diff --numstat BASE` over the .ml and .mli files (BASE
+# against the working tree, so staged new files count). Prints one line
+# per changed file under lib/, then the lines added, removed and net for
+# lib/, and one total line each for bench/, bin/ and test/.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -15,3 +16,10 @@ git diff --numstat "$1" -- 'lib/*.ml' 'lib/*.mli' |
   awk -F'\t' '
     { printf "%6s %6s  %s\n", "+" $1, "-" $2, $3; added += $1; removed += $2 }
     END { printf "lib .ml/.mli: added %d, removed %d, net %+d\n", added, removed, added - removed }'
+
+for dir in bench bin test; do
+  git diff --numstat "$1" -- "$dir/*.ml" "$dir/*.mli" |
+    awk -F'\t' -v dir="$dir" '
+      { added += $1; removed += $2 }
+      END { printf "%s .ml/.mli: added %d, removed %d, net %+d\n", dir, added, removed, added - removed }'
+done
