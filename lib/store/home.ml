@@ -489,7 +489,8 @@ let state_digest t = Digest.to_hex (Digest.string (state_text t))
 let surfaced_corruption ?(replicas = []) ~dir () =
   let contains ~sub s =
     let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    let rec at i k = k = m || (s.[i + k] = sub.[k] && at i (k + 1)) in
+    let rec go i = i + m <= n && (at i 0 || go (i + 1)) in
     go 0
   in
   let count path =

@@ -157,9 +157,10 @@ type damage =
 
 type scan = {
   records : string list;
-  frames : string list;
-      (** the exact on-disk frame bytes of each valid record, in
-          [records] order — what frame-level repair patches with *)
+  spans : (int * int) list;
+      (** [(offset, length)] of each valid record's whole frame in the
+          scanned image, in [records] order — what frame-level repair
+          patches with. Spans, not copies: only scrub reads frames. *)
   epochs : int list;  (** the epoch stamped on each valid frame *)
   damage : damage list;
   first_damage_index : int option;
@@ -170,53 +171,55 @@ type scan = {
           durable fingerprint of an accepted stale-epoch append *)
 }
 
-let is_hex = function '0' .. '9' | 'a' .. 'f' -> true | _ -> false
+(* The frame form whose magic starts at [pos] (1 for [HGJ1], 2 for
+   [HGJ2], 0 for neither), read in place. *)
+let magic_at s pos =
+  if
+    pos + 5 <= String.length s
+    && String.unsafe_get s pos = 'H'
+    && String.unsafe_get s (pos + 1) = 'G'
+    && String.unsafe_get s (pos + 2) = 'J'
+    && String.unsafe_get s (pos + 4) = ' '
+  then match String.unsafe_get s (pos + 3) with '1' -> 1 | '2' -> 2 | _ -> 0
+  else 0
 
-let hex_run_ok s pos len =
-  let ok = ref true in
-  for i = pos to pos + len - 1 do
-    if not (is_hex s.[i]) then ok := false
-  done;
-  !ok
+(* The 8 lowercase hex digits at [pos] as an int, or -1. *)
+let hex8 s pos =
+  let rec go i acc =
+    if i = pos + 8 then acc
+    else
+      match s.[i] with
+      | '0' .. '9' as c -> go (i + 1) ((acc lsl 4) lor (Char.code c - 48))
+      | 'a' .. 'f' as c -> go (i + 1) ((acc lsl 4) lor (Char.code c - 87))
+      | _ -> -1
+  in
+  go pos 0
 
-(* A syntactically valid header at [pos]: (payload-len, crc, epoch,
-   header-len), for either frame form. *)
+(* A syntactically valid header at [pos], which the caller has checked
+   holds a whole header of its form: (payload-len, crc, epoch,
+   header-len). *)
 let parse_header s pos =
-  let m = String.sub s pos 5 in
-  if m = magic then
-    if
-      s.[pos + 13] = ' '
-      && s.[pos + 22] = '\n'
-      && hex_run_ok s (pos + 5) 8
-      && hex_run_ok s (pos + 14) 8
-    then
-      Some
-        ( int_of_string ("0x" ^ String.sub s (pos + 5) 8),
-          int_of_string ("0x" ^ String.sub s (pos + 14) 8),
-          0,
-          header_len )
+  match magic_at s pos with
+  | 1 ->
+    let len = hex8 s (pos + 5) and crc = hex8 s (pos + 14) in
+    if s.[pos + 13] = ' ' && s.[pos + 22] = '\n' && len >= 0 && crc >= 0 then
+      Some (len, crc, 0, header_len)
     else None
-  else if m = magic2 then
+  | 2 ->
+    let len = hex8 s (pos + 5) and crc = hex8 s (pos + 14) and epoch = hex8 s (pos + 23) in
     if
       s.[pos + 13] = ' '
       && s.[pos + 22] = ' '
       && s.[pos + 31] = '\n'
-      && hex_run_ok s (pos + 5) 8
-      && hex_run_ok s (pos + 14) 8
-      && hex_run_ok s (pos + 23) 8
-    then
-      Some
-        ( int_of_string ("0x" ^ String.sub s (pos + 5) 8),
-          int_of_string ("0x" ^ String.sub s (pos + 14) 8),
-          int_of_string ("0x" ^ String.sub s (pos + 23) 8),
-          header_len2 )
+      && len >= 0 && crc >= 0 && epoch >= 0
+    then Some (len, crc, epoch, header_len2)
     else None
-  else None
+  | _ -> None
 
 let scan_string s =
   let n = String.length s in
   let records = ref [] and damage = ref [] and first = ref None in
-  let frames = ref [] and epochs = ref [] in
+  let spans = ref [] and epochs = ref [] in
   let max_epoch = ref 0 and regressions = ref 0 in
   let note d =
     if !first = None then first := Some (List.length !records);
@@ -227,12 +230,7 @@ let scan_string s =
   let find_resync from =
     let rec go i =
       if i + 1 + String.length magic > n then None
-      else if
-        s.[i] = '\n'
-        &&
-        let m = String.sub s (i + 1) (String.length magic) in
-        m = magic || m = magic2
-      then Some (i + 1)
+      else if s.[i] = '\n' && magic_at s (i + 1) <> 0 then Some (i + 1)
       else go (i + 1)
     in
     go from
@@ -248,10 +246,7 @@ let scan_string s =
   in
   let rec step pos =
     if pos >= n then ()
-    else if
-      n - pos < header_len
-      || (String.sub s pos 5 = magic2 && n - pos < header_len2)
-    then
+    else if n - pos < header_len || (magic_at s pos = 2 && n - pos < header_len2) then
       (* shorter than its header: a write torn before the frame completed *)
       note (Torn_tail { offset = pos; raw = String.sub s pos (n - pos) })
     else
@@ -274,7 +269,7 @@ let scan_string s =
         else
           if s.[fin - 1] = '\n' && Crc32.substring s (pos + hlen) plen = crc then begin
             records := String.sub s (pos + hlen) plen :: !records;
-            frames := String.sub s pos (fin - pos) :: !frames;
+            spans := (pos, fin - pos) :: !spans;
             epochs := epoch :: !epochs;
             if epoch < !max_epoch then incr regressions
             else max_epoch := epoch;
@@ -293,7 +288,7 @@ let scan_string s =
   step 0;
   {
     records = List.rev !records;
-    frames = List.rev !frames;
+    spans = List.rev !spans;
     epochs = List.rev !epochs;
     damage = List.rev !damage;
     first_damage_index = !first;

@@ -68,9 +68,10 @@ type damage =
 
 type scan = {
   records : string list;  (** valid payloads, in order *)
-  frames : string list;
-      (** the exact on-disk frame bytes of each valid record, in
-          [records] order — what frame-level repair patches with *)
+  spans : (int * int) list;
+      (** [(offset, length)] of each valid record's whole frame in the
+          scanned bytes, in [records] order — what frame-level repair
+          patches with. Frames are not copied out of the image. *)
   epochs : int list;  (** the epoch stamped on each valid frame *)
   damage : damage list;
   first_damage_index : int option;
@@ -83,6 +84,9 @@ type scan = {
 }
 
 val scan_string : string -> scan
+(** A pure function of the bytes: equal images scan equal, so a replica
+    set scans each distinct image once ({!Rjournal.scan_replicas}). *)
+
 val scan : string -> scan
 (** Read-only; a missing file scans as empty. *)
 

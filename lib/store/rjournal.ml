@@ -182,33 +182,62 @@ type recovery = {
 let damage_bytes = function
   | Journal.Torn_tail { raw; _ } | Journal.Corrupt { raw; _ } -> String.length raw
 
+(* -- scanning a replica set ------------------------------------------------------ *)
+
+type replica_scan = {
+  r_path : string;
+  r_present : bool;  (** the file existed when it was read *)
+  r_image : string;  (** the replica's bytes as read *)
+  r_scan : Journal.scan;
+}
+
+(* Replicas of a healthy journal are byte-identical, and
+   [Journal.scan_string] is a pure function of the bytes, so an image
+   equal to one already scanned reuses that scan: a replica set costs
+   one read per replica and one scan per distinct image. *)
+let scan_replicas paths =
+  let rec go seen = function
+    | [] -> []
+    | path :: rest ->
+      let present = Sys.file_exists path in
+      let image = Journal.read_file path in
+      let scan =
+        match List.find_opt (fun (img, _) -> String.equal img image) seen with
+        | Some (_, sc) -> sc
+        | None -> Journal.scan_string image
+      in
+      { r_path = path; r_present = present; r_image = image; r_scan = scan }
+      :: go ((image, scan) :: seen) rest
+  in
+  go [] paths
+
 (** Scan all replicas of one journal, merge the surviving records,
     quarantine damage into each replica's own sidecar and rewrite every
     stale/damaged/missing replica with the merged stream. *)
 let recover ?(fsync = true) paths =
   if paths = [] then invalid_arg "Rjournal.recover: no replica paths";
-  let scans = List.map (fun p -> (p, Sys.file_exists p, Journal.scan p)) paths in
-  let merged = merge_records (List.map (fun (_, _, sc) -> sc.Journal.records) scans) in
-  let max_epoch =
-    List.fold_left (fun a (_, _, (sc : Journal.scan)) -> max a sc.Journal.max_epoch) 0 scans
-  in
+  let scans = scan_replicas paths in
+  let merged = merge_records (List.map (fun r -> r.r_scan.Journal.records) scans) in
+  let max_epoch = List.fold_left (fun a r -> max a r.r_scan.Journal.max_epoch) 0 scans in
+  let diverged = ref false in
   let replicas =
     List.map
-      (fun (path, present, sc) ->
+      (fun { r_path = path; r_present = present; r_scan = sc; _ } ->
         let torn, corrupt =
           List.partition
             (function Journal.Torn_tail _ -> true | Journal.Corrupt _ -> false)
             sc.Journal.damage
         in
+        let damaged = sc.Journal.damage <> [] in
+        let stale = not (List.equal String.equal sc.Journal.records merged) in
+        if stale then diverged := true;
         let needs_rewrite =
           (* an absent file with nothing to hold is a fresh open, not a
              lost replica — creating it would make every first open look
              like a repair *)
-          if present then sc.Journal.damage <> [] || sc.Journal.records <> merged
-          else merged <> []
+          if present then damaged || stale else merged <> []
         in
-        if sc.Journal.damage <> [] then
-          Journal.quarantine_damage path sc.Journal.damage;
+        if damaged then Journal.quarantine_damage path sc.Journal.damage;
         if needs_rewrite then begin
           mkdirs (Filename.dirname path);
           Journal.write_atomic ~fsync ~epoch:max_epoch path merged
@@ -239,10 +268,7 @@ let recover ?(fsync = true) paths =
           | Some a, Some b -> Some (min a b))
         None replicas;
     max_epoch;
-    diverged =
-      List.exists
-        (fun (_, _, sc) -> sc.Journal.records <> merged)
-        scans;
+    diverged = !diverged;
     healed =
       List.fold_left (fun a r -> a + (merged_len - r.records)) 0 replicas;
     all_replicas_damaged =

@@ -44,6 +44,19 @@ val merge_records : string list list -> string list
 
 (** {2 Recovery} *)
 
+type replica_scan = {
+  r_path : string;
+  r_present : bool;  (** the file existed when it was read *)
+  r_image : string;  (** the replica's bytes as read *)
+  r_scan : Journal.scan;
+}
+
+val scan_replicas : string list -> replica_scan list
+(** Read every replica once and scan each distinct byte image once: a
+    replica whose bytes equal an earlier one's reuses that scan, since
+    {!Journal.scan_string} is a pure function of the bytes. Recovery and
+    scrub both start here. *)
+
 type replica_report = {
   path : string;
   present : bool;

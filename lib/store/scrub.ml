@@ -27,25 +27,22 @@
 
 let default_files = [ "snapshot"; "journal" ]
 
-let files_of_dir dir = [ Filename.concat dir "snapshot"; Filename.concat dir "journal" ]
-
-(** Record-stream digest of one replica directory: the digest of every
-    valid record of every file in [~files] order. Missing files digest
-    as empty streams, so a destroyed replica simply disagrees with its
-    healthy siblings. *)
-let dir_digest ?(files = default_files) dir =
+(* Record-stream digest of one replica directory, from its per-file
+   scans in [~files] order: the digest of every valid record of every
+   file. Missing files scan as empty streams, so a destroyed replica
+   simply disagrees with its healthy siblings. *)
+let digest_of (scans : Rjournal.replica_scan list) =
   let b = Buffer.create 1024 in
   List.iter
-    (fun name ->
-      let sc = Journal.scan (Filename.concat dir name) in
+    (fun (r : Rjournal.replica_scan) ->
       List.iter
         (fun r ->
           Buffer.add_string b (string_of_int (String.length r));
           Buffer.add_char b ':';
           Buffer.add_string b r)
-        sc.Journal.records;
+        r.Rjournal.r_scan.Journal.records;
       Buffer.add_char b '|')
-    files;
+    scans;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 type home_report = {
@@ -120,40 +117,35 @@ type file_repair = {
 }
 
 (** Repair one logical file (e.g. ["journal"]) across the replica
-    directories at frame granularity. Each replica's surviving records
-    form a subsequence of the merged stream (the {!Rjournal} merge
-    guarantee), so a greedy walk aligns every replica's frames against
-    the merged order; each replica's target image keeps its own frame
-    bytes wherever it holds the record and splices a sibling's frame (or
-    a re-framed payload) only where it lost one. Donor frames stamped
-    below the running epoch of the target are re-framed at the running
-    epoch, so splicing never manufactures an epoch regression. *)
-let repair_file ~fsync dirs name =
-  let infos =
-    List.map
-      (fun d ->
-        let path = Filename.concat d name in
-        (path, Sys.file_exists path, Journal.scan path))
-      dirs
-  in
+    directories at frame granularity, given its replica scans. Each
+    replica's surviving records form a subsequence of the merged stream
+    (the {!Rjournal} merge guarantee), so a greedy walk aligns every
+    replica's frames against the merged order; each replica's target
+    image keeps its own frame bytes wherever it holds the record and
+    splices a sibling's frame (or a re-framed payload) only where it
+    lost one. Donor frames stamped below the running epoch of the target
+    are re-framed at the running epoch, so splicing never manufactures
+    an epoch regression. *)
+let repair_file ~fsync (infos : Rjournal.replica_scan list) =
   let merged =
-    Rjournal.merge_records (List.map (fun (_, _, sc) -> sc.Journal.records) infos)
+    Rjournal.merge_records (List.map (fun r -> r.Rjournal.r_scan.Journal.records) infos)
   in
   let marr = Array.of_list merged in
   let n = Array.length marr in
-  (* greedy subsequence embedding: own.(k) = this replica's frame bytes
-     and epoch for merged record k, if the replica holds it *)
+  (* greedy subsequence embedding: own.(k) = this replica's frame (as a
+     span of its image) and epoch for merged record k, if it holds it *)
   let embeddings =
     List.map
-      (fun (_, _, (sc : Journal.scan)) ->
+      (fun { Rjournal.r_image = image; r_scan = sc; _ } ->
         let recs = Array.of_list sc.Journal.records in
-        let frs = Array.of_list sc.Journal.frames in
+        let spans = Array.of_list sc.Journal.spans in
         let eps = Array.of_list sc.Journal.epochs in
         let own = Array.make (max n 1) None in
         let i = ref 0 in
         for k = 0 to n - 1 do
-          if !i < Array.length recs && recs.(!i) = marr.(k) then begin
-            own.(k) <- Some (frs.(!i), eps.(!i));
+          if !i < Array.length recs && String.equal recs.(!i) marr.(k) then begin
+            let off, len = spans.(!i) in
+            own.(k) <- Some (image, off, len, eps.(!i));
             incr i
           end
         done;
@@ -161,6 +153,10 @@ let repair_file ~fsync dirs name =
       infos
   in
   let donor k = List.find_map (fun own -> own.(k)) embeddings in
+  let reframed k epoch =
+    let fr = Journal.frame_epoch ~epoch marr.(k) in
+    (fr, 0, String.length fr, epoch)
+  in
   (* byte-exact target image for one replica, plus each target frame's
      [start, stop) offsets for the patched-frame count *)
   let target_of own =
@@ -168,21 +164,16 @@ let repair_file ~fsync dirs name =
     let buf = Buffer.create 4096 in
     let spans = ref [] in
     for k = 0 to n - 1 do
-      let fr, ep =
+      let ((_, _, _, ep) as fr) =
         match own.(k) with
-        | Some fe -> fe
+        | Some fr -> fr
         | None -> (
-          match donor k with
-          | Some fe -> fe
-          | None -> (Journal.frame_epoch ~epoch:!running marr.(k), !running))
+          match donor k with Some fr -> fr | None -> reframed k !running)
       in
-      let fr, ep =
-        if ep < !running then (Journal.frame_epoch ~epoch:!running marr.(k), !running)
-        else (fr, ep)
-      in
+      let src, off, len, ep = if ep < !running then reframed k !running else fr in
       running := max !running ep;
       let start = Buffer.length buf in
-      Buffer.add_string buf fr;
+      Buffer.add_substring buf src off len;
       spans := (start, Buffer.length buf) :: !spans
     done;
     (Buffer.contents buf, List.rev !spans)
@@ -197,34 +188,26 @@ let repair_file ~fsync dirs name =
       f_patched_frames = 0;
       f_repair_bytes = 0;
       f_max_epoch =
-        List.fold_left
-          (fun a (_, _, (sc : Journal.scan)) -> max a sc.Journal.max_epoch)
-          0 infos;
+        List.fold_left (fun a r -> max a r.Rjournal.r_scan.Journal.max_epoch) 0 infos;
     }
   in
   List.fold_left2
-    (fun acc (path, present, (sc : Journal.scan)) own ->
+    (fun acc { Rjournal.r_path = path; r_present = present; r_image = current; r_scan = sc }
+         own ->
       if sc.Journal.damage <> [] then Journal.quarantine_damage path sc.Journal.damage;
-      let torn_bytes =
+      let torn_bytes, corrupt =
         List.fold_left
-          (fun a -> function
-            | Journal.Torn_tail { raw; _ } -> a + String.length raw
-            | Journal.Corrupt _ -> a)
-          0 sc.Journal.damage
-      in
-      let corrupt =
-        List.length
-          (List.filter
-             (function Journal.Corrupt _ -> true | Journal.Torn_tail _ -> false)
-             sc.Journal.damage)
+          (fun (t, c) -> function
+            | Journal.Torn_tail { raw; _ } -> (t + String.length raw, c)
+            | Journal.Corrupt _ -> (t, c + 1))
+          (0, 0) sc.Journal.damage
       in
       let target, spans = target_of own in
-      let current = Journal.read_file path in
       (* an absent file with nothing to hold is a fresh open, not a lost
          replica — creating it would make every first open look like a
          repair *)
       let wrote =
-        if current = target || ((not present) && target = "") then None
+        if String.equal current target || ((not present) && target = "") then None
         else Some (patch_file ~fsync path ~current ~target)
       in
       let patched_frames =
@@ -248,35 +231,46 @@ let repair_file ~fsync dirs name =
       })
     zero infos embeddings
 
+(* One {!Rjournal.scan_replicas} per logical file: [by_file] is indexed
+   file-major, so replica [i]'s scans are the [i]th of every row. *)
+let scan_files dirs files =
+  List.map
+    (fun f -> Rjournal.scan_replicas (List.map (fun d -> Filename.concat d f) dirs))
+    files
+
+let digests dirs by_file =
+  List.mapi (fun i _ -> digest_of (List.map (fun row -> List.nth row i) by_file)) dirs
+
+let all_equal = function [] -> true | d :: ds -> List.for_all (String.equal d) ds
+
 (** Scrub one home given its replica directories. Safe only when no
     live writer holds the journals open (a live {!Home} scrubs itself
     via {!Home.scrub}, which parks its writers around this). [~files]
     selects the journal-framed surface — home journals by default, the
-    verdict cache's [cache.snapshot]/[cache.journal] for cache dirs. *)
+    verdict cache's [cache.snapshot]/[cache.journal] for cache dirs.
+    Every replica file is read and scanned once up front (each distinct
+    image once); repair works from those scans. *)
 let scrub_home ?(fsync = true) ?(files = default_files) dirs =
   if dirs = [] then invalid_arg "Scrub.scrub_home: no replica dirs";
-  let digests = List.map (dir_digest ~files) dirs in
-  let scans =
-    List.concat_map
-      (fun d -> List.map (fun f -> Journal.scan (Filename.concat d f)) files)
-      dirs
-  in
-  let damage = List.exists (fun sc -> sc.Journal.damage <> []) scans in
-  let converged_before =
-    match digests with [] -> true | d :: ds -> List.for_all (( = ) d) ds
+  let by_file = scan_files dirs files in
+  let digests_before = digests dirs by_file in
+  let damage =
+    List.exists
+      (List.exists (fun r -> r.Rjournal.r_scan.Journal.damage <> []))
+      by_file
   in
   (* converged + undamaged means read-repair would write nothing: a
      replica missing a file that holds records anywhere diverges the
      digests, and a file absent everywhere (e.g. no snapshot before the
      first compaction) needs no repair — counting it "missing" would
      leave such homes permanently unhealthy and break idempotence *)
-  let healthy = converged_before && not damage in
+  let healthy = all_equal digests_before && not damage in
   if healthy then
     {
       dirs;
       healthy = true;
       converged = true;
-      digest = (match digests with d :: _ -> d | [] -> "");
+      digest = (match digests_before with d :: _ -> d | [] -> "");
       repaired_replicas = 0;
       recreated_replicas = 0;
       frames_quarantined = 0;
@@ -285,19 +279,18 @@ let scrub_home ?(fsync = true) ?(files = default_files) dirs =
       patched_frames = 0;
       repair_bytes = 0;
       epoch =
-        List.fold_left (fun a (sc : Journal.scan) -> max a sc.Journal.max_epoch) 0 scans;
+        List.fold_left
+          (List.fold_left (fun a r -> max a r.Rjournal.r_scan.Journal.max_epoch))
+          0 by_file;
     }
   else begin
-    let repairs = List.map (repair_file ~fsync dirs) files in
+    let repairs = List.map (repair_file ~fsync) by_file in
     let sum f = List.fold_left (fun a r -> a + f r) 0 repairs in
-    let digests = List.map (dir_digest ~files) dirs in
-    let converged =
-      match digests with [] -> true | d :: ds -> List.for_all (( = ) d) ds
-    in
+    let digests = digests dirs (scan_files dirs files) in
     {
       dirs;
       healthy = false;
-      converged;
+      converged = all_equal digests;
       digest = (match digests with d :: _ -> d | [] -> "");
       repaired_replicas = sum (fun r -> r.f_repaired);
       recreated_replicas = sum (fun r -> r.f_recreated);

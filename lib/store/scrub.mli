@@ -6,16 +6,6 @@
     journals (default [~files]) and the verdict cache's
     [cache.snapshot]/[cache.journal] surface. *)
 
-val files_of_dir : string -> string list
-(** The journal files of one replica directory:
-    [[dir/snapshot; dir/journal]]. *)
-
-val dir_digest : ?files:string list -> string -> string
-(** Record-stream digest of one replica directory (valid records of
-    every file in [~files] order — default [snapshot] then [journal]).
-    Replay determinism makes equal digests imply equal
-    {!Home.state_digest}s. *)
-
 type home_report = {
   dirs : string list;
   healthy : bool;  (** nothing to do: present, undamaged, converged *)

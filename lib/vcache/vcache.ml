@@ -158,61 +158,145 @@ let owner_key st owner = st.fence_base ^ "#" ^ owner
 
 (* One payload per journal frame: tab-separated escaped fields; nested
    lists join with '\x01', nested pairs with '\x02' — both control
-   characters, so [String.escaped] fields can never contain them raw. *)
+   characters, so [String.escaped] fields can never contain them raw.
+
+   Decoding is the strict inverse of the encoding: fields are read in
+   place by index, and a payload is accepted only in the exact form the
+   encoder writes, so for every accepted payload [p] re-encoding the
+   decoded record gives back [p]. Anything else raises [Exit], which
+   replay counts as damage. *)
+
+(* The next [c] in [s] from [i], or [stop]. *)
+let rec next c s i stop =
+  if i >= stop || String.unsafe_get s i = c then i else next c s (i + 1) stop
+
+(* Bytes [String.escaped] leaves as they are. *)
+let plain c = c >= ' ' && c <= '~' && c <> '"' && c <> '\\'
+
+(* The strict inverse of [String.escaped] on [s.[pos..stop-1]]: runs of
+   plain bytes are copied, and only the escapes [String.escaped] emits
+   are decoded — [\\ \" \n \t \b \r], and [\ddd] for a byte that is
+   neither plain nor named. Anything else raises [Exit]: a raw ['"'], a
+   raw control or high byte, [\'], [\x41], [\065]. *)
+let unescape_sub s pos stop =
+  let b = Bytes.create (stop - pos) in
+  let digit i =
+    match s.[i] with '0' .. '9' as c -> Char.code c - 48 | _ -> raise Exit
+  in
+  let rec run i o =
+    let j = ref i in
+    while !j < stop && plain (String.unsafe_get s !j) do incr j done;
+    let len = !j - i in
+    Bytes.blit_string s i b o len;
+    if !j = stop then o + len else escape !j (o + len)
+  and escape i o =
+    if String.unsafe_get s i <> '\\' || i + 1 = stop then raise Exit;
+    let put c k =
+      Bytes.unsafe_set b o c;
+      run (i + k) (o + 1)
+    in
+    match s.[i + 1] with
+    | ('\\' | '"') as c -> put c 2
+    | 'n' -> put '\n' 2
+    | 't' -> put '\t' 2
+    | 'b' -> put '\b' 2
+    | 'r' -> put '\r' 2
+    | '0' .. '9' ->
+      if i + 4 > stop then raise Exit;
+      let n = (100 * digit (i + 1)) + (10 * digit (i + 2)) + digit (i + 3) in
+      if n > 255 then raise Exit;
+      let c = Char.chr n in
+      if (c >= ' ' && c <= '~') || c = '\n' || c = '\t' || c = '\b' || c = '\r' then
+        raise Exit;
+      put c 4
+    | _ -> raise Exit
+  in
+  let len = run pos 0 in
+  if len = stop - pos then Bytes.unsafe_to_string b else Bytes.sub_string b 0 len
+
+let unescape s = unescape_sub s 0 (String.length s)
+
+(* An int in exactly [string_of_int]'s form: no sign but a leading '-',
+   no leading zero, no "-0", no overflow. *)
+let dec_int s pos stop =
+  let neg = pos < stop && s.[pos] = '-' in
+  let p = if neg then pos + 1 else pos in
+  if p >= stop || (s.[p] = '0' && (neg || stop - p > 1)) then raise Exit;
+  (* accumulate negatively, so min_int parses *)
+  let acc = ref 0 in
+  for i = p to stop - 1 do
+    match s.[i] with
+    | '0' .. '9' as c ->
+      let d = Char.code c - 48 in
+      if !acc < (min_int + d) / 10 then raise Exit;
+      acc := (!acc * 10) - d
+    | _ -> raise Exit
+  done;
+  if neg then !acc else if !acc = min_int then raise Exit else - !acc
+
+(* [dec] over every '\x01'-separated item of [s.[pos..stop-1]]; the
+   empty range is the empty list. *)
+let dec_list dec s pos stop =
+  if pos = stop then []
+  else
+    let rec go i =
+      let j = next '\x01' s i stop in
+      let x = dec s i j in
+      if j = stop then [ x ] else x :: go (j + 1)
+    in
+    go pos
+
+(* An escaped name, '\x02', then [dec] of the rest. *)
+let dec_named dec s pos stop =
+  let k = next '\x02' s pos stop in
+  if k = stop then raise Exit;
+  let name = unescape_sub s pos k in
+  (name, dec s (k + 1) stop)
 
 let enc_sval = function
   | Abstract.I n -> "i" ^ string_of_int n
   | Abstract.S s -> "s" ^ String.escaped s
 
-let dec_sval s =
-  if s = "" then raise Exit
+let dec_sval s pos stop =
+  if pos = stop then raise Exit
   else
-    match (s.[0], String.sub s 1 (String.length s - 1)) with
-    | 'i', n -> Abstract.I (int_of_string n)
-    | 's', x -> Abstract.S (Scanf.unescaped x)
+    match s.[pos] with
+    | 'i' -> Abstract.I (dec_int s (pos + 1) stop)
+    | 's' -> Abstract.S (unescape_sub s (pos + 1) stop)
     | _ -> raise Exit
 
 let enc_dval = function
   | Domain.Int n -> "i" ^ string_of_int n
   | Domain.Str s -> "s" ^ String.escaped s
 
-let dec_dval s =
-  if s = "" then raise Exit
+let dec_dval s pos stop =
+  if pos = stop then raise Exit
   else
-    match (s.[0], String.sub s 1 (String.length s - 1)) with
-    | 'i', n -> Domain.Int (int_of_string n)
-    | 's', x -> Domain.Str (Scanf.unescaped x)
+    match s.[pos] with
+    | 'i' -> Domain.Int (dec_int s (pos + 1) stop)
+    | 's' -> Domain.Str (unescape_sub s (pos + 1) stop)
     | _ -> raise Exit
 
 let join1 = String.concat "\x01"
-let split1 s = if s = "" then [] else String.split_on_char '\x01' s
 
 let enc_model m =
   join1 (List.map (fun (v, x) -> String.escaped v ^ "\x02" ^ enc_dval x) m)
 
-let dec_model s =
-  List.map
-    (fun item ->
-      match String.index_opt item '\x02' with
-      | None -> raise Exit
-      | Some i ->
-        ( Scanf.unescaped (String.sub item 0 i),
-          dec_dval (String.sub item (i + 1) (String.length item - i - 1)) ))
-    (split1 s)
+let dec_model = dec_list (dec_named dec_dval)
 
 let enc_wslot = function
   | Lit x -> "l" ^ enc_dval x
   | Cfg (j, d) -> Printf.sprintf "c%d:%d" j d
 
-let dec_wslot s =
-  if s = "" then raise Exit
+let dec_wslot s pos stop =
+  if pos = stop then raise Exit
   else
-    match s.[0] with
-    | 'l' -> Lit (dec_dval (String.sub s 1 (String.length s - 1)))
-    | 'c' -> (
-      match String.split_on_char ':' (String.sub s 1 (String.length s - 1)) with
-      | [ j; d ] -> Cfg (int_of_string j, int_of_string d)
-      | _ -> raise Exit)
+    match s.[pos] with
+    | 'l' -> Lit (dec_dval s (pos + 1) stop)
+    | 'c' ->
+      let k = next ':' s (pos + 1) stop in
+      if k = stop then raise Exit;
+      Cfg (dec_int s (pos + 1) k, dec_int s (k + 1) stop)
     | _ -> raise Exit
 
 let enc_template = function
@@ -222,20 +306,12 @@ let enc_template = function
     "C\x01"
     ^ join1 (List.map (fun (v, w) -> String.escaped v ^ "\x02" ^ enc_wslot w) t)
 
-let dec_template s =
-  match split1 s with
-  | [ "P" ] -> Probe
-  | [ "B" ] -> Broken
-  | "C" :: items ->
-    Confirmed
-      (List.map
-         (fun item ->
-           match String.index_opt item '\x02' with
-           | None -> raise Exit
-           | Some i ->
-             ( Scanf.unescaped (String.sub item 0 i),
-               dec_wslot (String.sub item (i + 1) (String.length item - i - 1)) ))
-         items)
+let dec_template s pos stop =
+  match stop - pos with
+  | 1 when s.[pos] = 'P' -> Probe
+  | 1 when s.[pos] = 'B' -> Broken
+  | n when n >= 2 && s.[pos] = 'C' && s.[pos + 1] = '\x01' ->
+    Confirmed (dec_list (dec_named dec_wslot) s (pos + 2) stop)
   | _ -> raise Exit
 
 let enc_entry = function
@@ -246,17 +322,25 @@ let enc_entry = function
       (join1 (List.map enc_sval (Array.to_list se.vals)))
       (enc_model se.model) (enc_template se.template)
 
-let dec_entry = function
-  | [ "U" ] -> Unsat_e
-  | [ "K"; attempts; reason ] ->
-    Unknown_e { reason = Scanf.unescaped reason; attempts = int_of_string attempts }
-  | [ "S"; vals; model; template ] ->
-    Sat_e
-      {
-        vals = Array.of_list (List.map dec_sval (split1 vals));
-        model = dec_model model;
-        template = dec_template template;
-      }
+(* The fields of [s.[pos..stop-1]] split at tabs, as (start, stop)
+   pairs. *)
+let tab_fields s pos stop =
+  let rec go i =
+    let j = next '\t' s i stop in
+    if j = stop then [ (i, j) ] else (i, j) :: go (j + 1)
+  in
+  go pos
+
+let dec_entry s pos stop =
+  match tab_fields s pos stop with
+  | [ (a, b) ] when b - a = 1 && s.[a] = 'U' -> Unsat_e
+  | [ (a, b); (n0, n1); (r0, r1) ] when b - a = 1 && s.[a] = 'K' ->
+    let attempts = dec_int s n0 n1 in
+    Unknown_e { reason = unescape_sub s r0 r1; attempts }
+  | [ (a, b); (v0, v1); (m0, m1); (t0, t1) ] when b - a = 1 && s.[a] = 'S' ->
+    let vals = Array.of_list (dec_list dec_sval s v0 v1) in
+    let model = dec_model s m0 m1 in
+    Sat_e { vals; model; template = dec_template s t0 t1 }
   | _ -> raise Exit
 
 let enc_ins key e = "i\t" ^ String.escaped key ^ "\t" ^ enc_entry e
@@ -268,11 +352,30 @@ let table_put st key e =
   if not (Hashtbl.mem st.table key) then Queue.push key st.queue;
   Hashtbl.replace st.table key e
 
-let apply_record st payload =
-  match String.split_on_char '\t' payload with
-  | "i" :: key :: rest -> table_put st (Scanf.unescaped key) (dec_entry rest)
-  | [ "d"; key ] -> Hashtbl.remove st.table (Scanf.unescaped key)
+type record = Ins of string * entry | Del of string
+
+(* One journal payload: ["i\t<key>\t<entry>"] or ["d\t<key>"]. *)
+let decode_record p =
+  let n = String.length p in
+  if n < 2 || p.[1] <> '\t' then raise Exit;
+  match p.[0] with
+  | 'i' ->
+    let k = next '\t' p 2 n in
+    if k = n then raise Exit;
+    let key = unescape_sub p 2 k in
+    Ins (key, dec_entry p (k + 1) n)
+  | 'd' ->
+    if next '\t' p 2 n <> n then raise Exit;
+    Del (unescape_sub p 2 n)
   | _ -> raise Exit
+
+let reencode_record p =
+  match decode_record p with Ins (key, e) -> enc_ins key e | Del key -> enc_del key
+
+let apply_record st payload =
+  match decode_record payload with
+  | Ins (key, e) -> table_put st key e
+  | Del key -> Hashtbl.remove st.table key
 
 (* A replayed deletion or a compaction removes a key without popping
    it, and a later re-insert queues the key again, so the stale element
@@ -413,7 +516,7 @@ let open_store ?(fsync = true) ?(max_entries = 65536) ?(replicas = []) ?fence_ke
     List.iter
       (fun payload ->
         try apply_record st payload
-        with _ ->
+        with Exit ->
           incr undecodable;
           st.damage <- st.damage + 1)
       rec_.Rjournal.recovered;

@@ -120,6 +120,25 @@ val dump : store -> (string * string) list
 val verdict_kind : store -> string -> string option
 (** ["sat"], ["unsat"] or ["unknown"] for a class key, if present. *)
 
+(** {2 Record codec}
+
+    Cache journal payloads are tab-separated fields escaped with
+    [String.escaped]. Replay decodes them strictly: a payload that is
+    not in the writer's exact form is damage, dropped and compacted
+    away on open. *)
+
+val unescape : string -> string
+(** The strict inverse of [String.escaped]: [unescape (String.escaped s)
+    = s] for every byte string [s], and whenever [unescape x] returns,
+    [String.escaped] of the result is [x]. Raises [Exit] on anything
+    else ([\'], [\x41], [\065], a raw ['"'], control or high byte). *)
+
+val reencode_record : string -> string
+(** Decode one cache journal payload and encode the record again: the
+    identity on every payload the decoder accepts. Raises [Exit], and
+    nothing else, on a payload the writer could not have produced —
+    the one exception replay counts as damage. *)
+
 (** {2 Shard handles} *)
 
 val attach : store -> owner:string -> handle

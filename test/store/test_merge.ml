@@ -1,11 +1,17 @@
-(** Differential test of the replica merge: {!Rjournal.merge_records}
+(** Differential tests of replicated recovery. {!Rjournal.merge_records}
     against the full-table shortest-common-supersequence fold it
     replaced, on generated replica sets (identical, truncated, with lost
     interior frames, duplicate payloads, damage on several replicas,
     three replicas, empty and missing replicas), plus an allocation
-    guard for the identical-replica case. *)
+    guard for the identical-replica case. Then {!Rjournal.recover} and
+    {!Scrub.scrub_home}, which scan each distinct replica image once,
+    against references that read and scan every replica separately, on
+    generated replica files: the reports and every file left on disk,
+    sidecars included, must match. *)
 
 module Rjournal = Homeguard_store.Rjournal
+module Journal = Homeguard_store.Journal
+module Scrub = Homeguard_store.Scrub
 
 let test name f = Alcotest.test_case name `Quick f
 
@@ -187,6 +193,428 @@ let identical_merge_is_linear =
       if allocated >= 10e6 then
         Alcotest.failf "merging identical replicas allocated %.0f bytes" allocated)
 
+(* -- recovery and scrub against scan-every-replica references ---------------------- *)
+
+(* The recovery reference: every replica read and scanned on its own,
+   compared with polymorphic equality, merged with the full-table
+   reference. *)
+let reference_recover ?(fsync = true) paths =
+  let scans = List.map (fun p -> (p, Sys.file_exists p, Journal.scan p)) paths in
+  let merged = reference_merge (List.map (fun (_, _, sc) -> sc.Journal.records) scans) in
+  let max_epoch =
+    List.fold_left (fun a (_, _, (sc : Journal.scan)) -> max a sc.Journal.max_epoch) 0 scans
+  in
+  let damage_bytes = function
+    | Journal.Torn_tail { raw; _ } | Journal.Corrupt { raw; _ } -> String.length raw
+  in
+  let replicas =
+    List.map
+      (fun (path, present, sc) ->
+        let torn, corrupt =
+          List.partition
+            (function Journal.Torn_tail _ -> true | Journal.Corrupt _ -> false)
+            sc.Journal.damage
+        in
+        let needs_rewrite =
+          if present then sc.Journal.damage <> [] || sc.Journal.records <> merged
+          else merged <> []
+        in
+        if sc.Journal.damage <> [] then Journal.quarantine_damage path sc.Journal.damage;
+        if needs_rewrite then begin
+          Rjournal.mkdirs (Filename.dirname path);
+          Journal.write_atomic ~fsync ~epoch:max_epoch path merged
+        end;
+        {
+          Rjournal.path;
+          present;
+          records = List.length sc.Journal.records;
+          torn_bytes = List.fold_left (fun a d -> a + damage_bytes d) 0 torn;
+          quarantined = List.length corrupt;
+          damage_index = sc.Journal.first_damage_index;
+          repaired = needs_rewrite;
+        })
+      scans
+  in
+  let hurt (r : Rjournal.replica_report) = r.torn_bytes > 0 || r.quarantined > 0 in
+  let merged_len = List.length merged in
+  {
+    Rjournal.recovered = merged;
+    replicas;
+    torn_bytes =
+      List.fold_left (fun a (r : Rjournal.replica_report) -> a + r.torn_bytes) 0 replicas;
+    quarantined =
+      List.fold_left (fun a (r : Rjournal.replica_report) -> a + r.quarantined) 0 replicas;
+    damage_index =
+      List.fold_left
+        (fun acc (r : Rjournal.replica_report) ->
+          match (acc, r.damage_index) with
+          | None, d | d, None -> d
+          | Some a, Some b -> Some (min a b))
+        None replicas;
+    max_epoch;
+    diverged = List.exists (fun (_, _, sc) -> sc.Journal.records <> merged) scans;
+    healed =
+      List.fold_left
+        (fun a (r : Rjournal.replica_report) -> a + (merged_len - r.records))
+        0 replicas;
+    all_replicas_damaged =
+      List.exists hurt replicas
+      && List.for_all (fun (r : Rjournal.replica_report) -> hurt r || not r.present) replicas;
+  }
+
+(* The scrub reference: every file of every replica read and scanned
+   again for the digests, the damage check and each file's repair, and
+   the patch computed as before. *)
+let reference_dir_digest files dir =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun r ->
+          Buffer.add_string b (string_of_int (String.length r));
+          Buffer.add_char b ':';
+          Buffer.add_string b r)
+        (Journal.scan (Filename.concat dir name)).Journal.records;
+      Buffer.add_char b '|')
+    files;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let reference_patch path ~current ~target =
+  let cl = String.length current and tl = String.length target in
+  let p = ref 0 in
+  while !p < min cl tl && current.[!p] = target.[!p] do incr p done;
+  let prefix = !p in
+  Rjournal.mkdirs (Filename.dirname path);
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      if cl = tl then begin
+        let s = ref 0 in
+        while !s < tl - prefix && current.[cl - 1 - !s] = target.[tl - 1 - !s] do incr s done;
+        let len = tl - !s - prefix in
+        if len > 0 then begin
+          ignore (Unix.lseek fd prefix Unix.SEEK_SET);
+          Journal.write_sub fd target prefix len
+        end;
+        (prefix, len)
+      end
+      else begin
+        ignore (Unix.lseek fd prefix Unix.SEEK_SET);
+        Journal.write_sub fd target prefix (tl - prefix);
+        Unix.ftruncate fd tl;
+        (prefix, tl - prefix)
+      end)
+
+(* (repaired, recreated, quarantined, torn bytes, healed, patched
+   frames, repair bytes, max epoch) of one file across [dirs] *)
+let reference_repair_file dirs name =
+  let infos =
+    List.map
+      (fun d ->
+        let path = Filename.concat d name in
+        let image = Journal.read_file path in
+        let sc = Journal.scan path in
+        let frames = List.map (fun (o, l) -> String.sub image o l) sc.Journal.spans in
+        (path, Sys.file_exists path, sc, frames))
+      dirs
+  in
+  let marr =
+    Array.of_list (reference_merge (List.map (fun (_, _, sc, _) -> sc.Journal.records) infos))
+  in
+  let n = Array.length marr in
+  let embeddings =
+    List.map
+      (fun (_, _, (sc : Journal.scan), frames) ->
+        let recs = Array.of_list sc.Journal.records in
+        let frs = Array.of_list frames and eps = Array.of_list sc.Journal.epochs in
+        let own = Array.make (max n 1) None in
+        let i = ref 0 in
+        for k = 0 to n - 1 do
+          if !i < Array.length recs && recs.(!i) = marr.(k) then begin
+            own.(k) <- Some (frs.(!i), eps.(!i));
+            incr i
+          end
+        done;
+        own)
+      infos
+  in
+  let donor k = List.find_map (fun own -> own.(k)) embeddings in
+  let target_of own =
+    let running = ref 0 and buf = Buffer.create 4096 and spans = ref [] in
+    for k = 0 to n - 1 do
+      let fr, ep =
+        match own.(k) with
+        | Some fe -> fe
+        | None -> (
+          match donor k with
+          | Some fe -> fe
+          | None -> (Journal.frame_epoch ~epoch:!running marr.(k), !running))
+      in
+      let fr, ep =
+        if ep < !running then (Journal.frame_epoch ~epoch:!running marr.(k), !running)
+        else (fr, ep)
+      in
+      running := max !running ep;
+      let start = Buffer.length buf in
+      Buffer.add_string buf fr;
+      spans := (start, Buffer.length buf) :: !spans
+    done;
+    (Buffer.contents buf, !spans)
+  in
+  let max_epoch =
+    List.fold_left (fun a (_, _, (sc : Journal.scan), _) -> max a sc.Journal.max_epoch) 0 infos
+  in
+  List.fold_left2
+    (fun (rep, rec_, q, torn, healed, pf, rb, me) (path, present, (sc : Journal.scan), _) own ->
+      if sc.Journal.damage <> [] then Journal.quarantine_damage path sc.Journal.damage;
+      let t =
+        List.fold_left
+          (fun a -> function
+            | Journal.Torn_tail { raw; _ } -> a + String.length raw | Journal.Corrupt _ -> a)
+          0 sc.Journal.damage
+      in
+      let c =
+        List.length
+          (List.filter (function Journal.Corrupt _ -> true | _ -> false) sc.Journal.damage)
+      in
+      let target, spans = target_of own in
+      let current = Journal.read_file path in
+      let wrote =
+        if current = target || ((not present) && target = "") then None
+        else Some (reference_patch path ~current ~target)
+      in
+      let patched =
+        match wrote with
+        | None | Some (_, 0) -> 0
+        | Some (off, len) ->
+          List.length (List.filter (fun (s, e) -> s < off + len && e > off) spans)
+      in
+      ( (rep + if wrote <> None && present then 1 else 0),
+        (rec_ + if wrote <> None && not present then 1 else 0),
+        q + c,
+        torn + t,
+        healed + (n - List.length sc.Journal.records),
+        pf + patched,
+        (rb + match wrote with None -> 0 | Some (_, len) -> len),
+        me ))
+    (0, 0, 0, 0, 0, 0, 0, max_epoch) infos embeddings
+
+let reference_scrub files dirs =
+  let digests = List.map (reference_dir_digest files) dirs in
+  let scans =
+    List.concat_map (fun d -> List.map (fun f -> Journal.scan (Filename.concat d f)) files) dirs
+  in
+  let all_same = function [] -> true | d :: ds -> List.for_all (( = ) d) ds in
+  if all_same digests && not (List.exists (fun sc -> sc.Journal.damage <> []) scans) then
+    {
+      Scrub.dirs;
+      healthy = true;
+      converged = true;
+      digest = List.hd digests;
+      repaired_replicas = 0;
+      recreated_replicas = 0;
+      frames_quarantined = 0;
+      torn_bytes = 0;
+      records_healed = 0;
+      patched_frames = 0;
+      repair_bytes = 0;
+      epoch = List.fold_left (fun a (sc : Journal.scan) -> max a sc.Journal.max_epoch) 0 scans;
+    }
+  else
+    let repairs = List.map (reference_repair_file dirs) files in
+    let sum f = List.fold_left (fun a r -> a + f r) 0 repairs in
+    let digests = List.map (reference_dir_digest files) dirs in
+    {
+      Scrub.dirs;
+      healthy = false;
+      converged = all_same digests;
+      digest = List.hd digests;
+      repaired_replicas = sum (fun (x, _, _, _, _, _, _, _) -> x);
+      recreated_replicas = sum (fun (_, x, _, _, _, _, _, _) -> x);
+      frames_quarantined = sum (fun (_, _, x, _, _, _, _, _) -> x);
+      torn_bytes = sum (fun (_, _, _, x, _, _, _, _) -> x);
+      records_healed = sum (fun (_, _, _, _, x, _, _, _) -> x);
+      patched_frames = sum (fun (_, _, _, _, _, x, _, _) -> x);
+      repair_bytes = sum (fun (_, _, _, _, _, _, x, _) -> x);
+      epoch = List.fold_left (fun a (_, _, _, _, _, _, _, x) -> max a x) 0 repairs;
+    }
+
+(* -- generated replica files ------------------------------------------------------- *)
+
+(* A journal image: frames of payloads (some with bytes a frame must
+   carry verbatim) at non-decreasing epochs, 0 rendering as HGJ1. *)
+let image rs =
+  let epoch = ref (Random.State.int rs 3) in
+  let frames =
+    List.init (Random.State.int rs 12) (fun i ->
+        if Random.State.int rs 4 = 0 then epoch := !epoch + 1;
+        let payload =
+          match Random.State.int rs 4 with
+          | 0 -> Printf.sprintf "rec-%d\n\nHGJ1 " i
+          | 1 -> String.init (1 + Random.State.int rs 20) (fun _ -> Char.chr (Random.State.int rs 256))
+          | _ -> Printf.sprintf "rec-%d" (Random.State.int rs 6)
+        in
+        Journal.frame_epoch ~epoch:!epoch payload)
+  in
+  frames
+
+let concat = String.concat ""
+let prefix rs frames =
+  let k = Random.State.int rs (List.length frames + 1) in
+  List.filteri (fun i _ -> i < k) frames
+
+let torn rs frames extra =
+  let fr = Journal.frame_epoch ~epoch:7 extra in
+  concat frames ^ String.sub fr 0 (1 + Random.State.int rs (String.length fr - 1))
+
+(* one byte of frame [j] (or of the whole image) flipped *)
+let corrupt rs frames =
+  let img = concat frames in
+  if img = "" then img
+  else
+    let b = Bytes.of_string img in
+    let at = Random.State.int rs (Bytes.length b) in
+    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor (1 + Random.State.int rs 255)));
+    Bytes.to_string b
+
+(* A replica set of one file: [None] is a missing replica. *)
+type kind = Identical | Ahead | Torn | Same_corrupt | Missing | Three
+
+let kinds = [ Identical; Ahead; Torn; Same_corrupt; Missing; Three ]
+
+let shuffle rs l =
+  List.map snd (List.sort compare (List.map (fun x -> (Random.State.bits rs, x)) l))
+
+let replica_set rs kind =
+  let frames = image rs in
+  let full = concat frames in
+  match kind with
+  | Identical -> [ Some full; Some full ]
+  | Ahead -> shuffle rs [ Some full; Some (concat (prefix rs frames)) ]
+  | Torn -> shuffle rs [ Some (torn rs frames "tail"); Some full ]
+  | Same_corrupt ->
+    let c = corrupt rs frames in
+    [ Some c; Some c ]
+  | Missing -> shuffle rs [ Some full; None ]
+  | Three ->
+    let other =
+      match Random.State.int rs 4 with
+      | 0 -> Some (concat (prefix rs frames))
+      | 1 -> Some (torn rs frames "t")
+      | 2 -> Some (corrupt rs frames)
+      | _ -> None
+    in
+    shuffle rs [ Some full; Some full; other ]
+
+let kind_name = function
+  | Identical -> "identical"
+  | Ahead -> "ahead"
+  | Torn -> "torn"
+  | Same_corrupt -> "same-corrupt"
+  | Missing -> "missing"
+  | Three -> "three"
+
+let scratch_root =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "hg-merge-%d" (Unix.getpid ()))
+
+let fresh =
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    let d = Filename.concat scratch_root (string_of_int !n) in
+    Rjournal.mkdirs d;
+    d
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let write_file path contents =
+  Rjournal.mkdirs (Filename.dirname path);
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  Journal.write_sub fd contents 0 (String.length contents);
+  Unix.close fd
+
+(* every file under [root], as (relative path, bytes), sorted *)
+let tree root =
+  let rec walk rel =
+    let abs = Filename.concat root rel in
+    if Sys.is_directory abs then
+      List.concat_map
+        (fun e -> walk (if rel = "" then e else Filename.concat rel e))
+        (List.sort compare (Array.to_list (Sys.readdir abs)))
+    else [ (rel, Journal.read_file abs) ]
+  in
+  walk ""
+
+let relative root path =
+  let n = String.length root in
+  if String.length path >= n && String.sub path 0 n = root then
+    String.sub path n (String.length path - n)
+  else path
+
+let recovery_view root (r : Rjournal.recovery) =
+  let view (x : Rjournal.replica_report) = { x with path = relative root x.path } in
+  { r with replicas = List.map view r.replicas }
+
+let recover_agrees =
+  test "recover matches the scan-every-replica reference" (fun () ->
+      let rs = Random.State.make [| 29 |] in
+      List.iter
+        (fun kind ->
+          for case = 1 to 60 do
+            let set = replica_set rs kind in
+            let a = fresh () and b = fresh () in
+            let paths root =
+              List.mapi (fun i _ -> Filename.concat root (Printf.sprintf "r%d/journal" i)) set
+            in
+            List.iter
+              (fun root -> List.iter2 (fun p img -> Option.iter (write_file p) img) (paths root) set)
+              [ a; b ];
+            let got = Rjournal.recover ~fsync:false (paths a) in
+            let want = reference_recover ~fsync:false (paths b) in
+            if recovery_view a got <> recovery_view b want then
+              Alcotest.failf "%s case %d: recovery reports differ" (kind_name kind) case;
+            if tree a <> tree b then
+              Alcotest.failf "%s case %d: files on disk differ" (kind_name kind) case
+          done)
+        kinds;
+      rm_rf scratch_root)
+
+let scrub_agrees =
+  test "scrub matches the scan-every-replica reference" (fun () ->
+      let rs = Random.State.make [| 31 |] in
+      let files = [ "snapshot"; "journal" ] in
+      for case = 1 to 200 do
+        let kind () = List.nth kinds (Random.State.int rs (List.length kinds)) in
+        let sets = List.map (fun _ -> replica_set rs (kind ())) files in
+        let width = List.fold_left (fun a s -> max a (List.length s)) 0 sets in
+        let a = fresh () and b = fresh () in
+        let dirs root = List.init width (fun i -> Filename.concat root (Printf.sprintf "r%d" i)) in
+        List.iter
+          (fun root ->
+            List.iter (fun d -> Rjournal.mkdirs d) (dirs root);
+            List.iter2
+              (fun name set ->
+                List.iteri
+                  (fun i img ->
+                    Option.iter (write_file (Filename.concat (List.nth (dirs root) i) name)) img)
+                  set)
+              files sets)
+          [ a; b ];
+        let got = Scrub.scrub_home ~fsync:false ~files (dirs a) in
+        let want = reference_scrub files (dirs b) in
+        if { got with dirs = [] } <> { want with dirs = [] } then
+          Alcotest.failf "case %d: scrub reports differ" case;
+        if tree a <> tree b then Alcotest.failf "case %d: files on disk differ" case
+      done;
+      rm_rf scratch_root)
+
 let tests =
   [
     identical;
@@ -198,4 +626,6 @@ let tests =
     empty_or_missing;
     long_divergence;
     identical_merge_is_linear;
+    recover_agrees;
+    scrub_agrees;
   ]

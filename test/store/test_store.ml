@@ -219,6 +219,21 @@ let recover_rewrites_and_quarantines =
       let r2 = Journal.recover path in
       check_bool "idempotent" true (not r2.Journal.rewritten))
 
+let scan_spans_are_the_frames =
+  test "each valid record's span is its exact frame in the scanned bytes" (fun () ->
+      let frames =
+        [ Journal.frame "alpha"; Journal.frame_epoch ~epoch:3 "beta\nHGJ1 ";
+          Journal.frame_epoch ~epoch:3 ""; Journal.frame_epoch ~epoch:9 (String.make 70 'z') ]
+      in
+      let img = "junk\n" ^ String.concat "" frames ^ String.sub (Journal.frame "torn") 0 12 in
+      let sc = Journal.scan_string img in
+      check_int "one span per record" (List.length sc.Journal.records)
+        (List.length sc.Journal.spans);
+      check_bool "spans are the frames" true
+        (List.map (fun (o, l) -> String.sub img o l) sc.Journal.spans = frames);
+      check_bool "epochs read in place" true (sc.Journal.epochs = [ 0; 3; 3; 9 ]);
+      check_int "junk and torn tail noted" 2 (List.length sc.Journal.damage))
+
 let append_then_scan =
   test "append/scan round-trip through the filesystem" (fun () ->
       let dir = fresh_dir () in
@@ -616,6 +631,23 @@ let home_out_of_order_equals_in_order =
       ignore (Home.deliver home2 ~seq:3 "http://my.com/appname:B/v:3/");
       check_string "same state" (Home.audit_text home2) ooo;
       Home.close home2)
+
+let surfaced_corruption_counts_corrupt_only =
+  test "surfaced corruption counts corrupt regions, not torn ones" (fun () ->
+      let dir = fresh_dir () in
+      let replica = Filename.concat dir "r1" in
+      Rjournal.mkdirs replica;
+      let region kind offset raw =
+        if kind = `Torn then Journal.Torn_tail { offset; raw } else Journal.Corrupt { offset; raw }
+      in
+      Journal.quarantine_damage (Filename.concat dir "journal")
+        [ region `Torn 0 "HGJ1 0000"; region `Corrupt 40 "kind=torn\nbytes"; region `Torn 90 "x" ];
+      Journal.quarantine_damage (Filename.concat dir "snapshot")
+        [ region `Corrupt 0 "## kind=torn"; region `Corrupt 7 "" ];
+      Journal.quarantine_damage (Filename.concat replica "journal")
+        [ region `Torn 3 "kind=corrupt"; region `Corrupt 5 "y" ];
+      check_int "primary only" 3 (Home.surfaced_corruption ~dir ());
+      check_int "with the replica" 4 (Home.surfaced_corruption ~replicas:[ replica ] ~dir ()))
 
 let home_uninstall_and_update =
   test "uninstall and rule-file updates survive reopen" (fun () ->
@@ -1136,6 +1168,7 @@ let () =
           interned_one_byte_apart;
           interned_never_caches_failures;
           interned_past_the_bound;
+          scan_spans_are_the_frames;
         ] );
       ( "ingest",
         [
@@ -1154,6 +1187,7 @@ let () =
           home_out_of_order_equals_in_order;
           home_uninstall_and_update;
           compaction_preserves_state;
+          surfaced_corruption_counts_corrupt_only;
         ] );
       ( "crash-matrix",
         [ crash_matrix; torn_write_reports_damage; flip_marks_changed_apps ] );

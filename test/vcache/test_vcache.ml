@@ -626,6 +626,167 @@ let l1_keys_exact_over_events =
       check_bool "variants checked" true (!variants > 100);
       Vcache.close_store st)
 
+(* -- record codec --------------------------------------------------------------- *)
+
+let random_bytes rs len = String.init len (fun _ -> Char.chr (Random.State.int rs 256))
+
+let unescape_inverts_escaped =
+  test "unescape inverts String.escaped on every byte string" (fun () ->
+      for c = 0 to 255 do
+        let s = String.make 1 (Char.chr c) in
+        check_bool (Printf.sprintf "byte %d" c) true (Vcache.unescape (String.escaped s) = s)
+      done;
+      let rs = Random.State.make [| 41 |] in
+      for _ = 1 to 4000 do
+        let s = random_bytes rs (Random.State.int rs 65) in
+        if Vcache.unescape (String.escaped s) <> s then
+          Alcotest.failf "unescape (String.escaped %S) <> itself" s
+      done)
+
+(* Fragments that are, or nearly are, what String.escaped writes. *)
+let fragments =
+  [| "a"; "Z"; " "; "~"; "'"; "\""; "\\"; "\\\\"; "\\\""; "\\'"; "\\n"; "\\t"; "\\b"; "\\r";
+     "\\x41"; "\\065"; "\\001"; "\\002"; "\\255"; "\\256"; "\\010"; "\\127"; "\\1"; "\\12";
+     "\\0"; "\t"; "\n"; "\001"; "\002"; "\128"; "\255"; "0"; "9"; "n"; "t" |]
+
+let fragment_string rs =
+  String.concat ""
+    (List.init (Random.State.int rs 8) (fun _ ->
+         fragments.(Random.State.int rs (Array.length fragments))))
+
+let unescape_accepts_only_canonical =
+  test "whatever unescape accepts, String.escaped gives back" (fun () ->
+      let rs = Random.State.make [| 43 |] in
+      let accepted = ref 0 and rejected = ref 0 in
+      for _ = 1 to 20000 do
+        let x = fragment_string rs in
+        match Vcache.unescape x with
+        | s ->
+          incr accepted;
+          if String.escaped s <> x then
+            Alcotest.failf "unescape accepted %S, which String.escaped writes as %S" x
+              (String.escaped s)
+        | exception Exit -> incr rejected
+      done;
+      check_bool "both outcomes exercised" true (!accepted > 1000 && !rejected > 1000);
+      List.iter
+        (fun x ->
+          check_bool (Printf.sprintf "%S is rejected" x) true
+            (match Vcache.unescape x with _ -> false | exception Exit -> true))
+        [ "\\'"; "\\x41"; "\\065"; "\\010"; "\""; "\\"; "a\\"; "\\1"; "\\256"; "\t"; "\001"; "\200" ])
+
+(* Cache payloads as the writer frames them, built by hand. *)
+let esc = String.escaped
+let sat_payload key = "i\t" ^ esc key ^ "\t"
+let nasty = "t\tab\001\002\"q\"\\b\\\nnl\128\255'"
+
+let payloads =
+  [
+    sat_payload nasty
+    ^ "S\t" ^ String.concat "\001" [ "i-5"; "s" ^ esc nasty; "i" ^ string_of_int max_int; "s" ]
+    ^ "\t" ^ String.concat "\001" [ esc ("x" ^ nasty) ^ "\002i" ^ string_of_int min_int;
+                                    esc "y\n" ^ "\002s" ^ esc nasty ]
+    ^ "\tC\001" ^ String.concat "\001" [ esc ("x" ^ nasty) ^ "\002c0:-3";
+                                         esc "y\n" ^ "\002ls" ^ esc "\t\002" ];
+    sat_payload "plain" ^ "S\t\t\tP";
+    sat_payload "broken\255" ^ "S\ti0\t" ^ esc "v" ^ "\002i1\tB";
+    sat_payload "empty-template" ^ "S\t\t\tC\001";
+    sat_payload "unsat\001" ^ "U";
+    sat_payload ("unknown" ^ nasty) ^ "K\t3\t" ^ esc ("budget\t\"exhausted\"\n\001\255");
+    sat_payload "gone" ^ "U";
+    "d\t" ^ esc "gone";
+  ]
+
+let junk_payload rs =
+  let tokens =
+    [| "i"; "d"; "\t"; "U"; "K"; "S"; "C"; "P"; "B"; "\001"; "\002"; "s"; "l"; "c"; ":";
+       "-"; "0"; "12"; "\\"; "\\t"; "\\x41"; "\""; "k"; "i\t"; "d\t"; "\tU"; "\tS\t";
+       "C\001"; "c1:2" |]
+  in
+  match Random.State.int rs 3 with
+  | 0 -> String.concat "" (List.init (Random.State.int rs 12) (fun _ ->
+           tokens.(Random.State.int rs (Array.length tokens))))
+  | 1 ->
+    (* a valid payload with one byte changed or inserted, mostly to a
+       byte the format gives meaning to *)
+    let p = List.nth payloads (Random.State.int rs (List.length payloads)) in
+    let at = Random.State.int rs (String.length p) in
+    let meaningful = "0123456789-+_x:\\\"'\t\001\002nrtbUKSCPBilcsd" in
+    let c =
+      if Random.State.bool rs then Char.chr (Random.State.int rs 256)
+      else meaningful.[Random.State.int rs (String.length meaningful)]
+    in
+    (* 1 replaces the byte at [at], 0 inserts before it *)
+    let skip = Random.State.int rs 2 in
+    String.sub p 0 at ^ String.make 1 c ^ String.sub p (at + skip) (String.length p - at - skip)
+  | _ ->
+    let p = List.nth payloads (Random.State.int rs (List.length payloads)) in
+    String.sub p 0 (Random.State.int rs (String.length p))
+
+let records_decode_strictly =
+  test "records re-encode to themselves or raise Exit, and nothing else" (fun () ->
+      List.iter
+        (fun p -> check_bool (Printf.sprintf "%S round-trips" p) true (Vcache.reencode_record p = p))
+        payloads;
+      let rs = Random.State.make [| 47 |] in
+      let accepted = ref 0 in
+      for _ = 1 to 20000 do
+        let p = junk_payload rs in
+        match Vcache.reencode_record p with
+        | q ->
+          incr accepted;
+          if q <> p then Alcotest.failf "accepted %S but re-encoded it as %S" p q
+        | exception Exit -> ()
+        | exception e -> Alcotest.failf "%S raised %s" p (Printexc.to_string e)
+      done;
+      check_bool "some junk is well formed" true (!accepted > 100);
+      List.iter
+        (fun p ->
+          check_bool (Printf.sprintf "%S is rejected" p) true
+            (match Vcache.reencode_record p with _ -> false | exception Exit -> true))
+        [ "i\tk\tK\t03\tr"; "i\tk\tK\t-0\tr"; "i\tk\tK\t+3\tr"; "i\tk\tK\t0x3\tr";
+          "i\tk\tK\t1_0\tr"; "i\tk\tK\t99999999999999999999\tr"; "i\tk\tK\t\tr";
+          "i\tk\tU\t"; "i\tk\tS\t\t\tC"; "i\tk\tS\ti1\001\t\tP"; "i\tk\tS\t\tv\t P";
+          "i\tk\tS\t\t\tC\001v\002c1:2:3"; "d\tk\tU"; "d"; "x\tk"; "i\tk\\'\tU" ])
+
+let write_cache_journal dir payloads =
+  Homeguard_store.Journal.write_atomic ~fsync:false (Filename.concat dir "cache.journal") payloads
+
+let escaped_fields_reopen =
+  test "keys, models and reasons with control, quote and high bytes reopen identically"
+    (fun () ->
+      let dir = fresh_dir () in
+      write_cache_journal dir payloads;
+      let st = Vcache.open_store ~fsync:false ~dir () in
+      let live = Vcache.dump st in
+      check_int "no replay damage" 0 (Vcache.replay_damage st);
+      check_int "every live entry decoded" 6 (List.length live);
+      check_bool "the nasty key is held raw" true (List.mem_assoc nasty live);
+      Vcache.close_store st;
+      let st2 = Vcache.open_store ~fsync:false ~dir () in
+      check_bool "dump identical across reopen" true (Vcache.dump st2 = live);
+      check_int "no replay damage on reopen" 0 (Vcache.replay_damage st2);
+      Vcache.close_store st2)
+
+let non_canonical_frame_is_damage =
+  test "a CRC-valid frame with a non-canonical escape is damage and compacted away"
+    (fun () ->
+      let dir = fresh_dir () in
+      write_cache_journal dir [ "i\tk\\x41\tU"; "i\tk2\tU" ];
+      let st = Vcache.open_store ~fsync:false ~dir () in
+      check_int "the frame counts as damage" 1 (Vcache.replay_damage st);
+      Alcotest.(check (list string)) "only the canonical entry" [ "k2" ]
+        (List.map fst (Vcache.dump st));
+      Vcache.close_store st;
+      let journal = Homeguard_store.Journal.read_file (Filename.concat dir "cache.journal") in
+      check_bool "compaction dropped the frame" false
+        (List.exists (fun r -> r = "i\tk\\x41\tU")
+           (Homeguard_store.Journal.scan_string journal).Homeguard_store.Journal.records);
+      let st2 = Vcache.open_store ~fsync:false ~dir () in
+      check_int "a clean reopen" 0 (Vcache.replay_damage st2);
+      Alcotest.(check (list string)) "same entries" [ "k2" ] (List.map fst (Vcache.dump st2));
+      Vcache.close_store st2)
+
 let () =
   Alcotest.run "homeguard-vcache"
     [
@@ -643,6 +804,14 @@ let () =
           eviction_is_bounded_and_journaled;
           replayed_delete_requeues;
           compacted_unknown_requeues;
+        ] );
+      ( "codec",
+        [
+          unescape_inverts_escaped;
+          unescape_accepts_only_canonical;
+          records_decode_strictly;
+          escaped_fields_reopen;
+          non_canonical_frame_is_damage;
         ] );
       ("property", [ sweep_is_byte_identical; fixed_fleet_counters ]);
       ("pair tier", [ l1_shared_across_parsed_copies; l1_keys_exact_over_events ]);
