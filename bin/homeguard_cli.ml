@@ -502,8 +502,8 @@ let print_install_reply = function
     if degraded || audit.Detector.failures <> [] then
       print_endline "incomplete audit: threats shown are a lower bound, not a clean bill";
     if threats <> [] then begin
-      print_endline report.Homeguard_frontend.Install_flow.threats_text;
-      print_endline report.Homeguard_frontend.Install_flow.handling_text
+      print_endline (Homeguard_frontend.Install_flow.threats_text report);
+      print_endline (Homeguard_frontend.Install_flow.handling_text report)
     end;
     Option.iter
       (fun note -> Printf.printf "note: %s\n" note)

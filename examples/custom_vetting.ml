@@ -54,8 +54,8 @@ let () =
     (match latency with
     | Some ms -> Printf.printf "configuration URI arrived over SMS in %.0f ms\n" ms
     | None -> print_endline "configuration message lost!");
-    Printf.printf "rules shown to the user:\n%s\n" report.Install_flow.rules_text;
-    Printf.printf "%s\n" report.Install_flow.threats_text;
+    Printf.printf "rules shown to the user:\n%s\n" (Install_flow.rules_text report);
+    Printf.printf "%s\n" (Install_flow.threats_text report);
     List.iter
       (fun c ->
         Printf.printf "chained: %s\n" (Homeguard_detector.Chain.chain_to_string c))

@@ -1158,9 +1158,9 @@ let invalidate_app ix name =
     ix.ix_apps
 
 (* For each app of this audit, its position in the index's audit when
-   its slots may be reused there — the same app (physically, or one
-   structural compare for a reparsed copy) with structurally equal
-   bindings — else [-1]. *)
+   its slots may be reused there — the same app, physically (live
+   installs and replay share one value per app), with structurally
+   equal bindings — else [-1]. *)
 let index_positions ix apps bindings =
   let pos = Hashtbl.create (Array.length ix.ix_apps) in
   Array.iteri (fun i (a : Rule.smartapp) -> Hashtbl.replace pos a.Rule.name i) ix.ix_apps;
@@ -1168,8 +1168,7 @@ let index_positions ix apps bindings =
     (fun p (a : Rule.smartapp) ->
       match Hashtbl.find_opt pos a.Rule.name with
       | Some i
-        when (ix.ix_apps.(i) == a || compare ix.ix_apps.(i) a = 0)
-             && ix.ix_bindings.(i) = bindings.(p) ->
+        when ix.ix_apps.(i) == a && ix.ix_bindings.(i) = bindings.(p) ->
         i
       | _ -> -1)
     apps

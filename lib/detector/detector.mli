@@ -307,9 +307,9 @@ val audit_all :
     [Undecided] threat.
 
     [?index] serves, with no planning, key or lookup, every app pair
-    whose apps (same value, or structurally equal) and bindings are
-    unchanged since its audit, in the same orientation, under the same
-    {!pair_fingerprint}. A complete audit (nothing shed) replaces it,
+    whose apps (physically the same values) and bindings (structurally
+    equal) are unchanged since its audit, in the same orientation,
+    under the same {!pair_fingerprint}. A complete audit (nothing shed) replaces it,
     keeping no pair L1 would not store; a cancelled one leaves it. *)
 
 val detect_all : ?jobs:int -> ctx -> Rule.smartapp list -> Threat.t list

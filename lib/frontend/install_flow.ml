@@ -18,14 +18,11 @@ type decision = Keep | Reject | Reconfigure
 
 type report = {
   app : Rule.smartapp;
-  rules_text : string;  (** rule interpreter output *)
   threats : Threat.t list;
   chains : Chain.chain list;
-  threats_text : string;  (** threat interpreter output *)
   recommendations : (Threat.t * Policy.decision) list;
       (** each threat with the handling decision that will be enforced
           (explicit if the user already set one, else the default) *)
-  handling_text : string;  (** rendered recommendations *)
   audit : Detector.audit_result;
       (** the structured install-time audit; [audit.shed > 0] means the
           detection was cut short (deadline/shed) and the threat list is
@@ -61,8 +58,13 @@ let create ?(detector_config = Detector.offline_config) () =
     quarantined = [];
   }
 
-let render_recommendations recs =
-  recs
+(* -- what the user reads, rendered on demand ------------------------------------ *)
+
+let rules_text r = Rule_interpreter.describe_app r.app
+let threats_text r = Threat_interpreter.describe_all r.threats
+
+let handling_text r =
+  r.recommendations
   |> List.map (fun (threat, d) ->
          Printf.sprintf "  [%s] %s" (Policy.threat_id threat) (Policy.describe d))
   |> String.concat "\n"
@@ -111,10 +113,10 @@ let quarantine_note t (app : Rule.smartapp) =
 
 (** Step 1-3: collect config (already folded into [detector_config] when
     using a {!Homeguard_config.Recorder}), fetch rules, detect threats.
-    Returns the report to present to the user. [?config] overrides the
-    detector configuration for this proposal only (e.g. a
-    deadline-derived budget); [?cancel] cooperatively cuts the audit
-    short, leaving [report.audit.shed > 0]. *)
+    Returns the report to present to the user; its texts are rendered
+    only when read. [?config] overrides the detector configuration for
+    this proposal only (e.g. a deadline-derived budget); [?cancel]
+    cooperatively cuts the audit short, leaving [report.audit.shed > 0]. *)
 let propose ?config ?cancel t (app : Rule.smartapp) =
   let ctx = Detector.create (Option.value ~default:t.detector_config config) in
   let audit = Detector.audit_new_app ?cancel ctx (detection_apps t) app in
@@ -126,12 +128,9 @@ let propose ?config ?cancel t (app : Rule.smartapp) =
   let report =
     {
       app;
-      rules_text = Rule_interpreter.describe_app app;
       threats;
       chains;
-      threats_text = Threat_interpreter.describe_all threats;
       recommendations;
-      handling_text = render_recommendations recommendations;
       audit;
       quarantine_note = quarantine_note t app;
     }

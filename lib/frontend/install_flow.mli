@@ -6,13 +6,10 @@ type decision = Keep | Reject | Reconfigure
 
 type report = {
   app : Rule.smartapp;
-  rules_text : string;
   threats : Homeguard_detector.Threat.t list;
   chains : Homeguard_detector.Chain.chain list;
-  threats_text : string;
   recommendations :
     (Homeguard_detector.Threat.t * Homeguard_handling.Policy.decision) list;
-  handling_text : string;
   audit : Homeguard_detector.Detector.audit_result;
       (** structured install-time audit; [audit.shed > 0] marks a
           detection cut short by a deadline or load shed — the threat
@@ -22,6 +19,20 @@ type report = {
           quarantined, or a warning that quarantined installed apps were
           excluded from the audit *)
 }
+
+(** {2 What the user reads}
+
+    Rendered from the report when called, not at {!propose}: the
+    install path itself never reads them. *)
+
+val rules_text : report -> string
+(** The app's rules, numbered ({!Rule_interpreter.describe_app}). *)
+
+val threats_text : report -> string
+(** The threats explained ({!Threat_interpreter.describe_all}). *)
+
+val handling_text : report -> string
+(** One line per recommendation: the threat's id and its decision. *)
 
 type t
 
@@ -48,7 +59,7 @@ val decide : t -> decision -> unit
 val replay_install : t -> Rule.smartapp -> unit
 (** Recovery's replay of a kept install: runs the install-time audit
     against the installed home and applies the same keep step as
-    [decide Keep], without building a report (no chains, texts or
+    [decide Keep], without building a report (no chains or
     recommendations). [pending] is left untouched. *)
 
 val installed_apps : t -> Rule.smartapp list

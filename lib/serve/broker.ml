@@ -20,6 +20,7 @@
     admission ticket, and {!drain} runs or sheds them in order. *)
 
 module Rule = Homeguard_rules.Rule
+module Intern = Homeguard_rules.Intern
 module Budget = Homeguard_solver.Budget
 module Detector = Homeguard_detector.Detector
 module Threat = Homeguard_detector.Threat
@@ -68,6 +69,7 @@ type t = {
   config : config;
   admission : Admission.t;
   mutable homes : (string * entry) list;  (** registration order *)
+  by_id : (string, entry) Hashtbl.t;  (** [homes], for lookup *)
   mutable queue : job list;  (** FIFO; each job holds its ticket *)
   mutable next_job : int;
 }
@@ -78,22 +80,25 @@ let create ?(config = default_config) () =
       ~interactive_reserve:config.interactive_reserve
       ~est_service_ms:config.est_service_ms ()
   in
-  { config; admission; homes = []; queue = []; next_job = 1 }
+  { config; admission; homes = []; by_id = Hashtbl.create 64; queue = []; next_job = 1 }
 
 let add_home t ~id home =
-  if List.mem_assoc id t.homes then
+  if Hashtbl.mem t.by_id id then
     invalid_arg (Printf.sprintf "Broker.add_home: duplicate home %S" id);
   let quarantine = Quarantine.create ~threshold:t.config.quarantine_after () in
   (* the journal is the authority: re-seed the counter's view from it *)
   List.iter
     (fun (app, reason) -> Quarantine.restore quarantine ~app ~reason)
     (Home.quarantined home);
-  t.homes <- t.homes @ [ (id, { home; quarantine }) ]
+  let e = { home; quarantine } in
+  Hashtbl.replace t.by_id id e;
+  t.homes <- t.homes @ [ (id, e) ]
 
 let remove_home t id =
-  match List.assoc_opt id t.homes with
+  match Hashtbl.find_opt t.by_id id with
   | None -> None
   | Some entry ->
+    Hashtbl.remove t.by_id id;
     t.homes <- List.remove_assoc id t.homes;
     (* queued jobs for the departing home release their tickets and
        vanish: their home is moving shards, not being dropped silently *)
@@ -103,12 +108,12 @@ let remove_home t id =
     Some entry.home
 
 let entry t id =
-  match List.assoc_opt id t.homes with
+  match Hashtbl.find_opt t.by_id id with
   | Some e -> e
   | None -> invalid_arg (Printf.sprintf "Broker: unknown home %S" id)
 
 let home t id = (entry t id).home
-let home_opt t id = Option.map (fun e -> e.home) (List.assoc_opt id t.homes)
+let home_opt t id = Option.map (fun e -> e.home) (Hashtbl.find_opt t.by_id id)
 let home_ids t = List.map fst t.homes
 let homes t = List.map (fun (id, e) -> (id, e.home)) t.homes
 let admission t = t.admission
@@ -164,6 +169,22 @@ let note_audit_result e ~degraded ~involved (r : Detector.audit_result) =
 
 (* -- interactive installs ----------------------------------------------------- *)
 
+(* Successful extractions, interned per process: the app store's users
+   install the same sources again and again, and rules are extracted
+   once per source, as the paper's backend does. An entry is the source
+   bytes and their app under the app's name; a different source under
+   that name replaces it. A failure raises before anything is held, so
+   every failed attempt still counts toward quarantine. *)
+let extractions : (string, string * Rule.smartapp) Intern.t = Intern.create ~bound:1024
+
+let extract ~name source =
+  match Intern.find extractions name with
+  | Some (held, app) when String.equal held source -> Intern.share_app app
+  | _ ->
+    let app = Intern.share_app (Extract.extract_source ~name source).Extract.app in
+    Intern.replace extractions name (source, app);
+    app
+
 type install_reply =
   | Proposed of {
       report : Install_flow.report;
@@ -199,10 +220,10 @@ let install t ~home:home_id ?deadline_ms ~name ~source () =
         let quarantined = note_failure e ~app:name ~reason:error in
         Install_failed { app = name; error; quarantined }
       in
-      (match Extract.extract_source ~name source with
+      (match extract ~name source with
       | exception Extract.Extraction_error m -> fail ("extraction failed: " ^ m)
       | exception ex -> fail ("extraction crashed: " ^ Printexc.to_string ex)
-      | { Extract.app; _ } -> (
+      | app -> (
         let budget = Deadline.budget_spec ~base:(Home.config e.home).Detector.budget dl in
         match Home.propose ~budget ~cancel:(Deadline.cancel dl) e.home app with
         | exception ex -> fail ("audit crashed: " ^ Printexc.to_string ex)
@@ -263,7 +284,7 @@ let drain t =
           Admission.Background
       then Shed_job { home = job.home_id; id = job.id; reason = Shed.Overloaded }
       else
-        match List.assoc_opt job.home_id t.homes with
+        match Hashtbl.find_opt t.by_id job.home_id with
         | None ->
           (* the home moved shards between submit and drain *)
           Shed_job { home = job.home_id; id = job.id; reason = Shed.Overloaded }
@@ -312,7 +333,7 @@ let quarantined_total t =
 let status t =
   Printf.sprintf
     "homes %d in-flight %d/%d queued-jobs %d occupancy %.2f quarantined %d"
-    (List.length t.homes)
+    (Hashtbl.length t.by_id)
     (Admission.in_flight t.admission)
     t.config.max_global (pending_jobs t)
     (Admission.occupancy t.admission)

@@ -18,6 +18,7 @@ module Rule = Homeguard_rules.Rule
 module Rule_json = Homeguard_rules.Rule_json
 module Json = Homeguard_rules.Json
 module Policy = Homeguard_handling.Policy
+module Intern = Homeguard_rules.Intern
 
 type t =
   | Install of Rule.smartapp  (** the user kept the app *)
@@ -109,28 +110,21 @@ let decode s =
 (* Decoded Install payloads, interned once per process. Every Install
    record carries the app's full rule file, and a fleet restart replays
    the same catalog apps in every home: keyed by the payload bytes, the
-   second decode of a payload is one hash and one compare, and the
-   homes share one immutable [Rule.smartapp]. Only successful decodes
-   are kept; the table is emptied once it reaches [intern_bound]
-   entries, and locked because audits run on several domains. *)
+   second decode of a payload is one hash and one compare. A fresh
+   decode goes through {!Intern.share_app}, so the homes share one
+   immutable [Rule.smartapp], and it is the very app a live install of
+   the same rules holds. Only successful decodes are kept. *)
 let intern_bound = 1024
-let interned : (string, t) Hashtbl.t = Hashtbl.create 256
-let intern_lock = Mutex.create ()
+let interned : (string, t) Intern.t = Intern.create ~bound:intern_bound
 
 let of_string s =
   if not (String.starts_with ~prefix:"{\"install\":" s) then decode s
   else
-    match Mutex.protect intern_lock (fun () -> Hashtbl.find_opt interned s) with
+    match Intern.find interned s with
     | Some ev -> ev
     | None ->
-      let ev = decode s in
-      Mutex.protect intern_lock (fun () ->
-          match Hashtbl.find_opt interned s with
-          | Some first -> first
-          | None ->
-            if Hashtbl.length interned >= intern_bound then Hashtbl.reset interned;
-            Hashtbl.add interned s ev;
-            ev)
+      let ev = match decode s with Install app -> Install (Intern.share_app app) | ev -> ev in
+      Intern.add interned s ev
 
 let describe = function
   | Install app -> "install " ^ app.Rule.name

@@ -32,7 +32,9 @@ val of_string : string -> t
 (** Raises {!Decode_error}, and nothing else, on any payload that is not
     an event, malformed JSON included. Install payloads are interned per
     process: decoding the same bytes again returns the same (physically
-    equal) app, so recovered homes share one immutable rule set. *)
+    equal) app, so recovered homes share one immutable rule set. A
+    fresh decode goes through {!Homeguard_rules.Intern.share_app}: an
+    app equal to one a live install holds is that app. *)
 
 val intern_bound : int
 (** The interned-Install table is emptied when it reaches this many

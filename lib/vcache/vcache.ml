@@ -869,15 +869,15 @@ let render_bindings bs =
 (* An app's L1 key part, memoized per store and app name. Physical
    identity of the app and of its bindings list is the fast check: one
    audit reads each app's bindings once, so every pair key of the audit
-   after the first reuses the rendered part. When it fails — a
-   recovered fleet parses its own copy of every app per home, and
-   homes bind different values — the entry is revalidated structurally:
-   a structurally equal app renders the same JSON, so its digest is
-   kept and only the bindings are re-rendered if they differ. Only an
-   app whose rule structure changed (an updated catalog entry under a
-   reused name) pays the JSON render and MD5 again, which changes every
-   key it appears in. The entry then holds the latest values, so the
-   rest of the audit hits physically. *)
+   after the first reuses the rendered part. Homes bind different
+   values, so the bindings are revalidated structurally and re-rendered
+   only if they differ. The app is checked only physically: live
+   installs and journal replay share one value per app
+   ({!Homeguard_rules.Intern.share_app}), so only an app whose rules
+   changed (an updated catalog entry under a reused name) pays the JSON
+   render and MD5 again, which changes every key it appears in. The
+   entry then holds the latest values, so the rest of the audit hits
+   physically. *)
 let app_key_part st (app : Rule.smartapp) bindings =
   let cached = Hashtbl.find_opt st.key_parts app.Rule.name in
   match cached with
@@ -885,7 +885,7 @@ let app_key_part st (app : Rule.smartapp) bindings =
   | _ ->
     let digest =
       match cached with
-      | Some kp when kp.kp_app == app || compare kp.kp_app app = 0 -> kp.kp_digest
+      | Some kp when kp.kp_app == app -> kp.kp_digest
       | _ -> Digest.to_hex (Digest.string (Rule_json.to_string app))
     in
     let text =

@@ -459,6 +459,137 @@ let admission_retry_hint_scales =
       | Error ms -> check_int "global depth 4" 200 ms
       | Ok _ -> Alcotest.fail "global bound should refuse")
 
+(* -- one shared app per source ------------------------------------------------ *)
+
+(* The app a successful install proposes. *)
+let proposed_app broker ~home ~name ~source =
+  match Broker.install broker ~home ~name ~source () with
+  | Broker.Proposed { report; _ } -> report.Install_flow.app
+  | _ -> Alcotest.failf "install of %s refused" name
+
+let fresh_extract ~name source = (Extract.extract_source ~name source).Extract.app
+
+(* A broker over [n] fresh homes "h1".."hn"; each install below is
+   rejected again, so the homes stay empty. *)
+let sharing_broker ?config n =
+  let broker = Broker.create ?config () in
+  for i = 1 to n do
+    let home, _ = Home.open_ ~fsync:false ~dir:(fresh_dir ()) () in
+    Broker.add_home broker ~id:(Printf.sprintf "h%d" i) home
+  done;
+  broker
+
+let propose_and_reject broker ~home ~name ~source =
+  let app = proposed_app broker ~home ~name ~source in
+  Home.decide (Broker.home broker home) Install_flow.Reject;
+  app
+
+let close_all broker = List.iter (fun (_, h) -> Home.close h) (Broker.homes broker)
+
+let shared_same_source =
+  test "the same name and source give one app, equal to a fresh extraction" (fun () ->
+      let broker = sharing_broker 2 in
+      let source = corpus_source "ComfortTV" in
+      let name = "ShareSameTV" in
+      let a1 = propose_and_reject broker ~home:"h1" ~name ~source in
+      (* a copy of the bytes, as a second read of the same file gives *)
+      let copy = String.sub source 0 (String.length source) in
+      let a2 = propose_and_reject broker ~home:"h2" ~name ~source:copy in
+      check_bool "physically equal across installs and homes" true (a1 == a2);
+      check_bool "equal to a fresh extraction" true (a1 = fresh_extract ~name source);
+      close_all broker)
+
+let shared_other_name =
+  test "the same source under another name gives a distinct app" (fun () ->
+      let broker = sharing_broker 1 in
+      let source = corpus_source "ComfortTV" in
+      let a = propose_and_reject broker ~home:"h1" ~name:"ShareNameA" ~source in
+      let b = propose_and_reject broker ~home:"h1" ~name:"ShareNameB" ~source in
+      check_bool "distinct" true (a != b && a <> b);
+      check_bool "named as installed" true (b.Rule.name = "ShareNameB");
+      check_bool "equal to its fresh extraction" true
+        (b = fresh_extract ~name:"ShareNameB" source);
+      close_all broker)
+
+let shared_never_failures =
+  test "a failing source is never interned: quarantine trips on the K-th attempt"
+    (fun () ->
+      let config = { Broker.default_config with Broker.quarantine_after = 3 } in
+      let broker = sharing_broker ~config 1 in
+      let name = "SharePoison" in
+      let good = corpus_source "ComfortTV" in
+      (* a good version of the name is held; the broken one must not be
+         served from it *)
+      ignore (propose_and_reject broker ~home:"h1" ~name ~source:good);
+      let bad = String.sub good 0 (String.length good / 2) in
+      let tripped =
+        List.init 3 (fun _ ->
+            match Broker.install broker ~home:"h1" ~name ~source:bad () with
+            | Broker.Install_failed { quarantined; error; _ } ->
+              check_bool "extraction failed" true (contains ~sub:"extraction failed" error);
+              quarantined
+            | _ -> Alcotest.fail "a broken source must fail every attempt")
+      in
+      check_bool "counted twice, tripped on the third" true (tripped = [ false; false; true ]);
+      close_all broker)
+
+let shared_with_replay =
+  test "a kept app's replayed value is the live one after close and reopen" (fun () ->
+      let dir = fresh_dir () in
+      let home, _ = Home.open_ ~fsync:false ~dir () in
+      let broker = Broker.create () in
+      Broker.add_home broker ~id:"home" home;
+      let name = "ShareReplayTV" in
+      let live = proposed_app broker ~home:"home" ~name ~source:(corpus_source "ComfortTV") in
+      Home.decide home Install_flow.Keep;
+      Home.close home;
+      let home2, _ = Home.open_ ~fsync:false ~dir () in
+      let named (a : Rule.smartapp) = a.Rule.name = name in
+      (match List.find_opt named (Home.installed_apps home2) with
+      | Some replayed -> check_bool "physically the live app" true (replayed == live)
+      | None -> Alcotest.fail "kept app not recovered");
+      Home.close home2)
+
+let shared_changed_app =
+  test "a changed app under a reused name replaces the entry" (fun () ->
+      let broker = sharing_broker 1 in
+      let name = "ShareChanged" in
+      let v1 = corpus_source "ComfortTV" and v2 = corpus_source "ColdDefender" in
+      let a1 = propose_and_reject broker ~home:"h1" ~name ~source:v1 in
+      let a2 = propose_and_reject broker ~home:"h1" ~name ~source:v2 in
+      check_bool "the new version, not the old" true (a2 = fresh_extract ~name v2 && a2 <> a1);
+      check_bool "the new version is held" true
+        (propose_and_reject broker ~home:"h1" ~name ~source:v2 == a2);
+      let a3 = propose_and_reject broker ~home:"h1" ~name ~source:v1 in
+      check_bool "the old version again, extracted afresh" true
+        (a3 = fresh_extract ~name v1 && a3 = a1);
+      close_all broker)
+
+let broker_home_registry =
+  test "homes are found by id, iterate in registration order, and leave on removal"
+    (fun () ->
+      let broker = Broker.create () in
+      let open_home () = fst (Home.open_ ~fsync:false ~dir:(fresh_dir ()) ()) in
+      List.iter (fun id -> Broker.add_home broker ~id (open_home ())) [ "c"; "a"; "b" ];
+      check_bool "registration order" true (Broker.home_ids broker = [ "c"; "a"; "b" ]);
+      let a = Broker.home broker "a" in
+      check_bool "found by id" true
+        (match Broker.home_opt broker "a" with Some h -> h == a | None -> false);
+      check_bool "removal returns the home" true
+        (match Broker.remove_home broker "a" with Some h -> h == a | None -> false);
+      check_bool "gone from lookup" true (Broker.home_opt broker "a" = None);
+      check_bool "gone from iteration" true (Broker.home_ids broker = [ "c"; "b" ]);
+      check_bool "unknown id raises" true
+        (match Broker.home broker "a" with exception Invalid_argument _ -> true | _ -> false);
+      Broker.add_home broker ~id:"a" a;
+      check_bool "re-added last" true (Broker.home_ids broker = [ "c"; "b"; "a" ]);
+      check_bool "duplicate refused" true
+        (match Broker.add_home broker ~id:"c" a with
+        | exception Invalid_argument _ -> true
+        | () -> false);
+      check_bool "status counts homes" true (contains ~sub:"homes 3 " (Broker.status broker));
+      close_all broker)
+
 let () =
   Alcotest.run "homeguard-serve"
     [
@@ -477,5 +608,14 @@ let () =
           broker_backpressure_and_shed;
           broker_quarantine_end_to_end;
           quarantined_app_excluded_from_audit;
+          broker_home_registry;
+        ] );
+      ( "sharing",
+        [
+          shared_same_source;
+          shared_other_name;
+          shared_never_failures;
+          shared_with_replay;
+          shared_changed_app;
         ] );
     ]

@@ -126,6 +126,43 @@ let install_flow_chained =
       let report = Install_flow.propose flow (extract_corpus "CurlingIron") in
       check_bool "chained threat reported" true (report.Install_flow.chains <> []))
 
+(* The texts a user reads, pinned byte for byte: every fifth audit-pool
+   app is proposed and kept in one flow, and each report's rules,
+   threats and handling texts are digested in order. The constants were
+   captured when the texts were still rendered eagerly inside
+   [propose]; rendering them on demand must not change a byte. *)
+let report_texts_pinned =
+  test "install reports' rules, threats and handling texts are pinned" (fun () ->
+      let flow = Install_flow.create () in
+      let rules = Buffer.create 4096
+      and threats = Buffer.create 65536
+      and handling = Buffer.create 32768 in
+      let add b text =
+        Buffer.add_string b text;
+        Buffer.add_char b '\n'
+      in
+      let n_threats = ref 0 in
+      List.iteri
+        (fun i (e : Homeguard_corpus.App_entry.t) ->
+          if i mod 5 = 0 then begin
+            let r =
+              Install_flow.propose flow
+                (extract ~name:e.Homeguard_corpus.App_entry.name
+                   e.Homeguard_corpus.App_entry.source)
+            in
+            n_threats := !n_threats + List.length r.Install_flow.threats;
+            add rules (Install_flow.rules_text r);
+            add threats (Install_flow.threats_text r);
+            add handling (Install_flow.handling_text r);
+            Install_flow.decide flow Install_flow.Keep
+          end)
+        Homeguard_corpus.Corpus.audit_apps;
+      let digest b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+      check_int "threats across the 25 reports" 183 !n_threats;
+      check_string "rules text" "d99b671377b01c46d37d009800227255" (digest rules);
+      check_string "threats text" "38d4a144d2a4d6ab5265a4c6a39df2e4" (digest threats);
+      check_string "handling text" "d64a3240192f3493cf0be69187efc31d" (digest handling))
+
 let tests =
   [
     describe_comfort_tv;
@@ -140,4 +177,5 @@ let tests =
     install_flow_reject;
     install_flow_no_pending;
     install_flow_chained;
+    report_texts_pinned;
   ]

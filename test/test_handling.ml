@@ -319,7 +319,7 @@ let install_flow_end_to_end =
       check_int "one recommendation per threat"
         (List.length r2.Install_flow.threats)
         (List.length r2.Install_flow.recommendations);
-      check_bool "handling text rendered" true (r2.Install_flow.handling_text <> "");
+      check_bool "handling text rendered" true (Install_flow.handling_text r2 <> "");
       Install_flow.decide flow Install_flow.Keep;
       check_bool "kept threats recorded" true (Install_flow.kept_threats flow <> []);
       (* the flow-compiled mediator enforces the defaults *)

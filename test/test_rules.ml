@@ -2,6 +2,7 @@
 
 module Rule = Homeguard_rules.Rule
 module Rule_db = Homeguard_rules.Rule_db
+module Intern = Homeguard_rules.Intern
 module Formula = Homeguard_solver.Formula
 module Term = Homeguard_solver.Term
 module Domain = Homeguard_solver.Domain
@@ -112,6 +113,42 @@ let db_all_rules_tagged =
       let tags = List.map (fun (a, _) -> a.Rule.name) (Rule_db.all_rules db) in
       Alcotest.(check (list string)) "apps in order" [ "A"; "B" ] tags)
 
+(* -- per-process intern tables ------------------------------------------------- *)
+
+let intern_add_keeps_first =
+  test "Intern.add keeps the first value; replace drops it" (fun () ->
+      let t = Intern.create ~bound:8 in
+      let v1 = ref 1 and v2 = ref 1 in
+      check_bool "new key holds its value" true (Intern.add t "k" v1 == v1);
+      check_bool "second add returns the first" true (Intern.add t "k" v2 == v1);
+      check_bool "find agrees" true (Intern.find t "k" = Some v1);
+      Intern.replace t "k" v2;
+      check_bool "replace wins" true (match Intern.find t "k" with Some v -> v == v2 | None -> false))
+
+let intern_past_bound =
+  test "an Intern table past its bound empties and stays correct" (fun () ->
+      let t = Intern.create ~bound:4 in
+      for i = 0 to 9 do
+        check_int "holds what it was given" i (Intern.add t i i)
+      done;
+      check_bool "emptied at the bound" true (Intern.find t 0 = None);
+      check_bool "the latest is held" true (Intern.find t 9 = Some 9))
+
+let share_app_laws =
+  test "share_app: equal apps share the held value, a changed one replaces it" (fun () ->
+      let a = mk_app ~inputs:[ input "s1" "capability.switch" ] "ShareLawsApp" in
+      let copy = { a with Rule.inputs = List.map (fun i -> { i with Rule.var = "s1" }) a.Rule.inputs } in
+      check_bool "a copy, not the same value" true (copy != a && copy = a);
+      let held = Intern.share_app a in
+      check_bool "the first is held" true (held == a);
+      check_bool "an equal copy gets the held value" true (Intern.share_app copy == a);
+      let changed = mk_app ~inputs:[ input "s2" "capability.switch" ] "ShareLawsApp" in
+      check_bool "a changed app is returned as is" true (Intern.share_app changed == changed);
+      check_bool "and is held from then on" true (Intern.share_app copy == copy);
+      check_bool "another name is its own entry" true
+        (let other = { a with Rule.name = "ShareLawsOther" } in
+         Intern.share_app other == other))
+
 let tests =
   [
     capability_of_input;
@@ -122,4 +159,7 @@ let tests =
     store_falls_back_on_attribute;
     db_install_uninstall;
     db_all_rules_tagged;
+    intern_add_keeps_first;
+    intern_past_bound;
+    share_app_laws;
   ]
