@@ -6,6 +6,7 @@
 module Rule = Homeguard_rules.Rule
 module Formula = Homeguard_solver.Formula
 module Budget = Homeguard_solver.Budget
+module Domain = Homeguard_solver.Domain
 module Detector = Homeguard_detector.Detector
 module Threat = Homeguard_detector.Threat
 module Effects = Homeguard_detector.Effects
@@ -623,8 +624,24 @@ let install_row_matches_reference =
 
 (* -- audit pool counters ------------------------------------------------------- *)
 
+(* A threat with its witness: the bindings in model order, sentinel
+   bindings included, or "-" when there is none. The threat interpreter
+   shows these bindings, and [Threat.to_string] leaves them out. *)
+let witness_line (t : Threat.t) =
+  let w =
+    match t.Threat.witness with
+    | None -> "-"
+    | Some m ->
+      String.concat ";" (List.map (fun (v, x) -> v ^ "=" ^ Domain.value_to_string x) m)
+  in
+  Threat.to_string t ^ "\t" ^ w
+
+let witness_digest threats =
+  Digest.to_hex (Digest.string (String.concat "\n" (List.map witness_line threats)))
+
 (* The 125-app audit's exact counters. Any drift in the plan, the
-   detector or the solver-result reuse shows up here first. *)
+   detector or the solver-result reuse shows up here first, and any
+   drift in a witness changes the digest. *)
 let audit_pool_counters =
   test "audit pool: 2868 pairs, 3845 threats, 3917 solves (4247 unshared), all decided"
     (fun () ->
@@ -634,12 +651,20 @@ let audit_pool_counters =
       let run config jobs =
         let ctx = Detector.create config in
         let threats = Detector.detect_all ~jobs ctx apps in
-        (List.map Threat.to_string threats, ctx.Detector.solver_calls)
+        (threats, ctx.Detector.solver_calls)
       in
       let t1, calls = run Detector.offline_config 1 in
       let t2, _ = run Detector.offline_config 2 in
       check_int "threats" 3845 (List.length t1);
-      Alcotest.(check (list string)) "threat lines at jobs 1 and 2" t1 t2;
+      check_int "threats with a witness" 3307
+        (List.length (List.filter (fun (t : Threat.t) -> t.Threat.witness <> None) t1));
+      Alcotest.(check (list string))
+        "threat lines at jobs 1 and 2" (List.map Threat.to_string t1)
+        (List.map Threat.to_string t2);
+      check_string "witness digest at jobs 1" "a8c5e0c5ced0819c78d2ed1cf086bd2a"
+        (witness_digest t1);
+      check_string "witness digest at jobs 2" "a8c5e0c5ced0819c78d2ed1cf086bd2a"
+        (witness_digest t2);
       check_int "solver calls" 3917 calls;
       check_int "solver calls without reuse" 4247
         (snd (run { Detector.offline_config with Detector.reuse = false } 1));

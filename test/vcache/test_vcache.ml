@@ -47,6 +47,17 @@ let fresh_dir =
 let extract_app (e : App_entry.t) =
   (Extract.extract_source ~name:e.App_entry.name e.App_entry.source).Extract.app
 
+(* A threat with its witness: the bindings in model order, sentinel
+   bindings included, or "-" when there is none. *)
+let witness_line (t : Threat.t) =
+  let w =
+    match t.Threat.witness with
+    | None -> "-"
+    | Some m ->
+      String.concat ";" (List.map (fun (v, x) -> v ^ "=" ^ Domain.value_to_string x) m)
+  in
+  Threat.to_string t ^ "\t" ^ w
+
 (* One synthetic home audited exactly the way the fleet audits it:
    extracted apps, recorded configuration, exhaustive pairwise audit. *)
 let home_threats ?hook ?(layer = Fun.id) ~jobs (h : Synth.home) =
@@ -68,7 +79,7 @@ let home_threats ?hook ?(layer = Fun.id) ~jobs (h : Synth.home) =
   in
   let ctx = Detector.create config in
   let r = Detector.audit_all ~jobs ctx apps in
-  List.map Threat.to_string r.Detector.threats
+  List.map witness_line r.Detector.threats
 
 (* A minimal query family for exercising the cache directly: one
    abstractable threshold binding against a fixed device store. Homes
@@ -396,6 +407,11 @@ let fixed_fleet_counters =
     (fun () ->
       let homes = Corpus.synth ~seed:13 ~n_homes:400 in
       let base = List.map (home_threats ~jobs:1) homes in
+      let lines = List.concat base in
+      check_int "threats" 788 (List.length lines);
+      Alcotest.(check string) "witness digest over all homes"
+        "0bba55701f2ee88f554138becfa87c08"
+        (Digest.to_hex (Digest.string (String.concat "\n" lines)));
       let same label threats = Alcotest.(check (list (list string))) label base threats in
       same "uncached at jobs 2" (List.map (home_threats ~jobs:2) homes);
       let st = Vcache.open_store ~fsync:false ~dir:(fresh_dir ()) () in
