@@ -393,32 +393,6 @@ let a2_ast_grep_ablation () =
   print_endline "(without constraints, overlap detection degenerates: every candidate";
   print_endline " pair would be reported, which is why the paper rejects AST search)"
 
-(* ------------------------------------------------------------------ A3 *)
-
-let a3_solver_ablation () =
-  section "A3. Ablation — DNF solving vs lazy DPLL splitting";
-  let iters = 500 in
-  let p1, p2 = pair_of "ComfortTV" "ColdDefender" in
-  let f = Formula.conj [ Rule.situation (snd p1); Rule.situation (snd p2) ] in
-  let store = Rule.store_for_rules [ p1; p2 ] in
-  let _, dnf_ms =
-    time_ms (fun () ->
-        for _ = 1 to iters do
-          ignore (Solver.satisfiable store f)
-        done)
-  in
-  let _, dpll_ms =
-    time_ms (fun () ->
-        for _ = 1 to iters do
-          ignore (Solver.satisfiable_dpll store f)
-        done)
-  in
-  let per ms = ms /. float_of_int iters in
-  Printf.printf "merged Fig-3 constraint set, %d solves each:\n" iters;
-  Printf.printf "  DNF + propagate-and-split: %.4f ms/solve\n" (per dnf_ms);
-  Printf.printf "  lazy DPLL splitting:       %.4f ms/solve\n" (per dpll_ms);
-  print_endline "(rule formulas are small: both are far below the paper's JaCoP times)"
-
 (* ------------------------------------------------------------------ X1 *)
 
 (* Multi-platform applicability (paper §VIII-D4, Table IV): IFTTT
@@ -581,7 +555,6 @@ let () =
   e9_chained ();
   e10_table_v ();
   a2_ast_grep_ablation ();
-  a3_solver_ablation ();
   x1_multi_platform ();
   h1_mediation ();
   print_endline "\nAll experiment sections completed."

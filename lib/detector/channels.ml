@@ -48,9 +48,6 @@ let attribute_writes (app : Rule.smartapp) (action : Rule.action) : attr_write l
       [ { w_target = action.Rule.target; w_attr = target_attr; w_value = value } ]
     | None -> [])
 
-(** Environment features an action perturbs, with direction. *)
-let environment_effects = Effects.effects_of_action
-
 (** The environment feature a trigger subscription senses, if its
     subject attribute is an environment measurement. *)
 let sensed_feature_of_trigger (trigger : Rule.trigger) =

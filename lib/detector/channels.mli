@@ -15,9 +15,6 @@ type attr_write = {
 
 val attribute_writes : Rule.smartapp -> Rule.action -> attr_write list
 
-val environment_effects :
-  Rule.smartapp -> Rule.action -> (Env.t * Effects.polarity) list
-
 val sensed_feature_of_trigger : Rule.trigger -> Env.t option
 
 val attr_senses : Env.t -> string option -> bool

@@ -518,24 +518,6 @@ let actions_race ctx same_device (r1 : Rule.t) (r2 : Rule.t) =
 let ar_candidate ctx ((app1, r1) : tagged_rule) ((app2, r2) : tagged_rule) =
   actions_race ctx (same_device ctx app1 app2) r1 r2
 
-let triggers_unify ctx ((app1, r1) : tagged_rule) ((app2, r2) : tagged_rule) =
-  match (r1.Rule.trigger, r2.Rule.trigger) with
-  | Rule.Event e1, Rule.Event e2 -> (
-    e1.attribute = e2.attribute
-    &&
-    match (e1.subject, e2.subject) with
-    | Rule.Device v1, Rule.Device v2 -> same_device ctx app1 app2 v1 v2
-    | Rule.Location, Rule.Location -> true
-    | Rule.App_touch, Rule.App_touch -> true
-    | _ -> false)
-  | Rule.Scheduled s1, Rule.Scheduled s2 -> (
-    (* two fixed times must coincide; anything involving a period or an
-       unknown time may overlap *)
-    match (s1.at_minutes, s2.at_minutes) with
-    | Some a1, Some a2 -> a1 = a2
-    | _ -> true)
-  | _ -> false
-
 (* AR uses the conditions-only overlap: the paper's formalism asks for
    identical triggers, but its evaluation reports races between rules
    whose independent triggers merely can co-occur (e.g. LetThereBeDark's

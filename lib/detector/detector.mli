@@ -199,7 +199,6 @@ val conditions_overlap :
 (** Conditions-only variant (memoized; shared by AR and CT/SD/LT). *)
 
 val ar_candidate : ctx -> tagged_rule -> tagged_rule -> bool
-val triggers_unify : ctx -> tagged_rule -> tagged_rule -> bool
 
 val detect_ar : ctx -> tagged_rule -> tagged_rule -> Threat.t list
 val detect_gc : ctx -> tagged_rule -> tagged_rule -> Threat.t list

@@ -536,7 +536,6 @@ let running t =
 let shard t idx =
   match t.slots.(idx).state with Running sh -> Some sh | _ -> None
 
-let cache_handle t idx = t.slots.(idx).cache
 let homes_of t idx = t.slots.(idx).homes
 let home_ids t = Hashtbl.fold (fun id _ acc -> id :: acc) t.assignment []
 

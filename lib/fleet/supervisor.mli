@@ -105,10 +105,6 @@ val wedge : t -> int -> Shard.t option
     drives this handle directly. [None] when the shard is not
     running. *)
 
-val cache_handle : t -> int -> Vcache.handle option
-(** Shard [idx]'s current handle on the shared verdict cache — chaos
-    probes a wedged shard's {e retained} handle against this one. *)
-
 val scrub : t -> Homeguard_store.Scrub.counters
 (** Anti-entropy pass over every home: live homes scrub in place
     (writers parked around the repair), homes on down/dead shards scrub

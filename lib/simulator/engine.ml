@@ -53,7 +53,7 @@ type t = {
   command_latency_ms : int;
   jitter_ms : int;
   sample_interval_ms : int;
-  mutable mediator : Mediator.t option;
+  mediator : Mediator.t option;
       (** reference monitor consulted before each Execute dispatch *)
   feature_prov : (Env.t, provenance) Hashtbl.t;
       (** provenance of the rule whose actuation last drove each
@@ -83,8 +83,6 @@ let create ?(seed = 1) ?(command_latency_ms = 40) ?(jitter_ms = 150)
     influence_feats = Hashtbl.create 8;
     sample_scheduled = false;
   }
-
-let set_mediator t m = t.mediator <- Some m
 
 (* Keep the most recent hops: old hops stop mattering once a chain is
    this deep, and the cap keeps tight loops from accumulating state. *)

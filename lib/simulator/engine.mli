@@ -39,7 +39,7 @@ type t = {
   command_latency_ms : int;
   jitter_ms : int;
   sample_interval_ms : int;
-  mutable mediator : Homeguard_handling.Mediator.t option;
+  mediator : Homeguard_handling.Mediator.t option;
   feature_prov : (Homeguard_st.Env_feature.t, provenance) Hashtbl.t;
   influence_feats : (string, Homeguard_st.Env_feature.t list) Hashtbl.t;
   mutable sample_scheduled : bool;
@@ -53,10 +53,6 @@ val create :
   ?mediator:Homeguard_handling.Mediator.t ->
   unit ->
   t
-
-val set_mediator : t -> Homeguard_handling.Mediator.t -> unit
-(** Arm (or swap) the reference monitor; consulted before every
-    subsequent Execute dispatch. *)
 
 val trace : t -> Trace.t
 

@@ -1,65 +1,33 @@
-(** Disjunctive normal form of quantifier-free formulas.
+(** Disjunctive normal form of quantifier-free formulas, as a lazy
+    sequence.
 
     After NNF (negations pushed into comparators) a formula is a
-    positive combination of atoms; DNF yields a list of conjuncts, each a
-    plain atom list. Rule formulas are small, so the exponential
-    worst case is bounded by {!max_conjuncts} as a safety valve. *)
-
-exception Too_large
+    positive combination of atoms, and its DNF is a sequence of
+    conjuncts, each a plain atom list. The sequence is lazy: a solver
+    that stops at the first satisfiable conjunct never builds the rest,
+    so the exponential worst case costs only what is walked. *)
 
 type atom = Formula.cmp * Term.t * Term.t
 
 type conjunct = atom list
 
-let max_conjuncts = 4096
-
-(* Cartesian conjunction of two DNFs. *)
-let cross d1 d2 =
-  let result = List.concat_map (fun c1 -> List.map (fun c2 -> c1 @ c2) d2) d1 in
-  if List.length result > max_conjuncts then raise Too_large;
-  result
-
-let of_formula_uncached f =
+(** [of_formula f] yields the conjuncts of [f]'s DNF: [Or] disjuncts
+    left to right, [And] children distributed with the first child
+    outermost, and atoms in formula order. An empty sequence means
+    [False]; an empty conjunct is trivially true. *)
+let of_formula f =
   let rec go = function
-    | Formula.True -> [ [] ]
-    | Formula.False -> []
-    | Formula.Atom (cmp, a, b) -> [ [ (cmp, a, b) ] ]
-    | Formula.And fs -> List.fold_left (fun acc f -> cross acc (go f)) [ [] ] fs
-    | Formula.Or fs ->
-      let result = List.concat_map go fs in
-      if List.length result > max_conjuncts then raise Too_large;
-      result
+    | Formula.True -> Seq.return []
+    | Formula.False -> Seq.empty
+    | Formula.Atom (cmp, a, b) -> Seq.return [ (cmp, a, b) ]
+    | Formula.And fs -> conj fs
+    | Formula.Or fs -> Seq.concat_map go (List.to_seq fs)
     | Formula.Not _ -> invalid_arg "Dnf.of_formula: formula not in NNF"
+  and conj = function
+    | [] -> Seq.return []
+    | f :: rest -> Seq.concat_map (fun c1 -> Seq.map (fun c2 -> c1 @ c2) (conj rest)) (go f)
   in
   go (Formula.nnf f)
-
-(* DNF conversions memoized per OCaml domain, keyed on the hash-consed
-   formula. [Too_large] is cached as [None] so pathological formulas pay
-   the blowup once per worker rather than once per solve. *)
-let memo_key : (Formula.t, conjunct list option) Hashtbl.t Stdlib.Domain.DLS.key =
-  Stdlib.Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-
-let memo_limit = 4096
-
-(** [of_formula f] converts to DNF. An empty list means unsatisfiable
-    ([False]); a list containing an empty conjunct means [True]. *)
-let of_formula f =
-  if not !Formula.memo_enabled then of_formula_uncached f
-  else begin
-    let f = Formula.hashcons f in
-    let tbl = Stdlib.Domain.DLS.get memo_key in
-    match Hashtbl.find_opt tbl f with
-    | Some (Some conjuncts) -> conjuncts
-    | Some None -> raise Too_large
-    | None ->
-      let result = match of_formula_uncached f with
-        | conjuncts -> Some conjuncts
-        | exception Too_large -> None
-      in
-      if Hashtbl.length tbl >= memo_limit then Hashtbl.reset tbl;
-      Hashtbl.add tbl f result;
-      (match result with Some conjuncts -> conjuncts | None -> raise Too_large)
-  end
 
 let conjunct_to_formula atoms =
   Formula.conj (List.map (fun (cmp, a, b) -> Formula.Atom (cmp, a, b)) atoms)

@@ -1,16 +1,14 @@
-(** Disjunctive normal form of quantifier-free formulas. *)
-
-exception Too_large
-(** Raised when the DNF would exceed {!max_conjuncts}. *)
+(** Disjunctive normal form of quantifier-free formulas, as a lazy
+    sequence of conjuncts. *)
 
 type atom = Formula.cmp * Term.t * Term.t
 type conjunct = atom list
 
-val max_conjuncts : int
-
-val of_formula : Formula.t -> conjunct list
-(** NNF then distribution. [[]] means the formula is [False]; a list
-    containing [[]] contains a trivially true conjunct. *)
+val of_formula : Formula.t -> conjunct Seq.t
+(** NNF then distribution, on demand: [Or] disjuncts left to right,
+    [And] children with the first child outermost, atoms in formula
+    order. An empty sequence means the formula is [False]; an empty
+    conjunct is trivially true. *)
 
 val conjunct_to_formula : conjunct -> Formula.t
 val to_formula : conjunct list -> Formula.t

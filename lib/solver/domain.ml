@@ -30,9 +30,6 @@ let bitset_enabled = ref true
    shifts by >= Sys.int_size - 1 are unspecified in OCaml, so stay clear). *)
 let max_bits = 62
 
-let empty_ints : t = Ints []
-let empty_enums : t = Enums []
-
 (* -- interval-set algebra ------------------------------------------------ *)
 
 (* Normalise a list of possibly overlapping intervals. *)

@@ -23,9 +23,6 @@ val to_iset : t -> iset
 (** Interval-set view of an integer domain (either representation).
     Raises [Invalid_argument] on enum domains. *)
 
-val empty_ints : t
-val empty_enums : t
-
 val interval : int -> int -> t
 (** [interval lo hi] — all integers in [lo..hi]. *)
 

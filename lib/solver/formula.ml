@@ -51,42 +51,34 @@ and nnf_neg = function
   | Or fs -> And (List.map nnf_neg fs)
   | Not f -> nnf_rec f
 
-(* -- hash-consing and NNF memoization ------------------------------------ *)
+(* -- NNF memoization ------------------------------------------------------ *)
 
-(** When false, {!hashcons} is the identity and {!nnf} recomputes every
-    call. An A/B switch for benchmarking, mirrors
-    {!Domain.bitset_enabled}. *)
+(** When false, {!nnf} recomputes every call. An A/B switch for
+    benchmarking, mirrors {!Domain.bitset_enabled}. *)
 let memo_enabled = ref true
 
-(* Per-OCaml-domain tables: detector workers run on separate domains, so
-   thread-local storage avoids both locking and cross-domain races.
-   Tables are bounded and simply reset when full — formulas in one audit
-   cluster around a few hundred shapes, so resets are rare. *)
+(* A per-OCaml-domain table: detector workers run on separate domains,
+   so thread-local storage avoids both locking and cross-domain races.
+   The table is bounded and simply reset when full — formulas in one
+   audit cluster around a few hundred shapes, so resets are rare. *)
 let memo_limit = 8192
 
-let dls_table () = Stdlib.Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-
-let hc_key : (t, t) Hashtbl.t Stdlib.Domain.DLS.key = dls_table ()
-let nnf_key : (t, t) Hashtbl.t Stdlib.Domain.DLS.key = dls_table ()
-
-let memo_find key build f =
-  let tbl = Stdlib.Domain.DLS.get key in
-  match Hashtbl.find_opt tbl f with
-  | Some g -> g
-  | None ->
-    let g = build f in
-    if Hashtbl.length tbl >= memo_limit then Hashtbl.reset tbl;
-    Hashtbl.add tbl f g;
-    g
-
-(** [hashcons f] returns a canonical physically-shared representative of
-    [f]: structurally equal formulas map to the same heap value, so
-    later structural comparisons and memo probes short-circuit on
-    physical equality. *)
-let hashcons f = if !memo_enabled then memo_find hc_key (fun f -> f) f else f
+let nnf_key : (t, t) Hashtbl.t Stdlib.Domain.DLS.key =
+  Stdlib.Domain.DLS.new_key (fun () -> Hashtbl.create 256)
 
 (** Memoizing wrapper over the recursive NNF. *)
-let nnf f = if !memo_enabled then memo_find nnf_key nnf_rec f else nnf_rec f
+let nnf f =
+  if not !memo_enabled then nnf_rec f
+  else begin
+    let tbl = Stdlib.Domain.DLS.get nnf_key in
+    match Hashtbl.find_opt tbl f with
+    | Some g -> g
+    | None ->
+      let g = nnf_rec f in
+      if Hashtbl.length tbl >= memo_limit then Hashtbl.reset tbl;
+      Hashtbl.add tbl f g;
+      g
+  end
 
 (** Flatten nested conjunctions into a list of non-[And] conjuncts. *)
 let rec conjuncts = function

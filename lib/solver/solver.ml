@@ -5,13 +5,16 @@
     enumerated strings, and return a witness model used to explain under
     which situation two rules interfere (paper §VI-A2).
 
-    The primary entry points {!solve} and {!solve_dpll} answer with the
-    three-valued {!verdict}: [Sat model], [Unsat], or [Unknown reason]
-    when the caller's {!Budget.t} (or the search depth cap, or a
-    test-only injected fault) trips before the solve concludes. The
-    legacy [option]-returning wrappers are kept for callers that
-    genuinely only need "definitely sat" — they raise on [Unknown]
-    instead of silently conflating it with unsat. *)
+    There is one solve path: {!solve} walks the formula's lazy DNF
+    ({!Dnf.of_formula}) conjunct by conjunct, runs propagate-and-split
+    ({!Search.solve}) on each, and stops at the first Sat, so a witness
+    is always the first satisfiable conjunct's model. It answers with
+    the three-valued {!verdict}: [Sat model], [Unsat], or
+    [Unknown reason] when the caller's {!Budget.t} (or the search depth
+    cap, or a test-only injected fault) trips before the solve
+    concludes. The [option]-returning wrappers are kept for callers
+    that only need "definitely sat" — they raise on [Unknown] instead
+    of silently conflating it with unsat. *)
 
 type model = Search.model
 
@@ -26,70 +29,35 @@ let flags_fingerprint () =
     (if !Domain.bitset_enabled then '1' else '0')
     (if !Formula.memo_enabled then '1' else '0')
 
-(* Three-valued "or" over a sequence of sub-solves: any Sat wins, all
-   Unsat is Unsat, otherwise the first Unknown is reported. *)
+(* Three-valued "or" over a sequence of sub-solves, walked in order:
+   the first Sat wins and stops the walk, all Unsat is Unsat, otherwise
+   the first Unknown is reported. *)
 let fold_verdicts solve_one items : verdict =
-  List.fold_left
-    (fun acc item ->
-      match acc with
-      | Budget.Sat _ -> acc
-      | _ -> (
-        match solve_one item with
-        | Budget.Sat m -> Budget.Sat m
-        | Budget.Unsat -> acc
-        | Budget.Unknown r -> (
-          match acc with Budget.Unknown _ -> acc | _ -> Budget.Unknown r)))
-    Budget.Unsat items
+  let rec go acc items =
+    match items () with
+    | Seq.Nil -> acc
+    | Seq.Cons (item, rest) -> (
+      match solve_one item with
+      | Budget.Sat m -> Budget.Sat m
+      | Budget.Unsat -> go acc rest
+      | Budget.Unknown r ->
+        go (match acc with Budget.Unknown _ -> acc | _ -> Budget.Unknown r) rest)
+  in
+  go Budget.Unsat items
 
 (* The fault-injection key is the formula itself: deterministic for a
    given solve regardless of call order or domain count. *)
 let inject_faults f = if Fault.armed () then Fault.check (Formula.to_string f)
 
-(** Lazy DPLL-style solving (also the ablation A3 variant): split on
-    disjunctions without materialising the full DNF. *)
-let solve_dpll ?budget store f : verdict =
-  let store = Store.infer store f in
-  let nnf = Formula.nnf f in
-  let budget = match budget with Some b -> b | None -> Budget.unlimited () in
-  (* Separate a conjunction into literal atoms and remaining disjunctions. *)
-  let rec flatten acc_atoms acc_ors = function
-    | [] -> (acc_atoms, List.rev acc_ors)
-    | Formula.True :: rest -> flatten acc_atoms acc_ors rest
-    | Formula.False :: _ -> raise Exit
-    | Formula.Atom (cmp, a, b) :: rest -> flatten ((cmp, a, b) :: acc_atoms) acc_ors rest
-    | Formula.And fs :: rest -> flatten acc_atoms acc_ors (fs @ rest)
-    | (Formula.Or _ as f) :: rest -> flatten acc_atoms (f :: acc_ors) rest
-    | Formula.Not _ :: _ -> invalid_arg "solve_dpll: not in NNF"
-  in
-  let rec go fs : verdict =
-    match flatten [] [] fs with
-    | exception Exit -> Budget.Unsat
-    | atoms, [] -> Search.solve ~budget store atoms
-    | atoms, Formula.Or disjuncts :: ors ->
-      fold_verdicts
-        (fun d ->
-          go (d :: ors @ List.map (fun (cmp, a, b) -> Formula.Atom (cmp, a, b)) atoms))
-        disjuncts
-    | _, _ :: _ -> assert false
-  in
-  match
-    inject_faults f;
-    go [ nnf ]
-  with
-  | verdict -> verdict
-  | exception Budget.Exhausted reason -> Budget.Unknown reason
-
-(** [solve ?budget store f] — DNF + propagate-and-split per conjunct; the
-    store is closed over free variables via {!Store.infer}. Formulas
-    whose DNF would explode fall back to the lazy splitting above. *)
+(** [solve ?budget store f] — propagate-and-split over each conjunct of
+    the lazy DNF in turn, stopping at the first Sat; the store is closed
+    over free variables via {!Store.infer}. *)
 let solve ?budget store f : verdict =
-  let store' = Store.infer store f in
+  let store = Store.infer store f in
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   match
     inject_faults f;
-    match Dnf.of_formula f with
-    | conjuncts -> fold_verdicts (fun c -> Search.solve ~budget store' c) conjuncts
-    | exception Dnf.Too_large -> solve_dpll ~budget store f
+    fold_verdicts (Search.solve ~budget store) (Dnf.of_formula f)
   with
   | verdict -> verdict
   | exception Budget.Exhausted reason -> Budget.Unknown reason
@@ -108,10 +76,6 @@ let require_decided = function
     definitely unsatisfiable. Raises {!Budget.Exhausted} if the solve
     is undecided (callers needing graceful degradation use {!solve}). *)
 let satisfiable store f : model option = require_decided (solve store f)
-
-(** Option-returning DPLL wrapper with the same "definitely sat"
-    contract as {!satisfiable}. *)
-let satisfiable_dpll store f : model option = require_decided (solve_dpll store f)
 
 (** [sat store f] — satisfiability as a boolean. *)
 let sat store f = Option.is_some (satisfiable store f)

@@ -1,7 +1,8 @@
 (** Top-level constraint-satisfaction interface — HomeGuard's substitute
     for the JaCoP solver: satisfiability of quantifier-free formulas
     over bounded integers and enumerated strings, with witness models
-    and three-valued, budget-aware verdicts. *)
+    and three-valued, budget-aware verdicts, over one solve path: the
+    lazy DNF, one conjunct at a time. *)
 
 type model = Search.model
 
@@ -15,22 +16,17 @@ val flags_fingerprint : unit -> string
     cache keys: the two modes must never serve each other's answers. *)
 
 val solve : ?budget:Budget.t -> Store.t -> Formula.t -> verdict
-(** DNF + propagate-and-split per conjunct; the store is closed over
-    free variables via {!Store.infer}. Falls back to {!solve_dpll} when
-    the DNF would exceed {!Dnf.max_conjuncts}. The default budget is
+(** Propagate-and-split over the conjuncts of the lazy DNF
+    ({!Dnf.of_formula}) in order, stopping at the first Sat, whose model
+    is the witness; the store is closed over free variables via
+    {!Store.infer}. One budget covers every conjunct; the default is
     unlimited. *)
-
-val solve_dpll : ?budget:Budget.t -> Store.t -> Formula.t -> verdict
-(** Lazy DPLL-style splitting on disjunctions (ablation A3 variant). *)
 
 val satisfiable : Store.t -> Formula.t -> model option
 (** Definitely-sat wrapper over {!solve} with an unlimited budget:
     [None] strictly means unsat. An undecided solve (depth cap, or a
     test-only injected fault) raises {!Budget.Exhausted} rather than
     masquerading as unsat. *)
-
-val satisfiable_dpll : Store.t -> Formula.t -> model option
-(** Same contract as {!satisfiable}, over {!solve_dpll}. *)
 
 val sat : Store.t -> Formula.t -> bool
 

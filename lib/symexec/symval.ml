@@ -67,8 +67,6 @@ let record_data st var term = { st with data = (var, term) :: st.data }
 
 let record_action st action = { st with actions = action :: st.actions }
 
-let path_condition st = Formula.conj (List.rev st.pc)
-
 (** Groovy truthiness of a value, as a formula. Unknown string-typed
     symbols get a sentinel falsy witness so both branches stay
     satisfiable. *)

@@ -45,7 +45,6 @@ val lookup : state -> string -> value option
 val assume : state -> Formula.t -> state
 val record_data : state -> string -> Term.t -> state
 val record_action : state -> Rule.action -> state
-val path_condition : state -> Formula.t
 
 val truthiness : value -> Formula.t
 (** Groovy truthiness as a formula; unknown string symbols get a

@@ -621,10 +621,8 @@ let attach st ~owner =
 
 let owner h = h.h_owner
 let counters h = h.h_counters
-let store_of h = h.h_store
 let handle_epoch h = h.h_epoch
 let fence_key h = h.h_key
-let store_epoch st = st.epoch
 let replica_dirs st = st.dirs
 
 (** One deliberately durable write under the handle's epoch — the chaos

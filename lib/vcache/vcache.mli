@@ -101,9 +101,6 @@ val scrub : store -> Homeguard_store.Scrub.home_report
 val replica_dirs : store -> string list
 (** Primary directory first, then the replica roots. *)
 
-val store_epoch : store -> int
-(** The latest ownership epoch granted on this store. *)
-
 val entries : store -> int
 val pair_entries : store -> int
 (** L1 pair-tier matrices currently held (in-memory, same
@@ -149,7 +146,6 @@ val attach : store -> owner:string -> handle
 
 val owner : handle -> string
 val counters : handle -> counters
-val store_of : handle -> store
 
 val handle_epoch : handle -> int
 (** The ownership epoch this handle writes under. *)

@@ -1,6 +1,6 @@
-(** Constraint-solver tests: satisfiability, entailment, DNF, model
-    soundness, agreement with brute force and with the DPLL-style
-    variant. *)
+(** Constraint-solver tests: satisfiability, entailment, the lazy DNF
+    (its conjunct and atom order, and formulas with thousands of
+    conjuncts), model soundness and agreement with brute force. *)
 
 open Homeguard_solver
 open Formula
@@ -132,12 +132,42 @@ let dnf_shape =
       let f =
         conj [ disj [ eq (Var "a") (Int 1); eq (Var "a") (Int 2) ]; eq (Var "b") (Int 3) ]
       in
-      Helpers.check_int "conjuncts" 2 (List.length (Dnf.of_formula f)))
+      Helpers.check_int "conjuncts" 2 (Seq.length (Dnf.of_formula f)))
 
 let dnf_true_false =
   Helpers.test "DNF of True/False" (fun () ->
-      Helpers.check_bool "true" true (Dnf.of_formula True = [ [] ]);
-      Helpers.check_bool "false" true (Dnf.of_formula False = []))
+      Helpers.check_bool "true" true (List.of_seq (Dnf.of_formula True) = [ [] ]);
+      Helpers.check_bool "false" true (List.of_seq (Dnf.of_formula False) = []))
+
+(* Thirteen two-way disjunctions over distinct variables: 2^13 = 8,192
+   conjuncts, twice the cap the materialised DNF had. [bad] picks
+   disjunctions whose both sides contradict a final atom, so that every
+   conjunct is Unsat. *)
+let wide_formula ~bad =
+  let xs = List.init 13 (fun i -> Printf.sprintf "w%02d" i) in
+  let split x = disj [ eq (Var x) (Int 1); eq (Var x) (Int 2) ] in
+  conj (List.map split xs @ if bad then [ gt (Var "w12") (Int 5) ] else [])
+
+let wide_store =
+  Store.of_list (List.init 13 (fun i -> (Printf.sprintf "w%02d" i, Domain.interval 0 9)))
+
+let wide_dnf =
+  Helpers.test "a DNF past the old 4,096-conjunct cap: Sat, Unsat and Unknown" (fun () ->
+      Helpers.check_int "conjuncts" 8192 (Seq.length (Dnf.of_formula (wide_formula ~bad:false)));
+      (match Solver.solve wide_store (wide_formula ~bad:false) with
+      | Budget.Sat m ->
+        let env v = List.assoc v m in
+        Helpers.check_bool "the model satisfies the formula" true
+          (Formula.eval env (wide_formula ~bad:false))
+      | _ -> Alcotest.fail "expected Sat");
+      (match Solver.solve wide_store (wide_formula ~bad:true) with
+      | Budget.Unsat -> ()
+      | _ -> Alcotest.fail "every conjunct is Unsat");
+      let b = Budget.start { Budget.unlimited_spec with Budget.search_nodes = Some 100 } in
+      match Solver.solve ~budget:b wide_store (wide_formula ~bad:true) with
+      | Budget.Unknown _ -> ()
+      | Budget.Unsat -> Alcotest.fail "an exhausted budget leaked as unsat (soundness hole)"
+      | Budget.Sat _ -> Alcotest.fail "every conjunct is Unsat")
 
 (* -- budgets, three-valued verdicts and fault injection -------------------- *)
 
@@ -283,10 +313,6 @@ let prop_model_satisfies =
         in
         Formula.eval env f)
 
-let prop_dpll_agrees =
-  Helpers.qtest ~count:300 "DPLL variant agrees with DNF solver" gen_formula (fun f ->
-      Option.is_some (Solver.satisfiable_dpll small_store f) = Solver.sat small_store f)
-
 let prop_nnf_preserves =
   Helpers.qtest ~count:300 "NNF preserves semantics" gen_formula (fun f ->
       let g = Formula.nnf f in
@@ -301,18 +327,35 @@ let prop_nnf_preserves =
 
 let prop_dnf_preserves =
   Helpers.qtest ~count:200 "DNF preserves semantics" gen_formula (fun f ->
-      match Dnf.of_formula f with
-      | conjuncts ->
-        let g = Dnf.to_formula conjuncts in
-        let rec assign vars acc =
-          match vars with
-          | [] ->
-            let env v = Domain.Int (List.assoc v acc) in
-            Formula.eval env f = Formula.eval env g
-          | v :: rest -> List.for_all (fun n -> assign rest ((v, n) :: acc)) [ 0; 2; 5 ]
-        in
-        assign var_pool []
-      | exception Dnf.Too_large -> true)
+      let g = Dnf.to_formula (List.of_seq (Dnf.of_formula f)) in
+      let rec assign vars acc =
+        match vars with
+        | [] ->
+          let env v = Domain.Int (List.assoc v acc) in
+          Formula.eval env f = Formula.eval env g
+        | v :: rest -> List.for_all (fun n -> assign rest ((v, n) :: acc)) [ 0; 2; 5 ]
+      in
+      assign var_pool [])
+
+(* The materialised, uncapped DNF the lazy sequence replaced: [And]
+   children crossed left to right, [Or] disjuncts concatenated. The
+   solver stops at the first Sat conjunct, so this order fixes every
+   witness. *)
+let eager_dnf f =
+  let cross d1 d2 = List.concat_map (fun c1 -> List.map (fun c2 -> c1 @ c2) d2) d1 in
+  let rec go = function
+    | True -> [ [] ]
+    | False -> []
+    | Atom (cmp, a, b) -> [ [ (cmp, a, b) ] ]
+    | And fs -> List.fold_left (fun acc f -> cross acc (go f)) [ [] ] fs
+    | Or fs -> List.concat_map go fs
+    | Not _ -> invalid_arg "eager_dnf: formula not in NNF"
+  in
+  go (Formula.nnf f)
+
+let prop_dnf_order =
+  Helpers.qtest ~count:300 "lazy DNF yields the eager conjuncts, atoms in order" gen_formula
+    (fun f -> List.of_seq (Dnf.of_formula f) = eager_dnf f)
 
 let relevant_vars_deduped =
   Helpers.test "relevant_vars: a variable in several atoms appears once" (fun () ->
@@ -365,6 +408,7 @@ let tests =
     true_false;
     dnf_shape;
     dnf_true_false;
+    wide_dnf;
     depth_cap_regression;
     node_fuel_trips;
     prop_fuel_trips;
@@ -374,7 +418,7 @@ let tests =
     fault_once_lets_retry_succeed;
     prop_agrees_with_brute_force;
     prop_model_satisfies;
-    prop_dpll_agrees;
     prop_nnf_preserves;
     prop_dnf_preserves;
+    prop_dnf_order;
   ]
