@@ -135,10 +135,9 @@ let offline_config =
     pair_cache = None;
   }
 
-(* The one cache-key fingerprint shared by the in-process overlap cache
-   and any fleet-wide verdict cache behind [shared_cache]: budget tier
-   (PR 2), solver A/B flags (PR 6), and whether escalation retries are
-   on. Anything that can change what a solve returns must be in here. *)
+(* The cache-key fingerprint of any fleet-wide verdict cache behind
+   [shared_cache]: budget tier, solver A/B flags, and whether
+   escalation retries are on. Anything that can change what a solve returns must be in here. *)
 let solve_fingerprint config =
   Budget.cache_fingerprint config.budget
   ^ ";" ^ Solver.flags_fingerprint ()
@@ -174,29 +173,8 @@ type app_facts = {
   app_rules : rule_facts list;
 }
 
-(* Per-ctx memo tables: app facts by app name (unique within an audit),
-   plus the config-dependent same-device relation and the
-   command-opposition map. Every worker domain owns its own ctx, so the
-   tables need no locking. *)
-type caches = {
-  unify_pairs_c : (string * string, (string * string) list) Hashtbl.t;
-  facts_c : (string, app_facts) Hashtbl.t;
-  opposite_cmds_c : (string * string, bool) Hashtbl.t;
-}
-
-let create_caches () =
-  {
-    unify_pairs_c = Hashtbl.create 64;
-    facts_c = Hashtbl.create 64;
-    opposite_cmds_c = Hashtbl.create 64;
-  }
-
 type ctx = {
   config : config;
-  overlap_cache : (string * string, Solver.verdict) Hashtbl.t;
-      (** keys carry the budget fingerprint: an [Unknown] cached under a
-          small budget can never answer for a larger one *)
-  caches : caches;  (** memoized solver-free planning facts *)
   fingerprint : string;  (** {!solve_fingerprint} of [config], memoized *)
   pair_fp : string;  (** {!pair_fingerprint} of [config], memoized *)
   mutable solver_calls : int;  (** number of actual constraint solves *)
@@ -204,32 +182,15 @@ type ctx = {
   mutable undecided_solves : int;  (** solves still undecided after escalation *)
 }
 
-(* [?caches] shares planning facts and same-device relations across
-   ctxs: sound only when every sharing config's [same_device] behaves
-   identically (a shared relation was asked of the config of the ctx
-   that made it; the facts are config-independent) and equal app names
-   mean equal apps, and only from one domain at a time — the tables are
-   unsynchronized. Fleet sweeps over many homes in one matching mode
-   amortize fact derivation this way. *)
-let create ?caches config =
+let create config =
   {
     config;
-    overlap_cache = Hashtbl.create 64;
-    caches = (match caches with Some c -> c | None -> create_caches ());
     fingerprint = solve_fingerprint config;
     pair_fp = pair_fingerprint config;
     solver_calls = 0;
     escalations = 0;
     undecided_solves = 0;
   }
-
-let memo tbl key compute =
-  match Hashtbl.find_opt tbl key with
-  | Some v -> v
-  | None ->
-    let v = compute () in
-    Hashtbl.add tbl key v;
-    v
 
 (* Split a variable "v.attr" (or "App::v.attr") into its base and
    attribute. *)
@@ -264,7 +225,7 @@ let rule_facts_of (app : Rule.smartapp) inputs (r : Rule.t) =
         (Formula.free_vars cond);
   }
 
-let app_facts_of (app : Rule.smartapp) =
+let app_facts (app : Rule.smartapp) =
   let inputs =
     List.filter_map
       (fun (i : Rule.input_decl) ->
@@ -274,17 +235,6 @@ let app_facts_of (app : Rule.smartapp) =
   in
   { app_inputs = inputs; app_rules = List.map (rule_facts_of app inputs) app.Rule.rules }
 
-let app_facts ctx (app : Rule.smartapp) =
-  memo ctx.caches.facts_c app.Rule.name (fun () -> app_facts_of app)
-
-(* A rule's facts, found by identity among its app's rules; a rule from
-   outside the app's rule list gets fresh, uncached facts. *)
-let rule_facts ctx ((app, r) : tagged_rule) =
-  let facts = app_facts ctx app in
-  match List.find_opt (fun rf -> rf.rf_rule == r) facts.app_rules with
-  | Some rf -> rf
-  | None -> rule_facts_of app facts.app_inputs r
-
 (* The descriptor of [var] among an app's facts: a declared capability
    input's precomputed one, or a bare one for any other var. *)
 let input_of (app : Rule.smartapp) facts var =
@@ -292,18 +242,132 @@ let input_of (app : Rule.smartapp) facts var =
   | Some d -> d
   | None -> { di_app = app; di_var = var; di_device = None }
 
-(* The device matcher between two apps: [same_device ctx app1 app2 v1
-   v2] finds both vars' descriptors among the apps' facts and asks
-   [config.same_device] of them — no per-cell derivation. *)
-let same_device ctx (app1 : Rule.smartapp) (app2 : Rule.smartapp) =
-  let f1 = app_facts ctx app1 and f2 = app_facts ctx app2 in
-  fun v1 v2 -> ctx.config.same_device (input_of app1 f1 v1) (input_of app2 f2 v2)
+let is_shared_var var =
+  var = "location.mode" || var = "app.touch"
+  || (String.length var > 5 && String.sub var 0 5 = "time.")
+  || (String.length var > 4 && String.sub var 0 4 = "env.")
 
-let commands_opposite ctx c1 c2 =
-  memo ctx.caches.opposite_cmds_c (c1, c2) (fun () ->
-      List.exists
-        (fun cap -> Capability.contradicts cap c1 c2)
-        (Capability.capabilities_with_command c1))
+let qualify app_name var = if is_shared_var var then var else app_name ^ "::" ^ var
+
+(* -- sides and cells --------------------------------------------------------- *)
+
+(* One app of an audit as every detector reads it, derived once per
+   audit: its facts, its rule facts by position, and its configuration
+   bindings, raw (folded into its formulas) and qualified (passed to the
+   verdict cache). *)
+type side = {
+  app : Rule.smartapp;
+  facts : app_facts;
+  rules : rule_facts array;  (** [facts.app_rules] *)
+  cons : (string * Term.t) list;  (** [config.app_constraints app] *)
+  qbind : (string * Term.t) list;  (** [cons] with qualified names *)
+}
+
+let side_with (app : Rule.smartapp) cons =
+  let facts = app_facts app in
+  {
+    app;
+    facts;
+    rules = Array.of_list facts.app_rules;
+    cons;
+    qbind = List.map (fun (v, t) -> (qualify app.Rule.name v, t)) cons;
+  }
+
+let side ctx app = side_with app (ctx.config.app_constraints app)
+
+(* A rule's facts, found by identity among its side's rules; a rule from
+   outside the app's rule list gets fresh facts. *)
+let rule_facts s (r : Rule.t) =
+  match Array.find_opt (fun rf -> rf.rf_rule == r) s.rules with
+  | Some rf -> rf
+  | None -> rule_facts_of s.app s.facts.app_inputs r
+
+(* The device matcher between two sides: [matcher ctx s1 s2 v1 v2] asks
+   [config.same_device] of both vars' descriptors. *)
+let matcher ctx s1 s2 v1 v2 =
+  ctx.config.same_device (input_of s1.app s1.facts v1) (input_of s2.app s2.facts v2)
+
+(* The same-device relation over two sides' device inputs, in
+   input-declaration order. *)
+let unify_pairs ctx s1 s2 =
+  List.concat_map
+    (fun d1 ->
+      List.filter_map
+        (fun d2 -> if ctx.config.same_device d1 d2 then Some (d1.di_var, d2.di_var) else None)
+        s2.facts.app_inputs)
+    s1.facts.app_inputs
+
+(* An app pair seen from its first app: the device matcher, the
+   unifier renaming the second app's matched device variables to the
+   first app's qualified names (so shared state is shared in the
+   solver), and the bindings of this orientation's solves — the first
+   app's qualified bindings, then the second's renamed. *)
+type view = {
+  s1 : side;
+  s2 : side;
+  same : string -> string -> bool;
+  rename : string -> string;
+  bindings : (string * Term.t) list;
+}
+
+(* The per-cell context: one app pair in both orientations, built once
+   per cell. *)
+type cell_ctx = { fwd : view; bwd : view }
+
+let view ctx ?unify s1 s2 same =
+  let pairs =
+    List.map
+      (fun (v1, v2) -> (qualify s2.app.Rule.name v2, qualify s1.app.Rule.name v1))
+      (match unify with Some u -> u | None -> unify_pairs ctx s1 s2)
+  in
+  let rename var =
+    let base, attr = split_attr var in
+    match List.assoc_opt base pairs with
+    | Some base' -> ( match attr with Some a -> base' ^ "." ^ a | None -> base')
+    | None -> var
+  in
+  { s1; s2; same; rename; bindings = s1.qbind @ List.map (fun (v, t) -> (rename v, t)) s2.qbind }
+
+let cell_ctx ctx ?unify (s1, s2) (same12, same21) =
+  { fwd = view ctx ?unify s1 s2 same12; bwd = view ctx s2 s1 same21 }
+
+(* One rule pair ready to detect: its cell and both rules' facts. [cond]
+   is its conditions-overlap slot, which AR and both CT edges ask. A
+   plan's pairs keep [cond = None] and each detection runs on a copy, so
+   a plan asks the same solves every time it runs, on any domain. *)
+type planned = {
+  cell : cell_ctx;
+  f1 : rule_facts;
+  f2 : rule_facts;
+  mutable cond : Solver.verdict option;
+}
+
+let planned_rules pl =
+  ((pl.cell.fwd.s1.app, pl.f1.rf_rule), (pl.cell.fwd.s2.app, pl.f2.rf_rule))
+
+(* A rule pair outside any plan: its cell context built on the fly. *)
+let plan_pair ctx ((app1, r1) : tagged_rule) ((app2, r2) : tagged_rule) =
+  let s1 = side ctx app1 and s2 = side ctx app2 in
+  let cell = cell_ctx ctx (s1, s2) (matcher ctx s1 s2, matcher ctx s2 s1) in
+  { cell; f1 = rule_facts s1 r1; f2 = rule_facts s2 r2; cond = None }
+
+(* The detectors' device question, sides derived on the fly. *)
+let same_device ctx app1 app2 = matcher ctx (side ctx app1) (side ctx app2)
+
+(* Every declared (command, opposite) pair of the immutable capability
+   registry, built once per process and read from any domain. *)
+let opposite_commands =
+  List.concat_map
+    (fun (cap : Capability.t) ->
+      List.filter_map
+        (fun (c : Capability.command) ->
+          Option.map (fun o -> (c.Capability.cmd_name, o)) c.Capability.opposite)
+        cap.Capability.commands)
+    Capability.registry
+  |> List.sort_uniq compare
+
+let commands_opposite c1 c2 =
+  List.exists (fun (a, b) -> String.equal a c1 && String.equal b c2) opposite_commands
 
 (* Every detector solve goes through here: run under the configured
    budget and, if the verdict is Unknown, retry once with an escalated
@@ -328,64 +392,19 @@ let budgeted_solve ctx store f : Solver.verdict =
 
 let undecided_severity reason = Threat.Undecided (Budget.reason_to_string reason)
 
-(* -- variable qualification and unification ------------------------------ *)
-
-let is_shared_var var =
-  var = "location.mode" || var = "app.touch"
-  || (String.length var > 5 && String.sub var 0 5 = "time.")
-  || (String.length var > 4 && String.sub var 0 4 = "env.")
-
-let qualify app_name var = if is_shared_var var then var else app_name ^ "::" ^ var
-
-(* The same-device relation over two apps' device inputs, in
-   input-declaration order. *)
-let unify_pairs ctx (app1 : Rule.smartapp) (app2 : Rule.smartapp) =
-  memo ctx.caches.unify_pairs_c (app1.Rule.name, app2.Rule.name) (fun () ->
-      let inputs2 = (app_facts ctx app2).app_inputs in
-      List.concat_map
-        (fun d1 ->
-          List.filter_map
-            (fun d2 ->
-              if ctx.config.same_device d1 d2 then Some (d1.di_var, d2.di_var) else None)
-            inputs2)
-        (app_facts ctx app1).app_inputs)
-
-(* Build the unification renaming: matched device variables of app2 are
-   renamed to app1's qualified name so shared state is shared in the
-   solver. *)
-let unifier ctx (app1 : Rule.smartapp) (app2 : Rule.smartapp) =
-  let pairs =
-    List.map
-      (fun (v1, v2) -> (qualify app2.Rule.name v2, qualify app1.Rule.name v1))
-      (unify_pairs ctx app1 app2)
-  in
-  fun var ->
-    let base, attr = split_attr var in
-    match List.assoc_opt base pairs with
-    | Some base' -> ( match attr with Some a -> base' ^ "." ^ a | None -> base')
-    | None -> var
-
 let rename_formula rename f =
   let sub = List.map (fun v -> (v, Term.Var (rename v))) (Formula.free_vars f) in
   Formula.subst sub f
-
-(* An app's configuration-value bindings under the same qualification
-   (and optional device unification) its formula variables get, so the
-   binding names in a [solve_query] match the formula's atoms. *)
-let qualified_bindings ctx ?(rename = fun v -> v) (app : Rule.smartapp) =
-  List.map
-    (fun (v, t) -> (rename (qualify app.Rule.name v), t))
-    (ctx.config.app_constraints app)
 
 (* Solve through the fleet-shared verdict cache when one is configured.
    The hook receives the exact formula/store a local solve would use and
    the compute thunk is [budgeted_solve] itself, so a cache miss is
    byte-identical to running without a cache. *)
-let cached_solve ctx ~kind ~apps ~bindings store f =
+let cached_solve ctx ~kind v ~bindings store f =
   match ctx.config.shared_cache with
   | None -> budgeted_solve ctx store f
   | Some hook ->
-    let a1, a2 = apps in
+    let a1 = v.s1.app.Rule.name and a2 = v.s2.app.Rule.name in
     let q_apps = if a1 <= a2 then (a1, a2) else (a2, a1) in
     hook
       {
@@ -400,85 +419,56 @@ let cached_solve ctx ~kind ~apps ~bindings store f =
 
 (* Qualified situation (trigger constraint + data + predicate) of a rule,
    with app-level config-value constraints folded in. *)
-let qualified_formula ctx ~situation (app : Rule.smartapp) (rule : Rule.t) rename =
+let qualified_formula ~situation s (rule : Rule.t) rename =
   let base = if situation then Rule.situation rule else
       Formula.conj
         (List.map (fun (v, t) -> Formula.eq (Term.Var v) t) rule.Rule.condition.Rule.data
         @ [ rule.Rule.condition.Rule.predicate ])
   in
-  let config_eqs =
-    List.map
-      (fun (v, t) -> Formula.eq (Term.Var v) t)
-      (ctx.config.app_constraints app)
-  in
+  let config_eqs = List.map (fun (v, t) -> Formula.eq (Term.Var v) t) s.cons in
   let f = Formula.conj (base :: config_eqs) in
-  let qualified =
-    rename_formula (fun v -> rename (qualify app.Rule.name v)) f
-  in
-  qualified
+  rename_formula (fun v -> rename (qualify s.app.Rule.name v)) f
 
-(* Store typing qualified variables by resolving each base back to its
-   app's input declarations. *)
-let store_for ctx apps formula =
+(* Store typing qualified variables by resolving each base back to the
+   input declarations of the view's apps, first app first. *)
+let store_for v formula =
   let cap_of_var base =
     match String.index_opt base ':' with
     | Some i when i + 1 < String.length base && base.[i + 1] = ':' ->
       let app_name = String.sub base 0 i in
       let var = String.sub base (i + 2) (String.length base - i - 2) in
       List.find_map
-        (fun (app : Rule.smartapp) ->
-          if app.Rule.name <> app_name then None
+        (fun s ->
+          if s.app.Rule.name <> app_name then None
           else
             List.find_map
               (fun d -> if d.di_var = var then Option.map fst d.di_device else None)
-              (app_facts ctx app).app_inputs)
-        apps
+              s.facts.app_inputs)
+        [ v.s1; v.s2 ]
     | _ -> None
   in
   Rule.store_for_vars ~cap_of_var (Formula.free_vars formula)
 
-(* Memoized satisfiability of the two rules' combined formulas. The
-   solved formula [conj [f1; f2]] is symmetric in the two rules, so the
-   key is ordered canonically: a reverse-direction query hits the cache
-   entry of the forward solve instead of solving again. The key also
-   carries the budget fingerprint, so an [Unknown] obtained under one
-   budget is never replayed as the answer for a different budget. *)
-let solve_overlap ctx ~situation ((app1, r1) : tagged_rule) ((app2, r2) : tagged_rule) =
-  let kind = if situation then "sit" else "cond" in
-  let key =
-    let id1 = app1.Rule.name ^ "/" ^ r1.Rule.rule_id
-    and id2 = app2.Rule.name ^ "/" ^ r2.Rule.rule_id in
-    let lo, hi = if id1 <= id2 then (id1, id2) else (id2, id1) in
-    (kind ^ ":" ^ ctx.fingerprint ^ ":" ^ lo, hi)
-  in
-  let compute () =
-    let rename = unifier ctx app1 app2 in
-    let f1 = qualified_formula ctx ~situation app1 r1 (fun v -> v) in
-    let f2 = qualified_formula ctx ~situation app2 r2 rename in
-    let f = Formula.conj [ f1; f2 ] in
-    let store = store_for ctx [ app1; app2 ] f in
-    let bindings =
-      qualified_bindings ctx app1 @ qualified_bindings ctx ~rename app2
-    in
-    cached_solve ctx ~kind
-      ~apps:(app1.Rule.name, app2.Rule.name)
-      ~bindings store f
-  in
-  if not ctx.config.reuse then compute ()
-  else
-    match Hashtbl.find_opt ctx.overlap_cache key with
-    | Some r -> r
-    | None ->
-      let r = compute () in
-      Hashtbl.replace ctx.overlap_cache key r;
-      r
+(* Satisfiability of two rules' combined formulas in the orientation of
+   view [v]: the second rule's matched device variables are renamed to
+   the first app's. *)
+let solve_overlap ctx ~situation v fa fb =
+  let f1 = qualified_formula ~situation v.s1 fa.rf_rule (fun x -> x) in
+  let f2 = qualified_formula ~situation v.s2 fb.rf_rule v.rename in
+  let f = Formula.conj [ f1; f2 ] in
+  cached_solve ctx ~kind:(if situation then "sit" else "cond") v ~bindings:v.bindings
+    (store_for v f) f
 
-(** Overlapping situations: trigger+condition of both rules jointly
-    satisfiable (used by AR, GC). *)
-let situations_overlap ctx p1 p2 = solve_overlap ctx ~situation:true p1 p2
-
-(** Overlapping conditions only (used by trigger/condition interference). *)
-let conditions_overlap ctx p1 p2 = solve_overlap ctx ~situation:false p1 p2
+(* The pair's conditions overlap, asked in the orientation of [v]. The
+   solved formula is symmetric in the two rules, so with [reuse] one
+   answer serves both orientations. *)
+let conditions_overlap ctx p v fa fb =
+  match p.cond with
+  | Some r -> r
+  | None ->
+    let r = solve_overlap ctx ~situation:false v fa fb in
+    if ctx.config.reuse then p.cond <- Some r;
+    r
 
 (* -- Action-Interference (AR, GC) ----------------------------------------- *)
 
@@ -492,8 +482,8 @@ let const_param a = match a.Rule.params with (Term.Int _ | Term.Str _) as t :: _
 
 (* Contradictory commands: declared opposites, or same command with
    different constant parameters. *)
-let commands_contradict ctx (a1 : Rule.action) (a2 : Rule.action) =
-  let opposite = commands_opposite ctx a1.Rule.command a2.Rule.command in
+let commands_contradict (a1 : Rule.action) (a2 : Rule.action) =
+  let opposite = commands_opposite a1.Rule.command a2.Rule.command in
   let conflicting_params =
     a1.Rule.command = a2.Rule.command
     &&
@@ -503,20 +493,17 @@ let commands_contradict ctx (a1 : Rule.action) (a2 : Rule.action) =
   in
   opposite || conflicting_params
 
-(* Some pair of actions issues contradictory commands to the same
-   actuator. *)
-let actions_race ctx same_device (r1 : Rule.t) (r2 : Rule.t) =
+(* Actuator-Race candidate: some pair of actions issues contradictory
+   commands to the same actuator. *)
+let actions_race same_device (r1 : Rule.t) (r2 : Rule.t) =
   List.exists
     (fun a1 ->
       List.exists
-        (fun a2 -> same_action_target same_device a1 a2 && commands_contradict ctx a1 a2)
+        (fun a2 -> same_action_target same_device a1 a2 && commands_contradict a1 a2)
         r2.Rule.actions)
     r1.Rule.actions
 
-(** Actuator-Race candidate: some pair of actions issues contradictory
-    commands to the same actuator. *)
-let ar_candidate ctx ((app1, r1) : tagged_rule) ((app2, r2) : tagged_rule) =
-  actions_race ctx (same_device ctx app1 app2) r1 r2
+let tagged v f1 f2 = ((v.s1.app, f1.rf_rule), (v.s2.app, f2.rf_rule))
 
 (* AR uses the conditions-only overlap: the paper's formalism asks for
    identical triggers, but its evaluation reports races between rules
@@ -525,21 +512,23 @@ let ar_candidate ctx ((app1, r1) : tagged_rule) ((app2, r2) : tagged_rule) =
    Fig 9 has CT/SD/LT reusing "the solving result of AR" — which is
    exactly this conditions overlap. Mutually exclusive *conditions*
    still rule the race out. *)
-let detect_ar ctx p1 p2 =
-  if ar_candidate ctx p1 p2 then begin
-    let app1, r1 = p1 and app2, r2 = p2 in
+let ar ctx p =
+  let v = p.cell.fwd in
+  let r1 = p.f1.rf_rule and r2 = p.f2.rf_rule in
+  if actions_race v.same r1 r2 then begin
+    let t1, t2 = tagged v p.f1 p.f2 in
     let detail =
       Printf.sprintf "contradictory commands on the same actuator (%s vs %s)"
         (String.concat "," (List.map (fun a -> a.Rule.command) r1.Rule.actions))
         (String.concat "," (List.map (fun a -> a.Rule.command) r2.Rule.actions))
     in
-    match conditions_overlap ctx p1 p2 with
-    | Budget.Sat witness -> [ Threat.make Threat.AR (app1, r1) (app2, r2) ~witness detail ]
+    match conditions_overlap ctx p v p.f1 p.f2 with
+    | Budget.Sat witness -> [ Threat.make Threat.AR t1 t2 ~witness detail ]
     | Budget.Unsat -> []
     | Budget.Unknown reason ->
       (* undecided overlap: the candidate is a *potential* race and must
          be reported, never silently treated as "no threat" *)
-      [ Threat.make Threat.AR (app1, r1) (app2, r2) ~severity:(undecided_severity reason) detail ]
+      [ Threat.make Threat.AR t1 t2 ~severity:(undecided_severity reason) detail ]
   end
   else []
 
@@ -559,32 +548,34 @@ let conflicting_goal_pairs same_device f1 f2 =
     f1.rf_actions
   |> List.sort_uniq compare
 
-let detect_gc ctx p1 p2 =
-  let app1, r1 = p1 and app2, r2 = p2 in
-  let goal_pairs =
-    conflicting_goal_pairs (same_device ctx app1 app2) (rule_facts ctx p1) (rule_facts ctx p2)
-  in
+(* GC is the one category that asks the situation overlap, once per
+   rule pair, so that answer needs no slot. *)
+let gc ctx p =
+  let v = p.cell.fwd in
+  let goal_pairs = conflicting_goal_pairs v.same p.f1 p.f2 in
   if goal_pairs = [] then []
   else
+    let t1, t2 = tagged v p.f1 p.f2 in
     let detail =
       Printf.sprintf "actions with contradictory goals over %s"
         (String.concat ", " (List.map Env.to_string goal_pairs))
     in
-    match situations_overlap ctx p1 p2 with
-    | Budget.Sat witness -> [ Threat.make Threat.GC (app1, r1) (app2, r2) ~witness detail ]
+    match solve_overlap ctx ~situation:true v p.f1 p.f2 with
+    | Budget.Sat witness -> [ Threat.make Threat.GC t1 t2 ~witness detail ]
     | Budget.Unsat -> []
     | Budget.Unknown reason ->
-      [ Threat.make Threat.GC (app1, r1) (app2, r2) ~severity:(undecided_severity reason) detail ]
+      [ Threat.make Threat.GC t1 t2 ~severity:(undecided_severity reason) detail ]
 
 (* -- Trigger-Interference (CT, SD, LT) ------------------------------------ *)
 
-(* Does action a1 (of app1/r1) satisfy r2's trigger?  Returns a
-   human-readable channel description when it can. [~approx:true] skips
-   the written-value compatibility solve (over-approximating: a value
-   mismatch is treated as compatible) so the check is solver-free and
-   usable as a planning pre-filter. *)
-let action_triggers ?(approx = false) ctx same_device ((app1 : Rule.smartapp), a1) (app2, f2) =
-  let r2 = f2.rf_rule in
+(* Does action a1 of the view's first app satisfy the second app's rule
+   f2's trigger?  Returns a human-readable channel description when it
+   can. [~approx:true] skips the written-value compatibility solve
+   (over-approximating: a value mismatch is treated as compatible) so
+   the check is solver-free and usable as a planning pre-filter; it
+   reads only [v.s1], [v.s2] and [v.same]. *)
+let action_triggers ?(approx = false) ctx v a1 f2 =
+  let r2 = f2.rf_rule and app2 = v.s2.app in
   match r2.Rule.trigger with
   | Rule.Scheduled _ -> None
   | Rule.Event { subject; attribute; constraint_ } -> (
@@ -595,7 +586,7 @@ let action_triggers ?(approx = false) ctx same_device ((app1 : Rule.smartapp), a
           let subject_matches =
             match (w.Channels.w_target, subject) with
             | Rule.Act_device v1, Rule.Device v2 ->
-              w.Channels.w_attr = attribute && same_device v1 v2
+              w.Channels.w_attr = attribute && v.same v1 v2
             | Rule.Act_location_mode, Rule.Location -> attribute = "mode"
             | _ -> false
           in
@@ -603,26 +594,18 @@ let action_triggers ?(approx = false) ctx same_device ((app1 : Rule.smartapp), a
           else
             (* value compatibility: written value must satisfy the
                trigger constraint *)
-            let subject_var =
-              match subject with
-              | Rule.Device v2 -> qualify app2.Rule.name (v2 ^ "." ^ attribute)
-              | Rule.Location -> "location.mode"
-              | Rule.App_touch -> "app.touch"
-            in
-            let trig =
-              rename_formula (fun v -> qualify app2.Rule.name v) constraint_
-            in
             let value_ok =
               match w.Channels.w_value with
               | Some ((Term.Int _ | Term.Str _) as value) when not approx -> (
+                let subject_var =
+                  match subject with
+                  | Rule.Device v2 -> qualify app2.Rule.name (v2 ^ "." ^ attribute)
+                  | Rule.Location -> "location.mode"
+                  | Rule.App_touch -> "app.touch"
+                in
+                let trig = rename_formula (fun x -> qualify app2.Rule.name x) constraint_ in
                 let f = Formula.conj [ trig; Formula.eq (Term.Var subject_var) value ] in
-                match
-                  cached_solve ctx ~kind:"ct"
-                    ~apps:(app1.Rule.name, app2.Rule.name)
-                    ~bindings:(qualified_bindings ctx app2)
-                    (store_for ctx [ app1; app2 ] f)
-                    f
-                with
+                match cached_solve ctx ~kind:"ct" v ~bindings:v.s2.qbind (store_for v f) f with
                 | Budget.Sat _ -> true
                 | Budget.Unsat -> false
                 (* undecided compatibility is treated as compatible: the
@@ -666,22 +649,20 @@ let action_triggers ?(approx = false) ctx same_device ((app1 : Rule.smartapp), a
               else None)
           a1.af_effects))
 
-(* A triggering edge: [Some (witness, severity, detail)]. A decisive
-   non-overlap kills the edge; an undecided overlap keeps it alive as a
-   potential edge (no witness, [Undecided] severity). *)
-let ct_edge ctx ((app1, r1) as p1 : tagged_rule) ((app2, r2) as p2 : tagged_rule) =
-  if r1.Rule.rule_id = r2.Rule.rule_id && app1.Rule.name = app2.Rule.name then None
+let same_rule v fa fb =
+  fa.rf_rule.Rule.rule_id = fb.rf_rule.Rule.rule_id && v.s1.app.Rule.name = v.s2.app.Rule.name
+
+(* A triggering edge from [fa] to [fb] in the orientation of [v]:
+   [Some (witness, severity, detail)]. A decisive non-overlap kills the
+   edge; an undecided overlap keeps it alive as a potential edge (no
+   witness, [Undecided] severity). *)
+let ct_edge ctx p v fa fb =
+  if same_rule v fa fb then None
   else
-    let same_device = same_device ctx app1 app2 and f2 = (app2, rule_facts ctx p2) in
-    let channel =
-      List.find_map
-        (fun a1 -> action_triggers ctx same_device (app1, a1) f2)
-        (rule_facts ctx p1).rf_actions
-    in
-    match channel with
+    match List.find_map (fun a -> action_triggers ctx v a fb) fa.rf_actions with
     | None -> None
     | Some detail -> (
-      match conditions_overlap ctx p1 p2 with
+      match conditions_overlap ctx p v fa fb with
       | Budget.Sat witness -> Some (Some witness, Threat.Confirmed, detail)
       | Budget.Unsat -> None
       | Budget.Unknown reason -> Some (None, undecided_severity reason, detail))
@@ -690,28 +671,29 @@ let ct_edge ctx ((app1, r1) as p1 : tagged_rule) ((app2, r2) as p2 : tagged_rule
    [Confirmed] when every contributing edge is. *)
 let worst_severity s1 s2 = if Threat.is_undecided s1 then s1 else s2
 
-let detect_trigger_interference ctx p1 p2 =
-  let app1, r1 = p1 and app2, r2 = p2 in
-  let e12 = ct_edge ctx p1 p2 in
-  let e21 = ct_edge ctx p2 p1 in
-  let ar_cand = ar_candidate ctx p1 p2 in
+let trigger_interference ctx p =
+  let t1, t2 = tagged p.cell.fwd p.f1 p.f2 in
+  let r1 = p.f1.rf_rule and r2 = p.f2.rf_rule in
+  let e12 = ct_edge ctx p p.cell.fwd p.f1 p.f2 in
+  let e21 = ct_edge ctx p p.cell.bwd p.f2 p.f1 in
+  let ar_cand = actions_race p.cell.fwd.same r1 r2 in
   let edge_threat cat pa pb (witness, severity, detail) =
     { (Threat.make cat pa pb ~severity detail) with Threat.witness }
   in
   let ct_threats =
     (match e12 with
-    | Some e -> [ edge_threat Threat.CT (app1, r1) (app2, r2) e ]
+    | Some e -> [ edge_threat Threat.CT t1 t2 e ]
     | None -> [])
     @
     match e21 with
-    | Some e -> [ edge_threat Threat.CT (app2, r2) (app1, r1) e ]
+    | Some e -> [ edge_threat Threat.CT t2 t1 e ]
     | None -> []
   in
   let sd_threats =
     match (e12, ar_cand) with
     | Some (w, sev, _), true ->
       [
-        edge_threat Threat.SD (app1, r1) (app2, r2)
+        edge_threat Threat.SD t1 t2
           ( w, sev,
             Printf.sprintf "%s triggers %s whose action undoes it" r1.Rule.rule_id
               r2.Rule.rule_id );
@@ -720,7 +702,7 @@ let detect_trigger_interference ctx p1 p2 =
       match (e21, ar_cand) with
       | Some (w, sev, _), true ->
         [
-          edge_threat Threat.SD (app2, r2) (app1, r1)
+          edge_threat Threat.SD t2 t1
             ( w, sev,
               Printf.sprintf "%s triggers %s whose action undoes it" r2.Rule.rule_id
                 r1.Rule.rule_id );
@@ -731,7 +713,7 @@ let detect_trigger_interference ctx p1 p2 =
     match (e12, e21, ar_cand) with
     | Some (w, sev12, _), Some (_, sev21, _), true ->
       [
-        edge_threat Threat.LT (app1, r1) (app2, r2)
+        edge_threat Threat.LT t1 t2
           (w, worst_severity sev12 sev21, "rules trigger each other with contradictory actions");
       ]
     | _ -> []
@@ -792,14 +774,8 @@ let condition_effects same_device a1 f2 =
    condition (EC, with witness); a decisive Unsat means it provably
    falsifies it (DC). Unknown is reported as a *potential* EC — a tripped
    budget must never masquerade as a proven DC. *)
-let solved_effect ctx apps ~bindings f ~verb ~rule_id =
-  let app_names =
-    match apps with
-    | (a1 : Rule.smartapp) :: a2 :: _ -> (a1.Rule.name, a2.Rule.name)
-    | [ a1 ] -> (a1.Rule.name, a1.Rule.name)
-    | [] -> ("", "")
-  in
-  match cached_solve ctx ~kind:"fx" ~apps:app_names ~bindings (store_for ctx apps f) f with
+let solved_effect ctx v ~bindings f ~verb ~rule_id =
+  match cached_solve ctx ~kind:"fx" v ~bindings (store_for v f) f with
   | Budget.Sat w ->
     ( Threat.EC, Some w, Threat.Confirmed,
       Printf.sprintf "%s enabling %s's condition" verb rule_id )
@@ -810,38 +786,37 @@ let solved_effect ctx apps ~bindings f ~verb ~rule_id =
     ( Threat.EC, None, undecided_severity reason,
       Printf.sprintf "%s possibly enabling %s's condition" verb rule_id )
 
-let detect_condition_interference_dir ctx ((app1, r1) as p1 : tagged_rule)
-    ((app2, r2) as p2 : tagged_rule) =
-  if r1.Rule.rule_id = r2.Rule.rule_id && app1.Rule.name = app2.Rule.name then []
+(* [fa]'s actions against [fb]'s condition, where [v] is the cell seen
+   from [fa]'s app and [back] from [fb]'s. *)
+let condition_interference_dir ctx v back fa fb =
+  if same_rule v fa fb then []
   else
-    let same_device = same_device ctx app1 app2 and f2 = rule_facts ctx p2 in
     let all_effects =
       List.concat_map
         (fun a1 ->
-          List.map (fun e -> (a1.af_action, e)) (condition_effects same_device a1 f2))
-        (rule_facts ctx p1).rf_actions
+          List.map (fun e -> (a1.af_action, e)) (condition_effects v.same a1 fb))
+        fa.rf_actions
     in
     if all_effects = [] then []
     else
+      let app1 = v.s1.app and r2 = fb.rf_rule in
       (* Rename app1's matched device variables to app2's qualified
          names (as [solve_overlap] does) so an action parameter that
          reads a shared device is the *same* solver variable as the one
          the condition tests. *)
-      let rename = unifier ctx app2 app1 in
+      let rename = back.rename in
       let import_term t =
         Term.subst
           (List.map
-             (fun v -> (v, Term.Var (rename (qualify app1.Rule.name v))))
+             (fun x -> (x, Term.Var (rename (qualify app1.Rule.name x))))
              (Term.free_vars t))
           t
       in
-      let bindings =
-        qualified_bindings ctx app2 @ qualified_bindings ctx ~rename app1
-      in
+      let bindings = back.bindings in
       (* merge effect constraints with R2's condition and solve; solvable
          means the condition may be enabled, otherwise disabled *)
-      let cond_q = qualified_formula ctx ~situation:false app2 r2 rename in
-      let q v = qualify app2.Rule.name v in
+      let cond_q = qualified_formula ~situation:false back.s1 r2 rename in
+      let q x = qualify back.s1.app.Rule.name x in
       let results =
         List.filter_map
           (fun (a1, effect) ->
@@ -851,7 +826,7 @@ let detect_condition_interference_dir ctx ((app1, r1) as p1 : tagged_rule)
                 Formula.conj [ cond_q; Formula.eq (Term.Var (q var)) (import_term value) ]
               in
               Some
-                (solved_effect ctx [ app1; app2 ] ~bindings f
+                (solved_effect ctx v ~bindings f
                    ~verb:(Printf.sprintf "%s sets %s" a1.Rule.command var)
                    ~rule_id:r2.Rule.rule_id)
             | `Ge (var, bound) ->
@@ -859,7 +834,7 @@ let detect_condition_interference_dir ctx ((app1, r1) as p1 : tagged_rule)
                 Formula.conj [ cond_q; Formula.ge (Term.Var (q var)) (import_term bound) ]
               in
               Some
-                (solved_effect ctx [ app1; app2 ] ~bindings f
+                (solved_effect ctx v ~bindings f
                    ~verb:(Printf.sprintf "%s raises %s" a1.Rule.command var)
                    ~rule_id:r2.Rule.rule_id)
             | `Le (var, bound) ->
@@ -867,13 +842,13 @@ let detect_condition_interference_dir ctx ((app1, r1) as p1 : tagged_rule)
                 Formula.conj [ cond_q; Formula.le (Term.Var (q var)) (import_term bound) ]
               in
               Some
-                (solved_effect ctx [ app1; app2 ] ~bindings f
+                (solved_effect ctx v ~bindings f
                    ~verb:(Printf.sprintf "%s lowers %s" a1.Rule.command var)
                    ~rule_id:r2.Rule.rule_id)
             | `Dir (var, pol) ->
-              let can = Channels.polarity_can_satisfy f2.rf_cond var pol in
+              let can = Channels.polarity_can_satisfy fb.rf_cond var pol in
               let opposite =
-                Channels.polarity_can_satisfy f2.rf_cond var
+                Channels.polarity_can_satisfy fb.rf_cond var
                   (match pol with Effects.Incr -> Effects.Decr | Effects.Decr -> Effects.Incr)
               in
               if can then
@@ -902,71 +877,98 @@ let detect_condition_interference_dir ctx ((app1, r1) as p1 : tagged_rule)
         | Some e -> Some e
         | None -> ( match of_cat with e :: _ -> Some e | [] -> None)
       in
+      let t1, t2 = tagged v fa fb in
       List.filter_map
         (fun entry ->
           match entry with
           | Some (cat, witness, severity, detail) ->
-            Some
-              { (Threat.make cat (app1, r1) (app2, r2) ~severity detail) with Threat.witness }
+            Some { (Threat.make cat t1 t2 ~severity detail) with Threat.witness }
           | None -> None)
         [ pick Threat.EC; pick Threat.DC ]
 
-let detect_condition_interference ctx p1 p2 =
-  detect_condition_interference_dir ctx p1 p2 @ detect_condition_interference_dir ctx p2 p1
+let condition_interference ctx p =
+  let { fwd; bwd } = p.cell in
+  condition_interference_dir ctx fwd bwd p.f1 p.f2
+  @ condition_interference_dir ctx bwd fwd p.f2 p.f1
 
 (* -- top level ------------------------------------------------------------- *)
+
+(* All seven categories of one rule pair, in report order. *)
+let detect ctx p = ar ctx p @ gc ctx p @ trigger_interference ctx p @ condition_interference ctx p
+
+let on_the_fly detector ctx p1 p2 = detector ctx (plan_pair ctx p1 p2)
+let detect_ar ctx = on_the_fly ar ctx
+let detect_gc ctx = on_the_fly gc ctx
+let detect_trigger_interference ctx = on_the_fly trigger_interference ctx
+let detect_condition_interference ctx = on_the_fly condition_interference ctx
 
 (** All CAI threats between two rules. *)
 let detect_pair ctx (p1 : tagged_rule) (p2 : tagged_rule) =
   let app1, r1 = p1 and app2, r2 = p2 in
   if app1.Rule.name = app2.Rule.name && r1.Rule.rule_id = r2.Rule.rule_id then []
-  else
-    detect_ar ctx p1 p2 @ detect_gc ctx p1 p2
-    @ detect_trigger_interference ctx p1 p2
-    @ detect_condition_interference ctx p1 p2
+  else on_the_fly detect ctx p1 p2
 
 (* -- planning and batched parallel execution ------------------------------- *)
 
+(* The views the pre-filters read: sides and matchers, no unifier. *)
+let prefilter_views (s1, s2) (same12, same21) =
+  ( { s1; s2; same = same12; rename = Fun.id; bindings = [] },
+    { s1 = s2; s2 = s1; same = same21; rename = Fun.id; bindings = [] } )
+
 (* The solver-free pre-filters over one rule pair's facts, given the
-   app pair's device matchers in both directions: could any category's
-   analysis produce a threat? *)
-let facts_candidate ctx (sd12, sd21) ((_, f1) as p1) ((_, f2) as p2) =
-  let may_trigger same_device (appa, fa) pb =
-    List.exists
-      (fun a -> action_triggers ~approx:true ctx same_device (appa, a) pb <> None)
-      fa.rf_actions
+   app pair's views in both directions: could any category's analysis
+   produce a threat? *)
+let facts_candidate ctx (v12, v21) f1 f2 =
+  let may_trigger v fa fb =
+    List.exists (fun a -> action_triggers ~approx:true ctx v a fb <> None) fa.rf_actions
   in
-  let has_condition_effects same_device fa fb =
-    List.exists (fun a -> condition_effects same_device a fb <> []) fa.rf_actions
+  let has_condition_effects v fa fb =
+    List.exists (fun a -> condition_effects v.same a fb <> []) fa.rf_actions
   in
-  actions_race ctx sd12 f1.rf_rule f2.rf_rule
-  || conflicting_goal_pairs sd12 f1 f2 <> []
-  || may_trigger sd12 p1 p2 || may_trigger sd21 p2 p1
-  || has_condition_effects sd12 f1 f2 || has_condition_effects sd21 f2 f1
+  actions_race v12.same f1.rf_rule f2.rf_rule
+  || conflicting_goal_pairs v12.same f1 f2 <> []
+  || may_trigger v12 f1 f2 || may_trigger v21 f2 f1
+  || has_condition_effects v12 f1 f2 || has_condition_effects v21 f2 f1
 
 (** Cheap, solver-free over-approximation of [detect_pair <> []]: the
     per-category candidate pre-filters (action targets, goal effects,
     attribute/environment channel maps) without any constraint solving.
     A pair that fails every pre-filter cannot produce a threat, so the
     planner drops it before scheduling. *)
-let pair_candidate ctx ((app1, r1) as p1 : tagged_rule) ((app2, r2) as p2 : tagged_rule) =
+let pair_candidate ctx ((app1, r1) : tagged_rule) ((app2, r2) : tagged_rule) =
   (not (app1.Rule.name = app2.Rule.name && r1.Rule.rule_id = r2.Rule.rule_id))
-  && facts_candidate ctx
-       (same_device ctx app1 app2, same_device ctx app2 app1)
-       (app1, rule_facts ctx p1) (app2, rule_facts ctx p2)
+  &&
+  let s1 = side ctx app1 and s2 = side ctx app2 in
+  facts_candidate ctx
+    (prefilter_views (s1, s2) (matcher ctx s1 s2, matcher ctx s2 s1))
+    (rule_facts s1 r1) (rule_facts s2 r2)
 
-(* For each rule fact of [a], the indices of [b]'s rule facts that pass
-   the pre-filters, in order; the device matchers are built once. *)
-let candidates ctx (a : Rule.smartapp) fa (b : Rule.smartapp) fb =
-  let matchers = (same_device ctx a b, same_device ctx b a) in
+(* For each rule of side [a], the rules of side [b] that pass the
+   pre-filters, in order, each as its index and its planned pair. The
+   device matchers are built once per cell, and the cell context once,
+   when the first pair passes. *)
+let candidates ctx ?unify a b =
+  let matchers = (matcher ctx a b, matcher ctx b a) in
+  let views = prefilter_views (a, b) matchers in
+  let cell = ref None in
+  let cell () =
+    match !cell with
+    | Some c -> c
+    | None ->
+      let c = cell_ctx ctx ?unify (a, b) matchers in
+      cell := Some c;
+      c
+  in
   Array.map
     (fun f1 ->
       let js = ref [] in
-      for j = Array.length fb - 1 downto 0 do
-        if facts_candidate ctx matchers (a, f1) (b, fb.(j)) then js := j :: !js
+      for j = Array.length b.rules - 1 downto 0 do
+        let f2 = b.rules.(j) in
+        if facts_candidate ctx views f1 f2 then
+          js := (j, { cell = cell (); f1; f2; cond = None }) :: !js
       done;
       !js)
-    fa
+    a.rules
 
 (* -- crash-isolated execution ---------------------------------------------- *)
 
@@ -989,18 +991,15 @@ type audit_result = {
           support "threats found" but never "no threat" *)
 }
 
-let pair_label ((app1, r1) : tagged_rule) ((app2, r2) : tagged_rule) =
+let pair_label pl =
+  let (app1, r1), (app2, r2) = planned_rules pl in
   Printf.sprintf "%s/%s ~ %s/%s" app1.Rule.name r1.Rule.rule_id app2.Rule.name
     r2.Rule.rule_id
 
 let merge_ctx into c =
   into.solver_calls <- into.solver_calls + c.solver_calls;
   into.escalations <- into.escalations + c.escalations;
-  into.undecided_solves <- into.undecided_solves + c.undecided_solves;
-  Hashtbl.iter
-    (fun k v ->
-      if not (Hashtbl.mem into.overlap_cache k) then Hashtbl.add into.overlap_cache k v)
-    c.overlap_cache
+  into.undecided_solves <- into.undecided_solves + c.undecided_solves
 
 (* One planned pair's outcome: its threats, its failure, or [None] when
    the run was cancelled before the pair. *)
@@ -1010,25 +1009,24 @@ type outcome = (Threat.t list, failure) result option
    executor of every audit. One raising pair cannot tear down its batch
    or the audit. [jobs <= 1] detects sequentially in the caller's ctx;
    otherwise batches fan out across domains, each with its own ctx (the
-   overlap cache and counters are not thread-safe), merged back
-   *before* the coordinator retries each failed pair once, so a retry
-   sees the cache state the sequential mode would. [cancel] is polled
-   before every pair. Returns each pair's outcome, in plan order, and
-   the number of retries; detection does not depend on cache contents,
-   so the outcomes are identical for every [jobs]. *)
-let run_pairs ~jobs ~cancel ctx (pairs : (tagged_rule * tagged_rule) array) =
-  let detect_one c (p1, p2) : outcome =
+   counters are not thread-safe), merged back before the coordinator
+   retries each failed pair once. [cancel] is polled before every pair.
+   Returns each pair's outcome, in plan order, and the number of
+   retries; detection reads nothing but its planned pair, so the
+   outcomes and the solver calls are identical for every [jobs]. *)
+let run_pairs ~jobs ~cancel ctx (pairs : planned array) =
+  let detect_one c pl : outcome =
     if cancel () then None
     else
-      match detect_pair c p1 p2 with
+      match detect c { pl with cond = None } with
       | ts -> Some (Ok ts)
       | exception e ->
         let info = Schedule.exn_info_of e in
         Some
           (Error
              {
-               pair = pair_label p1 p2;
-               apps = ((fst p1).Rule.name, (fst p2).Rule.name);
+               pair = pair_label pl;
+               apps = (pl.cell.fwd.s1.app.Rule.name, pl.cell.fwd.s2.app.Rule.name);
                exn = info.Schedule.exn;
                backtrace = info.Schedule.backtrace;
              })
@@ -1167,14 +1165,15 @@ type row = { p : int; lo : int; hi : int }
 let triangle n = Array.init n (fun p -> { p; lo = p + 1; hi = n })
 
 (* A cell left to detect: its slot, its partner, per rule of the row app
-   the partner rules that survived the pre-filters, and its L1 key when
-   a pair cache is configured. [keep] turns false when one of its pairs
-   crashed, was shed or holds an [Undecided] threat: a crash or budget
-   artifact, not a verdict, so never stored. *)
+   the partner rules that survived the pre-filters (each as its index
+   and its planned pair), and its L1 key when a pair cache is
+   configured. [keep] turns false when one of its pairs crashed, was
+   shed or holds an [Undecided] threat: a crash or budget artifact, not
+   a verdict, so never stored. *)
 type cell = {
   slot : int;
   q : int;
-  cand : int list array;
+  cand : (int * planned) list array;
   key : pair_audit option;
   mutable keep : bool;
 }
@@ -1199,13 +1198,15 @@ let plan_rows ?index ~pc ctx apps rows =
       (index_positions ix apps bindings, ix.ix_slots, Array.length ix.ix_apps)
     | _ -> (Array.make n (-1), [||], 0)
   in
-  (* each app's rule facts, derived when a cell first needs them *)
-  let facts = Array.make n [||] in
-  let facts_of q =
-    if Array.length facts.(q) = 0 then
-      facts.(q) <-
-        Array.of_list (List.map (fun r -> rule_facts ctx (apps.(q), r)) apps.(q).Rule.rules);
-    facts.(q)
+  (* each app's side, derived when a cell first needs it *)
+  let sides = Array.make n None in
+  let side_of q =
+    match sides.(q) with
+    | Some s -> s
+    | None ->
+      let s = if tiered then side_with apps.(q) bindings.(q) else side ctx apps.(q) in
+      sides.(q) <- Some s;
+      s
   in
   let slots = Array.make (Array.fold_left (fun acc r -> acc + r.hi - r.lo) 0 rows) no_matrix in
   let row_cells = Array.make (Array.length rows) [] in
@@ -1228,7 +1229,7 @@ let plan_rows ?index ~pc ctx apps rows =
                   {
                     pa_apps = (a, b);
                     pa_bindings = (bindings.(p), bindings.(q));
-                    pa_unify = unify_pairs ctx a b;
+                    pa_unify = unify_pairs ctx (side_of p) (side_of q);
                     pa_fingerprint = ctx.pair_fp;
                   })
                 pc
@@ -1237,27 +1238,24 @@ let plan_rows ?index ~pc ctx apps rows =
             match hit with
             | Some m -> slots.(k) <- m
             | None ->
-              let fa = facts_of p in
-              let fb = facts_of q in
-              let cand = candidates ctx a fa b fb in
+              let sa = side_of p and sb = side_of q in
+              let unify = Option.map (fun pa -> pa.pa_unify) key in
+              let cand = candidates ctx ?unify sa sb in
               if tiered || Array.exists (function [] -> false | _ -> true) cand then begin
-                if tiered then slots.(k) <- Array.map (fun _ -> Array.make (Array.length fb) []) fa;
+                if tiered then
+                  slots.(k) <- Array.map (fun _ -> Array.make (Array.length sb.rules) []) cand;
                 cells := { slot = k; q; cand; key; keep = true } :: !cells
               end
         end
       done;
       let cells = List.rev !cells in
       (* a row with no cell to detect emits nothing, facts or not *)
-      Array.iteri
-        (fun i f1 ->
-          List.iter
-            (fun c ->
-              let b = apps.(c.q) and fb = facts.(c.q) in
-              List.iter
-                (fun j -> plan := ((a, f1.rf_rule), (b, fb.(j).rf_rule)) :: !plan)
-                c.cand.(i))
-            cells)
-        facts.(p);
+      (match cells with
+      | [] -> ()
+      | _ ->
+        for i = 0 to Array.length (side_of p).rules - 1 do
+          List.iter (fun c -> List.iter (fun (_, pl) -> plan := pl :: !plan) c.cand.(i)) cells
+        done);
       row_cells.(r) <- cells;
       base := !base + hi - lo)
     rows;
@@ -1284,7 +1282,7 @@ let audit_rows ~jobs ~cancel ?index ~pc ctx apps rows =
           | c :: rest when c.slot = k ->
             pending := rest;
             List.iter
-              (fun j ->
+              (fun (j, _) ->
                 let o = outcomes.(!next) in
                 incr next;
                 gather_outcome g o;

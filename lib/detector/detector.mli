@@ -1,6 +1,6 @@
 (** The CAI threat detection engine (paper §VI): pairwise candidate
     filtering followed by overlapping-condition constraint solving, with
-    memoized solver results shared across threat types (Fig 9).
+    one rule pair's solver results shared across threat types (Fig 9).
 
     Every solve runs under a resource budget ({!Budget.spec}); an
     exhausted solve is retried once with an escalated budget and, if
@@ -97,8 +97,8 @@ and pair_cache = {
 }
 
 val solve_fingerprint : config -> string
-(** The one cache-key fingerprint shared by the in-process overlap
-    cache and any fleet-wide cache behind [shared_cache]: budget tier,
+(** The cache-key fingerprint of any fleet-wide cache behind
+    [shared_cache]: budget tier,
     solver A/B flags ({!Homeguard_solver.Solver.flags_fingerprint}),
     and the escalation switch. *)
 
@@ -150,25 +150,8 @@ type app_facts = {
   app_rules : rule_facts list;  (** one per rule, in order *)
 }
 
-type caches
-(** Per-ctx memo tables: one {!app_facts} record per app name (names
-    are unique within an audit), the config's same-device relation per
-    app pair, and the command-opposition map. One per ctx — worker
-    domains each own a ctx, so the tables need no locking. *)
-
-val create_caches : unit -> caches
-(** Fresh tables, for sharing across ctxs via {!create}'s [?caches]:
-    sound only when every sharing config's [same_device] behaves
-    identically and equal app names mean equal apps across the sharing
-    ctxs (the facts themselves are config-independent), and only from
-    one domain at a time — the tables are unsynchronized. *)
-
 type ctx = {
   config : config;
-  overlap_cache : (string * string, Homeguard_solver.Solver.verdict) Hashtbl.t;
-      (** keys carry the budget fingerprint, so an [Unknown] cached
-          under a small budget never answers for a larger one *)
-  caches : caches;  (** memoized solver-free planning facts *)
   fingerprint : string;  (** {!solve_fingerprint} of [config], memoized *)
   pair_fp : string;  (** {!pair_fingerprint} of [config], memoized *)
   mutable solver_calls : int;
@@ -176,34 +159,27 @@ type ctx = {
   mutable undecided_solves : int;  (** solves undecided even after escalation *)
 }
 
-val create : ?caches:caches -> config -> ctx
-(** A detection context. [?caches] shares planning facts and device
-    matching with other ctxs — see {!create_caches} for when that is
-    sound. *)
+val create : config -> ctx
+(** A detection context: the config and the solve counters. It holds
+    no table: an audit derives each app's facts once, and each rule
+    pair reuses its own solver results (see {!planned}). *)
 
-val app_facts : ctx -> Rule.smartapp -> app_facts
-(** The app's planning facts, derived on first use in the ctx. *)
+val app_facts : Rule.smartapp -> app_facts
+(** The app's planning facts, derived directly. *)
 
 val same_device : ctx -> Rule.smartapp -> Rule.smartapp -> string -> string -> bool
 (** [same_device ctx app1 app2 v1 v2]: the detectors' device question.
     Looks both vars' descriptors up among the apps' facts and asks
-    [config.same_device] of them. *)
-
-val situations_overlap :
-  ctx -> tagged_rule -> tagged_rule -> Homeguard_solver.Solver.verdict
-(** Joint satisfiability of both rules' trigger+condition formulas, with
-    variables of matched devices unified. *)
-
-val conditions_overlap :
-  ctx -> tagged_rule -> tagged_rule -> Homeguard_solver.Solver.verdict
-(** Conditions-only variant (memoized; shared by AR and CT/SD/LT). *)
-
-val ar_candidate : ctx -> tagged_rule -> tagged_rule -> bool
+    [config.same_device] of them. The facts are derived when the first
+    three arguments are applied. *)
 
 val detect_ar : ctx -> tagged_rule -> tagged_rule -> Threat.t list
 val detect_gc : ctx -> tagged_rule -> tagged_rule -> Threat.t list
 val detect_trigger_interference : ctx -> tagged_rule -> tagged_rule -> Threat.t list
 val detect_condition_interference : ctx -> tagged_rule -> tagged_rule -> Threat.t list
+
+(** The per-category detectors and {!detect_pair} build the rule pair's
+    cell context ({!plan_pair}) on the fly. *)
 
 val detect_pair : ctx -> tagged_rule -> tagged_rule -> Threat.t list
 (** All seven categories between two rules. *)
@@ -212,8 +188,20 @@ val pair_candidate : ctx -> tagged_rule -> tagged_rule -> bool
 (** Solver-free over-approximation of [detect_pair <> []]: the
     per-category candidate pre-filters only. Used by the planner. *)
 
-val candidate_pairs :
-  ctx -> Rule.smartapp list -> (tagged_rule * tagged_rule) array
+type planned
+(** One rule pair ready to detect: both rules' facts and its cell
+    context — the app pair's device matchers, unifiers and qualified
+    bindings in both orientations, and the apps' inputs the solver
+    store is typed from — built once per app pair of a plan. Detection
+    reuses the pair's conditions-overlap answer across AR and both CT
+    edges when [config.reuse] holds; nothing is shared between pairs. *)
+
+val plan_pair : ctx -> tagged_rule -> tagged_rule -> planned
+(** A rule pair outside any plan, its cell context built on the fly. *)
+
+val planned_rules : planned -> tagged_rule * tagged_rule
+
+val candidate_pairs : ctx -> Rule.smartapp list -> planned array
 (** The audit plan: every cross-app rule pair surviving the cheap
     pre-filters, in the deterministic flat order — {!audit_all}'s plan
     with no pair cache or index. *)
@@ -246,7 +234,7 @@ val audit_pairs :
   ?jobs:int ->
   ?cancel:(unit -> bool) ->
   ctx ->
-  (tagged_rule * tagged_rule) array ->
+  planned array ->
   audit_result
 (** Run an explicit pair plan with per-pair crash isolation. Failed
     pairs are retried once on the coordinator domain; double failures

@@ -75,7 +75,7 @@ type slot = {
           incarnation's handle is fenced off the cache surface; totals
           stay cumulative because the store sums every handle ever
           attached *)
-  mutable homes : string list;  (** current assignment *)
+  mutable homes_rev : string list;  (** current assignment, latest first *)
   mutable restarts : int;  (** successful supervised restarts *)
   mutable attempts_used : int;  (** restart attempts charged to the budget *)
   mutable last_error : string;
@@ -174,7 +174,7 @@ let open_shard t slot =
     ~replicas:t.config.replicas
     ~epoch_of:(fun id -> Some (next_epoch t id))
     ~on_recovery:(fun id report -> t.recoveries <- (id, report) :: t.recoveries)
-    ?vcache:slot.cache ~fleet_dir:t.dir ~index:slot.index ~home_ids:slot.homes ()
+    ?vcache:slot.cache ~fleet_dir:t.dir ~index:slot.index ~home_ids:(List.rev slot.homes_rev) ()
 
 let create ?(config = default_config) ~dir ~homes () =
   if config.shards < 1 then invalid_arg "Supervisor.create: shards < 1";
@@ -209,7 +209,7 @@ let create ?(config = default_config) ~dir ~homes () =
             Health.create ~interval_ms:config.heartbeat_interval_ms
               ~miss_threshold:config.miss_threshold config.clock;
           cache = None;  (* attached (with an epoch grant) by open_shard *)
-          homes = [];
+          homes_rev = [];
           restarts = 0;
           attempts_used = 0;
           last_error = "";
@@ -239,7 +239,7 @@ let create ?(config = default_config) ~dir ~homes () =
       | None -> assert false  (* ring is non-empty *)
       | Some s ->
         Hashtbl.replace t.assignment id s;
-        slots.(s).homes <- slots.(s).homes @ [ id ])
+        slots.(s).homes_rev <- id :: slots.(s).homes_rev)
     homes;
   Array.iter (fun slot -> slot.state <- Running (open_shard t slot)) slots;
   t
@@ -251,8 +251,8 @@ let rec mark_dead t slot =
   | Running sh -> ( try Shard.close sh with _ -> ())
   | _ -> ());
   slot.state <- Dead;
-  let orphans = slot.homes in
-  slot.homes <- [];
+  let orphans = List.rev slot.homes_rev in
+  slot.homes_rev <- [];
   (* Reassign by the same ring walk, restricted to surviving shards:
      only the dead shard's homes move. A surviving-but-down shard
      (Restarting) still accepts assignments — it picks the home up
@@ -264,10 +264,10 @@ let rec mark_dead t slot =
         (* whole fleet is dead: keep the home on its (dead) owner so
            routing still answers Unavailable and {!scrub} still covers
            it offline, instead of forgetting the home exists *)
-        slot.homes <- slot.homes @ [ id ]
+        slot.homes_rev <- id :: slot.homes_rev
       | Some s ->
         let dst = t.slots.(s) in
-        dst.homes <- dst.homes @ [ id ];
+        dst.homes_rev <- id :: dst.homes_rev;
         Hashtbl.replace t.assignment id s;
         t.rebalances <- t.rebalances + 1;
         (match dst.state with
@@ -536,7 +536,7 @@ let running t =
 let shard t idx =
   match t.slots.(idx).state with Running sh -> Some sh | _ -> None
 
-let homes_of t idx = t.slots.(idx).homes
+let homes_of t idx = List.rev t.slots.(idx).homes_rev
 let home_ids t = Hashtbl.fold (fun id _ acc -> id :: acc) t.assignment []
 
 type stats = {
@@ -598,7 +598,7 @@ let status t =
       in
       Buffer.add_string b
         (Printf.sprintf "%s: homes=%d breaker=%s health=%s restarts=%d %s\n"
-           (shard_label slot.index) (List.length slot.homes)
+           (shard_label slot.index) (List.length slot.homes_rev)
            (Breaker.describe slot.breaker)
            (Health.describe slot.health) slot.restarts state);
       match slot.cache with

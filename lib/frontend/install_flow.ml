@@ -39,12 +39,12 @@ type t = {
   mutable pending : report option;
   detector_config : Detector.config;
   policies : Policy.store;  (** per-threat handling decisions *)
-  mutable kept : Threat.t list;
-      (** threats the user accepted at install time; these are what the
-          runtime mediator enforces *)
-  mutable quarantined : (string * string) list;
-      (** poison apps (name, reason): excluded from detection and
-          surfaced with a reject recommendation *)
+  mutable kept_rev : Threat.t list;
+      (** threats the user accepted at install time, latest first; these
+          are what the runtime mediator enforces *)
+  mutable quarantined_rev : (string * string) list;
+      (** poison apps (name, reason), latest first: excluded from
+          detection and surfaced with a reject recommendation *)
 }
 
 let create ?(detector_config = Detector.offline_config) () =
@@ -54,8 +54,8 @@ let create ?(detector_config = Detector.offline_config) () =
     pending = None;
     detector_config;
     policies = Policy.create ();
-    kept = [];
-    quarantined = [];
+    kept_rev = [];
+    quarantined_rev = [];
   }
 
 (* -- what the user reads, rendered on demand ------------------------------------ *)
@@ -72,16 +72,16 @@ let handling_text r =
 (* -- quarantine -------------------------------------------------------------- *)
 
 let quarantine t name ~reason =
-  if not (List.mem_assoc name t.quarantined) then
-    t.quarantined <- t.quarantined @ [ (name, reason) ]
+  if not (List.mem_assoc name t.quarantined_rev) then
+    t.quarantined_rev <- (name, reason) :: t.quarantined_rev
 
 let unquarantine t name =
-  let had = List.mem_assoc name t.quarantined in
-  t.quarantined <- List.filter (fun (n, _) -> n <> name) t.quarantined;
+  let had = List.mem_assoc name t.quarantined_rev in
+  t.quarantined_rev <- List.filter (fun (n, _) -> n <> name) t.quarantined_rev;
   had
 
-let quarantined t = t.quarantined
-let is_quarantined t name = List.mem_assoc name t.quarantined
+let quarantined t = List.rev t.quarantined_rev
+let is_quarantined t name = List.mem_assoc name t.quarantined_rev
 
 (* The installed apps minus quarantined ones, in install order: a
    poison app's rules must not be able to crash every later install's
@@ -92,7 +92,7 @@ let detection_apps t =
     (Rule_db.installed_apps t.db)
 
 let quarantine_note t (app : Rule.smartapp) =
-  match List.assoc_opt app.Rule.name t.quarantined with
+  match List.assoc_opt app.Rule.name t.quarantined_rev with
   | Some reason ->
     Some
       (Printf.sprintf
@@ -101,7 +101,7 @@ let quarantine_note t (app : Rule.smartapp) =
          app.Rule.name reason)
   | None ->
     let excluded =
-      List.filter (fun (n, _) -> Rule_db.find t.db n <> None) t.quarantined
+      List.filter (fun (n, _) -> Rule_db.find t.db n <> None) (quarantined t)
     in
     if excluded = [] then None
     else
@@ -145,7 +145,7 @@ exception No_pending_install
 let keep t app threats =
   ignore (Rule_db.install t.db app);
   Chain.allow t.allowed threats;
-  t.kept <- t.kept @ threats
+  t.kept_rev <- List.rev_append threats t.kept_rev
 
 (** Step 4: the user's one-time decision. [Keep] installs the app and
     records its threat pairs as allowed; [Reject] discards it;
@@ -177,11 +177,11 @@ let pending t = t.pending
     chain detector (rule ids are ["<app>#<n>"]). *)
 let uninstall t name =
   Rule_db.uninstall t.db name;
-  t.kept <-
+  t.kept_rev <-
     List.filter
       (fun (th : Threat.t) ->
         th.Threat.app1.Rule.name <> name && th.Threat.app2.Rule.name <> name)
-      t.kept;
+      t.kept_rev;
   Chain.disallow_prefix t.allowed (name ^ "#")
 
 (* -- handling ---------------------------------------------------------------- *)
@@ -192,10 +192,10 @@ let set_decision t threat_id decision = Policy.set_by_id t.policies threat_id de
 
 let policies t = t.policies
 
-let kept_threats t = t.kept
+let kept_threats t = List.rev t.kept_rev
 let allowed_edges t = Chain.allowed_edges t.allowed
 
 (** Compile the runtime reference monitor for everything kept so far,
     under the current decisions. *)
 let mediator ?defer_delay_ms ?max_deferrals t =
-  Mediator.create ?defer_delay_ms ?max_deferrals t.policies t.kept
+  Mediator.create ?defer_delay_ms ?max_deferrals t.policies (kept_threats t)

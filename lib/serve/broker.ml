@@ -68,9 +68,9 @@ type entry = { home : Home.t; quarantine : Quarantine.t }
 type t = {
   config : config;
   admission : Admission.t;
-  mutable homes : (string * entry) list;  (** registration order *)
-  by_id : (string, entry) Hashtbl.t;  (** [homes], for lookup *)
-  mutable queue : job list;  (** FIFO; each job holds its ticket *)
+  mutable homes_rev : (string * entry) list;  (** latest registration first *)
+  by_id : (string, entry) Hashtbl.t;  (** [homes_rev], for lookup *)
+  mutable queue_rev : job list;  (** latest submission first; each job holds its ticket *)
   mutable next_job : int;
 }
 
@@ -80,7 +80,7 @@ let create ?(config = default_config) () =
       ~interactive_reserve:config.interactive_reserve
       ~est_service_ms:config.est_service_ms ()
   in
-  { config; admission; homes = []; by_id = Hashtbl.create 64; queue = []; next_job = 1 }
+  { config; admission; homes_rev = []; by_id = Hashtbl.create 64; queue_rev = []; next_job = 1 }
 
 let add_home t ~id home =
   if Hashtbl.mem t.by_id id then
@@ -92,19 +92,19 @@ let add_home t ~id home =
     (Home.quarantined home);
   let e = { home; quarantine } in
   Hashtbl.replace t.by_id id e;
-  t.homes <- t.homes @ [ (id, e) ]
+  t.homes_rev <- (id, e) :: t.homes_rev
 
 let remove_home t id =
   match Hashtbl.find_opt t.by_id id with
   | None -> None
   | Some entry ->
     Hashtbl.remove t.by_id id;
-    t.homes <- List.remove_assoc id t.homes;
+    t.homes_rev <- List.remove_assoc id t.homes_rev;
     (* queued jobs for the departing home release their tickets and
        vanish: their home is moving shards, not being dropped silently *)
-    let stays, goes = List.partition (fun j -> j.home_id <> id) t.queue in
+    let stays, goes = List.partition (fun j -> j.home_id <> id) t.queue_rev in
     List.iter (fun j -> Admission.release t.admission j.ticket) goes;
-    t.queue <- stays;
+    t.queue_rev <- stays;
     Some entry.home
 
 let entry t id =
@@ -114,10 +114,10 @@ let entry t id =
 
 let home t id = (entry t id).home
 let home_opt t id = Option.map (fun e -> e.home) (Hashtbl.find_opt t.by_id id)
-let home_ids t = List.map fst t.homes
-let homes t = List.map (fun (id, e) -> (id, e.home)) t.homes
+let home_ids t = List.rev_map fst t.homes_rev
+let homes t = List.rev_map (fun (id, e) -> (id, e.home)) t.homes_rev
 let admission t = t.admission
-let pending_jobs t = List.length t.queue
+let pending_jobs t = List.length t.queue_rev
 
 (* -- failure attribution ------------------------------------------------------ *)
 
@@ -252,7 +252,7 @@ let submit_audit t ~home:home_id ?deadline_ms () =
     let job_deadline = Deadline.make ~clock:t.config.clock ?timeout_ms () in
     let id = t.next_job in
     t.next_job <- id + 1;
-    t.queue <- t.queue @ [ { home_id; id; ticket; job_deadline } ];
+    t.queue_rev <- { home_id; id; ticket; job_deadline } :: t.queue_rev;
     Ok id
 
 type audit_outcome =
@@ -271,8 +271,8 @@ type audit_outcome =
     the reply is a structured [Degraded] — never a silent drop, never
     "no threat". *)
 let drain t =
-  let jobs = t.queue in
-  t.queue <- [];
+  let jobs = List.rev t.queue_rev in
+  t.queue_rev <- [];
   List.map
     (fun job ->
       Fun.protect ~finally:(fun () -> Admission.release t.admission job.ticket)
@@ -328,7 +328,7 @@ let clear_quarantine t ~home:home_id app =
 let quarantined_total t =
   List.fold_left
     (fun acc (_, e) -> acc + List.length (Home.quarantined e.home))
-    0 t.homes
+    0 t.homes_rev
 
 let status t =
   Printf.sprintf

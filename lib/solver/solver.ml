@@ -31,7 +31,8 @@ let flags_fingerprint () =
 
 (* Three-valued "or" over a sequence of sub-solves, walked in order:
    the first Sat wins and stops the walk, all Unsat is Unsat, otherwise
-   the first Unknown is reported. *)
+   the first Unknown is reported. Out of node fuel the walk stops: every
+   later {!Search.solve} would trip at its first node. *)
 let fold_verdicts solve_one items : verdict =
   let rec go acc items =
     match items () with
@@ -40,8 +41,9 @@ let fold_verdicts solve_one items : verdict =
       match solve_one item with
       | Budget.Sat m -> Budget.Sat m
       | Budget.Unsat -> go acc rest
-      | Budget.Unknown r ->
-        go (match acc with Budget.Unknown _ -> acc | _ -> Budget.Unknown r) rest)
+      | Budget.Unknown r -> (
+        let acc = match acc with Budget.Unknown _ -> acc | _ -> Budget.Unknown r in
+        match r.Budget.trip with Budget.Node_fuel -> acc | _ -> go acc rest))
   in
   go Budget.Unsat items
 

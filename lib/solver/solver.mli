@@ -15,6 +15,11 @@ val flags_fingerprint : unit -> string
     ({!Domain.bitset_enabled}, [Formula.memo_enabled]) for verdict
     cache keys: the two modes must never serve each other's answers. *)
 
+val fold_verdicts : (Dnf.conjunct -> verdict) -> Dnf.conjunct Seq.t -> verdict
+(** The walk {!solve} makes over a formula's conjuncts: the first Sat,
+    else the first Unknown, else Unsat. It forces no conjunct after an
+    Unknown for node fuel, which leaves every later one Unknown too. *)
+
 val solve : ?budget:Budget.t -> Store.t -> Formula.t -> verdict
 (** Propagate-and-split over the conjuncts of the lazy DNF
     ({!Dnf.of_formula}) in order, stopping at the first Sat, whose model

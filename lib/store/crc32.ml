@@ -7,31 +7,32 @@
     array); the tail shorter than eight bytes goes bytewise through the
     first table, which is the classic one-byte-at-a-time table. *)
 
+(* Built at module initialisation: verdict-cache appends run on worker
+   domains, and a lazy table forced by two at once raises. *)
 let tables =
-  lazy
-    (let t = Array.make (8 * 256) 0 in
-     for n = 0 to 255 do
-       let c = ref n in
-       for _ = 0 to 7 do
-         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-       done;
-       t.(n) <- !c
-     done;
-     (* table k advances a byte followed by k zero bytes *)
-     for k = 1 to 7 do
-       for n = 0 to 255 do
-         let prev = t.(((k - 1) * 256) + n) in
-         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
-       done
-     done;
-     t)
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  (* table k advances a byte followed by k zero bytes *)
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+    done
+  done;
+  t
 
 (** CRC-32 of [len] bytes of [s] from [pos], as a non-negative int below
     2^32. The loop body is written out by hand (table [k] starts at
     [k * 256]) so that no closure is allocated per call. *)
 let substring s pos len =
   if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Crc32.substring";
-  let t = Lazy.force tables in
+  let t = tables in
   let c = ref 0xFFFFFFFF in
   let i = ref pos in
   let stop8 = pos + (len land lnot 7) in

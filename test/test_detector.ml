@@ -327,20 +327,32 @@ let condition_unifier_shared_device =
 
 let symmetric_cache_hits_reverse_direction =
   test "overlap cache is direction-symmetric (regression)" (fun () ->
-      let a = extract_corpus "ComfortTV" and b = extract_corpus "ColdDefender" in
-      let c = ctx () in
-      let p1 = (a, List.hd a.Rule.rules) and p2 = (b, List.hd b.Rule.rules) in
-      ignore (Detector.conditions_overlap c p1 p2);
-      let after_forward = c.Detector.solver_calls in
-      check_bool "forward direction solved" true (after_forward > 0);
-      ignore (Detector.conditions_overlap c p2 p1);
-      check_int "reverse direction served from the cache" after_forward
-        c.Detector.solver_calls;
-      ignore (Detector.situations_overlap c p1 p2);
-      let after_sit = c.Detector.solver_calls in
-      check_bool "situation overlap is a distinct entry" true (after_sit > after_forward);
-      ignore (Detector.situations_overlap c p2 p1);
-      check_int "reverse situation also cached" after_sit c.Detector.solver_calls)
+      (* LightUpTheNight's two rules race and trigger each other, so AR,
+         the forward CT edge and the reverse CT edge all ask the pair's
+         conditions overlap: the reverse orientation is served from the
+         pair's slot, whichever rule comes first *)
+      let app = extract_corpus "LightUpTheNight" in
+      let p1, p2 =
+        match app.Rule.rules with
+        | [ r1; r2 ] -> ((app, r1), (app, r2))
+        | _ -> Alcotest.fail "two rules"
+      in
+      let cond_solves reuse p1 p2 =
+        let asked = ref 0 in
+        let hook (q : Detector.solve_query) solve =
+          if q.Detector.q_kind = "cond" then incr asked;
+          solve ()
+        in
+        let c =
+          Detector.create
+            { Detector.offline_config with Detector.reuse; shared_cache = Some hook }
+        in
+        check_bool "LT found" true (has Threat.LT (Detector.detect_pair c p1 p2));
+        !asked
+      in
+      check_int "forward: one conditions solve" 1 (cond_solves true p1 p2);
+      check_int "reverse: one conditions solve" 1 (cond_solves true p2 p1);
+      check_int "without reuse: AR and both CT edges solve" 3 (cond_solves false p1 p2))
 
 let solver_reuse_reduces_calls =
   test "memoization reduces solver calls (Fig 9 green lines)" (fun () ->

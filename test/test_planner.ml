@@ -208,12 +208,11 @@ let check_plan label config apps =
   check_bool (label ^ ": threats and order") true
     (List.map threat_key planned = List.map threat_key reference)
 
-(* Every fact field equals the direct derivation it caches. *)
-let check_facts config (apps : Rule.smartapp list) =
-  let ctx = Detector.create config in
+(* Every fact field equals its direct derivation. *)
+let check_facts (apps : Rule.smartapp list) =
   List.iter
     (fun (app : Rule.smartapp) ->
-      let f = Detector.app_facts ctx app in
+      let f = Detector.app_facts app in
       let name = app.Rule.name in
       check_bool (name ^ " inputs") true
         (List.map (fun d -> d.Detector.di_var) f.Detector.app_inputs = Rule.device_inputs app);
@@ -294,13 +293,11 @@ let plan_matches_reference_on_synth =
 
 let facts_match_direct_derivations =
   test "every planning fact equals its direct derivation" (fun () ->
-      check_facts Detector.offline_config (Lazy.force audit_pool);
+      check_facts (Lazy.force audit_pool);
       List.iter
         (fun seed ->
           List.iter
-            (fun h ->
-              let apps, config = home_setup h in
-              check_facts config apps)
+            (fun h -> check_facts (fst (home_setup h)))
             (Corpus.synth ~seed ~n_homes:25))
         synth_seeds)
 
@@ -450,11 +447,9 @@ let check_relation label ~full reference config (apps : Rule.smartapp list) =
       List.iter
         (fun (b : Rule.smartapp) ->
           if a.Rule.name <> b.Rule.name then
+            let same = Detector.same_device ctx a b in
             List.iter
-              (fun v1 ->
-                List.iter
-                  (fun v2 -> ignore (Detector.same_device ctx a b v1 v2))
-                  (asked_vars b))
+              (fun v1 -> List.iter (fun v2 -> ignore (same v1 v2)) (asked_vars b))
               (asked_vars a))
         apps)
     (if full then apps else []);
@@ -542,7 +537,8 @@ let reference_install_plan ctx (installed : Rule.smartapp list) (app : Rule.smar
       List.filter_map
         (fun p2 ->
           let p1 = (app, r) in
-          if Detector.pair_candidate ctx p1 p2 then Some (p1, p2) else None)
+          if Detector.pair_candidate ctx p1 p2 then Some (Detector.plan_pair ctx p1 p2)
+          else None)
         old_rules)
     app.Rule.rules
   |> Array.of_list
@@ -639,6 +635,61 @@ let witness_line (t : Threat.t) =
 let witness_digest threats =
   Digest.to_hex (Digest.string (String.concat "\n" (List.map witness_line threats)))
 
+(* -- planned cells against on-the-fly detection ------------------------------- *)
+
+(* Each planned pair run alone through [audit_pairs] on a fresh ctx,
+   against [detect_pair] of its two rules on another fresh ctx, which
+   builds the cell context on the fly: the same threats, witness bytes
+   and severities, from the same number of solves. Returns the number
+   of planned pairs. *)
+let check_planned_cells label config apps =
+  let plan = Detector.candidate_pairs (Detector.create config) apps in
+  let mismatches = ref [] in
+  Array.iteri
+    (fun k pl ->
+      let p1, p2 = Detector.planned_rules pl in
+      let planned_ctx = Detector.create config and fresh_ctx = Detector.create config in
+      let planned = (Detector.audit_pairs planned_ctx [| pl |]).Detector.threats in
+      let fresh = Detector.detect_pair fresh_ctx p1 p2 in
+      if
+        List.map witness_line planned <> List.map witness_line fresh
+        || List.map threat_key planned <> List.map threat_key fresh
+        || planned_ctx.Detector.solver_calls <> fresh_ctx.Detector.solver_calls
+      then mismatches := Printf.sprintf "%s: pair %d" label k :: !mismatches)
+    plan;
+  Alcotest.(check (list string)) (label ^ ": planned = on the fly") [] (List.rev !mismatches);
+  Array.length plan
+
+let planned_cells_match_on_the_fly =
+  test "planned cells = detect_pair on a fresh ctx (pool and synth, reuse on and off)"
+    (fun () ->
+      List.iter
+        (fun reuse ->
+          let with_reuse config = { config with Detector.reuse } in
+          let label = if reuse then "reuse" else "no reuse" in
+          check_int (label ^ ": audit pool pairs") 2868
+            (check_planned_cells ("pool " ^ label)
+               (with_reuse Detector.offline_config)
+               (Lazy.force audit_pool));
+          let pairs = ref 0 in
+          List.iter
+            (fun seed ->
+              List.iter
+                (fun (h : Homeguard_corpus.Synth.home) ->
+                  let apps, config = home_setup h in
+                  let label =
+                    Printf.sprintf "seed %d %s %s" seed h.Homeguard_corpus.Synth.id label
+                  in
+                  pairs :=
+                    !pairs
+                    + check_planned_cells (label ^ " offline")
+                        (with_reuse Detector.offline_config) apps
+                    + check_planned_cells (label ^ " recorded") (with_reuse config) apps)
+                (Corpus.synth ~seed ~n_homes:25))
+            synth_seeds;
+          check_bool (label ^ ": synth pairs planned") true (!pairs > 0))
+        [ true; false ])
+
 (* The 125-app audit's exact counters. Any drift in the plan, the
    detector or the solver-result reuse shows up here first, and any
    drift in a witness changes the digest. *)
@@ -654,7 +705,7 @@ let audit_pool_counters =
         (threats, ctx.Detector.solver_calls)
       in
       let t1, calls = run Detector.offline_config 1 in
-      let t2, _ = run Detector.offline_config 2 in
+      let t2, calls2 = run Detector.offline_config 2 in
       check_int "threats" 3845 (List.length t1);
       check_int "threats with a witness" 3307
         (List.length (List.filter (fun (t : Threat.t) -> t.Threat.witness <> None) t1));
@@ -666,6 +717,7 @@ let audit_pool_counters =
       check_string "witness digest at jobs 2" "a8c5e0c5ced0819c78d2ed1cf086bd2a"
         (witness_digest t2);
       check_int "solver calls" 3917 calls;
+      check_int "solver calls at jobs 2" 3917 calls2;
       check_int "solver calls without reuse" 4247
         (snd (run { Detector.offline_config with Detector.reuse = false } 1));
       List.iter
@@ -706,4 +758,5 @@ let tests =
     grouped_failures_in_flat_order;
     install_row_matches_reference;
     audit_pool_counters;
+    planned_cells_match_on_the_fly;
   ]

@@ -163,11 +163,29 @@ let wide_dnf =
       (match Solver.solve wide_store (wide_formula ~bad:true) with
       | Budget.Unsat -> ()
       | _ -> Alcotest.fail "every conjunct is Unsat");
-      let b = Budget.start { Budget.unlimited_spec with Budget.search_nodes = Some 100 } in
-      match Solver.solve ~budget:b wide_store (wide_formula ~bad:true) with
-      | Budget.Unknown _ -> ()
+      let nodes_100 () =
+        Budget.start { Budget.unlimited_spec with Budget.search_nodes = Some 100 }
+      in
+      let verdict = Solver.solve ~budget:(nodes_100 ()) wide_store (wide_formula ~bad:true) in
+      (match verdict with
+      | Budget.Unknown { Budget.trip = Budget.Node_fuel; _ } -> ()
+      | Budget.Unknown _ -> Alcotest.fail "wrong trip for the node budget"
       | Budget.Unsat -> Alcotest.fail "an exhausted budget leaked as unsat (soundness hole)"
-      | Budget.Sat _ -> Alcotest.fail "every conjunct is Unsat")
+      | Budget.Sat _ -> Alcotest.fail "every conjunct is Unsat");
+      (* each conjunct is refuted at its root node, so the 100 nodes
+         decide 100 conjuncts and the 101st trips: the walk stops there
+         instead of forcing the other 8,091 *)
+      let forced = ref 0 in
+      let counted =
+        Seq.map
+          (fun c ->
+            incr forced;
+            c)
+          (Dnf.of_formula (wide_formula ~bad:true))
+      in
+      let walked = Solver.fold_verdicts (Search.solve ~budget:(nodes_100 ()) wide_store) counted in
+      Helpers.check_int "conjuncts forced" 101 !forced;
+      Helpers.check_bool "same verdict and reason as solve" true (walked = verdict))
 
 (* -- budgets, three-valued verdicts and fault injection -------------------- *)
 
