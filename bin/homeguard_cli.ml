@@ -166,7 +166,7 @@ let audit_cmd =
     let jobs = resolve_jobs jobs in
     let ctx = Detector.create (config_with_budget budget) in
     let pairs = Detector.candidate_pairs ctx apps in
-    let result = Detector.audit_all ~jobs ctx apps in
+    let result = Detector.audit_pairs ~jobs ctx pairs in
     let threats = result.Detector.threats in
     Printf.printf "%s\n" (Corpus.stats ());
     Printf.printf "candidate rule pairs after pre-filters: %d (jobs: %d, solver calls: %d)\n"
@@ -1109,28 +1109,11 @@ let fleet_scrub_cmd =
       1
     end
     else begin
-      (* primary home dirs are h_<id> directly under the fleet root;
-         replica k of each lives under the replica root r<k> *)
-      let entries =
-        Sys.readdir dir |> Array.to_list
-        |> List.filter (fun e ->
-               String.length e > 2
-               && String.sub e 0 2 = "h_"
-               && Sys.is_directory (Filename.concat dir e))
-        |> List.sort compare
-      in
+      let roots = Fleet_shard.replica_roots ~fleet_dir:dir ~replicas in
       let totals =
         List.fold_left
           (fun acc entry ->
-            let dirs =
-              Filename.concat dir entry
-              :: List.init
-                   (max 0 (replicas - 1))
-                   (fun k ->
-                     Filename.concat
-                       (Filename.concat dir (Printf.sprintf "r%d" (k + 1)))
-                       entry)
-            in
+            let dirs = List.map (fun root -> Filename.concat root entry) roots in
             let r = Fleet_scrub.scrub_home ~fsync:(not no_fsync) dirs in
             if not r.Fleet_scrub.healthy then
               Printf.printf
@@ -1140,36 +1123,20 @@ let fleet_scrub_cmd =
                 r.Fleet_scrub.torn_bytes r.Fleet_scrub.records_healed
                 (if r.Fleet_scrub.converged then "" else " UNCONVERGED");
             Fleet_scrub.add acc r)
-          Fleet_scrub.zero entries
+          Fleet_scrub.zero (Fleet_shard.home_entries ~fleet_dir:dir)
       in
       print_endline (Fleet_scrub.counters_text totals);
       (* the verdict cache is a durable surface under the same contract:
          scrub its replica set too, at cache file names *)
       let cache_unconverged =
-        let primary = Filename.concat dir "vcache" in
+        let dirs = Fleet_shard.cache_dirs ~fleet_dir:dir ~replicas in
+        let primary = List.hd dirs in
         if not (Sys.file_exists primary && Sys.is_directory primary) then 0
         else begin
-          let dirs =
-            primary
-            :: List.init
-                 (max 0 (replicas - 1))
-                 (fun k ->
-                   Filename.concat
-                     (Filename.concat dir (Printf.sprintf "r%d" (k + 1)))
-                     "vcache")
-          in
           let r =
-            Fleet_scrub.scrub_home ~fsync:(not no_fsync)
-              ~files:[ "cache.snapshot"; "cache.journal" ]
-              dirs
+            Fleet_scrub.scrub_home ~fsync:(not no_fsync) ~files:Vcache.cache_files dirs
           in
-          Printf.printf
-            "vcache: converged=%b repaired=%d recreated=%d quarantined=%d \
-             healed=%d patched-frames=%d repair-bytes=%d\n"
-            r.Fleet_scrub.converged r.Fleet_scrub.repaired_replicas
-            r.Fleet_scrub.recreated_replicas r.Fleet_scrub.frames_quarantined
-            r.Fleet_scrub.records_healed r.Fleet_scrub.patched_frames
-            r.Fleet_scrub.repair_bytes;
+          Printf.printf "vcache: %s\n" (Fleet_scrub.report_text r);
           if r.Fleet_scrub.converged then 0 else 1
         end
       in

@@ -8,7 +8,5 @@ type t = {
 
 exception Malformed of string
 
-val base : string
-val is_hex_id : string -> bool
 val encode : t -> string
 val decode : string -> t

@@ -10,8 +10,6 @@
 
 type transport = Sms | Http
 
-let transport_to_string = function Sms -> "SMS" | Http -> "HTTP"
-
 (* Latency model parameters (milliseconds). *)
 let cloud_processing_mean = 27.0
 let sms_delivery_mean = 3120.0
@@ -19,13 +17,12 @@ let http_delivery_mean = 1058.0
 
 type t = {
   mutable rng : int;
-  mutable delivered : (transport * string * float) list;  (** newest first *)
   mutable lost : int;
   loss_per_thousand : int;  (** message-loss injection for failure tests *)
 }
 
 let create ?(seed = 7) ?(loss_per_thousand = 0) () =
-  { rng = (seed * 48_271) land 0x3FFFFFFF; delivered = []; lost = 0; loss_per_thousand }
+  { rng = (seed * 48_271) land 0x3FFFFFFF; lost = 0; loss_per_thousand }
 
 let next t =
   t.rng <- ((t.rng * 1_103_515_245) + 12_345) land 0x3FFFFFFF;
@@ -50,16 +47,12 @@ let sample_latency t transport =
 
 (** Deliver a configuration URI; returns the observed latency, or [None]
     if the message was lost (when loss injection is enabled). *)
-let send t transport uri =
+let send t transport _uri =
   if t.loss_per_thousand > 0 && next t mod 1000 < t.loss_per_thousand then begin
     t.lost <- t.lost + 1;
     None
   end
-  else begin
-    let latency = sample_latency t transport in
-    t.delivered <- (transport, uri, latency) :: t.delivered;
-    Some latency
-  end
+  else Some (sample_latency t transport)
 
 (** Deliver with retries under capped decorrelated-jitter backoff: up to
     [max_attempts] sends, waiting (in simulated time) a random interval
@@ -108,5 +101,4 @@ let measure_mean t transport ~trials =
   done;
   if !count = 0 then 0.0 else !total /. float_of_int !count
 
-let delivered t = List.rev t.delivered
 let lost_count t = t.lost

@@ -4,18 +4,11 @@
 
 type transport = Sms | Http
 
-val transport_to_string : transport -> string
-
 val cloud_processing_mean : float
-val sms_delivery_mean : float
-val http_delivery_mean : float
 
 type t
 
 val create : ?seed:int -> ?loss_per_thousand:int -> unit -> t
-
-val sample_latency : t -> transport -> float
-(** One delivery's latency in ms, including cloud-side processing. *)
 
 val send : t -> transport -> string -> float option
 (** Deliver a URI; [None] when loss injection drops it. *)
@@ -41,5 +34,4 @@ val send_with_retry :
     when every attempt was lost or the deadline cut retrying short. *)
 
 val measure_mean : t -> transport -> trials:int -> float
-val delivered : t -> (transport * string * float) list
 val lost_count : t -> int

@@ -23,8 +23,5 @@ val attr_senses : Env.t -> string option -> bool
 
 type direction_need = Needs_high | Needs_low | Needs_value of Term.t | Needs_any
 
-val direction_needs : Formula.t -> string -> direction_need list
-(** How the (NNF of the) formula constrains a variable. *)
-
 val polarity_can_satisfy : Formula.t -> string -> Effects.polarity -> bool
 (** Could a change in this direction help satisfy the formula? *)

@@ -23,7 +23,10 @@ type solve_query = {
       (** per-home configuration-value equalities appearing in the
           formula (qualified, post-unification) — what an external
           cache abstracts into equivalence-class cells *)
-  q_fingerprint : string;  (** {!solve_fingerprint} of the ctx config *)
+  q_fingerprint : string;
+      (** the solve fingerprint of the ctx config: budget tier, solver
+          A/B flags ({!Homeguard_solver.Solver.flags_fingerprint}) and
+          the escalation switch *)
 }
 (** One detector solve as described to a fleet-shared verdict cache.
     The formula and store are exactly what the local budgeted solve
@@ -80,7 +83,8 @@ and pair_audit = {
   pa_unify : (string * string) list;
       (** the same-device relation over the two apps' device inputs —
           homes with different device assignments never share a key *)
-  pa_fingerprint : string;  (** {!pair_fingerprint} of the ctx config *)
+  pa_fingerprint : string;
+      (** the solve fingerprint plus the solver-result [reuse] switch *)
 }
 (** One whole app-pair audit as described to a pair-result cache. A hit
     skips candidate pre-filtering and every per-category analysis for
@@ -95,16 +99,6 @@ and pair_cache = {
   pair_lookup : pair_audit -> pair_matrix option;
   pair_store : pair_audit -> pair_matrix -> unit;
 }
-
-val solve_fingerprint : config -> string
-(** The cache-key fingerprint of any fleet-wide cache behind
-    [shared_cache]: budget tier,
-    solver A/B flags ({!Homeguard_solver.Solver.flags_fingerprint}),
-    and the escalation switch. *)
-
-val pair_fingerprint : config -> string
-(** {!solve_fingerprint} plus the solver-result [reuse] switch — the
-    pair-tier cache fingerprint. *)
 
 val offline_same_device : device_input -> device_input -> bool
 (** Same-capability matching with switch classes disambiguated by
@@ -152,8 +146,8 @@ type app_facts = {
 
 type ctx = {
   config : config;
-  fingerprint : string;  (** {!solve_fingerprint} of [config], memoized *)
-  pair_fp : string;  (** {!pair_fingerprint} of [config], memoized *)
+  fingerprint : string;  (** [q_fingerprint] of [config], memoized *)
+  pair_fp : string;  (** [pa_fingerprint] of [config], memoized *)
   mutable solver_calls : int;
   mutable escalations : int;  (** undecided solves retried with a bigger budget *)
   mutable undecided_solves : int;  (** solves undecided even after escalation *)

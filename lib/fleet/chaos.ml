@@ -442,18 +442,6 @@ let op_audit c (id, _ex) =
 (* -- damage windows ----------------------------------------------------------- *)
 
 let home_files = [ "snapshot"; "journal" ]
-let cache_files = [ "cache.snapshot"; "cache.journal" ]
-
-(* The cache surface's replica roots, mirroring the supervisor's layout:
-   primary at [dir/vcache], replica [k] at [dir/r<k>/vcache]. *)
-let cache_dirs ~fleet_dir ~replicas =
-  Filename.concat fleet_dir "vcache"
-  :: List.init
-       (max 0 (replicas - 1))
-       (fun k ->
-         Filename.concat
-           (Filename.concat fleet_dir (Printf.sprintf "r%d" (k + 1)))
-           "vcache")
 
 (* Flip one byte (a case-flip, so text and binary both corrupt) at a
    salt-chosen offset — bit rot with a schedule-replayable position. *)
@@ -519,18 +507,18 @@ let corrupt_replica c ~home ~replica ~file ~salt =
    treatment — destruction spares the primary, corruption does not. *)
 let destroy_cache_replica c ~replica =
   if c.cfg.vcache then
-    match List.tl (cache_dirs ~fleet_dir:c.dir ~replicas:c.cfg.replicas) with
+    match List.tl (Shard.cache_dirs ~fleet_dir:c.dir ~replicas:c.cfg.replicas) with
     | [] -> ()
     | victims ->
       let vdir = List.nth victims (replica mod List.length victims) in
-      if remove_files vdir cache_files then
+      if remove_files vdir Vcache.cache_files then
         c.cache_destroyed <- c.cache_destroyed + 1
 
 let corrupt_cache_replica c ~replica ~file ~salt =
   if c.cfg.vcache then begin
-    let dirs = cache_dirs ~fleet_dir:c.dir ~replicas:c.cfg.replicas in
+    let dirs = Shard.cache_dirs ~fleet_dir:c.dir ~replicas:c.cfg.replicas in
     let vdir = List.nth dirs (replica mod List.length dirs) in
-    let path = Filename.concat vdir (List.nth cache_files (file mod 2)) in
+    let path = Filename.concat vdir (List.nth Vcache.cache_files (file mod 2)) in
     if flip_byte path ~salt then c.cache_corrupted <- c.cache_corrupted + 1
   end
 
@@ -748,14 +736,6 @@ let recover_home ~fleet_dir ~replicas ~campaign_damage id =
       campaign_damage || damaged r1 || damaged r2 || sidecar_corruption;
   }
 
-let cache_scrub_text (r : Scrub.home_report) =
-  Printf.sprintf
-    "converged=%b repaired=%d recreated=%d quarantined=%d healed=%d \
-     patched-frames=%d repair-bytes=%d"
-    r.Scrub.converged r.Scrub.repaired_replicas r.Scrub.recreated_replicas
-    r.Scrub.frames_quarantined r.Scrub.records_healed r.Scrub.patched_frames
-    r.Scrub.repair_bytes
-
 (* Cache invariants, against [live] (the dump captured just before the
    final shutdown) and [totals] (the summed shard counters):
    - no stale-epoch cache byte: every zombie probe was fenced, no
@@ -780,7 +760,7 @@ let verify_cache c ~fleet_dir ~live ~totals ~cscrub ~cscrub2 =
   match (live, totals) with
   | None, _ | _, None -> []
   | Some live, Some (totals : Vcache.counters) ->
-    let cdirs = cache_dirs ~fleet_dir ~replicas:c.cfg.replicas in
+    let cdirs = Shard.cache_dirs ~fleet_dir ~replicas:c.cfg.replicas in
     (* durable stale-write evidence, scanned before any reopen rewrites
        the replica files *)
     let chaos_records, cache_regressions =
@@ -793,7 +773,7 @@ let verify_cache c ~fleet_dir ~live ~totals ~cscrub ~cscrub2 =
                 + List.length
                     (List.filter (contains ~sub:"~chaos/") sc.Journal.records),
                 er + sc.Journal.epoch_regressions ))
-            acc cache_files)
+            acc Vcache.cache_files)
         (0, 0) cdirs
     in
     let dir = List.hd cdirs and crep = List.tl cdirs in
@@ -842,10 +822,10 @@ let verify_cache c ~fleet_dir ~live ~totals ~cscrub ~cscrub2 =
       match (cscrub, cscrub2) with
       | Some (r1 : Scrub.home_report), Some (r2 : Scrub.home_report) ->
         [
-          inv "cache-scrub-convergence" r1.Scrub.converged (cache_scrub_text r1);
+          inv "cache-scrub-convergence" r1.Scrub.converged (Scrub.report_text r1);
           inv "cache-scrub-idempotent"
             (r2.Scrub.healthy && r2.Scrub.converged && r2.Scrub.repair_bytes = 0)
-            (cache_scrub_text r2);
+            (Scrub.report_text r2);
         ]
       | _ -> []
     in
@@ -1279,12 +1259,12 @@ let render r =
     (match r.cache_scrub with
     | Some cs ->
       Buffer.add_string b
-        (Printf.sprintf "cache-scrub:   %s\n" (cache_scrub_text cs))
+        (Printf.sprintf "cache-scrub:   %s\n" (Scrub.report_text cs))
     | None -> ());
     (match r.cache_scrub_second with
     | Some cs ->
       Buffer.add_string b
-        (Printf.sprintf "cache-rescrub: %s\n" (cache_scrub_text cs))
+        (Printf.sprintf "cache-rescrub: %s\n" (Scrub.report_text cs))
     | None -> ()));
   List.iter
     (fun i ->

@@ -11,8 +11,6 @@ val create : ?interval_ms:float -> ?miss_threshold:int -> Homeguard_serve.Deadli
     @raise Invalid_argument on non-positive parameters. *)
 
 val beat : t -> unit
-val missed : t -> int
-
 val status : t -> status
 (** [Late] is informational; [Failed] (missed >= threshold) triggers a
     supervised restart. *)

@@ -13,7 +13,6 @@ module Broker = Homeguard_serve.Broker
 module Vcache = Homeguard_vcache.Vcache
 
 type t = {
-  index : int;
   fleet_dir : string;
   fsync : bool;
   mode : Home.mode;
@@ -26,35 +25,46 @@ type t = {
       (** this incarnation's cache handle — retained so chaos can drive
           a wedged shard's {e stale} handle against the fence *)
   broker : Broker.t;
-  mutable recoveries : (string * Home.recovery_report) list;
-      (** most recent first; every open this shard performed *)
 }
 
-(* Home ids are caller-chosen; keep the mapping to directories
-   injective and filesystem-safe. *)
-let home_dir ~fleet_dir id =
-  let safe =
-    String.map
-      (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_') as c -> c | _ -> '.')
-      id
-  in
-  Filename.concat fleet_dir ("h_" ^ safe)
+(* Home ids are caller-chosen; keep the mapping to directory names
+   injective and filesystem-safe. Bytes in [A-Za-z0-9_-] stay as they
+   are; every other byte, '.' included, becomes '.' and two lowercase
+   hex digits, so a '.' always opens an escape. *)
+let home_dir_name id =
+  let b = Buffer.create (String.length id + 2) in
+  Buffer.add_string b "h_";
+  String.iter
+    (function
+      | ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_') as c -> Buffer.add_char b c
+      | c -> Buffer.add_string b (Printf.sprintf ".%02x" (Char.code c)))
+    id;
+  Buffer.contents b
 
-(* Replica k (k >= 1) of a home lives under the distinct replica root
-   [fleet_dir/r<k>]; the primary keeps the original layout, so an R=1
+(* Replica k (k >= 1) lives under the distinct replica root
+   [fleet_dir/r<k>]; the primary root is [fleet_dir] itself, so an R=1
    fleet is byte-compatible with a pre-replication one. *)
-let home_dirs ~fleet_dir ~replicas id =
-  home_dir ~fleet_dir id
-  :: List.init
-       (max 0 (replicas - 1))
-       (fun k ->
-         home_dir ~fleet_dir:(Filename.concat fleet_dir (Printf.sprintf "r%d" (k + 1))) id)
+let replica_roots ~fleet_dir ~replicas =
+  fleet_dir
+  :: List.init (max 0 (replicas - 1)) (fun k ->
+         Filename.concat fleet_dir (Printf.sprintf "r%d" (k + 1)))
 
-let index t = t.index
+let home_dirs ~fleet_dir ~replicas id =
+  let name = home_dir_name id in
+  List.map (fun root -> Filename.concat root name) (replica_roots ~fleet_dir ~replicas)
+
+let home_entries ~fleet_dir =
+  Sys.readdir fleet_dir |> Array.to_list
+  |> List.filter (fun e ->
+         String.starts_with ~prefix:"h_" e
+         && Sys.is_directory (Filename.concat fleet_dir e))
+  |> List.sort compare
+
+let cache_dirs ~fleet_dir ~replicas =
+  List.map (fun root -> Filename.concat root "vcache") (replica_roots ~fleet_dir ~replicas)
+
 let broker t = t.broker
 let vcache t = t.vcache
-let home_ids t = Broker.home_ids t.broker
-let recoveries t = t.recoveries
 
 let add_home t id =
   let dirs = home_dirs ~fleet_dir:t.fleet_dir ~replicas:t.replicas id in
@@ -63,16 +73,14 @@ let add_home t id =
       ~replicas:(List.tl dirs) ?epoch:(t.epoch_of id) ~dir:(List.hd dirs) ()
   in
   Broker.add_home t.broker ~id home;
-  t.recoveries <- (id, report) :: t.recoveries;
   report
 
 let open_ ?(broker_config = Broker.default_config) ?(fsync = true)
     ?(mode = Home.Mixed) ?(replicas = 1) ?(epoch_of = fun _ -> None)
-    ?(on_recovery = fun _ _ -> ()) ?vcache ~fleet_dir ~index ~home_ids () =
+    ?(on_recovery = fun _ _ -> ()) ?vcache ~fleet_dir ~home_ids () =
   if replicas < 1 then invalid_arg "Shard.open_: replicas < 1";
   let t =
     {
-      index;
       fleet_dir;
       fsync;
       mode;
@@ -82,7 +90,6 @@ let open_ ?(broker_config = Broker.default_config) ?(fsync = true)
         (match vcache with None -> Fun.id | Some h -> Vcache.configure h);
       vcache;
       broker = Broker.create ~config:broker_config ();
-      recoveries = [];
     }
   in
   (* Opening is all-or-nothing: a recovery crash mid-way must not leak

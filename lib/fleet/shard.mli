@@ -8,14 +8,30 @@ module Broker = Homeguard_serve.Broker
 
 type t
 
-val home_dir : fleet_dir:string -> string -> string
-(** Where a home's primary journal lives, independent of which shard
-    owns it. *)
+(** {2 On-disk layout}
+
+    A fleet root holds one directory per home and one for the verdict
+    cache, under each replica root: the primary root is [fleet_dir]
+    itself and replica [k] (k >= 1) is [fleet_dir/r<k>], so an R=1
+    fleet keeps the original layout. Where a home lives does not depend
+    on which shard owns it. *)
+
+val replica_roots : fleet_dir:string -> replicas:int -> string list
+(** The [replicas] replica roots, primary first. *)
 
 val home_dirs : fleet_dir:string -> replicas:int -> string -> string list
-(** All of a home's replica directories, primary first; replica [k]
-    lives under the distinct replica root [fleet_dir/r<k>], so an R=1
-    fleet keeps the original layout. *)
+(** All of a home's replica directories, primary first:
+    [h_<name>] under each replica root. [<name>] is the home id with
+    every byte outside [[A-Za-z0-9_-]] written as ['.'] and two
+    lowercase hex digits, so distinct ids get distinct directories. *)
+
+val home_entries : fleet_dir:string -> string list
+(** The home directory names ([h_...]) under the primary root,
+    sorted. *)
+
+val cache_dirs : fleet_dir:string -> replicas:int -> string list
+(** The verdict cache's replica directories, primary first: [vcache]
+    under each replica root. *)
 
 val open_ :
   ?broker_config:Broker.config ->
@@ -26,7 +42,6 @@ val open_ :
   ?on_recovery:(string -> Home.recovery_report -> unit) ->
   ?vcache:Homeguard_vcache.Vcache.handle ->
   fleet_dir:string ->
-  index:int ->
   home_ids:string list ->
   unit ->
   t
@@ -37,26 +52,16 @@ val open_ :
     attempts that later fail, so damage surfaced by a recovery is never
     erased by a clean retry of the repaired journal. *)
 
-val index : t -> int
 val broker : t -> Broker.t
-val home_ids : t -> string list
 
 val vcache : t -> Homeguard_vcache.Vcache.handle option
 (** The cache handle this incarnation was opened with. After the shard
     is wedged and replaced, the handle's epoch is stale — chaos drives
     it against the fence via {!Homeguard_vcache.Vcache.probe_write}. *)
 
-val recoveries : t -> (string * Home.recovery_report) list
-(** Every recovery this shard performed, most recent first — the
-    honest-loss accounting (quarantined/skipped counts) chaos
-    invariants consult. *)
-
 val add_home : t -> string -> Home.recovery_report
 (** Take ownership of one home (rebalance-in): journal-backed
     recovery. *)
-
-val release_home : t -> string -> bool
-(** Close and unregister one home (rebalance-out). *)
 
 val close : t -> unit
 (** Close every home. Also the "kill" path in chaos campaigns: durable

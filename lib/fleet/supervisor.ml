@@ -174,7 +174,7 @@ let open_shard t slot =
     ~replicas:t.config.replicas
     ~epoch_of:(fun id -> Some (next_epoch t id))
     ~on_recovery:(fun id report -> t.recoveries <- (id, report) :: t.recoveries)
-    ?vcache:slot.cache ~fleet_dir:t.dir ~index:slot.index ~home_ids:(List.rev slot.homes_rev) ()
+    ?vcache:slot.cache ~fleet_dir:t.dir ~home_ids:(List.rev slot.homes_rev) ()
 
 let create ?(config = default_config) ~dir ~homes () =
   if config.shards < 1 then invalid_arg "Supervisor.create: shards < 1";
@@ -185,15 +185,10 @@ let create ?(config = default_config) ~dir ~homes () =
     if config.vcache then
       (* the cache surface replicates exactly like home journals: one
          copy per replica root, converged by scrub, recovered merged *)
-      let cache_replicas =
-        List.init (config.replicas - 1) (fun k ->
-            Filename.concat
-              (Filename.concat dir (Printf.sprintf "r%d" (k + 1)))
-              "vcache")
-      in
+      let dirs = Shard.cache_dirs ~fleet_dir:dir ~replicas:config.replicas in
       Some
-        (Vcache.open_store ~fsync:config.fsync ~replicas:cache_replicas
-           ~dir:(Filename.concat dir "vcache") ())
+        (Vcache.open_store ~fsync:config.fsync ~replicas:(List.tl dirs)
+           ~dir:(List.hd dirs) ())
     else None
   in
   let slots =
@@ -537,7 +532,6 @@ let shard t idx =
   match t.slots.(idx).state with Running sh -> Some sh | _ -> None
 
 let homes_of t idx = List.rev t.slots.(idx).homes_rev
-let home_ids t = Hashtbl.fold (fun id _ acc -> id :: acc) t.assignment []
 
 type stats = {
   shards : int;

@@ -129,10 +129,8 @@ val beat_all : t -> unit
 val shard_label : int -> string
 val owner_of : t -> string -> int option
 val shard_state : t -> int -> [ `Running | `Restarting | `Dead ]
-val running : t -> int list
 val shard : t -> int -> Shard.t option
 val homes_of : t -> int -> string list
-val home_ids : t -> string list
 
 type stats = {
   shards : int;

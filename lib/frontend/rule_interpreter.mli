@@ -3,11 +3,6 @@
 
 module Rule = Homeguard_rules.Rule
 
-val describe_var : string -> string
-val describe_formula : Homeguard_solver.Formula.t -> string
-val describe_trigger : Rule.trigger -> string
-val describe_command : Rule.action -> string
-
 val describe : Rule.t -> string
 (** One sentence per rule: "When ..., if ..., then ...". *)
 

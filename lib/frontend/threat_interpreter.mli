@@ -1,9 +1,5 @@
 (** User-facing explanations of detected threats, including the solver's
     witness situation (paper Fig 7b). *)
 
-val describe_witness : Homeguard_solver.Solver.model -> string option
-(** Readable bindings, app qualifiers stripped, internals hidden. *)
-
-val risk_note : Homeguard_detector.Threat.category -> string
 val describe : Homeguard_detector.Threat.t -> string
 val describe_all : Homeguard_detector.Threat.t list -> string

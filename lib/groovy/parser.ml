@@ -708,9 +708,3 @@ let parse src =
   let toks = Array.of_list (Lexer.tokenize src) in
   let st = { toks; pos = 0 } in
   parse_program st
-
-(** Parse a single statement (convenience for tests). *)
-let parse_stmt src =
-  match parse src with
-  | [ Ast.Top_stmt s ] -> s
-  | _ -> invalid_arg "parse_stmt: source is not a single statement"

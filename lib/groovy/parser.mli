@@ -7,10 +7,3 @@ exception Error of string * int
 
 val parse : string -> Ast.program
 (** Parse a complete SmartApp source string. *)
-
-val parse_expr_string : string -> Ast.expr
-(** Parse a standalone expression (used for GString holes). *)
-
-val parse_stmt : string -> Ast.stmt
-(** Parse a source string containing exactly one statement.
-    @raise Invalid_argument otherwise. *)

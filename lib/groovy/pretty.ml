@@ -268,11 +268,6 @@ let expr_to_string e =
   expr_to_buf buf e;
   Buffer.contents buf
 
-let stmt_to_string s =
-  let buf = Buffer.create 64 in
-  stmt_to_buf buf 0 s;
-  Buffer.contents buf
-
 let method_to_string (m : method_def) =
   let buf = Buffer.create 256 in
   buf_add buf ("def " ^ m.name ^ "(" ^ String.concat ", " m.params ^ ") {\n");

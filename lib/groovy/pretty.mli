@@ -1,9 +1,5 @@
 (** Pretty-printer producing concrete syntax that re-parses to the same
     AST (checked as a round-trip property in the test suite). *)
 
-val lit_to_string : Ast.lit -> string
-val binop_to_string : Ast.binop -> string
 val expr_to_string : Ast.expr -> string
-val stmt_to_string : Ast.stmt -> string
-val method_to_string : Ast.method_def -> string
 val program_to_string : Ast.program -> string

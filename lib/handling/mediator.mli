@@ -55,5 +55,4 @@ val log : t -> log_entry list
 (** Enforcement log, oldest first. *)
 
 val stats : t -> stats
-val log_entry_to_string : log_entry -> string
 val log_to_string : t -> string

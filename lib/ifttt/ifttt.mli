@@ -25,9 +25,5 @@ val parse : ?name:string -> string -> applet
 (** One applet line, e.g.
     ["IF porch.motion IS active THEN porchLight DO on"]. *)
 
-val to_smartapp : name:string -> applet list -> Rule.smartapp
-(** Lower applets to rules; input capabilities are inferred from the
-    attributes tested and commands issued per device. *)
-
 val parse_recipes : name:string -> string -> Rule.smartapp
 (** Parse a multi-line recipe text ([#] comments allowed). *)

@@ -184,18 +184,3 @@ let store_for_vars ~cap_of_var vars =
         | Some d -> Homeguard_solver.Store.add var d store
         | None -> store))
     Homeguard_solver.Store.empty vars
-
-(** Store for a set of rules, typed from app metadata. *)
-let store_for_rules apps_rules =
-  let cap_of_var v =
-    List.find_map (fun (app, rule) ->
-        ignore rule;
-        capability_of_input app v)
-      apps_rules
-  in
-  let vars =
-    List.concat_map
-      (fun (_, rule) -> Formula.free_vars (situation rule))
-      apps_rules
-  in
-  store_for_vars ~cap_of_var (List.sort_uniq compare vars)

@@ -84,5 +84,3 @@ val situation : t -> Formula.t
 val store_for_vars :
   cap_of_var:(string -> string option) -> string list -> Homeguard_solver.Store.t
 (** Type qualified variables from the capability registry. *)
-
-val store_for_rules : (smartapp * t) list -> Homeguard_solver.Store.t

@@ -3,10 +3,6 @@
 
 exception Decode_error of string
 
-val term_to_json : Homeguard_solver.Term.t -> Json.t
-val term_of_json : Json.t -> Homeguard_solver.Term.t
-val formula_to_json : Homeguard_solver.Formula.t -> Json.t
-val formula_of_json : Json.t -> Homeguard_solver.Formula.t
 val rule_to_json : Rule.t -> Json.t
 val rule_of_json : Json.t -> Rule.t
 val smartapp_to_json : Rule.smartapp -> Json.t

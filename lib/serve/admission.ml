@@ -91,11 +91,8 @@ let release t ticket =
   end
 
 let in_flight t = with_lock t @@ fun () -> t.global
-let home_in_flight t home = with_lock t @@ fun () -> home_count t home
 
 (** Fraction of the global allowance in use, in [0, 1]. The shed policy
     compares this against its threshold. *)
 let occupancy t =
   with_lock t @@ fun () -> float_of_int t.global /. float_of_int t.max_global
-
-let est_service_ms t = t.est_service_ms

@@ -36,9 +36,6 @@ val release : t -> ticket -> unit
     (extra releases are ignored). *)
 
 val in_flight : t -> int
-val home_in_flight : t -> string -> int
 
 val occupancy : t -> float
 (** Fraction of the global allowance in use, in [0, 1]. *)
-
-val est_service_ms : t -> int

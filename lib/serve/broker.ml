@@ -116,7 +116,6 @@ let home t id = (entry t id).home
 let home_opt t id = Option.map (fun e -> e.home) (Hashtbl.find_opt t.by_id id)
 let home_ids t = List.rev_map fst t.homes_rev
 let homes t = List.rev_map (fun (id, e) -> (id, e.home)) t.homes_rev
-let admission t = t.admission
 let pending_jobs t = List.length t.queue_rev
 
 (* -- failure attribution ------------------------------------------------------ *)

@@ -49,7 +49,6 @@ val home : t -> string -> Home.t
 val home_opt : t -> string -> Home.t option
 val home_ids : t -> string list
 val homes : t -> (string * Home.t) list
-val admission : t -> Admission.t
 
 (** {2 Interactive installs} *)
 
@@ -111,13 +110,10 @@ val drain : t -> audit_outcome list
     the rest run with cooperative cancellation. Every outcome names its
     home. *)
 
-val pending_jobs : t -> int
-
 (** {2 Quarantine management} *)
 
 val quarantined : t -> home:string -> (string * string) list
 val clear_quarantine : t -> home:string -> string -> bool
-val quarantined_total : t -> int
 
 val status : t -> string
 (** One-line homes/occupancy/queue/quarantine summary for the serve

@@ -18,9 +18,7 @@ let create ?(threshold = 3) () =
   if threshold < 1 then invalid_arg "Quarantine.create: threshold < 1";
   { threshold; failures = Hashtbl.create 16; quarantined = [] }
 
-let threshold t = t.threshold
 let is_quarantined t app = List.mem_assoc app t.quarantined
-let quarantined t = t.quarantined
 
 (** Record one failure against [app]. Returns [`Quarantined reason] the
     moment the K-th consecutive failure lands (and on every failure

@@ -9,8 +9,6 @@ val create : ?threshold:int -> unit -> t
 (** Default threshold: 3 consecutive failures.
     @raise Invalid_argument when [threshold < 1]. *)
 
-val threshold : t -> int
-
 val note_failure :
   t -> app:string -> reason:string -> [ `Counted of int | `Quarantined of string ]
 (** [`Quarantined reason] on the K-th consecutive failure and every
@@ -28,5 +26,4 @@ val clear : t -> string -> bool
     quarantined. *)
 
 val is_quarantined : t -> string -> bool
-val quarantined : t -> (string * string) list
 val failure_count : t -> string -> int

@@ -56,9 +56,6 @@ val create :
 
 val trace : t -> Trace.t
 
-val add_device : t -> Device.t -> unit
-val device_state : t -> string -> device_state option
-
 val stimulate : t -> string -> string -> string -> unit
 (** [stimulate t device_id attribute value] — inject a state change or
     sensor reading (the test stimulus). *)

@@ -13,7 +13,6 @@ type t = {
   mutable influences : influence list;
 }
 
-val default_baselines : (Env.t * float) list
 val create : ?baselines:(Env.t * float) list -> unit -> t
 val value : t -> Env.t -> float
 val set_value : t -> Env.t -> float -> unit

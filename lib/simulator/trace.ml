@@ -15,15 +15,6 @@ type entry =
 
 type t = entry list  (** chronological order *)
 
-let time_of = function
-  | Command { at; _ }
-  | Attr_change { at; _ }
-  | Mode_change { at; _ }
-  | Event_fired { at; _ }
-  | Suppressed { at; _ }
-  | Deferred { at; _ } ->
-    at
-
 let entry_to_string = function
   | Command { at; app; rule; device; command } ->
     Printf.sprintf "%6dms  %s/%s -> %s.%s()" at app rule device command

@@ -15,8 +15,6 @@ type entry =
 
 type t = entry list
 
-val time_of : entry -> int
-val entry_to_string : entry -> string
 val to_string : t -> string
 
 val commands_on : t -> string -> (int * string) list

@@ -63,10 +63,3 @@ let is_scheduling name =
   match kind_of name with
   | Some (Delayed_run _ | Periodic_run _ | Run_once | Daily_schedule) -> true
   | _ -> false
-
-(** Lifecycle methods: analysis entry points (paper §V-B). *)
-let entry_points = [ "installed"; "updated"; "uninstalled" ]
-
-(** Platform calls that are pure UI/metadata and carry no automation
-    semantics. The extractor skips their bodies except for [input]. *)
-let ui_methods = [ "definition"; "preferences"; "section"; "paragraph"; "label"; "mode"; "page"; "dynamicPage"; "href" ]

@@ -16,5 +16,3 @@ val sink_apis : (string * kind) list
 val kind_of : string -> kind option
 val is_table_vi_sink : string -> bool
 val is_scheduling : string -> bool
-val entry_points : string list
-val ui_methods : string list

@@ -233,9 +233,6 @@ exception Unknown_capability of string
 let find_exn name =
   match find name with Some c -> c | None -> raise (Unknown_capability name)
 
-(** All registered capability names. *)
-let names () = List.map (fun c -> c.cap_name) registry
-
 (** Total number of distinct commands in the registry. *)
 let command_count () =
   List.fold_left (fun acc c -> acc + List.length c.commands) 0 registry

@@ -35,7 +35,6 @@ val find : string -> t option
 (** Accepts short ("switch") or qualified ("capability.switch") names. *)
 
 val find_exn : string -> t
-val names : unit -> string list
 val command_count : unit -> int
 val command_of : t -> string -> command option
 val attribute_of : t -> string -> attribute option

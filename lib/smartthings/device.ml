@@ -58,6 +58,3 @@ let commands dev =
       | Some cap -> List.map (fun c -> c.Capability.cmd_name) cap.Capability.commands
       | None -> [])
     dev.capabilities
-
-let pp fmt dev =
-  Format.fprintf fmt "%s (%s, id=%s…)" dev.label dev.device_type (String.sub dev.id 0 8)

@@ -17,4 +17,3 @@ val make : ?device_type:string -> label:string -> string list -> t
 val supports : t -> string -> bool
 val attributes : t -> string list
 val commands : t -> string list
-val pp : Format.formatter -> t -> unit

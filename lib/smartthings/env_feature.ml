@@ -16,9 +16,6 @@ type t =
   | Smoke
   | Carbon_monoxide
 
-let all =
-  [ Temperature; Illuminance; Humidity; Power; Energy; Noise; Moisture; Smoke; Carbon_monoxide ]
-
 let to_string = function
   | Temperature -> "temperature"
   | Illuminance -> "illuminance"

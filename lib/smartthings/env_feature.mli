@@ -11,7 +11,6 @@ type t =
   | Smoke
   | Carbon_monoxide
 
-val all : t list
 val to_string : t -> string
 
 val of_sensor_attribute : string -> t option

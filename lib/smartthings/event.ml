@@ -19,17 +19,3 @@ type t = {
   value : value;
   at : int;  (** milliseconds since simulation epoch *)
 }
-
-let value_to_string = function V_str s -> s | V_num n -> string_of_int n
-
-let make ?(at = 0) source attribute value = { source; attribute; value; at }
-
-let pp fmt e =
-  let src =
-    match e.source with
-    | Device id -> Printf.sprintf "device:%s" (String.sub id 0 (min 8 (String.length id)))
-    | Location -> "location"
-    | Timer m -> "timer:" ^ m
-    | App a -> "app:" ^ a
-  in
-  Format.fprintf fmt "[%dms %s %s=%s]" e.at src e.attribute (value_to_string e.value)

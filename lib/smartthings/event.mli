@@ -9,7 +9,3 @@ type source =
   | App of string
 
 type t = { source : source; attribute : string; value : value; at : int }
-
-val value_to_string : value -> string
-val make : ?at:int -> source -> string -> value -> t
-val pp : Format.formatter -> t -> unit

@@ -21,6 +21,3 @@ let create ?(modes = default_modes) ?(current_mode = "Home") () =
 let set_mode loc mode =
   if not (List.mem mode loc.modes) then loc.modes <- loc.modes @ [ mode ];
   loc.current_mode <- mode
-
-(** Attribute name under which mode changes are broadcast. *)
-let mode_attribute = "mode"

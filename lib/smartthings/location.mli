@@ -7,10 +7,7 @@ type t = {
   mutable sunset_minutes : int;
 }
 
-val default_modes : string list
 val create : ?modes:string list -> ?current_mode:string -> unit -> t
 
 val set_mode : t -> string -> unit
 (** Unknown modes are registered on first use. *)
-
-val mode_attribute : string

@@ -9,7 +9,6 @@ type reason = { trip : trip; where : string }
 
 exception Exhausted of reason
 
-val trip_to_string : trip -> string
 val reason_to_string : reason -> string
 
 type 'a verdict = Sat of 'a | Unsat | Unknown of reason
@@ -54,16 +53,14 @@ val cache_fingerprint : spec -> string
 type t
 (** Mutable fuel state for one solve. *)
 
-val wall_clock : unit -> float
-(** [Unix.gettimeofday] — the default deadline clock. *)
-
 val set_clock : (unit -> float) -> unit
 (** Install the process-default deadline clock (seconds,
     [gettimeofday]-like). Virtual-time harnesses use this so solver
     deadlines trip deterministically; production never calls it. *)
 
 val reset_clock : unit -> unit
-(** Restore {!wall_clock} as the process default. *)
+(** Restore the wall clock ([Unix.gettimeofday]) as the process
+    default. *)
 
 val start : ?clock:(unit -> float) -> spec -> t
 (** Arm a budget. The deadline (if any) is anchored on [?clock]
@@ -77,5 +74,3 @@ val spend_prop : t -> where:string -> unit
 
 val spend_node : t -> where:string -> unit
 (** Consume one search node; raises {!Exhausted} on exhaustion. *)
-
-val check_deadline : t -> where:string -> unit

@@ -10,5 +10,4 @@ val of_formula : Formula.t -> conjunct Seq.t
     order. An empty sequence means the formula is [False]; an empty
     conjunct is trivially true. *)
 
-val conjunct_to_formula : conjunct -> Formula.t
 val to_formula : conjunct list -> Formula.t

@@ -2,8 +2,6 @@
 
 type model = (string * Domain.value) list
 
-val max_depth : int
-
 val relevant_vars : Dnf.conjunct -> string list
 (** Variables the atoms mention, in first-occurrence order, without
     duplicates (a witness model carries one binding per variable). *)

@@ -8,7 +8,6 @@ val add : string -> Domain.t -> t -> t
 val of_list : (string * Domain.t) list -> t
 val find_opt : string -> t -> Domain.t option
 val bindings : t -> (string * Domain.t) list
-val mem : string -> t -> bool
 
 val default_int_lo : int
 val default_int_hi : int

@@ -21,10 +21,6 @@ type t =
 
 exception Decode_error of string
 
-val decision_to_json : Policy.decision -> Homeguard_rules.Json.t
-val decision_of_json : Homeguard_rules.Json.t -> Policy.decision
-
-val to_json : t -> Homeguard_rules.Json.t
 val of_json : Homeguard_rules.Json.t -> t
 val to_string : t -> string
 

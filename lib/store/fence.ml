@@ -74,11 +74,3 @@ let rejections () = !total_rejected
 
 let rejections_for key =
   with_lock (fun () -> Option.value ~default:0 (Hashtbl.find_opt rejected key))
-
-(** Forget every grant and rejection — test/campaign isolation only;
-    a production fence is never reset while writers are live. *)
-let reset () =
-  with_lock (fun () ->
-      Hashtbl.reset table;
-      Hashtbl.reset rejected;
-      total_rejected := 0)

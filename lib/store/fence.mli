@@ -20,12 +20,10 @@ val check : key:string -> epoch:int -> unit
     @raise Stale (counted) when the fence holds a later epoch. *)
 
 val rejections : unit -> int
-(** Stale appends rejected process-wide since the last {!reset}. *)
+(** Stale appends rejected process-wide. *)
 
 val rejections_for : string -> int
 
-val reset : unit -> unit
-(** Forget all grants and counts — test/campaign isolation only. *)
 
 val set_enforced : bool -> unit
 (** [set_enforced false] turns {!check} into a no-op — the deliberately

@@ -18,12 +18,6 @@ type outcome =
   | Buffered  (** out of order, held until the gap fills *)
   | Overflow  (** beyond the reorder window; the sender must retry later *)
 
-let outcome_to_string = function
-  | Applied n -> Printf.sprintf "applied(%d)" n
-  | Duplicate -> "duplicate"
-  | Buffered -> "buffered"
-  | Overflow -> "overflow"
-
 type t = {
   window : int;
   apply : seq:int -> string -> unit;
@@ -36,7 +30,6 @@ let create ?(window = 64) ?(last = 0) apply =
   { window; apply; last; buffer = Hashtbl.create 16 }
 
 let ack t = t.last
-let buffered t = Hashtbl.length t.buffer
 
 (** Raise the watermark without applying (recovery replay: the journal
     already holds the applied messages). Buffered entries at or below

@@ -6,8 +6,6 @@ module Messaging = Homeguard_config.Messaging
 
 type outcome = Applied of int | Duplicate | Buffered | Overflow
 
-val outcome_to_string : outcome -> string
-
 type t
 
 val create : ?window:int -> ?last:int -> (seq:int -> string -> unit) -> t
@@ -19,7 +17,6 @@ val receive : t -> seq:int -> string -> outcome
 val ack : t -> int
 (** Highest contiguously applied sequence number. *)
 
-val buffered : t -> int
 val force_last : t -> int -> unit
 (** Raise the watermark without applying (journal replay). *)
 

@@ -125,15 +125,12 @@ let open_append ?(fsync = true) ?(epoch = 0) ?fence_key paths =
       epoch;
     }
 
-let epoch t = t.epoch
-
 let append t payload =
   (match t.fence_key with
   | Some key -> Fence.check ~key ~epoch:t.epoch
   | None -> ());
   List.iter (fun j -> Journal.append j payload) t.writers
 
-let sync t = List.iter Journal.sync t.writers
 let close t = List.iter Journal.close t.writers
 
 let rec mkdirs dir =

@@ -22,8 +22,6 @@ val append : t -> string -> unit
     replicas keep the record, later ones never see it — absorbed by
     merged recovery). *)
 
-val epoch : t -> int
-val sync : t -> unit
 val close : t -> unit
 
 val mkdirs : string -> unit

@@ -351,6 +351,13 @@ let add c (r : home_report) =
     unconverged = (c.unconverged + if r.converged then 0 else 1);
   }
 
+let report_text r =
+  Printf.sprintf
+    "converged=%b repaired=%d recreated=%d quarantined=%d healed=%d \
+     patched-frames=%d repair-bytes=%d"
+    r.converged r.repaired_replicas r.recreated_replicas r.frames_quarantined
+    r.records_healed r.patched_frames r.repair_bytes
+
 let counters_text c =
   Printf.sprintf
     "homes=%d healthy=%d repaired-homes=%d repaired-replicas=%d \

@@ -24,10 +24,14 @@ type home_report = {
 val scrub_home : ?fsync:bool -> ?files:string list -> string list -> home_report
 (** Scrub one surface given its replica directories. [~files] names the
     journal-framed files within each directory (default
-    [["snapshot"; "journal"]]; the verdict cache passes
-    [["cache.snapshot"; "cache.journal"]]). Callers must ensure no live
-    writer holds the journals open (a live {!Home} scrubs itself via
-    {!Home.scrub}). *)
+    [["snapshot"; "journal"]]; the verdict cache passes its own
+    [Vcache.cache_files]). Callers must ensure no live writer holds the
+    journals open (a live {!Home} scrubs itself via {!Home.scrub}). *)
+
+val report_text : home_report -> string
+(** One surface's pass as [converged=… repaired=… recreated=…
+    quarantined=… healed=… patched-frames=… repair-bytes=…]: the
+    verdict cache's line in [fleet scrub] and [fleet chaos]. *)
 
 type counters = {
   homes : int;

@@ -29,18 +29,10 @@ type ctx = {
 }
 
 exception Path_budget
-(** The per-handler exploration budget ({!max_paths}) was exhausted. *)
-
-val max_paths : int
-val max_inline_depth : int
-val max_loop_unroll : int
+(** The per-handler exploration budget (512 paths) was exhausted. *)
 
 val bind_inputs : ctx -> Symval.state -> Symval.state
 (** Bind every declared input as a symbolic source. *)
-
-val eval :
-  ctx -> Symval.state -> Homeguard_groovy.Ast.expr -> (Symval.state * Symval.value) list
-(** Evaluate an expression; the result list is one entry per path. *)
 
 val exec_stmts :
   ctx -> Symval.state -> Homeguard_groovy.Ast.stmt list -> Symval.state list

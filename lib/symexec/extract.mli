@@ -18,7 +18,5 @@ val scan_inputs : Homeguard_groovy.Ast.program -> Rule.input_decl list
 (** All [input] declarations anywhere in the program (also used by the
     instrumentation pass, paper §VII-A). *)
 
-val extract_program : ?name:string -> Homeguard_groovy.Ast.program -> result
-
 val extract_source : ?name:string -> string -> result
 (** Parse and extract. [name] overrides the metadata app name. *)

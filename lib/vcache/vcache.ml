@@ -145,9 +145,11 @@ and handle = {
   h_store : store;
 }
 
-let cache_files = [ "cache.snapshot"; "cache.journal" ]
-let snap_paths st = List.map (fun d -> Filename.concat d "cache.snapshot") st.dirs
-let journal_paths st = List.map (fun d -> Filename.concat d "cache.journal") st.dirs
+let snapshot_file = "cache.snapshot"
+let journal_file = "cache.journal"
+let cache_files = [ snapshot_file; journal_file ]
+let snap_paths st = List.map (fun d -> Filename.concat d snapshot_file) st.dirs
+let journal_paths st = List.map (fun d -> Filename.concat d journal_file) st.dirs
 
 (* Fence keys are per owner (shard slot), not per store: granting shard
    s2's replacement a fresh epoch must fence the wedged s2 zombie while
@@ -522,8 +524,8 @@ let open_store ?(fsync = true) ?(max_entries = 65536) ?(replicas = []) ?fence_ke
       rec_.Rjournal.recovered;
     rec_.Rjournal.max_epoch
   in
-  let snap_epoch = replay "cache.snapshot" in
-  let jour_epoch = replay "cache.journal" in
+  let snap_epoch = replay snapshot_file in
+  let jour_epoch = replay journal_file in
   (* seed the fencing floor from the frames, as home recovery does:
      grants made on this store resume above anything ever written *)
   st.epoch <- max snap_epoch jour_epoch;
@@ -619,11 +621,9 @@ let attach st ~owner =
   Mutex.unlock st.mutex;
   h
 
-let owner h = h.h_owner
 let counters h = h.h_counters
 let handle_epoch h = h.h_epoch
 let fence_key h = h.h_key
-let replica_dirs st = st.dirs
 
 (** One deliberately durable write under the handle's epoch — the chaos
     campaign's stale-writer probe. A fenced (zombie) handle must come

@@ -64,10 +64,12 @@ type counters = {
 }
 
 val zero_counters : unit -> counters
-val add_counters : counters -> counters -> unit
-(** [add_counters into from] accumulates [from] into [into]. *)
 
 (** {2 Store lifecycle} *)
+
+val cache_files : string list
+(** The cache's files in each replica directory, in the order recovery
+    replays them: [["cache.snapshot"; "cache.journal"]]. *)
 
 val open_store :
   ?fsync:bool ->
@@ -97,9 +99,6 @@ val scrub : store -> Homeguard_store.Scrub.home_report
     park the shared writer, quarantine damage, patch only the damaged
     or missing frames back from the surviving copies, reopen. Converges
     the replicas to one record-stream digest; a second pass is a no-op. *)
-
-val replica_dirs : store -> string list
-(** Primary directory first, then the replica roots. *)
 
 val entries : store -> int
 val pair_entries : store -> int
@@ -144,7 +143,6 @@ val attach : store -> owner:string -> handle
     fence key, so the previous incarnation's handle (a wedged zombie)
     goes stale and its durable writes are refused at the fence. *)
 
-val owner : handle -> string
 val counters : handle -> counters
 
 val handle_epoch : handle -> int
@@ -175,18 +173,12 @@ val pair_key : store -> Detector.pair_audit -> string
     equal keys, and changing any one component changes the key. Each
     app's part is memoized per store, so a key costs one join. *)
 
-val pair_lookup : handle -> Detector.pair_audit -> Detector.pair_matrix option
-val pair_store : handle -> Detector.pair_audit -> Detector.pair_matrix -> unit
-(** The [pair_cache] implementation (L1): whole app-pair audit results
-    under an exact key — both apps' rule digests, concrete
-    configuration bindings, same-device relation and the pair
-    fingerprint. Exactness is what lets a hit return the stored
-    threats verbatim, witness bytes included. In-memory only: across
-    restarts the journaled L2 tier re-warms solving instead. *)
-
 val configure : handle -> Detector.config -> Detector.config
 (** [configure h c] is [c] with [shared_cache] set to [hook h] and
-    [pair_cache] set to the L1 tier. *)
+    [pair_cache] set to the L1 tier: whole app-pair audit results under
+    the exact {!pair_key}. Exactness is what lets a hit return the
+    stored threats verbatim, witness bytes included. In-memory only:
+    across restarts the journaled L2 tier re-warms solving instead. *)
 
 val counters_text : counters -> string
 (** One-line rendering for CLI stats. *)

@@ -932,6 +932,91 @@ let synth_bounds =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "an empty pool must be rejected")
 
+(* -- on-disk layout ----------------------------------------------------------- *)
+
+let safe_byte = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' -> true
+  | _ -> false
+
+(* Regression: every byte outside [A-Za-z0-9_-] used to become '.', so
+   "a b", "a.b" and "a/b" all shared the directory h_a.b. *)
+let home_dirs_are_injective =
+  test "distinct home ids map to distinct directories" (fun () ->
+      let fleet_dir = "root" in
+      let primary id = List.hd (Shard.home_dirs ~fleet_dir ~replicas:1 id) in
+      let alphabet = [| 'a'; 'b'; '0'; '_'; '-'; '.'; ' '; '/'; '%'; '\x80'; '\xff'; '\x00' |] in
+      let st = Random.State.make [| 24 |] in
+      let seen = Hashtbl.create 4096 in
+      let ids =
+        [ "a b"; "a.b"; "a/b"; "a.2eb"; "a.20b"; ""; "."; ".."; "h_x"; "\xc3\xa9" ]
+        @ List.init 3000 (fun _ ->
+              String.init (Random.State.int st 7) (fun _ ->
+                  alphabet.(Random.State.int st (Array.length alphabet))))
+      in
+      List.iter
+        (fun id ->
+          let dir = primary id in
+          check_bool "directly under the fleet root" true
+            (Filename.dirname dir = fleet_dir);
+          let name = Filename.basename dir in
+          String.iteri
+            (fun i c ->
+              if not (safe_byte c || c = '.') then
+                Alcotest.failf "%S: byte %d of %S is not filesystem-safe" id i name)
+            name;
+          match Hashtbl.find_opt seen dir with
+          | Some other when other <> id ->
+            Alcotest.failf "%S and %S share the directory %s" other id dir
+          | _ -> Hashtbl.replace seen dir id)
+        ids;
+      (* ids made only of safe bytes keep the directories they had *)
+      List.iter
+        (fun id ->
+          check_bool (id ^ " keeps its layout") true
+            (Shard.home_dirs ~fleet_dir ~replicas:2 id
+            = [ Filename.concat fleet_dir ("h_" ^ id);
+                Filename.concat (Filename.concat fleet_dir "r1") ("h_" ^ id) ]))
+        [ "h0000"; "h0042"; "alpha"; "Home_1-b"; "x" ])
+
+let homes_with_colliding_old_names_stay_apart =
+  test "homes \"a b\" and \"a.b\" keep their own decisions across a reopen"
+    (fun () ->
+      let clock, _ = manual_clock () in
+      let dir = fresh_dir () in
+      let homes = [ "a b"; "a.b" ] in
+      let decide = [ ("a b", Policy.Confirm); ("a.b", Policy.Allow) ] in
+      let open_fleet () =
+        Supervisor.create ~config:(sup_config ~clock ()) ~dir ~homes ()
+      in
+      let t = open_fleet () in
+      List.iter
+        (fun (id, d) ->
+          match
+            Supervisor.run t ~home:id (fun sh ->
+                Home.set_decision (Broker.home (Shard.broker sh) id) "T#1" d)
+          with
+          | Supervisor.Done _ -> ()
+          | _ -> Alcotest.failf "home %S must take its decision" id)
+        decide;
+      Supervisor.close t;
+      let t = open_fleet () in
+      List.iter
+        (fun (id, d) ->
+          match
+            Supervisor.run t ~home:id (fun sh ->
+                List.assoc_opt "T#1"
+                  (Policy.decisions
+                     (Homeguard_frontend.Install_flow.policies
+                        (Home.flow (Broker.home (Shard.broker sh) id)))))
+          with
+          | Supervisor.Done { value = Some got; _ } ->
+            check_bool (id ^ " keeps its own decision") true (got = d)
+          | Supervisor.Done { value = None; _ } ->
+            Alcotest.failf "home %S lost its decision" id
+          | _ -> Alcotest.failf "home %S must serve after the reopen" id)
+        decide;
+      Supervisor.close t)
+
 let () =
   Alcotest.run "homeguard-fleet"
     [
@@ -964,4 +1049,6 @@ let () =
           checked_in_repros_replay;
         ] );
       ("synth", [ synth_deterministic; synth_bounds ]);
+      ( "layout",
+        [ home_dirs_are_injective; homes_with_colliding_old_names_stay_apart ] );
     ]
