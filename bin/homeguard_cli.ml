@@ -1114,7 +1114,7 @@ let fleet_scrub_cmd =
         List.fold_left
           (fun acc entry ->
             let dirs = List.map (fun root -> Filename.concat root entry) roots in
-            let r = Fleet_scrub.scrub_home ~fsync:(not no_fsync) dirs in
+            let r = Fleet_scrub.scrub_home ~fsync:(not no_fsync) ~files:Home.home_files dirs in
             if not r.Fleet_scrub.healthy then
               Printf.printf
                 "%s: repaired=%d recreated=%d quarantined=%d torn=%d healed=%d%s\n"

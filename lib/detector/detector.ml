@@ -722,25 +722,35 @@ let trigger_interference ctx p =
 
 (* -- Condition-Interference (EC, DC) -------------------------------------- *)
 
+(* The two ways an action reaches a condition variable [(var, base,
+   attr)]. Way 1: a direct write to the condition-tested attribute. *)
+let write_reaches same_device (w : Channels.attr_write) (_, base, attr) =
+  match (w.Channels.w_target, attr) with
+  | Rule.Act_device v1, Some a when a = w.Channels.w_attr ->
+    base <> "location" && same_device v1 base
+  | Rule.Act_location_mode, Some "mode" -> base = "location"
+  | _ -> false
+
+(* Way 2: an environment effect on a sensed condition variable. *)
+let effect_reaches (feature, _) (_, _, attr) = Channels.attr_senses feature attr
+
+(* Does action a1 reach any of r2's condition variables? The
+   allocation-free emptiness test of {!condition_effects}. *)
+let has_condition_effects same_device a1 f2 =
+  List.exists (fun w -> List.exists (write_reaches same_device w) f2.rf_cond_vars) a1.af_writes
+  || List.exists (fun e -> List.exists (effect_reaches e) f2.rf_cond_vars) a1.af_effects
+
 (* Effect constraints of action a1 on r2's condition variables. The
    predicate is used with data constraints expanded so pure bindings
    (e.g. [t = sensor.temperature] feeding only the trigger) don't count
    as condition state. *)
 let condition_effects same_device a1 f2 =
-  (* way 1: direct writes to condition-tested attributes *)
   let direct =
     List.concat_map
       (fun (w : Channels.attr_write) ->
         List.filter_map
-          (fun (var, base, attr) ->
-            let matches =
-              match (w.Channels.w_target, attr) with
-              | Rule.Act_device v1, Some a when a = w.Channels.w_attr ->
-                base <> "location" && same_device v1 base
-              | Rule.Act_location_mode, Some "mode" -> base = "location"
-              | _ -> false
-            in
-            if not matches then None
+          (fun ((var, _, _) as cv) ->
+            if not (write_reaches same_device w cv) then None
             else
               match w.Channels.w_value with
               | Some value -> Some (`Eq (var, value))
@@ -748,14 +758,13 @@ let condition_effects same_device a1 f2 =
           f2.rf_cond_vars)
       a1.af_writes
   in
-  (* way 2: environment effects on sensed condition variables *)
   let { Rule.command; params; _ } = a1.af_action in
   let env_effects =
     List.concat_map
-      (fun (feature, pol) ->
+      (fun ((_, pol) as e) ->
         List.filter_map
-          (fun (var, _, attr) ->
-            if not (Channels.attr_senses feature attr) then None
+          (fun ((var, _, _) as cv) ->
+            if not (effect_reaches e cv) then None
             else
               match (params, pol) with
               | ((Term.Int _ | Term.Var _) as p) :: _, Effects.Incr
@@ -923,7 +932,7 @@ let facts_candidate ctx (v12, v21) f1 f2 =
     List.exists (fun a -> action_triggers ~approx:true ctx v a fb <> None) fa.rf_actions
   in
   let has_condition_effects v fa fb =
-    List.exists (fun a -> condition_effects v.same a fb <> []) fa.rf_actions
+    List.exists (fun a -> has_condition_effects v.same a fb) fa.rf_actions
   in
   actions_race v12.same f1.rf_rule f2.rf_rule
   || conflicting_goal_pairs v12.same f1 f2 <> []

@@ -441,8 +441,6 @@ let op_audit c (id, _ex) =
 
 (* -- damage windows ----------------------------------------------------------- *)
 
-let home_files = [ "snapshot"; "journal" ]
-
 (* Flip one byte (a case-flip, so text and binary both corrupt) at a
    salt-chosen offset — bit rot with a schedule-replayable position. *)
 let flip_byte path ~salt =
@@ -489,7 +487,7 @@ let destroy_replica c ~home ~replica =
   | [] -> ()
   | victims ->
     let vdir = List.nth victims (replica mod List.length victims) in
-    if remove_files vdir home_files then
+    if remove_files vdir Home.home_files then
       c.replicas_destroyed <- c.replicas_destroyed + 1
 
 (* Flip one byte in one replica file of the scheduled home — bit rot.
@@ -499,7 +497,7 @@ let corrupt_replica c ~home ~replica ~file ~salt =
   let id = fst (List.nth c.expects (home mod List.length c.expects)) in
   let dirs = Shard.home_dirs ~fleet_dir:c.dir ~replicas:c.cfg.replicas id in
   let vdir = List.nth dirs (replica mod List.length dirs) in
-  let path = Filename.concat vdir (List.nth home_files (file mod 2)) in
+  let path = Filename.concat vdir (List.nth Home.home_files (file mod 2)) in
   if flip_byte path ~salt then c.replicas_corrupted <- c.replicas_corrupted + 1
 
 (* Same two windows for the verdict-cache surface: the cache is a
@@ -1055,7 +1053,7 @@ let run ?(config = default_config) ?schedule ~dir () =
             List.fold_left
               (fun acc f -> acc + (Journal.scan f).Journal.epoch_regressions)
               acc
-              [ Filename.concat d "snapshot"; Filename.concat d "journal" ])
+              (List.map (Filename.concat d) Home.home_files))
           acc
           (Shard.home_dirs ~fleet_dir:dir ~replicas:config.replicas id))
       0 c.expects

@@ -488,13 +488,13 @@ let scrub t =
             match Broker.home_opt (Shard.broker sh) id with
             | Some home -> Home.scrub home
             | None ->
-              Scrub.scrub_home ~fsync:t.config.fsync
+              Scrub.scrub_home ~fsync:t.config.fsync ~files:Home.home_files
                 (Shard.home_dirs ~fleet_dir:t.dir ~replicas:t.config.replicas id))
           | Restarting _ | Dead ->
-            Scrub.scrub_home ~fsync:t.config.fsync
+            Scrub.scrub_home ~fsync:t.config.fsync ~files:Home.home_files
               (Shard.home_dirs ~fleet_dir:t.dir ~replicas:t.config.replicas id))
         | None ->
-          Scrub.scrub_home ~fsync:t.config.fsync
+          Scrub.scrub_home ~fsync:t.config.fsync ~files:Home.home_files
             (Shard.home_dirs ~fleet_dir:t.dir ~replicas:t.config.replicas id)
       in
       Scrub.add acc report)

@@ -119,6 +119,25 @@ let rec subst map = function
   | Or fs -> Or (List.map (subst map) fs)
   | Not f -> Not (subst map f)
 
+(** Compare two values: comparisons between ints and strings are false
+    except [Neq], and ordering strings raises [Invalid_argument]. *)
+let compare_values cmp va vb =
+  match (va, vb) with
+  | Domain.Int x, Domain.Int y -> (
+    match cmp with
+    | Eq -> x = y
+    | Neq -> x <> y
+    | Lt -> x < y
+    | Le -> x <= y
+    | Gt -> x > y
+    | Ge -> x >= y)
+  | Domain.Str x, Domain.Str y -> (
+    match cmp with
+    | Eq -> x = y
+    | Neq -> x <> y
+    | Lt | Le | Gt | Ge -> invalid_arg "ordering on strings")
+  | _ -> ( match cmp with Neq -> true | _ -> false)
+
 (** Evaluate under a total assignment [env : string -> Domain.value].
     Raises [Not_found] if a variable is unbound; comparisons between
     ints and strings are false except [Neq]. *)
@@ -137,23 +156,6 @@ let eval env f =
     match (term a, term b) with
     | Domain.Int x, Domain.Int y -> Domain.Int (op x y)
     | _ -> invalid_arg "arithmetic on string"
-  in
-  let compare_values cmp va vb =
-    match (va, vb) with
-    | Domain.Int x, Domain.Int y -> (
-      match cmp with
-      | Eq -> x = y
-      | Neq -> x <> y
-      | Lt -> x < y
-      | Le -> x <= y
-      | Gt -> x > y
-      | Ge -> x >= y)
-    | Domain.Str x, Domain.Str y -> (
-      match cmp with
-      | Eq -> x = y
-      | Neq -> x <> y
-      | Lt | Le | Gt | Ge -> invalid_arg "ordering on strings")
-    | _ -> ( match cmp with Neq -> true | _ -> false)
   in
   let rec go = function
     | True -> true

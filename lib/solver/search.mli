@@ -3,8 +3,9 @@
 type model = (string * Domain.value) list
 
 val relevant_vars : Dnf.conjunct -> string list
-(** Variables the atoms mention, in first-occurrence order, without
-    duplicates (a witness model carries one binding per variable). *)
+(** Variables the atoms mention, without duplicates (a witness model
+    carries one binding per variable), in the order of a witness's
+    bindings: the variable first seen last comes first. *)
 
 val solve :
   ?budget:Budget.t -> ?max_depth:int -> Store.t -> Dnf.conjunct -> model Budget.verdict

@@ -26,93 +26,92 @@ let default_int_hi = 1_000_000
 (** Sentinel enum value: "some value other than the constants mentioned". *)
 let other_value = "__other__"
 
-(* Collect, for each variable, the string constants it is compared
-   against anywhere in the formula. *)
-let enum_universe f =
-  let tbl = Hashtbl.create 16 in
-  let note v s =
-    let cur = try Hashtbl.find tbl v with Not_found -> [] in
-    if not (List.mem s cur) then Hashtbl.replace tbl v (s :: cur)
-  in
-  let rec atom_sides a b =
-    match (a, b) with
-    | Term.Var v, Term.Str s | Term.Str s, Term.Var v -> note v s
-    | Term.Var v1, Term.Var v2 ->
-      (* joined enum variables share their universes at inference time *)
-      note v1 ("__join__" ^ v2);
-      note v2 ("__join__" ^ v1)
-    | _ -> ()
-  and go = function
-    | Formula.True | Formula.False -> ()
-    | Formula.Atom (_, a, b) -> atom_sides a b
-    | Formula.And fs | Formula.Or fs -> List.iter go fs
-    | Formula.Not f -> go f
-  in
-  go f;
-  tbl
+(* What one walk over a formula learns about a free variable: whether
+   it is ever used arithmetically or ordered (=> numeric), and the
+   string constants it is compared against, where a variable-variable
+   equality notes ["__join__" ^ other] so joined enum variables share
+   their universes. *)
+type var_info = {
+  name : string;
+  mutable numeric : bool;
+  mutable universe : string list;
+}
 
-(* Is a variable ever used arithmetically or ordered (=> numeric)? *)
-let numeric_vars f =
-  let tbl = Hashtbl.create 16 in
-  let rec note_term = function
-    | Term.Int _ | Term.Str _ -> ()
-    | Term.Var v -> Hashtbl.replace tbl v true
-    | Term.Add (a, b) | Term.Sub (a, b) | Term.Mul (a, b) ->
-      note_term a;
-      note_term b
-    | Term.Neg a -> note_term a
+let join_prefix = "__join__"
+
+(** [infer store f] extends [store] with domains for every free variable
+    of [f] not already typed. *)
+let infer store f =
+  let infos = ref [] in
+  let info v =
+    match List.find_opt (fun i -> String.equal i.name v) !infos with
+    | Some i -> i
+    | None ->
+      let i = { name = v; numeric = false; universe = [] } in
+      infos := i :: !infos;
+      i
   in
-  let note_arith = function
-    | Term.Add _ | Term.Sub _ | Term.Mul _ | Term.Neg _ as t -> note_term t
-    | Term.Int _ | Term.Str _ | Term.Var _ -> ()
+  let note v s =
+    let i = info v in
+    if not (List.mem s i.universe) then i.universe <- s :: i.universe
+  in
+  (* [numeric] marks every variable of the term; otherwise it only
+     registers them as free *)
+  let rec vars ~numeric = function
+    | Term.Int _ | Term.Str _ -> ()
+    | Term.Var v ->
+      let i = info v in
+      if numeric then i.numeric <- true
+    | Term.Add (a, b) | Term.Sub (a, b) | Term.Mul (a, b) ->
+      vars ~numeric a;
+      vars ~numeric b
+    | Term.Neg a -> vars ~numeric a
+  in
+  let is_arith = function
+    | Term.Add _ | Term.Sub _ | Term.Mul _ | Term.Neg _ -> true
+    | Term.Int _ | Term.Str _ | Term.Var _ -> false
   in
   let rec go = function
     | Formula.True | Formula.False -> ()
-    | Formula.Atom (cmp, a, b) ->
-      (match cmp with
-      | Formula.Lt | Formula.Le | Formula.Gt | Formula.Ge ->
-        (* ordering implies numeric on both sides *)
-        let rec all_vars = function
-          | Term.Var v -> Hashtbl.replace tbl v true
-          | Term.Int _ | Term.Str _ -> ()
-          | Term.Add (x, y) | Term.Sub (x, y) | Term.Mul (x, y) ->
-            all_vars x;
-            all_vars y
-          | Term.Neg x -> all_vars x
-        in
-        all_vars a;
-        all_vars b
-      | Formula.Eq | Formula.Neq -> ());
-      note_arith a;
-      note_arith b;
+    | Formula.Atom (cmp, a, b) -> (
+      (* ordering implies numeric on both sides, as does arithmetic *)
+      let ordered =
+        match cmp with
+        | Formula.Lt | Formula.Le | Formula.Gt | Formula.Ge -> true
+        | Formula.Eq | Formula.Neq -> false
+      in
+      vars ~numeric:(ordered || is_arith a) a;
+      vars ~numeric:(ordered || is_arith b) b;
+      match (a, b) with
       (* equality against an int constant implies numeric *)
-      (match (a, b) with
-      | Term.Var v, Term.Int _ | Term.Int _, Term.Var v -> Hashtbl.replace tbl v true
+      | Term.Var v, Term.Int _ | Term.Int _, Term.Var v -> (info v).numeric <- true
+      | Term.Var v, Term.Str s | Term.Str s, Term.Var v -> note v s
+      | Term.Var v1, Term.Var v2 ->
+        note v1 (join_prefix ^ v2);
+        note v2 (join_prefix ^ v1)
       | _ -> ())
     | Formula.And fs | Formula.Or fs -> List.iter go fs
     | Formula.Not f -> go f
   in
   go f;
-  tbl
-
-(** [infer store f] extends [store] with domains for every free variable
-    of [f] not already typed. *)
-let infer store f =
-  let universe = enum_universe f in
-  let numeric = numeric_vars f in
-  (* Resolve enum universes across __join__ links (one step suffices for
-     rule-sized formulas; iterate to a small fixpoint to be safe). *)
+  (* A variable's enum universe: the constants noted on every variable
+     its __join__ links reach. *)
   let resolve v =
-    let seen = Hashtbl.create 4 in
+    let seen = ref [] in
     let rec go v acc =
-      if Hashtbl.mem seen v then acc
+      if List.mem v !seen then acc
       else begin
-        Hashtbl.replace seen v ();
-        let entries = try Hashtbl.find universe v with Not_found -> [] in
+        seen := v :: !seen;
+        let entries =
+          match List.find_opt (fun i -> String.equal i.name v) !infos with
+          | Some i -> i.universe
+          | None -> []
+        in
         List.fold_left
           (fun acc s ->
-            if String.length s > 8 && String.sub s 0 8 = "__join__" then
-              go (String.sub s 8 (String.length s - 8)) acc
+            let n = String.length join_prefix in
+            if String.length s > n && String.starts_with ~prefix:join_prefix s then
+              go (String.sub s n (String.length s - n)) acc
             else if List.mem s acc then acc
             else s :: acc)
           acc entries
@@ -121,12 +120,11 @@ let infer store f =
     go v []
   in
   List.fold_left
-    (fun store v ->
-      if mem v store then store
-      else if Hashtbl.mem numeric v then
-        add v (Domain.interval default_int_lo default_int_hi) store
+    (fun store i ->
+      if mem i.name store then store
+      else if i.numeric then add i.name (Domain.interval default_int_lo default_int_hi) store
       else
-        match resolve v with
-        | [] -> add v (Domain.interval default_int_lo default_int_hi) store
-        | consts -> add v (Domain.enums (other_value :: consts)) store)
-    store (Formula.free_vars f)
+        match resolve i.name with
+        | [] -> add i.name (Domain.interval default_int_lo default_int_hi) store
+        | consts -> add i.name (Domain.enums (other_value :: consts)) store)
+    store !infos

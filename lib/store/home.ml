@@ -80,6 +80,10 @@ type recovery_report = {
   epoch : int;  (** the effective ownership epoch granted to this open *)
 }
 
+let snapshot_file = "snapshot"
+let journal_file = "journal"
+let home_files = [ snapshot_file; journal_file ]
+
 let detector_config mode recorder =
   match mode with
   | Offline -> Detector.offline_config
@@ -283,8 +287,8 @@ let open_ ?(fsync = true) ?(mode = Mixed) ?(window = 64) ?(configure = Fun.id)
     ?(replicas = []) ?epoch ~dir () =
   let dirs = dir :: replicas in
   List.iter Rjournal.mkdirs dirs;
-  let snap_paths = List.map (fun d -> Filename.concat d "snapshot") dirs in
-  let journal_paths = List.map (fun d -> Filename.concat d "journal") dirs in
+  let snap_paths = List.map (fun d -> Filename.concat d snapshot_file) dirs in
+  let journal_paths = List.map (fun d -> Filename.concat d journal_file) dirs in
   let rs = Rjournal.recover ~fsync snap_paths in
   let rj = Rjournal.recover ~fsync journal_paths in
   (* the effective ownership epoch: a fenced open must exceed both the
@@ -419,7 +423,7 @@ let compact (t : t) =
     the merge starts from. *)
 let scrub (t : t) =
   close t;
-  let report = Scrub.scrub_home ~fsync:t.fsync t.dirs in
+  let report = Scrub.scrub_home ~fsync:t.fsync ~files:home_files t.dirs in
   t.journal <-
     Some
       (Rjournal.open_append ~fsync:t.fsync ~epoch:t.epoch ~fence_key:t.dir
@@ -501,10 +505,7 @@ let surfaced_corruption ?(replicas = []) ~dir () =
     |> List.length
   in
   List.fold_left
-    (fun acc d ->
-      acc
-      + count (Filename.concat d "snapshot")
-      + count (Filename.concat d "journal"))
+    (fun acc d -> List.fold_left (fun acc f -> acc + count (Filename.concat d f)) acc home_files)
     0 (dir :: replicas)
 
 (* -- re-audit ---------------------------------------------------------------- *)

@@ -153,6 +153,10 @@ val journal_size : t -> int
 val snapshot_size : t -> int
 val dir : t -> string
 
+val home_files : string list
+(** The home's files in each replica directory, in the order recovery
+    replays them: [["snapshot"; "journal"]]. *)
+
 val replica_dirs : t -> string list
 (** All replica directories, primary first. *)
 

@@ -94,16 +94,18 @@ type t = {
   epoch : int;
 }
 
-(* Replica-distinct storage-fault keys: the last three path components
-   ("r1/h_kitchen/journal") when the replica layout provides them, so a
+(* Replica-distinct storage-fault keys: the replica's index, the
+   journal's directory and its name ("r1/h_kitchen/journal"), so a
    deterministic fault plan never tears the same logical append on
-   every replica at once. A single-replica journal keeps the bare
-   basename, preserving the established fault-matrix keys. *)
-let fault_key_of path =
-  let base = Filename.basename path in
-  let p1 = Filename.dirname path in
-  let p2 = Filename.dirname p1 in
-  Printf.sprintf "%s/%s/%s" (Filename.basename p2) (Filename.basename p1) base
+   every replica at once. The index, not the replica root's name, keys
+   the replica: the primary's root is the fleet directory itself, and a
+   fault plan must not move with where that directory lives. A
+   single-replica journal keeps the bare basename, preserving the
+   established fault-matrix keys. *)
+let fault_key_of replica path =
+  Printf.sprintf "r%d/%s/%s" replica
+    (Filename.basename (Filename.dirname path))
+    (Filename.basename path)
 
 let open_append ?(fsync = true) ?(epoch = 0) ?fence_key paths =
   match paths with
@@ -117,9 +119,9 @@ let open_append ?(fsync = true) ?(epoch = 0) ?fence_key paths =
   | paths ->
     {
       writers =
-        List.map
-          (fun path ->
-            Journal.open_append ~fsync ~epoch ~fault_key:(fault_key_of path) path)
+        List.mapi
+          (fun i path ->
+            Journal.open_append ~fsync ~epoch ~fault_key:(fault_key_of i path) path)
           paths;
       fence_key;
       epoch;

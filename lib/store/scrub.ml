@@ -21,11 +21,9 @@
     whose CRC fails, which the next scrub quarantines and re-repairs
     from the surviving replicas — convergence is reached by retry, never
     lost. The same pass serves any journal-framed surface: [~files]
-    selects the logical file names, so the verdict cache's
-    [cache.snapshot]/[cache.journal] replicas converge under the exact
-    contract (and counters) as home journals. *)
-
-let default_files = [ "snapshot"; "journal" ]
+    selects the logical file names ([Home.home_files] or
+    [Vcache.cache_files]), so the verdict cache's replicas converge
+    under the exact contract (and counters) as home journals. *)
 
 (* Record-stream digest of one replica directory, from its per-file
    scans in [~files] order: the digest of every valid record of every
@@ -246,11 +244,11 @@ let all_equal = function [] -> true | d :: ds -> List.for_all (String.equal d) d
 (** Scrub one home given its replica directories. Safe only when no
     live writer holds the journals open (a live {!Home} scrubs itself
     via {!Home.scrub}, which parks its writers around this). [~files]
-    selects the journal-framed surface — home journals by default, the
-    verdict cache's [cache.snapshot]/[cache.journal] for cache dirs.
+    selects the journal-framed surface: a home's files or the verdict
+    cache's.
     Every replica file is read and scanned once up front (each distinct
     image once); repair works from those scans. *)
-let scrub_home ?(fsync = true) ?(files = default_files) dirs =
+let scrub_home ?(fsync = true) ~files dirs =
   if dirs = [] then invalid_arg "Scrub.scrub_home: no replica dirs";
   let by_file = scan_files dirs files in
   let digests_before = digests dirs by_file in

@@ -21,11 +21,10 @@ type home_report = {
   epoch : int;  (** fencing floor across the replica set *)
 }
 
-val scrub_home : ?fsync:bool -> ?files:string list -> string list -> home_report
+val scrub_home : ?fsync:bool -> files:string list -> string list -> home_report
 (** Scrub one surface given its replica directories. [~files] names the
-    journal-framed files within each directory (default
-    [["snapshot"; "journal"]]; the verdict cache passes its own
-    [Vcache.cache_files]). Callers must ensure no live writer holds the
+    journal-framed files within each directory ([Home.home_files], or
+    the verdict cache's [Vcache.cache_files]). Callers must ensure no live writer holds the
     journals open (a live {!Home} scrubs itself via {!Home.scrub}). *)
 
 val report_text : home_report -> string

@@ -633,6 +633,19 @@ let chaos_is_deterministic =
       check_int "same kills" r1.Chaos.stats.Supervisor.kills
         r2.Chaos.stats.Supervisor.kills)
 
+(* The primary replica's root is the fleet directory itself, so a
+   storage-fault key built from path components would move the fault
+   plan with the directory's name. *)
+let chaos_ignores_fleet_root_name =
+  test "a seed fixes the campaign whatever the fleet root is called" (fun () ->
+      let config = Chaos.default_config (* seed 42 *) in
+      let d1 = fresh_dir () in
+      let d2 = d1 ^ "_renamed" in
+      ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote d2)));
+      let r1 = Chaos.render (Chaos.run ~config ~dir:d1 ()) in
+      let r2 = Chaos.render (Chaos.run ~config ~dir:d2 ()) in
+      Alcotest.(check string) "same report" r1 r2)
+
 (* -- the cache durability contract -------------------------------------------- *)
 
 let contains_sub sub s =
@@ -1039,7 +1052,12 @@ let () =
           dead_shards_refuse_only_their_homes;
         ] );
       ("chaos",
-        [ chaos_smoke_campaign; chaos_cache_invariants; chaos_is_deterministic ]);
+        [
+          chaos_smoke_campaign;
+          chaos_cache_invariants;
+          chaos_is_deterministic;
+          chaos_ignores_fleet_root_name;
+        ]);
       ( "cache-durability",
         [ vcache_zombie_probe_never_lands; cache_scrub_patches_frames ] );
       ( "repro",

@@ -919,7 +919,7 @@ let scrub_repairs_and_audit_is_identical =
       let b = Bytes.of_string (read_file jp) in
       Bytes.set b (Bytes.length b - 2) '#';
       write_file jp (Bytes.to_string b);
-      let r = Scrub.scrub_home [ dir; rdir ] in
+      let r = Scrub.scrub_home ~files:Home.home_files [ dir; rdir ] in
       check_bool "not healthy before repair" true (not r.Scrub.healthy);
       check_bool "converged after repair" true r.Scrub.converged;
       check_int "corrupt frame quarantined" 1 r.Scrub.frames_quarantined;
@@ -928,7 +928,7 @@ let scrub_repairs_and_audit_is_identical =
       check_bool "records healed across the set" true (r.Scrub.records_healed > 0);
       (* a second pass finds a healthy, converged home and rewrites
          nothing *)
-      let r2 = Scrub.scrub_home [ dir; rdir ] in
+      let r2 = Scrub.scrub_home ~files:Home.home_files [ dir; rdir ] in
       check_bool "idempotent" true (r2.Scrub.healthy && r2.Scrub.converged);
       check_string "digest stable" r.Scrub.digest r2.Scrub.digest;
       (* the repaired home re-audits byte-identically to the undamaged

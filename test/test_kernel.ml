@@ -1,0 +1,134 @@
+(** Differential tests for the solver kernel: the interned-variable
+    {!Search.solve} and the one-walk {!Store.infer} against the
+    string-keyed reference in {!Solver_ref}, on generated formulas and on
+    every solve query the 125-app audit asks. Verdicts, witness lists,
+    [Unknown] reasons (under every node and propagation budget from 0
+    to 20), raised exceptions and inferred store bindings must all be
+    equal. *)
+
+open Homeguard_solver
+open Formula
+open Term
+module Detector = Homeguard_detector.Detector
+
+(* A solve's result, or the exception it raised, as a comparable value. *)
+let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+(* [first], then each node budget and each propagation budget 0..20. *)
+let specs first =
+  first
+  :: List.init 21 (fun n -> { Budget.unlimited_spec with Budget.search_nodes = Some n })
+  @ List.init 21 (fun n -> { Budget.unlimited_spec with Budget.prop_steps = Some n })
+
+let unlimited = specs Budget.unlimited_spec
+
+let ref_solve ~budget store f =
+  let store = Solver_ref.Store_infer.infer store f in
+  match Solver.fold_verdicts (Solver_ref.Search.solve ~budget store) (Dnf.of_formula f) with
+  | verdict -> verdict
+  | exception Budget.Exhausted reason -> Budget.Unknown reason
+
+let same_inference store f =
+  outcome (fun () -> Store.bindings (Store.infer store f))
+  = outcome (fun () -> Store.bindings (Solver_ref.Store_infer.infer store f))
+
+(* Every conjunct of [f] over [store] closed by inference, and the whole
+   formula through {!Solver.solve}, under every budget of [specs]. *)
+let same_solves specs store f =
+  let closed = Store.infer store f in
+  List.for_all
+    (fun spec ->
+      List.for_all
+        (fun c ->
+          outcome (fun () -> Search.solve ~budget:(Budget.start spec) closed c)
+          = outcome (fun () -> Solver_ref.Search.solve ~budget:(Budget.start spec) closed c))
+        (List.of_seq (Dnf.of_formula f))
+      && outcome (fun () -> Solver.solve ~budget:(Budget.start spec) store f)
+         = outcome (fun () -> ref_solve ~budget:(Budget.start spec) store f))
+    specs
+
+let same_on_brute_force_formulas =
+  Helpers.qtest ~count:300 "kernel = reference on the brute-force generator's conjuncts"
+    Test_solver.gen_formula (fun f ->
+      same_inference Test_solver.small_store f && same_solves unlimited Test_solver.small_store f)
+
+(* Mixed enum and integer formulas: string constants, variable-variable
+   joins, arithmetic and every comparator, over a store that types some
+   variables and leaves the rest to inference. Ill-typed atoms raise,
+   and must raise the same way in both. *)
+let gen_mixed =
+  let open QCheck2.Gen in
+  let gen_var = oneofl [ "a"; "b"; "c"; "d"; "e" ] in
+  let leaf =
+    oneof
+      [ map (fun v -> Var v) gen_var;
+        map (fun n -> Int n) (int_range (-3) 3);
+        map (fun s -> Str s) (oneofl [ "on"; "off"; "away" ]);
+      ]
+  in
+  let gen_term =
+    frequency
+      [ (6, leaf);
+        (1, map2 (fun v n -> Add (Var v, Int n)) gen_var (int_range (-3) 3));
+        (1, map2 (fun v w -> Sub (Var v, Var w)) gen_var gen_var);
+        (1, map2 (fun n v -> Mul (Int n, Var v)) (int_range (-2) 2) gen_var);
+        (1, map (fun v -> Neg (Var v)) gen_var);
+      ]
+  in
+  let gen_atom =
+    let* cmp = oneofl [ Eq; Eq; Neq; Lt; Le; Gt; Ge ] in
+    let* a = gen_term and* b = gen_term in
+    return (Atom (cmp, a, b))
+  in
+  let rec gen n =
+    if n <= 0 then gen_atom
+    else
+      let sub = gen (n / 2) in
+      oneof
+        [ gen_atom;
+          map (fun fs -> And fs) (list_size (int_range 1 4) sub);
+          map (fun fs -> Or fs) (list_size (int_range 1 3) sub);
+          map (fun f -> Not f) sub;
+        ]
+  in
+  sized (fun n -> gen (min n 10))
+
+(* Inferred integer variables span the ±1e6 defaults, where refuting a
+   disequality by bisection can take millions of nodes: the first spec
+   caps nodes instead of leaving them unlimited. *)
+let capped = specs { Budget.unlimited_spec with Budget.search_nodes = Some 5000 }
+
+let mixed_store =
+  Store.of_list [ ("a", Domain.enums [ "on"; "off" ]); ("b", Domain.interval 0 5) ]
+
+let same_on_mixed_formulas =
+  Helpers.qtest ~count:300 "kernel = reference on mixed enum/int formulas" gen_mixed (fun f ->
+      same_inference mixed_store f && same_solves capped mixed_store f)
+
+(* Every solve the audit pool asks, captured through the detector's
+   shared-cache hook. *)
+let audit_queries =
+  lazy
+    (let queries = ref [] in
+     let hook (q : Detector.solve_query) solve =
+       queries := (q.Detector.q_store, q.Detector.q_formula) :: !queries;
+       solve ()
+     in
+     let ctx = Detector.create { Detector.offline_config with Detector.shared_cache = Some hook } in
+     ignore (Detector.detect_all ~jobs:1 ctx (Lazy.force Test_planner.audit_pool));
+     List.rev !queries)
+
+let same_on_audit_queries =
+  Helpers.test "kernel = reference on all 3917 audit-pool solve queries" (fun () ->
+      let queries = Lazy.force audit_queries in
+      Helpers.check_int "queries" 3917 (List.length queries);
+      let differing =
+        List.filter
+          (fun (store, f) -> not (same_inference store f && same_solves unlimited store f))
+          queries
+      in
+      Alcotest.(check (list string))
+        "queries where the kernel and the reference differ" []
+        (List.map (fun (_, f) -> Formula.to_string f) differing))
+
+let tests = [ same_on_brute_force_formulas; same_on_mixed_formulas; same_on_audit_queries ]

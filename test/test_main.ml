@@ -9,6 +9,7 @@ let () =
       ("domain-model", Test_domain_model.tests);
       ("bench-lib", Test_bench.tests);
       ("solver", Test_solver.tests);
+      ("kernel", Test_kernel.tests);
       ("capability", Test_capability.tests);
       ("rules", Test_rules.tests);
       ("json", Test_json.tests);
