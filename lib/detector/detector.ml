@@ -192,8 +192,7 @@ let create config =
     undecided_solves = 0;
   }
 
-(* Split a variable "v.attr" (or "App::v.attr") into its base and
-   attribute. *)
+(* Split a variable "v.attr" into its base and attribute. *)
 let split_attr var =
   match String.rindex_opt var '.' with
   | Some i -> (String.sub var 0 i, Some (String.sub var (i + 1) (String.length var - i - 1)))
@@ -244,33 +243,62 @@ let input_of (app : Rule.smartapp) facts var =
 
 let is_shared_var var =
   var = "location.mode" || var = "app.touch"
-  || (String.length var > 5 && String.sub var 0 5 = "time.")
-  || (String.length var > 4 && String.sub var 0 4 = "env.")
+  || (String.length var > 5 && String.starts_with ~prefix:"time." var)
+  || (String.length var > 4 && String.starts_with ~prefix:"env." var)
 
+(* A solver variable's name: an app's own variable [v] is ["App::v"],
+   while the home's shared state (mode, touch, time, environment) keeps
+   its bare name, so every app's rules read the same variable. *)
 let qualify app_name var = if is_shared_var var then var else app_name ^ "::" ^ var
+
+(* The inverse of [qualify]: the part after the last ["::"], since
+   variables never contain [':'] and app names may. *)
+let unqualify qvar =
+  match String.rindex_opt qvar ':' with
+  | Some i when i > 0 && qvar.[i - 1] = ':' -> String.sub qvar (i + 1) (String.length qvar - i - 1)
+  | _ -> qvar
 
 (* -- sides and cells --------------------------------------------------------- *)
 
+(* A formula over one side's app, qualified once: its store types each
+   variable by the app's own inputs, and [vars] holds each variable's
+   name, qualified name and type, for the rename a second rule gets. *)
+type qualified = {
+  formula : Formula.t;
+  store : Store.t;
+  vars : (string * string * Domain.t option) list;
+}
+
+(* A rule's solver inputs: its condition and its situation, each with
+   its side's configuration equalities folded in, and its bare trigger
+   constraint, which the CT value check solves. *)
+type part = Cond | Sit | Trig
+
 (* One app of an audit as every detector reads it, derived once per
-   audit: its facts, its rule facts by position, and its configuration
+   audit: its facts, its rule facts by position, its configuration
    bindings, raw (folded into its formulas) and qualified (passed to the
-   verdict cache). *)
+   verdict cache), and each rule's solver inputs, each built by the
+   first solve that needs it. *)
 type side = {
   app : Rule.smartapp;
   facts : app_facts;
   rules : rule_facts array;  (** [facts.app_rules] *)
   cons : (string * Term.t) list;  (** [config.app_constraints app] *)
   qbind : (string * Term.t) list;  (** [cons] with qualified names *)
+  inputs : qualified option Atomic.t array;
+      (** three per rule, one per [part]; two domains fill a slot alike *)
 }
 
 let side_with (app : Rule.smartapp) cons =
   let facts = app_facts app in
+  let rules = Array.of_list facts.app_rules in
   {
     app;
     facts;
-    rules = Array.of_list facts.app_rules;
+    rules;
     cons;
     qbind = List.map (fun (v, t) -> (qualify app.Rule.name v, t)) cons;
+    inputs = Array.init (3 * Array.length rules) (fun _ -> Atomic.make None);
   }
 
 let side ctx app = side_with app (ctx.config.app_constraints app)
@@ -297,36 +325,55 @@ let unify_pairs ctx s1 s2 =
         s2.facts.app_inputs)
     s1.facts.app_inputs
 
+(* The type of variable [x] of side [s]'s app: a device attribute is
+   typed by its own app's input declaration. *)
+let var_type s x =
+  Rule.var_domain x ~cap_of_var:(fun base ->
+      if is_shared_var x then None else Option.map fst (input_of s.app s.facts base).di_device)
+
+let add_type qx d store = match d with Some d -> Store.add qx d store | None -> store
+
 (* An app pair seen from its first app: the device matcher, the
-   unifier renaming the second app's matched device variables to the
-   first app's qualified names (so shared state is shared in the
-   solver), and the bindings of this orientation's solves — the first
-   app's qualified bindings, then the second's renamed. *)
+   unifier taking a variable of the second app to the first app's
+   matched device variable (so shared state is shared in the solver),
+   and the bindings of this orientation's solves — the first app's
+   qualified bindings, then the second's imported. *)
 type view = {
   s1 : side;
   s2 : side;
   same : string -> string -> bool;
-  rename : string -> string;
+  rename : string -> string option;
   bindings : (string * Term.t) list;
 }
+
+(* A variable of the view's second app as the view's solves name and
+   type it: renamed to the first app's matched device variable and typed
+   there, else qualified and typed with its own app. *)
+let imported v x =
+  match v.rename x with
+  | Some x1 -> (qualify v.s1.app.Rule.name x1, var_type v.s1 x1)
+  | None -> (qualify v.s2.app.Rule.name x, var_type v.s2 x)
 
 (* The per-cell context: one app pair in both orientations, built once
    per cell. *)
 type cell_ctx = { fwd : view; bwd : view }
 
 let view ctx ?unify s1 s2 same =
-  let pairs =
-    List.map
-      (fun (v1, v2) -> (qualify s2.app.Rule.name v2, qualify s1.app.Rule.name v1))
-      (match unify with Some u -> u | None -> unify_pairs ctx s1 s2)
-  in
+  let pairs = match unify with Some u -> u | None -> unify_pairs ctx s1 s2 in
   let rename var =
-    let base, attr = split_attr var in
-    match List.assoc_opt base pairs with
-    | Some base' -> ( match attr with Some a -> base' ^ "." ^ a | None -> base')
-    | None -> var
+    if is_shared_var var then None
+    else
+      let base, attr = split_attr var in
+      List.find_map
+        (fun (v1, v2) ->
+          if v2 <> base then None
+          else Some (match attr with Some a -> v1 ^ "." ^ a | None -> v1))
+        pairs
   in
-  { s1; s2; same; rename; bindings = s1.qbind @ List.map (fun (v, t) -> (rename v, t)) s2.qbind }
+  let import (x, _) (qx, t) =
+    ((match rename x with Some x1 -> qualify s1.app.Rule.name x1 | None -> qx), t)
+  in
+  { s1; s2; same; rename; bindings = s1.qbind @ List.map2 import s2.cons s2.qbind }
 
 let cell_ctx ctx ?unify (s1, s2) (same12, same21) =
   { fwd = view ctx ?unify s1 s2 same12; bwd = view ctx s2 s1 same21 }
@@ -392,10 +439,6 @@ let budgeted_solve ctx store f : Solver.verdict =
 
 let undecided_severity reason = Threat.Undecided (Budget.reason_to_string reason)
 
-let rename_formula rename f =
-  let sub = List.map (fun v -> (v, Term.Var (rename v))) (Formula.free_vars f) in
-  Formula.subst sub f
-
 (* Solve through the fleet-shared verdict cache when one is configured.
    The hook receives the exact formula/store a local solve would use and
    the compute thunk is [budgeted_solve] itself, so a cache miss is
@@ -417,47 +460,59 @@ let cached_solve ctx ~kind v ~bindings store f =
       }
       (fun () -> budgeted_solve ctx store f)
 
-(* Qualified situation (trigger constraint + data + predicate) of a rule,
-   with app-level config-value constraints folded in. *)
-let qualified_formula ~situation s (rule : Rule.t) rename =
-  let base = if situation then Rule.situation rule else
-      Formula.conj
-        (List.map (fun (v, t) -> Formula.eq (Term.Var v) t) rule.Rule.condition.Rule.data
-        @ [ rule.Rule.condition.Rule.predicate ])
-  in
-  let config_eqs = List.map (fun (v, t) -> Formula.eq (Term.Var v) t) s.cons in
-  let f = Formula.conj (base :: config_eqs) in
-  rename_formula (fun v -> rename (qualify s.app.Rule.name v)) f
+(* -- solver inputs ------------------------------------------------------------- *)
 
-(* Store typing qualified variables by resolving each base back to the
-   input declarations of the view's apps, first app first. *)
-let store_for v formula =
-  let cap_of_var base =
-    match String.index_opt base ':' with
-    | Some i when i + 1 < String.length base && base.[i + 1] = ':' ->
-      let app_name = String.sub base 0 i in
-      let var = String.sub base (i + 2) (String.length base - i - 2) in
-      List.find_map
-        (fun s ->
-          if s.app.Rule.name <> app_name then None
-          else
-            List.find_map
-              (fun d -> if d.di_var = var then Option.map fst d.di_device else None)
-              s.facts.app_inputs)
-        [ v.s1; v.s2 ]
-    | _ -> None
+let qualified s f =
+  let vars =
+    List.map (fun x -> (x, qualify s.app.Rule.name x, var_type s x)) (Formula.free_vars f)
   in
-  Rule.store_for_vars ~cap_of_var (Formula.free_vars formula)
+  let formula = Formula.subst (List.map (fun (x, qx, _) -> (x, Term.Var qx)) vars) f in
+  { formula; store = List.fold_left (fun st (_, qx, d) -> add_type qx d st) Store.empty vars; vars }
+
+let compile s rf part =
+  let eqs = List.map (fun (v, t) -> Formula.eq (Term.Var v) t) in
+  let r = rf.rf_rule and c = rf.rf_rule.Rule.condition in
+  qualified s
+    (match part with
+    | Cond -> Formula.conj (Formula.conj (eqs c.Rule.data @ [ c.Rule.predicate ]) :: eqs s.cons)
+    | Sit -> Formula.conj (Rule.situation r :: eqs s.cons)
+    | Trig -> (
+      match r.Rule.trigger with Rule.Event e -> e.constraint_ | Rule.Scheduled _ -> Formula.True))
+
+(* The [part] input of [rf] on side [s], built on first use; a rule from
+   outside the app's rule list gets a fresh one. *)
+let input s rf part =
+  match Array.find_index (fun r -> r == rf) s.rules with
+  | None -> compile s rf part
+  | Some i -> (
+    let slot = s.inputs.((3 * i) + match part with Cond -> 0 | Sit -> 1 | Trig -> 2) in
+    match Atomic.get slot with
+    | Some q -> q
+    | None ->
+      let q = compile s rf part in
+      Atomic.set slot (Some q);
+      q)
 
 (* Satisfiability of two rules' combined formulas in the orientation of
-   view [v]: the second rule's matched device variables are renamed to
-   the first app's. *)
+   view [v]. The first rule's input is used as built; each variable of
+   the second's that the unifier matches is renamed to the first app's
+   device variable and typed there. *)
 let solve_overlap ctx ~situation v fa fb =
-  let f1 = qualified_formula ~situation v.s1 fa.rf_rule (fun x -> x) in
-  let f2 = qualified_formula ~situation v.s2 fb.rf_rule v.rename in
-  let f = Formula.conj [ f1; f2 ] in
-  cached_solve ctx ~kind:(if situation then "sit" else "cond") v ~bindings:v.bindings
-    (store_for v f) f
+  let part = if situation then Sit else Cond in
+  let q1 = input v.s1 fa part and q2 = input v.s2 fb part in
+  let sub, store =
+    List.fold_left
+      (fun (sub, store) (x, qx, d) ->
+        match v.rename x with
+        | None -> (sub, add_type qx d store)
+        | Some x1 ->
+          let qx1 = qualify v.s1.app.Rule.name x1 in
+          ((qx, Term.Var qx1) :: sub, add_type qx1 (var_type v.s1 x1) store))
+      ([], q1.store) q2.vars
+  in
+  let f2 = match sub with [] -> q2.formula | sub -> Formula.subst sub q2.formula in
+  cached_solve ctx ~kind:(if situation then "sit" else "cond") v ~bindings:v.bindings store
+    (Formula.conj [ q1.formula; f2 ])
 
 (* The pair's conditions overlap, asked in the orientation of [v]. The
    solved formula is symmetric in the two rules, so with [reuse] one
@@ -579,6 +634,12 @@ let action_triggers ?(approx = false) ctx v a1 f2 =
   match r2.Rule.trigger with
   | Rule.Scheduled _ -> None
   | Rule.Event { subject; attribute; constraint_ } -> (
+    let subject_var () =
+      match subject with
+      | Rule.Device v2 -> v2 ^ "." ^ attribute
+      | Rule.Location -> "location." ^ attribute
+      | Rule.App_touch -> "app.touch"
+    in
     (* way 1: direct attribute write *)
     let direct =
       List.find_map
@@ -597,15 +658,11 @@ let action_triggers ?(approx = false) ctx v a1 f2 =
             let value_ok =
               match w.Channels.w_value with
               | Some ((Term.Int _ | Term.Str _) as value) when not approx -> (
-                let subject_var =
-                  match subject with
-                  | Rule.Device v2 -> qualify app2.Rule.name (v2 ^ "." ^ attribute)
-                  | Rule.Location -> "location.mode"
-                  | Rule.App_touch -> "app.touch"
-                in
-                let trig = rename_formula (fun x -> qualify app2.Rule.name x) constraint_ in
-                let f = Formula.conj [ trig; Formula.eq (Term.Var subject_var) value ] in
-                match cached_solve ctx ~kind:"ct" v ~bindings:v.s2.qbind (store_for v f) f with
+                let x = subject_var () and trig = input v.s2 f2 Trig in
+                let qx = qualify app2.Rule.name x in
+                let f = Formula.conj [ trig.formula; Formula.eq (Term.Var qx) value ] in
+                let store = add_type qx (var_type v.s2 x) trig.store in
+                match cached_solve ctx ~kind:"ct" v ~bindings:v.s2.qbind store f with
                 | Budget.Sat _ -> true
                 | Budget.Unsat -> false
                 (* undecided compatibility is treated as compatible: the
@@ -632,15 +689,9 @@ let action_triggers ?(approx = false) ctx v a1 f2 =
           (fun (f, pol) ->
             if f <> feature then None
             else
-              let subject_var =
-                match subject with
-                | Rule.Device v2 -> v2 ^ "." ^ attribute
-                | Rule.Location -> "location." ^ attribute
-                | Rule.App_touch -> "app.touch"
-              in
               let compatible =
                 constraint_ = Formula.True
-                || Channels.polarity_can_satisfy constraint_ subject_var pol
+                || Channels.polarity_can_satisfy constraint_ (subject_var ()) pol
               in
               if compatible then
                 Some
@@ -753,7 +804,7 @@ let condition_effects same_device a1 f2 =
             if not (write_reaches same_device w cv) then None
             else
               match w.Channels.w_value with
-              | Some value -> Some (`Eq (var, value))
+              | Some value -> Some (`Solve (Formula.Eq, "sets", var, value))
               | None -> Some (`Touches var))
           f2.rf_cond_vars)
       a1.af_writes
@@ -769,31 +820,15 @@ let condition_effects same_device a1 f2 =
               match (params, pol) with
               | ((Term.Int _ | Term.Var _) as p) :: _, Effects.Incr
                 when command = "setHeatingSetpoint" ->
-                Some (`Ge (var, p))
+                Some (`Solve (Formula.Ge, "raises", var, p))
               | ((Term.Int _ | Term.Var _) as p) :: _, Effects.Decr
                 when command = "setCoolingSetpoint" ->
-                Some (`Le (var, p))
+                Some (`Solve (Formula.Le, "lowers", var, p))
               | _ -> Some (`Dir (var, pol)))
           f2.rf_cond_vars)
       a1.af_effects
   in
   direct @ env_effects
-
-(* One budgeted enable/disable solve: Sat means the write can enable the
-   condition (EC, with witness); a decisive Unsat means it provably
-   falsifies it (DC). Unknown is reported as a *potential* EC — a tripped
-   budget must never masquerade as a proven DC. *)
-let solved_effect ctx v ~bindings f ~verb ~rule_id =
-  match cached_solve ctx ~kind:"fx" v ~bindings (store_for v f) f with
-  | Budget.Sat w ->
-    ( Threat.EC, Some w, Threat.Confirmed,
-      Printf.sprintf "%s enabling %s's condition" verb rule_id )
-  | Budget.Unsat ->
-    ( Threat.DC, None, Threat.Confirmed,
-      Printf.sprintf "%s disabling %s's condition" verb rule_id )
-  | Budget.Unknown reason ->
-    ( Threat.EC, None, undecided_severity reason,
-      Printf.sprintf "%s possibly enabling %s's condition" verb rule_id )
 
 (* [fa]'s actions against [fb]'s condition, where [v] is the cell seen
    from [fa]'s app and [back] from [fb]'s. *)
@@ -808,52 +843,38 @@ let condition_interference_dir ctx v back fa fb =
     in
     if all_effects = [] then []
     else
-      let app1 = v.s1.app and r2 = fb.rf_rule in
-      (* Rename app1's matched device variables to app2's qualified
-         names (as [solve_overlap] does) so an action parameter that
-         reads a shared device is the *same* solver variable as the one
-         the condition tests. *)
-      let rename = back.rename in
-      let import_term t =
-        Term.subst
-          (List.map
-             (fun x -> (x, Term.Var (rename (qualify app1.Rule.name x))))
-             (Term.free_vars t))
-          t
+      let r2 = fb.rf_rule in
+      let cond = input back.s1 fb Cond in
+      (* an action's value or bound, over [fa]'s app: its variables
+         imported as [solve_overlap] imports the second rule's, so a
+         parameter that reads a shared device is the *same* solver
+         variable as the one the condition tests *)
+      let import_term t store =
+        let xs = List.map (fun x -> (x, imported back x)) (Term.free_vars t) in
+        ( Term.subst (List.map (fun (x, (qx, _)) -> (x, Term.Var qx)) xs) t,
+          List.fold_left (fun store (_, (qx, d)) -> add_type qx d store) store xs )
       in
-      let bindings = back.bindings in
-      (* merge effect constraints with R2's condition and solve; solvable
-         means the condition may be enabled, otherwise disabled *)
-      let cond_q = qualified_formula ~situation:false back.s1 r2 rename in
-      let q x = qualify back.s1.app.Rule.name x in
       let results =
         List.filter_map
           (fun (a1, effect) ->
             match effect with
-            | `Eq (var, value) ->
-              let f =
-                Formula.conj [ cond_q; Formula.eq (Term.Var (q var)) (import_term value) ]
-              in
-              Some
-                (solved_effect ctx v ~bindings f
-                   ~verb:(Printf.sprintf "%s sets %s" a1.Rule.command var)
-                   ~rule_id:r2.Rule.rule_id)
-            | `Ge (var, bound) ->
-              let f =
-                Formula.conj [ cond_q; Formula.ge (Term.Var (q var)) (import_term bound) ]
-              in
-              Some
-                (solved_effect ctx v ~bindings f
-                   ~verb:(Printf.sprintf "%s raises %s" a1.Rule.command var)
-                   ~rule_id:r2.Rule.rule_id)
-            | `Le (var, bound) ->
-              let f =
-                Formula.conj [ cond_q; Formula.le (Term.Var (q var)) (import_term bound) ]
-              in
-              Some
-                (solved_effect ctx v ~bindings f
-                   ~verb:(Printf.sprintf "%s lowers %s" a1.Rule.command var)
-                   ~rule_id:r2.Rule.rule_id)
+            | `Solve (cmp, verb, var, t) -> (
+              (* the effect on [var], one of the condition's variables
+                 and typed in its store, merged with the condition *)
+              let t, store = import_term t cond.store in
+              let x = Term.Var (qualify back.s1.app.Rule.name var) in
+              let f = Formula.conj [ cond.formula; Formula.atom cmp x t ] in
+              let verb = Printf.sprintf "%s %s %s" a1.Rule.command verb var in
+              let detail how = Printf.sprintf "%s %s %s's condition" verb how r2.Rule.rule_id in
+              (* Sat: the write can enable the condition (EC, with
+                 witness); a decisive Unsat: it provably falsifies it
+                 (DC). Unknown is a *potential* EC — a tripped budget
+                 must never masquerade as a proven DC. *)
+              match cached_solve ctx ~kind:"fx" v ~bindings:back.bindings store f with
+              | Budget.Sat w -> Some (Threat.EC, Some w, Threat.Confirmed, detail "enabling")
+              | Budget.Unsat -> Some (Threat.DC, None, Threat.Confirmed, detail "disabling")
+              | Budget.Unknown reason ->
+                Some (Threat.EC, None, undecided_severity reason, detail "possibly enabling"))
             | `Dir (var, pol) ->
               let can = Channels.polarity_can_satisfy fb.rf_cond var pol in
               let opposite =
@@ -921,8 +942,9 @@ let detect_pair ctx (p1 : tagged_rule) (p2 : tagged_rule) =
 
 (* The views the pre-filters read: sides and matchers, no unifier. *)
 let prefilter_views (s1, s2) (same12, same21) =
-  ( { s1; s2; same = same12; rename = Fun.id; bindings = [] },
-    { s1 = s2; s2 = s1; same = same21; rename = Fun.id; bindings = [] } )
+  let rename _ = None in
+  ( { s1; s2; same = same12; rename; bindings = [] },
+    { s1 = s2; s2 = s1; same = same21; rename; bindings = [] } )
 
 (* The solver-free pre-filters over one rule pair's facts, given the
    app pair's views in both directions: could any category's analysis

@@ -110,6 +110,11 @@ val device_input : Rule.smartapp -> string -> device_input
     declarations ({!Rule.capability_of_input}, {!Effects.classify}) —
     what {!app_facts} holds for each declared capability input. *)
 
+val unqualify : string -> string
+(** A solver variable without its app qualifier: an app's own variable
+    [v] is ["App::v"], so the part after the last ["::"] (app names may
+    contain [':'], variables never do). Shared state has no qualifier. *)
+
 val offline_config : config
 (** Corpus-audit mode: device-type matching, no config constraints,
     {!Budget.default_spec} budgets. *)

@@ -5,18 +5,12 @@ module Rule = Homeguard_rules.Rule
 module Threat = Homeguard_detector.Threat
 module Domain = Homeguard_solver.Domain
 
-let strip_qualifier var =
-  match String.index_opt var ':' with
-  | Some i when i + 1 < String.length var && var.[i + 1] = ':' ->
-    String.sub var (i + 2) (String.length var - i - 2)
-  | _ -> var
-
 (* Hide solver-internal symbols and render app-qualified names. *)
 let describe_witness model =
   let visible =
     List.filter_map
       (fun (var, value) ->
-        let name = strip_qualifier var in
+        let name = Homeguard_detector.Detector.unqualify var in
         let internal =
           (String.length name >= 4 && String.sub name 0 4 = "sym_")
           || (match value with

@@ -142,45 +142,30 @@ let situation rule =
   in
   Formula.conj ((trig :: data_eqs) @ [ rule.condition.predicate ])
 
-(** Build the solver store typing every device-attribute variable of the
-    rule pair from the capability registry. [cap_of_var] resolves an
-    input variable to its declared capability. *)
-let store_for_vars ~cap_of_var vars =
+(** The solver domain of a variable ["base.attr"] from the capability
+    registry; [cap_of_var] gives an input's declared capability. *)
+let var_domain ~cap_of_var var =
   let module Cap = Homeguard_st.Capability in
   let module Domain = Homeguard_solver.Domain in
-  List.fold_left
-    (fun store var ->
-      match String.index_opt var '.' with
-      | None -> store
-      | Some i ->
-        let base = String.sub var 0 i in
-        let attr = String.sub var (i + 1) (String.length var - i - 1) in
-        let domain =
-          if base = "location" && attr = "mode" then
-            Some (Domain.enums ("Home" :: "Away" :: "Night" :: [ Homeguard_solver.Store.other_value ]))
-          else if base = "time" then Some (Domain.interval 0 1439)
-          else if base = "env" then Some (Domain.interval (-1000) 1_000_000)
-          else
-            match cap_of_var base with
-            | Some cap_name -> (
-              match Cap.find cap_name with
-              | Some cap -> (
-                match Cap.attribute_of cap attr with
-                | Some a -> (
-                  match a.Cap.domain with
-                  | Cap.Enum vs -> Some (Domain.enums vs)
-                  | Cap.Numeric (lo, hi) -> Some (Domain.interval lo hi))
-                | None -> None)
-              | None -> None)
-            | None ->
-              (* untyped device var: derive from any capability declaring
-                 the attribute *)
-              (match Cap.attribute_domain attr with
-              | Some (Cap.Enum vs) -> Some (Domain.enums vs)
-              | Some (Cap.Numeric (lo, hi)) -> Some (Domain.interval lo hi)
-              | None -> None)
-        in
-        (match domain with
-        | Some d -> Homeguard_solver.Store.add var d store
-        | None -> store))
-    Homeguard_solver.Store.empty vars
+  let of_cap_domain = function
+    | Cap.Enum vs -> Domain.enums vs
+    | Cap.Numeric (lo, hi) -> Domain.interval lo hi
+  in
+  match String.index_opt var '.' with
+  | None -> None
+  | Some i -> (
+    let base = String.sub var 0 i in
+    let attr = String.sub var (i + 1) (String.length var - i - 1) in
+    if base = "location" && attr = "mode" then
+      Some (Domain.enums ("Home" :: "Away" :: "Night" :: [ Homeguard_solver.Store.other_value ]))
+    else if base = "time" then Some (Domain.interval 0 1439)
+    else if base = "env" then Some (Domain.interval (-1000) 1_000_000)
+    else
+      match cap_of_var base with
+      | Some cap_name ->
+        Option.bind (Cap.find cap_name) (fun cap ->
+            Option.map (fun a -> of_cap_domain a.Cap.domain) (Cap.attribute_of cap attr))
+      | None ->
+        (* untyped device var: derive from any capability declaring the
+           attribute *)
+        Option.map of_cap_domain (Cap.attribute_domain attr))

@@ -81,6 +81,10 @@ val situation : t -> Formula.t
 (** Trigger constraint ∧ data equalities ∧ predicate — the situation in
     which the rule takes effect (overlap detection, paper §VI-A2). *)
 
-val store_for_vars :
-  cap_of_var:(string -> string option) -> string list -> Homeguard_solver.Store.t
-(** Type qualified variables from the capability registry. *)
+val var_domain :
+  cap_of_var:(string -> string option) -> string -> Homeguard_solver.Domain.t option
+(** The domain of a device-attribute variable ["base.attr"] from the
+    capability registry: [location.mode], [time.*] and [env.*] have
+    fixed domains, any other base is typed by its capability
+    ([cap_of_var]) or, when it has none, by any capability declaring the
+    attribute. [None] for a variable without an attribute or a type. *)

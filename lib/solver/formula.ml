@@ -35,12 +35,12 @@ let disj fs =
 let flip_cmp = function Eq -> Neq | Neq -> Eq | Lt -> Ge | Le -> Gt | Gt -> Le | Ge -> Lt
 
 (** Negation-normal form: [Not] eliminated by comparator flipping. *)
-let rec nnf_rec = function
+let rec nnf = function
   | True -> True
   | False -> False
   | Atom _ as a -> a
-  | And fs -> And (List.map nnf_rec fs)
-  | Or fs -> Or (List.map nnf_rec fs)
+  | And fs -> And (List.map nnf fs)
+  | Or fs -> Or (List.map nnf fs)
   | Not f -> nnf_neg f
 
 and nnf_neg = function
@@ -49,36 +49,10 @@ and nnf_neg = function
   | Atom (cmp, a, b) -> Atom (flip_cmp cmp, a, b)
   | And fs -> Or (List.map nnf_neg fs)
   | Or fs -> And (List.map nnf_neg fs)
-  | Not f -> nnf_rec f
+  | Not f -> nnf f
 
-(* -- NNF memoization ------------------------------------------------------ *)
-
-(** When false, {!nnf} recomputes every call. An A/B switch for
-    benchmarking, mirrors {!Domain.bitset_enabled}. *)
+(* Inert: kept for hgbench and the cache keys (see the interface). *)
 let memo_enabled = ref true
-
-(* A per-OCaml-domain table: detector workers run on separate domains,
-   so thread-local storage avoids both locking and cross-domain races.
-   The table is bounded and simply reset when full — formulas in one
-   audit cluster around a few hundred shapes, so resets are rare. *)
-let memo_limit = 8192
-
-let nnf_key : (t, t) Hashtbl.t Stdlib.Domain.DLS.key =
-  Stdlib.Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-
-(** Memoizing wrapper over the recursive NNF. *)
-let nnf f =
-  if not !memo_enabled then nnf_rec f
-  else begin
-    let tbl = Stdlib.Domain.DLS.get nnf_key in
-    match Hashtbl.find_opt tbl f with
-    | Some g -> g
-    | None ->
-      let g = nnf_rec f in
-      if Hashtbl.length tbl >= memo_limit then Hashtbl.reset tbl;
-      Hashtbl.add tbl f g;
-      g
-  end
 
 (** Flatten nested conjunctions into a list of non-[And] conjuncts. *)
 let rec conjuncts = function

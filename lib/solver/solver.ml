@@ -21,9 +21,9 @@ type model = Search.model
 type verdict = model Budget.verdict
 (** [Sat model | Unsat | Unknown of Budget.reason]. *)
 
-(** The A/B representation switches change which code paths a solve
-    exercises; any cache shared across processes or runs must key on
-    them so one mode never serves the other's stored answers. *)
+(** The A/B switch {!Domain.bitset_enabled} changes which code paths a
+    solve exercises; any cache shared across processes or runs must key
+    on it. The inert [Formula.memo_enabled] is read so keys keep their bytes. *)
 let flags_fingerprint () =
   Printf.sprintf "bs%c.mm%c"
     (if !Domain.bitset_enabled then '1' else '0')

@@ -11,9 +11,11 @@ type verdict = model Budget.verdict
     which budget tripped and where; it is never collapsed to [Unsat]. *)
 
 val flags_fingerprint : unit -> string
-(** Stable rendering of the solver's A/B switches
-    ({!Domain.bitset_enabled}, [Formula.memo_enabled]) for verdict
-    cache keys: the two modes must never serve each other's answers. *)
+(** Stable rendering of the solver's A/B switch
+    ({!Domain.bitset_enabled}) for verdict cache keys: the two modes must
+    never serve each other's answers. It still renders
+    {!Formula.memo_enabled}, which has no effect and is kept only for
+    hgbench, so that keys and cache-journal bytes do not move. *)
 
 val fold_verdicts : (Dnf.conjunct -> verdict) -> Dnf.conjunct Seq.t -> verdict
 (** The walk {!solve} makes over a formula's conjuncts: the first Sat,

@@ -163,6 +163,113 @@ let report_texts_pinned =
       check_string "threats text" "38d4a144d2a4d6ab5265a4c6a39df2e4" (digest threats);
       check_string "handling text" "d64a3240192f3493cf0be69187efc31d" (digest handling))
 
+(* Every occurrence of [sub] in [s] replaced by [by]. *)
+let replace_all ~sub ~by s =
+  let n = String.length sub and b = Buffer.create (String.length s) in
+  let rec go i =
+    if i > String.length s - n then Buffer.add_string b (String.sub s i (String.length s - i))
+    else if String.sub s i n = sub then (
+      Buffer.add_string b by;
+      go (i + n))
+    else (
+      Buffer.add_char b s.[i];
+      go (i + 1))
+  in
+  go 0;
+  Buffer.contents b
+
+(* The threats, witnesses and solve queries of an audit, one line each,
+   captured through the shared-cache hook. *)
+let audit_lines apps =
+  let queries = ref [] in
+  let hook q solve =
+    queries := Test_kernel.query_line q :: !queries;
+    solve ()
+  in
+  let ctx = Detector.create { Detector.offline_config with Detector.shared_cache = Some hook } in
+  let threats = Detector.detect_all ~jobs:1 ctx apps in
+  ( Threat_interpreter.describe_all threats,
+    List.map Test_planner.witness_line threats,
+    List.rev !queries )
+
+(* A switch whose rule reads a temperature its capability does not
+   declare: the variable is typed by its own app's input (untyped), not
+   by any capability with the attribute (-40..150). *)
+let cold_fan_source =
+  {|
+definition(name: "ColdFan", description: "Heat when the fan reads cold")
+
+preferences {
+  section("Devices") {
+    input "fan", "capability.switch", title: "Fan"
+    input "heater", "capability.switch", title: "Space heater"
+  }
+}
+
+def installed() {
+  subscribe(fan, "switch", handler)
+}
+
+def handler(evt) {
+  if (fan.currentTemperature < -100) {
+    heater.on()
+  }
+}
+|}
+
+let heater_off_source =
+  {|
+definition(name: "HeaterOff", description: "Turn the space heater off")
+
+preferences {
+  section("Devices") {
+    input "heater2", "capability.switch", title: "Space heater"
+    input "door", "capability.contactSensor", title: "Door"
+  }
+}
+
+def installed() {
+  subscribe(door, "contact.open", handler)
+}
+
+def handler(evt) {
+  heater2.off()
+}
+|}
+
+(* Solver variables are named "App::var"; an app name may itself hold a
+   ':', so naming, typing and unnaming must not split at the first one. *)
+let colon_in_app_name =
+  test "an app named Attic:Fan gives AtticFan's threats, witnesses and solves" (fun () ->
+      let source name =
+        match Homeguard_corpus.Corpus.find name with
+        | Some e -> e.Homeguard_corpus.App_entry.source
+        | None -> Alcotest.fail name
+      in
+      let same_but_name label apps =
+        let text, witnesses, queries = audit_lines (apps "AtticFan") in
+        let text', witnesses', queries' = audit_lines (apps "Attic:Fan") in
+        let back = replace_all ~sub:"Attic:Fan" ~by:"AtticFan" in
+        check_bool (label ^ ": threats found") true (witnesses <> []);
+        check_string (label ^ ": report") text (back text');
+        Alcotest.(check (list string))
+          (label ^ ": threats and witnesses") witnesses (List.map back witnesses');
+        Alcotest.(check (list string)) (label ^ ": solve queries") queries (List.map back queries');
+        text
+      in
+      let text =
+        same_but_name "fixtures" (fun name ->
+            [ extract ~name (source "AtticFanController"); extract_corpus "BathroomFanTimer" ])
+      in
+      check_bool "the witness names the variable alone" true
+        (contains text "Example situation: atticTemp.temperature = ");
+      let text =
+        same_but_name "own typing" (fun name ->
+            [ extract ~name cold_fan_source; extract heater_off_source ])
+      in
+      check_bool "the race holds below the capability range" true
+        (contains text "Example situation: fan.temperature = -101"))
+
 let tests =
   [
     describe_comfort_tv;
@@ -178,4 +285,5 @@ let tests =
     install_flow_no_pending;
     install_flow_chained;
     report_texts_pinned;
+    colon_in_app_name;
   ]

@@ -111,7 +111,7 @@ let audit_queries =
   lazy
     (let queries = ref [] in
      let hook (q : Detector.solve_query) solve =
-       queries := (q.Detector.q_store, q.Detector.q_formula) :: !queries;
+       queries := q :: !queries;
        solve ()
      in
      let ctx = Detector.create { Detector.offline_config with Detector.shared_cache = Some hook } in
@@ -120,7 +120,11 @@ let audit_queries =
 
 let same_on_audit_queries =
   Helpers.test "kernel = reference on all 3917 audit-pool solve queries" (fun () ->
-      let queries = Lazy.force audit_queries in
+      let queries =
+        List.map
+          (fun q -> (q.Detector.q_store, q.Detector.q_formula))
+          (Lazy.force audit_queries)
+      in
       Helpers.check_int "queries" 3917 (List.length queries);
       let differing =
         List.filter
@@ -131,4 +135,27 @@ let same_on_audit_queries =
         "queries where the kernel and the reference differ" []
         (List.map (fun (_, f) -> Formula.to_string f) differing))
 
-let tests = [ same_on_brute_force_formulas; same_on_mixed_formulas; same_on_audit_queries ]
+(* One line per audit-pool solve query: everything a verdict-cache key
+   and a fault-injection key are built from. *)
+let query_line (q : Detector.solve_query) =
+  let a1, a2 = q.Detector.q_apps in
+  String.concat "\t"
+    [ q.Detector.q_kind;
+      a1 ^ "," ^ a2;
+      Formula.to_string q.Detector.q_formula;
+      String.concat ";"
+        (List.map (fun (v, d) -> v ^ ":" ^ Domain.to_string d) (Store.bindings q.Detector.q_store));
+      String.concat ";"
+        (List.map (fun (v, t) -> v ^ "=" ^ Term.to_string t) q.Detector.q_bindings);
+    ]
+
+let audit_queries_pinned =
+  Helpers.test "the 3917 audit-pool solve queries are byte-identical (digest)" (fun () ->
+      let lines = List.map query_line (Lazy.force audit_queries) in
+      Helpers.check_int "queries" 3917 (List.length lines);
+      Helpers.check_string "query digest" "f57dda3cac1ca7939a80cd5143d3acfe"
+        (Digest.to_hex (Digest.string (String.concat "\n" lines))))
+
+let tests =
+  [ same_on_brute_force_formulas; same_on_mixed_formulas; same_on_audit_queries;
+    audit_queries_pinned ]

@@ -6,7 +6,6 @@ module Intern = Homeguard_rules.Intern
 module Formula = Homeguard_solver.Formula
 module Term = Homeguard_solver.Term
 module Domain = Homeguard_solver.Domain
-module Store = Homeguard_solver.Store
 open Helpers
 
 let mk_app ?(inputs = []) ?(rules = []) name =
@@ -70,23 +69,25 @@ let situation_combines =
       check_bool "has predicate var" true (List.mem "t" vars))
 
 let store_types_capability_attrs =
-  test "store_for_vars types device attributes from the registry" (fun () ->
+  test "var_domain types each device attribute from the registry" (fun () ->
       let cap_of_var = function "sw" -> Some "switch" | _ -> None in
-      let store = Rule.store_for_vars ~cap_of_var [ "sw.switch"; "location.mode"; "time.now" ] in
-      (match Store.find_opt "sw.switch" store with
+      let domain = Rule.var_domain ~cap_of_var in
+      (match domain "sw.switch" with
       | Some (Domain.Enums vs) -> check_bool "on in domain" true (List.mem "on" vs)
       | _ -> Alcotest.fail "switch attr untyped");
-      (match Store.find_opt "location.mode" store with
+      (match domain "location.mode" with
       | Some (Domain.Enums _) -> ()
       | _ -> Alcotest.fail "mode untyped");
-      match Store.find_opt "time.now" store with
+      (match domain "time.now" with
       | Some (Domain.Ints _ | Domain.Bits _) -> ()
-      | _ -> Alcotest.fail "time untyped")
+      | _ -> Alcotest.fail "time untyped");
+      check_bool "a declared capability without the attribute types nothing" true
+        (domain "sw.temperature" = None);
+      check_bool "a variable without an attribute is untyped" true (domain "threshold" = None))
 
 let store_falls_back_on_attribute =
-  test "store_for_vars falls back to any capability with the attribute" (fun () ->
-      let store = Rule.store_for_vars ~cap_of_var:(fun _ -> None) [ "x.temperature" ] in
-      match Store.find_opt "x.temperature" store with
+  test "var_domain falls back to any capability with the attribute" (fun () ->
+      match Rule.var_domain ~cap_of_var:(fun _ -> None) "x.temperature" with
       | Some (Domain.Ints _ | Domain.Bits _) -> ()
       | _ -> Alcotest.fail "temperature untyped")
 
