@@ -388,6 +388,7 @@ let corpus_cmd =
 (* -- durable home state (serve / recover / compact) --------------------------- *)
 
 module Home = Homeguard_store.Home
+module Surface = Homeguard_store.Surface
 module Ingest = Homeguard_store.Ingest
 module Broker = Homeguard_serve.Broker
 module Serve_shed = Homeguard_serve.Shed
@@ -603,8 +604,9 @@ let serve_line broker line =
     Printf.printf "installed:%s\n"
       (String.concat ""
          (List.map (fun (a : Rule.smartapp) -> " " ^ a.Rule.name) (Home.installed_apps home)));
+    let snapshot, journal = Surface.sizes (Home.surface home) in
     Printf.printf "ack: %d\njournal: %d byte(s), snapshot: %d byte(s)\n" (Home.last_seq home)
-      (Home.journal_size home) (Home.snapshot_size home);
+      journal snapshot;
     print_endline (Broker.status broker)
   | [ "audit" ] -> (
     match Broker.submit_audit broker ~home:serve_home_id () with
@@ -629,7 +631,7 @@ let serve_line broker line =
     | None -> print_endline "error: bad inject (see help)")
   | [ "compact" ] ->
     Home.compact home;
-    Printf.printf "compacted; snapshot: %d byte(s)\n" (Home.snapshot_size home)
+    Printf.printf "compacted; snapshot: %d byte(s)\n" (fst (Surface.sizes (Home.surface home)))
   | [ "help" ] -> print_endline serve_help
   | _ -> print_endline "error: unknown command (try: help)"
 
@@ -778,9 +780,13 @@ let compact_cmd =
       Home.open_ ~mode:(home_mode online) ~replicas:replica_roots ~dir ()
     in
     print_recovery report;
-    let before = Home.journal_size home + Home.snapshot_size home in
+    let bytes () =
+      let snapshot, journal = Surface.sizes (Home.surface home) in
+      snapshot + journal
+    in
+    let before = bytes () in
     Home.compact home;
-    let after = Home.journal_size home + Home.snapshot_size home in
+    let after = bytes () in
     Printf.printf "compacted: %d -> %d byte(s)\n" before after;
     Home.close home;
     0
@@ -1114,7 +1120,7 @@ let fleet_scrub_cmd =
         List.fold_left
           (fun acc entry ->
             let dirs = List.map (fun root -> Filename.concat root entry) roots in
-            let r = Fleet_scrub.scrub_home ~fsync:(not no_fsync) ~files:Home.home_files dirs in
+            let r = Surface.scrub (Surface.at ~fsync:(not no_fsync) Surface.Home dirs) in
             if not r.Fleet_scrub.healthy then
               Printf.printf
                 "%s: repaired=%d recreated=%d quarantined=%d torn=%d healed=%d%s\n"
@@ -1127,14 +1133,14 @@ let fleet_scrub_cmd =
       in
       print_endline (Fleet_scrub.counters_text totals);
       (* the verdict cache is a durable surface under the same contract:
-         scrub its replica set too, at cache file names *)
+         scrub its replica set too *)
       let cache_unconverged =
         let dirs = Fleet_shard.cache_dirs ~fleet_dir:dir ~replicas in
         let primary = List.hd dirs in
         if not (Sys.file_exists primary && Sys.is_directory primary) then 0
         else begin
           let r =
-            Fleet_scrub.scrub_home ~fsync:(not no_fsync) ~files:Vcache.cache_files dirs
+            Surface.scrub (Surface.at ~fsync:(not no_fsync) Surface.Cache dirs)
           in
           Printf.printf "vcache: %s\n" (Fleet_scrub.report_text r);
           if r.Fleet_scrub.converged then 0 else 1

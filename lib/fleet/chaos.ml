@@ -34,8 +34,8 @@
 module Home = Homeguard_store.Home
 module Fence = Homeguard_store.Fence
 module Scrub = Homeguard_store.Scrub
-module Journal = Homeguard_store.Journal
 module Rjournal = Homeguard_store.Rjournal
+module Surface = Homeguard_store.Surface
 module Broker = Homeguard_serve.Broker
 module Shed = Homeguard_serve.Shed
 module Install_flow = Homeguard_frontend.Install_flow
@@ -464,61 +464,42 @@ let flip_byte path ~salt =
            true
          end)
 
-let remove_files dir files =
+let remove_files paths =
   List.fold_left
-    (fun removed f ->
-      let p = Filename.concat dir f in
+    (fun removed p ->
       if Sys.file_exists p then begin
         (try Sys.remove p with Sys_error _ -> ());
         true
       end
       else removed)
-    false files
+    false paths
 
-(* Destroy one non-primary replica of the scheduled home — disk death.
-   The home's live writer keeps appending to the unlinked inode; the
-   next recovery or scrub recreates the replica from a surviving
-   sibling. Quarantine sidecars are left alone: they are the durable
-   damage evidence the loss invariants consult. *)
-let destroy_replica c ~home ~replica =
+(* Destroy one non-primary replica of a surface — disk death. A live
+   writer keeps appending to the unlinked inodes; the next recovery or
+   scrub recreates the replica from a surviving sibling. Quarantine
+   sidecars are left alone: they are the durable damage evidence the
+   loss invariants consult. *)
+let destroy_replica surface ~replica =
+  match Surface.dirs surface with
+  | [] | [ _ ] -> false
+  | _ :: victims ->
+    remove_files (Surface.replica_files surface (1 + (replica mod List.length victims)))
+
+(* Flip one byte in one replica file of a surface — bit rot. May hit
+   the primary: read-repair must heal whichever copy is damaged. *)
+let corrupt_replica surface ~replica ~file ~salt =
+  let files = Surface.replica_files surface (replica mod List.length (Surface.dirs surface)) in
+  flip_byte (List.nth files (file mod List.length files)) ~salt
+
+let home_surface c home =
   let id = fst (List.nth c.expects (home mod List.length c.expects)) in
-  let dirs = Shard.home_dirs ~fleet_dir:c.dir ~replicas:c.cfg.replicas id in
-  match List.tl dirs with
-  | [] -> ()
-  | victims ->
-    let vdir = List.nth victims (replica mod List.length victims) in
-    if remove_files vdir Home.home_files then
-      c.replicas_destroyed <- c.replicas_destroyed + 1
+  Surface.at Surface.Home (Shard.home_dirs ~fleet_dir:c.dir ~replicas:c.cfg.replicas id)
 
-(* Flip one byte in one replica file of the scheduled home — bit rot.
-   May hit the primary: read-repair must heal whichever copy is
-   damaged. *)
-let corrupt_replica c ~home ~replica ~file ~salt =
-  let id = fst (List.nth c.expects (home mod List.length c.expects)) in
-  let dirs = Shard.home_dirs ~fleet_dir:c.dir ~replicas:c.cfg.replicas id in
-  let vdir = List.nth dirs (replica mod List.length dirs) in
-  let path = Filename.concat vdir (List.nth Home.home_files (file mod 2)) in
-  if flip_byte path ~salt then c.replicas_corrupted <- c.replicas_corrupted + 1
-
-(* Same two windows for the verdict-cache surface: the cache is a
-   durable replica set like any home journal, so it gets the same
-   treatment — destruction spares the primary, corruption does not. *)
-let destroy_cache_replica c ~replica =
-  if c.cfg.vcache then
-    match List.tl (Shard.cache_dirs ~fleet_dir:c.dir ~replicas:c.cfg.replicas) with
-    | [] -> ()
-    | victims ->
-      let vdir = List.nth victims (replica mod List.length victims) in
-      if remove_files vdir Vcache.cache_files then
-        c.cache_destroyed <- c.cache_destroyed + 1
-
-let corrupt_cache_replica c ~replica ~file ~salt =
-  if c.cfg.vcache then begin
-    let dirs = Shard.cache_dirs ~fleet_dir:c.dir ~replicas:c.cfg.replicas in
-    let vdir = List.nth dirs (replica mod List.length dirs) in
-    let path = Filename.concat vdir (List.nth Vcache.cache_files (file mod 2)) in
-    if flip_byte path ~salt then c.cache_corrupted <- c.cache_corrupted + 1
-  end
+(* The verdict cache is a durable surface like any home, so it takes
+   the same damage: destruction spares the primary, corruption does
+   not. *)
+let cache_surface ~fleet_dir ~replicas =
+  Surface.at Surface.Cache (Shard.cache_dirs ~fleet_dir ~replicas)
 
 (* Drive every wedged worker's handles once a successor epoch has been
    granted (the "revive after rebalance" moment): each journaling
@@ -600,12 +581,21 @@ let fire c ev =
       c.fault_windows <- c.fault_windows + 1;
       c.fault_steps_left <- 8
     end
-  | Replica_destroy { home; replica } -> destroy_replica c ~home ~replica
+  | Replica_destroy { home; replica } ->
+    if destroy_replica (home_surface c home) ~replica then
+      c.replicas_destroyed <- c.replicas_destroyed + 1
   | Replica_corrupt { home; replica; file; salt } ->
-    corrupt_replica c ~home ~replica ~file ~salt
-  | Cache_destroy { replica } -> destroy_cache_replica c ~replica
+    if corrupt_replica (home_surface c home) ~replica ~file ~salt then
+      c.replicas_corrupted <- c.replicas_corrupted + 1
+  | Cache_destroy { replica } ->
+    if c.cfg.vcache && destroy_replica (cache_surface ~fleet_dir:c.dir ~replicas:c.cfg.replicas) ~replica
+    then c.cache_destroyed <- c.cache_destroyed + 1
   | Cache_corrupt { replica; file; salt } ->
-    corrupt_cache_replica c ~replica ~file ~salt
+    if
+      c.cfg.vcache
+      && corrupt_replica (cache_surface ~fleet_dir:c.dir ~replicas:c.cfg.replicas)
+           ~replica ~file ~salt
+    then c.cache_corrupted <- c.cache_corrupted + 1
   | Split_brain { victim } ->
     c.pending_splits <- c.pending_splits @ [ victim mod cfg.shards ]
 
@@ -721,7 +711,7 @@ let recover_home ~fleet_dir ~replicas ~campaign_damage id =
      written by that repair survives any number of restarts. Every
      replica directory must show corruption for the carve-out to hold. *)
   let sidecar_corruption =
-    List.for_all (fun d -> Home.surfaced_corruption ~dir:d () > 0) dirs
+    List.for_all (fun n -> n > 0) (Surface.corrupt_regions (Surface.at Surface.Home dirs))
   in
   {
     r_installed;
@@ -758,23 +748,14 @@ let verify_cache c ~fleet_dir ~live ~totals ~cscrub ~cscrub2 =
   match (live, totals) with
   | None, _ | _, None -> []
   | Some live, Some (totals : Vcache.counters) ->
-    let cdirs = Shard.cache_dirs ~fleet_dir ~replicas:c.cfg.replicas in
+    let cache = cache_surface ~fleet_dir ~replicas:c.cfg.replicas in
     (* durable stale-write evidence, scanned before any reopen rewrites
        the replica files *)
-    let chaos_records, cache_regressions =
-      List.fold_left
-        (fun acc d ->
-          List.fold_left
-            (fun (ck, er) f ->
-              let sc = Journal.scan (Filename.concat d f) in
-              ( ck
-                + List.length
-                    (List.filter (contains ~sub:"~chaos/") sc.Journal.records),
-                er + sc.Journal.epoch_regressions ))
-            acc Vcache.cache_files)
-        (0, 0) cdirs
+    let chaos_records =
+      List.length (List.filter (contains ~sub:"~chaos/") (Surface.records cache))
     in
-    let dir = List.hd cdirs and crep = List.tl cdirs in
+    let cache_regressions = Surface.epoch_regressions cache in
+    let dir = List.hd (Surface.dirs cache) and crep = List.tl (Surface.dirs cache) in
     let st1 = Vcache.open_store ~fsync:false ~replicas:crep ~dir () in
     let d1 = Vcache.dump st1 in
     let dmg = Vcache.replay_damage st1 in
@@ -1048,14 +1029,10 @@ let run ?(config = default_config) ?schedule ~dir () =
   let epoch_regressions =
     List.fold_left
       (fun acc (id, _) ->
-        List.fold_left
-          (fun acc d ->
-            List.fold_left
-              (fun acc f -> acc + (Journal.scan f).Journal.epoch_regressions)
-              acc
-              (List.map (Filename.concat d) Home.home_files))
-          acc
-          (Shard.home_dirs ~fleet_dir:dir ~replicas:config.replicas id))
+        acc
+        + Surface.epoch_regressions
+            (Surface.at Surface.Home
+               (Shard.home_dirs ~fleet_dir:dir ~replicas:config.replicas id)))
       0 c.expects
   in
   let scrub = Supervisor.scrub c.sup in

@@ -12,6 +12,7 @@
 module Home = Homeguard_store.Home
 module Fence = Homeguard_store.Fence
 module Scrub = Homeguard_store.Scrub
+module Surface = Homeguard_store.Surface
 module Broker = Homeguard_serve.Broker
 module Deadline = Homeguard_serve.Deadline
 module Shed = Homeguard_serve.Shed
@@ -480,24 +481,20 @@ let wedge t idx =
 let scrub t =
   List.fold_left
     (fun acc id ->
-      let report =
-        match Hashtbl.find_opt t.assignment id with
-        | Some idx -> (
-          match t.slots.(idx).state with
-          | Running sh -> (
-            match Broker.home_opt (Shard.broker sh) id with
-            | Some home -> Home.scrub home
-            | None ->
-              Scrub.scrub_home ~fsync:t.config.fsync ~files:Home.home_files
-                (Shard.home_dirs ~fleet_dir:t.dir ~replicas:t.config.replicas id))
-          | Restarting _ | Dead ->
-            Scrub.scrub_home ~fsync:t.config.fsync ~files:Home.home_files
-              (Shard.home_dirs ~fleet_dir:t.dir ~replicas:t.config.replicas id))
+      let live =
+        Option.bind (Hashtbl.find_opt t.assignment id) (fun idx ->
+            match t.slots.(idx).state with
+            | Running sh -> Broker.home_opt (Shard.broker sh) id
+            | Restarting _ | Dead -> None)
+      in
+      let surface =
+        match live with
+        | Some home -> Home.surface home
         | None ->
-          Scrub.scrub_home ~fsync:t.config.fsync ~files:Home.home_files
+          Surface.at ~fsync:t.config.fsync Surface.Home
             (Shard.home_dirs ~fleet_dir:t.dir ~replicas:t.config.replicas id)
       in
-      Scrub.add acc report)
+      Scrub.add acc (Surface.scrub surface))
     Scrub.zero
     (List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.assignment []))
 

@@ -5,9 +5,10 @@
     recording a configuration URI, overriding a handling decision — is
     appended to the journal (and fsynced) {e before} it mutates the
     in-memory state, so a crash at any instant loses at most the
-    operation in flight. {!open_} recovers by letting {!Journal.recover}
-    truncate a torn tail and quarantine corrupted records, then
-    replaying the snapshot and journal events in order; install events
+    operation in flight. {!open_} recovers through {!Surface.recover},
+    which merges the replicas, truncates torn tails and quarantines
+    corrupted records, then replays the snapshot and journal events in
+    order; install events
     re-run the install-time detection ({!Install_flow.replay_install}:
     the audit and the [Keep] step, without rendering a report), which
     is deterministic, so the recovered state — rule
@@ -40,14 +41,9 @@ module Mediator = Homeguard_handling.Mediator
 type mode = Mixed | Online | Offline
 
 type t = {
-  dir : string;  (** primary replica directory (also the fence key) *)
-  dirs : string list;  (** all replica directories, primary first *)
-  snap_paths : string list;
-  journal_paths : string list;
-  fsync : bool;
-  mode : mode;
-  epoch : int;  (** effective ownership epoch stamped on every append *)
-  mutable journal : Rjournal.t option;
+  surface : Surface.t;
+      (** the home's files; its writer stamps the effective ownership
+          epoch and is fenced under the primary directory *)
   recorder : Recorder.t;
   flow : Install_flow.t;
   dconfig : Detector.config;
@@ -80,10 +76,6 @@ type recovery_report = {
   epoch : int;  (** the effective ownership epoch granted to this open *)
 }
 
-let snapshot_file = "snapshot"
-let journal_file = "journal"
-let home_files = [ snapshot_file; journal_file ]
-
 let detector_config mode recorder =
   match mode with
   | Offline -> Detector.offline_config
@@ -95,9 +87,6 @@ let detector_config mode recorder =
       Detector.offline_config with
       Detector.app_constraints = (fun app -> Recorder.app_constraints recorder app);
     }
-
-let journal t =
-  match t.journal with Some j -> j | None -> invalid_arg "Home: journal not open"
 
 let ingest t =
   match t.ingest with Some i -> i | None -> invalid_arg "Home: no ingest receiver"
@@ -158,7 +147,7 @@ let apply_event t = function
 
 (* -- journaled operations ---------------------------------------------------- *)
 
-let log_event t ev = Rjournal.append (journal t) (Event.to_string ev)
+let log_event t ev = Surface.append t.surface (Event.to_string ev)
 
 (** Install-time proposal. [?budget] replaces the per-solve budget for
     this proposal only (a deadline-derived {!Budget.of_deadline} spec;
@@ -285,17 +274,12 @@ let installs_from records idx =
 
 let open_ ?(fsync = true) ?(mode = Mixed) ?(window = 64) ?(configure = Fun.id)
     ?(replicas = []) ?epoch ~dir () =
-  let dirs = dir :: replicas in
-  List.iter Rjournal.mkdirs dirs;
-  let snap_paths = List.map (fun d -> Filename.concat d snapshot_file) dirs in
-  let journal_paths = List.map (fun d -> Filename.concat d journal_file) dirs in
-  let rs = Rjournal.recover ~fsync snap_paths in
-  let rj = Rjournal.recover ~fsync journal_paths in
+  let surface = Surface.at ~fsync Surface.Home (dir :: replicas) in
+  let { Surface.snapshot = rs; journal = rj; floor } = Surface.recover surface in
   (* the effective ownership epoch: a fenced open must exceed both the
      on-disk floor (frames survive restarts) and any earlier in-process
      grant; an unfenced open adopts the floor, so a later fenced owner
      still outranks it *)
-  let floor = max rs.Rjournal.max_epoch rj.Rjournal.max_epoch in
   let eff =
     match epoch with None -> floor | Some e -> if e > floor then e else floor + 1
   in
@@ -305,14 +289,7 @@ let open_ ?(fsync = true) ?(mode = Mixed) ?(window = 64) ?(configure = Fun.id)
   let flow = Install_flow.create ~detector_config:dconfig () in
   let t =
     {
-      dir;
-      dirs;
-      snap_paths;
-      journal_paths;
-      fsync;
-      mode;
-      epoch = eff;
-      journal = None;
+      surface;
       recorder;
       flow;
       dconfig;
@@ -330,8 +307,7 @@ let open_ ?(fsync = true) ?(mode = Mixed) ?(window = 64) ?(configure = Fun.id)
            apply_config t ~seq:(Some seq) uri));
   replay t rs.Rjournal.recovered;
   replay t rj.Rjournal.recovered;
-  t.journal <-
-    Some (Rjournal.open_append ~fsync ~epoch:eff ~fence_key:dir journal_paths);
+  Surface.open_writer ~fence_key:dir surface ~epoch:eff;
   (* a fenced handover is journaled: the grant survives even a journal
      whose only other frames predate the new epoch *)
   if epoch <> None && eff > floor then begin
@@ -377,12 +353,10 @@ let open_ ?(fsync = true) ?(mode = Mixed) ?(window = 64) ?(configure = Fun.id)
       epoch = eff;
     } )
 
-let close t =
-  match t.journal with
-  | None -> ()
-  | Some j ->
-    t.journal <- None;
-    Rjournal.close j
+let close t = Surface.close t.surface
+let surface t = t.surface
+let dir t = List.hd (Surface.dirs t.surface)
+let epoch t = Surface.epoch t.surface
 
 (* -- compaction -------------------------------------------------------------- *)
 
@@ -393,8 +367,9 @@ let close t =
     replacements are atomic renames; a crash between them leaves a
     journal whose events replay idempotently over the new snapshot. *)
 let compact (t : t) =
+  let epoch = epoch t in
   let events =
-    (if t.epoch > 0 then [ Event.Epoch t.epoch ] else [])
+    (if epoch > 0 then [ Event.Epoch epoch ] else [])
     @ List.map (fun (_, (seq, uri)) -> Event.Config { seq; uri }) t.configs
     @ List.map (fun a -> Event.Install a) (installed_apps t)
     @ List.map
@@ -405,37 +380,7 @@ let compact (t : t) =
         (Install_flow.quarantined t.flow)
     @ [ Event.Watermark (Ingest.ack (ingest t)) ]
   in
-  close t;
-  Rjournal.write_atomic_all ~fsync:t.fsync ~epoch:t.epoch t.snap_paths
-    (List.map Event.to_string events);
-  Rjournal.write_atomic_all ~fsync:t.fsync ~epoch:t.epoch t.journal_paths [];
-  t.journal <-
-    Some
-      (Rjournal.open_append ~fsync:t.fsync ~epoch:t.epoch ~fence_key:t.dir
-         t.journal_paths)
-
-(* -- anti-entropy ------------------------------------------------------------- *)
-
-(** Scrub this (live) home's replica set: park the journal writers, run
-    the offline {!Scrub.scrub_home} read-repair pass, reopen. Safe
-    because the in-memory state is exactly the replay of the appends the
-    writers made, every one of which survives on the healthiest replica
-    the merge starts from. *)
-let scrub (t : t) =
-  close t;
-  let report = Scrub.scrub_home ~fsync:t.fsync ~files:home_files t.dirs in
-  t.journal <-
-    Some
-      (Rjournal.open_append ~fsync:t.fsync ~epoch:t.epoch ~fence_key:t.dir
-         t.journal_paths);
-  report
-
-let file_size path = if Sys.file_exists path then (Unix.stat path).Unix.st_size else 0
-let journal_size t = file_size (List.hd t.journal_paths)
-let snapshot_size t = file_size (List.hd t.snap_paths)
-let dir t = t.dir
-let replica_dirs t = t.dirs
-let epoch (t : t) = t.epoch
+  Surface.compact t.surface (List.map Event.to_string events)
 
 (* -- canonical durable state -------------------------------------------------- *)
 
@@ -482,31 +427,6 @@ let state_text t =
   Buffer.contents b
 
 let state_digest t = Digest.to_hex (Digest.string (state_text t))
-
-(** Count of [kind=corrupt] regions recorded in the quarantine sidecars
-    under [dir] — the durable trace that some past recovery had to
-    quarantine a corrupted record. Torn-tail regions are excluded: a
-    torn append raises to the caller before it is acknowledged, so
-    truncating it can never lose acknowledged state, while a corrupt
-    mid-journal record can. Survives any number of restarts, unlike the
-    in-memory recovery reports. *)
-let surfaced_corruption ?(replicas = []) ~dir () =
-  let contains ~sub s =
-    let n = String.length s and m = String.length sub in
-    let rec at i k = k = m || (s.[i + k] = sub.[k] && at i (k + 1)) in
-    let rec go i = i + m <= n && (at i 0 || go (i + 1)) in
-    go 0
-  in
-  let count path =
-    Journal.read_file (path ^ ".quarantine")
-    |> String.split_on_char '\n'
-    |> List.filter (fun line ->
-           String.starts_with ~prefix:"##" line && contains ~sub:"kind=corrupt" line)
-    |> List.length
-  in
-  List.fold_left
-    (fun acc d -> List.fold_left (fun acc f -> acc + count (Filename.concat d f)) acc home_files)
-    0 (dir :: replicas)
 
 (* -- re-audit ---------------------------------------------------------------- *)
 

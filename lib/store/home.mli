@@ -2,9 +2,9 @@
     in-memory {!Homeguard_rules.Rule_db} + {!Homeguard_config.Recorder}
     + {!Homeguard_frontend.Install_flow} triple. Every state change is
     journaled (and fsynced) before it applies; {!open_} replays the
-    snapshot + journal — truncating torn tails, quarantining corrupt
-    records — to reconstruct the exact pre-crash state, including the
-    inputs of the compiled mediator. *)
+    snapshot + journal of its {!Surface} — truncating torn tails,
+    quarantining corrupt records — to reconstruct the exact pre-crash
+    state, including the inputs of the compiled mediator. *)
 
 module Rule = Homeguard_rules.Rule
 module Detector = Homeguard_detector.Detector
@@ -149,16 +149,12 @@ val installed_apps : t -> Rule.smartapp list
 val flow : t -> Install_flow.t
 val recorder : t -> Recorder.t
 val config : t -> Detector.config
-val journal_size : t -> int
-val snapshot_size : t -> int
 val dir : t -> string
+(** The primary replica directory, also the home's fence key. *)
 
-val home_files : string list
-(** The home's files in each replica directory, in the order recovery
-    replays them: [["snapshot"; "journal"]]. *)
-
-val replica_dirs : t -> string list
-(** All replica directories, primary first. *)
+val surface : t -> Surface.t
+(** The home's snapshot and journal on every replica directory;
+    {!Surface.scrub} on it is the live home's anti-entropy pass. *)
 
 val epoch : t -> int
 (** The effective ownership epoch this open stamps on appends. *)
@@ -174,13 +170,6 @@ val state_text : t -> string
 val state_digest : t -> string
 (** Hex digest of {!state_text}. *)
 
-val surfaced_corruption : ?replicas:string list -> dir:string -> unit -> int
-(** Count of [kind=corrupt] regions in the quarantine sidecars under
-    [dir] (and any [replicas]) — durable, restart-proof evidence that a
-    past recovery quarantined corrupted records (i.e. possibly
-    acknowledged state was lost {e and surfaced}). Torn-tail regions
-    don't count: a torn append raises before it is acknowledged. *)
-
 (** {2 Maintenance} *)
 
 val compact : t -> unit
@@ -188,11 +177,6 @@ val compact : t -> unit
     explicit decisions, ingestion watermark) and truncate the journal;
     both replacements are atomic renames and a crash between them is
     absorbed by idempotent replay. All replicas are rewritten. *)
-
-val scrub : t -> Scrub.home_report
-(** Anti-entropy pass over this (live) home's replica set: park the
-    journal writers, CRC-scan and read-repair every replica via
-    {!Scrub.scrub_home}, reopen. A healthy home is untouched. *)
 
 (** {2 Re-audit} *)
 

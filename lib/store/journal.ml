@@ -17,12 +17,12 @@
 
     Durability contract: [append] returns only after the frame has been
     written, flushed and (unless the journal was opened with
-    [~fsync:false]) fsynced — the fsync point. Recovery ({!recover})
-    truncates a torn tail (an incomplete final frame: the classic
-    crash-mid-write), moves CRC-invalid but fully framed records to a
-    [.quarantine] sidecar, and rewrites the journal atomically
-    (temp file + rename + parent-directory fsync) with only the
-    surviving records.
+    [~fsync:false]) fsynced — the fsync point. Recovery
+    ({!Rjournal.recover}) truncates a torn tail (an incomplete final
+    frame: the classic crash-mid-write), moves CRC-invalid but fully
+    framed records to a [.quarantine] sidecar ({!quarantine_damage}),
+    and rewrites the journal atomically ({!write_atomic}: temp file +
+    rename + parent-directory fsync) with only the surviving records.
 
     All writes pass through {!Fault.on_write} and bracket
     {!Fault.crash_point}s, so the deterministic storage-fault matrix can
@@ -298,24 +298,14 @@ let scan_string s =
 
 let scan path = scan_string (read_file path)
 
-(* -- recovery ---------------------------------------------------------------- *)
+(* -- quarantine sidecars -------------------------------------------------------- *)
 
-type recovery = {
-  recovered : string list;
-  torn_bytes : int;
-  quarantined : int;
-  damage_index : int option;
-  rewritten : bool;
-  max_epoch : int;
-}
+let sidecar path = path ^ ".quarantine"
 
-let damage_bytes = function Torn_tail { raw; _ } | Corrupt { raw; _ } -> String.length raw
-
-(** Append each damaged region of [path]'s scan to the [quarantine]
+(** Append each damaged region of [path]'s scan to its quarantine
     sidecar with a readable header per region. *)
-let quarantine_damage ?quarantine path damage =
+let quarantine_damage path damage =
   if damage <> [] then begin
-    let qpath = match quarantine with Some q -> q | None -> path ^ ".quarantine" in
     let b = Buffer.create 256 in
     List.iter
       (fun d ->
@@ -327,30 +317,21 @@ let quarantine_damage ?quarantine path damage =
         Printf.bprintf b "## %s kind=%s offset=%d bytes=%d\n%s\n" (Filename.basename path) kind
           offset (String.length raw) raw)
       damage;
-    with_descr (Unix.openfile qpath append_flags 0o644) (fun fd ->
+    with_descr (Unix.openfile (sidecar path) append_flags 0o644) (fun fd ->
         write_string fd (Buffer.contents b))
   end
 
-(** Scan [path]; when damaged, move each damaged region into the
-    [quarantine] sidecar (default [path ^ ".quarantine"], appended with
-    a readable header per region) and atomically rewrite the journal
-    with only the valid records (re-stamped at the scan's highest
-    epoch, preserving the fencing floor). Sound on a missing file. *)
-let recover ?quarantine ?(fsync = true) path =
-  let sc = scan path in
-  let torn, corrupt =
-    List.partition (function Torn_tail _ -> true | Corrupt _ -> false) sc.damage
+(** The [kind=corrupt] headers {!quarantine_damage} wrote to [path]'s
+    sidecar: lines that start with ["##"] and mention [kind=corrupt]. *)
+let corrupt_regions path =
+  let contains ~sub s =
+    let n = String.length s and m = String.length sub in
+    let rec at i k = k = m || (s.[i + k] = sub.[k] && at i (k + 1)) in
+    let rec go i = i + m <= n && (at i 0 || go (i + 1)) in
+    go 0
   in
-  let torn_bytes = List.fold_left (fun a d -> a + damage_bytes d) 0 torn in
-  if sc.damage <> [] then begin
-    quarantine_damage ?quarantine path sc.damage;
-    write_atomic ~fsync ~epoch:sc.max_epoch path sc.records
-  end;
-  {
-    recovered = sc.records;
-    torn_bytes;
-    quarantined = List.length corrupt;
-    damage_index = sc.first_damage_index;
-    rewritten = sc.damage <> [];
-    max_epoch = sc.max_epoch;
-  }
+  read_file (sidecar path)
+  |> String.split_on_char '\n'
+  |> List.filter (fun line ->
+         String.starts_with ~prefix:"##" line && contains ~sub:"kind=corrupt" line)
+  |> List.length

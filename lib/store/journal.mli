@@ -90,21 +90,10 @@ val scan_string : string -> scan
 val scan : string -> scan
 (** Read-only; a missing file scans as empty. *)
 
-type recovery = {
-  recovered : string list;
-  torn_bytes : int;  (** bytes truncated from the torn tail *)
-  quarantined : int;  (** corrupt regions moved to the sidecar *)
-  damage_index : int option;
-  rewritten : bool;  (** the journal was rewritten without the damage *)
-  max_epoch : int;  (** fencing floor recovered from the frames *)
-}
+val quarantine_damage : string -> damage list -> unit
+(** Append damaged regions to [path]'s quarantine sidecar
+    ([path ^ ".quarantine"]), one readable header per region. *)
 
-val quarantine_damage : ?quarantine:string -> string -> damage list -> unit
-(** Append damaged regions to [path]'s quarantine sidecar (default
-    [path ^ ".quarantine"]), one readable header per region. *)
-
-val recover : ?quarantine:string -> ?fsync:bool -> string -> recovery
-(** Scan; when damaged, append each damaged region to the quarantine
-    sidecar (default [path ^ ".quarantine"]) and atomically rewrite the
-    journal with only the valid records, re-stamped at the scan's
-    highest epoch so the fencing floor survives the rewrite. *)
+val corrupt_regions : string -> int
+(** The [kind=corrupt] regions recorded in [path]'s quarantine sidecar;
+    [0] when there is none. Torn-tail regions do not count. *)

@@ -108,24 +108,13 @@ let fault_key_of replica path =
     (Filename.basename path)
 
 let open_append ?(fsync = true) ?(epoch = 0) ?fence_key paths =
-  match paths with
-  | [] -> invalid_arg "Rjournal.open_append: no replica paths"
-  | [ path ] ->
-    {
-      writers = [ Journal.open_append ~fsync ~epoch path ];
-      fence_key;
-      epoch;
-    }
-  | paths ->
-    {
-      writers =
-        List.mapi
-          (fun i path ->
-            Journal.open_append ~fsync ~epoch ~fault_key:(fault_key_of i path) path)
-          paths;
-      fence_key;
-      epoch;
-    }
+  if paths = [] then invalid_arg "Rjournal.open_append: no replica paths";
+  let single = List.compare_length_with paths 1 = 0 in
+  let writer i path =
+    let fault_key = if single then None else Some (fault_key_of i path) in
+    Journal.open_append ~fsync ~epoch ?fault_key path
+  in
+  { writers = List.mapi writer paths; fence_key; epoch }
 
 let append t payload =
   (match t.fence_key with
@@ -140,15 +129,6 @@ let rec mkdirs dir =
     mkdirs (Filename.dirname dir);
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
-
-(** Atomically replace every replica with a journal holding exactly
-    [payloads], creating missing replica directories. *)
-let write_atomic_all ?(fsync = true) ?(epoch = 0) paths payloads =
-  List.iter
-    (fun path ->
-      mkdirs (Filename.dirname path);
-      Journal.write_atomic ~fsync ~epoch path payloads)
-    paths
 
 (* -- recovery ------------------------------------------------------------------ *)
 

@@ -27,11 +27,6 @@ val close : t -> unit
 val mkdirs : string -> unit
 (** Recursively create a (replica) directory if missing. *)
 
-val write_atomic_all : ?fsync:bool -> ?epoch:int -> string list -> string list -> unit
-(** [write_atomic_all paths payloads] atomically replaces every replica
-    with a journal holding exactly [payloads], creating missing replica
-    directories. *)
-
 val merge_records : string list list -> string list
 (** The shortest common supersequence of the replicas' record streams —
     every record that survived anywhere, in a consistent order — folded

@@ -1,9 +1,9 @@
-(** Anti-entropy scrub over a home's replica set.
+(** Anti-entropy scrub over the replica set of a durable surface.
 
-    A scrub pass CRC-scans the snapshot and journal of every replica
-    directory, compares the replicas' {e record-stream digests} (replay
-    is deterministic — the replay-determinism property suite pins this
-    — so byte-identical record streams imply byte-identical
+    A scrub pass CRC-scans every replica of each of the surface's files,
+    compares the replicas' {e record-stream digests} (replay is
+    deterministic — the replay-determinism property suite pins this —
+    so byte-identical record streams imply byte-identical
     {!Home.state_digest}s without paying a detection pass per replica),
     and when anything is missing, damaged or diverged repairs at {e
     frame granularity}: the merged record stream is aligned against each
@@ -12,21 +12,19 @@
     only where records are missing, and the replica file is patched in
     place between the first and last differing byte. Repair I/O is
     bounded by the damage ([repair_bytes], [patched_frames]), not by the
-    file size — a single flipped byte costs a single-byte write, where
-    the old read-repair rewrote the whole replica set. A healthy home is
-    untouched — a second pass over a repaired fleet reports all-healthy
-    and writes nothing.
+    file size — a single flipped byte costs a single-byte write. A
+    healthy surface is untouched — a second pass over a repaired fleet
+    reports all-healthy and writes nothing.
 
     The in-place patch is not atomic: a crash mid-patch leaves a frame
     whose CRC fails, which the next scrub quarantines and re-repairs
     from the surviving replicas — convergence is reached by retry, never
-    lost. The same pass serves any journal-framed surface: [~files]
-    selects the logical file names ([Home.home_files] or
-    [Vcache.cache_files]), so the verdict cache's replicas converge
-    under the exact contract (and counters) as home journals. *)
+    lost. {!Surface.scrub} is the one caller: it names the files and
+    parks a live writer around the pass, so home journals and the
+    verdict cache converge under the same contract and counters. *)
 
 (* Record-stream digest of one replica directory, from its per-file
-   scans in [~files] order: the digest of every valid record of every
+   scans in file order: the digest of every valid record of every
    file. Missing files scan as empty streams, so a destroyed replica
    simply disagrees with its healthy siblings. *)
 let digest_of (scans : Rjournal.replica_scan list) =
@@ -44,7 +42,6 @@ let digest_of (scans : Rjournal.replica_scan list) =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 type home_report = {
-  dirs : string list;
   healthy : bool;  (** nothing to do: present, undamaged, converged *)
   converged : bool;  (** all replicas share one digest after the pass *)
   digest : string;  (** the (post-repair) record-stream digest *)
@@ -111,10 +108,9 @@ type file_repair = {
   f_healed : int;
   f_patched_frames : int;
   f_repair_bytes : int;
-  f_max_epoch : int;
 }
 
-(** Repair one logical file (e.g. ["journal"]) across the replica
+(** Repair one logical file (e.g. a home's journal) across the replica
     directories at frame granularity, given its replica scans. Each
     replica's surviving records form a subsequence of the merged stream
     (the {!Rjournal} merge guarantee), so a greedy walk aligns every
@@ -185,8 +181,6 @@ let repair_file ~fsync (infos : Rjournal.replica_scan list) =
       f_healed = 0;
       f_patched_frames = 0;
       f_repair_bytes = 0;
-      f_max_epoch =
-        List.fold_left (fun a r -> max a r.Rjournal.r_scan.Journal.max_epoch) 0 infos;
     }
   in
   List.fold_left2
@@ -217,7 +211,6 @@ let repair_file ~fsync (infos : Rjournal.replica_scan list) =
             (List.filter (fun (s, e) -> s < stop && e > off) spans)
       in
       {
-        acc with
         f_repaired = (acc.f_repaired + if wrote <> None && present then 1 else 0);
         f_recreated = (acc.f_recreated + if wrote <> None && not present then 1 else 0);
         f_quarantined = acc.f_quarantined + corrupt;
@@ -229,29 +222,25 @@ let repair_file ~fsync (infos : Rjournal.replica_scan list) =
       })
     zero infos embeddings
 
-(* One {!Rjournal.scan_replicas} per logical file: [by_file] is indexed
-   file-major, so replica [i]'s scans are the [i]th of every row. *)
-let scan_files dirs files =
-  List.map
-    (fun f -> Rjournal.scan_replicas (List.map (fun d -> Filename.concat d f) dirs))
-    files
-
-let digests dirs by_file =
-  List.mapi (fun i _ -> digest_of (List.map (fun row -> List.nth row i) by_file)) dirs
+(* Per-replica digests of a file-major scan table: replica [i]'s scans
+   are the [i]th of every row. *)
+let digests by_file =
+  match by_file with
+  | [] -> []
+  | row :: _ ->
+    List.mapi (fun i _ -> digest_of (List.map (fun row -> List.nth row i) by_file)) row
 
 let all_equal = function [] -> true | d :: ds -> List.for_all (String.equal d) ds
 
-(** Scrub one home given its replica directories. Safe only when no
-    live writer holds the journals open (a live {!Home} scrubs itself
-    via {!Home.scrub}, which parks its writers around this). [~files]
-    selects the journal-framed surface: a home's files or the verdict
-    cache's.
-    Every replica file is read and scanned once up front (each distinct
-    image once); repair works from those scans. *)
-let scrub_home ?(fsync = true) ~files dirs =
-  if dirs = [] then invalid_arg "Scrub.scrub_home: no replica dirs";
-  let by_file = scan_files dirs files in
-  let digests_before = digests dirs by_file in
+(** Scrub one surface: [files] holds, per logical file in replay order,
+    its path in every replica directory (primary first). Safe only when
+    no live writer holds the files open. Every replica file is read and
+    scanned once up front (each distinct image once); repair works from
+    those scans. *)
+let run ?(fsync = true) files =
+  let scan_all () = List.map Rjournal.scan_replicas files in
+  let by_file = scan_all () in
+  let digests_before = digests by_file in
   let damage =
     List.exists
       (List.exists (fun r -> r.Rjournal.r_scan.Journal.damage <> []))
@@ -263,43 +252,25 @@ let scrub_home ?(fsync = true) ~files dirs =
      first compaction) needs no repair — counting it "missing" would
      leave such homes permanently unhealthy and break idempotence *)
   let healthy = all_equal digests_before && not damage in
-  if healthy then
-    {
-      dirs;
-      healthy = true;
-      converged = true;
-      digest = (match digests_before with d :: _ -> d | [] -> "");
-      repaired_replicas = 0;
-      recreated_replicas = 0;
-      frames_quarantined = 0;
-      torn_bytes = 0;
-      records_healed = 0;
-      patched_frames = 0;
-      repair_bytes = 0;
-      epoch =
-        List.fold_left
-          (List.fold_left (fun a r -> max a r.Rjournal.r_scan.Journal.max_epoch))
-          0 by_file;
-    }
-  else begin
-    let repairs = List.map (repair_file ~fsync) by_file in
-    let sum f = List.fold_left (fun a r -> a + f r) 0 repairs in
-    let digests = digests dirs (scan_files dirs files) in
-    {
-      dirs;
-      healthy = false;
-      converged = all_equal digests;
-      digest = (match digests with d :: _ -> d | [] -> "");
-      repaired_replicas = sum (fun r -> r.f_repaired);
-      recreated_replicas = sum (fun r -> r.f_recreated);
-      frames_quarantined = sum (fun r -> r.f_quarantined);
-      torn_bytes = sum (fun r -> r.f_torn_bytes);
-      records_healed = sum (fun r -> r.f_healed);
-      patched_frames = sum (fun r -> r.f_patched_frames);
-      repair_bytes = sum (fun r -> r.f_repair_bytes);
-      epoch = List.fold_left (fun a r -> max a r.f_max_epoch) 0 repairs;
-    }
-  end
+  let repairs = if healthy then [] else List.map (repair_file ~fsync) by_file in
+  let sum f = List.fold_left (fun a r -> a + f r) 0 repairs in
+  let digests = if healthy then digests_before else digests (scan_all ()) in
+  {
+    healthy;
+    converged = all_equal digests;
+    digest = (match digests with d :: _ -> d | [] -> "");
+    repaired_replicas = sum (fun r -> r.f_repaired);
+    recreated_replicas = sum (fun r -> r.f_recreated);
+    frames_quarantined = sum (fun r -> r.f_quarantined);
+    torn_bytes = sum (fun r -> r.f_torn_bytes);
+    records_healed = sum (fun r -> r.f_healed);
+    patched_frames = sum (fun r -> r.f_patched_frames);
+    repair_bytes = sum (fun r -> r.f_repair_bytes);
+    epoch =
+      List.fold_left
+        (List.fold_left (fun a r -> max a r.Rjournal.r_scan.Journal.max_epoch))
+        0 by_file;
+  }
 
 (* -- fleet-level counters ------------------------------------------------------ *)
 

@@ -2,12 +2,10 @@
     CRC-scan every replica, compare record-stream digests, and repair
     anything missing, damaged or diverged at {e frame granularity} —
     only the damaged frames are rewritten, so repair I/O is bounded by
-    the damage ([repair_bytes]), not the file size. Serves both home
-    journals (default [~files]) and the verdict cache's
-    [cache.snapshot]/[cache.journal] surface. *)
+    the damage ([repair_bytes]), not the file size. {!Surface.scrub}
+    runs it over a home's or the verdict cache's replica set. *)
 
 type home_report = {
-  dirs : string list;
   healthy : bool;  (** nothing to do: present, undamaged, converged *)
   converged : bool;  (** one digest across all replicas after the pass *)
   digest : string;
@@ -21,11 +19,11 @@ type home_report = {
   epoch : int;  (** fencing floor across the replica set *)
 }
 
-val scrub_home : ?fsync:bool -> files:string list -> string list -> home_report
-(** Scrub one surface given its replica directories. [~files] names the
-    journal-framed files within each directory ([Home.home_files], or
-    the verdict cache's [Vcache.cache_files]). Callers must ensure no live writer holds the
-    journals open (a live {!Home} scrubs itself via {!Home.scrub}). *)
+val run : ?fsync:bool -> string list list -> home_report
+(** Scrub one surface: [files] holds, per logical file in replay order,
+    its path in every replica directory, primary first. Callers must
+    ensure no live writer holds the files open ({!Surface.scrub} parks
+    its writer around the pass). *)
 
 val report_text : home_report -> string
 (** One surface's pass as [converged=… repaired=… recreated=…

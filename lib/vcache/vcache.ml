@@ -11,10 +11,9 @@ module Formula = Homeguard_solver.Formula
 module Store = Homeguard_solver.Store
 module Domain = Homeguard_solver.Domain
 module Fault = Homeguard_solver.Fault
-module Journal = Homeguard_store.Journal
 module Rjournal = Homeguard_store.Rjournal
 module Fence = Homeguard_store.Fence
-module Scrub = Homeguard_store.Scrub
+module Surface = Homeguard_store.Surface
 
 (* -- entries --------------------------------------------------------------- *)
 
@@ -101,11 +100,10 @@ let counters_text c =
     c.pair_misses c.pair_inserts
 
 type store = {
-  dir : string;
-  dirs : string list;  (** primary first, then replica roots *)
-  fence_base : string;  (** fence-key namespace for this cache surface *)
-  mutable epoch : int;  (** latest ownership epoch granted on this store *)
-  fsync : bool;
+  surface : Surface.t;
+      (** the cache's files on every replica root; its writer stamps the
+          latest ownership epoch granted on this store *)
+  fence_base : string;  (** fence-key namespace: the primary directory *)
   max_entries : int;
   mutex : Mutex.t;
   table : (string, entry) Hashtbl.t;
@@ -122,7 +120,6 @@ type store = {
   key_parts : (string, key_part) Hashtbl.t;
       (** app-name → the app's L1 key part, memoized; see
           [app_key_part] *)
-  mutable journal : Rjournal.t option;
   mutable handles : handle list;
   mutable damage : int;  (** damaged/undecodable frames dropped on opens *)
 }
@@ -144,12 +141,6 @@ and handle = {
   h_counters : counters;
   h_store : store;
 }
-
-let snapshot_file = "cache.snapshot"
-let journal_file = "cache.journal"
-let cache_files = [ snapshot_file; journal_file ]
-let snap_paths st = List.map (fun d -> Filename.concat d snapshot_file) st.dirs
-let journal_paths st = List.map (fun d -> Filename.concat d journal_file) st.dirs
 
 (* Fence keys are per owner (shard slot), not per store: granting shard
    s2's replacement a fresh epoch must fence the wedged s2 zombie while
@@ -417,15 +408,14 @@ let fence_ok c ~fkey ~fepoch =
    crash may leave the record on a prefix of the replicas — scrub
    converges the set, and the merged reopen keeps the record. *)
 let journal_append_raw st c payload =
-  match st.journal with
-  | None -> false
-  | Some j -> (
-    try
-      Rjournal.append j payload;
-      true
-    with Fault.Crashed _ ->
-      (match c with Some c -> c.journal_drops <- c.journal_drops + 1 | None -> ());
-      false)
+  Surface.is_open st.surface
+  &&
+  try
+    Surface.append st.surface payload;
+    true
+  with Fault.Crashed _ ->
+    (match c with Some c -> c.journal_drops <- c.journal_drops + 1 | None -> ());
+    false
 
 let journal_append st c ~fkey ~fepoch payload =
   fence_ok c ~fkey ~fepoch && journal_append_raw st c payload
@@ -458,7 +448,7 @@ let sorted_keys st =
    the fence check is vacuous for the live store and exists to keep the
    every-durable-byte-is-fenced contract literal. *)
 let compact_locked st =
-  if fence_ok None ~fkey:st.fence_base ~fepoch:st.epoch then begin
+  if fence_ok None ~fkey:st.fence_base ~fepoch:(Surface.epoch st.surface) then begin
     Hashtbl.iter
       (fun k e -> match e with Unknown_e _ -> Hashtbl.remove st.table k | _ -> ())
       (Hashtbl.copy st.table);
@@ -466,11 +456,7 @@ let compact_locked st =
     let payloads =
       List.map (fun k -> enc_ins k (Hashtbl.find st.table k)) (sorted_keys st)
     in
-    Rjournal.write_atomic_all ~fsync:st.fsync ~epoch:st.epoch (snap_paths st) payloads;
-    (match st.journal with Some j -> Rjournal.close j | None -> ());
-    Rjournal.write_atomic_all ~fsync:st.fsync ~epoch:st.epoch (journal_paths st) [];
-    st.journal <-
-      Some (Rjournal.open_append ~fsync:st.fsync ~epoch:st.epoch (journal_paths st))
+    Surface.compact st.surface payloads
   end
 
 let compact st =
@@ -479,17 +465,12 @@ let compact st =
 
 (* -- lifecycle ------------------------------------------------------------- *)
 
-let open_store ?(fsync = true) ?(max_entries = 65536) ?(replicas = []) ?fence_key
-    ~dir () =
-  let dirs = dir :: replicas in
-  List.iter Rjournal.mkdirs dirs;
+let open_store ?(fsync = true) ?(max_entries = 65536) ?(replicas = []) ~dir () =
+  let surface = Surface.at ~fsync Surface.Cache (dir :: replicas) in
   let st =
     {
-      dir;
-      dirs;
-      fence_base = Option.value fence_key ~default:dir;
-      epoch = 0;
-      fsync;
+      surface;
+      fence_base = dir;
       max_entries;
       mutex = Mutex.create ();
       table = Hashtbl.create 1024;
@@ -498,7 +479,6 @@ let open_store ?(fsync = true) ?(max_entries = 65536) ?(replicas = []) ?fence_ke
       pair_table = Hashtbl.create 1024;
       pair_queue = Queue.create ();
       key_parts = Hashtbl.create 64;
-      journal = None;
       handles = [];
       damage = 0;
     }
@@ -506,45 +486,42 @@ let open_store ?(fsync = true) ?(max_entries = 65536) ?(replicas = []) ?fence_ke
   (* merged, read-repairing recovery over the replica set: every record
      that survived on at least one replica is replayed, every stale,
      damaged or missing replica is rewritten with the merged stream *)
+  let { Surface.snapshot; journal; floor } = Surface.recover surface in
   let undecodable = ref 0 in
-  let replay name =
-    let rec_ = Rjournal.recover ~fsync (List.map (fun d -> Filename.concat d name) dirs) in
+  let replay (r : Rjournal.recovery) =
     st.damage <-
-      st.damage + rec_.Rjournal.quarantined
+      st.damage + r.Rjournal.quarantined
       + List.length
           (List.filter
              (fun (r : Rjournal.replica_report) -> r.Rjournal.torn_bytes > 0)
-             rec_.Rjournal.replicas);
+             r.Rjournal.replicas);
     List.iter
       (fun payload ->
         try apply_record st payload
         with Exit ->
           incr undecodable;
           st.damage <- st.damage + 1)
-      rec_.Rjournal.recovered;
-    rec_.Rjournal.max_epoch
+      r.Rjournal.recovered
   in
-  let snap_epoch = replay snapshot_file in
-  let jour_epoch = replay journal_file in
+  replay snapshot;
+  replay journal;
   (* seed the fencing floor from the frames, as home recovery does:
      grants made on this store resume above anything ever written *)
-  st.epoch <- max snap_epoch jour_epoch;
-  ignore (Fence.acquire st.fence_base st.epoch);
+  ignore (Fence.acquire st.fence_base floor);
   prune_queue st;
-  evict_overflow st None ~fkey:st.fence_base ~fepoch:st.epoch;
+  (* the writer is still parked, so overflow evicted here is not
+     journaled *)
+  evict_overflow st None ~fkey:st.fence_base ~fepoch:floor;
+  Surface.open_writer surface ~epoch:floor;
   if !undecodable > 0 then
     (* a frame that decodes to no entry can never be served: drop it
        durably by folding the decoded table into a fresh snapshot *)
-    compact_locked st
-  else
-    st.journal <-
-      Some (Rjournal.open_append ~fsync ~epoch:st.epoch (journal_paths st));
+    compact_locked st;
   st
 
 let close_store st =
   Mutex.lock st.mutex;
-  (match st.journal with Some j -> Rjournal.close j | None -> ());
-  st.journal <- None;
+  Surface.close st.surface;
   Mutex.unlock st.mutex
 
 (** Anti-entropy pass over the cache's replica set, frame-level like any
@@ -557,13 +534,7 @@ let scrub st =
   Mutex.lock st.mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock st.mutex)
-    (fun () ->
-      (match st.journal with Some j -> Rjournal.close j | None -> ());
-      st.journal <- None;
-      let report = Scrub.scrub_home ~fsync:st.fsync ~files:cache_files st.dirs in
-      st.journal <-
-        Some (Rjournal.open_append ~fsync:st.fsync ~epoch:st.epoch (journal_paths st));
-      report)
+    (fun () -> Surface.scrub st.surface)
 
 let entries st =
   Mutex.lock st.mutex;
@@ -601,13 +572,11 @@ let verdict_kind st key =
    later frames carry the grant. *)
 let attach st ~owner =
   Mutex.lock st.mutex;
-  st.epoch <- st.epoch + 1;
-  ignore (Fence.acquire st.fence_base st.epoch);
+  let epoch = Surface.epoch st.surface + 1 in
+  ignore (Fence.acquire st.fence_base epoch);
   let fkey = owner_key st owner in
-  let fepoch = Fence.acquire fkey st.epoch in
-  (match st.journal with Some j -> Rjournal.close j | None -> ());
-  st.journal <-
-    Some (Rjournal.open_append ~fsync:st.fsync ~epoch:st.epoch (journal_paths st));
+  let fepoch = Fence.acquire fkey epoch in
+  Surface.open_writer st.surface ~epoch;
   let h =
     {
       h_owner = owner;

@@ -1,9 +1,9 @@
 (** Fleet-shared persistent verdict cache (DESIGN.md §14, §16).
 
-    One {!store} per fleet, backed by a CRC-framed append-only journal
-    ([cache.journal]) plus a compacted snapshot ([cache.snapshot]),
-    replicated across [~replicas] roots and fenced by ownership epochs
-    — the same durability contract as home journals. Opening runs the
+    One {!store} per fleet, backed by a {!Homeguard_store.Surface} of
+    kind [Cache]: a CRC-framed append-only journal plus a compacted
+    snapshot, replicated across [~replicas] roots and fenced by
+    ownership epochs — the same durable surface as a home. Opening runs the
     merged read-repairing recovery over the replica set (every record
     that survived anywhere is replayed; torn or corrupt frames are
     quarantined, never served); every durable append passes a
@@ -67,25 +67,21 @@ val zero_counters : unit -> counters
 
 (** {2 Store lifecycle} *)
 
-val cache_files : string list
-(** The cache's files in each replica directory, in the order recovery
-    replays them: [["cache.snapshot"; "cache.journal"]]. *)
-
 val open_store :
   ?fsync:bool ->
   ?max_entries:int ->
   ?replicas:string list ->
-  ?fence_key:string ->
   dir:string ->
   unit ->
   store
 (** Open (creating if needed) the cache rooted at [dir] plus the extra
     [~replicas] roots, running the merged read-repairing recovery over
-    [cache.snapshot] then [cache.journal] across the whole set: every
-    record that survived on at least one replica is replayed, and every
-    stale, damaged or missing replica is rewritten with the merged
-    stream. The fencing floor re-seeds from the highest epoch stamped
-    on any frame, under [~fence_key] (default [dir]). [max_entries]
+    the snapshot then the journal across the whole set
+    ({!Homeguard_store.Surface.recover}): every record that survived on
+    at least one replica is replayed, and every stale, damaged or
+    missing replica is rewritten with the merged stream. The fencing
+    floor re-seeds from the highest epoch stamped on any frame, under
+    [dir]. [max_entries]
     (default 65536) bounds the table; overflow evicts oldest-first. *)
 
 val close_store : store -> unit

@@ -17,6 +17,7 @@ module Home = Homeguard_store.Home
 module Fence = Homeguard_store.Fence
 module Scrub = Homeguard_store.Scrub
 module Journal = Homeguard_store.Journal
+module Surface = Homeguard_store.Surface
 module Policy = Homeguard_handling.Policy
 module Fault = Homeguard_solver.Fault
 module Repro = Homeguard_fleet.Repro
@@ -808,9 +809,7 @@ let cache_scrub_patches_frames =
       check_frame_repair "probe-filled store"
         (Filename.concat replica "cache.journal")
         (fun () ->
-          Scrub.scrub_home ~fsync:false
-            ~files:[ "cache.snapshot"; "cache.journal" ]
-            [ primary; replica ]))
+          Surface.scrub (Surface.at ~fsync:false Surface.Cache [ primary; replica ])))
 
 (* -- repros and the shrinker --------------------------------------------------- *)
 

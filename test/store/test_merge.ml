@@ -4,7 +4,7 @@
     interior frames, duplicate payloads, damage on several replicas,
     three replicas, empty and missing replicas), plus an allocation
     guard for the identical-replica case. Then {!Rjournal.recover} and
-    {!Scrub.scrub_home}, which scan each distinct replica image once,
+    {!Surface.scrub}, which scan each distinct replica image once,
     against references that read and scan every replica separately, on
     generated replica files: the reports and every file left on disk,
     sidecars included, must match. *)
@@ -12,6 +12,7 @@
 module Rjournal = Homeguard_store.Rjournal
 module Journal = Homeguard_store.Journal
 module Scrub = Homeguard_store.Scrub
+module Surface = Homeguard_store.Surface
 
 let test name f = Alcotest.test_case name `Quick f
 
@@ -408,8 +409,7 @@ let reference_scrub files dirs =
   let all_same = function [] -> true | d :: ds -> List.for_all (( = ) d) ds in
   if all_same digests && not (List.exists (fun sc -> sc.Journal.damage <> []) scans) then
     {
-      Scrub.dirs;
-      healthy = true;
+      Scrub.healthy = true;
       converged = true;
       digest = List.hd digests;
       repaired_replicas = 0;
@@ -426,8 +426,7 @@ let reference_scrub files dirs =
     let sum f = List.fold_left (fun a r -> a + f r) 0 repairs in
     let digests = List.map (reference_dir_digest files) dirs in
     {
-      Scrub.dirs;
-      healthy = false;
+      Scrub.healthy = false;
       converged = all_same digests;
       digest = List.hd digests;
       repaired_replicas = sum (fun (x, _, _, _, _, _, _, _) -> x);
@@ -607,9 +606,9 @@ let scrub_agrees =
                   set)
               files sets)
           [ a; b ];
-        let got = Scrub.scrub_home ~fsync:false ~files (dirs a) in
+        let got = Surface.scrub (Surface.at ~fsync:false Surface.Home (dirs a)) in
         let want = reference_scrub files (dirs b) in
-        if { got with dirs = [] } <> { want with dirs = [] } then
+        if got <> want then
           Alcotest.failf "case %d: scrub reports differ" case;
         if tree a <> tree b then Alcotest.failf "case %d: files on disk differ" case
       done;

@@ -16,6 +16,7 @@ module Scrub = Homeguard_store.Scrub
 module Event = Homeguard_store.Event
 module Ingest = Homeguard_store.Ingest
 module Home = Homeguard_store.Home
+module Surface = Homeguard_store.Surface
 module Synth = Homeguard_corpus.Synth
 module App_entry = Homeguard_corpus.App_entry
 module Fault = Homeguard_solver.Fault
@@ -207,17 +208,20 @@ let recover_rewrites_and_quarantines =
       let off = String.length (Journal.frame "alpha") + Journal.header_len in
       Bytes.set b off '?';
       write_file path (Bytes.to_string b);
-      let r = Journal.recover path in
-      check_int "quarantined" 1 r.Journal.quarantined;
-      check_int "torn bytes" 9 r.Journal.torn_bytes;
-      check_bool "rewritten" true r.Journal.rewritten;
+      let rewritten (r : Rjournal.recovery) =
+        List.exists (fun (p : Rjournal.replica_report) -> p.Rjournal.repaired) r.Rjournal.replicas
+      in
+      let r = Rjournal.recover [ path ] in
+      check_int "quarantined" 1 r.Rjournal.quarantined;
+      check_int "torn bytes" 9 r.Rjournal.torn_bytes;
+      check_bool "rewritten" true (rewritten r);
       check_bool "sidecar exists" true (Sys.file_exists (path ^ ".quarantine"));
       let sc = Journal.scan path in
       check_bool "clean after rewrite" true (sc.Journal.damage = []);
-      check_bool "survivors" true (sc.Journal.records = r.Journal.recovered);
+      check_bool "survivors" true (sc.Journal.records = r.Rjournal.recovered);
       (* recovering a clean journal is a no-op *)
-      let r2 = Journal.recover path in
-      check_bool "idempotent" true (not r2.Journal.rewritten))
+      let r2 = Rjournal.recover [ path ] in
+      check_bool "idempotent" true (not (rewritten r2)))
 
 let scan_spans_are_the_frames =
   test "each valid record's span is its exact frame in the scanned bytes" (fun () ->
@@ -646,8 +650,9 @@ let surfaced_corruption_counts_corrupt_only =
         [ region `Corrupt 0 "## kind=torn"; region `Corrupt 7 "" ];
       Journal.quarantine_damage (Filename.concat replica "journal")
         [ region `Torn 3 "kind=corrupt"; region `Corrupt 5 "y" ];
-      check_int "primary only" 3 (Home.surfaced_corruption ~dir ());
-      check_int "with the replica" 4 (Home.surfaced_corruption ~replicas:[ replica ] ~dir ()))
+      let regions dirs = Surface.corrupt_regions (Surface.at Surface.Home dirs) in
+      check_int "primary only" 3 (List.fold_left ( + ) 0 (regions [ dir ]));
+      check_int "with the replica" 4 (List.fold_left ( + ) 0 (regions [ dir; replica ])))
 
 let home_uninstall_and_update =
   test "uninstall and rule-file updates survive reopen" (fun () ->
@@ -676,11 +681,11 @@ let compaction_preserves_state =
       let home, _ = Home.open_ ~dir () in
       workload home;
       let before = Home.audit_text home in
-      let jsize = Home.journal_size home in
-      check_bool "journal non-empty before" true (jsize > 0);
+      let sizes () = Surface.sizes (Home.surface home) in
+      check_bool "journal non-empty before" true (snd (sizes ()) > 0);
       Home.compact home;
-      check_int "journal truncated" 0 (Home.journal_size home);
-      check_bool "snapshot written" true (Home.snapshot_size home > 0);
+      check_int "journal truncated" 0 (snd (sizes ()));
+      check_bool "snapshot written" true (fst (sizes ()) > 0);
       check_string "audit unchanged" before (Home.audit_text home);
       Home.close home;
       let home, r = Home.open_ ~dir () in
@@ -919,7 +924,8 @@ let scrub_repairs_and_audit_is_identical =
       let b = Bytes.of_string (read_file jp) in
       Bytes.set b (Bytes.length b - 2) '#';
       write_file jp (Bytes.to_string b);
-      let r = Scrub.scrub_home ~files:Home.home_files [ dir; rdir ] in
+      let scrub () = Surface.scrub (Surface.at Surface.Home [ dir; rdir ]) in
+      let r = scrub () in
       check_bool "not healthy before repair" true (not r.Scrub.healthy);
       check_bool "converged after repair" true r.Scrub.converged;
       check_int "corrupt frame quarantined" 1 r.Scrub.frames_quarantined;
@@ -928,7 +934,7 @@ let scrub_repairs_and_audit_is_identical =
       check_bool "records healed across the set" true (r.Scrub.records_healed > 0);
       (* a second pass finds a healthy, converged home and rewrites
          nothing *)
-      let r2 = Scrub.scrub_home ~files:Home.home_files [ dir; rdir ] in
+      let r2 = scrub () in
       check_bool "idempotent" true (r2.Scrub.healthy && r2.Scrub.converged);
       check_string "digest stable" r.Scrub.digest r2.Scrub.digest;
       (* the repaired home re-audits byte-identically to the undamaged
@@ -1081,7 +1087,7 @@ let replication_is_transparent =
         (* each home's journals, primary first *)
         let journals home =
           List.filter Sys.file_exists
-            (List.map (fun d -> Filename.concat d "journal") (Home.replica_dirs home))
+            (List.map (fun d -> Filename.concat d "journal") (Surface.dirs (Home.surface home)))
         in
         let sizes () =
           List.concat_map
@@ -1126,18 +1132,18 @@ let fixture_recovers =
           [ "fixtures/corrupted.journal"; "test/store/fixtures/corrupted.journal" ]
       in
       write_file path (read_file fixture);
-      let r = Journal.recover path in
-      check_int "three records survive" 3 (List.length r.Journal.recovered);
-      check_int "one quarantined" 1 r.Journal.quarantined;
-      check_int "torn bytes" 17 r.Journal.torn_bytes;
-      check_bool "damage index" true (r.Journal.damage_index = Some 2);
+      let r = Rjournal.recover [ path ] in
+      check_int "three records survive" 3 (List.length r.Rjournal.recovered);
+      check_int "one quarantined" 1 r.Rjournal.quarantined;
+      check_int "torn bytes" 17 r.Rjournal.torn_bytes;
+      check_bool "damage index" true (r.Rjournal.damage_index = Some 2);
       (* the surviving records are decodable config events *)
       List.iter
         (fun p ->
           match Event.of_string p with
           | Event.Config _ -> ()
           | _ -> Alcotest.fail "expected a config event")
-        r.Journal.recovered;
+        r.Rjournal.recovered;
       (* and a Home opens over the recovered directory *)
       let home, hr = Home.open_ ~dir () in
       check_int "watermark from configs" 4 (Home.last_seq home);
