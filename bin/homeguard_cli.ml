@@ -940,31 +940,35 @@ let fleet_chaos_cmd =
              (Printf.sprintf "homeguard-chaos-%d" (Unix.getpid ()))
     in
     match replay with
-    | Some path ->
+    | Some path -> (
       (* replay a checked-in repro; the two regression directions are
          "still reproduces as recorded" (default) and "the fix holds
          under enforcement" (--enforce-fence) *)
-      let repro = Chaos_repro.load ~path in
-      let report =
-        Chaos_repro.replay
-          ?enforce_fence:(if enforce_fence then Some true else None)
-          repro ~dir
-      in
-      print_string (Chaos.render report);
-      if enforce_fence then begin
-        Printf.printf "replay (fence enforced): campaign %s — fix %s\n"
-          (if Chaos.passed report then "passed" else "FAILED")
-          (if Chaos.passed report then "holds" else "REGRESSED");
-        if Chaos.passed report then 0 else 1
-      end
-      else begin
-        let live = Chaos_repro.reproduces report repro in
-        Printf.printf "replay (as recorded): invariant %s %s\n"
-          repro.Chaos_repro.invariant
-          (if live then "still violated — repro reproduces"
-           else "NOT violated — repro went stale");
-        if live then 0 else 1
-      end
+      match Chaos_repro.load ~path with
+      | exception (Failure msg | Sys_error msg) ->
+        Printf.eprintf "error: %s\n" msg;
+        1
+      | repro ->
+        let report =
+          Chaos_repro.replay
+            ?enforce_fence:(if enforce_fence then Some true else None)
+            repro ~dir
+        in
+        print_string (Chaos.render report);
+        if enforce_fence then begin
+          Printf.printf "replay (fence enforced): campaign %s — fix %s\n"
+            (if Chaos.passed report then "passed" else "FAILED")
+            (if Chaos.passed report then "holds" else "REGRESSED");
+          if Chaos.passed report then 0 else 1
+        end
+        else begin
+          let live = Chaos_repro.reproduces report repro in
+          Printf.printf "replay (as recorded): invariant %s %s\n"
+            repro.Chaos_repro.invariant
+            (if live then "still violated — repro reproduces"
+             else "NOT violated — repro went stale");
+          if live then 0 else 1
+        end)
     | None ->
       let base = if smoke then Chaos.smoke_config else Chaos.default_config in
       let config =
@@ -1058,7 +1062,8 @@ let fleet_chaos_cmd =
              run its recorded config, fault events and fence setting, and exit \
              0 when the recorded invariant is still violated (the repro \
              reproduces). With $(b,--enforce-fence), exit 0 when the campaign \
-             passes instead (the fix holds).")
+             passes instead (the fix holds). A repro that does not parse exits \
+             1 with the parser's line-numbered error.")
   in
   let enforce_fence_arg =
     Arg.(

@@ -88,6 +88,19 @@ let int_field line m k =
   | Some n -> n
   | None -> fail "repro line %d: field %s is not an integer" line k
 
+(* Event fields index shards, homes, replicas and files, and seed byte
+   offsets: a negative one would reach array indexing and [lseek]. *)
+let nat_field line m k =
+  let n = int_field line m k in
+  if n < 0 then fail "repro line %d: field %s is negative" line k;
+  n
+
+(* the counts [Chaos.run] and [Supervisor.create] require positive *)
+let count_field line m k =
+  let n = int_field line m k in
+  if n < 1 then fail "repro line %d: field %s must be at least 1" line k;
+  n
+
 let float_field line m k =
   match float_of_string_opt (field line m k) with
   | Some f -> f
@@ -101,11 +114,12 @@ let bool_field line m k =
 let parse_config line toks =
   let m = List.map (kv line) toks in
   let i = int_field line m and f = float_field line m and b = bool_field line m in
+  let count = count_field line m in
   {
     Chaos.seed = i "seed";
-    shards = i "shards";
-    homes = i "homes";
-    steps = i "steps";
+    shards = count "shards";
+    homes = count "homes";
+    steps = count "steps";
     step_ms = f "step-ms";
     forced_kills = i "forced-kills";
     kill_per_thousand = i "kill";
@@ -113,7 +127,7 @@ let parse_config line toks =
     fault_window_per_thousand = i "fault-window";
     audit_per_thousand = i "audit";
     vcache = b "vcache";
-    replicas = i "replicas";
+    replicas = count "replicas";
     replica_loss_per_thousand = i "replica-loss";
     replica_corrupt_per_thousand = i "replica-corrupt";
     cache_loss_per_thousand = i "cache-loss";
@@ -128,12 +142,13 @@ let parse_event line toks =
       match kv line at_tok with
       | "at", v -> (
         match int_of_string_opt v with
-        | Some n -> n
+        | Some n when n >= 0 -> n
+        | Some _ -> fail "repro line %d: field at is negative" line
         | None -> fail "repro line %d: at=%S is not an integer" line v)
       | k, _ -> fail "repro line %d: expected at=<step>, got %s" line k
     in
     let m = List.map (kv line) rest in
-    let i = int_field line m in
+    let i = nat_field line m in
     let ev =
       match name with
       | "kill" -> Chaos.Kill { victim = i "victim" }

@@ -26,7 +26,10 @@ type t = {
 val to_text : t -> string
 val of_text : string -> t
 (** Raises [Failure] with a line-precise message on any malformed or
-    version-mismatched input. [of_text (to_text t) = t]. *)
+    version-mismatched input, on a negative event field, and on a
+    [shards], [homes], [steps] or [replicas] count below 1 — so every
+    repro it returns can be replayed. It raises nothing else, whatever
+    the bytes. [of_text (to_text t) = t]. *)
 
 val save : t -> path:string -> unit
 val load : path:string -> t

@@ -909,6 +909,163 @@ let checked_in_repros_replay =
             (Chaos.passed fixed))
         [ "split-brain-home-journal.repro"; "split-brain-vcache.repro" ])
 
+let read_repro name =
+  let ic = open_in_bin (Filename.concat "repros" name) in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let repro_names = [ "split-brain-home-journal.repro"; "split-brain-vcache.repro" ]
+
+let rejects_with text msg =
+  match Repro.of_text text with
+  | _ -> Alcotest.failf "accepted, expected %S" msg
+  | exception Failure got -> Alcotest.(check string) "parser error" msg got
+
+(* A negative event field reached [Supervisor.kill]'s array index (and
+   [List.nth], [lseek]) and ended the replay in an uncaught
+   Invalid_argument; a zero count failed [Chaos.run]'s argument check
+   the same way. The parser rejects both, on the offending line. *)
+let repro_rejects_negative_fields =
+  test "repro parser rejects negative event fields and zero counts" (fun () ->
+      let home = read_repro "split-brain-home-journal.repro" in
+      rejects_with (home ^ "event at=3 kill victim=-1\n")
+        "repro line 6: field victim is negative";
+      List.iter
+        (fun (event, field) ->
+          rejects_with
+            (home ^ "event at=3 " ^ event ^ "\n")
+            (Printf.sprintf "repro line 6: field %s is negative" field))
+        [
+          ("stall victim=-2", "victim");
+          ("split-brain victim=-1", "victim");
+          ("storage-window mode=-1 salt=4", "mode");
+          ("storage-window mode=1 salt=-4", "salt");
+          ("replica-destroy home=-1 replica=0", "home");
+          ("replica-destroy home=1 replica=-1", "replica");
+          ("replica-corrupt home=1 replica=0 file=-1 salt=3", "file");
+          ("replica-corrupt home=1 replica=0 file=1 salt=-3", "salt");
+          ("cache-destroy replica=-1", "replica");
+          ("cache-corrupt replica=0 file=0 salt=-9", "salt");
+          ("kill victim=-0x1", "victim");
+        ];
+      rejects_with (home ^ "event at=-3 kill victim=1\n")
+        "repro line 6: field at is negative";
+      let lines = String.split_on_char '\n' home in
+      let config = List.nth lines 3 in
+      List.iter
+        (fun field ->
+          let zero =
+            String.concat " "
+              (List.map
+                 (fun tok ->
+                   if String.starts_with ~prefix:(field ^ "=") tok then field ^ "=0" else tok)
+                 (String.split_on_char ' ' config))
+          in
+          rejects_with
+            (String.concat "\n" (List.map (fun l -> if l == config then zero else l) lines))
+            (Printf.sprintf "repro line 4: field %s must be at least 1" field))
+        [ "shards"; "homes"; "steps"; "replicas" ])
+
+(* Every repro [of_text] accepts can be replayed: event fields index
+   nothing out of range and the counts are positive. *)
+let replayable (t : Repro.t) =
+  let c = t.Repro.config in
+  c.Chaos.shards >= 1 && c.Chaos.homes >= 1 && c.Chaos.steps >= 1 && c.Chaos.replicas >= 1
+  && List.for_all
+       (fun { Chaos.at; ev } ->
+         at >= 0
+         && List.for_all
+              (fun n -> n >= 0)
+              (match ev with
+              | Chaos.Kill { victim } | Chaos.Stall { victim } | Chaos.Split_brain { victim } ->
+                [ victim ]
+              | Chaos.Storage_window { mode; salt } -> [ mode; salt ]
+              | Chaos.Replica_destroy { home; replica } -> [ home; replica ]
+              | Chaos.Replica_corrupt { home; replica; file; salt } ->
+                [ home; replica; file; salt ]
+              | Chaos.Cache_destroy { replica } -> [ replica ]
+              | Chaos.Cache_corrupt { replica; file; salt } -> [ replica; file; salt ]))
+       t.Repro.schedule
+
+(* The totality law: [of_text] returns a replayable repro or raises
+   [Failure], whatever the bytes. *)
+let total text =
+  match Repro.of_text text with
+  | t -> replayable t
+  | exception Failure _ -> true
+  | exception e ->
+    Printf.eprintf "of_text raised %s on %S\n" (Printexc.to_string e) text;
+    false
+
+let prop_repro_bytes_total =
+  QCheck.Test.make ~count:1000 ~name:"repro parsing is total on arbitrary bytes"
+    QCheck.(string_gen_of_size (Gen.int_range 0 512) Gen.char)
+    total
+
+(* Splices of the format's own lines and tokens reach past the version
+   check, which arbitrary bytes almost never do. *)
+let prop_repro_splices_total =
+  let tokens =
+    [|
+      "hg-chaos-repro v1"; "\n"; " "; "="; "#"; "invariant"; "fence-enforced";
+      "config"; "event"; "at=3"; "at=-1"; "kill"; "stall"; "storage-window";
+      "replica-destroy"; "replica-corrupt"; "cache-destroy"; "cache-corrupt";
+      "split-brain"; "victim=1"; "victim=-1"; "home=-2"; "replica=0"; "file=1";
+      "mode=-3"; "salt=7"; "seed=1"; "shards=0"; "homes=2"; "steps=-5";
+      "replicas=0"; "step-ms=nan"; "vcache=maybe"; "true"; "false"; "x=";
+      "=y"; "\xff"; "\x00"; "99999999999999999999";
+    |]
+  in
+  QCheck.Test.make ~count:1000 ~name:"repro parsing is total on token splices"
+    QCheck.(
+      make ~print:(Printf.sprintf "%S")
+        Gen.(list_size (int_range 0 60) (oneofa tokens) >|= String.concat ""))
+    total
+
+(* Every single-line deletion and every single-token mutation of the
+   checked-in repros. *)
+let repro_mutations_total =
+  test "repro parsing is total on line deletions and token mutations" (fun () ->
+      let mutants tok =
+        let key, value =
+          match String.index_opt tok '=' with
+          | Some i -> (String.sub tok 0 (i + 1), String.sub tok (i + 1) (String.length tok - i - 1))
+          | None -> (tok, "")
+        in
+        [ ""; "="; "x"; "-1"; tok ^ tok; key; "=" ^ value ]
+        @ List.map (fun v -> key ^ v)
+            [ "-1"; "0"; "-0"; "1"; "x"; ""; "nan"; "inf"; "99999999999999999999"; "0x7"; "1_0" ]
+      in
+      let cases = ref 0 and violations = ref 0 in
+      let check text =
+        incr cases;
+        if not (total text) then incr violations
+      in
+      List.iter
+        (fun name ->
+          let lines = String.split_on_char '\n' (read_repro name) in
+          List.iteri
+            (fun i line ->
+              check (String.concat "\n" (List.filteri (fun j _ -> j <> i) lines));
+              let toks = String.split_on_char ' ' line in
+              List.iteri
+                (fun k tok ->
+                  List.iter
+                    (fun m ->
+                      let line' =
+                        String.concat " " (List.mapi (fun j t -> if j = k then m else t) toks)
+                      in
+                      check
+                        (String.concat "\n"
+                           (List.mapi (fun j l -> if j = i then line' else l) lines)))
+                    (mutants tok))
+                toks)
+            lines)
+        repro_names;
+      check_bool "hundreds of mutants" true (!cases > 500);
+      check_int "no uncaught exception, no unreplayable repro" 0 !violations)
+
 (* -- synthetic homes ---------------------------------------------------------- *)
 
 let synth_deterministic =
@@ -1064,6 +1221,10 @@ let () =
           repro_round_trip;
           chaos_shrinker_minimizes_fence_bug;
           checked_in_repros_replay;
+          repro_rejects_negative_fields;
+          repro_mutations_total;
+          QCheck_alcotest.to_alcotest ~long:false prop_repro_bytes_total;
+          QCheck_alcotest.to_alcotest ~long:false prop_repro_splices_total;
         ] );
       ("synth", [ synth_deterministic; synth_bounds ]);
       ( "layout",

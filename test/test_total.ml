@@ -4,7 +4,9 @@
     {!Extract.Extraction_error}, never an uncaught exception. This is
     the serving layer's first line of defence: a poison app must fail
     {e cleanly} so it can be counted, quarantined and refused, not
-    crash the process that was auditing it. *)
+    crash the process that was auditing it. The decoders of what the
+    store reads back from disk — JSON payloads and journal frames — are
+    held to the same law. *)
 
 module Extract = Homeguard_symexec.Extract
 
@@ -194,6 +196,103 @@ let prop_print_parse_fixpoint =
       let s = Json.to_string v in
       match Json.of_string s with Ok v' -> Json.to_string v' = s | Error _ -> false)
 
+(* -- journal frames ------------------------------------------------------------ *)
+
+(* Journal images are untrusted once they are on disk: a scan of any
+   bytes returns, and a clean stream of frames scans back to exactly
+   what was framed. *)
+module Journal = Homeguard_store.Journal
+
+let scan_total img =
+  match Journal.scan_string img with
+  | _ -> true
+  | exception e ->
+    Printf.eprintf "scan_string raised on %S: %s\n" img (Printexc.to_string e);
+    false
+
+(* Payloads hold any byte, and often the resynchronization markers a
+   scan looks for after damage. *)
+let gen_payload =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, string_size ~gen:char (int_bound 40));
+        ( 2,
+          map3
+            (fun a m b -> a ^ m ^ b)
+            (string_size ~gen:char (int_bound 8))
+            (oneofl [ "\nHGJ1 "; "\nHGJ2 "; "HGJ1 "; "\nHGJ2 00000001 "; "\n" ])
+            (string_size ~gen:char (int_bound 8)) );
+      ])
+
+(* A clean stream: payloads at one epoch, 0 (the legacy HGJ1 form) or
+   positive (HGJ2). *)
+let gen_stream =
+  QCheck.Gen.(
+    pair (list_size (int_bound 12) gen_payload)
+      (frequency [ (1, return 0); (2, int_range 1 0x7fffffff) ]))
+
+let print_stream (payloads, epoch) =
+  Printf.sprintf "epoch %d: [%s]" epoch
+    (String.concat "; " (List.map (Printf.sprintf "%S") payloads))
+
+let image (payloads, epoch) =
+  String.concat "" (List.map (Journal.frame_epoch ~epoch) payloads)
+
+let prop_journal_bytes_total =
+  QCheck.Test.make ~count:1000 ~name:"journal scanning is total on arbitrary bytes"
+    QCheck.(string_gen_of_size (Gen.int_range 0 512) Gen.char)
+    scan_total
+
+(* Flipped, inserted and truncated bytes of a clean stream: the frame
+   headers a scan half-trusts are where raising would hide. *)
+let prop_journal_damage_total =
+  let gen =
+    QCheck.Gen.(
+      gen_stream >>= fun stream ->
+      let img = image stream in
+      list_size (int_range 1 6)
+        (triple (int_bound 2) (int_bound (max 0 (String.length img))) char)
+      >|= fun edits ->
+      List.fold_left
+        (fun img (kind, at, c) ->
+          let at = min at (String.length img) in
+          match kind with
+          | 0 when at < String.length img ->
+            String.mapi (fun i x -> if i = at then Char.chr (Char.code x lxor Char.code c) else x) img
+          | 1 -> String.sub img 0 at ^ String.make 1 c ^ String.sub img at (String.length img - at)
+          | _ -> String.sub img 0 at)
+        img edits)
+  in
+  QCheck.Test.make ~count:1000 ~name:"journal scanning is total on damaged frame streams"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    scan_total
+
+let prop_journal_round_trip =
+  QCheck.Test.make ~count:1000 ~name:"a clean frame stream scans back to its payloads"
+    (QCheck.make ~print:print_stream gen_stream)
+    (fun ((payloads, epoch) as stream) ->
+      let sc = Journal.scan_string (image stream) in
+      sc.Journal.records = payloads
+      && sc.Journal.damage = []
+      && sc.Journal.first_damage_index = None
+      && List.for_all (( = ) epoch) sc.Journal.epochs
+      && sc.Journal.max_epoch = (if payloads = [] then 0 else epoch)
+      && sc.Journal.epoch_regressions = 0)
+
+let prop_journal_spans_reframe =
+  QCheck.Test.make ~count:1000 ~name:"each scanned span re-frames to its own bytes"
+    (QCheck.make ~print:print_stream gen_stream)
+    (fun stream ->
+      let img = image stream in
+      let sc = Journal.scan_string img in
+      List.length sc.Journal.spans = List.length sc.Journal.records
+      && List.for_all2
+           (fun (record, epoch) (off, len) ->
+             String.sub img off len = Journal.frame_epoch ~epoch record)
+           (List.combine sc.Journal.records sc.Journal.epochs)
+           sc.Journal.spans)
+
 let tests =
   [
     QCheck_alcotest.to_alcotest ~long:false prop_raw_bytes_total;
@@ -203,4 +302,8 @@ let tests =
     QCheck_alcotest.to_alcotest ~long:false prop_json_raw_bytes_total;
     mutated_payloads_total;
     QCheck_alcotest.to_alcotest ~long:false prop_print_parse_fixpoint;
+    QCheck_alcotest.to_alcotest ~long:false prop_journal_bytes_total;
+    QCheck_alcotest.to_alcotest ~long:false prop_journal_damage_total;
+    QCheck_alcotest.to_alcotest ~long:false prop_journal_round_trip;
+    QCheck_alcotest.to_alcotest ~long:false prop_journal_spans_reframe;
   ]
