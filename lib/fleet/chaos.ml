@@ -488,7 +488,8 @@ let destroy_replica surface ~replica =
 (* Flip one byte in one replica file of a surface — bit rot. May hit
    the primary: read-repair must heal whichever copy is damaged. *)
 let corrupt_replica surface ~replica ~file ~salt =
-  let files = Surface.replica_files surface (replica mod List.length (Surface.dirs surface)) in
+  let n = List.length (Surface.dirs surface) in
+  let files = Surface.replica_files surface (replica mod n) in
   flip_byte (List.nth files (file mod List.length files)) ~salt
 
 let home_surface c home =
@@ -498,8 +499,8 @@ let home_surface c home =
 (* The verdict cache is a durable surface like any home, so it takes
    the same damage: destruction spares the primary, corruption does
    not. *)
-let cache_surface ~fleet_dir ~replicas =
-  Surface.at Surface.Cache (Shard.cache_dirs ~fleet_dir ~replicas)
+let cache_surface c =
+  Surface.at Surface.Cache (Shard.cache_dirs ~fleet_dir:c.dir ~replicas:c.cfg.replicas)
 
 (* Drive every wedged worker's handles once a successor epoch has been
    granted (the "revive after rebalance" moment): each journaling
@@ -588,14 +589,11 @@ let fire c ev =
     if corrupt_replica (home_surface c home) ~replica ~file ~salt then
       c.replicas_corrupted <- c.replicas_corrupted + 1
   | Cache_destroy { replica } ->
-    if c.cfg.vcache && destroy_replica (cache_surface ~fleet_dir:c.dir ~replicas:c.cfg.replicas) ~replica
-    then c.cache_destroyed <- c.cache_destroyed + 1
+    if c.cfg.vcache && destroy_replica (cache_surface c) ~replica then
+      c.cache_destroyed <- c.cache_destroyed + 1
   | Cache_corrupt { replica; file; salt } ->
-    if
-      c.cfg.vcache
-      && corrupt_replica (cache_surface ~fleet_dir:c.dir ~replicas:c.cfg.replicas)
-           ~replica ~file ~salt
-    then c.cache_corrupted <- c.cache_corrupted + 1
+    if c.cfg.vcache && corrupt_replica (cache_surface c) ~replica ~file ~salt then
+      c.cache_corrupted <- c.cache_corrupted + 1
   | Split_brain { victim } ->
     c.pending_splits <- c.pending_splits @ [ victim mod cfg.shards ]
 
@@ -711,7 +709,7 @@ let recover_home ~fleet_dir ~replicas ~campaign_damage id =
      written by that repair survives any number of restarts. Every
      replica directory must show corruption for the carve-out to hold. *)
   let sidecar_corruption =
-    List.for_all (fun n -> n > 0) (Surface.corrupt_regions (Surface.at Surface.Home dirs))
+    List.for_all (( < ) 0) (Surface.corrupt_regions (Surface.at Surface.Home dirs))
   in
   {
     r_installed;
@@ -748,7 +746,7 @@ let verify_cache c ~fleet_dir ~live ~totals ~cscrub ~cscrub2 =
   match (live, totals) with
   | None, _ | _, None -> []
   | Some live, Some (totals : Vcache.counters) ->
-    let cache = cache_surface ~fleet_dir ~replicas:c.cfg.replicas in
+    let cache = cache_surface c in
     (* durable stale-write evidence, scanned before any reopen rewrites
        the replica files *)
     let chaos_records =

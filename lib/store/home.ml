@@ -8,12 +8,12 @@
     operation in flight. {!open_} recovers through {!Surface.recover},
     which merges the replicas, truncates torn tails and quarantines
     corrupted records, then replays the snapshot and journal events in
-    order; install events
-    re-run the install-time detection ({!Install_flow.replay_install}:
-    the audit and the [Keep] step, without rendering a report), which
-    is deterministic, so the recovered state — rule
-    database, recorder bindings, allowed list, kept threats and hence
-    the compiled mediator — matches the pre-crash state exactly.
+    order; install events re-run the install-time detection
+    ({!Install_flow.replay_install}: the audit and the [Keep] step,
+    without rendering a report), which is deterministic, so the
+    recovered state — rule database, recorder bindings, allowed list,
+    kept threats and hence the compiled mediator — matches the
+    pre-crash state exactly.
 
     Replay is idempotent (duplicate installs, configs and decisions are
     absorbed), which makes the two windows a crash can leave behind —

@@ -76,7 +76,11 @@ val sizes : t -> int * int
 val corrupt_regions : t -> int list
 (** Per replica directory, primary first: the [kind=corrupt] regions
     recorded in both files' quarantine sidecars — durable evidence that a
-    past recovery or scrub quarantined a corrupted record. *)
+    past recovery or scrub quarantined a corrupted record. Torn-tail
+    regions do not count: a torn append raises before it is
+    acknowledged, so truncating it never loses acknowledged state, while
+    a corrupt record can. Unlike a recovery report, the count survives
+    any number of restarts. *)
 
 val epoch_regressions : t -> int
 (** Frames on any replica stamped below the running epoch maximum of
