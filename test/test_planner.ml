@@ -635,6 +635,51 @@ let witness_line (t : Threat.t) =
 let witness_digest threats =
   Digest.to_hex (Digest.string (String.concat "\n" (List.map witness_line threats)))
 
+(* -- synthetic-home pins ---------------------------------------------------------- *)
+
+(* Every threat line with its witness for synthetic homes under one
+   device relation: each home's full audit, then its apps installed one
+   by one, each install row against the apps before it. [home_setup]'s
+   recorded config is the online relation; the mixed one matches
+   devices offline but keeps the recorded values. *)
+let synth_lines relation =
+  List.concat_map
+    (fun (h : Homeguard_corpus.Synth.home) ->
+      let apps, online = home_setup h in
+      let config =
+        match relation with
+        | `Offline -> Detector.offline_config
+        | `Mixed ->
+          { Detector.offline_config with Detector.app_constraints = online.Detector.app_constraints }
+        | `Online -> online
+      in
+      let full = (Detector.audit_all (Detector.create config) apps).Detector.threats in
+      let rows =
+        List.concat
+          (List.mapi
+             (fun k app ->
+               let before = List.filteri (fun i _ -> i < k) apps in
+               (Detector.audit_new_app (Detector.create config) before app).Detector.threats)
+             apps)
+      in
+      List.map witness_line (full @ rows))
+    (Corpus.synth ~seed:29 ~n_homes:400)
+
+let synth_pins =
+  test "synth homes: threat and witness digests (offline, mixed, online; audits and installs)"
+    (fun () ->
+      List.iter
+        (fun (label, relation, count, digest) ->
+          let lines = synth_lines relation in
+          check_int (label ^ ": threat lines") count (List.length lines);
+          check_string (label ^ ": digest") digest
+            (Digest.to_hex (Digest.string (String.concat "\n" lines))))
+        [
+          ("offline", `Offline, 1521, "10a3a6a42cc3ebd61e555da1fcd206c8");
+          ("mixed", `Mixed, 1521, "710b05c3ac7ec8759291d97a0b9e1aa3");
+          ("online", `Online, 926, "499c5589cfbb5f018e3c26182758fc5a");
+        ])
+
 (* -- planned cells against on-the-fly detection ------------------------------- *)
 
 (* Each planned pair run alone through [audit_pairs] on a fresh ctx,
@@ -759,4 +804,5 @@ let tests =
     install_row_matches_reference;
     audit_pool_counters;
     planned_cells_match_on_the_fly;
+    synth_pins;
   ]
