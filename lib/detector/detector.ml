@@ -378,25 +378,33 @@ let view ctx ?unify s1 s2 same =
 let cell_ctx ctx ?unify (s1, s2) (same12, same21) =
   { fwd = view ctx ?unify s1 s2 same12; bwd = view ctx s2 s1 same21 }
 
-(* One rule pair ready to detect: its cell and both rules' facts. [cond]
-   is its conditions-overlap slot, which AR and both CT edges ask. A
-   plan's pairs keep [cond = None] and each detection runs on a copy, so
-   a plan asks the same solves every time it runs, on any domain. *)
+(* The solver-free tests each category's analysis begins with, answered
+   once per rule pair when it is planned: [fwd] is the first rule's
+   actions against the second rule, [bwd] the reverse. *)
+type gate = {
+  race : bool;  (** {!actions_race}: AR's test and SD/LT's race *)
+  goals : Env.t list;  (** {!conflicting_goal_pairs}: GC's test *)
+  trig_fwd : bool;  (** approximate {!action_triggers}: a CT edge's test *)
+  trig_bwd : bool;
+  fx_fwd : bool;  (** {!has_condition_effects}: EC/DC's test *)
+  fx_bwd : bool;
+}
+
+(* One rule pair ready to detect: its cell, both rules' facts and its
+   gate. [cond] is its conditions-overlap slot, which AR and both CT
+   edges ask. A plan's pairs keep [cond = None] and each detection runs
+   on a copy, so a plan asks the same solves every time it runs, on any
+   domain. *)
 type planned = {
   cell : cell_ctx;
   f1 : rule_facts;
   f2 : rule_facts;
+  gate : gate;
   mutable cond : Solver.verdict option;
 }
 
 let planned_rules pl =
   ((pl.cell.fwd.s1.app, pl.f1.rf_rule), (pl.cell.fwd.s2.app, pl.f2.rf_rule))
-
-(* A rule pair outside any plan: its cell context built on the fly. *)
-let plan_pair ctx ((app1, r1) : tagged_rule) ((app2, r2) : tagged_rule) =
-  let s1 = side ctx app1 and s2 = side ctx app2 in
-  let cell = cell_ctx ctx (s1, s2) (matcher ctx s1 s2, matcher ctx s2 s1) in
-  { cell; f1 = rule_facts s1 r1; f2 = rule_facts s2 r2; cond = None }
 
 (* The detectors' device question, sides derived on the fly. *)
 let same_device ctx app1 app2 = matcher ctx (side ctx app1) (side ctx app2)
@@ -570,7 +578,7 @@ let tagged v f1 f2 = ((v.s1.app, f1.rf_rule), (v.s2.app, f2.rf_rule))
 let ar ctx p =
   let v = p.cell.fwd in
   let r1 = p.f1.rf_rule and r2 = p.f2.rf_rule in
-  if actions_race v.same r1 r2 then begin
+  if p.gate.race then begin
     let t1, t2 = tagged v p.f1 p.f2 in
     let detail =
       Printf.sprintf "contradictory commands on the same actuator (%s vs %s)"
@@ -607,9 +615,9 @@ let conflicting_goal_pairs same_device f1 f2 =
    rule pair, so that answer needs no slot. *)
 let gc ctx p =
   let v = p.cell.fwd in
-  let goal_pairs = conflicting_goal_pairs v.same p.f1 p.f2 in
-  if goal_pairs = [] then []
-  else
+  match p.gate.goals with
+  | [] -> []
+  | goal_pairs ->
     let t1, t2 = tagged v p.f1 p.f2 in
     let detail =
       Printf.sprintf "actions with contradictory goals over %s"
@@ -725,9 +733,9 @@ let worst_severity s1 s2 = if Threat.is_undecided s1 then s1 else s2
 let trigger_interference ctx p =
   let t1, t2 = tagged p.cell.fwd p.f1 p.f2 in
   let r1 = p.f1.rf_rule and r2 = p.f2.rf_rule in
-  let e12 = ct_edge ctx p p.cell.fwd p.f1 p.f2 in
-  let e21 = ct_edge ctx p p.cell.bwd p.f2 p.f1 in
-  let ar_cand = actions_race p.cell.fwd.same r1 r2 in
+  let e12 = if p.gate.trig_fwd then ct_edge ctx p p.cell.fwd p.f1 p.f2 else None in
+  let e21 = if p.gate.trig_bwd then ct_edge ctx p p.cell.bwd p.f2 p.f1 else None in
+  let ar_cand = p.gate.race in
   let edge_threat cat pa pb (witness, severity, detail) =
     { (Threat.make cat pa pb ~severity detail) with Threat.witness }
   in
@@ -918,13 +926,51 @@ let condition_interference_dir ctx v back fa fb =
 
 let condition_interference ctx p =
   let { fwd; bwd } = p.cell in
-  condition_interference_dir ctx fwd bwd p.f1 p.f2
-  @ condition_interference_dir ctx bwd fwd p.f2 p.f1
+  (if p.gate.fx_fwd then condition_interference_dir ctx fwd bwd p.f1 p.f2 else [])
+  @ if p.gate.fx_bwd then condition_interference_dir ctx bwd fwd p.f2 p.f1 else []
 
 (* -- top level ------------------------------------------------------------- *)
 
 (* All seven categories of one rule pair, in report order. *)
 let detect ctx p = ar ctx p @ gc ctx p @ trigger_interference ctx p @ condition_interference ctx p
+
+(* -- pre-filter gates --------------------------------------------------------- *)
+
+(* The views the pre-filters read: sides and matchers, no unifier. *)
+let prefilter_views (s1, s2) (same12, same21) =
+  let rename _ = None in
+  ( { s1; s2; same = same12; rename; bindings = [] },
+    { s1 = s2; s2 = s1; same = same21; rename; bindings = [] } )
+
+(* The gate of one rule pair, given the app pair's views in both
+   directions; the trigger and condition tests read only each view's
+   sides and matcher. *)
+let facts_gate ctx (v12, v21) f1 f2 =
+  let may_trigger v fa fb =
+    List.exists (fun a -> action_triggers ~approx:true ctx v a fb <> None) fa.rf_actions
+  in
+  let has_condition_effects v fa fb =
+    List.exists (fun a -> has_condition_effects v.same a fb) fa.rf_actions
+  in
+  {
+    race = actions_race v12.same f1.rf_rule f2.rf_rule;
+    goals = conflicting_goal_pairs v12.same f1 f2;
+    trig_fwd = may_trigger v12 f1 f2;
+    trig_bwd = may_trigger v21 f2 f1;
+    fx_fwd = has_condition_effects v12 f1 f2;
+    fx_bwd = has_condition_effects v21 f2 f1;
+  }
+
+(* Could any category's analysis produce a threat? *)
+let gate_open g = g.race || g.goals <> [] || g.trig_fwd || g.trig_bwd || g.fx_fwd || g.fx_bwd
+
+(* A rule pair outside any plan: its cell context and gate built on the
+   fly. *)
+let plan_pair ctx ((app1, r1) : tagged_rule) ((app2, r2) : tagged_rule) =
+  let s1 = side ctx app1 and s2 = side ctx app2 in
+  let cell = cell_ctx ctx (s1, s2) (matcher ctx s1 s2, matcher ctx s2 s1) in
+  let f1 = rule_facts s1 r1 and f2 = rule_facts s2 r2 in
+  { cell; f1; f2; gate = facts_gate ctx (cell.fwd, cell.bwd) f1 f2; cond = None }
 
 let on_the_fly detector ctx p1 p2 = detector ctx (plan_pair ctx p1 p2)
 let detect_ar ctx = on_the_fly ar ctx
@@ -938,29 +984,6 @@ let detect_pair ctx (p1 : tagged_rule) (p2 : tagged_rule) =
   if app1.Rule.name = app2.Rule.name && r1.Rule.rule_id = r2.Rule.rule_id then []
   else on_the_fly detect ctx p1 p2
 
-(* -- planning and batched parallel execution ------------------------------- *)
-
-(* The views the pre-filters read: sides and matchers, no unifier. *)
-let prefilter_views (s1, s2) (same12, same21) =
-  let rename _ = None in
-  ( { s1; s2; same = same12; rename; bindings = [] },
-    { s1 = s2; s2 = s1; same = same21; rename; bindings = [] } )
-
-(* The solver-free pre-filters over one rule pair's facts, given the
-   app pair's views in both directions: could any category's analysis
-   produce a threat? *)
-let facts_candidate ctx (v12, v21) f1 f2 =
-  let may_trigger v fa fb =
-    List.exists (fun a -> action_triggers ~approx:true ctx v a fb <> None) fa.rf_actions
-  in
-  let has_condition_effects v fa fb =
-    List.exists (fun a -> has_condition_effects v.same a fb) fa.rf_actions
-  in
-  actions_race v12.same f1.rf_rule f2.rf_rule
-  || conflicting_goal_pairs v12.same f1 f2 <> []
-  || may_trigger v12 f1 f2 || may_trigger v21 f2 f1
-  || has_condition_effects v12 f1 f2 || has_condition_effects v21 f2 f1
-
 (** Cheap, solver-free over-approximation of [detect_pair <> []]: the
     per-category candidate pre-filters (action targets, goal effects,
     attribute/environment channel maps) without any constraint solving.
@@ -970,9 +993,12 @@ let pair_candidate ctx ((app1, r1) : tagged_rule) ((app2, r2) : tagged_rule) =
   (not (app1.Rule.name = app2.Rule.name && r1.Rule.rule_id = r2.Rule.rule_id))
   &&
   let s1 = side ctx app1 and s2 = side ctx app2 in
-  facts_candidate ctx
-    (prefilter_views (s1, s2) (matcher ctx s1 s2, matcher ctx s2 s1))
-    (rule_facts s1 r1) (rule_facts s2 r2)
+  gate_open
+    (facts_gate ctx
+       (prefilter_views (s1, s2) (matcher ctx s1 s2, matcher ctx s2 s1))
+       (rule_facts s1 r1) (rule_facts s2 r2))
+
+(* -- planning and batched parallel execution ------------------------------- *)
 
 (* For each rule of side [a], the rules of side [b] that pass the
    pre-filters, in order, each as its index and its planned pair. The
@@ -995,8 +1021,8 @@ let candidates ctx ?unify a b =
       let js = ref [] in
       for j = Array.length b.rules - 1 downto 0 do
         let f2 = b.rules.(j) in
-        if facts_candidate ctx views f1 f2 then
-          js := (j, { cell = cell (); f1; f2; cond = None }) :: !js
+        let gate = facts_gate ctx views f1 f2 in
+        if gate_open gate then js := (j, { cell = cell (); f1; f2; gate; cond = None }) :: !js
       done;
       !js)
     a.rules
