@@ -173,13 +173,32 @@ type app_facts = {
   app_rules : rule_facts list;
 }
 
+(* A decisive verdict with the solver calls and escalations it cost. *)
+type answer = { verdict : Solver.verdict; calls : int; escalated : int }
+
+(* The verdict memo: an exact solver input, the store then the formula,
+   to its decisive answer. Stores and formulas are plain trees, so
+   structural equality is exact; the hash reads far enough into both
+   that queries differing only in a deep constant rarely share a
+   bucket. *)
+module Memo = Hashtbl.Make (struct
+  type t = Store.t * Formula.t
+
+  let equal (s1, f1) (s2, f2) = f1 = f2 && s1 = s2
+  let hash k = Hashtbl.hash_param 64 512 k
+end)
+
+type memo = answer Memo.t
+
 type ctx = {
   config : config;
   fingerprint : string;  (** {!solve_fingerprint} of [config], memoized *)
   pair_fp : string;  (** {!pair_fingerprint} of [config], memoized *)
-  mutable solver_calls : int;  (** number of actual constraint solves *)
+  memo : memo;  (** decisive verdicts by exact solver input, with [config.reuse] *)
+  mutable solver_calls : int;  (** solves asked, each memo answer counted as its first solve *)
   mutable escalations : int;  (** undecided solves retried with a bigger budget *)
   mutable undecided_solves : int;  (** solves still undecided after escalation *)
+  mutable memo_answers : int;  (** solves the memo answered *)
 }
 
 let create config =
@@ -187,9 +206,11 @@ let create config =
     config;
     fingerprint = solve_fingerprint config;
     pair_fp = pair_fingerprint config;
+    memo = Memo.create 16;
     solver_calls = 0;
     escalations = 0;
     undecided_solves = 0;
+    memo_answers = 0;
   }
 
 (* Split a variable "v.attr" into its base and attribute. *)
@@ -424,10 +445,10 @@ let opposite_commands =
 let commands_opposite c1 c2 =
   List.exists (fun (a, b) -> String.equal a c1 && String.equal b c2) opposite_commands
 
-(* Every detector solve goes through here: run under the configured
-   budget and, if the verdict is Unknown, retry once with an escalated
-   budget before surfacing the undecided answer. *)
-let budgeted_solve ctx store f : Solver.verdict =
+(* Run under the configured budget and, if the verdict is Unknown,
+   retry once with an escalated budget before surfacing the undecided
+   answer. *)
+let solve_escalating ctx store f : Solver.verdict =
   ctx.solver_calls <- ctx.solver_calls + 1;
   match Solver.solve ~budget:(Budget.start ctx.config.budget) store f with
   | Budget.Unknown _ as verdict when not ctx.config.escalate ->
@@ -444,6 +465,36 @@ let budgeted_solve ctx store f : Solver.verdict =
     | _ -> ());
     retry
   | verdict -> verdict
+
+(* Every detector solve goes through here. With [config.reuse] a query
+   this ctx already decided is answered from the memo, replaying the
+   solver calls and escalations its first solve cost, so the counters
+   read as if it had been solved again. Only Sat and Unsat are kept: a
+   completed search does not depend on the budget, an Unknown does.
+   While a fault plan is armed every query reaches the solver, where
+   faults are injected. *)
+let budgeted_solve ctx store f : Solver.verdict =
+  if not ctx.config.reuse || Homeguard_solver.Fault.armed () then solve_escalating ctx store f
+  else
+    let key = (store, f) in
+    match Memo.find_opt ctx.memo key with
+    | Some a ->
+      ctx.memo_answers <- ctx.memo_answers + 1;
+      ctx.solver_calls <- ctx.solver_calls + a.calls;
+      ctx.escalations <- ctx.escalations + a.escalated;
+      a.verdict
+    | None -> (
+      let calls = ctx.solver_calls and escalations = ctx.escalations in
+      match solve_escalating ctx store f with
+      | Budget.Unknown _ as verdict -> verdict
+      | verdict ->
+        Memo.add ctx.memo key
+          {
+            verdict;
+            calls = ctx.solver_calls - calls;
+            escalated = ctx.escalations - escalations;
+          };
+        verdict)
 
 let undecided_severity reason = Threat.Undecided (Budget.reason_to_string reason)
 
@@ -942,6 +993,10 @@ let prefilter_views (s1, s2) (same12, same21) =
   ( { s1; s2; same = same12; rename; bindings = [] },
     { s1 = s2; s2 = s1; same = same21; rename; bindings = [] } )
 
+(* The gate every test of which failed, shared by most rule pairs. *)
+let closed =
+  { race = false; goals = []; trig_fwd = false; trig_bwd = false; fx_fwd = false; fx_bwd = false }
+
 (* The gate of one rule pair, given the app pair's views in both
    directions; the trigger and condition tests read only each view's
    sides and matcher. *)
@@ -952,17 +1007,18 @@ let facts_gate ctx (v12, v21) f1 f2 =
   let has_condition_effects v fa fb =
     List.exists (fun a -> has_condition_effects v.same a fb) fa.rf_actions
   in
-  {
-    race = actions_race v12.same f1.rf_rule f2.rf_rule;
-    goals = conflicting_goal_pairs v12.same f1 f2;
-    trig_fwd = may_trigger v12 f1 f2;
-    trig_bwd = may_trigger v21 f2 f1;
-    fx_fwd = has_condition_effects v12 f1 f2;
-    fx_bwd = has_condition_effects v21 f2 f1;
-  }
+  let race = actions_race v12.same f1.rf_rule f2.rf_rule
+  and goals = conflicting_goal_pairs v12.same f1 f2
+  and trig_fwd = may_trigger v12 f1 f2
+  and trig_bwd = may_trigger v21 f2 f1
+  and fx_fwd = has_condition_effects v12 f1 f2
+  and fx_bwd = has_condition_effects v21 f2 f1 in
+  if race || goals <> [] || trig_fwd || trig_bwd || fx_fwd || fx_bwd then
+    { race; goals; trig_fwd; trig_bwd; fx_fwd; fx_bwd }
+  else closed
 
 (* Could any category's analysis produce a threat? *)
-let gate_open g = g.race || g.goals <> [] || g.trig_fwd || g.trig_bwd || g.fx_fwd || g.fx_bwd
+let gate_open g = g != closed
 
 (* A rule pair outside any plan: its cell context and gate built on the
    fly. *)
@@ -1056,7 +1112,8 @@ let pair_label pl =
 let merge_ctx into c =
   into.solver_calls <- into.solver_calls + c.solver_calls;
   into.escalations <- into.escalations + c.escalations;
-  into.undecided_solves <- into.undecided_solves + c.undecided_solves
+  into.undecided_solves <- into.undecided_solves + c.undecided_solves;
+  into.memo_answers <- into.memo_answers + c.memo_answers
 
 (* One planned pair's outcome: its threats, its failure, or [None] when
    the run was cancelled before the pair. *)

@@ -149,19 +149,33 @@ type app_facts = {
   app_rules : rule_facts list;  (** one per rule, in order *)
 }
 
+type memo
+(** A ctx's verdict memo: each decisive verdict by its exact solver
+    input, with the solver calls and escalations it cost. *)
+
 type ctx = {
   config : config;
   fingerprint : string;  (** [q_fingerprint] of [config], memoized *)
   pair_fp : string;  (** [pa_fingerprint] of [config], memoized *)
+  memo : memo;
   mutable solver_calls : int;
+      (** every solve the detectors asked, each escalation retry one
+          more; a memo answer counts the calls its first solve made, so
+          the count is the same with and without the memo *)
   mutable escalations : int;  (** undecided solves retried with a bigger budget *)
   mutable undecided_solves : int;  (** solves undecided even after escalation *)
+  mutable memo_answers : int;
+      (** solves the memo answered; it depends on how an audit is
+          batched across domains, so it is not a verdict-level count *)
 }
 
 val create : config -> ctx
-(** A detection context: the config and the solve counters. It holds
-    no table: an audit derives each app's facts once, and each rule
-    pair reuses its own solver results (see {!planned}). *)
+(** A detection context: the config, the solve counters and an empty
+    verdict memo. With [config.reuse], a solve whose exact formula and
+    store this ctx already decided (Sat or Unsat) is answered from the
+    memo; it sits below [config.shared_cache], which still sees every
+    query, and is bypassed while a solver fault plan is armed. An
+    Unknown is never kept. *)
 
 val app_facts : Rule.smartapp -> app_facts
 (** The app's planning facts, derived directly. *)

@@ -147,6 +147,37 @@ let disarm_restores_clean =
       with_faults Fault.Raise (fun () -> ignore (audit ~jobs:1 ()));
       check_bool "clean again" true (snapshot (audit ~jobs:1 ()) = Lazy.force clean_snapshot))
 
+(* 7. An armed plan bypasses the verdict memo, so every solve reaches
+   injection; one that never fires leaves the clean audit and its solver
+   calls unchanged. *)
+let armed_bypasses_memo =
+  test "an armed fault plan bypasses the verdict memo" (fun () ->
+      (* the demo apps ask no query twice; the audit pool's first 24 do *)
+      let apps =
+        List.filteri (fun i _ -> i < 24) Homeguard_corpus.Corpus.audit_apps
+        |> List.map (fun (e : Homeguard_corpus.App_entry.t) ->
+               (Extract.extract_source ~name:e.Homeguard_corpus.App_entry.name
+                  e.Homeguard_corpus.App_entry.source)
+                 .Extract.app)
+      in
+      let counted () =
+        let c = Detector.create Detector.offline_config in
+        let r = Detector.audit_all ~jobs:1 c apps in
+        (snapshot r, c)
+      in
+      let clean, c0 = (Fault.disarm (); counted ()) in
+      check_bool "the memo answers a clean audit" true (c0.Detector.memo_answers > 0);
+      Fun.protect ~finally:Fault.disarm (fun () ->
+          Fault.arm ~seed ~rate_per_thousand:0 Fault.Raise;
+          let s, c = counted () in
+          check_bool "a silent plan leaves the audit clean" true (s = clean);
+          check_bool "the same solver calls" true
+            (c.Detector.solver_calls = c0.Detector.solver_calls);
+          check_bool "no memo answer under a silent plan" true (c.Detector.memo_answers = 0));
+      with_faults Fault.Exhaust (fun () ->
+          let _, c = counted () in
+          check_bool "no memo answer under injected faults" true (c.Detector.memo_answers = 0)))
+
 let () =
   Printf.printf "fault injection: rate=%d/1000 seed=%d\n%!" rate seed;
   Alcotest.run "homeguard-faults"
@@ -160,5 +191,6 @@ let () =
           coordinator_retry_under_transient_crashes;
           timeouts_never_crash;
           disarm_restores_clean;
+          armed_bypasses_memo;
         ] );
     ]

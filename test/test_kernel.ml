@@ -156,6 +156,59 @@ let audit_queries_pinned =
       Helpers.check_string "query digest" "f57dda3cac1ca7939a80cd5143d3acfe"
         (Digest.to_hex (Digest.string (String.concat "\n" lines))))
 
+(* -- the verdict memo ---------------------------------------------------------- *)
+
+(* Detect [apps] through a hook that runs each query's solve twice on
+   the ctx: the second run is the memo's to answer. [check] gets the
+   query, both verdicts and whether the memo answered the second. *)
+let ask_twice config apps check =
+  let ctx = ref None in
+  let hook (q : Detector.solve_query) solve =
+    let c = Option.get !ctx in
+    let first = solve () in
+    let answers = c.Detector.memo_answers in
+    let second = solve () in
+    check q first second (c.Detector.memo_answers > answers);
+    first
+  in
+  let c = Detector.create { config with Detector.shared_cache = Some hook } in
+  ctx := Some c;
+  ignore (Detector.detect_all ~jobs:1 c apps)
+
+let memo_answers_as_fresh_solve =
+  Helpers.test "the verdict memo answers each audit-pool query as a fresh solve does" (fun () ->
+      let asked = ref 0 and wrong = ref [] in
+      ask_twice Detector.offline_config (Lazy.force Test_planner.audit_pool)
+        (fun q first second memo ->
+          incr asked;
+          let fresh = Solver.solve q.Detector.q_store q.Detector.q_formula in
+          if not (memo && first = fresh && second = fresh) then
+            wrong := Formula.to_string q.Detector.q_formula :: !wrong);
+      Helpers.check_int "queries" 3917 !asked;
+      Alcotest.(check (list string)) "queries the memo answered differently" [] !wrong)
+
+let memo_keeps_no_unknown =
+  Helpers.test "the verdict memo never keeps an Unknown (one-node budget)" (fun () ->
+      let unknown = ref 0 and wrong = ref [] in
+      let config =
+        {
+          Detector.offline_config with
+          Detector.budget = { Budget.unlimited_spec with Budget.search_nodes = Some 1 };
+          escalate = false;
+        }
+      in
+      ask_twice config (Lazy.force Test_planner.audit_pool) (fun q first second memo ->
+          match first with
+          | Budget.Unknown _ ->
+            incr unknown;
+            if memo || second <> first then
+              wrong := Formula.to_string q.Detector.q_formula :: !wrong
+          | Budget.Sat _ | Budget.Unsat ->
+            if not (memo && second = first) then
+              wrong := Formula.to_string q.Detector.q_formula :: !wrong);
+      Helpers.check_bool "some solves ran out of nodes" true (!unknown > 0);
+      Alcotest.(check (list string)) "queries the memo kept wrongly" [] !wrong)
+
 let tests =
   [ same_on_brute_force_formulas; same_on_mixed_formulas; same_on_audit_queries;
-    audit_queries_pinned ]
+    audit_queries_pinned; memo_answers_as_fresh_solve; memo_keeps_no_unknown ]

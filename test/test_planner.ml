@@ -747,10 +747,10 @@ let audit_pool_counters =
       let run config jobs =
         let ctx = Detector.create config in
         let threats = Detector.detect_all ~jobs ctx apps in
-        (threats, ctx.Detector.solver_calls)
+        (threats, ctx)
       in
-      let t1, calls = run Detector.offline_config 1 in
-      let t2, calls2 = run Detector.offline_config 2 in
+      let t1, ctx1 = run Detector.offline_config 1 in
+      let t2, ctx2 = run Detector.offline_config 2 in
       check_int "threats" 3845 (List.length t1);
       check_int "threats with a witness" 3307
         (List.length (List.filter (fun (t : Threat.t) -> t.Threat.witness <> None) t1));
@@ -761,10 +761,14 @@ let audit_pool_counters =
         (witness_digest t1);
       check_string "witness digest at jobs 2" "a8c5e0c5ced0819c78d2ed1cf086bd2a"
         (witness_digest t2);
-      check_int "solver calls" 3917 calls;
-      check_int "solver calls at jobs 2" 3917 calls2;
-      check_int "solver calls without reuse" 4247
-        (snd (run { Detector.offline_config with Detector.reuse = false } 1));
+      check_int "solver calls" 3917 ctx1.Detector.solver_calls;
+      check_int "solver calls at jobs 2" 3917 ctx2.Detector.solver_calls;
+      (* the verdict memo answers every repeat of a decided query; how
+         many repeats a ctx sees depends on the batching *)
+      check_int "memo answers at jobs 1" 3177 ctx1.Detector.memo_answers;
+      let unshared = snd (run { Detector.offline_config with Detector.reuse = false } 1) in
+      check_int "solver calls without reuse" 4247 unshared.Detector.solver_calls;
+      check_int "no memo answers without reuse" 0 unshared.Detector.memo_answers;
       List.iter
         (fun (label, budget) ->
           List.iter
