@@ -164,16 +164,26 @@ let propose ?budget ?cancel t app =
 exception No_pending_install = Install_flow.No_pending_install
 
 (** The user's install-time verdict. [Keep] is journaled (the full rule
-    file) before it takes effect; [Reject]/[Reconfigure] change no
-    durable state. *)
+    file) before it takes effect, and takes effect as replaying that
+    record does ({!apply_event}): an app already installed with an
+    identical rule file stays as it is and nothing is journaled, and
+    one installed with another rule file is uninstalled first.
+    [Reject]/[Reconfigure] change no durable state. *)
 let decide t decision =
   match decision with
   | Install_flow.Keep -> (
     match Install_flow.pending t.flow with
     | None -> raise No_pending_install
-    | Some r ->
-      log_event t (Event.Install r.Install_flow.app);
-      Install_flow.decide t.flow Install_flow.Keep)
+    | Some r -> (
+      let app = r.Install_flow.app in
+      match find_installed t app.Rule.name with
+      | Some existing when same_rule_file existing app ->
+        (* drop the proposal: the app is installed already *)
+        Install_flow.decide t.flow Install_flow.Reject
+      | existing ->
+        log_event t (Event.Install app);
+        if Option.is_some existing then Install_flow.uninstall t.flow app.Rule.name;
+        Install_flow.decide t.flow Install_flow.Keep))
   | Install_flow.Reject | Install_flow.Reconfigure -> Install_flow.decide t.flow decision
 
 type install_outcome =

@@ -85,7 +85,10 @@ val propose :
     [report.audit.shed > 0]. *)
 
 val decide : t -> Install_flow.decision -> unit
-(** [Keep] journals the full rule file before installing; [Reject] and
+(** [Keep] journals the full rule file before installing, and installs
+    as replaying that record does: an app already installed with an
+    identical rule file is left as it is and nothing is journaled; one
+    installed with another rule file is uninstalled first. [Reject] and
     [Reconfigure] touch no durable state.
     @raise No_pending_install when nothing was proposed. *)
 

@@ -550,6 +550,42 @@ let shared_with_replay =
       | None -> Alcotest.fail "kept app not recovered");
       Home.close home2)
 
+(* Two sessions on one state dir, each installing a rule file and
+   keeping it, as two [serve] runs of [install FILE] then [keep] do:
+   the live home and its recovery must hold the same apps. *)
+let keep_installed_app =
+  test "keeping an installed app again installs it as recovery does" (fun () ->
+      let dir = fresh_dir () in
+      let name = "AtticFanController" in
+      let names home = List.map (fun (a : Rule.smartapp) -> a.Rule.name) (Home.installed_apps home) in
+      let files home = List.map Homeguard_rules.Rule_json.to_string (Home.installed_apps home) in
+      let session source =
+        let home, _ = Home.open_ ~fsync:false ~dir () in
+        let broker = Broker.create () in
+        Broker.add_home broker ~id:"home" home;
+        ignore (proposed_app broker ~home:"home" ~name ~source);
+        Home.decide home Install_flow.Keep;
+        let live = (names home, files home) in
+        Home.close home;
+        let recovered, _ = Home.open_ ~fsync:false ~dir () in
+        let replayed = (names recovered, files recovered) in
+        Home.close recovered;
+        (live, replayed)
+      in
+      let same_file = In_channel.with_open_bin "fixtures/AtticFanController.groovy" In_channel.input_all in
+      List.iter
+        (fun (label, source) ->
+          let (live_names, live_files), replayed = session source in
+          Alcotest.(check (list string)) (label ^ ": one copy") [ name ] live_names;
+          check_bool (label ^ ": recovery agrees") true ((live_names, live_files) = replayed);
+          check_bool (label ^ ": the kept rule file") true
+            (live_files = [ Homeguard_rules.Rule_json.to_string (fresh_extract ~name source) ]))
+        [
+          ("first session", same_file);
+          ("the same file again", same_file);
+          ("another rule file", corpus_source "ComfortTV");
+        ])
+
 let shared_changed_app =
   test "a changed app under a reused name replaces the entry" (fun () ->
       let broker = sharing_broker 1 in
@@ -617,5 +653,6 @@ let () =
           shared_never_failures;
           shared_with_replay;
           shared_changed_app;
+          keep_installed_app;
         ] );
     ]
