@@ -6,7 +6,8 @@
     {e cleanly} so it can be counted, quarantined and refused, not
     crash the process that was auditing it. The decoders of what the
     store reads back from disk — JSON payloads and journal frames — are
-    held to the same law. *)
+    held to the same law, and so are configuration URIs, which arrive
+    from instrumented apps. *)
 
 module Extract = Homeguard_symexec.Extract
 
@@ -293,6 +294,97 @@ let prop_journal_spans_reframe =
            (List.combine sc.Journal.records sc.Journal.epochs)
            sc.Journal.spans)
 
+(* -- configuration URIs ---------------------------------------------------------- *)
+
+(* Configuration URIs arrive from instrumented apps over SMS or HTTP, so
+   [Config_uri.decode] must return a value or raise [Malformed] on any
+   bytes, and every value it returns must survive [encode]: decoding
+   the encoded URI gives the value back. *)
+module Config_uri = Homeguard_config.Config_uri
+
+let config_uri_law s =
+  match Config_uri.decode s with
+  | v -> (
+    match Config_uri.decode (Config_uri.encode v) with
+    | v' when v' = v -> true
+    | _ ->
+      Printf.eprintf "Config_uri: decode (encode v) <> v for %S\n" s;
+      false
+    | exception e ->
+      Printf.eprintf "Config_uri: re-decoding %S raised %s\n" s (Printexc.to_string e);
+      false)
+  | exception Config_uri.Malformed _ -> true
+  | exception e ->
+    Printf.eprintf "Config_uri.decode raised on %S: %s\n" s (Printexc.to_string e);
+    false
+
+(* Well-formed URIs: every configuration of a set of synthetic homes. *)
+let valid_uris =
+  lazy
+    (List.concat_map
+       (fun h -> h.Homeguard_corpus.Synth.configs)
+       (Homeguard_corpus.Corpus.synth ~seed:11 ~n_homes:60))
+
+let prop_config_uri_bytes =
+  QCheck.Test.make ~count:1000 ~name:"config URI decoding is total on arbitrary bytes"
+    QCheck.(
+      make ~print:(Printf.sprintf "%S")
+        Gen.(
+          pair bool (string_size ~gen:char (int_range 0 256)) >|= fun (prefixed, s) ->
+          if prefixed then "http://my.com/" ^ s else s))
+    config_uri_law
+
+let prop_config_uri_splices =
+  let tokens =
+    [|
+      "http://my.com/"; "http://my.com"; "http://"; "appname"; "appname:"; ":"; "/"; "//";
+      "::"; "tv1"; "threshold1"; "30"; "-5"; "0x1f"; "on"; ""; " "; "%2F"; "\x00"; "\xff";
+      "état"; "0123456789abcdef0123456789abcdef"; "0123456789ABCDEF0123456789ABCDEF";
+      "0123456789abcdef";
+    |]
+  in
+  QCheck.Test.make ~count:1000 ~name:"config URI decoding is total on token splices"
+    QCheck.(
+      make ~print:(Printf.sprintf "%S")
+        Gen.(list_size (int_range 0 24) (oneofa tokens) >|= String.concat ""))
+    config_uri_law
+
+(* A valid URI with one to eight edits: a byte replaced (by any byte or
+   a separator), inserted or deleted. *)
+let prop_config_uri_mutations =
+  let edit s =
+    QCheck.Gen.(
+      let n = String.length s in
+      int_range 0 n >>= fun i ->
+      oneof [ char; oneofl [ '/'; ':'; 'a'; '0' ] ] >>= fun c ->
+      int_range 0 2 >|= function
+      | 0 when i < n -> String.sub s 0 i ^ String.make 1 c ^ String.sub s (i + 1) (n - i - 1)
+      | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+      | _ when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+      | _ -> s)
+  in
+  let rec edits k s =
+    if k = 0 then QCheck.Gen.return s else QCheck.Gen.(edit s >>= edits (k - 1))
+  in
+  QCheck.Test.make ~count:2000 ~name:"config URI decoding is total on mutated valid URIs"
+    QCheck.(
+      make ~print:(Printf.sprintf "%S")
+        Gen.(
+          oneofl (Lazy.force valid_uris) >>= fun uri ->
+          int_range 1 8 >>= fun k -> edits k uri))
+    config_uri_law
+
+let valid_uris_round_trip =
+  Alcotest.test_case "every synthetic home's config URI decodes and round-trips" `Quick (fun () ->
+      let uris = Lazy.force valid_uris in
+      Alcotest.(check bool) "some URIs" true (uris <> []);
+      List.iter
+        (fun uri ->
+          match Config_uri.decode uri with
+          | _ -> Alcotest.(check bool) uri true (config_uri_law uri)
+          | exception Config_uri.Malformed m -> Alcotest.failf "%S: %s" uri m)
+        uris)
+
 let tests =
   [
     QCheck_alcotest.to_alcotest ~long:false prop_raw_bytes_total;
@@ -306,4 +398,8 @@ let tests =
     QCheck_alcotest.to_alcotest ~long:false prop_journal_damage_total;
     QCheck_alcotest.to_alcotest ~long:false prop_journal_round_trip;
     QCheck_alcotest.to_alcotest ~long:false prop_journal_spans_reframe;
+    QCheck_alcotest.to_alcotest ~long:false prop_config_uri_bytes;
+    QCheck_alcotest.to_alcotest ~long:false prop_config_uri_splices;
+    QCheck_alcotest.to_alcotest ~long:false prop_config_uri_mutations;
+    valid_uris_round_trip;
   ]
