@@ -2,9 +2,12 @@
 
     Pairwise analysis of rules: candidate filtering against the action/
     channel maps, then overlapping-condition detection as constraint
-    satisfaction. Solver results are memoized per rule pair so CT/SD/LT
-    reuse the AR solve and DC reuses the EC solve (Fig 9's green lines);
-    pass [~reuse:false] to measure the unmemoized cost (ablation A1). *)
+    satisfaction. The planner's pre-filter answers travel with each
+    planned pair, so no category asks them again. Solver results are
+    memoized per rule pair so CT/SD/LT reuse the AR solve and DC reuses
+    the EC solve (Fig 9's green lines), and per ctx so a query asked
+    again is answered once; pass [~reuse:false] to measure the
+    unmemoized cost (ablation A1). *)
 
 module Rule = Homeguard_rules.Rule
 module Formula = Homeguard_solver.Formula

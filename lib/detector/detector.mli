@@ -192,25 +192,34 @@ val detect_trigger_interference : ctx -> tagged_rule -> tagged_rule -> Threat.t 
 val detect_condition_interference : ctx -> tagged_rule -> tagged_rule -> Threat.t list
 
 (** The per-category detectors and {!detect_pair} build the rule pair's
-    cell context ({!plan_pair}) on the fly. *)
+    cell context and gate ({!plan_pair}) on the fly, so they run the
+    same code as a planned pair. *)
 
 val detect_pair : ctx -> tagged_rule -> tagged_rule -> Threat.t list
 (** All seven categories between two rules. *)
 
 val pair_candidate : ctx -> tagged_rule -> tagged_rule -> bool
-(** Solver-free over-approximation of [detect_pair <> []]: the
-    per-category candidate pre-filters only. Used by the planner. *)
+(** Solver-free over-approximation of [detect_pair <> []]: is any test
+    of the pair's gate open (see {!planned})? *)
 
 type planned
-(** One rule pair ready to detect: both rules' facts and its cell
-    context — the app pair's device matchers, unifiers and qualified
-    bindings in both orientations, and the apps' inputs the solver
-    store is typed from — built once per app pair of a plan. Detection
-    reuses the pair's conditions-overlap answer across AR and both CT
-    edges when [config.reuse] holds; nothing is shared between pairs. *)
+(** One rule pair ready to detect: both rules' facts, its cell context
+    — the app pair's device matchers, unifiers and qualified bindings in
+    both orientations, and the apps' inputs the solver store is typed
+    from — built once per app pair of a plan, and its gate. The gate
+    holds the pre-filter's six solver-free answers, each the test its
+    category begins with: the action race (AR, and SD/LT's race), the
+    conflicting goals (GC), the approximate trigger test in each
+    direction (a CT edge) and the condition-effect test in each
+    direction (EC/DC). The planner keeps a pair when any is open, and
+    detection reads them instead of asking again. Detection reuses the
+    pair's conditions-overlap answer across AR and both CT edges when
+    [config.reuse] holds; across pairs only the ctx's verdict memo is
+    shared. *)
 
 val plan_pair : ctx -> tagged_rule -> tagged_rule -> planned
-(** A rule pair outside any plan, its cell context built on the fly. *)
+(** A rule pair outside any plan, its cell context and gate built on
+    the fly. *)
 
 val planned_rules : planned -> tagged_rule * tagged_rule
 
