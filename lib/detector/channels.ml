@@ -61,6 +61,30 @@ let attr_senses feature = function
   | Some attr -> Env.of_sensor_attribute attr = Some feature
   | None -> false
 
+(** Channel-key bits, for the planner's key-guarded checks: each
+    environment feature has its own bit, the location mode the next
+    one, and any other name (an attribute or a command) hashes into the
+    remaining bits of an [int]. Two keys that share no bit share no
+    name; names that collide only make two keys meet. *)
+let feature_bit (f : Env.t) =
+  1
+  lsl
+  match f with
+  | Env.Temperature -> 0
+  | Env.Illuminance -> 1
+  | Env.Humidity -> 2
+  | Env.Power -> 3
+  | Env.Energy -> 4
+  | Env.Noise -> 5
+  | Env.Moisture -> 6
+  | Env.Smoke -> 7
+  | Env.Carbon_monoxide -> 8
+
+let mode_bit = 1 lsl 9
+
+(* one of bits 10 to [Sys.int_size - 1] *)
+let name_bit name = 1 lsl (10 + (Hashtbl.hash name mod (Sys.int_size - 10)))
+
 (** How a formula constrains a variable: which direction of change could
     satisfy (or violate) it. Derived from the comparison atoms that
     mention the variable. *)

@@ -21,6 +21,21 @@ val attr_senses : Env.t -> string option -> bool
 (** Does a variable with this attribute ([None]: no attribute) sense
     the feature? *)
 
+(** {2 Channel-key bits}
+
+    The bits of the detector's channel keys: a key is the union of the
+    bits of the names and features it holds. *)
+
+val feature_bit : Env.t -> int
+(** One fixed bit per environment feature. *)
+
+val mode_bit : int
+(** The location mode's bit, distinct from every other bit. *)
+
+val name_bit : string -> int
+(** An attribute's or command's bit, hashed into the bits no feature
+    and not the mode uses; two names may share one. *)
+
 type direction_need = Needs_high | Needs_low | Needs_value of Term.t | Needs_any
 
 val polarity_can_satisfy : Formula.t -> string -> Effects.polarity -> bool

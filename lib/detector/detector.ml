@@ -163,12 +163,24 @@ type action_facts = {
   af_effects : (Env.t * Effects.polarity) list;
 }
 
+(* A rule's channel keys, each a union of {!Channels} bits: what each
+   pre-filter check can match on (DESIGN.md §7.2). *)
+type keys = {
+  k_cmd : int;  (** its commands *)
+  k_contra : int;  (** its commands and their declared opposites *)
+  k_goal : int;  (** its effect features but power and energy *)
+  k_writes : int;  (** the attributes it writes, the mode, its effect features *)
+  k_trig : int;  (** its trigger's attribute and sensed feature *)
+  k_cond : int;  (** its condition vars' attributes and sensed features *)
+}
+
 type rule_facts = {
   rf_rule : Rule.t;
   rf_actions : action_facts list;
   rf_sensed : Env.t option;
   rf_cond : Formula.t;
   rf_cond_vars : (string * string * string option) list;
+  rf_keys : keys;
 }
 
 type app_facts = {
@@ -233,19 +245,114 @@ let action_facts (app : Rule.smartapp) inputs (a : Rule.action) =
   in
   { af_action = a; af_writes = Channels.attribute_writes app a; af_effects = effects }
 
+(* Every declared (command, opposite) pair of the immutable capability
+   registry, built once per process and read from any domain. *)
+let opposite_commands =
+  List.concat_map
+    (fun (cap : Capability.t) ->
+      List.filter_map
+        (fun (c : Capability.command) ->
+          Option.map (fun o -> (c.Capability.cmd_name, o)) c.Capability.opposite)
+        cap.Capability.commands)
+    Capability.registry
+  |> List.sort_uniq compare
+
+let commands_opposite c1 c2 =
+  List.exists (fun (a, b) -> String.equal a c1 && String.equal b c2) opposite_commands
+
+(* Each command's declared opposites as one key, built once per process
+   and only read afterwards. *)
+let opposite_keys =
+  let t = Hashtbl.create 64 in
+  List.iter
+    (fun (c, o) ->
+      let k = Option.value (Hashtbl.find_opt t c) ~default:0 in
+      Hashtbl.replace t c (k lor Channels.name_bit o))
+    opposite_commands;
+  t
+
+let union bit l = List.fold_left (fun k x -> k lor bit x) 0 l
+
+let sensed_bit = function Some f -> Channels.feature_bit f | None -> 0
+
+(* A write's key: a device attribute by name, the location mode by its
+   own bit, whatever attribute it names. *)
+let write_bit (w : Channels.attr_write) =
+  match w.Channels.w_target with
+  | Rule.Act_location_mode -> Channels.mode_bit
+  | Rule.Act_device _ -> Channels.name_bit w.Channels.w_attr
+  | _ -> 0
+
+(* A condition var's key: its attribute (the mode only on [location]),
+   and the feature that attribute senses on any base. *)
+let cond_var_bit (_, base, attr) =
+  match attr with
+  | None -> 0
+  | Some a ->
+    (if base <> "location" then Channels.name_bit a
+     else if a = "mode" then Channels.mode_bit
+     else 0)
+    lor sensed_bit (Env.of_sensor_attribute a)
+
+let rule_keys (r : Rule.t) actions sensed cond_vars =
+  let command (a : Rule.action) = Channels.name_bit a.Rule.command in
+  let opposites (a : Rule.action) =
+    Option.value (Hashtbl.find_opt opposite_keys a.Rule.command) ~default:0
+  in
+  let effects ~goals =
+    union
+      (fun af ->
+        union
+          (fun (f, _) ->
+            match f with Env.Power | Env.Energy when goals -> 0 | f -> Channels.feature_bit f)
+          af.af_effects)
+      actions
+  in
+  let cmd = union command r.Rule.actions in
+  {
+    k_cmd = cmd;
+    k_contra = cmd lor union opposites r.Rule.actions;
+    k_goal = effects ~goals:true;
+    k_writes = union (fun af -> union write_bit af.af_writes) actions lor effects ~goals:false;
+    k_trig =
+      (match r.Rule.trigger with
+      | Rule.Event { subject = Rule.Device _; attribute; _ } -> Channels.name_bit attribute
+      | Rule.Event { subject = Rule.Location; attribute = "mode"; _ } -> Channels.mode_bit
+      | _ -> 0)
+      lor sensed_bit sensed;
+    k_cond = union cond_var_bit cond_vars;
+  }
+
+let no_keys = { k_cmd = 0; k_contra = 0; k_goal = 0; k_writes = 0; k_trig = 0; k_cond = 0 }
+
+let join k1 k2 =
+  {
+    k_cmd = k1.k_cmd lor k2.k_cmd;
+    k_contra = k1.k_contra lor k2.k_contra;
+    k_goal = k1.k_goal lor k2.k_goal;
+    k_writes = k1.k_writes lor k2.k_writes;
+    k_trig = k1.k_trig lor k2.k_trig;
+    k_cond = k1.k_cond lor k2.k_cond;
+  }
+
 let rule_facts_of (app : Rule.smartapp) inputs (r : Rule.t) =
   let cond = Rule.expanded_predicate r in
+  let actions = List.map (action_facts app inputs) r.Rule.actions in
+  let sensed = Channels.sensed_feature_of_trigger r.Rule.trigger in
+  let cond_vars =
+    List.map
+      (fun v ->
+        let base, attr = split_attr v in
+        (v, base, attr))
+      (Formula.free_vars cond)
+  in
   {
     rf_rule = r;
-    rf_actions = List.map (action_facts app inputs) r.Rule.actions;
-    rf_sensed = Channels.sensed_feature_of_trigger r.Rule.trigger;
+    rf_actions = actions;
+    rf_sensed = sensed;
     rf_cond = cond;
-    rf_cond_vars =
-      List.map
-        (fun v ->
-          let base, attr = split_attr v in
-          (v, base, attr))
-        (Formula.free_vars cond);
+    rf_cond_vars = cond_vars;
+    rf_keys = rule_keys r actions sensed cond_vars;
   }
 
 let app_facts (app : Rule.smartapp) =
@@ -260,10 +367,11 @@ let app_facts (app : Rule.smartapp) =
 
 (* The descriptor of [var] among an app's facts: a declared capability
    input's precomputed one, or a bare one for any other var. *)
-let input_of (app : Rule.smartapp) facts var =
-  match List.find_opt (fun d -> d.di_var = var) facts.app_inputs with
-  | Some d -> d
-  | None -> { di_app = app; di_var = var; di_device = None }
+let rec find_input (app : Rule.smartapp) var = function
+  | d :: rest -> if String.equal d.di_var var then d else find_input app var rest
+  | [] -> { di_app = app; di_var = var; di_device = None }
+
+let input_of app facts var = find_input app var facts.app_inputs
 
 let is_shared_var var =
   var = "location.mode" || var = "app.touch"
@@ -301,12 +409,13 @@ type part = Cond | Sit | Trig
 (* One app of an audit as every detector reads it, derived once per
    audit: its facts, its rule facts by position, its configuration
    bindings, raw (folded into its formulas) and qualified (passed to the
-   verdict cache), and each rule's solver inputs, each built by the
-   first solve that needs it. *)
+   verdict cache), the union of its rules' keys, and each rule's solver
+   inputs, each built by the first solve that needs it. *)
 type side = {
   app : Rule.smartapp;
   facts : app_facts;
   rules : rule_facts array;  (** [facts.app_rules] *)
+  keys : keys;  (** each key the union of the rules' *)
   cons : (string * Term.t) list;  (** [config.app_constraints app] *)
   qbind : (string * Term.t) list;  (** [cons] with qualified names *)
   inputs : qualified option Atomic.t array;
@@ -320,6 +429,7 @@ let side_with (app : Rule.smartapp) cons =
     app;
     facts;
     rules;
+    keys = Array.fold_left (fun k rf -> join k rf.rf_keys) no_keys rules;
     cons;
     qbind = List.map (fun (v, t) -> (qualify app.Rule.name v, t)) cons;
     inputs = Array.init (3 * Array.length rules) (fun _ -> Atomic.make None);
@@ -432,21 +542,6 @@ let planned_rules pl =
 
 (* The detectors' device question, sides derived on the fly. *)
 let same_device ctx app1 app2 = matcher ctx (side ctx app1) (side ctx app2)
-
-(* Every declared (command, opposite) pair of the immutable capability
-   registry, built once per process and read from any domain. *)
-let opposite_commands =
-  List.concat_map
-    (fun (cap : Capability.t) ->
-      List.filter_map
-        (fun (c : Capability.command) ->
-          Option.map (fun o -> (c.Capability.cmd_name, o)) c.Capability.opposite)
-        cap.Capability.commands)
-    Capability.registry
-  |> List.sort_uniq compare
-
-let commands_opposite c1 c2 =
-  List.exists (fun (a, b) -> String.equal a c1 && String.equal b c2) opposite_commands
 
 (* Run under the configured budget and, if the verdict is Unknown,
    retry once with an escalated budget before surfacing the undecided
@@ -1000,22 +1095,33 @@ let prefilter_views (s1, s2) (same12, same21) =
 let closed =
   { race = false; goals = []; trig_fwd = false; trig_bwd = false; fx_fwd = false; fx_bwd = false }
 
+let meet k1 k2 = k1 land k2 <> 0
+
+(* Could a check between a rule keyed [k1] and one keyed [k2] open? For
+   two sides' unions: could any of their rule pairs'? *)
+let keys_meet k1 k2 =
+  meet k1.k_contra k2.k_cmd || meet k1.k_goal k2.k_goal
+  || meet k1.k_writes (k2.k_trig lor k2.k_cond)
+  || meet k2.k_writes (k1.k_trig lor k1.k_cond)
+
+let may_trigger ctx v fa fb =
+  List.exists (fun a -> action_triggers ~approx:true ctx v a fb <> None) fa.rf_actions
+
+let may_reach_condition v fa fb =
+  List.exists (fun a -> has_condition_effects v.same a fb) fa.rf_actions
+
 (* The gate of one rule pair, given the app pair's views in both
    directions; the trigger and condition tests read only each view's
-   sides and matcher. *)
+   sides and matcher. Each test runs only where the two rules' keys for
+   it meet: a test that would open implies they do (DESIGN.md §7.2). *)
 let facts_gate ctx (v12, v21) f1 f2 =
-  let may_trigger v fa fb =
-    List.exists (fun a -> action_triggers ~approx:true ctx v a fb <> None) fa.rf_actions
-  in
-  let has_condition_effects v fa fb =
-    List.exists (fun a -> has_condition_effects v.same a fb) fa.rf_actions
-  in
-  let race = actions_race v12.same f1.rf_rule f2.rf_rule
-  and goals = conflicting_goal_pairs v12.same f1 f2
-  and trig_fwd = may_trigger v12 f1 f2
-  and trig_bwd = may_trigger v21 f2 f1
-  and fx_fwd = has_condition_effects v12 f1 f2
-  and fx_bwd = has_condition_effects v21 f2 f1 in
+  let k1 = f1.rf_keys and k2 = f2.rf_keys in
+  let race = meet k1.k_contra k2.k_cmd && actions_race v12.same f1.rf_rule f2.rf_rule
+  and goals = if meet k1.k_goal k2.k_goal then conflicting_goal_pairs v12.same f1 f2 else []
+  and trig_fwd = meet k1.k_writes k2.k_trig && may_trigger ctx v12 f1 f2
+  and trig_bwd = meet k2.k_writes k1.k_trig && may_trigger ctx v21 f2 f1
+  and fx_fwd = meet k1.k_writes k2.k_cond && may_reach_condition v12 f1 f2
+  and fx_bwd = meet k2.k_writes k1.k_cond && may_reach_condition v21 f2 f1 in
   if race || goals <> [] || trig_fwd || trig_bwd || fx_fwd || fx_bwd then
     { race; goals; trig_fwd; trig_bwd; fx_fwd; fx_bwd }
   else closed
@@ -1060,31 +1166,35 @@ let pair_candidate ctx ((app1, r1) : tagged_rule) ((app2, r2) : tagged_rule) =
 (* -- planning and batched parallel execution ------------------------------- *)
 
 (* For each rule of side [a], the rules of side [b] that pass the
-   pre-filters, in order, each as its index and its planned pair. The
-   device matchers are built once per cell, and the cell context once,
-   when the first pair passes. *)
+   pre-filters, in order, each as its index and its planned pair. A cell
+   whose sides' keys do not meet has none, and builds nothing; otherwise
+   the device matchers are built once per cell, and the cell context
+   once, when the first pair passes. *)
 let candidates ctx ?unify a b =
-  let matchers = (matcher ctx a b, matcher ctx b a) in
-  let views = prefilter_views (a, b) matchers in
-  let cell = ref None in
-  let cell () =
-    match !cell with
-    | Some c -> c
-    | None ->
-      let c = cell_ctx ctx ?unify (a, b) matchers in
-      cell := Some c;
-      c
-  in
-  Array.map
-    (fun f1 ->
-      let js = ref [] in
-      for j = Array.length b.rules - 1 downto 0 do
-        let f2 = b.rules.(j) in
-        let gate = facts_gate ctx views f1 f2 in
-        if gate_open gate then js := (j, { cell = cell (); f1; f2; gate; cond = None }) :: !js
-      done;
-      !js)
-    a.rules
+  if not (keys_meet a.keys b.keys) then Array.make (Array.length a.rules) []
+  else begin
+    let matchers = (matcher ctx a b, matcher ctx b a) in
+    let views = prefilter_views (a, b) matchers in
+    let cell = ref None in
+    let cell () =
+      match !cell with
+      | Some c -> c
+      | None ->
+        let c = cell_ctx ctx ?unify (a, b) matchers in
+        cell := Some c;
+        c
+    in
+    Array.map
+      (fun f1 ->
+        let js = ref [] in
+        for j = Array.length b.rules - 1 downto 0 do
+          let f2 = b.rules.(j) in
+          let gate = facts_gate ctx views f1 f2 in
+          if gate_open gate then js := (j, { cell = cell (); f1; f2; gate; cond = None }) :: !js
+        done;
+        !js)
+      a.rules
+  end
 
 (* -- crash-isolated execution ---------------------------------------------- *)
 

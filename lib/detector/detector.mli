@@ -131,6 +131,33 @@ type action_facts = {
       (** {!Effects.effects_of_action} *)
 }
 
+type keys = {
+  k_cmd : int;  (** the rule's commands *)
+  k_contra : int;
+      (** its commands and their declared opposites (a table over the
+          capability registry, built once per process) *)
+  k_goal : int;  (** its actions' effect features other than power and energy *)
+  k_writes : int;
+      (** the attributes its actions write to devices, the mode bit for a
+          location-mode write, and all its effect features *)
+  k_trig : int;
+      (** its trigger's attribute on a device subject, the mode bit for a
+          location [mode] subject, and its sensed feature *)
+  k_cond : int;
+      (** each condition var's attribute (on [location] only the mode,
+          as the mode bit) and the feature that attribute senses *)
+}
+(** A rule's channel keys: the union of the {!Channels.feature_bit},
+    {!Channels.mode_bit} and {!Channels.name_bit} of each name and
+    feature one side of a pre-filter check can match on. A check runs
+    only where its keys meet — [race] where the first rule's [k_contra]
+    meets the second's [k_cmd], [goals] where the two [k_goal] meet,
+    each trigger test where the writer's [k_writes] meets the
+    reader's [k_trig] and each condition test where it meets the
+    reader's [k_cond] — since every check that opens matches a name or
+    feature in both keys. They read no device question, so they hold
+    under every [same_device]. *)
+
 type rule_facts = {
   rf_rule : Rule.t;  (** the rule itself (facts are found by identity) *)
   rf_actions : action_facts list;  (** one per action, in order *)
@@ -140,6 +167,7 @@ type rule_facts = {
   rf_cond_vars : (string * string * string option) list;
       (** free vars of [rf_cond], each as (var, base, attr): ["t.temperature"]
           is [("t.temperature", "t", Some "temperature")] *)
+  rf_keys : keys;  (** derived from the fields above *)
 }
 
 type app_facts = {

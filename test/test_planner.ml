@@ -11,6 +11,9 @@ module Detector = Homeguard_detector.Detector
 module Threat = Homeguard_detector.Threat
 module Effects = Homeguard_detector.Effects
 module Channels = Homeguard_detector.Channels
+module Capability = Homeguard_st.Capability
+module Env = Homeguard_st.Env_feature
+module Term = Homeguard_solver.Term
 module Corpus = Homeguard_corpus.Corpus
 module App_entry = Homeguard_corpus.App_entry
 module Config_uri = Homeguard_config.Config_uri
@@ -208,6 +211,63 @@ let check_plan label config apps =
   check_bool (label ^ ": threats and order") true
     (List.map threat_key planned = List.map threat_key reference)
 
+(* Every declared (command, opposite) pair of the capability registry. *)
+let declared_opposites =
+  List.concat_map
+    (fun (cap : Capability.t) ->
+      List.filter_map
+        (fun (c : Capability.command) ->
+          Option.map (fun o -> (c.Capability.cmd_name, o)) c.Capability.opposite)
+        cap.Capability.commands)
+    Capability.registry
+
+let bits bit l = List.fold_left (fun k x -> k lor bit x) 0 l
+let sensed_bits = function Some f -> Channels.feature_bit f | None -> 0
+
+(* A rule's channel keys derived from the rule and its app alone. *)
+let direct_keys (app : Rule.smartapp) (r : Rule.t) =
+  let actions = r.Rule.actions in
+  let effects = List.concat_map (Effects.effects_of_action app) actions in
+  let features keep = bits (fun (f, _) -> if keep f then Channels.feature_bit f else 0) effects in
+  let cmd = bits (fun (a : Rule.action) -> Channels.name_bit a.Rule.command) actions in
+  let opposites =
+    bits
+      (fun (a : Rule.action) ->
+        bits
+          (fun (c, o) -> if c = a.Rule.command then Channels.name_bit o else 0)
+          declared_opposites)
+      actions
+  in
+  let write (w : Channels.attr_write) =
+    match w.Channels.w_target with
+    | Rule.Act_location_mode -> Channels.mode_bit
+    | Rule.Act_device _ -> Channels.name_bit w.Channels.w_attr
+    | _ -> 0
+  in
+  let cond_var v =
+    match String.rindex_opt v '.' with
+    | None -> 0
+    | Some i ->
+      let base = String.sub v 0 i and a = String.sub v (i + 1) (String.length v - i - 1) in
+      (if base = "location" then if a = "mode" then Channels.mode_bit else 0
+       else Channels.name_bit a)
+      lor sensed_bits (Env.of_sensor_attribute a)
+  in
+  {
+    Detector.k_cmd = cmd;
+    k_contra = cmd lor opposites;
+    k_goal = features (fun f -> f <> Env.Power && f <> Env.Energy);
+    k_writes =
+      bits write (List.concat_map (Channels.attribute_writes app) actions) lor features (fun _ -> true);
+    k_trig =
+      (match r.Rule.trigger with
+      | Rule.Event { subject = Rule.Device _; attribute; _ } -> Channels.name_bit attribute
+      | Rule.Event { subject = Rule.Location; attribute = "mode"; _ } -> Channels.mode_bit
+      | _ -> 0)
+      lor sensed_bits (Channels.sensed_feature_of_trigger r.Rule.trigger);
+    k_cond = bits cond_var (Formula.free_vars (Rule.expanded_predicate r));
+  }
+
 (* Every fact field equals its direct derivation. *)
 let check_facts (apps : Rule.smartapp list) =
   List.iter
@@ -243,6 +303,7 @@ let check_facts (apps : Rule.smartapp list) =
               check_bool (id ^ " attr of " ^ v) true
                 (not (String.contains (Option.value attr ~default:v) '.')))
             rf.Detector.rf_cond_vars;
+          check_bool (id ^ " keys") true (rf.Detector.rf_keys = direct_keys app r);
           check_int (id ^ " actions") (List.length r.Rule.actions)
             (List.length rf.Detector.rf_actions);
           List.iter2
@@ -300,6 +361,139 @@ let facts_match_direct_derivations =
             (fun h -> check_facts (fst (home_setup h)))
             (Corpus.synth ~seed ~n_homes:25))
         synth_seeds)
+
+(* -- channel-key soundness ------------------------------------------------------- *)
+
+(* The six pre-filter checks written from the exported facts, each with
+   its device questions answered the way that opens it: any two device
+   actions share a target for the race and never do for the goals, and
+   a device write reaches every device trigger and condition var with
+   its attribute. So each opens wherever the detector's check opens,
+   under any [same_device]. *)
+let const_param (a : Rule.action) =
+  match a.Rule.params with (Term.Int _ | Term.Str _) as t :: _ -> Some t | _ -> None
+
+let ref_race f1 f2 =
+  List.exists
+    (fun (a1 : Rule.action) ->
+      List.exists
+        (fun (a2 : Rule.action) ->
+          (match (a1.Rule.target, a2.Rule.target) with
+          | Rule.Act_device _, Rule.Act_device _ | Rule.Act_location_mode, Rule.Act_location_mode ->
+            true
+          | _ -> false)
+          && (List.mem (a1.Rule.command, a2.Rule.command) declared_opposites
+             || a1.Rule.command = a2.Rule.command
+                &&
+                match (const_param a1, const_param a2) with
+                | Some p1, Some p2 -> p1 <> p2
+                | _ -> false))
+        f2.Detector.rf_rule.Rule.actions)
+    f1.Detector.rf_rule.Rule.actions
+
+let ref_goals f1 f2 =
+  List.exists
+    (fun (a1 : Detector.action_facts) ->
+      List.exists
+        (fun (a2 : Detector.action_facts) ->
+          Effects.conflicting_goals a1.Detector.af_effects a2.Detector.af_effects <> [])
+        f2.Detector.rf_actions)
+    f1.Detector.rf_actions
+
+let ref_triggers f1 f2 =
+  match f2.Detector.rf_rule.Rule.trigger with
+  | Rule.Scheduled _ -> false
+  | Rule.Event { subject; attribute; _ } ->
+    List.exists
+      (fun (a : Detector.action_facts) ->
+        List.exists
+          (fun (w : Channels.attr_write) ->
+            match (w.Channels.w_target, subject) with
+            | Rule.Act_device _, Rule.Device _ -> w.Channels.w_attr = attribute
+            | Rule.Act_location_mode, Rule.Location -> attribute = "mode"
+            | _ -> false)
+          a.Detector.af_writes
+        || List.exists (fun (f, _) -> f2.Detector.rf_sensed = Some f) a.Detector.af_effects)
+      f1.Detector.rf_actions
+
+let ref_reaches f1 f2 =
+  List.exists
+    (fun (a : Detector.action_facts) ->
+      List.exists
+        (fun (_, base, attr) ->
+          List.exists
+            (fun (w : Channels.attr_write) ->
+              match (w.Channels.w_target, attr) with
+              | Rule.Act_device _, Some at -> at = w.Channels.w_attr && base <> "location"
+              | Rule.Act_location_mode, Some "mode" -> base = "location"
+              | _ -> false)
+            a.Detector.af_writes
+          || List.exists (fun (f, _) -> Channels.attr_senses f attr) a.Detector.af_effects)
+        f2.Detector.rf_cond_vars)
+    f1.Detector.rf_actions
+
+let meet k1 k2 = k1 land k2 <> 0
+
+(* Over every ordered rule pair of differently named apps: where a
+   reference check opens, the gate field's keys meet. [opened] counts
+   each check's openings. *)
+let check_keys_sound label opened (apps : Rule.smartapp list) =
+  let facts = List.map (fun (a : Rule.smartapp) -> (a, Detector.app_facts a)) apps in
+  let misses = ref [] in
+  List.iter
+    (fun ((a : Rule.smartapp), fa) ->
+      List.iter
+        (fun ((b : Rule.smartapp), fb) ->
+          if a.Rule.name <> b.Rule.name then
+            List.iter
+              (fun f1 ->
+                List.iter
+                  (fun f2 ->
+                    let k1 = f1.Detector.rf_keys and k2 = f2.Detector.rf_keys in
+                    List.iteri
+                      (fun i (field, opens, keys_meet) ->
+                        if opens then begin
+                          opened.(i) <- opened.(i) + 1;
+                          if (not keys_meet) && List.length !misses < 5 then
+                            misses :=
+                              Printf.sprintf "%s: %s %s/%s ~ %s/%s" label field a.Rule.name
+                                f1.Detector.rf_rule.Rule.rule_id b.Rule.name
+                                f2.Detector.rf_rule.Rule.rule_id
+                              :: !misses
+                        end)
+                      [
+                        ("race", ref_race f1 f2, meet k1.Detector.k_contra k2.Detector.k_cmd);
+                        ("goals", ref_goals f1 f2, meet k1.Detector.k_goal k2.Detector.k_goal);
+                        ("trig_fwd", ref_triggers f1 f2, meet k1.Detector.k_writes k2.Detector.k_trig);
+                        ("trig_bwd", ref_triggers f2 f1, meet k2.Detector.k_writes k1.Detector.k_trig);
+                        ("fx_fwd", ref_reaches f1 f2, meet k1.Detector.k_writes k2.Detector.k_cond);
+                        ("fx_bwd", ref_reaches f2 f1, meet k2.Detector.k_writes k1.Detector.k_cond);
+                      ])
+                  fb.Detector.app_rules)
+              fa.Detector.app_rules)
+        facts)
+    facts;
+  Alcotest.(check (list string)) (label ^ ": keys meet wherever a check opens") []
+    (List.rev !misses)
+
+let keys_meet_where_checks_open =
+  test "channel keys meet wherever a check can open (pool and 75 synth homes)" (fun () ->
+      let opened = Array.make 6 0 in
+      check_keys_sound "audit pool" opened (Lazy.force audit_pool);
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun (h : Homeguard_corpus.Synth.home) ->
+              check_keys_sound
+                (Printf.sprintf "seed %d %s" seed h.Homeguard_corpus.Synth.id)
+                opened
+                (fst (home_setup h)))
+            (Corpus.synth ~seed ~n_homes:25))
+        synth_seeds;
+      (* every check opens somewhere, so no field's test is vacuous *)
+      Array.iteri
+        (fun i n -> check_bool (Printf.sprintf "check %d opens" i) true (n > 0))
+        opened)
 
 (* -- device relation reference ------------------------------------------------ *)
 
@@ -422,7 +616,9 @@ let pair_relations config (apps : Rule.smartapp list) =
   ignore (Detector.audit_all (Detector.create config) (List.rev apps));
   !seen
 
-let check_relation label ~full reference config (apps : Rule.smartapp list) =
+(* [~full] runs every per-category detector of the plan; [~sweep] (by
+   default [full]) asks the matcher directly of every var pair. *)
+let check_relation label ~full ?(sweep = full) reference config (apps : Rule.smartapp list) =
   let stats = { asked = 0; bare_matches = 0; mismatches = [] } in
   let config = checked_config stats reference config in
   let relations = pair_relations config apps in
@@ -441,7 +637,9 @@ let check_relation label ~full reference config (apps : Rule.smartapp list) =
   let ctx = Detector.create config in
   let plan = Detector.candidate_pairs ctx apps in
   if full then ignore (Detector.audit_pairs ctx plan);
-  (* and the matcher asked directly, over every var a detector may name *)
+  (* and the matcher asked directly, over every var a detector may name:
+     the planner's channel keys skip the questions of rule pairs that
+     share no channel, bare vars' among them *)
   List.iter
     (fun (a : Rule.smartapp) ->
       List.iter
@@ -452,7 +650,7 @@ let check_relation label ~full reference config (apps : Rule.smartapp list) =
               (fun v1 -> List.iter (fun v2 -> ignore (same v1 v2)) (asked_vars b))
               (asked_vars a))
         apps)
-    (if full then apps else []);
+    (if sweep then apps else []);
   Alcotest.(check (list string)) (label ^ ": every answer equals the reference") [] stats.mismatches;
   stats
 
@@ -466,7 +664,7 @@ let device_relation_matches_reference =
       ignore (check_relation "pool offline" ~full:true ref_offline_same_device Detector.offline_config pool);
       ignore (check_relation "pool mixed" ~full:false ref_offline_same_device (mixed recorder) pool);
       let online =
-        check_relation "pool online" ~full:false (ref_online_same_device recorder)
+        check_relation "pool online" ~full:false ~sweep:true (ref_online_same_device recorder)
           (Recorder.detector_config recorder) pool
       in
       check_bool "online: non-input vars matched by device id" true (online.bare_matches > 0);
@@ -809,4 +1007,5 @@ let tests =
     audit_pool_counters;
     planned_cells_match_on_the_fly;
     synth_pins;
+    keys_meet_where_checks_open;
   ]

@@ -349,29 +349,30 @@ let prop_config_uri_splices =
         Gen.(list_size (int_range 0 24) (oneofa tokens) >|= String.concat ""))
     config_uri_law
 
-(* A valid URI with one to eight edits: a byte replaced (by any byte or
-   a separator), inserted or deleted. *)
-let prop_config_uri_mutations =
+(* [k] edits of [s]: each a byte replaced (by any byte or one of
+   [seps]), inserted or deleted. *)
+let rec byte_edits ~seps k s =
   let edit s =
     QCheck.Gen.(
       let n = String.length s in
       int_range 0 n >>= fun i ->
-      oneof [ char; oneofl [ '/'; ':'; 'a'; '0' ] ] >>= fun c ->
+      oneof [ char; oneofl seps ] >>= fun c ->
       int_range 0 2 >|= function
       | 0 when i < n -> String.sub s 0 i ^ String.make 1 c ^ String.sub s (i + 1) (n - i - 1)
       | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
       | _ when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
       | _ -> s)
   in
-  let rec edits k s =
-    if k = 0 then QCheck.Gen.return s else QCheck.Gen.(edit s >>= edits (k - 1))
-  in
+  if k = 0 then QCheck.Gen.return s else QCheck.Gen.(edit s >>= byte_edits ~seps (k - 1))
+
+(* A valid URI with one to eight edits. *)
+let prop_config_uri_mutations =
   QCheck.Test.make ~count:2000 ~name:"config URI decoding is total on mutated valid URIs"
     QCheck.(
       make ~print:(Printf.sprintf "%S")
         Gen.(
           oneofl (Lazy.force valid_uris) >>= fun uri ->
-          int_range 1 8 >>= fun k -> edits k uri))
+          int_range 1 8 >>= fun k -> byte_edits ~seps:[ '/'; ':'; 'a'; '0' ] k uri))
     config_uri_law
 
 let valid_uris_round_trip =
@@ -384,6 +385,80 @@ let valid_uris_round_trip =
           | _ -> Alcotest.(check bool) uri true (config_uri_law uri)
           | exception Config_uri.Malformed m -> Alcotest.failf "%S: %s" uri m)
         uris)
+
+(* -- IFTTT templates ------------------------------------------------------------ *)
+
+(* Applet text is crawled from recipe pages, so [Ifttt.parse] and
+   [Ifttt.parse_recipes] must return a value or raise [Parse_error] on
+   any bytes. *)
+module Ifttt = Homeguard_ifttt.Ifttt
+
+let ifttt_law s =
+  let only_parse_error name f =
+    match f () with
+    | () -> true
+    | exception Ifttt.Parse_error _ -> true
+    | exception e ->
+      Printf.eprintf "%s raised on %S: %s\n" name s (Printexc.to_string e);
+      false
+  in
+  only_parse_error "Ifttt.parse" (fun () -> ignore (Ifttt.parse s))
+  && only_parse_error "Ifttt.parse_recipes" (fun () ->
+         ignore (Ifttt.parse_recipes ~name:"fuzz" s))
+
+(* Applets of every form the grammar has, and a recipe file of them. *)
+let valid_applets =
+  let applets =
+    [
+      "IF porch.motion IS active THEN porchLight DO on";
+      "IF door.contact IS open WHILE lux.illuminance IS 10 THEN hallLight DO on";
+      "IF a.temperature IS 30 WHILE b.switch IS on WHILE c.mode IS Home THEN fan DO off";
+      "IF everyone.presence IS not_present THEN MODE Away";
+      "EVERY DAY AT 07:30 THEN coffeeMaker DO on";
+      "EVERY DAY AT 21:00 THEN bedroomDimmer DO setLevel WITH 20";
+      "every day at 2024-01-01T06:05:00 then lamp do on";
+    ]
+  in
+  String.concat "\n" ("# recipes" :: applets @ [ "  "; "# end" ]) :: applets
+
+let prop_ifttt_bytes =
+  QCheck.Test.make ~count:1000 ~name:"IFTTT parsing is total on arbitrary bytes"
+    QCheck.(string_gen_of_size (Gen.int_range 0 256) Gen.char)
+    ifttt_law
+
+let prop_ifttt_splices =
+  let tokens =
+    [|
+      "IF"; "if"; "EVERY"; "DAY"; "AT"; "THEN"; "then"; "DO"; "WITH"; "WHILE"; "IS"; "MODE";
+      "porch.motion"; "porch."; ".motion"; "."; "a.b.c"; "active"; "on"; "setLevel"; "20";
+      "-1"; "07:30"; "24:00"; "7:"; ":"; ":5"; "T"; "T12:3"; "2024-01-01T06:05"; "Away";
+      " "; "  "; "\n"; "\t"; "#"; "\x00"; "\xff"; "état";
+    |]
+  in
+  QCheck.Test.make ~count:1000 ~name:"IFTTT parsing is total on token splices"
+    QCheck.(
+      make ~print:(Printf.sprintf "%S")
+        Gen.(list_size (int_range 0 24) (oneofa tokens) >|= String.concat ""))
+    ifttt_law
+
+(* A valid applet or recipe file with one to eight edits. *)
+let prop_ifttt_mutations =
+  QCheck.Test.make ~count:2000 ~name:"IFTTT parsing is total on mutated valid applets"
+    QCheck.(
+      make ~print:(Printf.sprintf "%S")
+        Gen.(
+          oneofl valid_applets >>= fun applet ->
+          int_range 1 8 >>= fun k -> byte_edits ~seps:[ ' '; '.'; ':'; '\n'; '#' ] k applet))
+    ifttt_law
+
+let valid_applets_parse =
+  Alcotest.test_case "every valid applet parses" `Quick (fun () ->
+      List.iter
+        (fun s ->
+          match Ifttt.parse_recipes ~name:"valid" s with
+          | app -> Alcotest.(check bool) s true (app.Homeguard_rules.Rule.rules <> [])
+          | exception Ifttt.Parse_error m -> Alcotest.failf "%S: %s" s m)
+        valid_applets)
 
 let tests =
   [
@@ -402,4 +477,8 @@ let tests =
     QCheck_alcotest.to_alcotest ~long:false prop_config_uri_splices;
     QCheck_alcotest.to_alcotest ~long:false prop_config_uri_mutations;
     valid_uris_round_trip;
+    QCheck_alcotest.to_alcotest ~long:false prop_ifttt_bytes;
+    QCheck_alcotest.to_alcotest ~long:false prop_ifttt_splices;
+    QCheck_alcotest.to_alcotest ~long:false prop_ifttt_mutations;
+    valid_applets_parse;
   ]

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Paired comparison of two checkouts on one hgbench workload:
-#   bash tools/hgbench-pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD N SECONDS
-# Runs N pairs on seeds 1001..1000+N, alternating which side goes first
+#   bash tools/hgbench-pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD N SECONDS [FIRST_SEED]
+# Runs N pairs on seeds FIRST_SEED..FIRST_SEED+N-1 (FIRST_SEED defaults
+# to 1001; pass another range, say 3001, to confirm a gain on seeds the
+# first comparison did not use), alternating which side goes first
 # (the loop in hgbench/README.md, "Comparing two commits"), then prints
 # one line per end-to-end metric of BENCHMARK.json: each side's median,
 # its IQR/median, and in how many pairs the change was better. A gain
@@ -10,8 +12,8 @@
 # Exits 1 if a run printed no result or reported a failed check.
 set -euo pipefail
 
-if [ $# -ne 5 ]; then
-  echo "usage: $0 PARENT_DIR CHANGE_DIR WORKLOAD N SECONDS" >&2
+if [ $# -ne 5 ] && [ $# -ne 6 ]; then
+  echo "usage: $0 PARENT_DIR CHANGE_DIR WORKLOAD N SECONDS [FIRST_SEED]" >&2
   exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -19,6 +21,7 @@ change=$(cd "$2" && pwd)
 workload=$3
 n=$4
 seconds=$5
+first_seed=${6:-1001}
 spec="$change/BENCHMARK.json"
 
 out=$(mktemp -d)
@@ -29,10 +32,11 @@ for i in $(seq 1 "$n"); do
   for side in $order; do
     if [ "$side" = parent ]; then dir=$parent; else dir=$change; fi
     # a run that fails a check still prints its JSON line, exit 1
+    seed=$((first_seed + i - 1))
     line=$(cd "$dir" && { bash hgbench/run.sh --workload "$workload" \
-      --seed $((1000 + i)) --seconds "$seconds" --trace 0 || true; } | tail -1)
+      --seed "$seed" --seconds "$seconds" --trace 0 || true; } | tail -1)
     echo "$line" >> "$out/$side.jsonl"
-    echo "pair $i $side seed $((1000 + i)) done" >&2
+    echo "pair $i $side seed $seed done" >&2
   done
 done
 
