@@ -537,6 +537,7 @@ let parse_inject words =
     Some "fault injection disarmed"
   | "stall" :: ms :: rest -> (
     match (float_of_string_opt ms, rest) with
+    | Some ms, _ when not (Float.is_finite ms) -> None (* [inf] would never wake *)
     | Some ms, [] ->
       Fault.arm ~rate_per_thousand:1000 (Fault.Stall ms);
       Some (Printf.sprintf "armed: stall %.0f ms on every solve" ms)

@@ -54,41 +54,6 @@ let send t transport _uri =
   end
   else Some (sample_latency t transport)
 
-(** Deliver with retries under capped decorrelated-jitter backoff: up to
-    [max_attempts] sends, waiting (in simulated time) a random interval
-    in [[backoff_ms, min (max_backoff_ms, prev * 3)]] before each
-    re-send. Decorrelating the waits keeps a fleet of homes that lost
-    the same broadcast from re-sending in lockstep, and the cap bounds
-    the worst-case wait; jitter draws come from the transport's seeded
-    generator, so a given seed still replays exactly. Returns
-    [Some (total_ms, attempts)] — delivery latency plus all backoff
-    spent — or [None] when every attempt was lost. *)
-let send_with_retry ?(max_attempts = 4) ?(backoff_ms = 250.0) ?(max_backoff_ms = 8_000.0)
-    ?deadline_ms t transport uri =
-  let base = Float.max 1.0 backoff_ms in
-  let cap = Float.max base max_backoff_ms in
-  let jittered prev =
-    let hi = Float.min cap (prev *. 3.0) in
-    let u = float_of_int (next t mod 1024) /. 1023.0 in
-    base +. (u *. (hi -. base))
-  in
-  (* the caller's deadline caps the total backoff spend: a retry whose
-     wait would push past it is abandoned instead of slept *)
-  let within waited =
-    match deadline_ms with None -> true | Some d -> waited <= d
-  in
-  let rec go attempt prev waited =
-    match send t transport uri with
-    | Some latency -> Some (waited +. latency, attempt)
-    | None ->
-      if attempt >= max_attempts then None
-      else
-        let sleep = jittered prev in
-        if not (within (waited +. sleep)) then None
-        else go (attempt + 1) sleep (waited +. sleep)
-  in
-  if max_attempts <= 0 || not (within 0.0) then None else go 1 base 0.0
-
 (** Mean latency over [trials] deliveries (the §VIII-C experiment). *)
 let measure_mean t transport ~trials =
   let total = ref 0.0 and count = ref 0 in

@@ -27,14 +27,14 @@ type home = {
   messaging : Homeguard_config.Messaging.t;
 }
 
-let create_home ?(transport_seed = 7) () =
+let create_home () =
   let recorder = Homeguard_config.Recorder.create () in
   {
     recorder;
     flow =
       Homeguard_frontend.Install_flow.create
         ~detector_config:(Homeguard_config.Recorder.detector_config recorder) ();
-    messaging = Homeguard_config.Messaging.create ~seed:transport_seed ();
+    messaging = Homeguard_config.Messaging.create ();
   }
 
 (** Full install pipeline for one app: instrumented configuration is

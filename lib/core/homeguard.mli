@@ -27,7 +27,7 @@ type home = {
   messaging : Homeguard_config.Messaging.t;
 }
 
-val create_home : ?transport_seed:int -> unit -> home
+val create_home : unit -> home
 
 val begin_install :
   home ->

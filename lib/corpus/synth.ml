@@ -21,10 +21,11 @@ let hex_digits = "0123456789abcdef"
 let hex_id st = String.init 32 (fun _ -> hex_digits.[Random.State.int st 16])
 
 (* Heavy-tailed app count: geometric with continue-probability 2/3
-   (mean 3), capped by the pool. A few homes are much bigger than the
-   median — those are the ones that find quadratic-audit cliffs. *)
-let app_count st ~max_apps =
-  let rec go n = if n < max_apps && Random.State.int st 3 > 0 then go (n + 1) else n in
+   (mean 3), capped at 8 and by the pool. A few homes are much bigger
+   than the median — those are the ones that find quadratic-audit
+   cliffs. *)
+let app_count st =
+  let rec go n = if n < 8 && Random.State.int st 3 > 0 then go (n + 1) else n in
   go 1
 
 (* Fisher–Yates over a copy of the pool; take the prefix. *)
@@ -52,13 +53,13 @@ let config_uri st (app : App_entry.t) =
   done;
   Buffer.contents buf
 
-let generate ?(max_apps = 8) ~pool ~seed ~n_homes () =
+let generate ~pool ~seed ~n_homes () =
   if n_homes < 0 then invalid_arg "Synth.generate: n_homes < 0";
   if pool = [] then invalid_arg "Synth.generate: empty app pool";
   let st = Random.State.make [| 0x5eed; seed |] in
   List.init n_homes (fun i ->
       let id = Printf.sprintf "h%04d" i in
-      let apps = sample st pool (app_count st ~max_apps) in
+      let apps = sample st pool (app_count st) in
       let configs =
         List.filter_map
           (fun app ->

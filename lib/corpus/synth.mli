@@ -10,10 +10,8 @@ type home = {
           order *)
 }
 
-val generate :
-  ?max_apps:int -> pool:App_entry.t list -> seed:int -> n_homes:int -> unit -> home list
+val generate : pool:App_entry.t list -> seed:int -> n_homes:int -> unit -> home list
 (** [generate ~pool ~seed ~n_homes ()] is deterministic in [seed]: the
     same seed yields byte-identical homes. [Corpus.synth] applies the
-    standard pool ({!Corpus.audit_apps}); [max_apps] (default 8) caps
-    the heavy-tailed per-home app count.
+    standard pool ({!Corpus.audit_apps}); a home holds at most 8 apps.
     @raise Invalid_argument on a negative count or an empty pool. *)

@@ -42,6 +42,7 @@ module Install_flow = Homeguard_frontend.Install_flow
 module Policy = Homeguard_handling.Policy
 module Detector = Homeguard_detector.Detector
 module Fault = Homeguard_solver.Fault
+module Journal = Homeguard_store.Journal
 module Budget = Homeguard_solver.Budget
 module Corpus = Homeguard_corpus.Corpus
 module Synth = Homeguard_corpus.Synth
@@ -138,7 +139,7 @@ type fault_event =
 
 type scheduled = { at : int; ev : fault_event }
 
-let storage_modes = [| Fault.Crash; Fault.Torn; Fault.Flip |]
+let storage_modes = [| Journal.Crash; Journal.Torn; Journal.Flip |]
 
 (** Derive the full fault schedule for a config — a pure function of
     the seed, independent of the workload RNG. Forced kills and
@@ -219,28 +220,34 @@ let schedule_of_config config =
 
 type invariant = { name : string; ok : bool; detail : string }
 
+(* The campaign's tallies: the run updates this record in place and
+   the report returns it. *)
+type tally = {
+  mutable ops : int;
+  mutable installs_acked : int;
+  mutable configs_acked : int;
+  mutable decisions_acked : int;
+  mutable quarantines_acked : int;
+  mutable degraded_replies : int;  (** Unavailable/Crashed routing outcomes *)
+  mutable busy_replies : int;
+  mutable stalled_timeouts : int;
+  mutable served_while_impaired : int;
+      (** ops completed by healthy shards while some shard was down *)
+  mutable fault_windows : int;
+  mutable replicas_destroyed : int;  (** replica files removed by loss windows *)
+  mutable replicas_corrupted : int;  (** replica files bit-flipped by corruption windows *)
+  mutable cache_destroyed : int;  (** cache replica files removed *)
+  mutable cache_corrupted : int;  (** cache replica files bit-flipped *)
+  mutable zombie_rejected : int;  (** fenced appends the split-brain zombies attempted *)
+  mutable zombie_accepted : int;  (** must be 0: stale appends that reached the disk *)
+  mutable cache_probe_fenced : int;  (** zombie cache writes refused at the fence *)
+  mutable cache_probe_accepted : int;  (** must be 0: stale cache writes gone durable *)
+}
+
 type report = {
   config : config;
   schedule : scheduled list;  (** the fault plan this campaign executed *)
-  ops : int;
-  installs_acked : int;
-  configs_acked : int;
-  decisions_acked : int;
-  quarantines_acked : int;
-  degraded_replies : int;  (** Unavailable/Crashed routing outcomes *)
-  busy_replies : int;
-  stalled_timeouts : int;
-  served_while_impaired : int;
-      (** ops completed by healthy shards while some shard was down *)
-  fault_windows : int;
-  replicas_destroyed : int;  (** replica files removed by loss windows *)
-  replicas_corrupted : int;  (** replica files bit-flipped by corruption windows *)
-  cache_destroyed : int;  (** cache replica files removed *)
-  cache_corrupted : int;  (** cache replica files bit-flipped *)
-  zombie_rejected : int;  (** fenced appends the split-brain zombies attempted *)
-  zombie_accepted : int;  (** must be 0: stale appends that reached the disk *)
-  cache_probe_fenced : int;  (** zombie cache writes refused at the fence *)
-  cache_probe_accepted : int;  (** must be 0: stale cache writes gone durable *)
+  tally : tally;
   scrub : Scrub.counters;  (** the post-campaign anti-entropy pass *)
   scrub_second : Scrub.counters;  (** must be all-healthy: repair is idempotent *)
   cache_scrub : Scrub.home_report option;  (** cache-surface anti-entropy pass *)
@@ -278,21 +285,8 @@ type campaign = {
   mutable pending_splits : int list;
       (** split-brain victims still waiting for a live worker to wedge *)
   mutable zombies : Shard.t list;  (** wedged workers still holding writers *)
-  mutable zombie_rejected : int;
-  mutable zombie_accepted : int;
-  mutable cache_probe_fenced : int;
-  mutable cache_probe_accepted : int;
-  mutable replicas_destroyed : int;
-  mutable replicas_corrupted : int;
-  mutable cache_destroyed : int;
-  mutable cache_corrupted : int;
+  tally : tally;
   mutable fault_steps_left : int;
-  mutable fault_windows : int;
-  mutable ops : int;
-  mutable busy : int;
-  mutable degraded : int;
-  mutable stalled_timeouts : int;
-  mutable served_while_impaired : int;
   mutable false_clean : int;
   mutable outcomes_checked : int;
   mutable killed : int list;  (** distinct shards seen down *)
@@ -315,13 +309,13 @@ let impaired c =
 
 (* Structural invariant-4 accounting: every reply passes through here. *)
 let classify c reply =
-  c.ops <- c.ops + 1;
+  c.tally.ops <- c.tally.ops + 1;
   let was_impaired = impaired c in
   (match reply with
   | Supervisor.Done _ -> if was_impaired then
-      c.served_while_impaired <- c.served_while_impaired + 1
+      c.tally.served_while_impaired <- c.tally.served_while_impaired + 1
   | Supervisor.Unavailable _ | Supervisor.Crashed _ ->
-    c.degraded <- c.degraded + 1;
+    c.tally.degraded_replies <- c.tally.degraded_replies + 1;
     c.outcomes_checked <- c.outcomes_checked + 1;
     if Shed.conclusive (Supervisor.to_outcome reply) then
       c.false_clean <- c.false_clean + 1);
@@ -362,82 +356,73 @@ let op_install c (id, ex) =
         List.fold_left
           (fun acc th -> add_distinct (Policy.threat_id th) acc)
           ex.threat_ids report.Install_flow.threats;
-      `Acked_install
+      c.tally.installs_acked <- c.tally.installs_acked + 1
     | Supervisor.Done { value = `Busy _; _ } ->
-      c.busy <- c.busy + 1;
-      `Other
+      c.tally.busy_replies <- c.tally.busy_replies + 1
     | Supervisor.Done { value = `Failed quarantined; _ } ->
       if quarantined then ex.quarantined <- add_distinct name ex.quarantined;
-      ex.next_app <- ex.next_app + 1;  (* don't wedge on a poisoned app *)
-      `Other
-    | Supervisor.Done { value = `Refused; _ } ->
-      ex.next_app <- ex.next_app + 1;
-      `Other
-    | Supervisor.Unavailable _ | Supervisor.Crashed _ -> `Other
+      ex.next_app <- ex.next_app + 1 (* don't wedge on a poisoned app *)
+    | Supervisor.Done { value = `Refused; _ } -> ex.next_app <- ex.next_app + 1
+    | Supervisor.Unavailable _ | Supervisor.Crashed _ -> ()
   end
-  else `Other
 
 let op_deliver c (id, ex) =
   match ex.synth.Synth.configs with
-  | [] -> `Other
-  | configs ->
+  | [] -> ()
+  | configs -> (
     let uri = List.nth configs (ex.next_seq mod List.length configs) in
     let seq = ex.next_seq + 1 in
-    (match classify c (Supervisor.deliver c.sup ~home:id ~seq uri) with
+    match classify c (Supervisor.deliver c.sup ~home:id ~seq uri) with
     | Supervisor.Done { value = Home.Accepted _; _ } ->
       ex.next_seq <- seq;
       ex.acked_seq <- max ex.acked_seq seq;
-      `Acked_config
-    | Supervisor.Done { value = Home.Malformed _; _ } ->
-      ex.next_seq <- seq;
-      `Other
-    | Supervisor.Unavailable _ | Supervisor.Crashed _ -> `Other)
+      c.tally.configs_acked <- c.tally.configs_acked + 1
+    | Supervisor.Done { value = Home.Malformed _; _ } -> ex.next_seq <- seq
+    | Supervisor.Unavailable _ | Supervisor.Crashed _ -> ())
 
 let op_decision c (id, ex) =
   match ex.threat_ids with
-  | [] -> `Other
-  | ids ->
+  | [] -> ()
+  | ids -> (
     let tid = List.nth ids (Random.State.int c.rng (List.length ids)) in
     let d = if Random.State.bool c.rng then Policy.Allow else Policy.Confirm in
-    (match
-       classify c
-         (Supervisor.run c.sup ~home:id (fun sh ->
-              Home.set_decision (Broker.home (Shard.broker sh) id) tid d))
-     with
+    match
+      classify c
+        (Supervisor.run c.sup ~home:id (fun sh ->
+             Home.set_decision (Broker.home (Shard.broker sh) id) tid d))
+    with
     | Supervisor.Done _ ->
       ex.decisions <- (tid, d) :: List.remove_assoc tid ex.decisions;
-      `Acked_decision
-    | Supervisor.Unavailable _ | Supervisor.Crashed _ -> `Other)
+      c.tally.decisions_acked <- c.tally.decisions_acked + 1
+    | Supervisor.Unavailable _ | Supervisor.Crashed _ -> ())
 
 let op_quarantine c (id, ex) =
   match ex.installed with
-  | [] -> `Other
-  | apps ->
+  | [] -> ()
+  | apps -> (
     let app = List.nth apps (Random.State.int c.rng (List.length apps)) in
-    (match
-       classify c
-         (Supervisor.run c.sup ~home:id (fun sh ->
-              Home.quarantine
-                (Broker.home (Shard.broker sh) id)
-                ~app ~reason:"chaos-injected"))
-     with
+    match
+      classify c
+        (Supervisor.run c.sup ~home:id (fun sh ->
+             Home.quarantine
+               (Broker.home (Shard.broker sh) id)
+               ~app ~reason:"chaos-injected"))
+    with
     | Supervisor.Done _ ->
       ex.quarantined <- add_distinct app ex.quarantined;
-      `Acked_quarantine
-    | Supervisor.Unavailable _ | Supervisor.Crashed _ -> `Other)
+      c.tally.quarantines_acked <- c.tally.quarantines_acked + 1
+    | Supervisor.Unavailable _ | Supervisor.Crashed _ -> ())
 
 let op_audit c (id, _ex) =
   match classify c (Supervisor.submit_audit c.sup ~home:id ()) with
   | Supervisor.Done { value = Ok _; shard } -> (
     match classify c (Supervisor.drain c.sup ~shard) with
     | Supervisor.Done { value = outcomes; _ } ->
-      List.iter (check_audit_outcome c) outcomes;
-      `Other
-    | Supervisor.Unavailable _ | Supervisor.Crashed _ -> `Other)
+      List.iter (check_audit_outcome c) outcomes
+    | Supervisor.Unavailable _ | Supervisor.Crashed _ -> ())
   | Supervisor.Done { value = Error _; _ } ->
-    c.busy <- c.busy + 1;
-    `Other
-  | Supervisor.Unavailable _ | Supervisor.Crashed _ -> `Other
+    c.tally.busy_replies <- c.tally.busy_replies + 1
+  | Supervisor.Unavailable _ | Supervisor.Crashed _ -> ()
 
 (* -- damage windows ----------------------------------------------------------- *)
 
@@ -465,14 +450,9 @@ let flip_byte path ~salt =
          end)
 
 let remove_files paths =
-  List.fold_left
-    (fun removed p ->
-      if Sys.file_exists p then begin
-        (try Sys.remove p with Sys_error _ -> ());
-        true
-      end
-      else removed)
-    false paths
+  let present = List.filter Sys.file_exists paths in
+  List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) present;
+  present <> []
 
 (* Destroy one non-primary replica of a surface — disk death. A live
    writer keeps appending to the unlinked inodes; the next recovery or
@@ -520,13 +500,13 @@ let drive_zombies c =
             ignore (Fence.acquire (Home.dir h) (Home.epoch h + 1) : int);
           if Fence.current (Home.dir h) > Home.epoch h then
             match Home.set_decision h "chaos-zombie" Policy.Allow with
-            | () -> c.zombie_accepted <- c.zombie_accepted + 1
-            | exception Fence.Stale _ -> c.zombie_rejected <- c.zombie_rejected + 1
-            | exception Fault.Crashed _ ->
+            | () -> c.tally.zombie_accepted <- c.tally.zombie_accepted + 1
+            | exception Fence.Stale _ -> c.tally.zombie_rejected <- c.tally.zombie_rejected + 1
+            | exception Journal.Crashed _ ->
               (* the fence passed (it is checked first) and then a
                  storage fault killed the write: still a stale append
                  that was let through *)
-              c.zombie_accepted <- c.zombie_accepted + 1)
+              c.tally.zombie_accepted <- c.tally.zombie_accepted + 1)
         (Broker.homes (Shard.broker z));
       (* the zombie's retained verdict-cache handle gets the same
          treatment: grant the successor ownership epoch if the real
@@ -537,12 +517,12 @@ let drive_zombies c =
         let k = Vcache.fence_key h and e = Vcache.handle_epoch h in
         if Fence.current k <= e then ignore (Fence.acquire k (e + 1) : int);
         (match Vcache.probe_write h with
-        | `Fenced -> c.cache_probe_fenced <- c.cache_probe_fenced + 1
-        | `Accepted -> c.cache_probe_accepted <- c.cache_probe_accepted + 1
+        | `Fenced -> c.tally.cache_probe_fenced <- c.tally.cache_probe_fenced + 1
+        | `Accepted -> c.tally.cache_probe_accepted <- c.tally.cache_probe_accepted + 1
         | `Dropped ->
           (* fence passed, storage fault killed the append: a stale
              write let through, same rule as the home path *)
-          c.cache_probe_accepted <- c.cache_probe_accepted + 1))
+          c.tally.cache_probe_accepted <- c.tally.cache_probe_accepted + 1))
     c.zombies
 
 (* -- the campaign loop -------------------------------------------------------- *)
@@ -577,23 +557,23 @@ let fire c ev =
     c.stalled.(victim mod cfg.shards) <- 8
   | Storage_window { mode; salt } ->
     if c.fault_steps_left = 0 then begin
-      Fault.arm_storage ~seed:salt ~rate_per_thousand:80
+      Journal.arm_storage ~seed:salt ~rate_per_thousand:80
         storage_modes.(mode mod Array.length storage_modes);
-      c.fault_windows <- c.fault_windows + 1;
+      c.tally.fault_windows <- c.tally.fault_windows + 1;
       c.fault_steps_left <- 8
     end
   | Replica_destroy { home; replica } ->
     if destroy_replica (home_surface c home) ~replica then
-      c.replicas_destroyed <- c.replicas_destroyed + 1
+      c.tally.replicas_destroyed <- c.tally.replicas_destroyed + 1
   | Replica_corrupt { home; replica; file; salt } ->
     if corrupt_replica (home_surface c home) ~replica ~file ~salt then
-      c.replicas_corrupted <- c.replicas_corrupted + 1
+      c.tally.replicas_corrupted <- c.tally.replicas_corrupted + 1
   | Cache_destroy { replica } ->
     if c.cfg.vcache && destroy_replica (cache_surface c) ~replica then
-      c.cache_destroyed <- c.cache_destroyed + 1
+      c.tally.cache_destroyed <- c.tally.cache_destroyed + 1
   | Cache_corrupt { replica; file; salt } ->
     if c.cfg.vcache && corrupt_replica (cache_surface c) ~replica ~file ~salt then
-      c.cache_corrupted <- c.cache_corrupted + 1
+      c.tally.cache_corrupted <- c.tally.cache_corrupted + 1
   | Split_brain { victim } ->
     c.pending_splits <- c.pending_splits @ [ victim mod cfg.shards ]
 
@@ -606,12 +586,12 @@ let note_states c =
         if List.mem i c.killed then c.recovered <- add_distinct i c.recovered)
     (List.init c.cfg.shards Fun.id)
 
-let step c ~step_index counters =
+let step c ~step_index =
   let cfg = c.cfg in
   (* close an elapsed storage-fault window *)
   if c.fault_steps_left > 0 then begin
     c.fault_steps_left <- c.fault_steps_left - 1;
-    if c.fault_steps_left = 0 then Fault.disarm_storage ()
+    if c.fault_steps_left = 0 then Journal.disarm_storage ()
   end;
   (* fire this step's scheduled faults *)
   List.iter (fun s -> if s.at = step_index then fire c s.ev) c.schedule;
@@ -631,24 +611,16 @@ let step c ~step_index counters =
     if target = None then
       (* the whole fleet is dead: the home has no owner left, so the
          op degrades instead of routing *)
-      c.degraded <- c.degraded + 1
-    else if target_stalled then c.stalled_timeouts <- c.stalled_timeouts + 1
+      c.tally.degraded_replies <- c.tally.degraded_replies + 1
+    else if target_stalled then c.tally.stalled_timeouts <- c.tally.stalled_timeouts + 1
     else begin
       let r = Random.State.int c.rng 100 in
-      let res =
-        if r < 45 then op_install c home
-        else if r < 75 then op_deliver c home
-        else if r < 85 then op_decision c home
-        else if r < 90 then op_quarantine c home
-        else if r < 90 + (cfg.audit_per_thousand / 10) then op_audit c home
-        else op_deliver c home
-      in
-      (match res with
-      | `Acked_install -> counters.(0) <- counters.(0) + 1
-      | `Acked_config -> counters.(1) <- counters.(1) + 1
-      | `Acked_decision -> counters.(2) <- counters.(2) + 1
-      | `Acked_quarantine -> counters.(3) <- counters.(3) + 1
-      | `Other -> ())
+      if r < 45 then op_install c home
+      else if r < 75 then op_deliver c home
+      else if r < 85 then op_decision c home
+      else if r < 90 then op_quarantine c home
+      else if r < 90 + (cfg.audit_per_thousand / 10) then op_audit c home
+      else op_deliver c home
     end
   done;
   (* heartbeats from every live, un-stalled shard; then advance time
@@ -665,6 +637,16 @@ let step c ~step_index counters =
 (* -- final verification ------------------------------------------------------- *)
 
 let subset ~of_:ys xs = List.for_all (fun x -> List.mem x ys) xs
+let inv name ok detail = { name; ok; detail }
+let id_list = function [] -> "" | ids -> ": " ^ String.concat "," ids
+
+(* With replication the loss carve-out tightens: a damaged replica whose
+   records survived on a sibling lost nothing (the merge heals it), so a
+   recovery surfaces possible loss only when some file's every replica
+   was damaged or missing, or when records would not decode. For a
+   single replica this is the old rule. *)
+let surfaced_loss (r : Home.recovery_report) =
+  (r.Home.quarantined > 0 && r.Home.all_replicas_damaged) || r.Home.skipped_events > 0
 
 type recovered_home = {
   r_installed : string list;
@@ -694,14 +676,6 @@ let recover_home ~fleet_dir ~replicas ~campaign_damage id =
   let h2, r2 = Home.open_ ~fsync:false ~replicas:extra ~dir () in
   let r_text2 = Home.state_text h2 in
   Home.close h2;
-  (* With replication the loss carve-out tightens: a damaged replica
-     whose records survived on a sibling lost nothing (the merge heals
-     it), so damage is honest only when some file's every replica was
-     damaged or missing. For a single replica this is the old rule. *)
-  let damaged (r : Home.recovery_report) =
-    (r.Home.quarantined > 0 && r.Home.all_replicas_damaged)
-    || r.Home.skipped_events > 0
-  in
   (* The quarantine sidecar is the durable form of the same evidence:
      an in-memory recovery report can be lost when the recovering open
      itself crashes on a later home (the journal repair it already
@@ -719,7 +693,7 @@ let recover_home ~fleet_dir ~replicas ~campaign_damage id =
     r_text;
     r_text2;
     r_honest_damage =
-      campaign_damage || damaged r1 || damaged r2 || sidecar_corruption;
+      campaign_damage || surfaced_loss r1 || surfaced_loss r2 || sidecar_corruption;
   }
 
 (* Cache invariants, against [live] (the dump captured just before the
@@ -793,8 +767,6 @@ let verify_cache c ~fleet_dir ~live ~totals ~cscrub ~cscrub2 =
         c.expects
     in
     Vcache.close_store stw;
-    let inv name ok detail = { name; ok; detail } in
-    let list = function [] -> "" | ids -> ": " ^ String.concat "," ids in
     let scrub_invs =
       match (cscrub, cscrub2) with
       | Some (r1 : Scrub.home_report), Some (r2 : Scrub.home_report) ->
@@ -808,12 +780,12 @@ let verify_cache c ~fleet_dir ~live ~totals ~cscrub ~cscrub2 =
     in
     [
       inv "cache-no-stale-epoch-byte"
-        (c.cache_probe_accepted = 0 && chaos_records = 0 && chaos_dump = []
+        (c.tally.cache_probe_accepted = 0 && chaos_records = 0 && chaos_dump = []
         && cache_regressions = 0)
         (Printf.sprintf
            "%d probe(s) fenced, %d accepted, %d chaos record(s) on disk, %d \
             reopened, %d epoch regression(s)"
-           c.cache_probe_fenced c.cache_probe_accepted chaos_records
+           c.tally.cache_probe_fenced c.tally.cache_probe_accepted chaos_records
            (List.length chaos_dump) cache_regressions);
       inv "cache-replay-determinism" (d1 = d2)
         (Printf.sprintf "%d entries reopened twice, %d damaged frame(s) dropped"
@@ -834,21 +806,15 @@ let verify_cache c ~fleet_dir ~live ~totals ~cscrub ~cscrub2 =
            totals.Vcache.inserts totals.Vcache.evicts totals.Vcache.journal_drops);
       inv "cache-warm-equals-cold" (warm_bad = [])
         (Printf.sprintf "%d home(s) audited warm vs cold%s"
-           (List.length c.expects) (list warm_bad));
+           (List.length c.expects) (id_list warm_bad));
     ]
     @ scrub_invs
 
 let verify c ~fleet_dir =
   let campaign_damaged =
-    (* homes whose mid-campaign recoveries already surfaced possible
-       loss — damage on every replica, or undecodable records *)
+    (* homes whose mid-campaign recoveries already surfaced possible loss *)
     List.filter_map
-      (fun (id, (r : Home.recovery_report)) ->
-        if
-          (r.Home.quarantined > 0 && r.Home.all_replicas_damaged)
-          || r.Home.skipped_events > 0
-        then Some id
-        else None)
+      (fun (id, r) -> if surfaced_loss r then Some id else None)
       (Supervisor.recoveries c.sup)
   in
   let recovered =
@@ -861,7 +827,6 @@ let verify c ~fleet_dir =
             id ))
       c.expects
   in
-  let inv name ok detail = { name; ok; detail } in
   let failures pred =
     List.filter_map (fun (id, ex, r) -> if pred ex r then None else Some id) recovered
   in
@@ -878,7 +843,6 @@ let verify c ~fleet_dir =
            && subset ~of_:r.r_decisions ex.decisions))
   in
   let honest = List.length (List.filter (fun (_, _, r) -> r.r_honest_damage) recovered) in
-  let list = function [] -> "" | ids -> ": " ^ String.concat "," ids in
   [
     inv "no-acked-loss" (inv1_bad = [])
       (Printf.sprintf
@@ -886,15 +850,15 @@ let verify c ~fleet_dir =
           surfaced damage%s"
          (List.fold_left (fun a (_, ex, _) -> a + List.length ex.installed) 0 recovered)
          (List.fold_left (fun a (_, ex, _) -> a + ex.acked_seq) 0 recovered)
-         (List.length recovered) honest (list inv1_bad));
+         (List.length recovered) honest (id_list inv1_bad));
     inv "replay-determinism" (inv2_bad = [])
       (Printf.sprintf "%d homes recovered twice%s" (List.length recovered)
-         (list inv2_bad));
+         (id_list inv2_bad));
     inv "quarantine-decision-survival" (inv3_bad = [])
       (Printf.sprintf "%d decisions, %d quarantines acked%s"
          (List.fold_left (fun a (_, ex, _) -> a + List.length ex.decisions) 0 recovered)
          (List.fold_left (fun a (_, ex, _) -> a + List.length ex.quarantined) 0 recovered)
-         (list inv3_bad));
+         (id_list inv3_bad));
     inv "no-false-clean-bill" (c.false_clean = 0)
       (Printf.sprintf "%d outcome(s) checked, %d false clean" c.outcomes_checked
          c.false_clean);
@@ -928,7 +892,6 @@ let run ?(config = default_config) ?schedule ~dir () =
       seed = config.seed;
       fsync = false;
       clock;
-      broker = { Broker.default_config with Broker.clock = clock };
       vcache = config.vcache;
     }
   in
@@ -963,32 +926,38 @@ let run ?(config = default_config) ?schedule ~dir () =
       stalled = Array.make config.shards 0;
       pending_splits = [];
       zombies = [];
-      zombie_rejected = 0;
-      zombie_accepted = 0;
-      cache_probe_fenced = 0;
-      cache_probe_accepted = 0;
-      replicas_destroyed = 0;
-      replicas_corrupted = 0;
-      cache_destroyed = 0;
-      cache_corrupted = 0;
+      tally =
+        {
+          ops = 0;
+          installs_acked = 0;
+          configs_acked = 0;
+          decisions_acked = 0;
+          quarantines_acked = 0;
+          degraded_replies = 0;
+          busy_replies = 0;
+          stalled_timeouts = 0;
+          served_while_impaired = 0;
+          fault_windows = 0;
+          replicas_destroyed = 0;
+          replicas_corrupted = 0;
+          cache_destroyed = 0;
+          cache_corrupted = 0;
+          zombie_rejected = 0;
+          zombie_accepted = 0;
+          cache_probe_fenced = 0;
+          cache_probe_accepted = 0;
+        };
       fault_steps_left = 0;
-      fault_windows = 0;
-      ops = 0;
-      busy = 0;
-      degraded = 0;
-      stalled_timeouts = 0;
-      served_while_impaired = 0;
       false_clean = 0;
       outcomes_checked = 0;
       killed = [];
       recovered = [];
     }
   in
-  let counters = Array.make 4 0 in
   Fun.protect
     ~finally:(fun () ->
       Fault.disarm ();
-      Fault.disarm_storage ();
+      Journal.disarm_storage ();
       Fault.reset_sleeper ();
       Budget.reset_clock ())
   @@ fun () ->
@@ -998,9 +967,9 @@ let run ?(config = default_config) ?schedule ~dir () =
   Fault.set_sleeper (fun ms -> now := !now +. ms);
   Budget.set_clock (fun () -> !now /. 1000.0);
   for step_index = 1 to config.steps do
-    step c ~step_index counters
+    step c ~step_index
   done;
-  Fault.disarm_storage ();
+  Journal.disarm_storage ();
   c.fault_steps_left <- 0;
   (* settle: let every pending restart complete (or exhaust its budget
      and rebalance) before verifying *)
@@ -1040,15 +1009,14 @@ let run ?(config = default_config) ?schedule ~dir () =
   let stats = Supervisor.stats c.sup in
   let live_cache = Option.map Vcache.dump (Supervisor.vcache_store c.sup) in
   Supervisor.close c.sup;
-  let inv name ok detail = { name; ok; detail } in
   let replication_invariants =
     [
       inv "no-stale-epoch-accepted"
-        (c.zombie_accepted = 0 && epoch_regressions = 0)
+        (c.tally.zombie_accepted = 0 && epoch_regressions = 0)
         (Printf.sprintf
            "%d zombie append(s) fenced, %d accepted, %d epoch regression(s) on \
             disk, %d stale replies"
-           c.zombie_rejected c.zombie_accepted epoch_regressions
+           c.tally.zombie_rejected c.tally.zombie_accepted epoch_regressions
            stats.Supervisor.stale_replies);
       inv "scrub-convergence"
         (scrub.Scrub.unconverged = 0)
@@ -1070,24 +1038,7 @@ let run ?(config = default_config) ?schedule ~dir () =
   {
     config;
     schedule;
-    ops = c.ops;
-    installs_acked = counters.(0);
-    configs_acked = counters.(1);
-    decisions_acked = counters.(2);
-    quarantines_acked = counters.(3);
-    degraded_replies = c.degraded;
-    busy_replies = c.busy;
-    stalled_timeouts = c.stalled_timeouts;
-    served_while_impaired = c.served_while_impaired;
-    fault_windows = c.fault_windows;
-    replicas_destroyed = c.replicas_destroyed;
-    replicas_corrupted = c.replicas_corrupted;
-    cache_destroyed = c.cache_destroyed;
-    cache_corrupted = c.cache_corrupted;
-    zombie_rejected = c.zombie_rejected;
-    zombie_accepted = c.zombie_accepted;
-    cache_probe_fenced = c.cache_probe_fenced;
-    cache_probe_accepted = c.cache_probe_accepted;
+    tally = c.tally;
     scrub;
     scrub_second;
     cache_scrub;
@@ -1169,7 +1120,8 @@ let shrink ?(config = smoke_config) ?(enforce_fence = true) ~dir ~invariant
 
 (* -- rendering ---------------------------------------------------------------- *)
 
-let render r =
+let render (r : report) =
+  let t = r.tally in
   let b = Buffer.create 512 in
   Buffer.add_string b
     (Printf.sprintf
@@ -1194,25 +1146,25 @@ let render r =
     (Printf.sprintf
        "workload: ops=%d acked installs=%d configs=%d decisions=%d \
         quarantines=%d busy=%d degraded=%d stalled-timeouts=%d\n"
-       r.ops r.installs_acked r.configs_acked r.decisions_acked
-       r.quarantines_acked r.busy_replies r.degraded_replies r.stalled_timeouts);
+       t.ops t.installs_acked t.configs_acked t.decisions_acked
+       t.quarantines_acked t.busy_replies t.degraded_replies t.stalled_timeouts);
   Buffer.add_string b
     (Printf.sprintf
        "faults: windows=%d kills=%d restarts=%d breaker-trips=%d \
         rebalanced-homes=%d dead-shards=%d\n"
-       r.fault_windows r.stats.Supervisor.kills r.stats.Supervisor.restarts
+       t.fault_windows r.stats.Supervisor.kills r.stats.Supervisor.restarts
        r.stats.Supervisor.breaker_trips r.stats.Supervisor.rebalanced_homes
        r.stats.Supervisor.dead_shards);
   Buffer.add_string b
     (Printf.sprintf
        "isolation: shards-killed=%d shards-recovered=%d served-while-impaired=%d\n"
-       r.shards_killed r.shards_recovered r.served_while_impaired);
+       r.shards_killed r.shards_recovered t.served_while_impaired);
   Buffer.add_string b
     (Printf.sprintf
        "replication: replicas=%d destroyed=%d corrupted=%d split-brains=%d \
         zombie-rejected=%d zombie-accepted=%d stale-replies=%d\n"
-       r.config.replicas r.replicas_destroyed r.replicas_corrupted
-       r.config.split_brains r.zombie_rejected r.zombie_accepted
+       r.config.replicas t.replicas_destroyed t.replicas_corrupted
+       r.config.split_brains t.zombie_rejected t.zombie_accepted
        r.stats.Supervisor.stale_replies);
   Buffer.add_string b (Printf.sprintf "scrub:   %s\n" (Scrub.counters_text r.scrub));
   Buffer.add_string b
@@ -1227,18 +1179,14 @@ let render r =
       (Printf.sprintf
          "cache-replication: destroyed=%d corrupted=%d probes-fenced=%d \
           probes-accepted=%d\n"
-         r.cache_destroyed r.cache_corrupted r.cache_probe_fenced
-         r.cache_probe_accepted);
-    (match r.cache_scrub with
-    | Some cs ->
-      Buffer.add_string b
-        (Printf.sprintf "cache-scrub:   %s\n" (Scrub.report_text cs))
-    | None -> ());
-    (match r.cache_scrub_second with
-    | Some cs ->
-      Buffer.add_string b
-        (Printf.sprintf "cache-rescrub: %s\n" (Scrub.report_text cs))
-    | None -> ()));
+         t.cache_destroyed t.cache_corrupted t.cache_probe_fenced
+         t.cache_probe_accepted);
+    List.iter
+      (fun (label, report) ->
+        Option.iter
+          (fun cs -> Buffer.add_string b (label ^ Scrub.report_text cs ^ "\n"))
+          report)
+      [ ("cache-scrub:   ", r.cache_scrub); ("cache-rescrub: ", r.cache_scrub_second) ]);
   List.iter
     (fun i ->
       Buffer.add_string b

@@ -84,30 +84,36 @@ val schedule_of_config : config -> scheduled list
 
 type invariant = { name : string; ok : bool; detail : string }
 
+type tally = {
+  mutable ops : int;
+  mutable installs_acked : int;
+  mutable configs_acked : int;
+  mutable decisions_acked : int;
+  mutable quarantines_acked : int;
+  mutable degraded_replies : int;
+  mutable busy_replies : int;
+  mutable stalled_timeouts : int;
+  mutable served_while_impaired : int;
+      (** ops completed by healthy shards while some shard was down —
+          the fault-isolation liveness signal *)
+  mutable fault_windows : int;
+  mutable replicas_destroyed : int;
+  mutable replicas_corrupted : int;
+  mutable cache_destroyed : int;  (** cache replica files removed *)
+  mutable cache_corrupted : int;  (** cache replica files bit-flipped *)
+  mutable zombie_rejected : int;  (** stale-epoch appends fenced off *)
+  mutable zombie_accepted : int;  (** stale-epoch appends that went durable — must be 0 *)
+  mutable cache_probe_fenced : int;  (** zombie cache writes refused at the fence *)
+  mutable cache_probe_accepted : int;
+      (** stale cache writes that went durable — must be 0 *)
+}
+(** The campaign's tallies: {!run} updates them as it goes and returns
+    them in its report. *)
+
 type report = {
   config : config;
   schedule : scheduled list;  (** the fault plan this campaign executed *)
-  ops : int;
-  installs_acked : int;
-  configs_acked : int;
-  decisions_acked : int;
-  quarantines_acked : int;
-  degraded_replies : int;
-  busy_replies : int;
-  stalled_timeouts : int;
-  served_while_impaired : int;
-      (** ops completed by healthy shards while some shard was down —
-          the fault-isolation liveness signal *)
-  fault_windows : int;
-  replicas_destroyed : int;
-  replicas_corrupted : int;
-  cache_destroyed : int;  (** cache replica files removed *)
-  cache_corrupted : int;  (** cache replica files bit-flipped *)
-  zombie_rejected : int;  (** stale-epoch appends fenced off *)
-  zombie_accepted : int;  (** stale-epoch appends that went durable — must be 0 *)
-  cache_probe_fenced : int;  (** zombie cache writes refused at the fence *)
-  cache_probe_accepted : int;
-      (** stale cache writes that went durable — must be 0 *)
+  tally : tally;
   scrub : Homeguard_store.Scrub.counters;  (** first anti-entropy pass *)
   scrub_second : Homeguard_store.Scrub.counters;
       (** second pass — must find nothing to repair *)

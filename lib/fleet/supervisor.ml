@@ -16,7 +16,7 @@ module Surface = Homeguard_store.Surface
 module Broker = Homeguard_serve.Broker
 module Deadline = Homeguard_serve.Deadline
 module Shed = Homeguard_serve.Shed
-module Fault = Homeguard_solver.Fault
+module Journal = Homeguard_store.Journal
 module Vcache = Homeguard_vcache.Vcache
 
 type config = {
@@ -270,7 +270,7 @@ let rec mark_dead t slot =
         | Running sh -> (
           match Shard.add_home sh id with
           | report -> t.recoveries <- (id, report) :: t.recoveries
-          | exception Fault.Crashed msg ->
+          | exception Journal.Crashed msg ->
             (* recovering the orphan crashed the destination too *)
             crash t dst ~error:("rebalance recovery crashed: " ^ msg))
         | Restarting _ | Dead -> ()))
@@ -348,7 +348,7 @@ let to_outcome = function
 let owner_of t home = Hashtbl.find_opt t.assignment home
 
 (** Route one unit of work to [home]'s shard. The breaker and the
-    restart schedule gate admission; {!Fault.Crashed} escaping the work
+    restart schedule gate admission; {!Journal.Crashed} escaping the work
     counts as a shard crash (close, schedule restart, honest reply).
     The retry hint while down is the max of the breaker's shed window
     and the time until the next restart attempt — breaker state scales
@@ -382,7 +382,7 @@ let run t ~home f =
           Breaker.note_success slot.breaker;
           Health.beat slot.health;
           Done { shard = idx; value = v }
-        | exception Fault.Crashed msg ->
+        | exception Journal.Crashed msg ->
           Breaker.note_failure slot.breaker;
           crash t slot ~error:msg;
           let retry_after_ms =
@@ -403,15 +403,11 @@ let run t ~home f =
                 Printf.sprintf "stale epoch (held %d < current %d)" held current;
             })))
 
-let install t ~home ?deadline_ms ~name ~source () =
-  run t ~home (fun sh ->
-      Shard.Broker.install (Shard.broker sh) ~home ?deadline_ms ~name ~source ())
-
 let deliver t ~home ~seq uri =
   run t ~home (fun sh -> Home.deliver (Broker.home (Shard.broker sh) home) ~seq uri)
 
-let submit_audit t ~home ?deadline_ms () =
-  run t ~home (fun sh -> Broker.submit_audit (Shard.broker sh) ~home ?deadline_ms ())
+let submit_audit t ~home () =
+  run t ~home (fun sh -> Broker.submit_audit (Shard.broker sh) ~home ())
 
 let drain t ~shard:idx =
   match t.slots.(idx).state with
@@ -421,7 +417,7 @@ let drain t ~shard:idx =
       Breaker.note_success t.slots.(idx).breaker;
       Health.beat t.slots.(idx).health;
       Done { shard = idx; value = outcomes }
-    | exception Fault.Crashed msg ->
+    | exception Journal.Crashed msg ->
       Breaker.note_failure t.slots.(idx).breaker;
       crash t t.slots.(idx) ~error:msg;
       let retry_after_ms =

@@ -71,22 +71,13 @@ val to_outcome : 'a reply -> 'a Shed.outcome
     [Shed.Shard_unavailable] naming the shard — never a clean bill. *)
 
 val run : t -> home:string -> (Shard.t -> 'a) -> 'a reply
-(** Route one unit of work to [home]'s owner. {!Fault.Crashed} escaping
+(** Route one unit of work to [home]'s owner. {!Homeguard_store.Journal.Crashed} escaping
     [f] counts as a shard crash: close, schedule restart, honest
     [Crashed] reply.
     @raise Invalid_argument on an unknown home. *)
 
-val install :
-  t ->
-  home:string ->
-  ?deadline_ms:float ->
-  name:string ->
-  source:string ->
-  unit ->
-  Broker.install_reply reply
-
 val deliver : t -> home:string -> seq:int -> string -> Home.delivery reply
-val submit_audit : t -> home:string -> ?deadline_ms:float -> unit -> (int, int) result reply
+val submit_audit : t -> home:string -> unit -> (int, int) result reply
 val drain : t -> shard:int -> Broker.audit_outcome list reply
 
 (** {2 Health and chaos hooks} *)

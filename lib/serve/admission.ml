@@ -91,6 +91,7 @@ let release t ticket =
   end
 
 let in_flight t = with_lock t @@ fun () -> t.global
+let max_global t = t.max_global
 
 (** Fraction of the global allowance in use, in [0, 1]. The shed policy
     compares this against its threshold. *)

@@ -37,5 +37,8 @@ val release : t -> ticket -> unit
 
 val in_flight : t -> int
 
+val max_global : t -> int
+(** The global allowance [in_flight] counts against. *)
+
 val occupancy : t -> float
 (** Fraction of the global allowance in use, in [0, 1]. *)

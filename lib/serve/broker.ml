@@ -31,12 +31,8 @@ module Fence = Homeguard_store.Fence
 
 type config = {
   max_queue : int;  (** per-home admission bound (queued + running) *)
-  max_global : int;
-  interactive_reserve : int;
-  deadline_ms : float option;  (** default request deadline *)
+  deadline_ms : float option;  (** request deadline *)
   quarantine_after : int;  (** consecutive failures before quarantine *)
-  shed_threshold : float;  (** occupancy at which background work sheds *)
-  est_service_ms : int;
   clock : Deadline.clock;
   jobs : int;  (** audit parallelism *)
 }
@@ -44,15 +40,14 @@ type config = {
 let default_config =
   {
     max_queue = 4;
-    max_global = 16;
-    interactive_reserve = 2;
     deadline_ms = None;
     quarantine_after = 3;
-    shed_threshold = 0.75;
-    est_service_ms = 50;
     clock = Deadline.wall_clock;
     jobs = 1;
   }
+
+(* occupancy at which background work sheds *)
+let shed_threshold = 0.75
 
 type job = {
   home_id : string;
@@ -75,11 +70,7 @@ type t = {
 }
 
 let create ?(config = default_config) () =
-  let admission =
-    Admission.create ~max_per_home:config.max_queue ~max_global:config.max_global
-      ~interactive_reserve:config.interactive_reserve
-      ~est_service_ms:config.est_service_ms ()
-  in
+  let admission = Admission.create ~max_per_home:config.max_queue () in
   { config; admission; homes_rev = []; by_id = Hashtbl.create 64; queue_rev = []; next_job = 1 }
 
 let add_home t ~id home =
@@ -200,7 +191,7 @@ type install_reply =
       quarantined : bool;  (** this failure tripped the threshold *)
     }
 
-let install t ~home:home_id ?deadline_ms ~name ~source () =
+let install t ~home:home_id ~name ~source () =
   let e = entry t home_id in
   match Home.quarantined e.home |> List.assoc_opt name with
   | Some reason -> Quarantined_app { app = name; reason }
@@ -211,10 +202,7 @@ let install t ~home:home_id ?deadline_ms ~name ~source () =
       Fun.protect ~finally:(fun () -> Admission.release t.admission ticket)
       @@ fun () ->
       let started = t.config.clock () in
-      let timeout_ms =
-        match deadline_ms with Some _ -> deadline_ms | None -> t.config.deadline_ms
-      in
-      let dl = Deadline.make ~clock:t.config.clock ?timeout_ms () in
+      let dl = Deadline.make ~clock:t.config.clock ?timeout_ms:t.config.deadline_ms () in
       let fail error =
         let quarantined = note_failure e ~app:name ~reason:error in
         Install_failed { app = name; error; quarantined }
@@ -240,15 +228,14 @@ let install t ~home:home_id ?deadline_ms ~name ~source () =
     ticket from the moment it is accepted, so queued background work
     counts against the bounds and later submissions see honest
     backpressure. *)
-let submit_audit t ~home:home_id ?deadline_ms () =
+let submit_audit t ~home:home_id () =
   ignore (entry t home_id);
   match Admission.try_admit t.admission ~home:home_id Admission.Background with
   | Error retry_after_ms -> Error retry_after_ms
   | Ok ticket ->
-    let timeout_ms =
-      match deadline_ms with Some _ -> deadline_ms | None -> t.config.deadline_ms
+    let job_deadline =
+      Deadline.make ~clock:t.config.clock ?timeout_ms:t.config.deadline_ms ()
     in
-    let job_deadline = Deadline.make ~clock:t.config.clock ?timeout_ms () in
     let id = t.next_job in
     t.next_job <- id + 1;
     t.queue_rev <- { home_id; id; ticket; job_deadline } :: t.queue_rev;
@@ -279,7 +266,7 @@ let drain t =
       if Deadline.expired job.job_deadline then
         Shed_job { home = job.home_id; id = job.id; reason = Shed.Deadline_expired }
       else if
-        Shed.should_shed t.admission ~threshold:t.config.shed_threshold
+        Shed.should_shed t.admission ~threshold:shed_threshold
           Admission.Background
       then Shed_job { home = job.home_id; id = job.id; reason = Shed.Overloaded }
       else
@@ -334,6 +321,7 @@ let status t =
     "homes %d in-flight %d/%d queued-jobs %d occupancy %.2f quarantined %d"
     (Hashtbl.length t.by_id)
     (Admission.in_flight t.admission)
-    t.config.max_global (pending_jobs t)
+    (Admission.max_global t.admission)
+    (pending_jobs t)
     (Admission.occupancy t.admission)
     (quarantined_total t)

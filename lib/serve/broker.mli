@@ -10,20 +10,17 @@ module Home = Homeguard_store.Home
 
 type config = {
   max_queue : int;  (** per-home admission bound (queued + running) *)
-  max_global : int;
-  interactive_reserve : int;
-  deadline_ms : float option;  (** default request deadline *)
+  deadline_ms : float option;  (** request deadline *)
   quarantine_after : int;  (** consecutive failures before quarantine *)
-  shed_threshold : float;  (** occupancy at which background work sheds *)
-  est_service_ms : int;
   clock : Deadline.clock;
   jobs : int;  (** audit parallelism *)
 }
+(** The global bounds are {!Admission.create}'s defaults (16 in
+    flight, 2 slots reserved for interactive work, a 50 ms service
+    estimate); background work sheds at 0.75 occupancy. *)
 
 val default_config : config
-(** max_queue 4, max_global 16, interactive_reserve 2, no default
-    deadline, quarantine after 3, shed at 0.75 occupancy, 50 ms
-    estimate, wall clock, 1 job. *)
+(** max_queue 4, no deadline, quarantine after 3, wall clock, 1 job. *)
 
 type t
 
@@ -70,14 +67,7 @@ type install_reply =
       quarantined : bool;  (** this failure tripped the threshold *)
     }
 
-val install :
-  t ->
-  home:string ->
-  ?deadline_ms:float ->
-  name:string ->
-  source:string ->
-  unit ->
-  install_reply
+val install : t -> home:string -> name:string -> source:string -> unit -> install_reply
 (** Admit (Interactive) against [home]'s bound, extract, audit against
     that home under the remaining deadline (budget via
     {!Deadline.budget_spec}, escalation off, cooperative cancellation).
@@ -88,7 +78,7 @@ val install :
 
 (** {2 Background re-audits} *)
 
-val submit_audit : t -> home:string -> ?deadline_ms:float -> unit -> (int, int) result
+val submit_audit : t -> home:string -> unit -> (int, int) result
 (** Enqueue a full re-audit of [home]; the job holds its admission
     ticket from acceptance, so queued work counts against the bounds.
     [Error retry_after_ms] is the backpressure reply.

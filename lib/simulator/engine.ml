@@ -50,8 +50,6 @@ type t = {
   mutable trace_rev : Trace.entry list;
   mutable apps : installed_app list;
   mutable rng : int;
-  command_latency_ms : int;
-  jitter_ms : int;
   sample_interval_ms : int;
   mediator : Mediator.t option;
       (** reference monitor consulted before each Execute dispatch *)
@@ -64,8 +62,7 @@ type t = {
   mutable sample_scheduled : bool;  (** the periodic Sample chain is live *)
 }
 
-let create ?(seed = 1) ?(command_latency_ms = 40) ?(jitter_ms = 150)
-    ?(sample_interval_ms = 30_000) ?mediator () =
+let create ?(seed = 1) ?(sample_interval_ms = 30_000) ?mediator () =
   {
     devices = Hashtbl.create 16;
     env = Env_model.create ();
@@ -75,8 +72,6 @@ let create ?(seed = 1) ?(command_latency_ms = 40) ?(jitter_ms = 150)
     trace_rev = [];
     apps = [];
     rng = (seed * 2_654_435_761) land 0x3FFFFFFF;
-    command_latency_ms;
-    jitter_ms;
     sample_interval_ms;
     mediator;
     feature_prov = Hashtbl.create 8;
@@ -285,12 +280,12 @@ let trigger_matches t iapp (rule : Rule.t) ~source ~attribute ~value =
     in
     holds t iapp data constraint_
 
+(* A command reaches its device 40 ms after the rule fires, plus up to
+   150 ms of seeded jitter. *)
 let fire_rule t prov iapp (rule : Rule.t) =
   List.iter
     (fun (action : Rule.action) ->
-      let delay =
-        (action.Rule.when_ * 1000) + t.command_latency_ms + next_random t t.jitter_ms
-      in
+      let delay = (action.Rule.when_ * 1000) + 40 + next_random t 150 in
       Event_queue.push t.queue (t.now + delay)
         (Execute { iapp; rule; action; prov; deferrals = 0 }))
     rule.Rule.actions

@@ -36,8 +36,6 @@ type t = {
   mutable trace_rev : Trace.entry list;
   mutable apps : installed_app list;
   mutable rng : int;
-  command_latency_ms : int;
-  jitter_ms : int;
   sample_interval_ms : int;
   mediator : Homeguard_handling.Mediator.t option;
   feature_prov : (Homeguard_st.Env_feature.t, provenance) Hashtbl.t;
@@ -47,8 +45,6 @@ type t = {
 
 val create :
   ?seed:int ->
-  ?command_latency_ms:int ->
-  ?jitter_ms:int ->
   ?sample_interval_ms:int ->
   ?mediator:Homeguard_handling.Mediator.t ->
   unit ->

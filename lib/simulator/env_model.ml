@@ -21,7 +21,7 @@ type t = {
   mutable influences : influence list;
 }
 
-let default_baselines =
+let baselines =
   [
     (Env.Temperature, 72.0);
     (Env.Illuminance, 300.0);
@@ -34,8 +34,7 @@ let default_baselines =
     (Env.Carbon_monoxide, 0.0);
   ]
 
-let create ?(baselines = default_baselines) () =
-  { values = baselines; baselines; relax_per_minute = 0.05; influences = [] }
+let create () = { values = baselines; baselines; relax_per_minute = 0.05; influences = [] }
 
 let value t feature =
   match List.assoc_opt feature t.values with Some v -> v | None -> 0.0

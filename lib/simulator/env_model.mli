@@ -13,7 +13,7 @@ type t = {
   mutable influences : influence list;
 }
 
-val create : ?baselines:(Env.t * float) list -> unit -> t
+val create : unit -> t
 val value : t -> Env.t -> float
 val set_value : t -> Env.t -> float -> unit
 val set_baseline : t -> Env.t -> float -> unit

@@ -13,10 +13,13 @@ type t = {
   mutable sunset_minutes : int;
 }
 
-let default_modes = [ "Home"; "Away"; "Night" ]
-
-let create ?(modes = default_modes) ?(current_mode = "Home") () =
-  { modes; current_mode; sunrise_minutes = 6 * 60 + 30; sunset_minutes = 19 * 60 + 45 }
+let create () =
+  {
+    modes = [ "Home"; "Away"; "Night" ];
+    current_mode = "Home";
+    sunrise_minutes = 6 * 60 + 30;
+    sunset_minutes = 19 * 60 + 45;
+  }
 
 let set_mode loc mode =
   if not (List.mem mode loc.modes) then loc.modes <- loc.modes @ [ mode ];

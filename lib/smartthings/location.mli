@@ -7,7 +7,8 @@ type t = {
   mutable sunset_minutes : int;
 }
 
-val create : ?modes:string list -> ?current_mode:string -> unit -> t
+val create : unit -> t
+(** Modes Home, Away and Night; the current mode is Home. *)
 
 val set_mode : t -> string -> unit
 (** Unknown modes are registered on first use. *)

@@ -70,8 +70,9 @@ let of_deadline ?(base = default_spec) remaining_ms =
   in
   { base with timeout_ms }
 
-(** Escalated retry budget: every finite limit multiplied by [factor]. *)
-let escalate ?(factor = 8) spec =
+(** Escalated retry budget: every finite limit multiplied by 8. *)
+let escalate spec =
+  let factor = 8 in
   let mul = Option.map (fun n -> if n > max_int / factor then max_int else n * factor) in
   {
     prop_steps = mul spec.prop_steps;
@@ -102,8 +103,7 @@ let cache_fingerprint spec =
 (* How a deadline reads the time: [Unix.gettimeofday]-like seconds.
    Wall clock by default; virtual-time harnesses (the chaos campaign,
    deadline tests) install their own process default so solver
-   deadlines are deterministic, and a single solve can still pin an
-   explicit clock via [start ?clock]. *)
+   deadlines are deterministic. *)
 let wall_clock = Unix.gettimeofday
 let default_clock : (unit -> float) Atomic.t = Atomic.make wall_clock
 let set_clock f = Atomic.set default_clock f
@@ -118,10 +118,8 @@ type t = {
   mutable ticks : int;  (** throttles the deadline clock read *)
 }
 
-let start ?clock spec =
-  let clock =
-    match clock with Some c -> c | None -> Atomic.get default_clock
-  in
+let start spec =
+  let clock = Atomic.get default_clock in
   {
     prop_fuel = Option.value ~default:max_int spec.prop_steps;
     node_fuel = Option.value ~default:max_int spec.search_nodes;

@@ -38,8 +38,8 @@ val of_deadline : ?base:spec -> float -> spec
     time, so a request never consumes solver time past its own deadline.
     A non-positive remainder produces an already-expired budget. *)
 
-val escalate : ?factor:int -> spec -> spec
-(** The retry budget: every finite limit multiplied (default 8x). *)
+val escalate : spec -> spec
+(** The retry budget: every finite limit multiplied by 8. *)
 
 val fingerprint : spec -> string
 (** Stable string identifying the spec, for verdict cache keys. *)
@@ -62,9 +62,9 @@ val reset_clock : unit -> unit
 (** Restore the wall clock ([Unix.gettimeofday]) as the process
     default. *)
 
-val start : ?clock:(unit -> float) -> spec -> t
-(** Arm a budget. The deadline (if any) is anchored on [?clock]
-    (default: the process-default clock) and polled against it. *)
+val start : spec -> t
+(** Arm a budget. The deadline (if any) is anchored on the
+    process-default clock and polled against it. *)
 
 val unlimited : unit -> t
 

@@ -97,53 +97,3 @@ let check key =
                { Budget.trip = Budget.Deadline; where = "fault injection: " ^ key })
         | Stall ms -> if ms > 0.0 then (Atomic.get sleeper) ms
     end
-
-(* -- storage faults ---------------------------------------------------------- *)
-
-exception Crashed of string
-
-type storage_mode = Crash | Torn | Flip
-
-type storage_plan = {
-  sseed : int;
-  srate : int;  (** rate per thousand, keyed like {!selects} *)
-  only : string option;  (** fire only on keys with this prefix *)
-  smode : storage_mode;
-}
-
-let storage_state : storage_plan option Atomic.t = Atomic.make None
-
-let arm_storage ?(seed = 1) ?(rate_per_thousand = 1000) ?only mode =
-  Atomic.set storage_state
-    (Some { sseed = seed; srate = rate_per_thousand; only; smode = mode })
-
-let disarm_storage () = Atomic.set storage_state None
-let storage_armed () = Atomic.get storage_state <> None
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let storage_selects plan key =
-  (match plan.only with None -> true | Some p -> has_prefix ~prefix:p key)
-  && Hashtbl.hash (plan.sseed, key) mod 1000 < plan.srate
-
-let crash_point key =
-  match Atomic.get storage_state with
-  | Some ({ smode = Crash; _ } as plan) when storage_selects plan key ->
-    raise (Crashed key)
-  | _ -> ()
-
-let on_write key frame =
-  match Atomic.get storage_state with
-  | Some ({ smode = Torn; _ } as plan)
-    when storage_selects plan key && String.length frame > 0 ->
-    `Torn (String.sub frame 0 (Hashtbl.hash (plan.sseed, key, "cut") mod String.length frame))
-  | Some ({ smode = Flip; _ } as plan)
-    when storage_selects plan key && String.length frame > 0 ->
-    let bit = Hashtbl.hash (plan.sseed, key, "bit") mod (8 * String.length frame) in
-    let b = Bytes.of_string frame in
-    Bytes.set b (bit / 8)
-      (Char.chr (Char.code (Bytes.get b (bit / 8)) lxor (1 lsl (bit mod 8))));
-    `Write (Bytes.to_string b)
-  | _ -> `Write frame

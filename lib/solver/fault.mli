@@ -38,39 +38,3 @@ val set_sleeper : (float -> unit) -> unit
 
 val reset_sleeper : unit -> unit
 (** Restore the wall-clock sleeper. *)
-
-(** {2 Storage faults}
-
-    A second, independent hook for the durable journal: simulated
-    process crashes at named crash points, torn (partial) writes and
-    single-bit flips of a frame about to be written. Selection is a pure
-    function of the armed seed and the point/write key, optionally
-    restricted to keys with a given prefix — so a test can target
-    exactly one crash point of one append ([~only:"journal/append/synced:journal#3"])
-    or fan out probabilistically. *)
-
-exception Crashed of string
-(** The simulated process crash. *)
-
-type storage_mode =
-  | Crash  (** raise {!Crashed} at the selected {!crash_point} *)
-  | Torn  (** truncate the selected write; the writer then crashes *)
-  | Flip  (** flip one deterministic bit of the selected write (silent) *)
-
-val arm_storage :
-  ?seed:int -> ?rate_per_thousand:int -> ?only:string -> storage_mode -> unit
-(** Defaults: seed 1, rate 1000 (every selected key fires — pair with
-    [~only] to aim at one point), no prefix restriction. *)
-
-val disarm_storage : unit -> unit
-val storage_armed : unit -> bool
-
-val crash_point : string -> unit
-(** Called by the journal at its crash points; raises {!Crashed} when a
-    [Crash] plan selects the key. *)
-
-val on_write : string -> string -> [ `Write of string | `Torn of string ]
-(** Pass a frame about to be written through the armed corruption plan:
-    [`Write data] is written as-is (possibly bit-flipped under [Flip]);
-    [`Torn prefix] means only the prefix reaches the disk and the caller
-    must simulate the crash by raising {!Crashed} after writing it. *)

@@ -38,7 +38,7 @@ module Threat_interpreter = Homeguard_frontend.Threat_interpreter
 module Policy = Homeguard_handling.Policy
 module Mediator = Homeguard_handling.Mediator
 
-type mode = Mixed | Online | Offline
+type mode = Mixed | Online
 
 type t = {
   surface : Surface.t;
@@ -78,7 +78,6 @@ type recovery_report = {
 
 let detector_config mode recorder =
   match mode with
-  | Offline -> Detector.offline_config
   | Online -> Recorder.detector_config recorder
   | Mixed ->
     (* offline device-type matching (no instrumented bindings needed)
@@ -149,6 +148,12 @@ let apply_event t = function
 
 let log_event t ev = Surface.append t.surface (Event.to_string ev)
 
+(* Append an event, then apply it as replay will: live and replayed
+   state take the same transition. *)
+let journal t ev =
+  log_event t ev;
+  apply_event t ev
+
 (** Install-time proposal. [?budget] replaces the per-solve budget for
     this proposal only (a deadline-derived {!Budget.of_deadline} spec;
     escalation is disabled so no solve outlives the request deadline);
@@ -181,6 +186,8 @@ let decide t decision =
         (* drop the proposal: the app is installed already *)
         Install_flow.decide t.flow Install_flow.Reject
       | existing ->
+        (* not [journal]: [Keep] installs the pending report's threats
+           instead of auditing the app again *)
         log_event t (Event.Install app);
         if Option.is_some existing then Install_flow.uninstall t.flow app.Rule.name;
         Install_flow.decide t.flow Install_flow.Keep))
@@ -199,8 +206,7 @@ let install_app t app =
   match find_installed t app.Rule.name with
   | Some existing when same_rule_file existing app -> Unchanged
   | Some _ ->
-    log_event t (Event.Uninstall app.Rule.name);
-    Install_flow.uninstall t.flow app.Rule.name;
+    journal t (Event.Uninstall app.Rule.name);
     let r = propose t app in
     decide t Install_flow.Keep;
     Updated r
@@ -213,8 +219,7 @@ let uninstall t name =
   match find_installed t name with
   | None -> false
   | Some _ ->
-    log_event t (Event.Uninstall name);
-    Install_flow.uninstall t.flow name;
+    journal t (Event.Uninstall name);
     true
 
 type delivery = Accepted of Ingest.outcome | Malformed of string
@@ -223,8 +228,7 @@ type delivery = Accepted of Ingest.outcome | Malformed of string
 let record_uri t uri =
   match Config_uri.decode uri with
   | _ ->
-    log_event t (Event.Config { seq = None; uri });
-    apply_config t ~seq:None uri;
+    journal t (Event.Config { seq = None; uri });
     Accepted (Ingest.Applied 1)
   | exception Config_uri.Malformed m -> Malformed m
 
@@ -239,23 +243,20 @@ let deliver t ~seq uri =
     | exception Config_uri.Malformed m -> Malformed m
 
 let set_decision t threat_id decision =
-  log_event t (Event.Decision { threat_id; decision });
-  Install_flow.set_decision t.flow threat_id decision
+  journal t (Event.Decision { threat_id; decision })
 
 (* -- poison-app quarantine (journaled) --------------------------------------- *)
 
 let quarantine t ~app ~reason =
-  if not (Install_flow.is_quarantined t.flow app) then begin
-    log_event t (Event.Quarantine { app; reason });
-    Install_flow.quarantine t.flow app ~reason
-  end
+  if not (Install_flow.is_quarantined t.flow app) then
+    journal t (Event.Quarantine { app; reason })
 
 let unquarantine t app =
-  if Install_flow.is_quarantined t.flow app then begin
-    log_event t (Event.Unquarantine app);
-    Install_flow.unquarantine t.flow app
-  end
-  else false
+  Install_flow.is_quarantined t.flow app
+  && begin
+       journal t (Event.Unquarantine app);
+       true
+     end
 
 let quarantined t = Install_flow.quarantined t.flow
 let is_quarantined t app = Install_flow.is_quarantined t.flow app
@@ -313,6 +314,8 @@ let open_ ?(fsync = true) ?(mode = Mixed) ?(window = 64) ?(configure = Fun.id)
   t.ingest <-
     Some
       (Ingest.create ~window (fun ~seq uri ->
+           (* not [journal]: this runs inside [Ingest.receive], which
+              owns the watermark that [apply_event] would raise *)
            log_event t (Event.Config { seq = Some seq; uri });
            apply_config t ~seq:(Some seq) uri));
   replay t rs.Rjournal.recovered;
@@ -394,21 +397,9 @@ let compact (t : t) =
 
 (* -- canonical durable state -------------------------------------------------- *)
 
-(** Canonical rendering of every piece of durable state — the full rule
-    files of the installed apps (the {!Rule_db} contents), the kept
-    threats and explicit decisions (the {!Install_flow} state feeding
-    the mediator), configs, quarantine and the ingestion watermark —
-    without running any audit. Two recoveries of the same journal must
-    produce byte-identical [state_text]; that is the fleet's
-    replay-determinism invariant, checkable in microseconds per home
-    where {!audit_text} costs a full detection pass. *)
-let state_text t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "apps:\n";
-  List.iter
-    (fun (a : Rule.smartapp) ->
-      Buffer.add_string b (" " ^ Rule_json.to_string a ^ "\n"))
-    (installed_apps t);
+(* The durable tail shared by [state_text] and [audit_text]: kept
+   threats, decisions, configs, quarantine and the ingestion watermark. *)
+let add_durable_tail b t =
   Buffer.add_string b "kept:";
   List.iter
     (fun th -> Buffer.add_string b (" " ^ Policy.threat_id th))
@@ -433,7 +424,24 @@ let state_text t =
     (fun (app, reason) -> Buffer.add_string b (Printf.sprintf " [%s: %s]" app reason))
     (Install_flow.quarantined t.flow);
   Buffer.add_char b '\n';
-  Buffer.add_string b (Printf.sprintf "ack: %d\n" (last_seq t));
+  Buffer.add_string b (Printf.sprintf "ack: %d\n" (last_seq t))
+
+(** Canonical rendering of every piece of durable state — the full rule
+    files of the installed apps (the {!Rule_db} contents), the kept
+    threats and explicit decisions (the {!Install_flow} state feeding
+    the mediator), configs, quarantine and the ingestion watermark —
+    without running any audit. Two recoveries of the same journal must
+    produce byte-identical [state_text]; that is the fleet's
+    replay-determinism invariant, checkable in microseconds per home
+    where {!audit_text} costs a full detection pass. *)
+let state_text t =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b "apps:\n";
+  List.iter
+    (fun (a : Rule.smartapp) ->
+      Buffer.add_string b (" " ^ Rule_json.to_string a ^ "\n"))
+    (installed_apps t);
+  add_durable_tail b t;
   Buffer.contents b
 
 let state_digest t = Digest.to_hex (Digest.string (state_text t))
@@ -469,31 +477,7 @@ let audit_text t =
        (List.length result.Detector.failures));
   Buffer.add_string b (Threat_interpreter.describe_all result.Detector.threats);
   Buffer.add_char b '\n';
-  Buffer.add_string b "kept:";
-  List.iter
-    (fun th -> Buffer.add_string b (" " ^ Policy.threat_id th))
-    (Install_flow.kept_threats t.flow);
-  Buffer.add_char b '\n';
-  Buffer.add_string b "decisions:";
-  List.iter
-    (fun (id, d) -> Buffer.add_string b (Printf.sprintf " [%s -> %s]" id (Policy.describe d)))
-    (Policy.decisions (Install_flow.policies t.flow));
-  Buffer.add_char b '\n';
-  Buffer.add_string b "configs:";
-  List.iter
-    (fun (app, (seq, uri)) ->
-      Buffer.add_string b
-        (Printf.sprintf " [%s#%s %s]" app
-           (match seq with Some s -> string_of_int s | None -> "-")
-           uri))
-    t.configs;
-  Buffer.add_char b '\n';
-  Buffer.add_string b "quarantined:";
-  List.iter
-    (fun (app, reason) -> Buffer.add_string b (Printf.sprintf " [%s: %s]" app reason))
-    (Install_flow.quarantined t.flow);
-  Buffer.add_char b '\n';
-  Buffer.add_string b (Printf.sprintf "ack: %d\n" (last_seq t));
+  add_durable_tail b t;
   Buffer.contents b
 
 (** Incremental re-audit of the apps a recovery marked as changed: each

@@ -17,9 +17,8 @@ type t
 
 (** How the detector matches devices across apps: [Mixed] (default)
     uses offline device-type matching plus the recorder's configured
-    value constraints; [Online] requires exact recorded device ids;
-    [Offline] ignores recorded configuration entirely. *)
-type mode = Mixed | Online | Offline
+    value constraints; [Online] requires exact recorded device ids. *)
+type mode = Mixed | Online
 
 type recovery_report = {
   snapshot_records : int;

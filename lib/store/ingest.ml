@@ -1,16 +1,13 @@
 (** Idempotent, sequenced message ingestion (paper §VII-A transports).
 
-    The SMS/HTTP transport loses, duplicates and reorders deliveries,
-    and {!Homeguard_config.Messaging.send_with_retry} deliberately
-    redelivers. The receiver side therefore tracks a per-home sequence
-    number: duplicates (seq at or below the contiguous watermark, or
-    already buffered) are dropped, bounded out-of-order arrivals are
-    buffered until the gap fills, and everything applied is acked by the
-    highest {e contiguous} sequence number — so a sender may retry any
-    unacked message blindly and the receiver's state is unchanged by
-    redelivery or reordering. *)
-
-module Messaging = Homeguard_config.Messaging
+    A transport may lose, duplicate and reorder deliveries, and any
+    sender that retries redelivers. The receiver side therefore tracks a
+    per-home sequence number: duplicates (seq at or below the contiguous
+    watermark, or already buffered) are dropped, bounded out-of-order
+    arrivals are buffered until the gap fills, and everything applied is
+    acked by the highest {e contiguous} sequence number — so a sender may
+    retry any unacked message blindly and the receiver's state is
+    unchanged by redelivery or reordering. *)
 
 type outcome =
   | Applied of int  (** messages applied now — the arrival plus any buffered run it freed *)
@@ -25,9 +22,9 @@ type t = {
   buffer : (int, string) Hashtbl.t;  (** last < seq <= last + window *)
 }
 
-let create ?(window = 64) ?(last = 0) apply =
+let create ?(window = 64) apply =
   if window < 1 then invalid_arg "Ingest.create: window must be >= 1";
-  { window; apply; last; buffer = Hashtbl.create 16 }
+  { window; apply; last = 0; buffer = Hashtbl.create 16 }
 
 let ack t = t.last
 
@@ -64,36 +61,3 @@ let receive t ~seq payload =
     Hashtbl.add t.buffer seq payload;
     Buffered
   end
-
-(* -- the wire envelope and the sending side ---------------------------------- *)
-
-let envelope_magic = "hgm1"
-
-let encode ~home ~seq payload = Printf.sprintf "%s|%s|%d|%s" envelope_magic home seq payload
-
-let decode s =
-  match String.split_on_char '|' s with
-  | m :: home :: seq :: rest when m = envelope_magic -> (
-    match int_of_string_opt seq with
-    | Some seq when seq > 0 -> Some (home, seq, String.concat "|" rest)
-    | _ -> None)
-  | _ -> None
-
-type sender = {
-  messaging : Messaging.t;
-  transport : Messaging.transport;
-  home : string;
-  mutable next_seq : int;
-}
-
-let sender ?(first_seq = 1) messaging transport ~home =
-  { messaging; transport; home; next_seq = first_seq }
-
-(** Assign the next sequence number and deliver with retries; the
-    receiver's dedup makes the redeliveries harmless. Returns the
-    sequence number used and the transport outcome. *)
-let post ?max_attempts ?backoff_ms ?max_backoff_ms s payload =
-  let seq = s.next_seq in
-  s.next_seq <- seq + 1;
-  let wire = encode ~home:s.home ~seq payload in
-  (seq, Messaging.send_with_retry ?max_attempts ?backoff_ms ?max_backoff_ms s.messaging s.transport wire)

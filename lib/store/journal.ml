@@ -24,11 +24,9 @@
     and rewrites the journal atomically ({!write_atomic}: temp file +
     rename + parent-directory fsync) with only the surviving records.
 
-    All writes pass through {!Fault.on_write} and bracket
-    {!Fault.crash_point}s, so the deterministic storage-fault matrix can
-    crash, tear or bit-flip any individual append. *)
-
-module Fault = Homeguard_solver.Fault
+    All writes pass through {!on_write} and bracket {!crash_point}s, so
+    the deterministic storage-fault matrix can crash, tear or bit-flip
+    any individual append. *)
 
 let magic = "HGJ1 "
 let magic2 = "HGJ2 "
@@ -77,6 +75,54 @@ let read_file path =
 
 let append_flags = [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ]
 
+(* -- storage faults ---------------------------------------------------------- *)
+
+(* Test-only, disarmed by default. Whether a key fires is a hash of the
+   armed seed and the key, so a plan is independent of call order. *)
+
+exception Crashed of string
+
+type storage_mode = Crash | Torn | Flip
+
+type storage_plan = {
+  seed : int;
+  rate : int;  (** per thousand keys *)
+  only : string option;  (** fire only on keys with this prefix *)
+  mode : storage_mode;
+}
+
+let storage_state : storage_plan option Atomic.t = Atomic.make None
+
+let arm_storage ?(seed = 1) ?(rate_per_thousand = 1000) ?only mode =
+  Atomic.set storage_state (Some { seed; rate = rate_per_thousand; only; mode })
+
+let disarm_storage () = Atomic.set storage_state None
+let storage_armed () = Atomic.get storage_state <> None
+
+let storage_selects plan key =
+  (match plan.only with None -> true | Some prefix -> String.starts_with ~prefix key)
+  && Hashtbl.hash (plan.seed, key) mod 1000 < plan.rate
+
+let crash_point key =
+  match Atomic.get storage_state with
+  | Some ({ mode = Crash; _ } as plan) when storage_selects plan key ->
+    raise (Crashed key)
+  | _ -> ()
+
+let on_write key frame =
+  match Atomic.get storage_state with
+  | Some ({ mode = Torn; _ } as plan)
+    when storage_selects plan key && String.length frame > 0 ->
+    `Torn (String.sub frame 0 (Hashtbl.hash (plan.seed, key, "cut") mod String.length frame))
+  | Some ({ mode = Flip; _ } as plan)
+    when storage_selects plan key && String.length frame > 0 ->
+    let bit = Hashtbl.hash (plan.seed, key, "bit") mod (8 * String.length frame) in
+    let b = Bytes.of_string frame in
+    Bytes.set b (bit / 8)
+      (Char.chr (Char.code (Bytes.get b (bit / 8)) lxor (1 lsl (bit mod 8))));
+    `Write (Bytes.to_string b)
+  | _ -> `Write frame
+
 (* -- appending --------------------------------------------------------------- *)
 
 type t = {
@@ -111,18 +157,18 @@ let append t payload =
   let fd = descr t in
   t.appended <- t.appended + 1;
   let key = Printf.sprintf "%s#%d" t.fault_key t.appended in
-  Fault.crash_point ("journal/append/enter:" ^ key);
-  (match Fault.on_write ("journal/write:" ^ key) (frame_epoch ~epoch:t.epoch payload) with
+  crash_point ("journal/append/enter:" ^ key);
+  (match on_write ("journal/write:" ^ key) (frame_epoch ~epoch:t.epoch payload) with
   | `Write data -> write_string fd data
   | `Torn prefix ->
     (* a torn write is a crash mid-write: the prefix reaches the disk,
        the rest never does *)
     write_string fd prefix;
     fsync_fd fd;
-    raise (Fault.Crashed ("torn write: " ^ key)));
-  Fault.crash_point ("journal/append/written:" ^ key);
+    raise (Crashed ("torn write: " ^ key)));
+  crash_point ("journal/append/written:" ^ key);
   if t.fsync then fsync_fd fd;
-  Fault.crash_point ("journal/append/synced:" ^ key)
+  crash_point ("journal/append/synced:" ^ key)
 
 let sync t = fsync_fd (descr t)
 
@@ -142,11 +188,11 @@ let write_atomic ?(fsync = true) ?(epoch = 0) path payloads =
   with_descr (Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC; Unix.O_CREAT ] 0o644) (fun fd ->
       write_string fd (String.concat "" (List.map (frame_epoch ~epoch) payloads));
       if fsync then fsync_fd fd);
-  Fault.crash_point ("journal/rename:" ^ Filename.basename path);
+  crash_point ("journal/rename:" ^ Filename.basename path);
   Sys.rename tmp path;
   (* the rename is not durable until the parent directory is: a crash
      here may roll the file back to its pre-rename contents *)
-  Fault.crash_point ("journal/rename/unsynced:" ^ Filename.basename path);
+  crash_point ("journal/rename/unsynced:" ^ Filename.basename path);
   if fsync then fsync_dir (Filename.dirname path)
 
 (* -- scanning ---------------------------------------------------------------- *)

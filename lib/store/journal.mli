@@ -30,6 +30,38 @@ val read_file : string -> string
 val write_sub : Unix.file_descr -> string -> int -> int -> unit
 (** [write_sub fd s pos len] writes all [len] bytes of [s] from [pos]. *)
 
+(** {2 Storage faults}
+
+    A test-only hook, disarmed by default: simulated process crashes at
+    named crash points, torn (partial) writes and single-bit flips of a
+    frame about to be written. Selection is a pure function of the armed
+    seed and the point/write key, optionally restricted to keys with a
+    given prefix — so a test can target exactly one crash point of one
+    append ([~only:"journal/append/synced:journal#3"]) or fan out
+    probabilistically. *)
+
+exception Crashed of string
+(** The simulated process crash. *)
+
+type storage_mode =
+  | Crash  (** raise {!Crashed} at the selected crash point *)
+  | Torn  (** truncate the selected write; the writer then crashes *)
+  | Flip  (** flip one deterministic bit of the selected write (silent) *)
+
+val arm_storage :
+  ?seed:int -> ?rate_per_thousand:int -> ?only:string -> storage_mode -> unit
+(** Defaults: seed 1, rate 1000 (every selected key fires — pair with
+    [~only] to aim at one point), no prefix restriction. *)
+
+val disarm_storage : unit -> unit
+val storage_armed : unit -> bool
+
+val on_write : string -> string -> [ `Write of string | `Torn of string ]
+(** Pass a frame about to be written through the armed corruption plan:
+    [`Write data] is written as-is (possibly bit-flipped under [Flip]);
+    [`Torn prefix] means only the prefix reaches the disk and the caller
+    must simulate the crash by raising {!Crashed} after writing it. *)
+
 (** {2 Appending} *)
 
 type t
@@ -44,8 +76,8 @@ val open_append : ?fsync:bool -> ?epoch:int -> ?fault_key:string -> string -> t
 
 val append : t -> string -> unit
 (** Frame and append one payload; returns after flush (+ fsync). Passes
-    through the {!Homeguard_solver.Fault} storage hooks, so it may raise
-    {!Homeguard_solver.Fault.Crashed} under an armed fault plan. *)
+    through the storage-fault hooks, so it may raise {!Crashed} under an
+    armed fault plan. *)
 
 val sync : t -> unit
 val close : t -> unit

@@ -20,7 +20,6 @@
     with the merged records (read-repair), re-stamped at the highest
     epoch seen so the fencing floor survives. *)
 
-module Fault = Homeguard_solver.Fault
 
 (* -- merged record streams ----------------------------------------------------- *)
 

@@ -18,7 +18,7 @@ val open_append :
 val append : t -> string -> unit
 (** Fence-check once, then append the framed payload to every replica
     in order. May raise {!Fence.Stale} (stale owner: nothing written)
-    or {!Homeguard_solver.Fault.Crashed} (mid-sequence crash: earlier
+    or {!Journal.Crashed} (mid-sequence crash: earlier
     replicas keep the record, later ones never see it — absorbed by
     merged recovery). *)
 

@@ -10,7 +10,7 @@ module Budget = Homeguard_solver.Budget
 module Formula = Homeguard_solver.Formula
 module Store = Homeguard_solver.Store
 module Domain = Homeguard_solver.Domain
-module Fault = Homeguard_solver.Fault
+module Journal = Homeguard_store.Journal
 module Rjournal = Homeguard_store.Rjournal
 module Fence = Homeguard_store.Fence
 module Surface = Homeguard_store.Surface
@@ -413,7 +413,7 @@ let journal_append_raw st c payload =
   try
     Surface.append st.surface payload;
     true
-  with Fault.Crashed _ ->
+  with Journal.Crashed _ ->
     (match c with Some c -> c.journal_drops <- c.journal_drops + 1 | None -> ());
     false
 

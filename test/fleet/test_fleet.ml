@@ -19,7 +19,6 @@ module Scrub = Homeguard_store.Scrub
 module Journal = Homeguard_store.Journal
 module Surface = Homeguard_store.Surface
 module Policy = Homeguard_handling.Policy
-module Fault = Homeguard_solver.Fault
 module Repro = Homeguard_fleet.Repro
 module Vcache = Homeguard_vcache.Vcache
 module Extract = Homeguard_symexec.Extract
@@ -359,7 +358,7 @@ let crashed_reply_carries_retry_hint =
         Supervisor.create ~config:(sup_config ~clock ()) ~dir ~homes:homes4 ()
       in
       (match
-         Supervisor.run t ~home:"alpha" (fun _ -> raise (Fault.Crashed "boom"))
+         Supervisor.run t ~home:"alpha" (fun _ -> raise (Journal.Crashed "boom"))
        with
       | Supervisor.Crashed { retry_after_ms; error; _ } ->
         check_bool "positive hint on the crash reply" true (retry_after_ms > 0);
@@ -369,7 +368,7 @@ let crashed_reply_carries_retry_hint =
          hint would make clients hammer a shard that is mid-restart *)
       (match
          Supervisor.to_outcome
-           (Supervisor.run t ~home:"alpha" (fun _ -> raise (Fault.Crashed "again")))
+           (Supervisor.run t ~home:"alpha" (fun _ -> raise (Journal.Crashed "again")))
        with
       | Shed.Degraded { reason = Shed.Shard_unavailable { retry_after_ms; _ }; _ }
         ->
@@ -554,13 +553,14 @@ let chaos_smoke_campaign =
       check_int "distinct shards killed" 3 report.Chaos.shards_killed;
       check_int "distinct shards recovered" 3 report.Chaos.shards_recovered;
       check_bool "healthy shards served while others were down" true
-        (report.Chaos.served_while_impaired > 0);
+        (report.Chaos.tally.Chaos.served_while_impaired > 0);
       check_bool "render is non-empty" true
         (String.length (Chaos.render report) > 0);
       (* split-brain coverage: the stall-then-revive window produced a
          zombie whose appends were all fenced *)
-      check_bool "zombie appends attempted" true (report.Chaos.zombie_rejected > 0);
-      check_int "no stale append went durable" 0 report.Chaos.zombie_accepted;
+      check_bool "zombie appends attempted" true
+        (report.Chaos.tally.Chaos.zombie_rejected > 0);
+      check_int "no stale append went durable" 0 report.Chaos.tally.Chaos.zombie_accepted;
       (* the verdict cache rides the same schedule: two cache-replica
          faults, and no stale cache probe accepted *)
       check_int "scheduled cache faults" 2
@@ -571,7 +571,7 @@ let chaos_smoke_campaign =
                 | Chaos.Cache_destroy _ | Chaos.Cache_corrupt _ -> true
                 | _ -> false)
               report.Chaos.schedule));
-      check_int "no stale cache probe accepted" 0 report.Chaos.cache_probe_accepted;
+      check_int "no stale cache probe accepted" 0 report.Chaos.tally.Chaos.cache_probe_accepted;
       (* anti-entropy coverage: the scrub pass walked every home and
          converged the fleet; the second pass had nothing to do *)
       check_int "scrub covered the fleet" report.Chaos.config.Chaos.homes
@@ -589,7 +589,7 @@ let chaos_smoke_campaign =
           then Alcotest.failf "replication invariant %s was not verified" n)
         [ "no-stale-epoch-accepted"; "scrub-convergence"; "scrub-idempotent" ];
       (* the fault hook must not leak out of the campaign *)
-      check_bool "storage faults disarmed" true (not (Fault.storage_armed ())))
+      check_bool "storage faults disarmed" true (not (Journal.storage_armed ())))
 
 let chaos_cache_invariants =
   test "the verdict-cache invariants are verified and hold under chaos"
@@ -628,9 +628,11 @@ let chaos_is_deterministic =
       let cfg = { Chaos.smoke_config with Chaos.steps = 60 } in
       let r1 = Chaos.run ~config:cfg ~dir:(fresh_dir ()) () in
       let r2 = Chaos.run ~config:cfg ~dir:(fresh_dir ()) () in
-      check_int "same ops" r1.Chaos.ops r2.Chaos.ops;
-      check_int "same installs" r1.Chaos.installs_acked r2.Chaos.installs_acked;
-      check_int "same configs" r1.Chaos.configs_acked r2.Chaos.configs_acked;
+      check_int "same ops" r1.Chaos.tally.Chaos.ops r2.Chaos.tally.Chaos.ops;
+      check_int "same installs" r1.Chaos.tally.Chaos.installs_acked
+        r2.Chaos.tally.Chaos.installs_acked;
+      check_int "same configs" r1.Chaos.tally.Chaos.configs_acked
+        r2.Chaos.tally.Chaos.configs_acked;
       check_int "same kills" r1.Chaos.stats.Supervisor.kills
         r2.Chaos.stats.Supervisor.kills)
 
@@ -883,7 +885,7 @@ let chaos_shrinker_minimizes_fence_bug =
       let r2 = Repro.replay repro ~dir:(fresh_dir ()) in
       check_bool "both replays reproduce the violation" true
         (Repro.reproduces r1 repro && Repro.reproduces r2 repro);
-      check_int "identical workloads" r1.Chaos.ops r2.Chaos.ops;
+      check_int "identical workloads" r1.Chaos.tally.Chaos.ops r2.Chaos.tally.Chaos.ops;
       check_bool "identical invariant verdicts" true
         (List.map (fun (i : Chaos.invariant) -> (i.Chaos.name, i.Chaos.ok))
            r1.Chaos.invariants

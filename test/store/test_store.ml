@@ -19,7 +19,6 @@ module Home = Homeguard_store.Home
 module Surface = Homeguard_store.Surface
 module Synth = Homeguard_corpus.Synth
 module App_entry = Homeguard_corpus.App_entry
-module Fault = Homeguard_solver.Fault
 module Rule = Homeguard_rules.Rule
 module Extract = Homeguard_symexec.Extract
 module Install_flow = Homeguard_frontend.Install_flow
@@ -287,16 +286,16 @@ let torn_append_leaves_the_prefix =
       let j = Journal.open_append path in
       Journal.append j "kept";
       let frame = Journal.frame "lost in the tear" in
-      Fault.arm_storage ~seed:1 ~rate_per_thousand:1000 ~only:"journal/write:j#2" Fault.Torn;
+      Journal.arm_storage ~seed:1 ~rate_per_thousand:1000 ~only:"journal/write:j#2" Journal.Torn;
       let prefix =
-        match Fault.on_write "journal/write:j#2" frame with `Torn p -> p | `Write _ -> ""
+        match Journal.on_write "journal/write:j#2" frame with `Torn p -> p | `Write _ -> ""
       in
       let crashed =
         Fun.protect
-          ~finally:(fun () -> Fault.disarm_storage ())
+          ~finally:(fun () -> Journal.disarm_storage ())
           (fun () ->
             match Journal.append j "lost in the tear" with
-            | exception Fault.Crashed _ -> true
+            | exception Journal.Crashed _ -> true
             | () -> false)
       in
       Journal.close j;
@@ -495,34 +494,6 @@ let ingest_duplicate_after_ack =
       check_bool "3" true (Ingest.receive t ~seq:3 "c" = Ingest.Applied 1);
       check_int "watermark advances" 3 (Ingest.ack t))
 
-let ingest_envelope =
-  test "wire envelope round-trips and rejects junk" (fun () ->
-      let w = Ingest.encode ~home:"home-1" ~seq:9 "pay|load" in
-      check_bool "roundtrip" true (Ingest.decode w = Some ("home-1", 9, "pay|load"));
-      check_bool "junk" true (Ingest.decode "nope" = None);
-      check_bool "bad seq" true (Ingest.decode "hgm1|h|zero|p" = None))
-
-let ingest_sender_redelivery_is_harmless =
-  test "sender redelivery under loss never double-applies" (fun () ->
-      let messaging = Homeguard_config.Messaging.create ~seed:3 ~loss_per_thousand:300 () in
-      let s = Ingest.sender messaging Homeguard_config.Messaging.Http ~home:"h" in
-      let count = ref 0 in
-      let t = Ingest.create (fun ~seq:_ _ -> incr count) in
-      let delivered = ref 0 in
-      for i = 1 to 30 do
-        let seq, outcome = Ingest.post s (Printf.sprintf "msg%d" i) in
-        match outcome with
-        | Some _ ->
-          (* the transport may have delivered earlier lost-looking
-             attempts too; replay every attempt at the receiver *)
-          ignore (Ingest.receive t ~seq (Printf.sprintf "msg%d" i));
-          ignore (Ingest.receive t ~seq (Printf.sprintf "msg%d" i));
-          incr delivered
-        | None -> ()
-      done;
-      check_bool "some delivered" true (!delivered > 0);
-      check_int "each applied exactly once" !delivered !count)
-
 (* -- the durable home ---------------------------------------------------------- *)
 
 (** The canonical workload, written in idempotent operations so it can
@@ -702,16 +673,16 @@ let compaction_preserves_state =
 let crash_cell mode only =
   let dir = fresh_dir () in
   let crashed =
-    Fault.arm_storage ~seed:1 ~rate_per_thousand:1000 ~only mode;
+    Journal.arm_storage ~seed:1 ~rate_per_thousand:1000 ~only mode;
     Fun.protect
-      ~finally:(fun () -> Fault.disarm_storage ())
+      ~finally:(fun () -> Journal.disarm_storage ())
       (fun () ->
         let home, _ = Home.open_ ~dir () in
         match workload home with
         | () ->
           Home.close home;
           false
-        | exception Fault.Crashed _ -> true)
+        | exception Journal.Crashed _ -> true)
   in
   (* recover and converge *)
   let home, report = Home.open_ ~dir () in
@@ -724,19 +695,19 @@ let crash_matrix_points =
   (* appends 1..5 exist before the compaction; the rename points cover
      compaction's two atomic replacements *)
   List.concat_map
-    (fun point -> List.map (fun n -> (Fault.Crash, Printf.sprintf "%s:journal#%d" point n)) [ 1; 2; 3; 4; 5 ])
+    (fun point -> List.map (fun n -> (Journal.Crash, Printf.sprintf "%s:journal#%d" point n)) [ 1; 2; 3; 4; 5 ])
     [ "journal/append/enter"; "journal/append/written"; "journal/append/synced" ]
-  @ [ (Fault.Crash, "journal/rename:snapshot"); (Fault.Crash, "journal/rename:journal") ]
+  @ [ (Journal.Crash, "journal/rename:snapshot"); (Journal.Crash, "journal/rename:journal") ]
   (* the rename-durable window: renamed but the parent dirfd not yet
      fsynced — recovery must converge from either side of the dirsync *)
   @ [
-      (Fault.Crash, "journal/rename/unsynced:snapshot");
-      (Fault.Crash, "journal/rename/unsynced:journal");
+      (Journal.Crash, "journal/rename/unsynced:snapshot");
+      (Journal.Crash, "journal/rename/unsynced:journal");
     ]
-  @ List.map (fun n -> (Fault.Torn, Printf.sprintf "journal/write:journal#%d" n)) [ 1; 2; 3; 4; 5 ]
-  @ List.map (fun n -> (Fault.Flip, Printf.sprintf "journal/write:journal#%d" n)) [ 1; 2; 3; 4; 5 ]
+  @ List.map (fun n -> (Journal.Torn, Printf.sprintf "journal/write:journal#%d" n)) [ 1; 2; 3; 4; 5 ]
+  @ List.map (fun n -> (Journal.Flip, Printf.sprintf "journal/write:journal#%d" n)) [ 1; 2; 3; 4; 5 ]
 
-let mode_name = function Fault.Crash -> "crash" | Fault.Torn -> "torn" | Fault.Flip -> "flip"
+let mode_name = function Journal.Crash -> "crash" | Journal.Torn -> "torn" | Journal.Flip -> "flip"
 
 let crash_matrix =
   test "every crash point recovers to the uncrashed audit" (fun () ->
@@ -753,13 +724,13 @@ let crash_matrix =
       (* Crash and Torn cells must actually crash; Flip cells are
          silent by design *)
       let loud =
-        List.length (List.filter (fun (m, _) -> m <> Fault.Flip) crash_matrix_points)
+        List.length (List.filter (fun (m, _) -> m <> Journal.Flip) crash_matrix_points)
       in
       check_int "every loud fault fired" loud !fired)
 
 let torn_write_reports_damage =
   test "a torn write surfaces as truncated bytes on recovery" (fun () ->
-      let crashed, report, _ = crash_cell Fault.Torn "journal/write:journal#4" in
+      let crashed, report, _ = crash_cell Journal.Torn "journal/write:journal#4" in
       check_bool "crashed" true crashed;
       check_bool "damage seen" true
         (report.Home.torn_bytes > 0 || report.Home.quarantined > 0))
@@ -768,10 +739,10 @@ let flip_marks_changed_apps =
   test "a flipped install record lands in the re-audit set" (fun () ->
       (* append #4 is the ColdDefender install *)
       let dir = fresh_dir () in
-      Fault.arm_storage ~seed:1 ~rate_per_thousand:1000 ~only:"journal/write:journal#4"
-        Fault.Flip;
+      Journal.arm_storage ~seed:1 ~rate_per_thousand:1000 ~only:"journal/write:journal#4"
+        Journal.Flip;
       Fun.protect
-        ~finally:(fun () -> Fault.disarm_storage ())
+        ~finally:(fun () -> Journal.disarm_storage ())
         (fun () ->
           let home, _ = Home.open_ ~dir () in
           ignore (Home.deliver home ~seq:1 "http://my.com/appname:ComfortTV/threshold1:30/");
@@ -1181,8 +1152,6 @@ let () =
           ingest_outcomes;
           ingest_window_boundaries;
           ingest_duplicate_after_ack;
-          ingest_envelope;
-          ingest_sender_redelivery_is_harmless;
         ] );
       ( "home",
         [

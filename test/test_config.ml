@@ -204,138 +204,6 @@ let loss_injection =
       check_bool "some lost" true (Messaging.lost_count m > 0);
       check_bool "some delivered" true (!delivered > 0))
 
-let retry_lossless_single_attempt =
-  test "send_with_retry: lossless transport delivers on the first attempt" (fun () ->
-      let m = Messaging.create ~seed:9 () in
-      match Messaging.send_with_retry m Messaging.Http "u" with
-      | Some (total, attempts) ->
-        check_bool "one attempt" true (attempts = 1);
-        check_bool "no backoff added" true (total > 0.0 && total < 5_000.0)
-      | None -> Alcotest.fail "lossless send cannot fail")
-
-let retry_raises_delivery_probability =
-  test "send_with_retry: backoff retries lift delivery under 50% loss" (fun () ->
-      let trials = 200 in
-      let count send =
-        let m = Messaging.create ~seed:21 ~loss_per_thousand:500 () in
-        let ok = ref 0 in
-        for _ = 1 to trials do
-          if send m then incr ok
-        done;
-        !ok
-      in
-      let single = count (fun m -> Messaging.send m Messaging.Http "u" <> None) in
-      let retried =
-        count (fun m ->
-            Messaging.send_with_retry ~max_attempts:4 ~backoff_ms:100.0 m Messaging.Http "u"
-            <> None)
-      in
-      (* per-attempt loss 1/2 => expected delivery ~1 - 2^-4 = 93.75% *)
-      check_bool "retries beat single sends" true (retried > single);
-      check_bool "near the expected probability" true
-        (float_of_int retried /. float_of_int trials >= 0.85))
-
-let retry_accounts_backoff_and_is_deterministic =
-  test "send_with_retry: totals include backoff and reproduce by seed" (fun () ->
-      let run () =
-        let m = Messaging.create ~seed:3 ~loss_per_thousand:500 () in
-        let acc = ref [] in
-        for _ = 1 to 50 do
-          acc := Messaging.send_with_retry ~backoff_ms:250.0 m Messaging.Http "u" :: !acc
-        done;
-        !acc
-      in
-      let a = run () and b = run () in
-      check_bool "deterministic" true (a = b);
-      List.iter
-        (function
-          | Some (total, attempts) when attempts >= 2 ->
-            (* attempts-1 jittered waits, each in [base, cap] *)
-            let waits = float_of_int (attempts - 1) in
-            check_bool "total covers minimum backoff" true (total >= waits *. 250.0)
-          | _ -> ())
-        a)
-
-let retry_backoff_is_capped =
-  test "send_with_retry: backoff never exceeds the cap per wait" (fun () ->
-      (* loss 100%: every attempt fails, so the total is exactly the sum
-         of the (attempts-1 = 9) jittered waits *)
-      let m = Messaging.create ~seed:5 ~loss_per_thousand:1000 () in
-      let r =
-        Messaging.send_with_retry ~max_attempts:10 ~backoff_ms:200.0 ~max_backoff_ms:600.0 m
-          Messaging.Http "u"
-      in
-      check_bool "all lost" true (r = None);
-      (* re-run observing each wait via a tiny cap equal to the base:
-         jitter collapses, waits become exactly base *)
-      let m = Messaging.create ~seed:5 ~loss_per_thousand:500 () in
-      let deterministic_totals = ref true in
-      for _ = 1 to 50 do
-        match
-          Messaging.send_with_retry ~max_attempts:6 ~backoff_ms:100.0 ~max_backoff_ms:100.0 m
-            Messaging.Http "u"
-        with
-        | Some (total, attempts) when attempts >= 2 ->
-          let backoff = float_of_int (attempts - 1) *. 100.0 in
-          (* total = delivery latency + exact backoff; latency < 5s *)
-          if not (total >= backoff && total <= backoff +. 5_000.0) then
-            deterministic_totals := false
-        | _ -> ()
-      done;
-      check_bool "cap = base collapses jitter to exact waits" true !deterministic_totals)
-
-let retry_fleet_desynchronizes =
-  test "send_with_retry: differently-seeded homes draw different backoffs" (fun () ->
-      (* a fleet of homes loses the same broadcast; decorrelated jitter
-         should spread their retry schedules instead of thundering back
-         in lockstep *)
-      let schedule seed =
-        let m = Messaging.create ~seed ~loss_per_thousand:900 () in
-        let acc = ref [] in
-        for _ = 1 to 20 do
-          acc := Messaging.send_with_retry ~max_attempts:8 m Messaging.Http "u" :: !acc
-        done;
-        !acc
-      in
-      let distinct =
-        [ 11; 12; 13; 14 ] |> List.map schedule |> List.sort_uniq compare |> List.length
-      in
-      check_bool "four seeds give four schedules" true (distinct = 4))
-
-let retry_respects_deadline =
-  test "send_with_retry: backoff spend never exceeds the caller's deadline" (fun () ->
-      (* 100% loss: every attempt fails, so the only question is how
-         long we keep retrying. With waits of exactly 100 ms (cap =
-         base collapses jitter) and a 250 ms deadline, at most two
-         waits fit; without a deadline all 9 waits are spent *)
-      let attempt_with deadline_ms =
-        let m = Messaging.create ~seed:7 ~loss_per_thousand:1000 () in
-        Messaging.send_with_retry ~max_attempts:10 ~backoff_ms:100.0 ~max_backoff_ms:100.0
-          ?deadline_ms m Messaging.Http "u"
-      in
-      check_bool "all lost either way" true
-        (attempt_with None = None && attempt_with (Some 250.0) = None);
-      (* deadline caps delivered totals too: under 50% loss, every
-         successful delivery's backoff spend fits inside the deadline *)
-      let m = Messaging.create ~seed:7 ~loss_per_thousand:500 () in
-      let within = ref true in
-      for _ = 1 to 100 do
-        match
-          Messaging.send_with_retry ~max_attempts:8 ~backoff_ms:100.0 ~max_backoff_ms:100.0
-            ~deadline_ms:250.0 m Messaging.Http "u"
-        with
-        | Some (_total, attempts) ->
-          (* attempts - 1 waits of exactly 100 ms = the backoff spend *)
-          let backoff = float_of_int (attempts - 1) *. 100.0 in
-          if backoff > 250.0 then within := false
-        | None -> ()
-      done;
-      check_bool "backoff spend bounded by the deadline" true !within;
-      (* a zero deadline still allows the free first attempt *)
-      let m = Messaging.create ~seed:9 () in
-      check_bool "first attempt is free" true
-        (Messaging.send_with_retry ~deadline_ms:0.0 m Messaging.Http "u" <> None))
-
 (* -- recorder ------------------------------------------------------------------ *)
 
 let recorder_same_device =
@@ -421,12 +289,6 @@ let tests =
     http_faster_than_sms;
     messaging_deterministic;
     loss_injection;
-    retry_lossless_single_attempt;
-    retry_raises_delivery_probability;
-    retry_accounts_backoff_and_is_deterministic;
-    retry_backoff_is_capped;
-    retry_fleet_desynchronizes;
-    retry_respects_deadline;
     recorder_same_device;
     recorder_values_become_constraints;
     recorder_plain_decimal_only;

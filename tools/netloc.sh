@@ -4,7 +4,10 @@
 # Sums `git diff --numstat BASE` over the .ml and .mli files (BASE
 # against the working tree, so staged new files count). Prints one line
 # per changed file under lib/, then the lines added, removed and net for
-# lib/, and one total line each for bench/, bin/ and test/.
+# lib/, and one total line each for bench/, bin/ and test/. Last, the
+# settable values at BASE and in the working tree: the `?label:`
+# occurrences in lib/**/*.mli plus the fields of every `type config`
+# record there.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -23,3 +26,21 @@ for dir in bench bin test; do
       { added += $1; removed += $2 }
       END { printf "%s .ml/.mli: added %d, removed %d, net %+d\n", dir, added, removed, added - removed }'
 done
+
+# reads .mli text on stdin; prints "TOTAL (L labels + F config fields)"
+settable() {
+  awk '
+    { rest = $0; while (match(rest, /\?[a-z_]+:/)) { labels++; rest = substr(rest, RSTART + RLENGTH) } }
+    /^type config = \{/ { config = 1; next }
+    config && /^\}/ { config = 0 }
+    config && /^ *(mutable +)?[a-z_][A-Za-z0-9_]* *:/ { fields++ }
+    END { printf "%d (%d labels + %d config fields)\n", labels + fields, labels, fields }'
+}
+
+base_mlis() {
+  git ls-tree -r --name-only "$1" -- lib | grep '\.mli$' |
+    while IFS= read -r f; do git show "$1:$f"; done
+}
+
+echo "settable values: $1 $(base_mlis "$1" | settable)," \
+  "working tree $(find lib -name '*.mli' -exec cat {} + | settable)"
