@@ -1,15 +1,10 @@
 (** Source-to-source instrumentation inserting the configuration
     collection of paper Listing 3. *)
 
-module Ast = Homeguard_groovy.Ast
-
-val instrument_program :
-  ?transport:[ `Sms | `Http ] -> app_name:string -> Ast.program -> Ast.program
+val instrument_source : ?transport:[ `Sms | `Http ] -> app_name:string -> string -> string
 (** Adds the [patchedphone] input, appends the collection preamble to
     [updated] (creating it if absent) and the [collectConfigInfo]
     helper. *)
-
-val instrument_source : ?transport:[ `Sms | `Http ] -> app_name:string -> string -> string
 
 val collected_uri :
   app_name:string ->

@@ -16,13 +16,10 @@ type t
 val create : unit -> t
 val record : t -> app_config -> unit
 
-val decimal_of_string_opt : string -> int option
-(** Plain decimal (["-"? digits]) only — rejects the OCaml literal
-    forms ["0x1f"], ["0b10"], ["1_000"] that [int_of_string_opt]
-    accepts. *)
-
-(** Values parsing as plain decimal integers become [Term.Int];
-    everything else stays [Term.Str]. *)
+(** Values parsing as plain decimal integers (["-"? digits], not the
+    OCaml literal forms ["0x1f"], ["0b10"], ["1_000"] that
+    [int_of_string_opt] accepts) become [Term.Int]; everything else
+    stays [Term.Str]. *)
 val record_uri : t -> Config_uri.t -> unit
 val find : t -> string -> app_config option
 val device_id : t -> string -> string -> string option

@@ -36,7 +36,5 @@ val name_bit : string -> int
 (** An attribute's or command's bit, hashed into the bits no feature
     and not the mode uses; two names may share one. *)
 
-type direction_need = Needs_high | Needs_low | Needs_value of Term.t | Needs_any
-
 val polarity_can_satisfy : Formula.t -> string -> Effects.polarity -> bool
 (** Could a change in this direction help satisfy the formula? *)

@@ -295,13 +295,6 @@ type campaign = {
 
 let add_distinct x xs = if List.mem x xs then xs else x :: xs
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  n = 0
-  ||
-  let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
-  at 0
-
 let impaired c =
   List.exists
     (fun i -> Supervisor.shard_state c.sup i <> `Running)
@@ -724,7 +717,7 @@ let verify_cache c ~fleet_dir ~live ~totals ~cscrub ~cscrub2 =
     (* durable stale-write evidence, scanned before any reopen rewrites
        the replica files *)
     let chaos_records =
-      List.length (List.filter (contains ~sub:"~chaos/") (Surface.records cache))
+      List.length (List.filter (Fault.contains ~sub:"~chaos/") (Surface.records cache))
     in
     let cache_regressions = Surface.epoch_regressions cache in
     let dir = List.hd (Surface.dirs cache) and crep = List.tl (Surface.dirs cache) in
@@ -736,7 +729,7 @@ let verify_cache c ~fleet_dir ~live ~totals ~cscrub ~cscrub2 =
     let st2 = Vcache.open_store ~fsync:false ~replicas:crep ~dir () in
     let d2 = Vcache.dump st2 in
     Vcache.close_store st2;
-    let chaos_dump = List.filter (fun (k, _) -> contains ~sub:"~chaos/" k) d1 in
+    let chaos_dump = List.filter (fun (k, _) -> Fault.contains ~sub:"~chaos/" k) d1 in
     let kind e = if e = "" then '?' else e.[0] in
     let poisoned =
       List.filter

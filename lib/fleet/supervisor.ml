@@ -347,61 +347,62 @@ let to_outcome = function
 
 let owner_of t home = Hashtbl.find_opt t.assignment home
 
+(* The retry hint of a reply from [slot]: the time until its next
+   restart attempt ([ms] when none is pending), and never shorter than
+   the breaker's shed window — breaker state scales the backpressure,
+   per the admission contract. *)
+let retry_hint t slot ms =
+  let ms =
+    match slot.state with
+    | Restarting { until; _ } -> until -. t.config.clock ()
+    | Running _ | Dead -> ms
+  in
+  int_of_float (Float.max 1.0 (Float.max ms (Breaker.retry_after_ms slot.breaker)))
+
+(* The reply of shard [idx] while it is down: dead or awaiting restart. *)
+let down t idx slot =
+  let reason = match slot.state with Dead -> "shard dead" | _ -> "restart pending" in
+  Unavailable { shard = idx; retry_after_ms = retry_hint t slot 1.0; reason }
+
+(* Run admitted work on shard [idx]'s running worker [sh].
+   {!Journal.Crashed} escaping the work counts as a shard crash (close,
+   schedule restart, honest reply). *)
+let work t idx slot sh f =
+  match f sh with
+  | v ->
+    Breaker.note_success slot.breaker;
+    Health.beat slot.health;
+    Done { shard = idx; value = v }
+  | exception Journal.Crashed msg ->
+    Breaker.note_failure slot.breaker;
+    crash t slot ~error:msg;
+    Crashed { shard = idx; retry_after_ms = retry_hint t slot 1.0; error = msg }
+  | exception Fence.Stale { held; current; _ } ->
+    (* the routed shard holds an out-of-date ownership epoch —
+       nothing reached the disk; refuse honestly, don't crash *)
+    t.stale_replies <- t.stale_replies + 1;
+    Unavailable
+      {
+        shard = idx;
+        retry_after_ms = retry_hint t slot 1.0;
+        reason = Printf.sprintf "stale epoch (held %d < current %d)" held current;
+      }
+
 (** Route one unit of work to [home]'s shard. The breaker and the
-    restart schedule gate admission; {!Journal.Crashed} escaping the work
-    counts as a shard crash (close, schedule restart, honest reply).
-    The retry hint while down is the max of the breaker's shed window
-    and the time until the next restart attempt — breaker state scales
-    the backpressure, per the admission contract. *)
+    restart schedule gate admission. *)
 let run t ~home f =
   match owner_of t home with
   | None -> invalid_arg (Printf.sprintf "Supervisor.run: unknown home %S" home)
   | Some idx -> (
     let slot = t.slots.(idx) in
-    let hint ms =
-      int_of_float (Float.max 1.0 (Float.max ms (Breaker.retry_after_ms slot.breaker)))
-    in
     match slot.state with
-    | Dead ->
-      Unavailable
-        { shard = idx; retry_after_ms = hint 1.0; reason = "shard dead" }
-    | Restarting { until; _ } ->
-      Unavailable
-        {
-          shard = idx;
-          retry_after_ms = hint (until -. t.config.clock ());
-          reason = "restart pending";
-        }
     | Running sh -> (
       match Breaker.allow slot.breaker with
       | `Reject ms ->
-        Unavailable { shard = idx; retry_after_ms = hint ms; reason = "breaker open" }
-      | `Admit | `Probe -> (
-        match f sh with
-        | v ->
-          Breaker.note_success slot.breaker;
-          Health.beat slot.health;
-          Done { shard = idx; value = v }
-        | exception Journal.Crashed msg ->
-          Breaker.note_failure slot.breaker;
-          crash t slot ~error:msg;
-          let retry_after_ms =
-            match slot.state with
-            | Restarting { until; _ } -> hint (until -. t.config.clock ())
-            | _ -> hint 1.0
-          in
-          Crashed { shard = idx; retry_after_ms; error = msg }
-        | exception Fence.Stale { held; current; _ } ->
-          (* the routed shard holds an out-of-date ownership epoch —
-             nothing reached the disk; refuse honestly, don't crash *)
-          t.stale_replies <- t.stale_replies + 1;
-          Unavailable
-            {
-              shard = idx;
-              retry_after_ms = hint 1.0;
-              reason =
-                Printf.sprintf "stale epoch (held %d < current %d)" held current;
-            })))
+        Unavailable
+          { shard = idx; retry_after_ms = retry_hint t slot ms; reason = "breaker open" }
+      | `Admit | `Probe -> work t idx slot sh f)
+    | Restarting _ | Dead -> down t idx slot)
 
 let deliver t ~home ~seq uri =
   run t ~home (fun sh -> Home.deliver (Broker.home (Shard.broker sh) home) ~seq uri)
@@ -409,33 +410,12 @@ let deliver t ~home ~seq uri =
 let submit_audit t ~home () =
   run t ~home (fun sh -> Broker.submit_audit (Shard.broker sh) ~home ())
 
+(* No breaker check: the drained jobs were admitted at {!submit_audit}. *)
 let drain t ~shard:idx =
-  match t.slots.(idx).state with
-  | Running sh -> (
-    match Broker.drain (Shard.broker sh) with
-    | outcomes ->
-      Breaker.note_success t.slots.(idx).breaker;
-      Health.beat t.slots.(idx).health;
-      Done { shard = idx; value = outcomes }
-    | exception Journal.Crashed msg ->
-      Breaker.note_failure t.slots.(idx).breaker;
-      crash t t.slots.(idx) ~error:msg;
-      let retry_after_ms =
-        match t.slots.(idx).state with
-        | Restarting { until; _ } ->
-          int_of_float (Float.max 1.0 (until -. t.config.clock ()))
-        | _ -> 1
-      in
-      Crashed { shard = idx; retry_after_ms; error = msg })
-  | Restarting { until; _ } ->
-    Unavailable
-      {
-        shard = idx;
-        retry_after_ms =
-          int_of_float (Float.max 1.0 (until -. t.config.clock ()));
-        reason = "restart pending";
-      }
-  | Dead -> Unavailable { shard = idx; retry_after_ms = 1; reason = "shard dead" }
+  let slot = t.slots.(idx) in
+  match slot.state with
+  | Running sh -> work t idx slot sh (fun sh -> Broker.drain (Shard.broker sh))
+  | Restarting _ | Dead -> down t idx slot
 
 (* -- chaos / introspection hooks ---------------------------------------------- *)
 
@@ -516,11 +496,6 @@ let shard_state t idx =
   | Restarting _ -> `Restarting
   | Dead -> `Dead
 
-let running t =
-  Array.to_list t.slots
-  |> List.filter_map (fun s ->
-         match s.state with Running _ -> Some s.index | _ -> None)
-
 let shard t idx =
   match t.slots.(idx).state with Running sh -> Some sh | _ -> None
 
@@ -528,7 +503,6 @@ let homes_of t idx = List.rev t.slots.(idx).homes_rev
 
 type stats = {
   shards : int;
-  running_shards : int;
   dead_shards : int;
   kills : int;
   restarts : int;
@@ -555,7 +529,6 @@ let stats t =
   in
   {
     shards = t.config.shards;
-    running_shards = List.length (running t);
     dead_shards = dead;
     kills = t.kills;
     restarts;

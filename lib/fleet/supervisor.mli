@@ -79,6 +79,9 @@ val run : t -> home:string -> (Shard.t -> 'a) -> 'a reply
 val deliver : t -> home:string -> seq:int -> string -> Home.delivery reply
 val submit_audit : t -> home:string -> unit -> (int, int) result reply
 val drain : t -> shard:int -> Broker.audit_outcome list reply
+(** Run the shard's queued audits, replying and hinting as {!run}
+    does, but without asking the breaker: the jobs were admitted at
+    {!submit_audit}. *)
 
 (** {2 Health and chaos hooks} *)
 
@@ -125,7 +128,6 @@ val homes_of : t -> int -> string list
 
 type stats = {
   shards : int;
-  running_shards : int;
   dead_shards : int;
   kills : int;
   restarts : int;

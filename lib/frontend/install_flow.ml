@@ -101,7 +101,7 @@ let quarantine_note t (app : Rule.smartapp) =
          app.Rule.name reason)
   | None ->
     let excluded =
-      List.filter (fun (n, _) -> Rule_db.find t.db n <> None) (quarantined t)
+      List.filter (fun (n, _) -> Rule_db.mem t.db n) (quarantined t)
     in
     if excluded = [] then None
     else
@@ -143,7 +143,7 @@ exception No_pending_install
 (* The one "keep" step, shared by a live [decide Keep] and replay:
    install the rules, allow the threat edges, remember the threats. *)
 let keep t app threats =
-  ignore (Rule_db.install t.db app);
+  Rule_db.install t.db app;
   Chain.allow t.allowed threats;
   t.kept_rev <- List.rev_append threats t.kept_rev
 
@@ -197,5 +197,4 @@ let allowed_edges t = Chain.allowed_edges t.allowed
 
 (** Compile the runtime reference monitor for everything kept so far,
     under the current decisions. *)
-let mediator ?defer_delay_ms ?max_deferrals t =
-  Mediator.create ?defer_delay_ms ?max_deferrals t.policies (kept_threats t)
+let mediator t = Mediator.create t.policies (kept_threats t)

@@ -101,7 +101,6 @@ val allowed_edges : t -> Homeguard_detector.Chain.allowed_edge list
 (** The Allowed list: the edges of every kept threat, which chain
     detection extends. *)
 
-val mediator :
-  ?defer_delay_ms:int -> ?max_deferrals:int -> t -> Homeguard_handling.Mediator.t
+val mediator : t -> Homeguard_handling.Mediator.t
 (** Compile the runtime reference monitor over all kept threats under
     the current decisions. *)

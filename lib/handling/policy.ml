@@ -80,8 +80,6 @@ type store = { table : (string, decision) Hashtbl.t }
 
 let create () = { table = Hashtbl.create 16 }
 
-let set s threat d = Hashtbl.replace s.table (threat_id threat) d
-
 let set_by_id s id d = Hashtbl.replace s.table id d
 
 let explicit s threat = Hashtbl.find_opt s.table (threat_id threat)

@@ -32,7 +32,6 @@ val describe : decision -> string
 type store
 
 val create : unit -> store
-val set : store -> Threat.t -> decision -> unit
 val set_by_id : store -> string -> decision -> unit
 val explicit : store -> Threat.t -> decision option
 val decision_for : store -> Threat.t -> decision

@@ -104,22 +104,6 @@ let capability_of_input app var =
       then Some (String.sub i.input_type 11 (String.length i.input_type - 11))
       else None)
 
-(** Device input variables of an app. *)
-let device_inputs app =
-  List.filter_map
-    (fun i -> Option.map (fun _ -> i.var) (capability_of_input app i.var))
-    app.inputs
-
-(** Does the rule control any physical device or the location mode
-    (i.e. is it automation rather than pure notification)? *)
-let controls_devices rule =
-  List.exists
-    (fun a ->
-      match a.target with
-      | Act_device _ | Act_location_mode | Act_hub -> true
-      | Act_messaging | Act_http -> false)
-    rule.actions
-
 (** The condition predicate with data constraints substituted away:
     path-local temporaries are expanded to the source terms they bind,
     so the formula's free variables are exactly the device/input state

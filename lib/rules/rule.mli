@@ -68,11 +68,6 @@ val target_to_string : action_target -> string
 val capability_of_input : smartapp -> string -> string option
 (** The capability an input variable was declared with. *)
 
-val device_inputs : smartapp -> string list
-
-val controls_devices : t -> bool
-(** Does the rule control devices/modes (vs. notification only)? *)
-
 val expanded_predicate : t -> Formula.t
 (** The predicate with data constraints substituted away: free
     variables are exactly the state the rule genuinely tests. *)

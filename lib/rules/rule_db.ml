@@ -4,36 +4,15 @@
     rule information of apps" (paper §IV-C); whenever a new app is
     installed only the new-vs-installed pairs need to be examined. *)
 
-type entry = { app : Rule.smartapp; installed_at : int  (** logical install counter *) }
+type t = { mutable apps : Rule.smartapp list  (** newest first *) }
 
-type t = { mutable entries : entry list; mutable counter : int }
+let create () = { apps = [] }
 
-let create () = { entries = []; counter = 0 }
-
-(** Record a newly installed app; returns its logical install time. *)
-let install db app =
-  db.counter <- db.counter + 1;
-  db.entries <- { app; installed_at = db.counter } :: db.entries;
-  db.counter
+(** Record a newly installed app. *)
+let install db app = db.apps <- app :: db.apps
 
 (** Remove an app by name (user decided against keeping it). *)
-let uninstall db name =
-  db.entries <- List.filter (fun e -> e.app.Rule.name <> name) db.entries
+let uninstall db name = db.apps <- List.filter (fun a -> a.Rule.name <> name) db.apps
 
-(** Replace an app's rules after a configuration update. *)
-let update db app =
-  uninstall db app.Rule.name;
-  ignore (install db app)
-
-let installed_apps db = List.rev_map (fun e -> e.app) db.entries
-
-let find db name = List.find_opt (fun e -> e.app.Rule.name = name) db.entries
-
-(** All rules of all installed apps, tagged with their app. *)
-let all_rules db =
-  List.concat_map
-    (fun app -> List.map (fun r -> (app, r)) app.Rule.rules)
-    (installed_apps db)
-
-let rule_count db =
-  List.fold_left (fun acc e -> acc + List.length e.app.Rule.rules) 0 db.entries
+let installed_apps db = List.rev db.apps
+let mem db name = List.exists (fun a -> a.Rule.name = name) db.apps

@@ -1,18 +1,14 @@
 (** Rule recorder: per-home history of installed apps' rules
     (paper §IV-C). *)
 
-type entry = { app : Rule.smartapp; installed_at : int }
-
 type t
 
 val create : unit -> t
-
-val install : t -> Rule.smartapp -> int
-(** Returns the logical install counter. *)
-
+val install : t -> Rule.smartapp -> unit
 val uninstall : t -> string -> unit
-val update : t -> Rule.smartapp -> unit
+
 val installed_apps : t -> Rule.smartapp list
-val find : t -> string -> entry option
-val all_rules : t -> (Rule.smartapp * Rule.t) list
-val rule_count : t -> int
+(** In install order. *)
+
+val mem : t -> string -> bool
+(** Is an app of this name installed? *)

@@ -22,8 +22,6 @@ type t = {
 let make ?(clock = wall_clock) ?timeout_ms () =
   { clock; expires_at = Option.map (fun ms -> clock () +. ms) timeout_ms }
 
-let unbounded t = t.expires_at = None
-
 let remaining_ms t =
   match t.expires_at with
   | None -> infinity

@@ -13,10 +13,6 @@ val make : ?clock:clock -> ?timeout_ms:float -> unit -> t
 (** Fix the deadline [timeout_ms] from now; omit it for an unbounded
     request. *)
 
-val unbounded : t -> bool
-val remaining_ms : t -> float
-(** Never negative; [infinity] when unbounded. *)
-
 val expired : t -> bool
 
 val budget_spec : base:Budget.spec -> t -> Budget.spec

@@ -8,8 +8,6 @@
     the request level). *)
 
 type reason =
-  | Queue_full of { retry_after_ms : int }
-      (** refused at admission; retry after the hint *)
   | Deadline_expired  (** the request's allowance ran out *)
   | Overloaded  (** background work shed to protect interactive latency *)
   | Shard_unavailable of { shard : string; retry_after_ms : int }
@@ -25,8 +23,6 @@ type 'a outcome =
           so operators can attribute shed traffic to a failing worker. *)
 
 let describe_reason = function
-  | Queue_full { retry_after_ms } ->
-    Printf.sprintf "queue-full retry-after-ms=%d" retry_after_ms
   | Deadline_expired -> "deadline-expired"
   | Overloaded -> "overloaded"
   | Shard_unavailable { shard; retry_after_ms } ->

@@ -2,7 +2,6 @@
     audit may report threats found so far but never "no threat". *)
 
 type reason =
-  | Queue_full of { retry_after_ms : int }
   | Deadline_expired
   | Overloaded
   | Shard_unavailable of { shard : string; retry_after_ms : int }

@@ -18,7 +18,7 @@ module Env = Homeguard_st.Env_feature
 module Effects = Homeguard_detector.Effects
 module Mediator = Homeguard_handling.Mediator
 
-type binding = B_device of Device.t | B_int of int | B_str of string
+type binding = B_device of Device.t | B_int of int
 
 type installed_app = { app : Rule.smartapp; bindings : (string * binding) list }
 
@@ -95,6 +95,7 @@ let next_random t bound =
 let log t entry = t.trace_rev <- entry :: t.trace_rev
 
 let trace t = List.rev t.trace_rev
+let env t = t.env
 
 (* -- devices --------------------------------------------------------------- *)
 
@@ -142,13 +143,16 @@ let set_attribute t ?(prov = []) id attribute value =
     External stimuli carry no rule provenance. *)
 let stimulate t id attribute value = set_attribute t id attribute value
 
-let set_mode ?(prov = []) t mode =
+(* Switch the location mode on behalf of the rule hops [prov]. *)
+let switch_mode t prov mode =
   if t.location.Location.current_mode <> mode then begin
     Location.set_mode t.location mode;
     log t (Trace.Mode_change { at = t.now; mode });
     Event_queue.push t.queue (t.now + 10)
       (Deliver { source = None; attribute = "mode"; value = mode; prov })
   end
+
+let set_mode t mode = switch_mode t [] mode
 
 (* -- app installation ------------------------------------------------------ *)
 
@@ -208,7 +212,6 @@ let rec var_value t iapp data var =
       | None -> (
         match List.assoc_opt var iapp.bindings with
         | Some (B_int n) -> Some (`I n)
-        | Some (B_str s) -> Some (`S s)
         | Some (B_device _) | None -> None))
 
 and term_value t iapp data = function
@@ -333,7 +336,7 @@ let execute t prov iapp (rule : Rule.t) (action : Rule.action) =
              device = "location";
              command = "setLocationMode(" ^ mode ^ ")";
            });
-      set_mode ~prov:wprov t mode
+      switch_mode t wprov mode
     | _ -> ())
   | Rule.Act_messaging | Rule.Act_http | Rule.Act_hub ->
     log t

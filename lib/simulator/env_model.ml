@@ -17,7 +17,6 @@ type influence = {
 type t = {
   mutable values : (Env.t * float) list;
   mutable baselines : (Env.t * float) list;
-  relax_per_minute : float;  (** fraction of gap recovered per minute *)
   mutable influences : influence list;
 }
 
@@ -34,7 +33,11 @@ let baselines =
     (Env.Carbon_monoxide, 0.0);
   ]
 
-let create () = { values = baselines; baselines; relax_per_minute = 0.05; influences = [] }
+(* fraction of an integrative feature's gap to its baseline recovered
+   per minute *)
+let relax_per_minute = 0.05
+
+let create () = { values = baselines; baselines; influences = [] }
 
 let value t feature =
   match List.assoc_opt feature t.values with Some v -> v | None -> 0.0
@@ -82,7 +85,7 @@ let step t ~dt_ms =
           (feature, baseline +. influence_rate feature)
         | Env.Temperature | Env.Humidity | Env.Moisture | Env.Smoke | Env.Carbon_monoxide ->
           (* integrative features drift under influences and relax back *)
-          let relax = (baseline -. v) *. t.relax_per_minute *. minutes in
+          let relax = (baseline -. v) *. relax_per_minute *. minutes in
           (feature, v +. (influence_rate feature *. minutes) +. relax))
       t.values
 

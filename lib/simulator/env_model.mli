@@ -4,14 +4,7 @@
 
 module Env = Homeguard_st.Env_feature
 
-type influence = { source : string; feature : Env.t; rate_per_minute : float }
-
-type t = {
-  mutable values : (Env.t * float) list;
-  mutable baselines : (Env.t * float) list;
-  relax_per_minute : float;
-  mutable influences : influence list;
-}
+type t
 
 val create : unit -> t
 val value : t -> Env.t -> float

@@ -17,22 +17,10 @@ type 'a t = { mutable entries : 'a KMap.t; mutable seq : int }
 
 let create () = { entries = KMap.empty; seq = 0 }
 
-let is_empty q = KMap.is_empty q.entries
-
-let size q = KMap.cardinal q.entries
-
 (** [push q time item] enqueues [item] at [time] (ms). *)
 let push q time item =
   q.seq <- q.seq + 1;
   q.entries <- KMap.add (time, q.seq) item q.entries
-
-(** [pop q] removes and returns the earliest [(time, item)]. *)
-let pop q =
-  match KMap.min_binding_opt q.entries with
-  | None -> None
-  | Some (((time, _) as key), item) ->
-    q.entries <- KMap.remove key q.entries;
-    Some (time, item)
 
 (** [pop_until q bound] removes and returns the earliest [(time, item)]
     with [time <= bound]; entries past the bound stay queued. *)
@@ -42,7 +30,3 @@ let pop_until q bound =
     q.entries <- KMap.remove key q.entries;
     Some (time, item)
   | _ -> None
-
-(** Earliest scheduled time, if any. *)
-let peek_time q =
-  Option.map (fun ((time, _), _) -> time) (KMap.min_binding_opt q.entries)

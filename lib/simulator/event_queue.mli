@@ -4,14 +4,9 @@
 type 'a t
 
 val create : unit -> 'a t
-val is_empty : 'a t -> bool
-val size : 'a t -> int
 val push : 'a t -> int -> 'a -> unit
-val pop : 'a t -> (int * 'a) option
 
 val pop_until : 'a t -> int -> (int * 'a) option
 (** [pop_until q bound] pops the earliest entry scheduled at or before
     [bound]; later entries stay queued. Same-time entries still pop in
     insertion order. *)
-
-val peek_time : 'a t -> int option

@@ -10,24 +10,13 @@
 module Rule = Homeguard_rules.Rule
 module Device = Homeguard_st.Device
 
-type outcome = {
-  trace : Trace.t;
-  final_states : (string * string * string option) list;
-      (** device label, attribute, final value *)
-}
-
-(** Outcome of one seeded run of [setup; stimulate; run], optionally
+(** Trace of one seeded run of [setup; stimulate; run], optionally
     under a reference monitor. *)
-let run_once ?(seed = 1) ?mediator ~until_ms ~setup ~watch () =
+let run_once ?(seed = 1) ?mediator ~until_ms ~setup () =
   let t = Engine.create ~seed ?mediator () in
   setup t;
   Engine.run t ~until_ms;
-  let trace = Engine.trace t in
-  {
-    trace;
-    final_states =
-      List.map (fun (label, attr) -> (label, attr, Trace.final_attribute trace label attr)) watch;
-  }
+  Engine.trace t
 
 (** Run the same scenario under many seeds and collect the distinct
     final states of the watched attribute — the actuator-race
@@ -38,9 +27,9 @@ let race_outcomes ?(seeds = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]) ?mediator ~until_
     List.map
       (fun seed ->
         let mediator = Option.map (fun make -> make ()) mediator in
-        let o = run_once ~seed ?mediator ~until_ms ~setup ~watch:[ (device, attribute) ] () in
-        let timeline = Trace.attribute_timeline o.trace device attribute in
-        (List.map snd timeline, Trace.final_attribute o.trace device attribute))
+        let trace = run_once ~seed ?mediator ~until_ms ~setup () in
+        let timeline = Trace.attribute_timeline trace device attribute in
+        (List.map snd timeline, Trace.final_attribute trace device attribute))
       seeds
   in
   List.sort_uniq compare outcomes

@@ -1,19 +1,14 @@
 (** Pre-built verification scenarios (the paper's install-and-observe
     methodology, §VIII-A). *)
 
-type outcome = {
-  trace : Trace.t;
-  final_states : (string * string * string option) list;
-}
-
 val run_once :
   ?seed:int ->
   ?mediator:Homeguard_handling.Mediator.t ->
   until_ms:int ->
   setup:(Engine.t -> unit) ->
-  watch:(string * string) list ->
   unit ->
-  outcome
+  Trace.t
+(** The trace of one seeded run of [setup] until [until_ms]. *)
 
 val race_outcomes :
   ?seeds:int list ->

@@ -50,16 +50,3 @@ let sink_apis : (string * kind) list =
   ]
 
 let kind_of name = List.assoc_opt name sink_apis
-
-(** Is this API one of the paper's Table VI sensitive sinks? (Push
-    notifications are tracked but are not Table VI sinks.) *)
-let is_table_vi_sink name =
-  match kind_of name with
-  | Some Push_notification | None -> false
-  | Some _ -> true
-
-(** Scheduling APIs: calls that cause another method to run later. *)
-let is_scheduling name =
-  match kind_of name with
-  | Some (Delayed_run _ | Periodic_run _ | Run_once | Daily_schedule) -> true
-  | _ -> false

@@ -14,5 +14,3 @@ type kind =
 
 val sink_apis : (string * kind) list
 val kind_of : string -> kind option
-val is_table_vi_sink : string -> bool
-val is_scheduling : string -> bool

@@ -23,7 +23,6 @@ type effect_on_attr = {
 
 type command = {
   cmd_name : string;
-  cmd_params : value_domain list;
   writes : effect_on_attr option;
   opposite : string option;  (** name of the contradictory command, if any *)
 }
@@ -32,20 +31,17 @@ type t = {
   cap_name : string;  (** short name; requested as ["capability." ^ cap_name] *)
   attributes : attribute list;
   commands : command list;
-  is_actuator : bool;
 }
 
 let pct = Numeric (0, 100)
 
-let cmd ?(params = []) ?writes ?opposite name =
-  { cmd_name = name; cmd_params = params; writes; opposite }
+let cmd ?writes ?opposite name = { cmd_name = name; writes; opposite }
 
 let set ?v attr = { target_attr = attr; fixed_value = v }
 
-let sensor name attrs = { cap_name = name; attributes = attrs; commands = []; is_actuator = false }
+let sensor name attrs = { cap_name = name; attributes = attrs; commands = [] }
 
-let actuator name attrs cmds =
-  { cap_name = name; attributes = attrs; commands = cmds; is_actuator = true }
+let actuator name attrs cmds = { cap_name = name; attributes = attrs; commands = cmds }
 
 (* Registry. Attribute domains follow the SmartThings capabilities
    reference; numeric bounds are the documented or physically sensible
@@ -60,7 +56,7 @@ let registry : t list =
       ];
     actuator "switchLevel"
       [ { attr_name = "level"; domain = pct } ]
-      [ cmd "setLevel" ~params:[ pct ] ~writes:(set "level") ];
+      [ cmd "setLevel" ~writes:(set "level") ];
     actuator "lock"
       [ { attr_name = "lock"; domain = Enum [ "locked"; "unlocked"; "unknown" ] } ]
       [
@@ -113,14 +109,10 @@ let registry : t list =
         };
       ]
       [
-        cmd "setHeatingSetpoint" ~params:[ Numeric (35, 95) ] ~writes:(set "heatingSetpoint");
-        cmd "setCoolingSetpoint" ~params:[ Numeric (35, 95) ] ~writes:(set "coolingSetpoint");
-        cmd "setThermostatMode"
-          ~params:[ Enum [ "auto"; "heat"; "cool"; "off"; "emergency heat" ] ]
-          ~writes:(set "thermostatMode");
-        cmd "setThermostatFanMode"
-          ~params:[ Enum [ "auto"; "on"; "circulate" ] ]
-          ~writes:(set "thermostatFanMode");
+        cmd "setHeatingSetpoint" ~writes:(set "heatingSetpoint");
+        cmd "setCoolingSetpoint" ~writes:(set "coolingSetpoint");
+        cmd "setThermostatMode" ~writes:(set "thermostatMode");
+        cmd "setThermostatFanMode" ~writes:(set "thermostatFanMode");
         cmd "heat" ~writes:(set "thermostatMode" ~v:"heat") ~opposite:"cool";
         cmd "cool" ~writes:(set "thermostatMode" ~v:"cool") ~opposite:"heat";
         cmd "auto" ~writes:(set "thermostatMode" ~v:"auto");
@@ -131,10 +123,10 @@ let registry : t list =
       ];
     actuator "thermostatHeatingSetpoint"
       [ { attr_name = "heatingSetpoint"; domain = Numeric (35, 95) } ]
-      [ cmd "setHeatingSetpoint" ~params:[ Numeric (35, 95) ] ~writes:(set "heatingSetpoint") ];
+      [ cmd "setHeatingSetpoint" ~writes:(set "heatingSetpoint") ];
     actuator "thermostatCoolingSetpoint"
       [ { attr_name = "coolingSetpoint"; domain = Numeric (35, 95) } ]
-      [ cmd "setCoolingSetpoint" ~params:[ Numeric (35, 95) ] ~writes:(set "coolingSetpoint") ];
+      [ cmd "setCoolingSetpoint" ~writes:(set "coolingSetpoint") ];
     actuator "colorControl"
       [
         { attr_name = "hue"; domain = pct };
@@ -142,15 +134,13 @@ let registry : t list =
         { attr_name = "color"; domain = Enum [ "red"; "green"; "blue"; "white"; "yellow"; "purple" ] };
       ]
       [
-        cmd "setHue" ~params:[ pct ] ~writes:(set "hue");
-        cmd "setSaturation" ~params:[ pct ] ~writes:(set "saturation");
-        cmd "setColor"
-          ~params:[ Enum [ "red"; "green"; "blue"; "white"; "yellow"; "purple" ] ]
-          ~writes:(set "color");
+        cmd "setHue" ~writes:(set "hue");
+        cmd "setSaturation" ~writes:(set "saturation");
+        cmd "setColor" ~writes:(set "color");
       ];
     actuator "colorTemperature"
       [ { attr_name = "colorTemperature"; domain = Numeric (1000, 30000) } ]
-      [ cmd "setColorTemperature" ~params:[ Numeric (1000, 30000) ] ~writes:(set "colorTemperature") ];
+      [ cmd "setColorTemperature" ~writes:(set "colorTemperature") ];
     actuator "musicPlayer"
       [
         { attr_name = "status"; domain = Enum [ "playing"; "paused"; "stopped" ] };
@@ -161,15 +151,15 @@ let registry : t list =
         cmd "play" ~writes:(set "status" ~v:"playing") ~opposite:"stop";
         cmd "pause" ~writes:(set "status" ~v:"paused") ~opposite:"play";
         cmd "stop" ~writes:(set "status" ~v:"stopped") ~opposite:"play";
-        cmd "setLevel" ~params:[ pct ] ~writes:(set "level");
+        cmd "setLevel" ~writes:(set "level");
         cmd "mute" ~writes:(set "mute" ~v:"muted") ~opposite:"unmute";
         cmd "unmute" ~writes:(set "mute" ~v:"unmuted") ~opposite:"mute";
-        cmd "playText" ~params:[ Enum [] ];
-        cmd "playTrack" ~params:[ Enum [] ];
+        cmd "playText";
+        cmd "playTrack";
       ];
-    actuator "speechSynthesis" [] [ cmd "speak" ~params:[ Enum [] ] ];
+    actuator "speechSynthesis" [] [ cmd "speak" ];
     actuator "tone" [] [ cmd "beep" ];
-    actuator "notification" [] [ cmd "deviceNotification" ~params:[ Enum [] ] ];
+    actuator "notification" [] [ cmd "deviceNotification" ];
     actuator "imageCapture"
       [ { attr_name = "image"; domain = Enum [ "captured"; "idle" ] } ]
       [ cmd "take" ~writes:(set "image" ~v:"captured") ];
@@ -228,15 +218,6 @@ let find name =
   in
   List.find_opt (fun c -> c.cap_name = short) registry
 
-exception Unknown_capability of string
-
-let find_exn name =
-  match find name with Some c -> c | None -> raise (Unknown_capability name)
-
-(** Total number of distinct commands in the registry. *)
-let command_count () =
-  List.fold_left (fun acc c -> acc + List.length c.commands) 0 registry
-
 (** [command_of cap name] looks up a command of capability [cap]. *)
 let command_of cap name = List.find_opt (fun c -> c.cmd_name = name) cap.commands
 
@@ -255,13 +236,6 @@ let capabilities_with_command name =
 (** Capabilities that define the given attribute name. *)
 let capabilities_with_attribute name =
   List.filter (fun c -> List.exists (fun a -> a.attr_name = name) c.attributes) registry
-
-(** [contradicts cap cmd1 cmd2] holds when the two commands of [cap] are
-    declared opposites (e.g. on/off, lock/unlock). *)
-let contradicts cap cmd1 cmd2 =
-  match command_of cap cmd1 with
-  | Some c -> c.opposite = Some cmd2
-  | None -> false
 
 (** Value domain of attribute [attr] in any capability declaring it;
     domains agree across capabilities by construction. *)

@@ -15,7 +15,6 @@ type effect_on_attr = {
 
 type command = {
   cmd_name : string;
-  cmd_params : value_domain list;
   writes : effect_on_attr option;
   opposite : string option;
 }
@@ -24,18 +23,13 @@ type t = {
   cap_name : string;
   attributes : attribute list;
   commands : command list;
-  is_actuator : bool;
 }
 
 val registry : t list
 
-exception Unknown_capability of string
-
 val find : string -> t option
 (** Accepts short ("switch") or qualified ("capability.switch") names. *)
 
-val find_exn : string -> t
-val command_count : unit -> int
 val command_of : t -> string -> command option
 val attribute_of : t -> string -> attribute option
 
@@ -44,9 +38,6 @@ val is_capability_command : string -> bool
 
 val capabilities_with_command : string -> t list
 val capabilities_with_attribute : string -> t list
-
-val contradicts : t -> string -> string -> bool
-(** Declared-opposite commands (on/off, lock/unlock, ...). *)
 
 val attribute_domain : string -> value_domain option
 (** Domain of an attribute in any capability declaring it. *)

@@ -30,31 +30,11 @@ let make ?device_type ~label capabilities =
   let device_type = match device_type with Some t -> t | None -> label in
   { id = id_of_seed (label ^ ":" ^ device_type); label; capabilities; device_type }
 
-(** [supports dev cap] checks whether [dev] declares capability [cap]
-    (accepts "capability."-qualified names). *)
-let supports dev cap =
-  let short =
-    match String.index_opt cap '.' with
-    | Some i when String.sub cap 0 i = "capability" ->
-      String.sub cap (i + 1) (String.length cap - i - 1)
-    | _ -> cap
-  in
-  List.mem short dev.capabilities
-
 (** All attributes exposed by the device via its capabilities. *)
 let attributes dev =
   List.concat_map
     (fun cap_name ->
       match Capability.find cap_name with
       | Some cap -> List.map (fun a -> a.Capability.attr_name) cap.Capability.attributes
-      | None -> [])
-    dev.capabilities
-
-(** All commands accepted by the device via its capabilities. *)
-let commands dev =
-  List.concat_map
-    (fun cap_name ->
-      match Capability.find cap_name with
-      | Some cap -> List.map (fun c -> c.Capability.cmd_name) cap.Capability.commands
       | None -> [])
     dev.capabilities

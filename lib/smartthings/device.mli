@@ -14,6 +14,4 @@ val id_of_seed : string -> id
 (** Deterministic id derived from a seed string (reproducible tests). *)
 
 val make : ?device_type:string -> label:string -> string list -> t
-val supports : t -> string -> bool
 val attributes : t -> string list
-val commands : t -> string list

@@ -9,17 +9,9 @@
 type t = {
   mutable modes : string list;
   mutable current_mode : string;
-  mutable sunrise_minutes : int;  (** minutes after midnight *)
-  mutable sunset_minutes : int;
 }
 
-let create () =
-  {
-    modes = [ "Home"; "Away"; "Night" ];
-    current_mode = "Home";
-    sunrise_minutes = 6 * 60 + 30;
-    sunset_minutes = 19 * 60 + 45;
-  }
+let create () = { modes = [ "Home"; "Away"; "Night" ]; current_mode = "Home" }
 
 let set_mode loc mode =
   if not (List.mem mode loc.modes) then loc.modes <- loc.modes @ [ mode ];

@@ -1,10 +1,8 @@
-(** The per-home location object: modes and sun times. *)
+(** The per-home location object: its modes. *)
 
 type t = {
   mutable modes : string list;
   mutable current_mode : string;
-  mutable sunrise_minutes : int;
-  mutable sunset_minutes : int;
 }
 
 val create : unit -> t

@@ -82,16 +82,11 @@ let escalate spec =
 
 (** Stable cache-key component: verdicts computed under different specs
     must never answer for each other (an [Unknown] under a small budget
-    is not a definitive answer under a larger one). *)
-let fingerprint spec =
-  let f = function None -> "inf" | Some n -> string_of_int n in
-  Printf.sprintf "p%s.n%s.t%s" (f spec.prop_steps) (f spec.search_nodes)
-    (match spec.timeout_ms with None -> "inf" | Some ms -> string_of_float ms)
-
-(** Like {!fingerprint}, but any finite wall-clock timeout collapses to
-    ["tdl"]: deadline-derived specs differ per request only in their
-    remaining milliseconds, and a definitive [Sat]/[Unsat] does not
-    depend on how much wall clock was left when it was computed. Fuel
+    is not a definitive answer under a larger one). Any finite
+    wall-clock timeout collapses to ["tdl"]: deadline-derived specs
+    differ per request only in their remaining milliseconds, and a
+    definitive [Sat]/[Unsat] does not depend on how much wall clock was
+    left when it was computed. Fuel
     tiers ([prop_steps]/[search_nodes]) stay exact — [Unknown] verdicts
     are budget-relative, and any cache serving them across specs must
     key on the fuel tier. *)

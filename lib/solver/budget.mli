@@ -41,14 +41,12 @@ val of_deadline : ?base:spec -> float -> spec
 val escalate : spec -> spec
 (** The retry budget: every finite limit multiplied by 8. *)
 
-val fingerprint : spec -> string
-(** Stable string identifying the spec, for verdict cache keys. *)
-
 val cache_fingerprint : spec -> string
-(** {!fingerprint} with any finite wall-clock timeout collapsed to
-    ["tdl"]: definitive verdicts are independent of the remaining
-    deadline, so deadline-derived specs (which differ per request only
-    in milliseconds left) share cache classes. Fuel tiers stay exact. *)
+(** Stable string identifying the spec, for verdict cache keys, with
+    any finite wall-clock timeout collapsed to ["tdl"]: definitive
+    verdicts are independent of the remaining deadline, so
+    deadline-derived specs (which differ per request only in
+    milliseconds left) share cache classes. Fuel tiers stay exact. *)
 
 type t
 (** Mutable fuel state for one solve. *)

@@ -146,10 +146,8 @@ let to_iset = function
 (* -- constructors -------------------------------------------------------- *)
 
 let interval lo hi : t = of_iset (normalize [ (lo, hi) ])
-let int_singleton n : t = of_iset [ (n, n) ]
 
 let enums values : t = Enums (List.sort_uniq compare values)
-let enum_singleton v : t = Enums [ v ]
 
 let is_empty = function Ints iv -> iv = [] | Bits _ -> false | Enums vs -> vs = []
 
@@ -253,16 +251,9 @@ let at_least lo = function
       else of_bits off (bits land lnot ((1 lsl k) - 1))
   | Enums _ as d -> d
 
-(** The single value if the domain is a singleton. *)
 type value = Int of int | Str of string
 
 let value_to_string = function Int n -> string_of_int n | Str s -> s
-
-let singleton_value = function
-  | Ints [ (a, b) ] when a = b -> Some (Int a)
-  | Bits { off; bits } when bits = 1 -> Some (Int off)
-  | Enums [ v ] -> Some (Str v)
-  | _ -> None
 
 (* Magnitude that is safe on [min_int]: [abs min_int] is negative in
    OCaml, which silently misorders "closest to zero" comparisons. *)

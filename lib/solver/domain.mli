@@ -26,11 +26,9 @@ val to_iset : t -> iset
 val interval : int -> int -> t
 (** [interval lo hi] — all integers in [lo..hi]. *)
 
-val int_singleton : int -> t
 val enums : string list -> t
 (** Duplicates are removed; order is normalised. *)
 
-val enum_singleton : string -> t
 val is_empty : t -> bool
 val size : t -> int
 val mem_int : int -> t -> bool
@@ -52,7 +50,6 @@ val at_most : int -> t -> t
 val at_least : int -> t -> t
 
 val value_to_string : value -> string
-val singleton_value : t -> value option
 
 val choose : t -> value option
 (** A representative member — for ints, the one closest to zero. *)

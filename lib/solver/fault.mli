@@ -26,6 +26,9 @@ val arm : ?once:bool -> ?seed:int -> ?only:string -> rate_per_thousand:int -> mo
 val disarm : unit -> unit
 val armed : unit -> bool
 
+val contains : sub:string -> string -> bool
+(** Does the string contain [sub]? *)
+
 val check : string -> unit
 (** Called by the solver with the solve's key; raises {!Injected} or
     {!Budget.Exhausted} when the armed plan selects the key. *)

@@ -12,9 +12,7 @@
     the three-valued {!verdict}: [Sat model], [Unsat], or
     [Unknown reason] when the caller's {!Budget.t} (or the search depth
     cap, or a test-only injected fault) trips before the solve
-    concludes. The [option]-returning wrappers are kept for callers
-    that only need "definitely sat" — they raise on [Unknown] instead
-    of silently conflating it with unsat. *)
+    concludes. *)
 
 type model = Search.model
 
@@ -63,28 +61,3 @@ let solve ?budget store f : verdict =
   with
   | verdict -> verdict
   | exception Budget.Exhausted reason -> Budget.Unknown reason
-
-(* -- definitely-sat wrappers ------------------------------------------------ *)
-
-(* With an unlimited budget only the depth cap or an injected fault can
-   leave a verdict Unknown; raising keeps the invariant that no code
-   path converts exhaustion into "unsat". *)
-let require_decided = function
-  | Budget.Sat m -> Some m
-  | Budget.Unsat -> None
-  | Budget.Unknown reason -> raise (Budget.Exhausted reason)
-
-(** [satisfiable store f] — a witness model, or [None] when [f] is
-    definitely unsatisfiable. Raises {!Budget.Exhausted} if the solve
-    is undecided (callers needing graceful degradation use {!solve}). *)
-let satisfiable store f : model option = require_decided (solve store f)
-
-(** [sat store f] — satisfiability as a boolean. *)
-let sat store f = Option.is_some (satisfiable store f)
-
-(** [entails store f g]: every model of [f] satisfies [g]
-    (i.e. f ∧ ¬g is unsatisfiable). *)
-let entails store f g = not (sat store (Formula.conj [ f; Formula.Not g ]))
-
-(** [conflicts store f g]: f ∧ g has no model. *)
-let conflicts store f g = not (sat store (Formula.conj [ f; g ]))

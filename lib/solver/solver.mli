@@ -28,17 +28,3 @@ val solve : ?budget:Budget.t -> Store.t -> Formula.t -> verdict
     is the witness; the store is closed over free variables via
     {!Store.infer}. One budget covers every conjunct; the default is
     unlimited. *)
-
-val satisfiable : Store.t -> Formula.t -> model option
-(** Definitely-sat wrapper over {!solve} with an unlimited budget:
-    [None] strictly means unsat. An undecided solve (depth cap, or a
-    test-only injected fault) raises {!Budget.Exhausted} rather than
-    masquerading as unsat. *)
-
-val sat : Store.t -> Formula.t -> bool
-
-val entails : Store.t -> Formula.t -> Formula.t -> bool
-(** [entails store f g]: every model of [f] satisfies [g]. *)
-
-val conflicts : Store.t -> Formula.t -> Formula.t -> bool
-(** [conflicts store f g]: [f] and [g] have no common model. *)

@@ -261,9 +261,6 @@ let unquarantine t app =
 let quarantined t = Install_flow.quarantined t.flow
 let is_quarantined t app = Install_flow.is_quarantined t.flow app
 
-let mediator ?defer_delay_ms ?max_deferrals t =
-  Install_flow.mediator ?defer_delay_ms ?max_deferrals t.flow
-
 (* -- recovery ---------------------------------------------------------------- *)
 
 let replay t records =

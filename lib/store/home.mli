@@ -11,7 +11,6 @@ module Detector = Homeguard_detector.Detector
 module Recorder = Homeguard_config.Recorder
 module Install_flow = Homeguard_frontend.Install_flow
 module Policy = Homeguard_handling.Policy
-module Mediator = Homeguard_handling.Mediator
 
 type t
 
@@ -123,7 +122,6 @@ val last_seq : t -> int
 (** {2 Handling} *)
 
 val set_decision : t -> string -> Policy.decision -> unit
-val mediator : ?defer_delay_ms:int -> ?max_deferrals:int -> t -> Mediator.t
 
 (** {2 Poison-app quarantine (journaled)}
 

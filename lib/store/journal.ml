@@ -170,8 +170,6 @@ let append t payload =
   if t.fsync then fsync_fd fd;
   crash_point ("journal/append/synced:" ^ key)
 
-let sync t = fsync_fd (descr t)
-
 let close t =
   match t.fd with
   | None -> ()
@@ -370,14 +368,9 @@ let quarantine_damage path damage =
 (** The [kind=corrupt] headers {!quarantine_damage} wrote to [path]'s
     sidecar: lines that start with ["##"] and mention [kind=corrupt]. *)
 let corrupt_regions path =
-  let contains ~sub s =
-    let n = String.length s and m = String.length sub in
-    let rec at i k = k = m || (s.[i + k] = sub.[k] && at i (k + 1)) in
-    let rec go i = i + m <= n && (at i 0 || go (i + 1)) in
-    go 0
-  in
   read_file (sidecar path)
   |> String.split_on_char '\n'
   |> List.filter (fun line ->
-         String.starts_with ~prefix:"##" line && contains ~sub:"kind=corrupt" line)
+         String.starts_with ~prefix:"##" line
+         && Homeguard_solver.Fault.contains ~sub:"kind=corrupt" line)
   |> List.length

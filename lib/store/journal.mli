@@ -79,7 +79,6 @@ val append : t -> string -> unit
     through the storage-fault hooks, so it may raise {!Crashed} under an
     armed fault plan. *)
 
-val sync : t -> unit
 val close : t -> unit
 
 val write_atomic : ?fsync:bool -> ?epoch:int -> string -> string list -> unit

@@ -14,7 +14,6 @@ module Rule = Homeguard_rules.Rule
 open Symval
 
 type diagnostics = {
-  paths_explored : int;
   truncated : bool;  (** path budget exhausted somewhere *)
   unknown_calls : string list;  (** unmodeled APIs encountered *)
 }
@@ -249,7 +248,6 @@ let extract_program ?name prog =
     app;
     diags =
       {
-        paths_explored = !(ctx.Exec.paths) + !(handler_ctx.Exec.paths);
         truncated = !truncated;
         unknown_calls = List.rev !(ctx.Exec.unknown_calls);
       };

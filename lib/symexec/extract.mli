@@ -4,7 +4,6 @@
 module Rule = Homeguard_rules.Rule
 
 type diagnostics = {
-  paths_explored : int;
   truncated : bool;  (** some handler exhausted the path budget *)
   unknown_calls : string list;  (** unmodeled APIs encountered *)
 }

@@ -377,6 +377,33 @@ let crashed_reply_carries_retry_hint =
       settle t advance;
       Supervisor.close t)
 
+let drain_hints_as_run_does =
+  test "drain and run give a killed shard with an open breaker one retry hint"
+    (fun () ->
+      let clock, _ = manual_clock () in
+      let dir = fresh_dir () in
+      let t =
+        Supervisor.create
+          ~config:
+            {
+              (sup_config ~clock ()) with
+              Supervisor.failure_threshold = 1;
+              reset_timeout_ms = 5_000.0;
+            }
+          ~dir ~homes:homes4 ()
+      in
+      let owner = Option.get (Supervisor.owner_of t "alpha") in
+      check_bool "killed" true (Supervisor.kill t owner);
+      let hint = function
+        | Supervisor.Unavailable { retry_after_ms; _ } -> retry_after_ms
+        | _ -> Alcotest.fail "a killed shard must reply Unavailable"
+      in
+      let from_run = hint (Supervisor.run t ~home:"alpha" (fun _ -> ())) in
+      check_int "the breaker's shed window" 5_000 from_run;
+      check_int "drain hints as run does" from_run
+        (hint (Supervisor.drain t ~shard:owner));
+      Supervisor.close t)
+
 let wedged_shard_is_fenced =
   test "a wedged shard's writes are fenced after its homes move on" (fun () ->
       let clock, advance = manual_clock () in
@@ -1205,6 +1232,7 @@ let () =
           supervisor_rebalance_on_dead_shard;
           supervisor_stall_detection;
           crashed_reply_carries_retry_hint;
+          drain_hints_as_run_does;
           wedged_shard_is_fenced;
           supervisor_scrub_converges;
           dead_shards_refuse_only_their_homes;

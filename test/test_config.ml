@@ -72,7 +72,7 @@ let instrumented_parses =
 let instrumented_has_phone_input =
   test "instrumentation adds the patchedphone input (Listing 3 line 3)" (fun () ->
       let prog =
-        Instrument.instrument_program ~app_name:"ComfortTV" (Parser.parse comfort_src)
+        Parser.parse (Instrument.instrument_source ~app_name:"ComfortTV" comfort_src)
       in
       let inputs = Homeguard_symexec.Extract.scan_inputs prog in
       check_bool "patchedphone present" true
@@ -81,7 +81,7 @@ let instrumented_has_phone_input =
 let instrumented_updated_collects =
   test "updated() gains the collection preamble" (fun () ->
       let prog =
-        Instrument.instrument_program ~app_name:"ComfortTV" (Parser.parse comfort_src)
+        Parser.parse (Instrument.instrument_source ~app_name:"ComfortTV" comfort_src)
       in
       match Ast.find_method prog "updated" with
       | None -> Alcotest.fail "no updated method"
@@ -97,7 +97,7 @@ let instrumented_updated_collects =
 let instrumented_helper_sends_sms =
   test "collectConfigInfo helper is appended and sends SMS" (fun () ->
       let prog =
-        Instrument.instrument_program ~app_name:"ComfortTV" (Parser.parse comfort_src)
+        Parser.parse (Instrument.instrument_source ~app_name:"ComfortTV" comfort_src)
       in
       match Ast.find_method prog "collectConfigInfo" with
       | None -> Alcotest.fail "helper missing"
@@ -113,8 +113,8 @@ let instrumented_helper_sends_sms =
 let instrumented_http_variant =
   test "HTTP transport variant posts instead" (fun () ->
       let prog =
-        Instrument.instrument_program ~transport:`Http ~app_name:"ComfortTV"
-          (Parser.parse comfort_src)
+        Parser.parse
+          (Instrument.instrument_source ~transport:`Http ~app_name:"ComfortTV" comfort_src)
       in
       match Ast.find_method prog "collectConfigInfo" with
       | None -> Alcotest.fail "helper missing"
@@ -151,7 +151,7 @@ input "sw1", "capability.switch"
 def installed() { subscribe(sw1, "switch", h) }
 def h(evt) { sw1.off() }
 |} in
-      let prog = Instrument.instrument_program ~app_name:"X" (Parser.parse src) in
+      let prog = Parser.parse (Instrument.instrument_source ~app_name:"X" src) in
       check_bool "updated created" true (Ast.find_method prog "updated" <> None))
 
 let collected_uri_matches =
@@ -248,6 +248,9 @@ let recorder_plain_decimal_only =
                   ("sep", "1_000");
                   ("dec", "30");
                   ("neg", "-5");
+                  ("empty", "");
+                  ("minus", "-");
+                  ("junk", "12a");
                 ]));
       let appA =
         { Rule.name = "A"; description = ""; inputs = []; rules = []; uses_web_services = false }
@@ -259,9 +262,9 @@ let recorder_plain_decimal_only =
       check_bool "underscores stay a string" true (List.mem ("sep", Term.Str "1_000") cs);
       check_bool "decimal is numeric" true (List.mem ("dec", Term.Int 30) cs);
       check_bool "negative decimal is numeric" true (List.mem ("neg", Term.Int (-5)) cs);
-      check_bool "empty rejected" true (Recorder.decimal_of_string_opt "" = None);
-      check_bool "bare minus rejected" true (Recorder.decimal_of_string_opt "-" = None);
-      check_bool "trailing junk rejected" true (Recorder.decimal_of_string_opt "12a" = None))
+      check_bool "empty rejected" true (List.mem ("empty", Term.Str "") cs);
+      check_bool "bare minus rejected" true (List.mem ("minus", Term.Str "-") cs);
+      check_bool "trailing junk rejected" true (List.mem ("junk", Term.Str "12a") cs))
 
 let recorder_update_replaces =
   test "re-recording an app replaces its config" (fun () ->

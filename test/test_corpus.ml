@@ -49,6 +49,16 @@ let no_truncation =
             Alcotest.failf "%s truncated" e.App_entry.name)
         Corpus.all)
 
+(* Does the rule control a device, the location mode or the hub, rather
+   than only notify? *)
+let controls_devices (r : Rule.t) =
+  List.exists
+    (fun (a : Rule.action) ->
+      match a.Rule.target with
+      | Rule.Act_device _ | Act_location_mode | Act_hub -> true
+      | Act_messaging | Act_http -> false)
+    r.Rule.actions
+
 let notification_apps_control_nothing =
   test "notification apps define no device-controlling rules" (fun () ->
       List.iter
@@ -57,7 +67,7 @@ let notification_apps_control_nothing =
             let app = extract ~name:e.App_entry.name e.App_entry.source in
             List.iter
               (fun r ->
-                if Rule.controls_devices r then
+                if controls_devices r then
                   Alcotest.failf "%s controls devices" e.App_entry.name)
               app.Rule.rules
           end)
@@ -68,7 +78,7 @@ let audit_apps_control_devices =
       List.iter
         (fun (e : App_entry.t) ->
           let app = extract ~name:e.App_entry.name e.App_entry.source in
-          if not (List.exists Rule.controls_devices app.Rule.rules) then
+          if not (List.exists controls_devices app.Rule.rules) then
             Alcotest.failf "%s controls nothing" e.App_entry.name)
         Corpus.audit_apps)
 

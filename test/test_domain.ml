@@ -59,15 +59,6 @@ let split_preserves =
       Helpers.check_int "sizes" 10 (Domain.size l + Domain.size r);
       Helpers.check_bool "disjoint" true (Domain.is_empty (Domain.inter l r)))
 
-let singleton_value =
-  Helpers.test "singleton detection" (fun () ->
-      Helpers.check_bool "int singleton" true
-        (Domain.singleton_value (Domain.int_singleton 5) = Some (Domain.Int 5));
-      Helpers.check_bool "enum singleton" true
-        (Domain.singleton_value (Domain.enum_singleton "x") = Some (Domain.Str "x"));
-      Helpers.check_bool "not singleton" true
-        (Domain.singleton_value (Domain.interval 1 2) = None))
-
 (* -- QCheck laws ----------------------------------------------------------- *)
 
 let gen_iset =
@@ -128,7 +119,6 @@ let tests =
     enums_dedup;
     type_clash;
     split_preserves;
-    singleton_value;
     law_inter_comm;
     law_union_assoc;
     law_inter_subset;

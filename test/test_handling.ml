@@ -62,7 +62,7 @@ let store_explicit_overrides =
       let t2 = Threat.make Threat.AR (cold, the_rule cold) (comfort, the_rule comfort) "x" in
       let store = Policy.create () in
       check_bool "no explicit decision yet" true (Policy.explicit store t1 = None);
-      Policy.set store t1 Policy.Allow;
+      Policy.set_by_id store (Policy.threat_id t1) Policy.Allow;
       check_bool "explicit wins" true (Policy.decision_for store t1 = Policy.Allow);
       check_bool "reaches the canonicalized twin too" true
         (Policy.decision_for store t2 = Policy.Allow);
@@ -143,11 +143,9 @@ let race_threats = lazy (detect_threats [ extract_corpus "ComfortTV"; extract_co
 let ar_flap_killed =
   test "AR mediated: flap_count 0 on the contested switch, suppression logged" (fun () ->
       let m = default_mediator (Lazy.force race_threats) in
-      let o =
-        Scenario.run_once ~seed:3 ~mediator:m ~until_ms:10_000 ~setup:race_setup
-          ~watch:[ ("Window", "switch") ] ()
+      let trace =
+        Scenario.run_once ~seed:3 ~mediator:m ~until_ms:10_000 ~setup:race_setup ()
       in
-      let trace = o.Scenario.trace in
       check_int "flap 0" 0 (Trace.flap_count trace "Window" "switch");
       check_bool "no opposite commands" false
         (Trace.opposite_commands_within trace "Window" ~window_ms:10_000
@@ -179,13 +177,11 @@ let ar_override_changes_winner =
       let _, k2 = Policy.threat_keys ar in
       let store = Policy.create () in
       (* make the default loser the winner *)
-      Policy.set store ar (Policy.Prioritize { winner = k2 });
+      Policy.set_by_id store (Policy.threat_id ar) (Policy.Prioritize { winner = k2 });
       let m = Mediator.create store threats in
-      let o =
-        Scenario.run_once ~seed:3 ~mediator:m ~until_ms:10_000 ~setup:race_setup
-          ~watch:[ ("Window", "switch") ] ()
+      let trace =
+        Scenario.run_once ~seed:3 ~mediator:m ~until_ms:10_000 ~setup:race_setup ()
       in
-      let trace = o.Scenario.trace in
       check_int "still no flap" 0 (Trace.flap_count trace "Window" "switch");
       (* the default winner's "on" is now the suppressed side: the window
          never opens *)
@@ -281,8 +277,8 @@ let lt_loop_halts =
         let t = Engine.create ~sample_interval_ms:5_000 ?mediator () in
         Engine.install t app
           [ ("lightSensor", Engine.B_device lux); ("lights", Engine.B_device lamp) ];
-        Env_model.set_value t.Engine.env Env.Illuminance 10.0;
-        Env_model.set_baseline t.Engine.env Env.Illuminance 10.0;
+        Env_model.set_value (Engine.env t) Env.Illuminance 10.0;
+        Env_model.set_baseline (Engine.env t) Env.Illuminance 10.0;
         Engine.run t ~until_ms:1_800_000;
         Engine.trace t
       in
@@ -301,8 +297,7 @@ let lt_loop_halts =
 let mediation_off_identical =
   test "no mediator and an empty mediator produce byte-identical traces" (fun () ->
       let run mediator =
-        let o = Scenario.run_once ~seed:5 ?mediator ~until_ms:10_000 ~setup:race_setup ~watch:[] () in
-        Trace.to_string o.Scenario.trace
+        Trace.to_string (Scenario.run_once ~seed:5 ?mediator ~until_ms:10_000 ~setup:race_setup ())
       in
       check_string "identical trace text" (run None) (run (Some (default_mediator []))))
 
@@ -325,10 +320,10 @@ let install_flow_end_to_end =
       (* the flow-compiled mediator enforces the defaults *)
       let o =
         Scenario.run_once ~seed:3 ~mediator:(Install_flow.mediator flow) ~until_ms:10_000
-          ~setup:race_setup ~watch:[] ()
+          ~setup:race_setup ()
       in
       check_int "flap killed by the flow's mediator" 0
-        (Trace.flap_count o.Scenario.trace "Window" "switch");
+        (Trace.flap_count o "Window" "switch");
       (* an explicit Allow override disarms that threat *)
       let ar =
         List.find
@@ -338,10 +333,10 @@ let install_flow_end_to_end =
       Install_flow.set_decision flow (Policy.threat_id ar) Policy.Allow;
       let o2 =
         Scenario.run_once ~seed:3 ~mediator:(Install_flow.mediator flow) ~until_ms:10_000
-          ~setup:race_setup ~watch:[] ()
+          ~setup:race_setup ()
       in
       check_bool "race is back under Allow" true
-        (Trace.opposite_commands_within o2.Scenario.trace "Window" ~window_ms:10_000
+        (Trace.opposite_commands_within o2 "Window" ~window_ms:10_000
            ~opposites:[ ("on", "off") ]))
 
 let tests =

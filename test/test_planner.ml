@@ -268,6 +268,13 @@ let direct_keys (app : Rule.smartapp) (r : Rule.t) =
     k_cond = bits cond_var (Formula.free_vars (Rule.expanded_predicate r));
   }
 
+(* An app's device inputs: its capability-typed input variables. *)
+let device_inputs (app : Rule.smartapp) =
+  List.filter_map
+    (fun (i : Rule.input_decl) ->
+      Option.map (fun _ -> i.Rule.var) (Rule.capability_of_input app i.Rule.var))
+    app.Rule.inputs
+
 (* Every fact field equals its direct derivation. *)
 let check_facts (apps : Rule.smartapp list) =
   List.iter
@@ -275,7 +282,7 @@ let check_facts (apps : Rule.smartapp list) =
       let f = Detector.app_facts app in
       let name = app.Rule.name in
       check_bool (name ^ " inputs") true
-        (List.map (fun d -> d.Detector.di_var) f.Detector.app_inputs = Rule.device_inputs app);
+        (List.map (fun d -> d.Detector.di_var) f.Detector.app_inputs = device_inputs app);
       List.iter
         (fun (d : Detector.device_input) ->
           let v = d.Detector.di_var in
@@ -521,8 +528,8 @@ let ref_unify same (app1 : Rule.smartapp) (app2 : Rule.smartapp) =
     (fun v1 ->
       List.filter_map
         (fun v2 -> if same app1 v1 app2 v2 then Some (v1, v2) else None)
-        (Rule.device_inputs app2))
-    (Rule.device_inputs app1)
+        (device_inputs app2))
+    (device_inputs app1)
 
 (* Every var a detector may ask about: declared inputs, trigger
    subjects, action targets and the bases of condition vars (data

@@ -35,24 +35,10 @@ let device_inputs_test =
         mk_app "A"
           ~inputs:[ input "sw" "capability.switch"; input "n" "number"; input "l" "capability.lock" ]
       in
-      Alcotest.(check (list string)) "devices" [ "sw"; "l" ] (Rule.device_inputs app))
-
-let controls_devices_test =
-  test "controls_devices distinguishes notification-only rules" (fun () ->
-      let dev_rule =
-        mk_rule (event_trigger "sw" "switch")
-          ~actions:
-            [ { Rule.target = Rule.Act_device "sw"; command = "on"; params = []; when_ = 0;
-                period = 0; action_data = [] } ]
-      in
-      let msg_rule =
-        mk_rule (event_trigger "sw" "switch")
-          ~actions:
-            [ { Rule.target = Rule.Act_messaging; command = "sendPush"; params = []; when_ = 0;
-                period = 0; action_data = [] } ]
-      in
-      check_bool "device rule" true (Rule.controls_devices dev_rule);
-      check_bool "messaging rule" false (Rule.controls_devices msg_rule))
+      (* the detector's per-app facts hold the app's device inputs *)
+      let facts = Homeguard_detector.Detector.app_facts app in
+      Alcotest.(check (list string)) "devices" [ "sw"; "l" ]
+        (List.map (fun d -> d.Homeguard_detector.Detector.di_var) facts.app_inputs))
 
 let situation_combines =
   test "situation conjoins trigger, data and predicate" (fun () ->
@@ -96,23 +82,17 @@ let db_install_uninstall =
       let db = Rule_db.create () in
       let r = mk_rule (event_trigger "sw" "switch") in
       let app = mk_app "A" ~rules:[ r ] in
-      ignore (Rule_db.install db app);
+      Rule_db.install db app;
       check_int "installed" 1 (List.length (Rule_db.installed_apps db));
-      check_int "rules" 1 (Rule_db.rule_count db);
-      Rule_db.update db { app with Rule.rules = [ r; { r with Rule.rule_id = "A#2" } ] };
-      check_int "still one app" 1 (List.length (Rule_db.installed_apps db));
-      check_int "two rules" 2 (Rule_db.rule_count db);
+      (* an update is the install flow's uninstall and reinstall *)
       Rule_db.uninstall db "A";
+      Rule_db.install db { app with Rule.rules = [ r; { r with Rule.rule_id = "A#2" } ] };
+      (match Rule_db.installed_apps db with
+      | [ a ] -> check_int "the update's two rules" 2 (List.length a.Rule.rules)
+      | apps -> Alcotest.failf "expected one app, got %d" (List.length apps));
+      Rule_db.uninstall db "A";
+      check_bool "uninstalled" false (Rule_db.mem db "A");
       check_int "empty" 0 (List.length (Rule_db.installed_apps db)))
-
-let db_all_rules_tagged =
-  test "all_rules tags rules with their app" (fun () ->
-      let db = Rule_db.create () in
-      let r = mk_rule (event_trigger "sw" "switch") in
-      ignore (Rule_db.install db (mk_app "A" ~rules:[ r ]));
-      ignore (Rule_db.install db (mk_app "B" ~rules:[ { r with Rule.app_name = "B" } ]));
-      let tags = List.map (fun (a, _) -> a.Rule.name) (Rule_db.all_rules db) in
-      Alcotest.(check (list string)) "apps in order" [ "A"; "B" ] tags)
 
 (* -- per-process intern tables ------------------------------------------------- *)
 
@@ -154,12 +134,10 @@ let tests =
   [
     capability_of_input;
     device_inputs_test;
-    controls_devices_test;
     situation_combines;
     store_types_capability_attrs;
     store_falls_back_on_attribute;
     db_install_uninstall;
-    db_all_rules_tagged;
     intern_add_keeps_first;
     intern_past_bound;
     share_app_laws;

@@ -6,9 +6,15 @@ open Homeguard_solver
 open Formula
 open Term
 
-let sat ?(store = Store.empty) f = Solver.sat store f
+(* A decided solve: Unsat is [None]; an unlimited solve must never
+   answer Unknown. *)
+let model ?(store = Store.empty) f =
+  match Solver.solve store f with
+  | Budget.Sat m -> Some m
+  | Budget.Unsat -> None
+  | Budget.Unknown _ -> Alcotest.fail "an unlimited solve must decide"
 
-let model ?(store = Store.empty) f = Solver.satisfiable store f
+let sat ?store f = Option.is_some (model ?store f)
 
 let simple_sat =
   Helpers.test "x > 5 is satisfiable" (fun () ->
@@ -107,17 +113,15 @@ let disjunction =
 
 let entails_works =
   Helpers.test "entailment" (fun () ->
-      Helpers.check_bool "x>5 |= x>3" true
-        (Solver.entails Store.empty (gt (Var "x") (Int 5)) (gt (Var "x") (Int 3)));
-      Helpers.check_bool "x>3 |/= x>5" false
-        (Solver.entails Store.empty (gt (Var "x") (Int 3)) (gt (Var "x") (Int 5))))
+      (* f entails g when f && not g has no model *)
+      let entails f g = not (sat (conj [ f; Not g ])) in
+      Helpers.check_bool "x>5 |= x>3" true (entails (gt (Var "x") (Int 5)) (gt (Var "x") (Int 3)));
+      Helpers.check_bool "x>3 |/= x>5" false (entails (gt (Var "x") (Int 3)) (gt (Var "x") (Int 5))))
 
 let conflicts_works =
   Helpers.test "conflict detection" (fun () ->
-      Helpers.check_bool "conflict" true
-        (Solver.conflicts Store.empty (gt (Var "x") (Int 5)) (lt (Var "x") (Int 2)));
-      Helpers.check_bool "no conflict" false
-        (Solver.conflicts Store.empty (gt (Var "x") (Int 5)) (lt (Var "x") (Int 9))))
+      Helpers.check_bool "conflict" false (sat (conj [ gt (Var "x") (Int 5); lt (Var "x") (Int 2) ]));
+      Helpers.check_bool "no conflict" true (sat (conj [ gt (Var "x") (Int 5); lt (Var "x") (Int 9) ])))
 
 let true_false =
   Helpers.test "True/False literals" (fun () ->
@@ -237,9 +241,9 @@ let escalate_and_fingerprint =
       Helpers.check_bool "unlimited stays unlimited" true
         (Budget.escalate Budget.unlimited_spec = Budget.unlimited_spec);
       Helpers.check_bool "distinct fingerprints" true
-        (Budget.fingerprint s <> Budget.fingerprint e);
+        (Budget.cache_fingerprint s <> Budget.cache_fingerprint e);
       Helpers.check_bool "stable fingerprint" true
-        (Budget.fingerprint s = Budget.fingerprint (Budget.spec_of_nodes 10)))
+        (Budget.cache_fingerprint s = Budget.cache_fingerprint (Budget.spec_of_nodes 10)))
 
 let fault_injection_modes =
   Helpers.test "armed faults: Exhaust -> Unknown, Raise -> Injected, disarm restores" (fun () ->
@@ -249,9 +253,6 @@ let fault_injection_modes =
           (match Solver.solve Store.empty f with
           | Budget.Unknown _ -> ()
           | _ -> Alcotest.fail "expected Unknown under an Exhaust fault");
-          (match Solver.satisfiable Store.empty f with
-          | exception Budget.Exhausted _ -> ()
-          | _ -> Alcotest.fail "satisfiable must refuse to decide, not guess");
           Fault.disarm ();
           Fault.arm ~seed:1 ~rate_per_thousand:1000 Fault.Raise;
           match Solver.solve Store.empty f with
@@ -317,11 +318,11 @@ let brute_force_sat f =
 
 let prop_agrees_with_brute_force =
   Helpers.qtest ~count:300 "solver agrees with brute force on small domains" gen_formula
-    (fun f -> Solver.sat small_store f = brute_force_sat f)
+    (fun f -> sat ~store:small_store f = brute_force_sat f)
 
 let prop_model_satisfies =
   Helpers.qtest ~count:300 "returned models satisfy the formula" gen_formula (fun f ->
-      match Solver.satisfiable small_store f with
+      match model ~store:small_store f with
       | None -> true
       | Some m ->
         let env v =

@@ -4,10 +4,12 @@
 # Sums `git diff --numstat BASE` over the .ml and .mli files (BASE
 # against the working tree, so staged new files count). Prints one line
 # per changed file under lib/, then the lines added, removed and net for
-# lib/, and one total line each for bench/, bin/ and test/. Last, the
-# settable values at BASE and in the working tree: the `?label:`
-# occurrences in lib/**/*.mli plus the fields of every `type config`
-# record there.
+# lib/, and one total line each for bench/, bin/ and test/. Last, three
+# counts at BASE and in the working tree: the settable values (the
+# `?label:` occurrences in lib/**/*.mli plus the fields of every
+# `type config` record there), the exported values (`val` lines in
+# lib/**/*.mli) and the length of tools/dead-exports.sh's report of
+# values only tests use (this checkout's tool, run on both trees).
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -44,3 +46,19 @@ base_mlis() {
 
 echo "settable values: $1 $(base_mlis "$1" | settable)," \
   "working tree $(find lib -name '*.mli' -exec cat {} + | settable)"
+
+echo "exported values: $1 $(base_mlis "$1" | grep -c '^val ')," \
+  "working tree $(find lib -name '*.mli' -exec cat {} + | grep -c '^val ')"
+
+# the length of the test-only report of tools/dead-exports.sh, run from
+# the root of a tree
+test_only() {
+  { bash "$tool" || true; } 2>/dev/null |
+    sed -n 's/^-- report: exported values only tests use (\([0-9]*\),.*/\1/p'
+}
+tool=$(pwd)/tools/dead-exports.sh
+base_tree=$(mktemp -d)
+trap 'rm -rf "$base_tree"' EXIT
+git archive "$1" | tar -x -C "$base_tree"
+echo "values only tests use: $1 $(cd "$base_tree" && test_only)," \
+  "working tree $(test_only)"
