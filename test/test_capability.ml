@@ -163,9 +163,9 @@ let tests =
     command_lookup;
     attribute_domain_lookup;
     registry_size;
+    scheduling_apis;
     sink_table;
     table_vi_count;
-    scheduling_apis;
     env_feature_mapping;
     device_helpers;
     device_id_deterministic;
