@@ -952,8 +952,9 @@ let fleet_chaos_cmd =
       | repro ->
         let report =
           Chaos_repro.replay
-            ?enforce_fence:(if enforce_fence then Some true else None)
-            repro ~dir
+            (if enforce_fence then { repro with Chaos_repro.fence_enforced = true }
+             else repro)
+            ~dir
         in
         print_string (Chaos.render report);
         if enforce_fence then begin
@@ -984,14 +985,9 @@ let fleet_chaos_cmd =
           Chaos.vcache = not no_vcache;
         }
       in
-      let module Fence = Homeguard_store.Fence in
-      let campaign () = Chaos.run ~config ~dir () in
       let report =
-        if break_fence then begin
-          Fence.set_enforced false;
-          Fun.protect ~finally:(fun () -> Fence.set_enforced true) campaign
-        end
-        else campaign ()
+        Homeguard_store.Fence.with_enforced (not break_fence) (fun () ->
+            Chaos.run ~config ~dir ())
       in
       print_string (Chaos.render report);
       if Chaos.passed report then 0
@@ -1019,18 +1015,16 @@ let fleet_chaos_cmd =
           Printf.printf "failure repro written to %s\n" path;
           if shrink_on_failure then begin
             let minimal, trials =
-              Chaos.shrink ~config
-                ~enforce_fence:(not break_fence)
-                ~dir:(Filename.concat dir "shrink")
-                ~invariant report.Chaos.schedule
+              Chaos_repro.shrink ~dir:(Filename.concat dir "shrink") repro
             in
             let min_path = Filename.concat dir "chaos.min.repro" in
-            Chaos_repro.save { repro with schedule = minimal } ~path:min_path;
+            Chaos_repro.save minimal ~path:min_path;
             Printf.printf
               "minimized %d event(s) to %d in %d trial campaign(s); repro \
                written to %s\n"
-              (List.length report.Chaos.schedule)
-              (List.length minimal) trials min_path
+              (List.length repro.Chaos_repro.schedule)
+              (List.length minimal.Chaos_repro.schedule)
+              trials min_path
           end);
         1
       end

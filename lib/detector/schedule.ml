@@ -16,14 +16,6 @@ type exn_info = { exn : string; backtrace : string }
 let exn_info_of e =
   { exn = Printexc.to_string e; backtrace = Printexc.get_backtrace () }
 
-(** [capture f] runs one work item, turning a raised exception into
-    [Error] so one crashing item cannot tear down its batch, the worker
-    domain, or the audit. *)
-let capture f =
-  match f () with
-  | v -> Ok v
-  | exception e -> Error (exn_info_of e)
-
 (* Several batches per domain so a slow batch (one heavy solver pair)
    doesn't leave the other domains idle at the tail. *)
 let batches_per_domain = 4

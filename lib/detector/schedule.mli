@@ -18,11 +18,9 @@ type exn_info = { exn : string; backtrace : string }
 (** A captured per-item failure, transportable across domains. *)
 
 val exn_info_of : exn -> exn_info
-
-val capture : (unit -> 'a) -> ('a, exn_info) result
-(** Run one work item, converting a raised exception into [Error] so a
-    crashing item is isolated: the rest of its batch still runs and the
-    audit completes with a structured error summary. *)
+(** The printed exception and the current backtrace. The detector
+    records a crashing pair this way, so the rest of its batch still
+    runs and the audit completes with a structured error summary. *)
 
 val batches : jobs:int -> 'a array -> 'a array array
 (** Partition an array into contiguous, order-preserving batches sized

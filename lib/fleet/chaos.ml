@@ -28,7 +28,7 @@
 
     The schedule is derived up front from a dedicated fault RNG (the
     workload runs off a second, independent stream), so a campaign can
-    be re-run with any {e subset} of its fault events: {!shrink}
+    be re-run with any {e subset} of its fault events: {!Repro.shrink}
     delta-debugs a failing schedule down to a minimal reproduction. *)
 
 module Home = Homeguard_store.Home
@@ -55,41 +55,61 @@ type config = {
   shards : int;
   homes : int;
   steps : int;
-  step_ms : float;  (** simulated clock advance per step *)
-  forced_kills : int;
-      (** deterministic kills at evenly spaced steps, rotating victims
-          — guarantees the campaign exercises kill+recover even at
-          small step counts *)
-  kill_per_thousand : int;  (** extra random kills, per step *)
-  stall_per_thousand : int;  (** wedge a shard past its heartbeat window *)
   fault_window_per_thousand : int;
       (** chance per step to open a storage-fault window
           (crash/torn/flip cycling) for the next few steps *)
-  audit_per_thousand : int;  (** background re-audit + drain *)
   vcache : bool;  (** shared verdict cache on + cache invariants *)
   replicas : int;  (** journal replicas per home *)
-  replica_loss_per_thousand : int;
-      (** chance per step to destroy one non-primary replica of a random
-          home (the primary always survives destruction windows, so
-          "some replica survives" holds by construction; primary damage
-          comes from the corruption window and storage faults) *)
-  replica_corrupt_per_thousand : int;
-      (** chance per step to flip one byte in one replica file of a
-          random home — any replica, including the primary *)
-  cache_loss_per_thousand : int;
-      (** chance per step to destroy one non-primary replica of the
-          shared verdict cache (same primary-survives rule as
-          [replica_loss_per_thousand]) *)
-  cache_corrupt_per_thousand : int;
-      (** chance per step to flip one byte in one cache replica file —
-          any replica, including the primary *)
-  split_brains : int;
-      (** forced stall-then-revive windows: wedge a shard (its worker
-          keeps its journal writers {e and} its verdict-cache handle),
-          let the fleet rebalance, then drive the zombie's handles
-          expecting every append — home journal and cache alike —
-          fenced *)
 }
+
+(* The settings every campaign runs with, one value each; a repro
+   writes them on its config line and refuses any other value. *)
+
+let step_ms = 50.0 (* simulated clock advance per step *)
+
+(* deterministic kills at evenly spaced steps, rotating victims —
+   guarantees the campaign exercises kill+recover even at small step
+   counts *)
+let forced_kills = 3
+
+let kill_per_thousand = 5 (* extra random kills, per step *)
+let stall_per_thousand = 8 (* wedge a shard past its heartbeat window *)
+let audit_per_thousand = 40 (* background re-audit + drain *)
+
+(* chance per step to destroy one non-primary replica of a random home
+   (the primary always survives destruction windows, so "some replica
+   survives" holds by construction; primary damage comes from the
+   corruption window and storage faults) *)
+let replica_loss_per_thousand = 12
+
+(* chance per step to flip one byte in one replica file of a random
+   home — any replica, including the primary *)
+let replica_corrupt_per_thousand = 12
+
+(* the same two chances for the shared verdict cache's replicas *)
+let cache_loss_per_thousand = 10
+let cache_corrupt_per_thousand = 10
+
+(* forced stall-then-revive windows: wedge a shard (its worker keeps its
+   journal writers {e and} its verdict-cache handle), let the fleet
+   rebalance, then drive the zombie's handles expecting every append —
+   home journal and cache alike — fenced *)
+let split_brains = 1
+
+(* keyed by their repro config names *)
+let fixed_settings =
+  [
+    ("step-ms", Printf.sprintf "%g" step_ms);
+    ("forced-kills", string_of_int forced_kills);
+    ("kill", string_of_int kill_per_thousand);
+    ("stall", string_of_int stall_per_thousand);
+    ("audit", string_of_int audit_per_thousand);
+    ("replica-loss", string_of_int replica_loss_per_thousand);
+    ("replica-corrupt", string_of_int replica_corrupt_per_thousand);
+    ("cache-loss", string_of_int cache_loss_per_thousand);
+    ("cache-corrupt", string_of_int cache_corrupt_per_thousand);
+    ("split-brains", string_of_int split_brains);
+  ]
 
 let default_config =
   {
@@ -97,19 +117,9 @@ let default_config =
     shards = 4;
     homes = 24;
     steps = 400;
-    step_ms = 50.0;
-    forced_kills = 3;
-    kill_per_thousand = 5;
-    stall_per_thousand = 8;
     fault_window_per_thousand = 25;
-    audit_per_thousand = 40;
     vcache = true;
     replicas = 2;
-    replica_loss_per_thousand = 12;
-    replica_corrupt_per_thousand = 12;
-    cache_loss_per_thousand = 10;
-    cache_corrupt_per_thousand = 10;
-    split_brains = 1;
   }
 
 let smoke_config =
@@ -154,14 +164,14 @@ let schedule_of_config config =
   (* forced kills at evenly spaced steps, rotating victims *)
   List.iter
     (fun (at, victim) -> emit at (Kill { victim }))
-    (List.init config.forced_kills (fun i ->
-         (config.steps * (i + 1) / (config.forced_kills + 1), i mod config.shards)));
+    (List.init forced_kills (fun i ->
+         (config.steps * (i + 1) / (forced_kills + 1), i mod config.shards)));
   (* split-brain windows sit in the first half of the campaign, while
      the slots still have restart budget to grant successor epochs *)
   List.iter
     (fun (at, victim) -> emit at (Split_brain { victim }))
-    (List.init config.split_brains (fun i ->
-         ( config.steps * (i + 1) / (2 * (config.split_brains + 1)),
+    (List.init split_brains (fun i ->
+         ( config.steps * (i + 1) / (2 * (split_brains + 1)),
            (i + 1) mod config.shards )));
   let window_until = ref 0 and windows = ref 0 in
   for at = 1 to config.steps do
@@ -178,13 +188,13 @@ let schedule_of_config config =
       incr windows;
       window_until := at + 9
     end;
-    if Random.State.int rng 1000 < config.kill_per_thousand then
+    if Random.State.int rng 1000 < kill_per_thousand then
       emit at (Kill { victim = Random.State.int rng config.shards });
-    if Random.State.int rng 1000 < config.stall_per_thousand then
+    if Random.State.int rng 1000 < stall_per_thousand then
       emit at (Stall { victim = Random.State.int rng config.shards });
     if
       config.replicas > 1
-      && Random.State.int rng 1000 < config.replica_loss_per_thousand
+      && Random.State.int rng 1000 < replica_loss_per_thousand
     then
       emit at
         (Replica_destroy
@@ -192,7 +202,7 @@ let schedule_of_config config =
              home = Random.State.int rng config.homes;
              replica = Random.State.int rng (config.replicas - 1);
            });
-    if Random.State.int rng 1000 < config.replica_corrupt_per_thousand then
+    if Random.State.int rng 1000 < replica_corrupt_per_thousand then
       emit at
         (Replica_corrupt
            {
@@ -203,10 +213,10 @@ let schedule_of_config config =
            });
     if
       config.vcache && config.replicas > 1
-      && Random.State.int rng 1000 < config.cache_loss_per_thousand
+      && Random.State.int rng 1000 < cache_loss_per_thousand
     then
       emit at (Cache_destroy { replica = Random.State.int rng (config.replicas - 1) });
-    if config.vcache && Random.State.int rng 1000 < config.cache_corrupt_per_thousand
+    if config.vcache && Random.State.int rng 1000 < cache_corrupt_per_thousand
     then
       emit at
         (Cache_corrupt
@@ -323,99 +333,95 @@ let check_audit_outcome c = function
 
 (* -- workload ops ------------------------------------------------------------- *)
 
+(* Every workload reply goes through [classify]; a degraded one
+   acknowledges nothing, so only a [Done] value reaches [k]. *)
+let on_done c reply k =
+  match classify c reply with
+  | Supervisor.Done { value; shard } -> k value shard
+  | Supervisor.Unavailable _ | Supervisor.Crashed _ -> ()
+
 let op_install c (id, ex) =
   if ex.next_app < List.length ex.synth.Synth.apps then begin
     let app = List.nth ex.synth.Synth.apps ex.next_app in
     let name = app.App_entry.name and source = app.App_entry.source in
-    match
-      classify c
-        (Supervisor.run c.sup ~home:id (fun sh ->
-             let broker = Shard.broker sh in
-             match Broker.install broker ~home:id ~name ~source () with
-             | Broker.Proposed { report; degraded; _ } ->
-               Home.decide (Broker.home broker id) Install_flow.Keep;
-               `Kept (report, degraded)
-             | Broker.Busy { retry_after_ms } -> `Busy retry_after_ms
-             | Broker.Quarantined_app _ -> `Refused
-             | Broker.Install_failed { quarantined; _ } -> `Failed quarantined))
-    with
-    | Supervisor.Done { value = `Kept (report, degraded); _ } ->
-      c.outcomes_checked <- c.outcomes_checked + 1;
-      if report.Install_flow.audit.Detector.shed > 0 && not degraded then
-        c.false_clean <- c.false_clean + 1;
-      ex.installed <- add_distinct name ex.installed;
-      ex.next_app <- ex.next_app + 1;
-      ex.threat_ids <-
-        List.fold_left
-          (fun acc th -> add_distinct (Policy.threat_id th) acc)
-          ex.threat_ids report.Install_flow.threats;
-      c.tally.installs_acked <- c.tally.installs_acked + 1
-    | Supervisor.Done { value = `Busy _; _ } ->
-      c.tally.busy_replies <- c.tally.busy_replies + 1
-    | Supervisor.Done { value = `Failed quarantined; _ } ->
-      if quarantined then ex.quarantined <- add_distinct name ex.quarantined;
-      ex.next_app <- ex.next_app + 1 (* don't wedge on a poisoned app *)
-    | Supervisor.Done { value = `Refused; _ } -> ex.next_app <- ex.next_app + 1
-    | Supervisor.Unavailable _ | Supervisor.Crashed _ -> ()
+    on_done c
+      (Supervisor.run c.sup ~home:id (fun sh ->
+           let broker = Shard.broker sh in
+           match Broker.install broker ~home:id ~name ~source () with
+           | Broker.Proposed { report; degraded; _ } ->
+             Home.decide (Broker.home broker id) Install_flow.Keep;
+             `Kept (report, degraded)
+           | Broker.Busy { retry_after_ms } -> `Busy retry_after_ms
+           | Broker.Quarantined_app _ -> `Refused
+           | Broker.Install_failed { quarantined; _ } -> `Failed quarantined))
+      (fun value _ ->
+        match value with
+        | `Kept (report, degraded) ->
+          c.outcomes_checked <- c.outcomes_checked + 1;
+          if report.Install_flow.audit.Detector.shed > 0 && not degraded then
+            c.false_clean <- c.false_clean + 1;
+          ex.installed <- add_distinct name ex.installed;
+          ex.next_app <- ex.next_app + 1;
+          ex.threat_ids <-
+            List.fold_left
+              (fun acc th -> add_distinct (Policy.threat_id th) acc)
+              ex.threat_ids report.Install_flow.threats;
+          c.tally.installs_acked <- c.tally.installs_acked + 1
+        | `Busy _ -> c.tally.busy_replies <- c.tally.busy_replies + 1
+        | `Failed quarantined ->
+          if quarantined then ex.quarantined <- add_distinct name ex.quarantined;
+          ex.next_app <- ex.next_app + 1 (* don't wedge on a poisoned app *)
+        | `Refused -> ex.next_app <- ex.next_app + 1)
   end
 
 let op_deliver c (id, ex) =
   match ex.synth.Synth.configs with
   | [] -> ()
-  | configs -> (
+  | configs ->
     let uri = List.nth configs (ex.next_seq mod List.length configs) in
     let seq = ex.next_seq + 1 in
-    match classify c (Supervisor.deliver c.sup ~home:id ~seq uri) with
-    | Supervisor.Done { value = Home.Accepted _; _ } ->
-      ex.next_seq <- seq;
-      ex.acked_seq <- max ex.acked_seq seq;
-      c.tally.configs_acked <- c.tally.configs_acked + 1
-    | Supervisor.Done { value = Home.Malformed _; _ } -> ex.next_seq <- seq
-    | Supervisor.Unavailable _ | Supervisor.Crashed _ -> ())
+    on_done c (Supervisor.deliver c.sup ~home:id ~seq uri) (fun value _ ->
+        match value with
+        | Home.Accepted _ ->
+          ex.next_seq <- seq;
+          ex.acked_seq <- max ex.acked_seq seq;
+          c.tally.configs_acked <- c.tally.configs_acked + 1
+        | Home.Malformed _ -> ex.next_seq <- seq)
+
+(* A handling write on one randomly picked entry of [entries]: [act]
+   draws whatever else the write needs and returns it with the ledger
+   update to make once the fleet acknowledges it. *)
+let op_handling c id entries act =
+  match entries with
+  | [] -> ()
+  | xs ->
+    let write, acked = act (List.nth xs (Random.State.int c.rng (List.length xs))) in
+    on_done c
+      (Supervisor.run c.sup ~home:id (fun sh -> write (Broker.home (Shard.broker sh) id)))
+      (fun () _ -> acked ())
 
 let op_decision c (id, ex) =
-  match ex.threat_ids with
-  | [] -> ()
-  | ids -> (
-    let tid = List.nth ids (Random.State.int c.rng (List.length ids)) in
-    let d = if Random.State.bool c.rng then Policy.Allow else Policy.Confirm in
-    match
-      classify c
-        (Supervisor.run c.sup ~home:id (fun sh ->
-             Home.set_decision (Broker.home (Shard.broker sh) id) tid d))
-    with
-    | Supervisor.Done _ ->
-      ex.decisions <- (tid, d) :: List.remove_assoc tid ex.decisions;
-      c.tally.decisions_acked <- c.tally.decisions_acked + 1
-    | Supervisor.Unavailable _ | Supervisor.Crashed _ -> ())
+  op_handling c id ex.threat_ids (fun tid ->
+      let d = if Random.State.bool c.rng then Policy.Allow else Policy.Confirm in
+      ( (fun h -> Home.set_decision h tid d),
+        fun () ->
+          ex.decisions <- (tid, d) :: List.remove_assoc tid ex.decisions;
+          c.tally.decisions_acked <- c.tally.decisions_acked + 1 ))
 
 let op_quarantine c (id, ex) =
-  match ex.installed with
-  | [] -> ()
-  | apps -> (
-    let app = List.nth apps (Random.State.int c.rng (List.length apps)) in
-    match
-      classify c
-        (Supervisor.run c.sup ~home:id (fun sh ->
-             Home.quarantine
-               (Broker.home (Shard.broker sh) id)
-               ~app ~reason:"chaos-injected"))
-    with
-    | Supervisor.Done _ ->
-      ex.quarantined <- add_distinct app ex.quarantined;
-      c.tally.quarantines_acked <- c.tally.quarantines_acked + 1
-    | Supervisor.Unavailable _ | Supervisor.Crashed _ -> ())
+  op_handling c id ex.installed (fun app ->
+      ( (fun h -> Home.quarantine h ~app ~reason:"chaos-injected"),
+        fun () ->
+          ex.quarantined <- add_distinct app ex.quarantined;
+          c.tally.quarantines_acked <- c.tally.quarantines_acked + 1 ))
 
 let op_audit c (id, _ex) =
-  match classify c (Supervisor.submit_audit c.sup ~home:id ()) with
-  | Supervisor.Done { value = Ok _; shard } -> (
-    match classify c (Supervisor.drain c.sup ~shard) with
-    | Supervisor.Done { value = outcomes; _ } ->
-      List.iter (check_audit_outcome c) outcomes
-    | Supervisor.Unavailable _ | Supervisor.Crashed _ -> ())
-  | Supervisor.Done { value = Error _; _ } ->
-    c.tally.busy_replies <- c.tally.busy_replies + 1
-  | Supervisor.Unavailable _ | Supervisor.Crashed _ -> ()
+  on_done c (Supervisor.submit_audit c.sup ~home:id ()) (fun value shard ->
+      match value with
+      | Ok _ ->
+        on_done c (Supervisor.drain c.sup ~shard) (fun outcomes _ ->
+            List.iter (check_audit_outcome c) outcomes)
+      | Error _ -> c.tally.busy_replies <- c.tally.busy_replies + 1)
 
 (* -- damage windows ----------------------------------------------------------- *)
 
@@ -612,7 +618,7 @@ let step c ~step_index =
       else if r < 75 then op_deliver c home
       else if r < 85 then op_decision c home
       else if r < 90 then op_quarantine c home
-      else if r < 90 + (cfg.audit_per_thousand / 10) then op_audit c home
+      else if r < 90 + (audit_per_thousand / 10) then op_audit c home
       else op_deliver c home
     end
   done;
@@ -623,7 +629,7 @@ let step c ~step_index =
       if c.stalled.(i) > 0 then c.stalled.(i) <- c.stalled.(i) - 1
       else Supervisor.beat c.sup i)
     (List.init cfg.shards Fun.id);
-  c.now := !(c.now) +. cfg.step_ms;
+  c.now := !(c.now) +. step_ms;
   Supervisor.tick c.sup;
   note_states c
 
@@ -728,7 +734,6 @@ let verify_cache c ~fleet_dir ~live ~totals ~cscrub ~cscrub2 =
     Vcache.close_store st1;
     let st2 = Vcache.open_store ~fsync:false ~replicas:crep ~dir () in
     let d2 = Vcache.dump st2 in
-    Vcache.close_store st2;
     let chaos_dump = List.filter (fun (k, _) -> Fault.contains ~sub:"~chaos/" k) d1 in
     let kind e = if e = "" then '?' else e.[0] in
     let poisoned =
@@ -740,8 +745,7 @@ let verify_cache c ~fleet_dir ~live ~totals ~cscrub ~cscrub2 =
         d1
     in
     (* warm-vs-cold: the reopened cache must never change an audit *)
-    let stw = Vcache.open_store ~fsync:false ~replicas:crep ~dir () in
-    let hw = Vcache.attach stw ~owner:"warm-audit" in
+    let hw = Vcache.attach st2 ~owner:"warm-audit" in
     let warm_bad =
       List.filter_map
         (fun (id, _) ->
@@ -759,7 +763,7 @@ let verify_cache c ~fleet_dir ~live ~totals ~cscrub ~cscrub2 =
           if warm = cold then None else Some id)
         c.expects
     in
-    Vcache.close_store stw;
+    Vcache.close_store st2;
     let scrub_invs =
       match (cscrub, cscrub2) with
       | Some (r1 : Scrub.home_report), Some (r2 : Scrub.home_report) ->
@@ -874,14 +878,14 @@ let run ?(config = default_config) ?schedule ~dir () =
       Supervisor.default_config with
       Supervisor.shards = config.shards;
       replicas = config.replicas;
-      heartbeat_interval_ms = config.step_ms *. 2.0;
+      heartbeat_interval_ms = step_ms *. 2.0;
       miss_threshold = 3;
       failure_threshold = 2;
-      reset_timeout_ms = config.step_ms *. 4.0;
+      reset_timeout_ms = step_ms *. 4.0;
       half_open_probes = 2;
       restart_budget = 6;
-      backoff_base_ms = config.step_ms;
-      backoff_cap_ms = config.step_ms *. 10.0;
+      backoff_base_ms = step_ms;
+      backoff_cap_ms = step_ms *. 10.0;
       seed = config.seed;
       fsync = false;
       clock;
@@ -974,7 +978,7 @@ let run ?(config = default_config) ?schedule ~dir () =
          (List.init config.shards Fun.id)
   do
     incr settled;
-    c.now := !(c.now) +. config.step_ms;
+    c.now := !(c.now) +. step_ms;
     Supervisor.beat_all c.sup;
     Supervisor.tick c.sup;
     note_states c
@@ -1042,75 +1046,6 @@ let run ?(config = default_config) ?schedule ~dir () =
     invariants;
   }
 
-(* -- the shrinker ------------------------------------------------------------- *)
-
-let violates r ~invariant =
-  List.exists (fun i -> i.name = invariant && not i.ok) r.invariants
-
-let split_chunks n xs =
-  let len = List.length xs in
-  let base = len / n and rem = len mod n in
-  let rec take k xs acc =
-    if k = 0 then (List.rev acc, xs)
-    else match xs with [] -> (List.rev acc, []) | h :: t -> take (k - 1) t (h :: acc)
-  in
-  let rec go i xs acc =
-    if i >= n then List.rev acc
-    else
-      let chunk, rest = take (base + if i < rem then 1 else 0) xs [] in
-      go (i + 1) rest (chunk :: acc)
-  in
-  go 0 xs []
-
-let shrink ?(config = smoke_config) ?(enforce_fence = true) ~dir ~invariant
-    schedule =
-  let trials = ref 0 in
-  let fails sched =
-    incr trials;
-    let tdir = Filename.concat dir (Printf.sprintf "trial-%04d" !trials) in
-    Rjournal.mkdirs tdir;
-    let campaign () = run ~config ~schedule:sched ~dir:tdir () in
-    let r =
-      if enforce_fence then campaign ()
-      else begin
-        (* the deliberately reintroduced split-brain bug: trials run
-           with the fence disabled, restored on every exit path *)
-        Fence.set_enforced false;
-        Fun.protect ~finally:(fun () -> Fence.set_enforced true) campaign
-      end
-    in
-    violates r ~invariant
-  in
-  if not (fails schedule) then
-    invalid_arg "Chaos.shrink: the schedule does not violate the invariant";
-  (* classic ddmin over the event list: try each chunk alone, then each
-     complement, doubling granularity until single events *)
-  let rec ddmin events n =
-    let len = List.length events in
-    if len <= 1 || n > len then events
-    else
-      let chunks = split_chunks n events in
-      match
-        List.find_opt (fun ch -> ch <> [] && List.length ch < len && fails ch) chunks
-      with
-      | Some ch -> ddmin ch 2
-      | None -> (
-        let complements =
-          List.mapi
-            (fun i _ -> List.concat (List.filteri (fun j _ -> j <> i) chunks))
-            chunks
-        in
-        match
-          List.find_opt
-            (fun comp -> comp <> [] && List.length comp < len && fails comp)
-            complements
-        with
-        | Some comp -> ddmin comp (max 2 (n - 1))
-        | None -> if n < len then ddmin events (min len (2 * n)) else events)
-  in
-  let minimal = ddmin schedule 2 in
-  (minimal, !trials)
-
 (* -- rendering ---------------------------------------------------------------- *)
 
 let render (r : report) =
@@ -1157,7 +1092,7 @@ let render (r : report) =
        "replication: replicas=%d destroyed=%d corrupted=%d split-brains=%d \
         zombie-rejected=%d zombie-accepted=%d stale-replies=%d\n"
        r.config.replicas t.replicas_destroyed t.replicas_corrupted
-       r.config.split_brains t.zombie_rejected t.zombie_accepted
+       split_brains t.zombie_rejected t.zombie_accepted
        r.stats.Supervisor.stale_replies);
   Buffer.add_string b (Printf.sprintf "scrub:   %s\n" (Scrub.counters_text r.scrub));
   Buffer.add_string b

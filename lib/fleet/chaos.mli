@@ -17,41 +17,33 @@
     The schedule is a pure function of the config seed, derived from a
     fault RNG independent of the workload stream — so any {e subset} of
     it can be replayed ({!run} with [?schedule]) and a failing schedule
-    can be delta-debugged down to a minimal reproduction ({!shrink}). *)
+    can be delta-debugged down to a minimal reproduction
+    ({!Repro.shrink}). *)
 
 type config = {
   seed : int;
   shards : int;
   homes : int;
   steps : int;
-  step_ms : float;  (** simulated clock advance per step *)
-  forced_kills : int;  (** evenly spaced deterministic kills *)
-  kill_per_thousand : int;
-  stall_per_thousand : int;
   fault_window_per_thousand : int;
-  audit_per_thousand : int;
+      (** per-step chance of opening a storage-fault window *)
   vcache : bool;
       (** run the campaign with the shared verdict cache enabled and
           verify the cache-surface invariants *)
   replicas : int;  (** replica count per home (1 = unreplicated) *)
-  replica_loss_per_thousand : int;
-      (** per-step chance of destroying one non-primary replica *)
-  replica_corrupt_per_thousand : int;
-      (** per-step chance of flipping bits in one replica file *)
-  cache_loss_per_thousand : int;
-      (** per-step chance of destroying one non-primary cache replica *)
-  cache_corrupt_per_thousand : int;
-      (** per-step chance of flipping a byte in one cache replica file *)
-  split_brains : int;
-      (** evenly spaced stall-then-revive windows: a shard is wedged
-          (killed without closing its writers {e or} its verdict-cache
-          handle), its homes rebalance to a higher epoch, and the
-          zombie keeps trying to append — to home journals and to the
-          cache *)
 }
+(** What a campaign varies. Every other setting — the simulated step
+    length, the forced kills and split-brain windows, and the per-step
+    chances of an extra kill, a stall, a background audit and each kind
+    of replica damage — is one value that all campaigns share. *)
+
+val fixed_settings : (string * string) list
+(** Those one-value settings, keyed by their [hg-chaos-repro v1]
+    config names ([step-ms], [kill], [split-brains], …) and rendered as
+    a repro writes them. *)
 
 val default_config : config
-(** seed 42, 4 shards, 24 homes, 400 steps, 3 forced kills. *)
+(** seed 42, 4 shards, 24 homes, 400 steps. *)
 
 val smoke_config : config
 (** A short CI-sized campaign (10 homes, 150 steps). *)
@@ -135,24 +127,4 @@ val run : ?config:config -> ?schedule:scheduled list -> dir:string -> unit -> re
     every exit path. *)
 
 val passed : report -> bool
-val violates : report -> invariant:string -> bool
-(** The named invariant exists in the report and failed. *)
-
-val shrink :
-  ?config:config ->
-  ?enforce_fence:bool ->
-  dir:string ->
-  invariant:string ->
-  scheduled list ->
-  scheduled list * int
-(** [shrink ~dir ~invariant schedule] delta-debugs (ddmin) a failing
-    fault schedule down to a locally-minimal event list that still
-    violates [invariant], running each trial campaign in a fresh
-    subdirectory of [dir]. Returns the minimal schedule and the number
-    of trial campaigns run. [~enforce_fence:false] runs every trial
-    with {!Homeguard_store.Fence.set_enforced}[ false] (the
-    deliberately reintroduced split-brain bug), restored on every exit
-    path. Raises [Invalid_argument] if the full schedule does not
-    violate the invariant. *)
-
 val render : report -> string

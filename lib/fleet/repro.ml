@@ -13,6 +13,7 @@
     v} *)
 
 module Fence = Homeguard_store.Fence
+module Rjournal = Homeguard_store.Rjournal
 
 type t = {
   config : Chaos.config;
@@ -27,18 +28,20 @@ let fail fmt = Printf.ksprintf failwith fmt
 
 (* -- rendering ---------------------------------------------------------------- *)
 
+(* The v1 config line names every setting, the campaign's one-value
+   ones ({!Chaos.fixed_settings}) included. *)
 let config_text (c : Chaos.config) =
+  let fixed keys =
+    String.concat " " (List.map (fun k -> k ^ "=" ^ List.assoc k Chaos.fixed_settings) keys)
+  in
   Printf.sprintf
-    "config seed=%d shards=%d homes=%d steps=%d step-ms=%g forced-kills=%d \
-     kill=%d stall=%d fault-window=%d audit=%d vcache=%b replicas=%d \
-     replica-loss=%d replica-corrupt=%d cache-loss=%d cache-corrupt=%d \
-     split-brains=%d"
-    c.Chaos.seed c.Chaos.shards c.Chaos.homes c.Chaos.steps c.Chaos.step_ms
-    c.Chaos.forced_kills c.Chaos.kill_per_thousand c.Chaos.stall_per_thousand
-    c.Chaos.fault_window_per_thousand c.Chaos.audit_per_thousand c.Chaos.vcache
-    c.Chaos.replicas c.Chaos.replica_loss_per_thousand
-    c.Chaos.replica_corrupt_per_thousand c.Chaos.cache_loss_per_thousand
-    c.Chaos.cache_corrupt_per_thousand c.Chaos.split_brains
+    "config seed=%d shards=%d homes=%d steps=%d %s fault-window=%d %s vcache=%b \
+     replicas=%d %s"
+    c.Chaos.seed c.Chaos.shards c.Chaos.homes c.Chaos.steps
+    (fixed [ "step-ms"; "forced-kills"; "kill"; "stall" ])
+    c.Chaos.fault_window_per_thousand (fixed [ "audit" ]) c.Chaos.vcache
+    c.Chaos.replicas
+    (fixed [ "replica-loss"; "replica-corrupt"; "cache-loss"; "cache-corrupt"; "split-brains" ])
 
 let event_text { Chaos.at; ev } =
   match ev with
@@ -101,11 +104,6 @@ let count_field line m k =
   if n < 1 then fail "repro line %d: field %s must be at least 1" line k;
   n
 
-let float_field line m k =
-  match float_of_string_opt (field line m k) with
-  | Some f -> f
-  | None -> fail "repro line %d: field %s is not a number" line k
-
 let bool_field line m k =
   match bool_of_string_opt (field line m k) with
   | Some b -> b
@@ -113,26 +111,20 @@ let bool_field line m k =
 
 let parse_config line toks =
   let m = List.map (kv line) toks in
-  let i = int_field line m and f = float_field line m and b = bool_field line m in
+  List.iter
+    (fun (k, v) ->
+      if field line m k <> v then fail "repro line %d: field %s must be %s" line k v)
+    Chaos.fixed_settings;
+  let i = int_field line m and b = bool_field line m in
   let count = count_field line m in
   {
     Chaos.seed = i "seed";
     shards = count "shards";
     homes = count "homes";
     steps = count "steps";
-    step_ms = f "step-ms";
-    forced_kills = i "forced-kills";
-    kill_per_thousand = i "kill";
-    stall_per_thousand = i "stall";
     fault_window_per_thousand = i "fault-window";
-    audit_per_thousand = i "audit";
     vcache = b "vcache";
     replicas = count "replicas";
-    replica_loss_per_thousand = i "replica-loss";
-    replica_corrupt_per_thousand = i "replica-corrupt";
-    cache_loss_per_thousand = i "cache-loss";
-    cache_corrupt_per_thousand = i "cache-corrupt";
-    split_brains = i "split-brains";
   }
 
 let parse_event line toks =
@@ -228,15 +220,66 @@ let load ~path =
     ~finally:(fun () -> try close_in ic with Sys_error _ -> ())
     (fun () -> of_text (really_input_string ic (in_channel_length ic)))
 
-(* -- replay ------------------------------------------------------------------- *)
+(* -- replay and shrinking ------------------------------------------------------ *)
 
-let replay ?enforce_fence t ~dir =
-  let enforce = Option.value ~default:t.fence_enforced enforce_fence in
-  let campaign () = Chaos.run ~config:t.config ~schedule:t.schedule ~dir () in
-  if enforce then campaign ()
-  else begin
-    Fence.set_enforced false;
-    Fun.protect ~finally:(fun () -> Fence.set_enforced true) campaign
-  end
+let replay t ~dir =
+  Fence.with_enforced t.fence_enforced (fun () ->
+      Chaos.run ~config:t.config ~schedule:t.schedule ~dir ())
 
-let reproduces report t = Chaos.violates report ~invariant:t.invariant
+let reproduces (report : Chaos.report) t =
+  List.exists
+    (fun (i : Chaos.invariant) -> i.Chaos.name = t.invariant && not i.Chaos.ok)
+    report.Chaos.invariants
+
+let split_chunks n xs =
+  let len = List.length xs in
+  let base = len / n and rem = len mod n in
+  let rec take k xs acc =
+    if k = 0 then (List.rev acc, xs)
+    else match xs with [] -> (List.rev acc, []) | h :: t -> take (k - 1) t (h :: acc)
+  in
+  let rec go i xs acc =
+    if i >= n then List.rev acc
+    else
+      let chunk, rest = take (base + if i < rem then 1 else 0) xs [] in
+      go (i + 1) rest (chunk :: acc)
+  in
+  go 0 xs []
+
+let shrink ~dir t =
+  let trials = ref 0 in
+  let fails schedule =
+    incr trials;
+    let tdir = Filename.concat dir (Printf.sprintf "trial-%04d" !trials) in
+    Rjournal.mkdirs tdir;
+    reproduces (replay { t with schedule } ~dir:tdir) t
+  in
+  if not (fails t.schedule) then
+    invalid_arg "Repro.shrink: the schedule does not violate the invariant";
+  (* classic ddmin over the event list: try each chunk alone, then each
+     complement, doubling granularity until single events *)
+  let rec ddmin events n =
+    let len = List.length events in
+    if len <= 1 || n > len then events
+    else
+      let chunks = split_chunks n events in
+      match
+        List.find_opt (fun ch -> ch <> [] && List.length ch < len && fails ch) chunks
+      with
+      | Some ch -> ddmin ch 2
+      | None -> (
+        let complements =
+          List.mapi
+            (fun i _ -> List.concat (List.filteri (fun j _ -> j <> i) chunks))
+            chunks
+        in
+        match
+          List.find_opt
+            (fun comp -> comp <> [] && List.length comp < len && fails comp)
+            complements
+        with
+        | Some comp -> ddmin comp (max 2 (n - 1))
+        | None -> if n < len then ddmin events (min len (2 * n)) else events)
+  in
+  let minimal = ddmin t.schedule 2 in
+  ({ t with schedule = minimal }, !trials)

@@ -48,7 +48,10 @@ let acquire key epoch =
    split-brain bug and prove the invariants (and the repro shrinker)
    catch it; production never clears it. *)
 let enforced = Atomic.make true
-let set_enforced v = Atomic.set enforced v
+
+let with_enforced v f =
+  let before = Atomic.exchange enforced v in
+  Fun.protect ~finally:(fun () -> Atomic.set enforced before) f
 
 (** Gate one append made under [epoch]. Raises {!Stale} (and counts the
     rejection) when a later epoch has been granted for [key]. *)

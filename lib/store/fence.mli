@@ -24,9 +24,10 @@ val rejections : unit -> int
 
 val rejections_for : string -> int
 
-
-val set_enforced : bool -> unit
-(** [set_enforced false] turns {!check} into a no-op — the deliberately
-    reintroduced split-brain bug that chaos campaigns use to prove the
-    invariants (and the repro shrinker) catch an unfenced fleet.
-    Test/campaign only; production never clears it. *)
+val with_enforced : bool -> (unit -> 'a) -> 'a
+(** [with_enforced false f] runs [f] with {!check} a no-op — the
+    deliberately reintroduced split-brain bug that chaos campaigns use
+    to prove the invariants (and the repro shrinker) catch an unfenced
+    fleet — and restores the previous setting on every exit path.
+    [with_enforced true f] runs [f] fenced. Campaign only; production
+    never clears the fence. *)

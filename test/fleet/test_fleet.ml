@@ -888,26 +888,23 @@ let chaos_shrinker_minimizes_fence_bug =
   test "ddmin shrinks a fence-bug campaign to a tiny deterministic repro"
     (fun () ->
       let cfg = { Chaos.smoke_config with Chaos.homes = 6; Chaos.steps = 80 } in
-      let invariant = "cache-no-stale-epoch-byte" in
-      let schedule = Chaos.schedule_of_config cfg in
-      let minimal, trials =
-        Chaos.shrink ~config:cfg ~enforce_fence:false ~dir:(fresh_dir ())
-          ~invariant schedule
-      in
-      check_bool "the schedule shrank" true
-        (List.length minimal < List.length schedule);
-      check_int "minimal repro is one event" 1 (List.length minimal);
-      check_bool "the shrinker ran trial campaigns" true (trials > 1);
-      (* the minimized schedule replays deterministically: two buggy
-         runs violate identically, and an enforced run passes *)
-      let repro =
+      let failing =
         {
           Repro.config = cfg;
-          schedule = minimal;
-          invariant;
+          schedule = Chaos.schedule_of_config cfg;
+          invariant = "cache-no-stale-epoch-byte";
           fence_enforced = false;
         }
       in
+      let repro, trials = Repro.shrink ~dir:(fresh_dir ()) failing in
+      check_bool "the schedule shrank" true
+        (List.length repro.Repro.schedule < List.length failing.Repro.schedule);
+      check_int "minimal repro is one event" 1 (List.length repro.Repro.schedule);
+      check_bool "the shrinker ran trial campaigns" true (trials > 1);
+      check_bool "only the schedule changed" true
+        ({ repro with Repro.schedule = failing.Repro.schedule } = failing);
+      (* the minimized schedule replays deterministically: two buggy
+         runs violate identically, and an enforced run passes *)
       let r1 = Repro.replay repro ~dir:(fresh_dir ()) in
       let r2 = Repro.replay repro ~dir:(fresh_dir ()) in
       check_bool "both replays reproduce the violation" true
@@ -918,9 +915,17 @@ let chaos_shrinker_minimizes_fence_bug =
            r1.Chaos.invariants
         = List.map (fun (i : Chaos.invariant) -> (i.Chaos.name, i.Chaos.ok))
             r2.Chaos.invariants);
-      let fixed = Repro.replay ~enforce_fence:true repro ~dir:(fresh_dir ()) in
+      let fixed =
+        Repro.replay { repro with Repro.fence_enforced = true } ~dir:(fresh_dir ())
+      in
       check_bool "the same schedule passes with the fence enforced" true
         (Chaos.passed fixed))
+
+let read_repro name =
+  let ic = open_in_bin (Filename.concat "repros" name) in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
 let checked_in_repros_replay =
   test "checked-in minimized repros reproduce, and the fix holds" (fun () ->
@@ -928,21 +933,20 @@ let checked_in_repros_replay =
         (fun name ->
           let path = Filename.concat "repros" name in
           let repro = Repro.load ~path in
+          Alcotest.(check string)
+            (name ^ " re-renders byte for byte")
+            (read_repro name) (Repro.to_text repro);
           check_bool (name ^ " is minimized") true
             (List.length repro.Repro.schedule <= 3);
           let bug = Repro.replay repro ~dir:(fresh_dir ()) in
           check_bool (name ^ " reproduces as recorded") true
             (Repro.reproduces bug repro);
-          let fixed = Repro.replay ~enforce_fence:true repro ~dir:(fresh_dir ()) in
+          let fixed =
+            Repro.replay { repro with Repro.fence_enforced = true } ~dir:(fresh_dir ())
+          in
           check_bool (name ^ " passes with the fence enforced") true
             (Chaos.passed fixed))
         [ "split-brain-home-journal.repro"; "split-brain-vcache.repro" ])
-
-let read_repro name =
-  let ic = open_in_bin (Filename.concat "repros" name) in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let repro_names = [ "split-brain-home-journal.repro"; "split-brain-vcache.repro" ]
 
@@ -982,19 +986,37 @@ let repro_rejects_negative_fields =
         "repro line 6: field at is negative";
       let lines = String.split_on_char '\n' home in
       let config = List.nth lines 3 in
+      let with_field field value =
+        let config' =
+          String.concat " "
+            (List.map
+               (fun tok ->
+                 if String.starts_with ~prefix:(field ^ "=") tok then field ^ "=" ^ value
+                 else tok)
+               (String.split_on_char ' ' config))
+        in
+        String.concat "\n" (List.map (fun l -> if l == config then config' else l) lines)
+      in
       List.iter
         (fun field ->
-          let zero =
-            String.concat " "
-              (List.map
-                 (fun tok ->
-                   if String.starts_with ~prefix:(field ^ "=") tok then field ^ "=0" else tok)
-                 (String.split_on_char ' ' config))
-          in
-          rejects_with
-            (String.concat "\n" (List.map (fun l -> if l == config then zero else l) lines))
+          rejects_with (with_field field "0")
             (Printf.sprintf "repro line 4: field %s must be at least 1" field))
-        [ "shards"; "homes"; "steps"; "replicas" ])
+        [ "shards"; "homes"; "steps"; "replicas" ];
+      (* a zero or negative step-ms ended the replay in Health.create's
+         Invalid_argument, and nan left a killed shard down for good
+         while the campaign passed: the one-value settings take only the
+         value every campaign runs with *)
+      List.iter
+        (fun (field, value, expected) ->
+          rejects_with (with_field field value)
+            (Printf.sprintf "repro line 4: field %s must be %s" field expected))
+        [
+          ("step-ms", "0", "50");
+          ("step-ms", "-50", "50");
+          ("step-ms", "nan", "50");
+          ("step-ms", "inf", "50");
+          ("split-brains", "2", "1");
+        ])
 
 (* Every repro [of_text] accepts can be replayed: event fields index
    nothing out of range and the counts are positive. *)

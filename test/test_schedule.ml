@@ -141,17 +141,12 @@ let audit_all_jobs_deterministic =
       check_bool "non-trivial workload" true (threats1 <> []);
       check_bool "jobs=4 identical audit" true (seq = run 4))
 
-let capture_isolates_exceptions =
-  test "Schedule.capture: a raising item becomes a structured Error" (fun () ->
-      (match Schedule.capture (fun () -> 42) with
-      | Ok n -> check_int "value passes through" 42 n
-      | Error _ -> Alcotest.fail "no error expected");
-      match Schedule.capture (fun () -> failwith "boom") with
-      | Ok _ -> Alcotest.fail "expected Error"
-      | Error info ->
-        check_bool "exception recorded" true
-          (String.length info.Schedule.exn > 0
-          && String.length ("x" ^ info.Schedule.backtrace) > 0))
+let exn_info_records_exceptions =
+  test "Schedule.exn_info_of: a raised exception becomes a structured record"
+    (fun () ->
+      let info = try failwith "boom" with e -> Schedule.exn_info_of e in
+      Alcotest.(check string) "exception recorded"
+        (Printexc.to_string (Failure "boom")) info.Schedule.exn)
 
 let default_budgets_leave_corpus_decided =
   test "corpus audit under default budgets reports zero undecided pairs" (fun () ->
@@ -190,7 +185,7 @@ let tests =
     detect_all_matches_unplanned_pairwise;
     detect_new_app_jobs_deterministic;
     audit_all_jobs_deterministic;
-    capture_isolates_exceptions;
+    exn_info_records_exceptions;
     default_budgets_leave_corpus_decided;
     merged_ctx_counts;
   ]
