@@ -322,9 +322,7 @@ let e9_chained () =
   let scm = app "SwitchChangesMode" in
   let curling = app "CurlingIron" in
   let ctx = Detector.create Detector.offline_config in
-  let allowed = Chain.create () in
   let kept = Detector.detect_all ctx [ make_it_so; scm ] in
-  Chain.allow allowed kept;
   Printf.printf "allowed pairs recorded: %d threats kept by the user\n" (List.length kept);
   let fresh =
     List.concat_map
@@ -338,7 +336,7 @@ let e9_chained () =
       curling.Rule.rules
   in
   Printf.printf "new threats when installing CurlingIron: %d\n" (List.length fresh);
-  let chains = Chain.find_chains allowed fresh in
+  let chains = Chain.find_chains kept fresh in
   Printf.printf "chained threats: %d\n" (List.length chains);
   List.iter (fun c -> Printf.printf "  %s\n" (Chain.chain_to_string c)) chains;
   print_endline "(paper §VIII-B(2): motion -> outlets on -> mode change -> door unlocked)"

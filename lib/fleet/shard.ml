@@ -75,9 +75,8 @@ let add_home t id =
   Broker.add_home t.broker ~id home;
   report
 
-let open_ ?(broker_config = Broker.default_config) ?(fsync = true)
-    ?(mode = Home.Mixed) ?(replicas = 1) ?(epoch_of = fun _ -> None)
-    ?(on_recovery = fun _ _ -> ()) ?vcache ~fleet_dir ~home_ids () =
+let open_ ~broker_config ~fsync ~mode ~replicas ~epoch_of ~on_recovery ?vcache ~fleet_dir
+    ~home_ids () =
   if replicas < 1 then invalid_arg "Shard.open_: replicas < 1";
   let t =
     {

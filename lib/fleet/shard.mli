@@ -34,12 +34,12 @@ val cache_dirs : fleet_dir:string -> replicas:int -> string list
     under each replica root. *)
 
 val open_ :
-  ?broker_config:Broker.config ->
-  ?fsync:bool ->
-  ?mode:Home.mode ->
-  ?replicas:int ->
-  ?epoch_of:(string -> int option) ->
-  ?on_recovery:(string -> Home.recovery_report -> unit) ->
+  broker_config:Broker.config ->
+  fsync:bool ->
+  mode:Home.mode ->
+  replicas:int ->
+  epoch_of:(string -> int option) ->
+  on_recovery:(string -> Home.recovery_report -> unit) ->
   ?vcache:Homeguard_vcache.Vcache.handle ->
   fleet_dir:string ->
   home_ids:string list ->

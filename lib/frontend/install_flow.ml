@@ -4,7 +4,8 @@
     instrumented app, rules are fetched from the backend, threats are
     detected against everything already installed, and the user makes a
     single keep/reject/reconfigure decision. Accepted threat pairs join
-    the Allowed list so future installs can detect chained threats. *)
+    the Allowed list (the kept threats) so future installs can detect
+    chained threats. *)
 
 module Rule = Homeguard_rules.Rule
 module Rule_db = Homeguard_rules.Rule_db
@@ -35,13 +36,13 @@ type report = {
 
 type t = {
   db : Rule_db.t;
-  allowed : Chain.t;
   mutable pending : report option;
   detector_config : Detector.config;
   policies : Policy.store;  (** per-threat handling decisions *)
   mutable kept_rev : Threat.t list;
-      (** threats the user accepted at install time, latest first; these
-          are what the runtime mediator enforces *)
+      (** threats the user accepted at install time, latest first: the
+          Allowed list chain detection extends, and what the runtime
+          mediator enforces *)
   mutable quarantined_rev : (string * string) list;
       (** poison apps (name, reason), latest first: excluded from
           detection and surfaced with a reject recommendation *)
@@ -50,7 +51,6 @@ type t = {
 let create ?(detector_config = Detector.offline_config) () =
   {
     db = Rule_db.create ();
-    allowed = Chain.create ();
     pending = None;
     detector_config;
     policies = Policy.create ();
@@ -121,7 +121,7 @@ let propose ?config ?cancel t (app : Rule.smartapp) =
   let ctx = Detector.create (Option.value ~default:t.detector_config config) in
   let audit = Detector.audit_new_app ?cancel ctx (detection_apps t) app in
   let threats = audit.Detector.threats in
-  let chains = Chain.find_chains t.allowed threats in
+  let chains = Chain.find_chains t.kept_rev threats in
   let recommendations =
     List.map (fun threat -> (threat, Policy.decision_for t.policies threat)) threats
   in
@@ -141,10 +141,9 @@ let propose ?config ?cancel t (app : Rule.smartapp) =
 exception No_pending_install
 
 (* The one "keep" step, shared by a live [decide Keep] and replay:
-   install the rules, allow the threat edges, remember the threats. *)
+   install the rules, remember the threats. *)
 let keep t app threats =
   Rule_db.install t.db app;
-  Chain.allow t.allowed threats;
   t.kept_rev <- List.rev_append threats t.kept_rev
 
 (** Step 4: the user's one-time decision. [Keep] installs the app and
@@ -172,17 +171,15 @@ let installed_apps t = Rule_db.installed_apps t.db
 
 let pending t = t.pending
 
-(** Remove an installed app: its rules leave the database, its kept
-    threats leave the mediator's input, and its allowed edges leave the
-    chain detector (rule ids are ["<app>#<n>"]). *)
+(** Remove an installed app: its rules leave the database and its kept
+    threats leave the Allowed list and the mediator's input. *)
 let uninstall t name =
   Rule_db.uninstall t.db name;
   t.kept_rev <-
     List.filter
       (fun (th : Threat.t) ->
         th.Threat.app1.Rule.name <> name && th.Threat.app2.Rule.name <> name)
-      t.kept_rev;
-  Chain.disallow_prefix t.allowed (name ^ "#")
+      t.kept_rev
 
 (* -- handling ---------------------------------------------------------------- *)
 
@@ -193,7 +190,6 @@ let set_decision t threat_id decision = Policy.set_by_id t.policies threat_id de
 let policies t = t.policies
 
 let kept_threats t = List.rev t.kept_rev
-let allowed_edges t = Chain.allowed_edges t.allowed
 
 (** Compile the runtime reference monitor for everything kept so far,
     under the current decisions. *)

@@ -68,7 +68,7 @@ val pending : t -> report option
 (** The proposal awaiting a decision, if any. *)
 
 val uninstall : t -> string -> unit
-(** Remove an installed app, its kept threats and its allowed edges. *)
+(** Remove an installed app and its kept threats. *)
 
 (** {2 Poison-app quarantine}
 
@@ -95,11 +95,8 @@ val set_decision : t -> string -> Homeguard_handling.Policy.decision -> unit
 val policies : t -> Homeguard_handling.Policy.store
 
 val kept_threats : t -> Homeguard_detector.Threat.t list
-(** Threats accepted (via [Keep]) so far — the mediator's input. *)
-
-val allowed_edges : t -> Homeguard_detector.Chain.allowed_edge list
-(** The Allowed list: the edges of every kept threat, which chain
-    detection extends. *)
+(** Threats accepted (via [Keep]) so far: the Allowed list chain
+    detection extends, and the mediator's input. *)
 
 val mediator : t -> Homeguard_handling.Mediator.t
 (** Compile the runtime reference monitor over all kept threats under

@@ -76,12 +76,7 @@ let create ?(config = default_config) () =
 let add_home t ~id home =
   if Hashtbl.mem t.by_id id then
     invalid_arg (Printf.sprintf "Broker.add_home: duplicate home %S" id);
-  let quarantine = Quarantine.create ~threshold:t.config.quarantine_after () in
-  (* the journal is the authority: re-seed the counter's view from it *)
-  List.iter
-    (fun (app, reason) -> Quarantine.restore quarantine ~app ~reason)
-    (Home.quarantined home);
-  let e = { home; quarantine } in
+  let e = { home; quarantine = Quarantine.create ~threshold:t.config.quarantine_after () } in
   Hashtbl.replace t.by_id id e;
   t.homes_rev <- (id, e) :: t.homes_rev
 
@@ -305,11 +300,11 @@ let drain t =
 
 let quarantined t ~home:home_id = Home.quarantined (home t home_id)
 
+(* Lifting a quarantine also starts the app's failure streak over. *)
 let clear_quarantine t ~home:home_id app =
   let e = entry t home_id in
-  let in_policy = Quarantine.clear e.quarantine app in
-  let in_home = Home.unquarantine e.home app in
-  in_policy || in_home
+  Quarantine.note_success e.quarantine app;
+  Home.unquarantine e.home app
 
 let quarantined_total t =
   List.fold_left

@@ -28,10 +28,10 @@ val create : ?config:config -> unit -> t
 (** An empty broker; populate it with {!add_home}. *)
 
 val add_home : t -> id:string -> Home.t -> unit
-(** Register a home under [id]. Quarantines recovered from the home's
-    journal seed its in-memory counter, so durable state and policy
-    agree from the first request. Each home gets its own failure-streak
-    counter; per-home admission bounds key on [id].
+(** Register a home under [id]. Each home gets its own failure-streak
+    counter; which apps are quarantined is read from the home itself,
+    so a recovered quarantine holds from the first request. Per-home
+    admission bounds key on [id].
     @raise Invalid_argument on a duplicate id. *)
 
 val remove_home : t -> string -> Home.t option
@@ -103,7 +103,11 @@ val drain : t -> audit_outcome list
 (** {2 Quarantine management} *)
 
 val quarantined : t -> home:string -> (string * string) list
+(** The home's quarantined apps, [(app, reason)] in quarantine order. *)
+
 val clear_quarantine : t -> home:string -> string -> bool
+(** Lift the app's quarantine in the home (journaled) and start its
+    failure streak over; [false] when the home had not quarantined it. *)
 
 val status : t -> string
 (** One-line homes/occupancy/queue/quarantine summary for the serve

@@ -54,7 +54,6 @@ type t = {
       (** app -> (seq, last raw URI), oldest-first; compaction's source *)
   mutable ingest : Ingest.t option;
   mutable skipped : int;  (** replayed records that would not decode *)
-  mutable replayed_epoch : int;  (** highest [Event.Epoch] seen in replay *)
 }
 
 type recovery_report = {
@@ -142,7 +141,7 @@ let apply_event t = function
   | Event.Watermark n -> Ingest.force_last (ingest t) n
   | Event.Quarantine { app; reason } -> Install_flow.quarantine t.flow app ~reason
   | Event.Unquarantine app -> ignore (Install_flow.unquarantine t.flow app)
-  | Event.Epoch n -> if n > t.replayed_epoch then t.replayed_epoch <- n
+  | Event.Epoch _ -> () (* recovery reads the epoch off the frames *)
 
 (* -- journaled operations ---------------------------------------------------- *)
 
@@ -305,7 +304,6 @@ let open_ ?(fsync = true) ?(mode = Mixed) ?(window = 64) ?(configure = Fun.id)
       configs = [];
       ingest = None;
       skipped = 0;
-      replayed_epoch = 0;
     }
   in
   t.ingest <-
@@ -320,10 +318,7 @@ let open_ ?(fsync = true) ?(mode = Mixed) ?(window = 64) ?(configure = Fun.id)
   Surface.open_writer ~fence_key:dir surface ~epoch:eff;
   (* a fenced handover is journaled: the grant survives even a journal
      whose only other frames predate the new epoch *)
-  if epoch <> None && eff > floor then begin
-    log_event t (Event.Epoch eff);
-    apply_event t (Event.Epoch eff)
-  end;
+  if epoch <> None && eff > floor then log_event t (Event.Epoch eff);
   let changed =
     (* a damaged replica whose records all survived on a sibling loses
        nothing — only when every replica surfaced damage can the merged

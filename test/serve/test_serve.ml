@@ -214,14 +214,9 @@ let quarantine_policy =
       | `Quarantined why -> check_bool "reason mentions the last failure" true
           (String.length why > 0)
       | `Counted _ -> Alcotest.fail "3rd consecutive failure must quarantine");
-      check_bool "sticky" true
-        (match Quarantine.note_failure q ~app:"P" ~reason:"again" with
-        | `Quarantined _ -> true
-        | `Counted _ -> false);
-      check_bool "is_quarantined" true (Quarantine.is_quarantined q "P");
-      check_bool "clear lifts" true (Quarantine.clear q "P");
-      check_bool "cleared" false (Quarantine.is_quarantined q "P");
-      check_int "history forgotten" 0 (Quarantine.failure_count q "P"))
+      (* the home, not this counter, records the quarantine *)
+      check_bool "a trip starts the streak over" true
+        (Quarantine.note_failure q ~app:"P" ~reason:"again" = `Counted 1))
 
 (* -- broker end-to-end -------------------------------------------------------- *)
 
@@ -336,6 +331,26 @@ let broker_quarantine_end_to_end =
       let home4, _ = Home.open_ ~fsync:false ~dir () in
       check_bool "clearance survives restart" false
         (Home.is_quarantined home4 "BathroomFanTimer");
+      (* clearing through the broker lifts the home's quarantine and
+         starts the app's failure streak over *)
+      let broker4 = Broker.create ~config () in
+      Broker.add_home broker4 ~id:"home" home4;
+      let fails_tripping () =
+        match Broker.install broker4 ~home:"home" ~name:"Broken" ~source:"definition(" () with
+        | Broker.Install_failed { quarantined; _ } -> quarantined
+        | _ -> Alcotest.fail "a source that does not parse must fail"
+      in
+      check_bool "1st failure counts" false (fails_tripping ());
+      check_bool "2nd failure trips" true (fails_tripping ());
+      check_bool "quarantined in the home" true (Home.is_quarantined home4 "Broken");
+      check_bool "clear_quarantine lifts it" true
+        (Broker.clear_quarantine broker4 ~home:"home" "Broken");
+      check_bool "no longer quarantined in the home" false (Home.is_quarantined home4 "Broken");
+      check_bool "next failure counts from 1" false (fails_tripping ());
+      check_bool "clearing an app the home has not quarantined" false
+        (Broker.clear_quarantine broker4 ~home:"home" "Broken");
+      check_bool "the streak starts over again" false (fails_tripping ());
+      check_bool "and trips at K" true (fails_tripping ());
       Home.close home4)
 
 let quarantined_app_excluded_from_audit =

