@@ -3,8 +3,8 @@
     A shard that keeps crashing must not keep receiving traffic: the
     breaker counts consecutive shard-level failures and, once tripped,
     sheds requests immediately with an honest retry hint instead of
-    queueing them into a black hole. After [reset_timeout_ms] it lets a
-    bounded number of probes through ([Half_open]); probe successes
+    queueing them into a black hole. After [reset_timeout_ms] it lets
+    probes through ([Half_open]); [half_open_probes] probe successes
     close it again, a probe failure re-opens it and restarts the
     clock.
 
@@ -16,11 +16,13 @@ module Deadline = Homeguard_serve.Deadline
 
 type state = Closed | Open | Half_open
 
+(* probe successes that close a half-open breaker; every fleet uses this *)
+let half_open_probes = 2
+
 type t = {
   clock : Deadline.clock;
   failure_threshold : int;  (** consecutive failures that trip it *)
   reset_timeout_ms : float;  (** Open → Half_open delay *)
-  half_open_probes : int;  (** probe successes needed to close *)
   mutable state : state;
   mutable consecutive_failures : int;
   mutable opened_at : float;
@@ -28,16 +30,13 @@ type t = {
   mutable trips : int;
 }
 
-let create ?(failure_threshold = 3) ?(reset_timeout_ms = 1_000.0)
-    ?(half_open_probes = 2) clock =
+let create ~failure_threshold ~reset_timeout_ms clock =
   if failure_threshold < 1 then invalid_arg "Breaker.create: failure_threshold < 1";
   if reset_timeout_ms <= 0.0 then invalid_arg "Breaker.create: reset_timeout_ms <= 0";
-  if half_open_probes < 1 then invalid_arg "Breaker.create: half_open_probes < 1";
   {
     clock;
     failure_threshold;
     reset_timeout_ms;
-    half_open_probes;
     state = Closed;
     consecutive_failures = 0;
     opened_at = 0.0;
@@ -74,7 +73,7 @@ let note_success t =
   | Closed -> t.consecutive_failures <- 0
   | Half_open ->
     t.probe_successes <- t.probe_successes + 1;
-    if t.probe_successes >= t.half_open_probes then begin
+    if t.probe_successes >= half_open_probes then begin
       t.state <- Closed;
       t.consecutive_failures <- 0;
       t.probe_successes <- 0
@@ -109,4 +108,4 @@ let describe t =
   | Closed -> "closed"
   | Open -> Printf.sprintf "open retry-after-ms=%.0f" (retry_after_ms t)
   | Half_open ->
-    Printf.sprintf "half-open probes=%d/%d" t.probe_successes t.half_open_probes
+    Printf.sprintf "half-open probes=%d/%d" t.probe_successes half_open_probes

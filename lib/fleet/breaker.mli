@@ -6,13 +6,9 @@ type state = Closed | Open | Half_open
 type t
 
 val create :
-  ?failure_threshold:int ->
-  ?reset_timeout_ms:float ->
-  ?half_open_probes:int ->
-  Homeguard_serve.Deadline.clock ->
-  t
-(** Defaults: trip after 3 consecutive failures, probe after 1000 ms,
-    close after 2 probe successes.
+  failure_threshold:int -> reset_timeout_ms:float -> Homeguard_serve.Deadline.clock -> t
+(** Trip after [failure_threshold] consecutive failures, probe after
+    [reset_timeout_ms], close after 2 probe successes (a constant).
     @raise Invalid_argument on non-positive parameters. *)
 
 val state : t -> state

@@ -310,6 +310,12 @@ let impaired c =
     (fun i -> Supervisor.shard_state c.sup i <> `Running)
     (List.init c.cfg.shards Fun.id)
 
+(* One outcome checked for invariant 4; [false_clean] when it was
+   classified conclusive although its work was cut. *)
+let check_outcome c ~false_clean =
+  c.outcomes_checked <- c.outcomes_checked + 1;
+  if false_clean then c.false_clean <- c.false_clean + 1
+
 (* Structural invariant-4 accounting: every reply passes through here. *)
 let classify c reply =
   c.tally.ops <- c.tally.ops + 1;
@@ -319,17 +325,13 @@ let classify c reply =
       c.tally.served_while_impaired <- c.tally.served_while_impaired + 1
   | Supervisor.Unavailable _ | Supervisor.Crashed _ ->
     c.tally.degraded_replies <- c.tally.degraded_replies + 1;
-    c.outcomes_checked <- c.outcomes_checked + 1;
-    if Shed.conclusive (Supervisor.to_outcome reply) then
-      c.false_clean <- c.false_clean + 1);
+    check_outcome c ~false_clean:(Shed.conclusive (Supervisor.to_outcome reply)));
   reply
 
 let check_audit_outcome c = function
   | Broker.Audited { result; degraded; _ } ->
-    c.outcomes_checked <- c.outcomes_checked + 1;
-    if result.Detector.shed > 0 && not degraded then
-      c.false_clean <- c.false_clean + 1
-  | Broker.Shed_job _ -> c.outcomes_checked <- c.outcomes_checked + 1
+    check_outcome c ~false_clean:(result.Detector.shed > 0 && not degraded)
+  | Broker.Shed_job _ -> check_outcome c ~false_clean:false
 
 (* -- workload ops ------------------------------------------------------------- *)
 
@@ -357,9 +359,8 @@ let op_install c (id, ex) =
       (fun value _ ->
         match value with
         | `Kept (report, degraded) ->
-          c.outcomes_checked <- c.outcomes_checked + 1;
-          if report.Install_flow.audit.Detector.shed > 0 && not degraded then
-            c.false_clean <- c.false_clean + 1;
+          check_outcome c
+            ~false_clean:(report.Install_flow.audit.Detector.shed > 0 && not degraded);
           ex.installed <- add_distinct name ex.installed;
           ex.next_app <- ex.next_app + 1;
           ex.threat_ids <-
@@ -471,9 +472,10 @@ let corrupt_replica surface ~replica ~file ~salt =
   let files = Surface.replica_files surface (replica mod n) in
   flip_byte (List.nth files (file mod List.length files)) ~salt
 
-let home_surface c home =
-  let id = fst (List.nth c.expects (home mod List.length c.expects)) in
+let home_surface c id =
   Surface.at Surface.Home (Shard.home_dirs ~fleet_dir:c.dir ~replicas:c.cfg.replicas id)
+
+let home_id c home = fst (List.nth c.expects (home mod List.length c.expects))
 
 (* The verdict cache is a durable surface like any home, so it takes
    the same damage: destruction spares the primary, corruption does
@@ -481,47 +483,45 @@ let home_surface c home =
 let cache_surface c =
   Surface.at Surface.Cache (Shard.cache_dirs ~fleet_dir:c.dir ~replicas:c.cfg.replicas)
 
+(* One revived write from a zombie handle holding [epoch] under fence
+   [key]. If no successor epoch was ever granted (the slot died past its
+   restart budget before any reopen), grant it now: ownership always
+   moves before a wedged worker revives, never the other way around.
+   [true] when the fence refused the write; a storage fault that killed
+   it after the fence passed (it is checked first) still let a stale
+   write through. *)
+let zombie_write_fenced ~key ~epoch write =
+  if Fence.current key <= epoch then ignore (Fence.acquire key (epoch + 1) : int);
+  match write () with `Fenced -> true | `Accepted | `Dropped -> false
+
 (* Drive every wedged worker's handles once a successor epoch has been
    granted (the "revive after rebalance" moment): each journaling
    attempt — home journal and verdict cache alike — must be fenced. An
    append that reaches the disk is a stale write accepted — the
    split-brain failure this harness exists to catch. *)
 let drive_zombies c =
+  let t = c.tally in
   List.iter
     (fun z ->
       List.iter
         (fun (_, h) ->
-          (* if no successor epoch was ever granted (the slot died past
-             its restart budget before any reopen), grant it now:
-             ownership always moves before a wedged worker revives,
-             never the other way around *)
-          if Fence.current (Home.dir h) <= Home.epoch h then
-            ignore (Fence.acquire (Home.dir h) (Home.epoch h + 1) : int);
-          if Fence.current (Home.dir h) > Home.epoch h then
-            match Home.set_decision h "chaos-zombie" Policy.Allow with
-            | () -> c.tally.zombie_accepted <- c.tally.zombie_accepted + 1
-            | exception Fence.Stale _ -> c.tally.zombie_rejected <- c.tally.zombie_rejected + 1
-            | exception Journal.Crashed _ ->
-              (* the fence passed (it is checked first) and then a
-                 storage fault killed the write: still a stale append
-                 that was let through *)
-              c.tally.zombie_accepted <- c.tally.zombie_accepted + 1)
+          if
+            zombie_write_fenced ~key:(Home.dir h) ~epoch:(Home.epoch h) (fun () ->
+                match Home.set_decision h "chaos-zombie" Policy.Allow with
+                | () -> `Accepted
+                | exception Fence.Stale _ -> `Fenced
+                | exception Journal.Crashed _ -> `Dropped)
+          then t.zombie_rejected <- t.zombie_rejected + 1
+          else t.zombie_accepted <- t.zombie_accepted + 1)
         (Broker.homes (Shard.broker z));
-      (* the zombie's retained verdict-cache handle gets the same
-         treatment: grant the successor ownership epoch if the real
-         replacement never attached, then probe one durable write *)
-      match Shard.vcache z with
-      | None -> ()
-      | Some h ->
-        let k = Vcache.fence_key h and e = Vcache.handle_epoch h in
-        if Fence.current k <= e then ignore (Fence.acquire k (e + 1) : int);
-        (match Vcache.probe_write h with
-        | `Fenced -> c.tally.cache_probe_fenced <- c.tally.cache_probe_fenced + 1
-        | `Accepted -> c.tally.cache_probe_accepted <- c.tally.cache_probe_accepted + 1
-        | `Dropped ->
-          (* fence passed, storage fault killed the append: a stale
-             write let through, same rule as the home path *)
-          c.tally.cache_probe_accepted <- c.tally.cache_probe_accepted + 1))
+      Option.iter
+        (fun h ->
+          if
+            zombie_write_fenced ~key:(Vcache.fence_key h) ~epoch:(Vcache.handle_epoch h)
+              (fun () -> Vcache.probe_write h)
+          then t.cache_probe_fenced <- t.cache_probe_fenced + 1
+          else t.cache_probe_accepted <- t.cache_probe_accepted + 1)
+        (Shard.vcache z))
     c.zombies
 
 (* -- the campaign loop -------------------------------------------------------- *)
@@ -531,19 +531,16 @@ let drive_zombies c =
    no shard is running: the caller keeps the window open and retries
    next step, so a scheduled split-brain is never silently skipped. *)
 let try_wedge c victim =
-  let cfg = c.cfg in
-  let rec go k =
-    k < cfg.shards
-    &&
-    let v = (victim + k) mod cfg.shards in
-    match Supervisor.wedge c.sup v with
-    | Some z ->
-      c.killed <- add_distinct v c.killed;
-      c.zombies <- z :: c.zombies;
-      true
-    | None -> go (k + 1)
-  in
-  go 0
+  List.exists
+    (fun k ->
+      let v = (victim + k) mod c.cfg.shards in
+      match Supervisor.wedge c.sup v with
+      | Some z ->
+        c.killed <- add_distinct v c.killed;
+        c.zombies <- z :: c.zombies;
+        true
+      | None -> false)
+    (List.init c.cfg.shards Fun.id)
 
 let fire c ev =
   let cfg = c.cfg in
@@ -562,10 +559,10 @@ let fire c ev =
       c.fault_steps_left <- 8
     end
   | Replica_destroy { home; replica } ->
-    if destroy_replica (home_surface c home) ~replica then
+    if destroy_replica (home_surface c (home_id c home)) ~replica then
       c.tally.replicas_destroyed <- c.tally.replicas_destroyed + 1
   | Replica_corrupt { home; replica; file; salt } ->
-    if corrupt_replica (home_surface c home) ~replica ~file ~salt then
+    if corrupt_replica (home_surface c (home_id c home)) ~replica ~file ~salt then
       c.tally.replicas_corrupted <- c.tally.replicas_corrupted + 1
   | Cache_destroy { replica } ->
     if c.cfg.vcache && destroy_replica (cache_surface c) ~replica then
@@ -603,16 +600,13 @@ let step c ~step_index =
   let n_ops = 1 + Random.State.int c.rng 2 in
   for _ = 1 to n_ops do
     let home = List.nth c.expects (Random.State.int c.rng (List.length c.expects)) in
-    let target = Supervisor.owner_of c.sup (fst home) in
-    let target_stalled =
-      match target with Some i -> c.stalled.(i) > 0 | None -> false
-    in
-    if target = None then
+    match Supervisor.owner_of c.sup (fst home) with
+    | None ->
       (* the whole fleet is dead: the home has no owner left, so the
          op degrades instead of routing *)
       c.tally.degraded_replies <- c.tally.degraded_replies + 1
-    else if target_stalled then c.tally.stalled_timeouts <- c.tally.stalled_timeouts + 1
-    else begin
+    | Some i when c.stalled.(i) > 0 -> c.tally.stalled_timeouts <- c.tally.stalled_timeouts + 1
+    | Some _ ->
       let r = Random.State.int c.rng 100 in
       if r < 45 then op_install c home
       else if r < 75 then op_deliver c home
@@ -620,7 +614,6 @@ let step c ~step_index =
       else if r < 90 then op_quarantine c home
       else if r < 90 + (audit_per_thousand / 10) then op_audit c home
       else op_deliver c home
-    end
   done;
   (* heartbeats from every live, un-stalled shard; then advance time
      and run a supervision pass *)
@@ -647,56 +640,9 @@ let id_list = function [] -> "" | ids -> ": " ^ String.concat "," ids
 let surfaced_loss (r : Home.recovery_report) =
   (r.Home.quarantined > 0 && r.Home.all_replicas_damaged) || r.Home.skipped_events > 0
 
-type recovered_home = {
-  r_installed : string list;
-  r_decisions : (string * Policy.decision) list;
-  r_quarantined : string list;
-  r_last_seq : int;
-  r_text : string;
-  r_text2 : string;  (** second, independent recovery *)
-  r_honest_damage : bool;  (** some recovery surfaced damage for this home *)
-}
-
-let recover_home ~fleet_dir ~replicas ~campaign_damage id =
-  let dirs = Shard.home_dirs ~fleet_dir ~replicas id in
-  let dir = List.hd dirs and extra = List.tl dirs in
-  (* first open repairs (truncates torn tails, quarantines corrupt
-     frames, merges the replicas); the determinism check is over the
-     two subsequent recoveries of the repaired journal *)
-  let h1, r1 = Home.open_ ~fsync:false ~replicas:extra ~dir () in
-  let r_installed =
-    List.map (fun (a : Rule.smartapp) -> a.Rule.name) (Home.installed_apps h1)
-  in
-  let r_decisions = Policy.decisions (Install_flow.policies (Home.flow h1)) in
-  let r_quarantined = List.map fst (Home.quarantined h1) in
-  let r_last_seq = Home.last_seq h1 in
-  let r_text = Home.state_text h1 in
-  Home.close h1;
-  let h2, r2 = Home.open_ ~fsync:false ~replicas:extra ~dir () in
-  let r_text2 = Home.state_text h2 in
-  Home.close h2;
-  (* The quarantine sidecar is the durable form of the same evidence:
-     an in-memory recovery report can be lost when the recovering open
-     itself crashes on a later home (the journal repair it already
-     performed persists, so the retry replays clean), but the sidecar
-     written by that repair survives any number of restarts. Every
-     replica directory must show corruption for the carve-out to hold. *)
-  let sidecar_corruption =
-    List.for_all (( < ) 0) (Surface.corrupt_regions (Surface.at Surface.Home dirs))
-  in
-  {
-    r_installed;
-    r_decisions;
-    r_quarantined;
-    r_last_seq;
-    r_text;
-    r_text2;
-    r_honest_damage =
-      campaign_damage || surfaced_loss r1 || surfaced_loss r2 || sidecar_corruption;
-  }
-
-(* Cache invariants, against [live] (the dump captured just before the
-   final shutdown) and [totals] (the summed shard counters):
+(* Cache invariants, once the fleet is shut down, against [live] (the
+   dump captured just before the shutdown) and [totals] (the summed
+   shard counters):
    - no stale-epoch cache byte: every zombie probe was fenced, no
      [~chaos/] record reached any replica file and none survives into a
      warm reopen, and no frame is epoch-stamped below a predecessor;
@@ -714,11 +660,14 @@ let recover_home ~fleet_dir ~replicas ~campaign_damage id =
    - warm equals cold: re-auditing every home against the warm reopened
      cache renders byte-identically to an uncached audit;
    - cache-scrub convergence and idempotence (from the pre-shutdown
-     {!Supervisor.scrub_cache} passes). *)
-let verify_cache c ~fleet_dir ~live ~totals ~cscrub ~cscrub2 =
-  match (live, totals) with
-  | None, _ | _, None -> []
-  | Some live, Some (totals : Vcache.counters) ->
+     {!Supervisor.scrub_cache} passes).
+   Returns a handle on the second reopen, for the homes' warm audits,
+   and the function that closes it and renders the invariants from the
+   homes whose warm audit differed. A fleet without the cache returns
+   neither. *)
+let reopen_cache c ~live ~totals ~cscrub ~cscrub2 =
+  match (live, totals, cscrub, cscrub2) with
+  | Some live, Some (totals : Vcache.counters), Some r1, Some (r2 : Scrub.home_report) ->
     let cache = cache_surface c in
     (* durable stale-write evidence, scanned before any reopen rewrites
        the replica files *)
@@ -726,140 +675,211 @@ let verify_cache c ~fleet_dir ~live ~totals ~cscrub ~cscrub2 =
       List.length (List.filter (Fault.contains ~sub:"~chaos/") (Surface.records cache))
     in
     let cache_regressions = Surface.epoch_regressions cache in
-    let dir = List.hd (Surface.dirs cache) and crep = List.tl (Surface.dirs cache) in
-    let st1 = Vcache.open_store ~fsync:false ~replicas:crep ~dir () in
+    let reopen () =
+      Vcache.open_store ~fsync:false ~replicas:(List.tl (Surface.dirs cache))
+        ~dir:(List.hd (Surface.dirs cache)) ()
+    in
+    let st1 = reopen () in
     let d1 = Vcache.dump st1 in
     let dmg = Vcache.replay_damage st1 in
     let n1 = Vcache.entries st1 in
     Vcache.close_store st1;
-    let st2 = Vcache.open_store ~fsync:false ~replicas:crep ~dir () in
+    let st2 = reopen () in
     let d2 = Vcache.dump st2 in
     let chaos_dump = List.filter (fun (k, _) -> Fault.contains ~sub:"~chaos/" k) d1 in
     let kind e = if e = "" then '?' else e.[0] in
     let poisoned =
-      List.filter
+      List.filter_map
         (fun (k, e) ->
           match List.assoc_opt k live with
-          | Some le -> kind e <> kind le
-          | None -> false)
+          | Some le when kind e <> kind le -> Some k
+          | _ -> None)
         d1
     in
-    (* warm-vs-cold: the reopened cache must never change an audit *)
-    let hw = Vcache.attach st2 ~owner:"warm-audit" in
-    let warm_bad =
-      List.filter_map
-        (fun (id, _) ->
-          let dirs = Shard.home_dirs ~fleet_dir ~replicas:c.cfg.replicas id in
-          let hdir = List.hd dirs and extra = List.tl dirs in
-          let hwarm, _ =
-            Home.open_ ~fsync:false ~replicas:extra
-              ~configure:(Vcache.configure hw) ~dir:hdir ()
-          in
-          let warm = Home.audit_text hwarm in
-          Home.close hwarm;
-          let hcold, _ = Home.open_ ~fsync:false ~replicas:extra ~dir:hdir () in
-          let cold = Home.audit_text hcold in
-          Home.close hcold;
-          if warm = cold then None else Some id)
-        c.expects
-    in
-    Vcache.close_store st2;
-    let scrub_invs =
-      match (cscrub, cscrub2) with
-      | Some (r1 : Scrub.home_report), Some (r2 : Scrub.home_report) ->
+    ( Some (Vcache.attach st2 ~owner:"warm-audit"),
+      fun warm_bad ->
+        Vcache.close_store st2;
         [
+          inv "cache-no-stale-epoch-byte"
+            (c.tally.cache_probe_accepted = 0 && chaos_records = 0 && chaos_dump = []
+            && cache_regressions = 0)
+            (Printf.sprintf
+               "%d probe(s) fenced, %d accepted, %d chaos record(s) on disk, %d \
+                reopened, %d epoch regression(s)"
+               c.tally.cache_probe_fenced c.tally.cache_probe_accepted chaos_records
+               (List.length chaos_dump) cache_regressions);
+          inv "cache-replay-determinism" (d1 = d2)
+            (Printf.sprintf "%d entries reopened twice, %d damaged frame(s) dropped"
+               (List.length d1) dmg);
+          inv "cache-no-poisoned-entry" (poisoned = [])
+            (Printf.sprintf "%d reopened entries checked against live state%s"
+               (List.length d1) (id_list poisoned));
+          inv "cache-no-conflicts"
+            (totals.Vcache.conflicts = 0)
+            (Printf.sprintf "hits=%d misses=%d conflicts=%d" totals.Vcache.hits
+               totals.Vcache.misses totals.Vcache.conflicts);
+          inv "cache-warm-restart"
+            (n1 > 0 || totals.Vcache.inserts = 0 || dmg > 0)
+            (Printf.sprintf "entries=%d inserts=%d evicts=%d journal-drops=%d" n1
+               totals.Vcache.inserts totals.Vcache.evicts totals.Vcache.journal_drops);
+          inv "cache-warm-equals-cold" (warm_bad = [])
+            (Printf.sprintf "%d home(s) audited warm vs cold%s"
+               (List.length c.expects) (id_list warm_bad));
           inv "cache-scrub-convergence" r1.Scrub.converged (Scrub.report_text r1);
           inv "cache-scrub-idempotent"
             (r2.Scrub.healthy && r2.Scrub.converged && r2.Scrub.repair_bytes = 0)
             (Scrub.report_text r2);
-        ]
-      | _ -> []
-    in
-    [
-      inv "cache-no-stale-epoch-byte"
-        (c.tally.cache_probe_accepted = 0 && chaos_records = 0 && chaos_dump = []
-        && cache_regressions = 0)
-        (Printf.sprintf
-           "%d probe(s) fenced, %d accepted, %d chaos record(s) on disk, %d \
-            reopened, %d epoch regression(s)"
-           c.tally.cache_probe_fenced c.tally.cache_probe_accepted chaos_records
-           (List.length chaos_dump) cache_regressions);
-      inv "cache-replay-determinism" (d1 = d2)
-        (Printf.sprintf "%d entries reopened twice, %d damaged frame(s) dropped"
-           (List.length d1) dmg);
-      inv "cache-no-poisoned-entry" (poisoned = [])
-        (Printf.sprintf "%d reopened entries checked against live state%s"
-           (List.length d1)
-           (match poisoned with
-           | [] -> ""
-           | ps -> ": " ^ String.concat "," (List.map fst ps)));
-      inv "cache-no-conflicts"
-        (totals.Vcache.conflicts = 0)
-        (Printf.sprintf "hits=%d misses=%d conflicts=%d" totals.Vcache.hits
-           totals.Vcache.misses totals.Vcache.conflicts);
-      inv "cache-warm-restart"
-        (n1 > 0 || totals.Vcache.inserts = 0 || dmg > 0)
-        (Printf.sprintf "entries=%d inserts=%d evicts=%d journal-drops=%d" n1
-           totals.Vcache.inserts totals.Vcache.evicts totals.Vcache.journal_drops);
-      inv "cache-warm-equals-cold" (warm_bad = [])
-        (Printf.sprintf "%d home(s) audited warm vs cold%s"
-           (List.length c.expects) (id_list warm_bad));
-    ]
-    @ scrub_invs
+        ] )
+  | _ -> (None, fun _ -> [])
 
-let verify c ~fleet_dir =
+(* One home's final recoveries, checked against its ledger. The first
+   open repairs (truncates torn tails, quarantines corrupt frames,
+   merges the replicas) and is read for the acknowledged writes; the
+   second, uncached, must render the same state, and with the cache on
+   its audit is the cold side of warm-equals-cold, which a third open
+   against the reopened cache ([warm]) must match. Returns the home's
+   id, whether it surfaced damage, and the checks it fails; lost or
+   forgotten acked writes are excused where damage surfaced. *)
+let check_home c ~campaign_damaged ~warm (id, ex) =
+  let surface = home_surface c id in
+  let open_home ?configure () =
+    Home.open_ ~fsync:false ~replicas:(List.tl (Surface.dirs surface)) ?configure
+      ~dir:(List.hd (Surface.dirs surface)) ()
+  in
+  let h1, r1 = open_home () in
+  let apps = List.map (fun (a : Rule.smartapp) -> a.Rule.name) (Home.installed_apps h1) in
+  let kept = subset ~of_:apps ex.installed && ex.acked_seq <= Home.last_seq h1 in
+  let decisions = Policy.decisions (Install_flow.policies (Home.flow h1)) in
+  let survived =
+    subset ~of_:(List.map fst (Home.quarantined h1)) ex.quarantined
+    && subset ~of_:decisions ex.decisions
+  in
+  let text = Home.state_text h1 in
+  Home.close h1;
+  let h2, r2 = open_home () in
+  let replayed = Home.state_text h2 = text in
+  let cold = Option.map (fun _ -> Home.audit_text h2) warm in
+  Home.close h2;
+  (* The quarantine sidecar is the durable form of the same evidence:
+     an in-memory recovery report can be lost when the recovering open
+     itself crashes on a later home (the journal repair it already
+     performed persists, so the retry replays clean), but the sidecar
+     written by that repair survives any number of restarts. Every
+     replica directory must show corruption for the carve-out to hold. *)
+  let honest =
+    List.mem id campaign_damaged || surfaced_loss r1 || surfaced_loss r2
+    || List.for_all (( < ) 0) (Surface.corrupt_regions surface)
+  in
+  let warm_equals_cold =
+    match warm with
+    | None -> true
+    | Some hw ->
+      let h3, _ = open_home ~configure:(Vcache.configure hw) () in
+      let text = Home.audit_text h3 in
+      Home.close h3;
+      cold = Some text
+  in
+  let checks =
+    [ (`Lost, kept || honest); (`Diverged, replayed); (`Forgot, survived || honest);
+      (`Warm_differs, warm_equals_cold) ]
+  in
+  (id, honest, List.filter_map (fun (check, ok) -> if ok then None else Some check) checks)
+
+(* The one verification pass over a settled campaign: it closes the
+   zombies, scrubs twice, shuts the fleet down, recovers every home and
+   reopens the cache, and returns the report with every invariant. Each
+   durable scan runs before the first step that could rewrite what it
+   looks for. *)
+let verify c =
+  (* split-brain epilogue: give every zombie one last revived write
+     attempt, then close its writers before anything rewrites files *)
+  drive_zombies c;
+  List.iter (fun z -> try Shard.close z with _ -> ()) c.zombies;
+  (* durable fingerprint of any accepted stale append: a frame stamped
+     below the running epoch maximum. Scanned before scrub and final
+     recovery rewrite (and so re-stamp) the files. *)
+  let epoch_regressions =
+    List.fold_left
+      (fun acc (id, _) -> acc + Surface.epoch_regressions (home_surface c id))
+      0 c.expects
+  in
+  let scrub = Supervisor.scrub c.sup in
+  let scrub_second = Supervisor.scrub c.sup in
+  let cache_scrub = Supervisor.scrub_cache c.sup in
+  let cache_scrub_second = Supervisor.scrub_cache c.sup in
+  let stats = Supervisor.stats c.sup in
+  let live = Option.map Vcache.dump (Supervisor.vcache_store c.sup) in
+  Supervisor.close c.sup;
+  (* the cache's stale-write scans need its last writer closed, and
+     [reopen_cache] runs them before its first reopen *)
+  let warm, cache_invariants =
+    reopen_cache c ~live ~totals:stats.Supervisor.cache ~cscrub:cache_scrub
+      ~cscrub2:cache_scrub_second
+  in
   let campaign_damaged =
     (* homes whose mid-campaign recoveries already surfaced possible loss *)
     List.filter_map
       (fun (id, r) -> if surfaced_loss r then Some id else None)
       (Supervisor.recoveries c.sup)
   in
-  let recovered =
-    List.map
-      (fun (id, ex) ->
-        ( id,
-          ex,
-          recover_home ~fleet_dir ~replicas:c.cfg.replicas
-            ~campaign_damage:(List.mem id campaign_damaged)
-            id ))
-      c.expects
+  let homes = List.map (check_home c ~campaign_damaged ~warm) c.expects in
+  let failing check =
+    List.filter_map (fun (id, _, fails) -> if List.mem check fails then Some id else None) homes
   in
-  let failures pred =
-    List.filter_map (fun (id, ex, r) -> if pred ex r then None else Some id) recovered
+  let sum f = List.fold_left (fun a (_, ex) -> a + f ex) 0 c.expects in
+  let n_homes = List.length c.expects in
+  let honest = List.length (List.filter (fun (_, honest, _) -> honest) homes) in
+  let lost = failing `Lost and diverged = failing `Diverged and forgot = failing `Forgot in
+  let invariants =
+    [
+      inv "no-acked-loss" (lost = [])
+        (Printf.sprintf
+           "%d installs, %d configs acked across %d homes; %d home(s) with \
+            surfaced damage%s"
+           (sum (fun ex -> List.length ex.installed))
+           (sum (fun ex -> ex.acked_seq))
+           n_homes honest (id_list lost));
+      inv "replay-determinism" (diverged = [])
+        (Printf.sprintf "%d homes recovered twice%s" n_homes (id_list diverged));
+      inv "quarantine-decision-survival" (forgot = [])
+        (Printf.sprintf "%d decisions, %d quarantines acked%s"
+           (sum (fun ex -> List.length ex.decisions))
+           (sum (fun ex -> List.length ex.quarantined))
+           (id_list forgot));
+      inv "no-false-clean-bill" (c.false_clean = 0)
+        (Printf.sprintf "%d outcome(s) checked, %d false clean" c.outcomes_checked
+           c.false_clean);
+      inv "no-stale-epoch-accepted"
+        (c.tally.zombie_accepted = 0 && epoch_regressions = 0)
+        (Printf.sprintf
+           "%d zombie append(s) fenced, %d accepted, %d epoch regression(s) on \
+            disk, %d stale replies"
+           c.tally.zombie_rejected c.tally.zombie_accepted epoch_regressions
+           stats.Supervisor.stale_replies);
+      inv "scrub-convergence"
+        (scrub.Scrub.unconverged = 0)
+        (Scrub.counters_text scrub);
+      inv "scrub-idempotent"
+        (scrub_second.Scrub.unconverged = 0
+        && scrub_second.Scrub.repaired_homes = 0
+        && scrub_second.Scrub.healthy = scrub_second.Scrub.homes)
+        (Scrub.counters_text scrub_second);
+    ]
+    @ cache_invariants (failing `Warm_differs)
   in
-  let inv1_bad =
-    failures (fun ex r ->
-        r.r_honest_damage
-        || (subset ~of_:r.r_installed ex.installed && ex.acked_seq <= r.r_last_seq))
-  in
-  let inv2_bad = failures (fun _ r -> r.r_text = r.r_text2) in
-  let inv3_bad =
-    failures (fun ex r ->
-        r.r_honest_damage
-        || (subset ~of_:r.r_quarantined ex.quarantined
-           && subset ~of_:r.r_decisions ex.decisions))
-  in
-  let honest = List.length (List.filter (fun (_, _, r) -> r.r_honest_damage) recovered) in
-  [
-    inv "no-acked-loss" (inv1_bad = [])
-      (Printf.sprintf
-         "%d installs, %d configs acked across %d homes; %d home(s) with \
-          surfaced damage%s"
-         (List.fold_left (fun a (_, ex, _) -> a + List.length ex.installed) 0 recovered)
-         (List.fold_left (fun a (_, ex, _) -> a + ex.acked_seq) 0 recovered)
-         (List.length recovered) honest (id_list inv1_bad));
-    inv "replay-determinism" (inv2_bad = [])
-      (Printf.sprintf "%d homes recovered twice%s" (List.length recovered)
-         (id_list inv2_bad));
-    inv "quarantine-decision-survival" (inv3_bad = [])
-      (Printf.sprintf "%d decisions, %d quarantines acked%s"
-         (List.fold_left (fun a (_, ex, _) -> a + List.length ex.decisions) 0 recovered)
-         (List.fold_left (fun a (_, ex, _) -> a + List.length ex.quarantined) 0 recovered)
-         (id_list inv3_bad));
-    inv "no-false-clean-bill" (c.false_clean = 0)
-      (Printf.sprintf "%d outcome(s) checked, %d false clean" c.outcomes_checked
-         c.false_clean);
-  ]
+  {
+    config = c.cfg;
+    schedule = c.schedule;
+    tally = c.tally;
+    scrub;
+    scrub_second;
+    cache_scrub;
+    cache_scrub_second;
+    stats;
+    shards_killed = List.length c.killed;
+    shards_recovered = List.length c.recovered;
+    invariants;
+  }
 
 (* -- entry point -------------------------------------------------------------- *)
 
@@ -879,10 +899,8 @@ let run ?(config = default_config) ?schedule ~dir () =
       Supervisor.shards = config.shards;
       replicas = config.replicas;
       heartbeat_interval_ms = step_ms *. 2.0;
-      miss_threshold = 3;
       failure_threshold = 2;
       reset_timeout_ms = step_ms *. 4.0;
-      half_open_probes = 2;
       restart_budget = 6;
       backoff_base_ms = step_ms;
       backoff_cap_ms = step_ms *. 10.0;
@@ -967,7 +985,6 @@ let run ?(config = default_config) ?schedule ~dir () =
     step c ~step_index
   done;
   Journal.disarm_storage ();
-  c.fault_steps_left <- 0;
   (* settle: let every pending restart complete (or exhaust its budget
      and rebalance) before verifying *)
   let settled = ref 0 in
@@ -983,144 +1000,67 @@ let run ?(config = default_config) ?schedule ~dir () =
     Supervisor.tick c.sup;
     note_states c
   done;
-  (* split-brain epilogue: give every zombie one last revived write
-     attempt, then close its writers before anything rewrites files *)
-  drive_zombies c;
-  List.iter (fun z -> try Shard.close z with _ -> ()) c.zombies;
-  (* durable fingerprint of any accepted stale append: a frame stamped
-     below the running epoch maximum. Scanned before scrub and final
-     recovery rewrite (and so re-stamp) the files. *)
-  let epoch_regressions =
-    List.fold_left
-      (fun acc (id, _) ->
-        acc
-        + Surface.epoch_regressions
-            (Surface.at Surface.Home
-               (Shard.home_dirs ~fleet_dir:dir ~replicas:config.replicas id)))
-      0 c.expects
-  in
-  let scrub = Supervisor.scrub c.sup in
-  let scrub_second = Supervisor.scrub c.sup in
-  let cache_scrub = Supervisor.scrub_cache c.sup in
-  let cache_scrub_second = Supervisor.scrub_cache c.sup in
-  let stats = Supervisor.stats c.sup in
-  let live_cache = Option.map Vcache.dump (Supervisor.vcache_store c.sup) in
-  Supervisor.close c.sup;
-  let replication_invariants =
-    [
-      inv "no-stale-epoch-accepted"
-        (c.tally.zombie_accepted = 0 && epoch_regressions = 0)
-        (Printf.sprintf
-           "%d zombie append(s) fenced, %d accepted, %d epoch regression(s) on \
-            disk, %d stale replies"
-           c.tally.zombie_rejected c.tally.zombie_accepted epoch_regressions
-           stats.Supervisor.stale_replies);
-      inv "scrub-convergence"
-        (scrub.Scrub.unconverged = 0)
-        (Scrub.counters_text scrub);
-      inv "scrub-idempotent"
-        (scrub_second.Scrub.unconverged = 0
-        && scrub_second.Scrub.repaired_homes = 0
-        && scrub_second.Scrub.healthy = scrub_second.Scrub.homes)
-        (Scrub.counters_text scrub_second);
-    ]
-  in
-  let invariants =
-    verify c ~fleet_dir:dir
-    @ replication_invariants
-    @ verify_cache c ~fleet_dir:dir ~live:live_cache
-        ~totals:stats.Supervisor.cache ~cscrub:cache_scrub
-        ~cscrub2:cache_scrub_second
-  in
-  {
-    config;
-    schedule;
-    tally = c.tally;
-    scrub;
-    scrub_second;
-    cache_scrub;
-    cache_scrub_second;
-    stats;
-    shards_killed = List.length c.killed;
-    shards_recovered = List.length c.recovered;
-    invariants;
-  }
+  verify c
 
 (* -- rendering ---------------------------------------------------------------- *)
 
 let render (r : report) =
   let t = r.tally in
   let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "chaos campaign: seed=%d shards=%d homes=%d steps=%d\n" r.config.seed
-       r.config.shards r.config.homes r.config.steps);
+  Printf.bprintf b "chaos campaign: seed=%d shards=%d homes=%d steps=%d\n" r.config.seed
+    r.config.shards r.config.homes r.config.steps;
   let count p = List.length (List.filter (fun s -> p s.ev) r.schedule) in
-  Buffer.add_string b
-    (Printf.sprintf
-       "schedule: events=%d kills=%d stalls=%d storage-windows=%d \
-        replica-loss=%d replica-corrupt=%d cache-loss=%d cache-corrupt=%d \
-        splits=%d\n"
-       (List.length r.schedule)
-       (count (function Kill _ -> true | _ -> false))
-       (count (function Stall _ -> true | _ -> false))
-       (count (function Storage_window _ -> true | _ -> false))
-       (count (function Replica_destroy _ -> true | _ -> false))
-       (count (function Replica_corrupt _ -> true | _ -> false))
-       (count (function Cache_destroy _ -> true | _ -> false))
-       (count (function Cache_corrupt _ -> true | _ -> false))
-       (count (function Split_brain _ -> true | _ -> false)));
-  Buffer.add_string b
-    (Printf.sprintf
-       "workload: ops=%d acked installs=%d configs=%d decisions=%d \
-        quarantines=%d busy=%d degraded=%d stalled-timeouts=%d\n"
-       t.ops t.installs_acked t.configs_acked t.decisions_acked
-       t.quarantines_acked t.busy_replies t.degraded_replies t.stalled_timeouts);
-  Buffer.add_string b
-    (Printf.sprintf
-       "faults: windows=%d kills=%d restarts=%d breaker-trips=%d \
-        rebalanced-homes=%d dead-shards=%d\n"
-       t.fault_windows r.stats.Supervisor.kills r.stats.Supervisor.restarts
-       r.stats.Supervisor.breaker_trips r.stats.Supervisor.rebalanced_homes
-       r.stats.Supervisor.dead_shards);
-  Buffer.add_string b
-    (Printf.sprintf
-       "isolation: shards-killed=%d shards-recovered=%d served-while-impaired=%d\n"
-       r.shards_killed r.shards_recovered t.served_while_impaired);
-  Buffer.add_string b
-    (Printf.sprintf
-       "replication: replicas=%d destroyed=%d corrupted=%d split-brains=%d \
-        zombie-rejected=%d zombie-accepted=%d stale-replies=%d\n"
-       r.config.replicas t.replicas_destroyed t.replicas_corrupted
-       split_brains t.zombie_rejected t.zombie_accepted
-       r.stats.Supervisor.stale_replies);
-  Buffer.add_string b (Printf.sprintf "scrub:   %s\n" (Scrub.counters_text r.scrub));
-  Buffer.add_string b
-    (Printf.sprintf "rescrub: %s\n" (Scrub.counters_text r.scrub_second));
+  Printf.bprintf b
+    "schedule: events=%d kills=%d stalls=%d storage-windows=%d replica-loss=%d \
+     replica-corrupt=%d cache-loss=%d cache-corrupt=%d splits=%d\n"
+    (List.length r.schedule)
+    (count (function Kill _ -> true | _ -> false))
+    (count (function Stall _ -> true | _ -> false))
+    (count (function Storage_window _ -> true | _ -> false))
+    (count (function Replica_destroy _ -> true | _ -> false))
+    (count (function Replica_corrupt _ -> true | _ -> false))
+    (count (function Cache_destroy _ -> true | _ -> false))
+    (count (function Cache_corrupt _ -> true | _ -> false))
+    (count (function Split_brain _ -> true | _ -> false));
+  Printf.bprintf b
+    "workload: ops=%d acked installs=%d configs=%d decisions=%d quarantines=%d \
+     busy=%d degraded=%d stalled-timeouts=%d\n"
+    t.ops t.installs_acked t.configs_acked t.decisions_acked t.quarantines_acked
+    t.busy_replies t.degraded_replies t.stalled_timeouts;
+  Printf.bprintf b
+    "faults: windows=%d kills=%d restarts=%d breaker-trips=%d rebalanced-homes=%d \
+     dead-shards=%d\n"
+    t.fault_windows r.stats.Supervisor.kills r.stats.Supervisor.restarts
+    r.stats.Supervisor.breaker_trips r.stats.Supervisor.rebalanced_homes
+    r.stats.Supervisor.dead_shards;
+  Printf.bprintf b
+    "isolation: shards-killed=%d shards-recovered=%d served-while-impaired=%d\n"
+    r.shards_killed r.shards_recovered t.served_while_impaired;
+  Printf.bprintf b
+    "replication: replicas=%d destroyed=%d corrupted=%d split-brains=%d \
+     zombie-rejected=%d zombie-accepted=%d stale-replies=%d\n"
+    r.config.replicas t.replicas_destroyed t.replicas_corrupted split_brains
+    t.zombie_rejected t.zombie_accepted r.stats.Supervisor.stale_replies;
+  Printf.bprintf b "scrub:   %s\nrescrub: %s\n" (Scrub.counters_text r.scrub)
+    (Scrub.counters_text r.scrub_second);
   (match r.stats.Supervisor.cache with
   | None -> ()
   | Some cc ->
-    Buffer.add_string b
-      (Printf.sprintf "vcache: entries=%d %s\n" r.stats.Supervisor.cache_entries
-         (Homeguard_vcache.Vcache.counters_text cc));
-    Buffer.add_string b
-      (Printf.sprintf
-         "cache-replication: destroyed=%d corrupted=%d probes-fenced=%d \
-          probes-accepted=%d\n"
-         t.cache_destroyed t.cache_corrupted t.cache_probe_fenced
-         t.cache_probe_accepted);
+    Printf.bprintf b "vcache: entries=%d %s\n" r.stats.Supervisor.cache_entries
+      (Homeguard_vcache.Vcache.counters_text cc);
+    Printf.bprintf b
+      "cache-replication: destroyed=%d corrupted=%d probes-fenced=%d \
+       probes-accepted=%d\n"
+      t.cache_destroyed t.cache_corrupted t.cache_probe_fenced t.cache_probe_accepted;
     List.iter
       (fun (label, report) ->
-        Option.iter
-          (fun cs -> Buffer.add_string b (label ^ Scrub.report_text cs ^ "\n"))
-          report)
+        Option.iter (fun cs -> Printf.bprintf b "%s%s\n" label (Scrub.report_text cs)) report)
       [ ("cache-scrub:   ", r.cache_scrub); ("cache-rescrub: ", r.cache_scrub_second) ]);
   List.iter
     (fun i ->
-      Buffer.add_string b
-        (Printf.sprintf "invariant %-28s %s (%s)\n" i.name
-           (if i.ok then "OK" else "VIOLATED")
-           i.detail))
+      Printf.bprintf b "invariant %-28s %s (%s)\n" i.name
+        (if i.ok then "OK" else "VIOLATED")
+        i.detail)
     r.invariants;
   Buffer.add_string b
     (if passed r then "campaign passed\n" else "campaign FAILED\n");

@@ -10,20 +10,21 @@
 
 module Deadline = Homeguard_serve.Deadline
 
+(* whole missed intervals that fail a shard; every fleet uses this *)
+let miss_threshold = 3
+
 type t = {
   clock : Deadline.clock;
   interval_ms : float;
-  miss_threshold : int;
   mutable last_beat : float;
   mutable beats : int;
 }
 
 type status = Alive | Late of int | Failed of int
 
-let create ?(interval_ms = 1_000.0) ?(miss_threshold = 3) clock =
+let create ~interval_ms clock =
   if interval_ms <= 0.0 then invalid_arg "Health.create: interval_ms <= 0";
-  if miss_threshold < 1 then invalid_arg "Health.create: miss_threshold < 1";
-  { clock; interval_ms; miss_threshold; last_beat = clock (); beats = 0 }
+  { clock; interval_ms; last_beat = clock (); beats = 0 }
 
 let beat t =
   t.last_beat <- t.clock ();
@@ -34,7 +35,7 @@ let missed t =
 
 let status t =
   let m = missed t in
-  if m = 0 then Alive else if m < t.miss_threshold then Late m else Failed m
+  if m = 0 then Alive else if m < miss_threshold then Late m else Failed m
 
 let beats t = t.beats
 

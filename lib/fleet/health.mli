@@ -5,10 +5,11 @@
 type t
 type status = Alive | Late of int | Failed of int
 
-val create : ?interval_ms:float -> ?miss_threshold:int -> Homeguard_serve.Deadline.clock -> t
-(** Defaults: 1000 ms beat interval, failed after 3 whole missed
-    intervals. The creation instant counts as the first beat.
-    @raise Invalid_argument on non-positive parameters. *)
+val create : interval_ms:float -> Homeguard_serve.Deadline.clock -> t
+(** A shard beating every [interval_ms] is failed after 3 whole missed
+    intervals, a constant. The creation instant counts as the first
+    beat.
+    @raise Invalid_argument on a non-positive interval. *)
 
 val beat : t -> unit
 val status : t -> status

@@ -23,10 +23,8 @@ type config = {
   shards : int;
   replicas : int;  (** journal replicas per home (>= 1) *)
   heartbeat_interval_ms : float;
-  miss_threshold : int;  (** whole missed intervals before a restart *)
   failure_threshold : int;  (** consecutive failures tripping the breaker *)
   reset_timeout_ms : float;  (** breaker Open → Half_open delay *)
-  half_open_probes : int;
   restart_budget : int;  (** restart attempts per shard before Dead *)
   backoff_base_ms : float;
   backoff_cap_ms : float;
@@ -45,10 +43,8 @@ let default_config =
     shards = 4;
     replicas = 2;
     heartbeat_interval_ms = 1_000.0;
-    miss_threshold = 3;
     failure_threshold = 3;
     reset_timeout_ms = 1_000.0;
-    half_open_probes = 2;
     restart_budget = 5;
     backoff_base_ms = 250.0;
     backoff_cap_ms = 8_000.0;
@@ -199,11 +195,8 @@ let create ?(config = default_config) ~dir ~homes () =
           state = Dead;  (* populated below *)
           breaker =
             Breaker.create ~failure_threshold:config.failure_threshold
-              ~reset_timeout_ms:config.reset_timeout_ms
-              ~half_open_probes:config.half_open_probes config.clock;
-          health =
-            Health.create ~interval_ms:config.heartbeat_interval_ms
-              ~miss_threshold:config.miss_threshold config.clock;
+              ~reset_timeout_ms:config.reset_timeout_ms config.clock;
+          health = Health.create ~interval_ms:config.heartbeat_interval_ms config.clock;
           cache = None;  (* attached (with an epoch grant) by open_shard *)
           homes_rev = [];
           restarts = 0;

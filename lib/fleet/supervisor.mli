@@ -16,10 +16,8 @@ type config = {
       (** journal replicas per home (>= 1); replica [k] lives under the
           distinct replica root [dir/r<k>] *)
   heartbeat_interval_ms : float;
-  miss_threshold : int;  (** whole missed intervals before a restart *)
   failure_threshold : int;  (** consecutive failures tripping the breaker *)
   reset_timeout_ms : float;  (** breaker Open → Half_open delay *)
-  half_open_probes : int;
   restart_budget : int;  (** restart attempts per shard before Dead *)
   backoff_base_ms : float;
   backoff_cap_ms : float;
@@ -34,10 +32,13 @@ type config = {
 }
 
 val default_config : config
-(** 4 shards, 2 replicas per home journal, 1000 ms heartbeats (restart
-    after 3 missed), breaker trips after 3 failures / probes after 1000
-    ms / closes after 2 probe successes, 5 restart attempts per shard,
-    250–8000 ms decorrelated-jitter backoff, fsync on, wall clock. *)
+(** 4 shards, 2 replicas per home journal, 1000 ms heartbeats, breaker
+    trips after 3 failures / probes after 1000 ms, 5 restart attempts
+    per shard, 250–8000 ms decorrelated-jitter backoff, fsync on, wall
+    clock. Two settings are constants every fleet shares rather than
+    fields: a shard is restarted after 3 missed heartbeats
+    ({!Health.create}), and a half-open breaker closes after 2 probe
+    successes ({!Breaker.create}). *)
 
 type t
 

@@ -59,8 +59,7 @@ let breaker_trips_at_threshold =
   test "the breaker trips after N consecutive failures, not before" (fun () ->
       let clock, advance = manual_clock () in
       let b =
-        Breaker.create ~failure_threshold:3 ~reset_timeout_ms:100.0
-          ~half_open_probes:2 clock
+        Breaker.create ~failure_threshold:3 ~reset_timeout_ms:100.0 clock
       in
       check_bool "starts closed" true (Breaker.state b = Breaker.Closed);
       Breaker.note_failure b;
@@ -87,8 +86,7 @@ let breaker_half_open_probes =
   test "after the reset timeout, K probe successes close the breaker" (fun () ->
       let clock, advance = manual_clock () in
       let b =
-        Breaker.create ~failure_threshold:1 ~reset_timeout_ms:100.0
-          ~half_open_probes:2 clock
+        Breaker.create ~failure_threshold:1 ~reset_timeout_ms:100.0 clock
       in
       Breaker.note_failure b;
       check_bool "tripped" true (Breaker.state b = Breaker.Open);
@@ -110,8 +108,7 @@ let breaker_probe_failure_reopens =
   test "a probe failure re-opens immediately and restarts the clock" (fun () ->
       let clock, advance = manual_clock () in
       let b =
-        Breaker.create ~failure_threshold:1 ~reset_timeout_ms:100.0
-          ~half_open_probes:2 clock
+        Breaker.create ~failure_threshold:1 ~reset_timeout_ms:100.0 clock
       in
       Breaker.note_failure b;
       advance 100.0;
@@ -127,8 +124,7 @@ let breaker_begin_probing =
   test "begin_probing skips the shed window after a supervised restart" (fun () ->
       let clock, _ = manual_clock () in
       let b =
-        Breaker.create ~failure_threshold:1 ~reset_timeout_ms:1000.0
-          ~half_open_probes:1 clock
+        Breaker.create ~failure_threshold:1 ~reset_timeout_ms:1000.0 clock
       in
       Breaker.note_failure b;
       (match Breaker.allow b with `Reject _ -> () | _ -> Alcotest.fail "open");
@@ -137,6 +133,8 @@ let breaker_begin_probing =
         (Breaker.state b = Breaker.Half_open);
       (match Breaker.allow b with `Probe -> () | _ -> Alcotest.fail "probe now");
       Breaker.note_success b;
+      (match Breaker.allow b with `Probe -> () | _ -> Alcotest.fail "second probe");
+      Breaker.note_success b;
       check_bool "closed" true (Breaker.state b = Breaker.Closed))
 
 (* -- health ------------------------------------------------------------------- *)
@@ -144,7 +142,7 @@ let breaker_begin_probing =
 let health_missed_beats =
   test "missed whole intervals escalate Alive -> Late -> Failed" (fun () ->
       let clock, advance = manual_clock () in
-      let h = Health.create ~interval_ms:100.0 ~miss_threshold:3 clock in
+      let h = Health.create ~interval_ms:100.0 clock in
       check_bool "fresh is alive" true (Health.status h = Health.Alive);
       advance 150.0;
       (match Health.status h with
@@ -165,10 +163,8 @@ let sup_config ~clock ?(shards = 2) ?(restart_budget = 3) () =
     Supervisor.default_config with
     Supervisor.shards;
     heartbeat_interval_ms = 100.0;
-    miss_threshold = 2;
     failure_threshold = 2;
     reset_timeout_ms = 200.0;
-    half_open_probes = 1;
     restart_budget;
     backoff_base_ms = 50.0;
     backoff_cap_ms = 200.0;
@@ -340,8 +336,8 @@ let supervisor_stall_detection =
           ~config:(sup_config ~clock ~shards:1 ())
           ~dir ~homes:[ "solo" ] ()
       in
-      (* no beats while the clock runs: 2 whole intervals missed *)
-      advance 250.0;
+      (* no beats while the clock runs: 3 whole intervals missed *)
+      advance 350.0;
       Supervisor.tick t;
       check_bool "restart scheduled for the stalled shard" true
         (Supervisor.shard_state t 0 = `Restarting);
