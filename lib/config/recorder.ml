@@ -85,5 +85,4 @@ let detector_config t : Detector.config =
     budget = Homeguard_solver.Budget.default_spec;
     escalate = true;
     shared_cache = None;
-    pair_cache = None;
   }

@@ -37,34 +37,6 @@ type solve_query = {
   q_fingerprint : string;  (** {!solve_fingerprint} of the ctx config *)
 }
 
-(** One whole app-pair audit, described to an external pair-result
-    cache. Unlike {!solve_query} this sits above planning: a hit skips
-    the candidate pre-filters *and* every per-category analysis for the
-    pair, so it is keyed on everything those depend on — both apps'
-    full rule structure, both apps' configuration bindings and the
-    solve fingerprint. The pair is in home install order (detection is
-    orientation-sensitive: threats name the apps in argument order). *)
-type pair_audit = {
-  pa_apps : Rule.smartapp * Rule.smartapp;
-  pa_bindings : (string * Term.t) list * (string * Term.t) list;
-      (** [app_constraints] of each app, same order as [pa_apps] *)
-  pa_unify : (string * string) list;
-      (** the same-device relation over the two apps' device inputs
-          (input-declaration order) — everything detection asks
-          [config.same_device], so two homes with the same apps but
-          different device assignments never share a key *)
-  pa_fingerprint : string;  (** {!pair_fingerprint} of the ctx config *)
-}
-
-type pair_matrix = Threat.t list array array
-(** Threats per rule pair: [m.(i).(j)] is [detect_pair] of the first
-    app's rule [i] against the second app's rule [j]. *)
-
-type pair_cache = {
-  pair_lookup : pair_audit -> pair_matrix option;
-  pair_store : pair_audit -> pair_matrix -> unit;
-}
-
 (* One input variable as the device relation sees it: the app, the var
    and, for a declared capability input, its capability and device
    class. [app_facts] derives the descriptor once per declared input. *)
@@ -95,11 +67,6 @@ type config = {
           concrete compute thunk; must return either the thunk's result
           or a cached verdict byte-identical to what the thunk would
           produce. [None] (default) solves everything locally. *)
-  pair_cache : pair_cache option;
-      (** pair-level result cache: in [audit_all] a lookup hit
-          replaces planning and detection for the whole app pair. A hit
-          must be byte-identical to what detecting the pair would
-          produce. [None] (default) plans every pair. *)
 }
 
 (** Offline corpus mode: two inputs denote the same device when they
@@ -135,7 +102,6 @@ let offline_config =
     budget = Budget.default_spec;
     escalate = true;
     shared_cache = None;
-    pair_cache = None;
   }
 
 (* The cache-key fingerprint of any fleet-wide verdict cache behind
@@ -146,9 +112,9 @@ let solve_fingerprint config =
   ^ ";" ^ Solver.flags_fingerprint ()
   ^ (if config.escalate then ";e1" else ";e0")
 
-(* Pair-tier fingerprint: the solve fingerprint plus the memoization
+(* Pair-index fingerprint: the solve fingerprint plus the memoization
    switch. [reuse] cannot change a verdict, but it can change which
-   solver results back a witness, and pair-cache hits must be
+   solver results back a witness, and a matrix the index serves must be
    byte-identical to detecting the pair — so it keys. *)
 let pair_fingerprint config =
   solve_fingerprint config ^ (if config.reuse then ";r1" else ";r0")
@@ -459,6 +425,8 @@ let unify_pairs ctx s1 s2 =
         s2.facts.app_inputs)
     s1.facts.app_inputs
 
+let device_relation ctx a b = unify_pairs ctx (side ctx a) (side ctx b)
+
 (* The type of variable [x] of side [s]'s app: a device attribute is
    typed by its own app's input declaration. *)
 let var_type s x =
@@ -492,8 +460,8 @@ let imported v x =
    per cell. *)
 type cell_ctx = { fwd : view; bwd : view }
 
-let view ctx ?unify s1 s2 same =
-  let pairs = match unify with Some u -> u | None -> unify_pairs ctx s1 s2 in
+let view ctx s1 s2 same =
+  let pairs = unify_pairs ctx s1 s2 in
   let rename var =
     if is_shared_var var then None
     else
@@ -509,8 +477,8 @@ let view ctx ?unify s1 s2 same =
   in
   { s1; s2; same; rename; bindings = s1.qbind @ List.map2 import s2.cons s2.qbind }
 
-let cell_ctx ctx ?unify (s1, s2) (same12, same21) =
-  { fwd = view ctx ?unify s1 s2 same12; bwd = view ctx s2 s1 same21 }
+let cell_ctx ctx (s1, s2) (same12, same21) =
+  { fwd = view ctx s1 s2 same12; bwd = view ctx s2 s1 same21 }
 
 (* The solver-free tests each category's analysis begins with, answered
    once per rule pair when it is planned: [fwd] is the first rule's
@@ -1170,7 +1138,7 @@ let pair_candidate ctx ((app1, r1) : tagged_rule) ((app2, r2) : tagged_rule) =
    whose sides' keys do not meet has none, and builds nothing; otherwise
    the device matchers are built once per cell, and the cell context
    once, when the first pair passes. *)
-let candidates ctx ?unify a b =
+let candidates ctx a b =
   if not (keys_meet a.keys b.keys) then Array.make (Array.length a.rules) []
   else begin
     let matchers = (matcher ctx a b, matcher ctx b a) in
@@ -1180,7 +1148,7 @@ let candidates ctx ?unify a b =
       match !cell with
       | Some c -> c
       | None ->
-        let c = cell_ctx ctx ?unify (a, b) matchers in
+        let c = cell_ctx ctx (a, b) matchers in
         cell := Some c;
         c
     in
@@ -1215,6 +1183,7 @@ type audit_result = {
           (deadline or load shed). A result with [shed > 0] is
           incomplete and must be treated conservatively — it can
           support "threats found" but never "no threat" *)
+  indexed : int;  (** app pairs the pair index served, with no planning *)
 }
 
 let pair_label pl =
@@ -1308,7 +1277,7 @@ let gather_outcome g (o : outcome) =
 
 let has_undecided ts = List.exists (fun t -> Threat.is_undecided t.Threat.severity) ts
 
-let gathered g ~retried =
+let gathered g ~retried ~indexed =
   let threats = List.concat (List.rev g.g_threats) in
   {
     threats;
@@ -1316,6 +1285,7 @@ let gathered g ~retried =
     failures = List.rev g.g_failures;
     retried;
     shed = g.g_shed;
+    indexed;
   }
 
 let never () = false
@@ -1325,7 +1295,7 @@ let audit_pairs ?(jobs = 1) ?(cancel = never) ctx pairs =
   let outcomes, retried = run_pairs ~jobs ~cancel ctx pairs in
   let g = gather () in
   Array.iter (gather_outcome g) outcomes;
-  gathered g ~retried
+  gathered g ~retried ~indexed:0
 
 (* -- per-home pair index ----------------------------------------------------- *)
 
@@ -1333,6 +1303,10 @@ let audit_pairs ?(jobs = 1) ?(cancel = never) ctx pairs =
    [n * (n - 1) / 2] slots, row-major: all of [p]'s later partners in
    order. *)
 let tri n p q = (p * ((2 * n) - p - 1) / 2) + (q - p - 1)
+
+(* Threats per rule pair: [m.(i).(j)] is [detect_pair] of the first
+   app's rule [i] against the second app's rule [j]. *)
+type pair_matrix = Threat.t list array array
 
 (* The empty slot: a pair never audited (same-name apps), one left to
    detect with no matrix to fill, or one the index does not keep.
@@ -1391,33 +1365,25 @@ type row = { p : int; lo : int; hi : int }
    out exactly as [tri n p q]. *)
 let triangle n = Array.init n (fun p -> { p; lo = p + 1; hi = n })
 
-(* A cell left to detect: its slot, its partner, per rule of the row app
-   the partner rules that survived the pre-filters (each as its index
-   and its planned pair), and its L1 key when a pair cache is
-   configured. [keep] turns false when one of its pairs crashed, was
-   shed or holds an [Undecided] threat: a crash or budget artifact, not
-   a verdict, so never stored. *)
-type cell = {
-  slot : int;
-  q : int;
-  cand : (int * planned) list array;
-  key : pair_audit option;
-  mutable keep : bool;
-}
+(* A cell left to detect: its slot and, per rule of the row app, the
+   partner rules that survived the pre-filters (each as its index and
+   its planned pair). [keep] turns false when one of its pairs crashed,
+   was shed or holds an [Undecided] threat: a crash or budget artifact,
+   not a verdict, so the index never keeps it. *)
+type cell = { slot : int; cand : (int * planned) list array; mutable keep : bool }
 
 (* Plan an audit of [rows] over [apps], row by row. A cell's matrix
-   comes from the [index], else the L1 [pc], else the pre-filters; with
-   a tier configured, a cell left to detect gets a fresh matrix in its
-   slot. Returns the slots (one per cell, row-major), each row's cells
-   to detect in partner order, the plan — row by row, each rule of the
-   row app against every candidate of every cell to detect: the flat
-   order — and each app's bindings ([||] without tiers). *)
-let plan_rows ?index ~pc ctx apps rows =
+   comes from the [index], else the pre-filters; with an index, a cell
+   left to detect gets a fresh matrix in its slot. Returns the slots
+   (one per cell, row-major), each row's cells to detect in partner
+   order, the plan — row by row, each rule of the row app against every
+   candidate of every cell to detect: the flat order — each app's
+   bindings ([||] without an index) and the number of cells the index
+   served. *)
+let plan_rows ?index ctx apps rows =
   let n = Array.length apps in
-  let tiered = Option.is_some pc || Option.is_some index in
-  (* each app's bindings are read once per audit, so every key of the
-     audit shares them physically *)
-  let bindings = if tiered then Array.map ctx.config.app_constraints apps else [||] in
+  let indexed = Option.is_some index in
+  let bindings = if indexed then Array.map ctx.config.app_constraints apps else [||] in
   (* [prev.(p)]: app [p]'s position among the index's [n_prev] apps, or -1 *)
   let prev, prev_slots, n_prev =
     match index with
@@ -1431,13 +1397,13 @@ let plan_rows ?index ~pc ctx apps rows =
     match sides.(q) with
     | Some s -> s
     | None ->
-      let s = if tiered then side_with apps.(q) bindings.(q) else side ctx apps.(q) in
+      let s = if indexed then side_with apps.(q) bindings.(q) else side ctx apps.(q) in
       sides.(q) <- Some s;
       s
   in
   let slots = Array.make (Array.fold_left (fun acc r -> acc + r.hi - r.lo) 0 rows) no_matrix in
   let row_cells = Array.make (Array.length rows) [] in
-  let plan = ref [] and base = ref 0 in
+  let plan = ref [] and base = ref 0 and served = ref 0 in
   Array.iteri
     (fun r { p; lo; hi } ->
       let a = apps.(p) in
@@ -1448,31 +1414,18 @@ let plan_rows ?index ~pc ctx apps rows =
           let k = !base + q - lo in
           let p' = prev.(p) and q' = prev.(q) in
           let reused = if p' >= 0 && q' > p' then prev_slots.(tri n_prev p' q') else no_matrix in
-          if reused != no_matrix then slots.(k) <- reused
+          if reused != no_matrix then begin
+            slots.(k) <- reused;
+            incr served
+          end
           else
-            let key =
-              Option.map
-                (fun _ ->
-                  {
-                    pa_apps = (a, b);
-                    pa_bindings = (bindings.(p), bindings.(q));
-                    pa_unify = unify_pairs ctx (side_of p) (side_of q);
-                    pa_fingerprint = ctx.pair_fp;
-                  })
-                pc
-            in
-            let hit = match (pc, key) with Some pc, Some pa -> pc.pair_lookup pa | _ -> None in
-            match hit with
-            | Some m -> slots.(k) <- m
-            | None ->
-              let sa = side_of p and sb = side_of q in
-              let unify = Option.map (fun pa -> pa.pa_unify) key in
-              let cand = candidates ctx ?unify sa sb in
-              if tiered || Array.exists (function [] -> false | _ -> true) cand then begin
-                if tiered then
-                  slots.(k) <- Array.map (fun _ -> Array.make (Array.length sb.rules) []) cand;
-                cells := { slot = k; q; cand; key; keep = true } :: !cells
-              end
+            let sb = side_of q in
+            let cand = candidates ctx (side_of p) sb in
+            if indexed || Array.exists (function [] -> false | _ -> true) cand then begin
+              if indexed then
+                slots.(k) <- Array.map (fun _ -> Array.make (Array.length sb.rules) []) cand;
+              cells := { slot = k; cand; keep = true } :: !cells
+            end
         end
       done;
       let cells = List.rev !cells in
@@ -1486,15 +1439,15 @@ let plan_rows ?index ~pc ctx apps rows =
       row_cells.(r) <- cells;
       base := !base + hi - lo)
     rows;
-  (slots, row_cells, Array.of_list (List.rev !plan), bindings)
+  (slots, row_cells, Array.of_list (List.rev !plan), bindings, !served)
 
 (* The one audit driver: plan, run the plan through [run_pairs], then
    reassemble in the flat order — for each row and each rule of the row
-   app, every cell in partner order, a tier's matrix row or the detected
-   outcomes, which also fill the cell's fresh matrix. Kept cells are
-   stored in L1; a complete audit (nothing shed) replaces the [index]. *)
-let audit_rows ~jobs ~cancel ?index ~pc ctx apps rows =
-  let slots, row_cells, plan, bindings = plan_rows ?index ~pc ctx apps rows in
+   app, every cell in partner order, the index's matrix row or the
+   detected outcomes, which also fill the cell's fresh matrix. A
+   complete audit (nothing shed) replaces the [index]. *)
+let audit_rows ~jobs ~cancel ?index ctx apps rows =
+  let slots, row_cells, plan, bindings, indexed = plan_rows ?index ctx apps rows in
   let outcomes, retried = run_pairs ~jobs ~cancel ctx plan in
   let g = gather () and next = ref 0 and base = ref 0 in
   Array.iteri
@@ -1524,11 +1477,7 @@ let audit_rows ~jobs ~cancel ?index ~pc ctx apps rows =
             if m != no_matrix then Array.iter (fun ts -> g.g_threats <- ts :: g.g_threats) m.(i)
         done
       done;
-      List.iter
-        (fun c ->
-          if not c.keep then slots.(c.slot) <- no_matrix
-          else match (pc, c.key) with Some pc, Some pa -> pc.pair_store pa slots.(c.slot) | _ -> ())
-        cells;
+      List.iter (fun c -> if not c.keep then slots.(c.slot) <- no_matrix) cells;
       base := !base + hi - lo)
     rows;
   (match index with
@@ -1538,30 +1487,29 @@ let audit_rows ~jobs ~cancel ?index ~pc ctx apps rows =
     ix.ix_slots <- slots;
     ix.ix_fp <- ctx.pair_fp
   | _ -> ());
-  gathered g ~retried
+  gathered g ~retried ~indexed
 
 (** The audit plan: every cross-app rule pair that survives the cheap
     pre-filters, in the deterministic sequential enumeration order — the
-    full audit's plan with no tiers. *)
+    full audit's plan with no index. *)
 let candidate_pairs ctx (apps : Rule.smartapp list) =
   let apps = Array.of_list apps in
-  let _, _, plan, _ = plan_rows ~pc:None ctx apps (triangle (Array.length apps)) in
+  let _, _, plan, _, _ = plan_rows ctx apps (triangle (Array.length apps)) in
   plan
 
 (** Exhaustive pairwise audit over a set of apps (the corpus audit,
-    §VIII-B): the triangle, through the [index] and the configured
-    [pair_cache]. *)
+    §VIII-B): the triangle, through the [index]. *)
 let audit_all ?(jobs = 1) ?(cancel = never) ?index ctx (apps : Rule.smartapp list) =
   let apps = Array.of_list apps in
-  audit_rows ~jobs ~cancel ?index ~pc:ctx.config.pair_cache ctx apps (triangle (Array.length apps))
+  audit_rows ~jobs ~cancel ?index ctx apps (triangle (Array.length apps))
 
 (** Install-time audit of a newly installed app against every installed
     app of another name (the online flow, §IV-C): one row, new app
-    first, consulting neither the index nor L1. *)
+    first, consulting no index. *)
 let audit_new_app ?(jobs = 1) ?(cancel = never) ctx (installed : Rule.smartapp list) new_app =
   let apps = Array.of_list (installed @ [ new_app ]) in
   let n = Array.length apps - 1 in
-  audit_rows ~jobs ~cancel ~pc:None ctx apps [| { p = n; lo = 0; hi = n } |]
+  audit_rows ~jobs ~cancel ctx apps [| { p = n; lo = 0; hi = n } |]
 
 (** Threat-list view of the exhaustive audit, for callers that only
     consume the reports (the structured counts stay available via

@@ -68,36 +68,6 @@ type config = {
     (solve_query -> (unit -> Homeguard_solver.Solver.verdict) -> Homeguard_solver.Solver.verdict)
     option;
       (** fleet-shared verdict cache hook ([None] = solve locally) *)
-  pair_cache : pair_cache option;
-      (** pair-level result cache: in [audit_all], a hit replaces
-          planning and detection for the whole app pair ([None] = every
-          pair is planned) *)
-}
-
-and pair_audit = {
-  pa_apps : Rule.smartapp * Rule.smartapp;
-      (** in home install order — detection is orientation-sensitive *)
-  pa_bindings :
-    (string * Homeguard_solver.Term.t) list * (string * Homeguard_solver.Term.t) list;
-      (** [app_constraints] of each app, same order as [pa_apps] *)
-  pa_unify : (string * string) list;
-      (** the same-device relation over the two apps' device inputs —
-          homes with different device assignments never share a key *)
-  pa_fingerprint : string;
-      (** the solve fingerprint plus the solver-result [reuse] switch *)
-}
-(** One whole app-pair audit as described to a pair-result cache. A hit
-    skips candidate pre-filtering and every per-category analysis for
-    the pair, so the key must cover both apps' rule structure, both
-    configuration-binding sets and the solve fingerprint. *)
-
-and pair_matrix = Threat.t list array array
-(** Threats per rule pair: [m.(i).(j)] is [detect_pair] of the first
-    app's rule [i] against the second app's rule [j]. *)
-
-and pair_cache = {
-  pair_lookup : pair_audit -> pair_matrix option;
-  pair_store : pair_audit -> pair_matrix -> unit;
 }
 
 val offline_same_device : device_input -> device_input -> bool
@@ -184,7 +154,9 @@ type memo
 type ctx = {
   config : config;
   fingerprint : string;  (** [q_fingerprint] of [config], memoized *)
-  pair_fp : string;  (** [pa_fingerprint] of [config], memoized *)
+  pair_fp : string;
+      (** the solve fingerprint plus the solver-result [reuse] switch,
+          memoized: what a pair index's slots were built under *)
   memo : memo;
   mutable solver_calls : int;
       (** every solve the detectors asked, each escalation retry one
@@ -213,6 +185,12 @@ val same_device : ctx -> Rule.smartapp -> Rule.smartapp -> string -> string -> b
     Looks both vars' descriptors up among the apps' facts and asks
     [config.same_device] of them. The facts are derived when the first
     three arguments are applied. *)
+
+val device_relation : ctx -> Rule.smartapp -> Rule.smartapp -> (string * string) list
+(** The same-device relation over two apps' declared device inputs:
+    each [(v1, v2)], in input-declaration order, for which
+    [config.same_device] holds. A cell's unifier renames the second
+    app's [v2] to the first app's first [v1] it is paired with. *)
 
 val detect_ar : ctx -> tagged_rule -> tagged_rule -> Threat.t list
 val detect_gc : ctx -> tagged_rule -> tagged_rule -> Threat.t list
@@ -254,7 +232,7 @@ val planned_rules : planned -> tagged_rule * tagged_rule
 val candidate_pairs : ctx -> Rule.smartapp list -> planned array
 (** The audit plan: every cross-app rule pair surviving the cheap
     pre-filters, in the deterministic flat order — {!audit_all}'s plan
-    with no pair cache or index. *)
+    with no index. *)
 
 (** {2 Crash-isolated audits} *)
 
@@ -278,6 +256,9 @@ type audit_result = {
           answered are never planned. [shed > 0] marks the result
           incomplete: it may support "threats found" but never "no
           threat" *)
+  indexed : int;
+      (** app pairs whose matrix the [?index] of {!audit_all} served,
+          with no planning and no detection; 0 in every other audit *)
 }
 
 val audit_pairs :
@@ -308,8 +289,8 @@ val audit_new_app :
 (** Install-time flow: [app] against every app of [installed] with
     another name, in order — each rule of [app] against each of theirs
     that passes {!pair_candidate}, run as {!audit_pairs} runs a plan.
-    It consults neither a pair cache nor an index: no full audit stores
-    the new-app-first orientation. *)
+    It consults no index: no full audit stores the new-app-first
+    orientation. *)
 
 type pair_index
 (** One home's last complete full audit: its apps in install order,
@@ -334,20 +315,18 @@ val audit_all :
   audit_result
 (** Exhaustive pairwise audit: every app against every later app of
     another name. Each app pair's matrix comes from [?index], else the
-    config's [pair_cache], else the pre-filters, whose candidates join
-    one plan run as {!audit_pairs} runs one ([~jobs], crash isolation,
-    per-pair [?cancel]) whether or not a pair cache is configured; tier
+    pre-filters, whose candidates join one plan run as {!audit_pairs}
+    runs one ([~jobs], crash isolation, per-pair [?cancel]); index
     lookups and planning are not cancelled. The result is
     byte-identical to [audit_pairs ctx (candidate_pairs ctx apps)] at
-    every job count. A detected pair's matrix is stored in the pair
-    cache unless one of its pairs crashed twice, was shed or holds an
-    [Undecided] threat.
+    every job count.
 
-    [?index] serves, with no planning, key or lookup, every app pair
-    whose apps (physically the same values) and bindings (structurally
-    equal) are unchanged since its audit, in the same orientation,
-    under the same {!pair_fingerprint}. A complete audit (nothing shed) replaces it,
-    keeping no pair L1 would not store; a cancelled one leaves it. *)
+    [?index] serves, with no planning, every app pair whose apps
+    (physically the same values) and bindings (structurally equal) are
+    unchanged since its audit, in the same orientation, under the same
+    [pair_fp]. A complete audit (nothing shed) replaces it, keeping no
+    pair that crashed twice, was shed or holds an [Undecided] threat; a
+    cancelled one leaves it. *)
 
 val detect_all : ?jobs:int -> ctx -> Rule.smartapp list -> Threat.t list
 (** [(audit_all ...).threats]. *)

@@ -1056,11 +1056,13 @@ let render (r : report) =
       (fun (label, report) ->
         Option.iter (fun cs -> Printf.bprintf b "%s%s\n" label (Scrub.report_text cs)) report)
       [ ("cache-scrub:   ", r.cache_scrub); ("cache-rescrub: ", r.cache_scrub_second) ]);
+  (* one line per invariant: a detail may quote verdict-cache class keys,
+     which hold newlines *)
   List.iter
     (fun i ->
       Printf.bprintf b "invariant %-28s %s (%s)\n" i.name
         (if i.ok then "OK" else "VIOLATED")
-        i.detail)
+        (String.escaped i.detail))
     r.invariants;
   Buffer.add_string b
     (if passed r then "campaign passed\n" else "campaign FAILED\n");

@@ -49,7 +49,8 @@ type t = {
   dconfig : Detector.config;
   index : Detector.pair_index option;
       (** the last full re-audit's per-pair results, kept only when
-          [dconfig] has a pair cache; {!apply_config} invalidates *)
+          [dconfig] has a shared verdict cache; {!apply_config}
+          invalidates *)
   mutable configs : (string * (int option * string)) list;
       (** app -> (seq, last raw URI), oldest-first; compaction's source *)
   mutable ingest : Ingest.t option;
@@ -279,7 +280,10 @@ let installs_from records idx =
          | _ -> None
          | exception Event.Decode_error _ -> None)
 
-let open_ ?(fsync = true) ?(mode = Mixed) ?(window = 64) ?(configure = Fun.id)
+(* How many sequenced deliveries past a gap the ingest buffers. *)
+let window = 64
+
+let open_ ?(fsync = true) ?(mode = Mixed) ?(configure = Fun.id)
     ?(replicas = []) ?epoch ~dir () =
   let surface = Surface.at ~fsync Surface.Home (dir :: replicas) in
   let { Surface.snapshot = rs; journal = rj; floor } = Surface.recover surface in
@@ -300,7 +304,7 @@ let open_ ?(fsync = true) ?(mode = Mixed) ?(window = 64) ?(configure = Fun.id)
       recorder;
       flow;
       dconfig;
-      index = Option.map (fun _ -> Detector.create_pair_index ()) dconfig.Detector.pair_cache;
+      index = Option.map (fun _ -> Detector.create_pair_index ()) dconfig.Detector.shared_cache;
       configs = [];
       ingest = None;
       skipped = 0;

@@ -41,7 +41,6 @@ type recovery_report = {
 val open_ :
   ?fsync:bool ->
   ?mode:mode ->
-  ?window:int ->
   ?configure:(Detector.config -> Detector.config) ->
   ?replicas:string list ->
   ?epoch:int ->
@@ -49,8 +48,8 @@ val open_ :
   unit ->
   t * recovery_report
 (** Open (creating if needed) the home rooted at [dir], recovering
-    [dir/snapshot] and [dir/journal] and replaying both. [window] bounds
-    the out-of-order buffer for sequenced deliveries. [configure]
+    [dir/snapshot] and [dir/journal] and replaying both. Sequenced
+    deliveries pass an ingest window of 64. [configure]
     post-processes the detector configuration (e.g. to attach a shared
     verdict cache) before any audit uses it.
 
@@ -183,10 +182,10 @@ val compact : t -> unit
 val audit : ?jobs:int -> ?cancel:(unit -> bool) -> t -> Detector.audit_result
 (** Full re-audit of the installed (non-quarantined) apps. [?cancel]
     cuts the batched run short; skipped pairs are counted in
-    [audit_result.shed], never reported threat-free. With a pair cache
-    configured the home keeps a {!Detector.pair_index}: an app pair
-    untouched since the last complete re-audit is served from it, and
-    applying a configuration drops the configured app's pairs. *)
+    [audit_result.shed], never reported threat-free. With a shared
+    verdict cache configured the home keeps a {!Detector.pair_index}: an
+    app pair untouched since the last complete re-audit is served from
+    it, and applying a configuration drops the configured app's pairs. *)
 
 val audit_text : t -> string
 (** Canonical rendering of a full re-audit plus the durable state

@@ -2,9 +2,6 @@
     templates, single-flight — see the .mli contract and DESIGN.md §14. *)
 
 module Detector = Homeguard_detector.Detector
-module Rule = Homeguard_rules.Rule
-module Rule_json = Homeguard_rules.Rule_json
-module Term = Homeguard_solver.Term
 module Solver = Homeguard_solver.Solver
 module Budget = Homeguard_solver.Budget
 module Formula = Homeguard_solver.Formula
@@ -55,7 +52,6 @@ type counters = {
   mutable stale_writes : int;
   mutable pair_hits : int;
   mutable pair_misses : int;
-  mutable pair_inserts : int;
 }
 
 let zero_counters () =
@@ -72,7 +68,6 @@ let zero_counters () =
     stale_writes = 0;
     pair_hits = 0;
     pair_misses = 0;
-    pair_inserts = 0;
   }
 
 let add_counters into from =
@@ -85,19 +80,14 @@ let add_counters into from =
   into.conflicts <- into.conflicts + from.conflicts;
   into.stale_unknowns <- into.stale_unknowns + from.stale_unknowns;
   into.journal_drops <- into.journal_drops + from.journal_drops;
-  into.stale_writes <- into.stale_writes + from.stale_writes;
-  into.pair_hits <- into.pair_hits + from.pair_hits;
-  into.pair_misses <- into.pair_misses + from.pair_misses;
-  into.pair_inserts <- into.pair_inserts + from.pair_inserts
+  into.stale_writes <- into.stale_writes + from.stale_writes
 
 let counters_text c =
   Printf.sprintf
     "hits=%d misses=%d inserts=%d evicts=%d single-flight=%d fallbacks=%d \
-     conflicts=%d stale-unknowns=%d journal-drops=%d stale-writes=%d pair-hits=%d \
-     pair-misses=%d pair-inserts=%d"
+     conflicts=%d stale-unknowns=%d journal-drops=%d stale-writes=%d"
     c.hits c.misses c.inserts c.evicts c.single_flight_merges c.rehydrate_fallbacks
-    c.conflicts c.stale_unknowns c.journal_drops c.stale_writes c.pair_hits
-    c.pair_misses c.pair_inserts
+    c.conflicts c.stale_unknowns c.journal_drops c.stale_writes
 
 type store = {
   surface : Surface.t;
@@ -111,27 +101,8 @@ type store = {
       (** insertion order, for oldest-first eviction: each live key once,
           at its latest insertion (see [prune_queue]) *)
   inflight : (string, Condition.t) Hashtbl.t;
-  pair_table : (string, Detector.pair_matrix) Hashtbl.t;
-      (** L1: whole app-pair audit results, exact-keyed. In-memory
-          only — threats are served back verbatim within a process;
-          across restarts the journaled verdict tier below re-warms
-          the solver layer instead *)
-  pair_queue : string Queue.t;  (** L1 insertion order, FIFO eviction *)
-  key_parts : (string, key_part) Hashtbl.t;
-      (** app-name → the app's L1 key part, memoized; see
-          [app_key_part] *)
   mutable handles : handle list;
   mutable damage : int;  (** damaged/undecodable frames dropped on opens *)
-}
-
-(* One app's share of every L1 key it appears in: ["name:digest"] and
-   its rendered configuration bindings, for the app value and bindings
-   list it was rendered from. *)
-and key_part = {
-  kp_app : Rule.smartapp;
-  kp_digest : string;  (** rule-structure digest of [kp_app] *)
-  kp_bindings : (string * Term.t) list;
-  kp_text : string;
 }
 
 and handle = {
@@ -476,9 +447,6 @@ let open_store ?(fsync = true) ?(max_entries = 65536) ?(replicas = []) ~dir () =
       table = Hashtbl.create 1024;
       queue = Queue.create ();
       inflight = Hashtbl.create 8;
-      pair_table = Hashtbl.create 1024;
-      pair_queue = Queue.create ();
-      key_parts = Hashtbl.create 64;
       handles = [];
       damage = 0;
     }
@@ -825,94 +793,6 @@ let lookup_or_compute h (cls : Abstract.classified) ~qstore ~formula compute =
     compute_recording ~unknown_attempts:(u.attempts + 1) ~prev:(Unknown_e u) ()
   | None -> compute_recording ()
 
-(* -- pair tier (L1) --------------------------------------------------------- *)
-
-let render_bindings bs =
-  String.concat ";"
-    (List.map
-       (fun (v, t) -> v ^ "=" ^ Term.to_string t)
-       (List.sort (fun (x, _) (y, _) -> compare x y) bs))
-
-(* An app's L1 key part, memoized per store and app name. Physical
-   identity of the app and of its bindings list is the fast check: one
-   audit reads each app's bindings once, so every pair key of the audit
-   after the first reuses the rendered part. Homes bind different
-   values, so the bindings are revalidated structurally and re-rendered
-   only if they differ. The app is checked only physically: live
-   installs and journal replay share one value per app
-   ({!Homeguard_rules.Intern.share_app}), so only an app whose rules
-   changed (an updated catalog entry under a reused name) pays the JSON
-   render and MD5 again, which changes every key it appears in. The
-   entry then holds the latest values, so the rest of the audit hits
-   physically. *)
-let app_key_part st (app : Rule.smartapp) bindings =
-  let cached = Hashtbl.find_opt st.key_parts app.Rule.name in
-  match cached with
-  | Some kp when kp.kp_app == app && kp.kp_bindings == bindings -> kp.kp_text
-  | _ ->
-    let digest =
-      match cached with
-      | Some kp when kp.kp_app == app -> kp.kp_digest
-      | _ -> Digest.to_hex (Digest.string (Rule_json.to_string app))
-    in
-    let text =
-      match cached with
-      | Some kp when kp.kp_digest = digest && kp.kp_bindings = bindings -> kp.kp_text
-      | _ -> app.Rule.name ^ ":" ^ digest ^ "\n" ^ render_bindings bindings
-    in
-    Hashtbl.replace st.key_parts app.Rule.name
-      { kp_app = app; kp_digest = digest; kp_bindings = bindings; kp_text = text };
-    text
-
-(* L1 keys are exact (no cell abstraction): the pair in install order —
-   detection is orientation-sensitive — with each app's rule digest,
-   its concrete configuration bindings and the same-device relation.
-   Exactness is what lets hits return stored threats verbatim, witness
-   bytes included. A key is one join of the two apps' memoized parts,
-   the fingerprint and the rendered relation. *)
-let pair_key st (pa : Detector.pair_audit) =
-  let a, b = pa.Detector.pa_apps in
-  let ba, bb = pa.Detector.pa_bindings in
-  let unify =
-    String.concat ";" (List.map (fun (v1, v2) -> v1 ^ "~" ^ v2) pa.Detector.pa_unify)
-  in
-  String.concat "\n"
-    [ "vcp1"; pa.Detector.pa_fingerprint; app_key_part st a ba; app_key_part st b bb; unify ]
-
-let pair_lookup h pa =
-  let st = h.h_store in
-  Mutex.lock st.mutex;
-  let r =
-    let key = pair_key st pa in
-    Hashtbl.find_opt st.pair_table key
-  in
-  (match r with
-  | Some _ -> h.h_counters.pair_hits <- h.h_counters.pair_hits + 1
-  | None -> h.h_counters.pair_misses <- h.h_counters.pair_misses + 1);
-  Mutex.unlock st.mutex;
-  r
-
-let pair_store h pa m =
-  let st = h.h_store in
-  Mutex.lock st.mutex;
-  let key = pair_key st pa in
-  if not (Hashtbl.mem st.pair_table key) then begin
-    Hashtbl.replace st.pair_table key m;
-    Queue.push key st.pair_queue;
-    h.h_counters.pair_inserts <- h.h_counters.pair_inserts + 1;
-    while Hashtbl.length st.pair_table > st.max_entries do
-      let oldest = Queue.pop st.pair_queue in
-      Hashtbl.remove st.pair_table oldest
-    done
-  end;
-  Mutex.unlock st.mutex
-
-let pair_entries st =
-  Mutex.lock st.mutex;
-  let n = Hashtbl.length st.pair_table in
-  Mutex.unlock st.mutex;
-  n
-
 (* -- detector hook --------------------------------------------------------- *)
 
 let hook h (q : Detector.solve_query) compute =
@@ -923,10 +803,4 @@ let hook h (q : Detector.solve_query) compute =
   in
   lookup_or_compute h cls ~qstore:q.Detector.q_store ~formula:q.Detector.q_formula compute
 
-let configure h (c : Detector.config) =
-  {
-    c with
-    Detector.shared_cache = Some (hook h);
-    Detector.pair_cache =
-      Some { Detector.pair_lookup = pair_lookup h; Detector.pair_store = pair_store h };
-  }
+let configure h (c : Detector.config) = { c with Detector.shared_cache = Some (hook h) }

@@ -58,9 +58,10 @@ type counters = {
           handle's ownership epoch was superseded — the zombie-shard
           trace; nothing reached disk or memory *)
   mutable pair_hits : int;
-      (** whole app-pair audits served from the L1 pair tier *)
-  mutable pair_misses : int;  (** app-pair audits planned and detected *)
-  mutable pair_inserts : int;  (** pair matrices stored in the L1 tier *)
+  mutable pair_misses : int;
+      (** [pair_hits] and [pair_misses] are always 0: the pair tier they
+          counted is gone, and the benchmark still writes and reads them
+          until a change to it frees them *)
 }
 
 val zero_counters : unit -> counters
@@ -97,9 +98,6 @@ val scrub : store -> Homeguard_store.Scrub.home_report
     the replicas to one record-stream digest; a second pass is a no-op. *)
 
 val entries : store -> int
-val pair_entries : store -> int
-(** L1 pair-tier matrices currently held (in-memory, same
-    [max_entries] bound, FIFO eviction). *)
 
 val replay_damage : store -> int
 (** Damaged frames dropped across all opens of this store. *)
@@ -162,19 +160,8 @@ val total_counters : store -> counters
 val hook : handle -> Detector.solve_query -> (unit -> Solver.verdict) -> Solver.verdict
 (** The [shared_cache] implementation (L2: abstracted solve classes). *)
 
-val pair_key : store -> Detector.pair_audit -> string
-(** The exact L1 key of a pair audit: the pair fingerprint, each app's
-    name, rule-structure digest and sorted rendered bindings, in install
-    order, and the rendered same-device relation. Equal pair audits give
-    equal keys, and changing any one component changes the key. Each
-    app's part is memoized per store, so a key costs one join. *)
-
 val configure : handle -> Detector.config -> Detector.config
-(** [configure h c] is [c] with [shared_cache] set to [hook h] and
-    [pair_cache] set to the L1 tier: whole app-pair audit results under
-    the exact {!pair_key}. Exactness is what lets a hit return the
-    stored threats verbatim, witness bytes included. In-memory only:
-    across restarts the journaled L2 tier re-warms solving instead. *)
+(** [configure h c] is [c] with [shared_cache] set to [hook h]. *)
 
 val counters_text : counters -> string
 (** One-line rendering for CLI stats. *)

@@ -579,6 +579,19 @@ let chaos_smoke_campaign =
         (report.Chaos.tally.Chaos.served_while_impaired > 0);
       check_bool "render is non-empty" true
         (String.length (Chaos.render report) > 0);
+      (* a violated invariant whose detail names verdict-cache class
+         keys, which hold newlines, still renders on its one line *)
+      let lines r = List.length (String.split_on_char '\n' (Chaos.render r)) in
+      let violated =
+        {
+          Chaos.name = "cache-no-poisoned-entry";
+          ok = false;
+          detail = "1 reopened entries checked against live state: vck1\nfp=x\nkind=cond";
+        }
+      in
+      check_int "one line per invariant"
+        (lines { report with Chaos.invariants = [] } + 1)
+        (lines { report with Chaos.invariants = [ violated ] });
       (* split-brain coverage: the stall-then-revive window produced a
          zombie whose appends were all fenced *)
       check_bool "zombie appends attempted" true

@@ -1,6 +1,6 @@
 (** Differential tests of the per-home pair index
     ({!Detector.pair_index}): on seeded histories of corpus apps in a
-    home whose pair cache comes from {!Vcache.configure}, every
+    home whose verdict cache comes from {!Vcache.configure}, every
     [Home.audit] after every event must equal a fresh uncached
     [Detector.audit_all] over the same apps — threat lines, witnesses,
     undecided count, failures and shed. The histories install, reinstall
@@ -55,8 +55,9 @@ let pool =
 
 let extract ~name source = (Extract.extract_source ~name source).Extract.app
 
-(* A home with the L1 pair tier of a fresh verdict cache. [layer]
-   wraps the home's detector config before the cache is attached. *)
+(* A home with a fresh verdict cache, and so with a pair index.
+   [layer] wraps the home's detector config before the cache is
+   attached. *)
 let with_home ?(layer = Fun.id) mode f =
   let cache_dir = fresh_dir () and dir = fresh_dir () in
   let st = Vcache.open_store ~fsync:false ~dir:cache_dir () in
@@ -70,12 +71,7 @@ let with_home ?(layer = Fun.id) mode f =
       Vcache.close_store st;
       remove_dir dir;
       remove_dir cache_dir)
-    (fun () -> f home h)
-
-(* L1 lookups so far: every app pair the index did not serve asks L1. *)
-let lookups h =
-  let c = Vcache.counters h in
-  c.Vcache.pair_hits + c.Vcache.pair_misses
+    (fun () -> f home)
 
 let auditable home =
   List.filter
@@ -85,7 +81,7 @@ let auditable home =
 (* The cache-free reference: the flat plan over the home's own config. *)
 let reference home =
   let config =
-    { (Home.config home) with Detector.pair_cache = None; Detector.shared_cache = None }
+    { (Home.config home) with Detector.shared_cache = None }
   in
   Detector.audit_all (Detector.create config) (auditable home)
 
@@ -104,6 +100,12 @@ let pair_count apps =
   let names = List.sort_uniq compare (List.map (fun (a : Rule.smartapp) -> a.Rule.name) apps) in
   let n = List.length names in
   n * (n - 1) / 2
+
+(* A re-audit of the home and the app pairs it detected: those the pair
+   index did not serve. *)
+let audit_unserved home =
+  let r = Home.audit home in
+  (r, pair_count (auditable home) - r.Detector.indexed)
 
 let device_ids = [| String.make 32 'a'; String.make 32 'b'; String.make 32 'c' |]
 let small_values = [| 5; 30; 60; 90 |]
@@ -254,7 +256,7 @@ let run_history ~label ~mode ~overlay ~seed ~events =
             @ Option.value ~default:[] (Hashtbl.find_opt tbl app.Rule.name));
       }
   in
-  with_home ~layer mode (fun home h ->
+  with_home ~layer mode (fun home ->
       let hs =
         {
           st = Random.State.make [| 0x1d8; seed |];
@@ -270,9 +272,8 @@ let run_history ~label ~mode ~overlay ~seed ~events =
         | None -> ()
         | Some what ->
           incr done_;
-          let before = lookups h in
-          let got = Home.audit home in
-          asked := !asked + (lookups h - before);
+          let got, unserved = audit_unserved home in
+          asked := !asked + unserved;
           pairs := !pairs + pair_count (auditable home);
           threats := !threats + List.length got.Detector.threats;
           check_equal
@@ -314,9 +315,11 @@ let populate ?(seed = 7) home =
 
 let cancelled_audit_leaves_index =
   test "a cancelled re-audit leaves the pair index as it was" (fun () ->
-      with_home Home.Mixed (fun home h ->
+      with_home Home.Mixed (fun home ->
           let n = populate home in
           ignore (Home.audit home : Detector.audit_result);
+          let _, unserved = audit_unserved home in
+          check_int "a warm re-audit is served wholly from the index" 0 unserved;
           let first = List.hd (Home.installed_apps home) in
           (* invalidates [first]'s n - 1 pairs *)
           ignore
@@ -325,10 +328,8 @@ let cancelled_audit_leaves_index =
           let polls = ref 0 in
           let cut = Home.audit ~cancel:(fun () -> incr polls; !polls > 3) home in
           check_bool "the audit was cut short" true (cut.Detector.shed > 0);
-          let before = lookups h in
-          let full = Home.audit home in
-          check_int "only the configured app's pairs leave the index" (n - 1)
-            (lookups h - before);
+          let full, unserved = audit_unserved home in
+          check_int "only the configured app's pairs leave the index" (n - 1) unserved;
           check_equal "after the cancelled audit" (reference home) full))
 
 (* Distinct app pairs, orientation ignored. *)
@@ -337,7 +338,7 @@ let groups pairs =
 
 let crashed_group_redetected =
   test "a group that crashed twice is re-detected, not served from the index" (fun () ->
-      with_home Home.Mixed (fun home h ->
+      with_home Home.Mixed (fun home ->
           ignore (populate home : int);
           let crashed =
             Fun.protect ~finally:Fault.disarm (fun () ->
@@ -346,9 +347,8 @@ let crashed_group_redetected =
           in
           let failed = List.map (fun (f : Detector.failure) -> f.Detector.apps) crashed.Detector.failures in
           check_bool "some pairs crashed twice" true (failed <> []);
-          let before = lookups h in
-          let healed = Home.audit home in
-          check_int "every crashed group is re-detected" (groups failed) (lookups h - before);
+          let healed, unserved = audit_unserved home in
+          check_int "every crashed group is re-detected" (groups failed) unserved;
           check_int "no failures left" 0 (List.length healed.Detector.failures);
           check_equal "after the crash" (reference home) healed))
 
@@ -361,7 +361,7 @@ let undecided_group_redetected =
           Detector.escalate = false;
         }
       in
-      with_home ~layer:tiny Home.Mixed (fun home h ->
+      with_home ~layer:tiny Home.Mixed (fun home ->
           ignore (populate home : int);
           let first = Home.audit home in
           let undecided =
@@ -373,10 +373,8 @@ let undecided_group_redetected =
               first.Detector.threats
           in
           check_bool "the tiny budget leaves threats undecided" true (undecided <> []);
-          let before = lookups h in
-          let again = Home.audit home in
-          check_int "every undecided group is re-detected" (groups undecided)
-            (lookups h - before);
+          let again, unserved = audit_unserved home in
+          check_int "every undecided group is re-detected" (groups undecided) unserved;
           check_equal "re-audit under the tiny budget" (reference home) again))
 
 let tests =

@@ -118,7 +118,7 @@ let decode_error =
       | _ -> Alcotest.fail "expected Decode_error")
 
 (* The bytes of rule files and journal payloads are what the journal
-   compares, replays and the verdict cache hashes into its L1 keys. This
+   compares and replays. This
    digest was taken before the rules-side codec was replaced by the
    shared one; a change to any escape, separator or field order moves it. *)
 module Event = Homeguard_store.Event

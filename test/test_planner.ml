@@ -602,26 +602,18 @@ let checked_config stats reference (config : Detector.config) =
   in
   { config with Detector.same_device = same }
 
-(* [pa_unify] of every ordered pair of differently named apps, read
-   through a pair cache that answers every lookup with an empty matrix
-   (so nothing is detected), in both install orders. *)
+(* The same-device relation of every ordered pair of differently named
+   apps, in both install orders. *)
 let pair_relations config (apps : Rule.smartapp list) =
-  let seen = ref [] in
-  let pc =
-    {
-      Detector.pair_lookup =
-        (fun pa ->
-          let a, b = pa.Detector.pa_apps in
-          seen := (a, b, pa.Detector.pa_unify) :: !seen;
-          Some
-            (Array.make_matrix (List.length a.Rule.rules) (List.length b.Rule.rules) []));
-      pair_store = (fun _ _ -> ());
-    }
-  in
-  let config = { config with Detector.pair_cache = Some pc } in
-  ignore (Detector.audit_all (Detector.create config) apps);
-  ignore (Detector.audit_all (Detector.create config) (List.rev apps));
-  !seen
+  let ctx = Detector.create config in
+  List.concat_map
+    (fun (a : Rule.smartapp) ->
+      List.filter_map
+        (fun (b : Rule.smartapp) ->
+          if a.Rule.name = b.Rule.name then None
+          else Some (a, b, Detector.device_relation ctx a b))
+        apps)
+    apps
 
 (* [~full] runs every per-category detector of the plan; [~sweep] (by
    default [full]) asks the matcher directly of every var pair. *)
@@ -635,10 +627,10 @@ let check_relation label ~full ?(sweep = full) reference config (apps : Rule.sma
     List.filter_map
       (fun ((a : Rule.smartapp), (b : Rule.smartapp), unify) ->
         if unify = ref_unify reference a b then None
-        else Some (Printf.sprintf "pa_unify %s ~ %s" a.Rule.name b.Rule.name))
+        else Some (Printf.sprintf "device relation %s ~ %s" a.Rule.name b.Rule.name))
       relations
   in
-  Alcotest.(check (list string)) (label ^ ": pa_unify equals the reference") [] wrong_unify;
+  Alcotest.(check (list string)) (label ^ ": device relation equals the reference") [] wrong_unify;
   (* the detectors' questions: planning's pre-filters always, and every
      per-category detector on a full audit *)
   let ctx = Detector.create config in
@@ -703,7 +695,7 @@ let device_relation_matches_reference =
       check_bool "synth online: non-input vars matched by device id" true (!bare > 0))
 
 (* A solve hook that always raises makes every pair that reaches the
-   solver fail twice. The grouped audit (a pair cache that never hits)
+   solver fail twice. The grouped audit (through an empty pair index)
    must report those failures in the flat plan's order. *)
 let grouped_failures_in_flat_order =
   test "grouped audit reports failures in flat-plan order" (fun () ->
@@ -716,11 +708,8 @@ let grouped_failures_in_flat_order =
       in
       let ctx = Detector.create config in
       let flat = Detector.audit_pairs ctx (Detector.candidate_pairs ctx apps) in
-      let missing =
-        { Detector.pair_lookup = (fun _ -> None); pair_store = (fun _ _ -> ()) }
-      in
       let grouped =
-        Detector.audit_all (Detector.create { config with Detector.pair_cache = Some missing }) apps
+        Detector.audit_all ~index:(Detector.create_pair_index ()) (Detector.create config) apps
       in
       check_bool "some pairs failed" true (flat.Detector.failures <> []);
       Alcotest.(check (list string)) "failure order" (labels flat) (labels grouped))

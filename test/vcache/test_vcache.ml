@@ -2,10 +2,9 @@
     corpus (cached sweeps byte-identical to uncached, distinct cells
     never share a key), witness-template rehydration, Unknown markers
     never served, single-flight dedup across domains, journal
-    round-trip and damage tolerance, and FIFO eviction; for the pair
-    tier (L1), exact keys built from memoized per-app parts, hits shared
-    by separately parsed copies of one app, and misses for a same-name
-    app whose rules changed. *)
+    round-trip and damage tolerance, and FIFO eviction; cached audits
+    equal to the flat uncached plan over reinstall and reconfigure
+    events. *)
 
 module Vcache = Homeguard_vcache.Vcache
 module Abstract = Homeguard_vcache.Abstract
@@ -24,7 +23,6 @@ module Corpus = Homeguard_corpus.Corpus
 module Synth = Homeguard_corpus.Synth
 module App_entry = Homeguard_corpus.App_entry
 module Rule = Homeguard_rules.Rule
-module Rule_json = Homeguard_rules.Rule_json
 
 let test name f = (name, `Quick, f)
 let check_int = Alcotest.(check int)
@@ -381,27 +379,21 @@ let sweep_is_byte_identical =
       check_int "zero conflicts after every sweep" 0
         (Vcache.counters h).Vcache.conflicts;
       Vcache.close_store st;
-      (* both tiers on a fresh store: [jobs] fans out the detected pairs
-         while L1 stores stay on the coordinator *)
-      let tiered jobs =
+      (* [Vcache.configure] on a fresh store, cold at each job count *)
+      let configured jobs =
         let st = Vcache.open_store ~fsync:false ~dir:(fresh_dir ()) () in
         let h = Vcache.attach st ~owner:"tiers" in
         let threats = List.map (home_threats ~layer:(Vcache.configure h) ~jobs) homes in
         let c = Vcache.counters h in
         Vcache.close_store st;
-        check_int "zero conflicts with both tiers" 0 c.Vcache.conflicts;
-        (threats, c.Vcache.pair_inserts)
+        check_int "zero conflicts through configure" 0 c.Vcache.conflicts;
+        threats
       in
-      let seq, seq_inserts = tiered 1 in
-      let par, par_inserts = tiered 2 in
-      check_bool "both tiers at jobs 1 are byte-identical" true (base = seq);
-      check_bool "both tiers at jobs 2 are byte-identical" true (base = par);
-      check_bool "L1 stored pair matrices" true (seq_inserts > 0);
-      check_int "L1 inserts at jobs 2 equal jobs 1" seq_inserts par_inserts)
+      check_bool "configured at jobs 1 is byte-identical" true (base = configured 1);
+      check_bool "configured at jobs 2 is byte-identical" true (base = configured 2))
 
 (* The fixed fleet pass: 400 homes (seed 13) audited uncached, then
-   through one store cold and warm, with both tiers on. Its counters
-   are exact. *)
+   through one store cold and warm. Its counters are exact. *)
 let fixed_fleet_counters =
   test "400-home fleet: cached == uncached at jobs 1 and 2; exact class and hit counts"
     (fun () ->
@@ -419,45 +411,21 @@ let fixed_fleet_counters =
       let cached jobs = List.map (home_threats ~layer:(Vcache.configure h) ~jobs) homes in
       same "cold at jobs 1" (cached 1);
       let c = Vcache.counters h in
-      check_int "cold solve hits" 71 c.Vcache.hits;
+      check_int "cold solve hits" 74 c.Vcache.hits;
       check_int "cold solve misses" 709 c.Vcache.misses;
-      check_int "cold pair hits" 11 c.Vcache.pair_hits;
       check_int "solve classes" 707 (Vcache.entries st);
-      check_int "pair classes" 1923 (Vcache.pair_entries st);
       same "warm at jobs 1" (cached 1);
       same "warm at jobs 2" (cached 2);
       check_int "conflicts" 0 (Vcache.counters h).Vcache.conflicts;
       Vcache.close_store st)
 
-(* -- pair tier (L1) -------------------------------------------------------------- *)
-
-(* The L1 key rendered in full on every call, as before per-app parts:
-   both apps' JSON digested, both binding sets rendered. *)
-let ref_pair_key (pa : Detector.pair_audit) =
-  let a, b = pa.Detector.pa_apps and ba, bb = pa.Detector.pa_bindings in
-  let digest app = Digest.to_hex (Digest.string (Rule_json.to_string app)) in
-  let bindings bs =
-    String.concat ";"
-      (List.map
-         (fun (v, t) -> v ^ "=" ^ Term.to_string t)
-         (List.sort (fun (x, _) (y, _) -> compare x y) bs))
-  in
-  String.concat "\n"
-    [
-      "vcp1";
-      pa.Detector.pa_fingerprint;
-      a.Rule.name ^ ":" ^ digest a;
-      bindings ba;
-      b.Rule.name ^ ":" ^ digest b;
-      bindings bb;
-      String.concat ";" (List.map (fun (v1, v2) -> v1 ^ "~" ^ v2) pa.Detector.pa_unify);
-    ]
+(* -- audits over events ---------------------------------------------------------- *)
 
 (* A home as the grouped audit sees it: apps in install order and a
    recorder fed the home's configuration URIs. *)
-type l1_home = { mutable apps : Rule.smartapp list; recorder : Recorder.t }
+type event_home = { mutable apps : Rule.smartapp list; recorder : Recorder.t }
 
-let l1_home (h : Synth.home) =
+let event_home (h : Synth.home) =
   let recorder = Recorder.create () in
   List.iter
     (fun uri ->
@@ -467,7 +435,7 @@ let l1_home (h : Synth.home) =
     h.Synth.configs;
   { apps = List.map extract_app h.Synth.apps; recorder }
 
-let mixed_config (home : l1_home) =
+let mixed_config (home : event_home) =
   {
     Detector.offline_config with
     Detector.app_constraints = Recorder.app_constraints home.recorder;
@@ -475,16 +443,9 @@ let mixed_config (home : l1_home) =
 
 let threat_view (t : Threat.t) = (Threat.to_string t, t.Threat.witness, t.Threat.severity)
 
-(* The grouped audit through the L1 tier, with every pair audit it asks
-   about recorded on the way. *)
-let cached_audit ?(seen = ref []) h home =
+(* The grouped audit through [Vcache.configure]. *)
+let cached_audit h home =
   let config = Vcache.configure h (mixed_config home) in
-  let pc = Option.get config.Detector.pair_cache in
-  let pair_lookup pa =
-    seen := pa :: !seen;
-    pc.Detector.pair_lookup pa
-  in
-  let config = { config with Detector.pair_cache = Some { pc with Detector.pair_lookup } } in
   List.map threat_view (Detector.audit_all (Detector.create config) home.apps).Detector.threats
 
 (* The flat, uncached plan: what the grouped audit must reproduce. *)
@@ -493,92 +454,23 @@ let flat_audit home =
   List.map threat_view
     (Detector.audit_pairs ctx (Detector.candidate_pairs ctx home.apps)).Detector.threats
 
-let n_pairs home =
-  let n = List.length home.apps in
-  n * (n - 1) / 2
-
-let l1_homes ~seed ~min_apps =
-  List.filter
-    (fun (h : Synth.home) -> List.length h.Synth.apps >= min_apps)
-    (Corpus.synth ~seed ~n_homes:40)
-
-let l1_shared_across_parsed_copies =
-  test "separately parsed copies of the same apps share L1 hits; a changed app misses"
-    (fun () ->
-      let st = Vcache.open_store ~fsync:false ~dir:(fresh_dir ()) () in
-      let h = Vcache.attach st ~owner:"l1" in
-      let synth = List.hd (l1_homes ~seed:5 ~min_apps:4) in
-      let home1 = l1_home synth and home2 = l1_home synth in
-      check_bool "copies are distinct values" true
-        (List.for_all2 ( != ) home1.apps home2.apps);
-      let expected = flat_audit home1 in
-      check_bool "first home: cold audit = flat plan" true (cached_audit h home1 = expected);
-      let c = Vcache.counters h in
-      check_int "first home: every pair misses" (n_pairs home1) c.Vcache.pair_misses;
-      check_int "first home: no hit" 0 c.Vcache.pair_hits;
-      check_bool "second home: audit = flat plan" true (cached_audit h home2 = expected);
-      check_int "second home: every pair hits" (n_pairs home2) c.Vcache.pair_hits;
-      check_int "second home: no new miss" (n_pairs home1) c.Vcache.pair_misses;
-      (* the same name with one rule fewer: every pair it is in misses *)
-      let changed =
-        List.mapi
-          (fun i (a : Rule.smartapp) ->
-            if i = 0 then { a with Rule.rules = List.tl a.Rule.rules } else a)
-          home2.apps
-      in
-      check_bool "the changed app has rules to drop" true
-        ((List.hd home2.apps).Rule.rules <> []);
-      let home3 = { home2 with apps = changed } in
-      let hits = c.Vcache.pair_hits and misses = c.Vcache.pair_misses in
-      check_bool "changed app: audit = flat plan" true (cached_audit h home3 = flat_audit home3);
-      let others = List.length home3.apps - 1 in
-      check_int "changed app: its pairs miss" (misses + others) c.Vcache.pair_misses;
-      check_int "changed app: the other pairs hit" (hits + n_pairs home3 - others)
-        c.Vcache.pair_hits;
-      Vcache.close_store st)
-
-(* Variants of a pair audit, each changing exactly one key component. *)
-let one_component_changes (pa : Detector.pair_audit) =
-  let a, b = pa.Detector.pa_apps and ba, bb = pa.Detector.pa_bindings in
-  let fewer_rules (app : Rule.smartapp) =
-    match app.Rule.rules with [] -> None | _ :: rest -> Some { app with Rule.rules = rest }
-  in
-  let extra = ("zz_extra", Term.Int 1) in
-  let bump = function (v, Term.Int n) :: rest -> Some ((v, Term.Int (n + 1)) :: rest) | _ -> None in
-  List.filter_map
-    (fun (what, v) -> Option.map (fun pa' -> (what, pa')) v)
-    [
-      ("fingerprint", Some { pa with Detector.pa_fingerprint = pa.Detector.pa_fingerprint ^ ";x" });
-      ("first app's rules", Option.map (fun a' -> { pa with Detector.pa_apps = (a', b) }) (fewer_rules a));
-      ("second app's rules", Option.map (fun b' -> { pa with Detector.pa_apps = (a, b') }) (fewer_rules b));
-      ("first app's bindings", Some { pa with Detector.pa_bindings = (extra :: ba, bb) });
-      ("second app's bindings", Some { pa with Detector.pa_bindings = (ba, extra :: bb) });
-      ("first app's values", Option.map (fun ba' -> { pa with Detector.pa_bindings = (ba', bb) }) (bump ba));
-      ("second app's values", Option.map (fun bb' -> { pa with Detector.pa_bindings = (ba, bb') }) (bump bb));
-      ("relation", Some { pa with Detector.pa_unify = ("zz_v1", "zz_v2") :: pa.Detector.pa_unify });
-      ( "relation",
-        match pa.Detector.pa_unify with
-        | [] -> None
-        | _ :: rest -> Some { pa with Detector.pa_unify = rest } );
-    ]
-
 let reparse (app : Rule.smartapp) =
   match Corpus.find app.Rule.name with
   | Some e -> extract_app e
   | None -> Alcotest.failf "not a corpus app: %s" app.Rule.name
 
-let l1_keys_exact_over_events =
-  test "L1 keys stay exact over reinstall and reconfigure events" (fun () ->
+let cached_audits_exact_over_events =
+  test "cached audits stay exact over reinstall and reconfigure events" (fun () ->
       let st = Vcache.open_store ~fsync:false ~dir:(fresh_dir ()) () in
       let h = Vcache.attach st ~owner:"keys" in
-      let seen = ref [] and events = ref 0 and variants = ref 0 in
+      let events = ref 0 in
       List.iteri
         (fun k synth ->
-          let home = l1_home synth in
+          let home = event_home synth in
           let check_event label =
             incr events;
             check_bool (label ^ ": grouped cached audit = flat plan") true
-              (cached_audit ~seen h home = flat_audit home)
+              (cached_audit h home = flat_audit home)
           in
           check_event (synth.Synth.id ^ " grown");
           let n = List.length home.apps in
@@ -606,40 +498,11 @@ let l1_keys_exact_over_events =
               check_event (Printf.sprintf "%s reconfigure %s" synth.Synth.id target.Rule.name)
             end
           done)
-        (List.filteri (fun i _ -> i < 6) (l1_homes ~seed:7 ~min_apps:3));
+        (List.filteri (fun i _ -> i < 6)
+           (List.filter
+              (fun (h : Synth.home) -> List.length h.Synth.apps >= 3)
+              (Corpus.synth ~seed:7 ~n_homes:40)));
       check_bool "events ran" true (!events >= 30);
-      (* every key the audits asked for is the full rendering *)
-      List.iter
-        (fun pa -> check_bool "key = full rendering" true (Vcache.pair_key st pa = ref_pair_key pa))
-        !seen;
-      (* equal pair audits give equal keys; one changed component changes it *)
-      List.iteri
-        (fun i (pa : Detector.pair_audit) ->
-          if i mod 7 = 0 then begin
-            let key = Vcache.pair_key st pa in
-            let a, b = pa.Detector.pa_apps and ba, bb = pa.Detector.pa_bindings in
-            let copy =
-              {
-                pa with
-                Detector.pa_apps = (reparse a, reparse b);
-                pa_bindings = (List.map Fun.id ba, List.map Fun.id bb);
-                pa_unify = List.map Fun.id pa.Detector.pa_unify;
-              }
-            in
-            check_bool "an equal pair audit gives the same key" true
-              (Vcache.pair_key st copy = key);
-            List.iter
-              (fun (what, pa') ->
-                incr variants;
-                let key' = Vcache.pair_key st pa' in
-                check_bool ("changing the " ^ what ^ " changes the key") true (key' <> key);
-                check_bool ("changed " ^ what ^ ": key = full rendering") true
-                  (key' = ref_pair_key pa');
-                check_bool "the original key is unchanged" true (Vcache.pair_key st pa = key))
-              (one_component_changes pa)
-          end)
-        !seen;
-      check_bool "variants checked" true (!variants > 100);
       Vcache.close_store st)
 
 (* -- record codec --------------------------------------------------------------- *)
@@ -829,6 +692,5 @@ let () =
           escaped_fields_reopen;
           non_canonical_frame_is_damage;
         ] );
-      ("property", [ sweep_is_byte_identical; fixed_fleet_counters ]);
-      ("pair tier", [ l1_shared_across_parsed_copies; l1_keys_exact_over_events ]);
+      ("property", [ sweep_is_byte_identical; fixed_fleet_counters; cached_audits_exact_over_events ]);
     ]
