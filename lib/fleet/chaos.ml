@@ -34,7 +34,6 @@
 module Home = Homeguard_store.Home
 module Fence = Homeguard_store.Fence
 module Scrub = Homeguard_store.Scrub
-module Rjournal = Homeguard_store.Rjournal
 module Surface = Homeguard_store.Surface
 module Broker = Homeguard_serve.Broker
 module Shed = Homeguard_serve.Shed

@@ -13,7 +13,7 @@
     v} *)
 
 module Fence = Homeguard_store.Fence
-module Rjournal = Homeguard_store.Rjournal
+module Journal = Homeguard_store.Journal
 
 type t = {
   config : Chaos.config;
@@ -251,7 +251,7 @@ let shrink ~dir t =
   let fails schedule =
     incr trials;
     let tdir = Filename.concat dir (Printf.sprintf "trial-%04d" !trials) in
-    Rjournal.mkdirs tdir;
+    Journal.mkdirs tdir;
     reproduces (replay { t with schedule } ~dir:tdir) t
   in
   if not (fails t.schedule) then

@@ -17,9 +17,9 @@ type t = {
   fsync : bool;
   mode : Home.mode;
   replicas : int;  (** replica count per home journal (>= 1) *)
-  epoch_of : string -> int option;
+  epoch_of : string -> int;
       (** the ownership epoch the supervisor granted this shard for a
-          home; [None] opens unfenced *)
+          home: every home opens fenced *)
   configure : Homeguard_detector.Detector.config -> Homeguard_detector.Detector.config;
   vcache : Vcache.handle option;
       (** this incarnation's cache handle — retained so chaos can drive
@@ -70,7 +70,7 @@ let add_home t id =
   let dirs = home_dirs ~fleet_dir:t.fleet_dir ~replicas:t.replicas id in
   let home, report =
     Home.open_ ~fsync:t.fsync ~mode:t.mode ~configure:t.configure
-      ~replicas:(List.tl dirs) ?epoch:(t.epoch_of id) ~dir:(List.hd dirs) ()
+      ~replicas:(List.tl dirs) ~epoch:(t.epoch_of id) ~dir:(List.hd dirs) ()
   in
   Broker.add_home t.broker ~id home;
   report

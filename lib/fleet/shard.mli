@@ -38,7 +38,7 @@ val open_ :
   fsync:bool ->
   mode:Home.mode ->
   replicas:int ->
-  epoch_of:(string -> int option) ->
+  epoch_of:(string -> int) ->
   on_recovery:(string -> Home.recovery_report -> unit) ->
   ?vcache:Homeguard_vcache.Vcache.handle ->
   fleet_dir:string ->
@@ -48,7 +48,8 @@ val open_ :
 (** Open (recovering) every assigned home. All-or-nothing: on a
     recovery crash the already-opened homes are closed and the
     exception propagates — the supervisor's restart backoff owns the
-    retry. [on_recovery] fires per home as it opens, including on
+    retry. Each home opens fenced at [epoch_of id], the ownership epoch
+    granted for it. [on_recovery] fires per home as it opens, including on
     attempts that later fail, so damage surfaced by a recovery is never
     erased by a clean retry of the repaired journal. *)
 

@@ -169,7 +169,7 @@ let open_shard t slot =
      performed is already durable) *)
   Shard.open_ ~broker_config ~fsync:t.config.fsync ~mode:t.config.mode
     ~replicas:t.config.replicas
-    ~epoch_of:(fun id -> Some (next_epoch t id))
+    ~epoch_of:(next_epoch t)
     ~on_recovery:(fun id report -> t.recoveries <- (id, report) :: t.recoveries)
     ?vcache:slot.cache ~fleet_dir:t.dir ~home_ids:(List.rev slot.homes_rev) ()
 

@@ -14,12 +14,16 @@
 
 type priority = Interactive | Background
 
+let max_global = 16
+
+(* global slots background work may never occupy *)
+let interactive_reserve = 2
+
+(* per-request service estimate for retry hints *)
+let est_service_ms = 50
+
 type t = {
   max_per_home : int;
-  max_global : int;
-  interactive_reserve : int;
-      (** global slots background work may never occupy *)
-  est_service_ms : int;  (** per-request service estimate for retry hints *)
   mutex : Mutex.t;
   mutable per_home : (string * int) list;
   mutable global : int;
@@ -27,17 +31,10 @@ type t = {
 
 type ticket = { home : string; mutable released : bool }
 
-let create ?(max_per_home = 4) ?(max_global = 16) ?(interactive_reserve = 2)
-    ?(est_service_ms = 50) () =
+let create ?(max_per_home = 4) () =
   if max_per_home < 1 then invalid_arg "Admission.create: max_per_home < 1";
-  if max_global < 1 then invalid_arg "Admission.create: max_global < 1";
-  if interactive_reserve < 0 || interactive_reserve >= max_global then
-    invalid_arg "Admission.create: interactive_reserve out of range";
   {
     max_per_home;
-    max_global;
-    interactive_reserve;
-    est_service_ms;
     mutex = Mutex.create ();
     per_home = [];
     global = 0;
@@ -64,18 +61,18 @@ let set_home_count t home n =
     instead of having the entire shed cohort hammer back after one
     constant interval. Never zero: the caller must back off, not
     spin. *)
-let retry_after t ~depth = t.est_service_ms * max 1 depth
+let retry_after ~depth = est_service_ms * max 1 depth
 
 let try_admit t ~home priority =
   with_lock t @@ fun () ->
   let global_cap =
     match priority with
-    | Interactive -> t.max_global
-    | Background -> t.max_global - t.interactive_reserve
+    | Interactive -> max_global
+    | Background -> max_global - interactive_reserve
   in
   let here = home_count t home in
-  if here >= t.max_per_home then Error (retry_after t ~depth:here)
-  else if t.global >= global_cap then Error (retry_after t ~depth:t.global)
+  if here >= t.max_per_home then Error (retry_after ~depth:here)
+  else if t.global >= global_cap then Error (retry_after ~depth:t.global)
   else begin
     set_home_count t home (here + 1);
     t.global <- t.global + 1;
@@ -91,9 +88,8 @@ let release t ticket =
   end
 
 let in_flight t = with_lock t @@ fun () -> t.global
-let max_global t = t.max_global
 
 (** Fraction of the global allowance in use, in [0, 1]. The shed policy
     compares this against its threshold. *)
 let occupancy t =
-  with_lock t @@ fun () -> float_of_int t.global /. float_of_int t.max_global
+  with_lock t @@ fun () -> float_of_int t.global /. float_of_int max_global

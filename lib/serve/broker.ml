@@ -316,7 +316,7 @@ let status t =
     "homes %d in-flight %d/%d queued-jobs %d occupancy %.2f quarantined %d"
     (Hashtbl.length t.by_id)
     (Admission.in_flight t.admission)
-    (Admission.max_global t.admission)
+    Admission.max_global
     (pending_jobs t)
     (Admission.occupancy t.admission)
     (quarantined_total t)

@@ -15,9 +15,9 @@ type config = {
   clock : Deadline.clock;
   jobs : int;  (** audit parallelism *)
 }
-(** The global bounds are {!Admission.create}'s defaults (16 in
-    flight, 2 slots reserved for interactive work, a 50 ms service
-    estimate); background work sheds at 0.75 occupancy. *)
+(** The global bounds are fixed in {!Admission} (16 in flight, 2 slots
+    reserved for interactive work, a 50 ms service estimate); background
+    work sheds at 0.75 occupancy. *)
 
 val default_config : config
 (** max_queue 4, no deadline, quarantine after 3, wall clock, 1 job. *)

@@ -280,9 +280,6 @@ let installs_from records idx =
          | _ -> None
          | exception Event.Decode_error _ -> None)
 
-(* How many sequenced deliveries past a gap the ingest buffers. *)
-let window = 64
-
 let open_ ?(fsync = true) ?(mode = Mixed) ?(configure = Fun.id)
     ?(replicas = []) ?epoch ~dir () =
   let surface = Surface.at ~fsync Surface.Home (dir :: replicas) in
@@ -312,13 +309,13 @@ let open_ ?(fsync = true) ?(mode = Mixed) ?(configure = Fun.id)
   in
   t.ingest <-
     Some
-      (Ingest.create ~window (fun ~seq uri ->
+      (Ingest.create (fun ~seq uri ->
            (* not [journal]: this runs inside [Ingest.receive], which
               owns the watermark that [apply_event] would raise *)
            log_event t (Event.Config { seq = Some seq; uri });
            apply_config t ~seq:(Some seq) uri));
-  replay t rs.Rjournal.recovered;
-  replay t rj.Rjournal.recovered;
+  replay t rs.Surface.recovered;
+  replay t rj.Surface.recovered;
   Surface.open_writer ~fence_key:dir surface ~epoch:eff;
   (* a fenced handover is journaled: the grant survives even a journal
      whose only other frames predate the new epoch *)
@@ -328,14 +325,14 @@ let open_ ?(fsync = true) ?(mode = Mixed) ?(configure = Fun.id)
        nothing — only when every replica surfaced damage can the merged
        stream itself be incomplete, so only then is anything suspect
        (for a single replica this is exactly the old "any damage" rule) *)
-    let suspect (r : Rjournal.recovery) =
-      if r.Rjournal.all_replicas_damaged then r.Rjournal.damage_index else None
+    let suspect (r : Surface.file_recovery) =
+      if r.Surface.all_replicas_damaged then r.Surface.damage_index else None
     in
     match (suspect rs, suspect rj) with
     | Some _, _ ->
       (* the snapshot itself was damaged: everything is suspect *)
       List.map (fun (a : Rule.smartapp) -> a.Rule.name) (installed_apps t)
-    | None, Some idx -> installs_from rj.Rjournal.recovered idx
+    | None, Some idx -> installs_from rj.Surface.recovered idx
     | None, None -> []
   in
   let changed =
@@ -344,21 +341,21 @@ let open_ ?(fsync = true) ?(mode = Mixed) ?(configure = Fun.id)
   let repaired =
     List.length
       (List.filter
-         (fun (r : Rjournal.replica_report) -> r.Rjournal.repaired)
-         (rs.Rjournal.replicas @ rj.Rjournal.replicas))
+         (fun (r : Surface.replica_report) -> r.Surface.repaired)
+         (rs.Surface.replicas @ rj.Surface.replicas))
   in
   ( t,
     {
-      snapshot_records = List.length rs.Rjournal.recovered;
-      journal_records = List.length rj.Rjournal.recovered;
+      snapshot_records = List.length rs.Surface.recovered;
+      journal_records = List.length rj.Surface.recovered;
       skipped_events = t.skipped;
-      torn_bytes = rs.Rjournal.torn_bytes + rj.Rjournal.torn_bytes;
-      quarantined = rs.Rjournal.quarantined + rj.Rjournal.quarantined;
+      torn_bytes = rs.Surface.torn_bytes + rj.Surface.torn_bytes;
+      quarantined = rs.Surface.quarantined + rj.Surface.quarantined;
       changed_apps = changed;
       repaired_replicas = repaired;
-      healed_records = rs.Rjournal.healed + rj.Rjournal.healed;
+      healed_records = rs.Surface.healed + rj.Surface.healed;
       all_replicas_damaged =
-        rs.Rjournal.all_replicas_damaged || rj.Rjournal.all_replicas_damaged;
+        rs.Surface.all_replicas_damaged || rj.Surface.all_replicas_damaged;
       epoch = eff;
     } )
 

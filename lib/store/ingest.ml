@@ -15,16 +15,16 @@ type outcome =
   | Buffered  (** out of order, held until the gap fills *)
   | Overflow  (** beyond the reorder window; the sender must retry later *)
 
+(* How many sequenced deliveries past a gap are buffered. *)
+let window = 64
+
 type t = {
-  window : int;
   apply : seq:int -> string -> unit;
   mutable last : int;  (** highest contiguously applied sequence number *)
   buffer : (int, string) Hashtbl.t;  (** last < seq <= last + window *)
 }
 
-let create ?(window = 64) apply =
-  if window < 1 then invalid_arg "Ingest.create: window must be >= 1";
-  { window; apply; last = 0; buffer = Hashtbl.create 16 }
+let create apply = { apply; last = 0; buffer = Hashtbl.create 16 }
 
 let ack t = t.last
 
@@ -39,7 +39,7 @@ let force_last t n =
 
 let receive t ~seq payload =
   if seq <= t.last || Hashtbl.mem t.buffer seq then Duplicate
-  else if seq > t.last + t.window then Overflow
+  else if seq > t.last + window then Overflow
   else if seq = t.last + 1 then begin
     t.apply ~seq payload;
     t.last <- seq;

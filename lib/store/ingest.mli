@@ -6,10 +6,11 @@ type outcome = Applied of int | Duplicate | Buffered | Overflow
 
 type t
 
-val create : ?window:int -> (seq:int -> string -> unit) -> t
+val create : (seq:int -> string -> unit) -> t
 (** [apply ~seq payload] runs for each message as it becomes contiguous.
-    [window] (default 64) bounds the out-of-order buffer. The watermark
-    starts at 0; recovery raises it with {!force_last}. *)
+    A fixed window of 64 sequence numbers past the watermark bounds the
+    out-of-order buffer. The watermark starts at 0; recovery raises it
+    with {!force_last}. *)
 
 val receive : t -> seq:int -> string -> outcome
 val ack : t -> int

@@ -18,7 +18,7 @@
     Durability contract: [append] returns only after the frame has been
     written, flushed and (unless the journal was opened with
     [~fsync:false]) fsynced — the fsync point. Recovery
-    ({!Rjournal.recover}) truncates a torn tail (an incomplete final
+    ({!Surface.recover}) truncates a torn tail (an incomplete final
     frame: the classic crash-mid-write), moves CRC-invalid but fully
     framed records to a [.quarantine] sidecar ({!quarantine_damage}),
     and rewrites the journal atomically ({!write_atomic}: temp file +
@@ -74,6 +74,12 @@ let read_file path =
         if got = len then Bytes.unsafe_to_string b else Bytes.sub_string b 0 got)
 
 let append_flags = [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ]
+
+let rec mkdirs dir =
+  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
+    mkdirs (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
 
 (* -- storage faults ---------------------------------------------------------- *)
 

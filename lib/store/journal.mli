@@ -30,6 +30,10 @@ val read_file : string -> string
 val write_sub : Unix.file_descr -> string -> int -> int -> unit
 (** [write_sub fd s pos len] writes all [len] bytes of [s] from [pos]. *)
 
+val mkdirs : string -> unit
+(** Create a directory and any missing parents; an existing one is left
+    as it is. *)
+
 (** {2 Storage faults}
 
     A test-only hook, disarmed by default: simulated process crashes at
@@ -116,7 +120,7 @@ type scan = {
 
 val scan_string : string -> scan
 (** A pure function of the bytes: equal images scan equal, so a replica
-    set scans each distinct image once ({!Rjournal.scan_replicas}). *)
+    set scans each distinct image once ({!Scrub.scan_replicas}). *)
 
 val scan : string -> scan
 (** Read-only; a missing file scans as empty. *)

@@ -23,20 +23,133 @@
     parks a live writer around the pass, so home journals and the
     verdict cache converge under the same contract and counters. *)
 
+(* -- reading a replica set ------------------------------------------------------ *)
+
+(* Shortest common supersequence of two lists, via the LCS backtrack:
+   both are subsequences of one true history, so their SCS is the
+   minimal stream containing every record either replica kept, in a
+   consistent order.
+
+   The backtrack emits equal heads first, and the table over two
+   suffixes depends only on those suffixes, so the common prefix is
+   emitted without a table and the table spans only the diverged
+   remainder. Identical replicas, or one that is only some frames
+   ahead, merge in one linear pass that returns the longer list
+   itself. *)
+let scs (a : string list) (b : string list) =
+  let rec common p x y =
+    match (x, y) with
+    | [], _ -> b
+    | _, [] -> a
+    | u :: x', v :: y' when String.equal u v -> common (p + 1) x' y'
+    | _ -> diverged p x y
+  and diverged p x y =
+    let xa = Array.of_list x and xb = Array.of_list y in
+    let n = Array.length xa and m = Array.length xb in
+    let lcs = Array.make_matrix (n + 1) (m + 1) 0 in
+    for i = n - 1 downto 0 do
+      for j = m - 1 downto 0 do
+        lcs.(i).(j) <-
+          (if String.equal xa.(i) xb.(j) then 1 + lcs.(i + 1).(j + 1)
+           else max lcs.(i + 1).(j) lcs.(i).(j + 1))
+      done
+    done;
+    let out = ref (List.rev (List.filteri (fun k _ -> k < p) a)) in
+    let i = ref 0 and j = ref 0 in
+    while !i < n && !j < m do
+      if String.equal xa.(!i) xb.(!j) then begin
+        out := xa.(!i) :: !out;
+        incr i;
+        incr j
+      end
+      else if lcs.(!i + 1).(!j) >= lcs.(!i).(!j + 1) then begin
+        out := xa.(!i) :: !out;
+        incr i
+      end
+      else begin
+        out := xb.(!j) :: !out;
+        incr j
+      end
+    done;
+    while !i < n do
+      out := xa.(!i) :: !out;
+      incr i
+    done;
+    while !j < m do
+      out := xb.(!j) :: !out;
+      incr j
+    done;
+    List.rev !out
+  in
+  common 0 a b
+
+let merge_records = function
+  | [] -> []
+  | first :: rest -> List.fold_left scs first rest
+
+type replica_scan = {
+  r_path : string;
+  r_present : bool;  (** the file existed when it was read *)
+  r_image : string;  (** the replica's bytes as read *)
+  r_scan : Journal.scan;
+}
+
+(* Replicas of a healthy journal are byte-identical, and
+   [Journal.scan_string] is a pure function of the bytes, so an image
+   equal to one already scanned reuses that scan: a replica set costs
+   one read per replica and one scan per distinct image. *)
+let scan_replicas paths =
+  let rec go seen = function
+    | [] -> []
+    | path :: rest ->
+      let present = Sys.file_exists path in
+      let image = Journal.read_file path in
+      let scan =
+        match List.find_opt (fun (img, _) -> String.equal img image) seen with
+        | Some (_, sc) -> sc
+        | None -> Journal.scan_string image
+      in
+      { r_path = path; r_present = present; r_image = image; r_scan = scan }
+      :: go ((image, scan) :: seen) rest
+  in
+  go [] paths
+
+type settled = { write : bool; torn : int; corrupt : int; healed : int }
+
+(* An absent file with nothing to hold is a fresh open, not a lost
+   replica, and is never written: creating it would make every first
+   open look like a repair. *)
+let settle ~merged ~stale r =
+  let sc = r.r_scan in
+  if sc.Journal.damage <> [] then Journal.quarantine_damage r.r_path sc.Journal.damage;
+  let torn, corrupt =
+    List.fold_left
+      (fun (t, c) -> function
+        | Journal.Torn_tail { raw; _ } -> (t + String.length raw, c)
+        | Journal.Corrupt _ -> (t, c + 1))
+      (0, 0) sc.Journal.damage
+  in
+  {
+    write = stale && (r.r_present || merged > 0);
+    torn;
+    corrupt;
+    healed = merged - List.length sc.Journal.records;
+  }
+
 (* Record-stream digest of one replica directory, from its per-file
    scans in file order: the digest of every valid record of every
    file. Missing files scan as empty streams, so a destroyed replica
    simply disagrees with its healthy siblings. *)
-let digest_of (scans : Rjournal.replica_scan list) =
+let digest_of scans =
   let b = Buffer.create 1024 in
   List.iter
-    (fun (r : Rjournal.replica_scan) ->
+    (fun r ->
       List.iter
         (fun r ->
           Buffer.add_string b (string_of_int (String.length r));
           Buffer.add_char b ':';
           Buffer.add_string b r)
-        r.Rjournal.r_scan.Journal.records;
+        r.r_scan.Journal.records;
       Buffer.add_char b '|')
     scans;
   Digest.to_hex (Digest.string (Buffer.contents b))
@@ -68,7 +181,7 @@ let patch_file ~fsync path ~current ~target =
   let p = ref 0 in
   while !p < maxp && current.[!p] = target.[!p] do incr p done;
   let prefix = !p in
-  Rjournal.mkdirs (Filename.dirname path);
+  Journal.mkdirs (Filename.dirname path);
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
@@ -113,24 +226,22 @@ type file_repair = {
 (** Repair one logical file (e.g. a home's journal) across the replica
     directories at frame granularity, given its replica scans. Each
     replica's surviving records form a subsequence of the merged stream
-    (the {!Rjournal} merge guarantee), so a greedy walk aligns every
+    (the {!merge_records} guarantee), so a greedy walk aligns every
     replica's frames against the merged order; each replica's target
     image keeps its own frame bytes wherever it holds the record and
     splices a sibling's frame (or a re-framed payload) only where it
     lost one. Donor frames stamped below the running epoch of the target
     are re-framed at the running epoch, so splicing never manufactures
     an epoch regression. *)
-let repair_file ~fsync (infos : Rjournal.replica_scan list) =
-  let merged =
-    Rjournal.merge_records (List.map (fun r -> r.Rjournal.r_scan.Journal.records) infos)
-  in
+let repair_file ~fsync infos =
+  let merged = merge_records (List.map (fun r -> r.r_scan.Journal.records) infos) in
   let marr = Array.of_list merged in
   let n = Array.length marr in
   (* greedy subsequence embedding: own.(k) = this replica's frame (as a
      span of its image) and epoch for merged record k, if it holds it *)
   let embeddings =
     List.map
-      (fun { Rjournal.r_image = image; r_scan = sc; _ } ->
+      (fun { r_image = image; r_scan = sc; _ } ->
         let recs = Array.of_list sc.Journal.records in
         let spans = Array.of_list sc.Journal.spans in
         let eps = Array.of_list sc.Journal.epochs in
@@ -184,23 +295,11 @@ let repair_file ~fsync (infos : Rjournal.replica_scan list) =
     }
   in
   List.fold_left2
-    (fun acc { Rjournal.r_path = path; r_present = present; r_image = current; r_scan = sc }
-         own ->
-      if sc.Journal.damage <> [] then Journal.quarantine_damage path sc.Journal.damage;
-      let torn_bytes, corrupt =
-        List.fold_left
-          (fun (t, c) -> function
-            | Journal.Torn_tail { raw; _ } -> (t + String.length raw, c)
-            | Journal.Corrupt _ -> (t, c + 1))
-          (0, 0) sc.Journal.damage
-      in
+    (fun acc ({ r_present = present; r_image = current; _ } as r) own ->
       let target, spans = target_of own in
-      (* an absent file with nothing to hold is a fresh open, not a lost
-         replica — creating it would make every first open look like a
-         repair *)
+      let s = settle ~merged:n ~stale:(not (String.equal current target)) r in
       let wrote =
-        if String.equal current target || ((not present) && target = "") then None
-        else Some (patch_file ~fsync path ~current ~target)
+        if s.write then Some (patch_file ~fsync r.r_path ~current ~target) else None
       in
       let patched_frames =
         match wrote with
@@ -211,11 +310,11 @@ let repair_file ~fsync (infos : Rjournal.replica_scan list) =
             (List.filter (fun (s, e) -> s < stop && e > off) spans)
       in
       {
-        f_repaired = (acc.f_repaired + if wrote <> None && present then 1 else 0);
-        f_recreated = (acc.f_recreated + if wrote <> None && not present then 1 else 0);
-        f_quarantined = acc.f_quarantined + corrupt;
-        f_torn_bytes = acc.f_torn_bytes + torn_bytes;
-        f_healed = acc.f_healed + (n - List.length sc.Journal.records);
+        f_repaired = (acc.f_repaired + if s.write && present then 1 else 0);
+        f_recreated = (acc.f_recreated + if s.write && not present then 1 else 0);
+        f_quarantined = acc.f_quarantined + s.corrupt;
+        f_torn_bytes = acc.f_torn_bytes + s.torn;
+        f_healed = acc.f_healed + s.healed;
         f_patched_frames = acc.f_patched_frames + patched_frames;
         f_repair_bytes =
           (acc.f_repair_bytes + match wrote with None -> 0 | Some (_, len) -> len);
@@ -238,12 +337,12 @@ let all_equal = function [] -> true | d :: ds -> List.for_all (String.equal d) d
     scanned once up front (each distinct image once); repair works from
     those scans. *)
 let run ?(fsync = true) files =
-  let scan_all () = List.map Rjournal.scan_replicas files in
+  let scan_all () = List.map scan_replicas files in
   let by_file = scan_all () in
   let digests_before = digests by_file in
   let damage =
     List.exists
-      (List.exists (fun r -> r.Rjournal.r_scan.Journal.damage <> []))
+      (List.exists (fun r -> r.r_scan.Journal.damage <> []))
       by_file
   in
   (* converged + undamaged means read-repair would write nothing: a
@@ -268,7 +367,7 @@ let run ?(fsync = true) files =
     repair_bytes = sum (fun r -> r.f_repair_bytes);
     epoch =
       List.fold_left
-        (List.fold_left (fun a r -> max a r.Rjournal.r_scan.Journal.max_epoch))
+        (List.fold_left (fun a r -> max a r.r_scan.Journal.max_epoch))
         0 by_file;
   }
 

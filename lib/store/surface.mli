@@ -24,24 +24,56 @@ val replica_files : t -> int -> string list
 
 (** {2 Recovery} *)
 
+type replica_report = {
+  path : string;
+  present : bool;  (** the file existed before recovery *)
+  records : int;  (** valid records this replica held *)
+  torn_bytes : int;
+  quarantined : int;
+  damage_index : int option;
+  repaired : bool;  (** rewritten to the merged stream *)
+}
+
+type file_recovery = {
+  recovered : string list;  (** the merged record stream *)
+  replicas : replica_report list;
+  torn_bytes : int;
+  quarantined : int;
+  damage_index : int option;
+      (** most conservative (lowest) first-damage index across replicas *)
+  max_epoch : int;  (** fencing floor across all replicas *)
+  diverged : bool;
+  healed : int;  (** records restored to replicas that had lost them *)
+  all_replicas_damaged : bool;
+      (** every replica was damaged or missing (and at least one was
+          actually damaged): only then can the merge itself have lost
+          acknowledged records *)
+}
+
 type recovery = {
-  snapshot : Rjournal.recovery;
-  journal : Rjournal.recovery;
+  snapshot : file_recovery;
+  journal : file_recovery;
   floor : int;  (** the highest epoch stamped on any frame of either file *)
 }
 
 val recover : t -> recovery
-(** Create missing directories, then run the merged read-repairing
-    recovery ({!Rjournal.recover}) over the snapshot and then the
-    journal of every replica. *)
+(** Create missing directories, then recover the snapshot and then the
+    journal: read every replica ({!Scrub.scan_replicas}), merge the
+    surviving records ({!Scrub.merge_records}), quarantine each
+    replica's damage into its own sidecar and atomically rewrite every
+    damaged, stale or missing replica with the merged stream, stamped at
+    the highest epoch seen. *)
 
 (** {2 The writer} *)
 
 val open_writer : ?fence_key:string -> t -> epoch:int -> unit
-(** Park any open writer and open one on every replica's journal that
-    stamps [epoch] on each frame and, given [~fence_key], passes
-    {!Fence.check} under that key before each append. {!compact} and
-    {!scrub} reopen it at the same epoch and key. *)
+(** Park any open writer and open one {!Journal} writer on every
+    replica's journal, each stamping [epoch] on every frame. Given
+    [~fence_key], each append and each {!compact} first passes
+    {!Fence.check} under that key and [epoch]. {!compact} and {!scrub}
+    reopen it at the same epoch and key. With more than one replica,
+    the [i]th replica's storage-fault key is [r<i>/<dir>/<name>]; a
+    single replica keeps the bare basename. *)
 
 val epoch : t -> int
 (** The epoch the writer stamps (or stamped, while parked); [0] before
@@ -50,7 +82,13 @@ val epoch : t -> int
 val is_open : t -> bool
 
 val append : t -> string -> unit
-(** Append one payload to every replica ({!Rjournal.append}).
+(** Check the fence once, then append one payload to every replica in
+    order.
+    @raise Fence.Stale when a later epoch holds the fence key: nothing
+    is written.
+    @raise Journal.Crashed on a simulated crash mid-sequence: earlier
+    replicas keep the record, later ones never see it, and merged
+    recovery absorbs the difference.
     @raise Invalid_argument while the writer is parked. *)
 
 val close : t -> unit
@@ -59,9 +97,11 @@ val close : t -> unit
 (** {2 Maintenance} *)
 
 val compact : t -> string list -> unit
-(** Park the writer, atomically replace the snapshot on every replica
-    with these payloads and truncate every journal (both stamped at
-    {!epoch}), then reopen the writer. *)
+(** Check the fence, park the writer, atomically replace the snapshot
+    on every replica with these payloads and truncate every journal
+    (both stamped at {!epoch}), then reopen the writer.
+    @raise Fence.Stale when a later epoch holds the writer's fence key:
+    no file is touched. *)
 
 val scrub : t -> Scrub.home_report
 (** Frame-level anti-entropy pass over both files ({!Scrub.run}). A

@@ -8,7 +8,6 @@ module Formula = Homeguard_solver.Formula
 module Store = Homeguard_solver.Store
 module Domain = Homeguard_solver.Domain
 module Journal = Homeguard_store.Journal
-module Rjournal = Homeguard_store.Rjournal
 module Fence = Homeguard_store.Fence
 module Surface = Homeguard_store.Surface
 
@@ -456,20 +455,20 @@ let open_store ?(fsync = true) ?(max_entries = 65536) ?(replicas = []) ~dir () =
      damaged or missing replica is rewritten with the merged stream *)
   let { Surface.snapshot; journal; floor } = Surface.recover surface in
   let undecodable = ref 0 in
-  let replay (r : Rjournal.recovery) =
+  let replay (r : Surface.file_recovery) =
     st.damage <-
-      st.damage + r.Rjournal.quarantined
+      st.damage + r.Surface.quarantined
       + List.length
           (List.filter
-             (fun (r : Rjournal.replica_report) -> r.Rjournal.torn_bytes > 0)
-             r.Rjournal.replicas);
+             (fun (r : Surface.replica_report) -> r.Surface.torn_bytes > 0)
+             r.Surface.replicas);
     List.iter
       (fun payload ->
         try apply_record st payload
         with Exit ->
           incr undecodable;
           st.damage <- st.damage + 1)
-      r.Rjournal.recovered
+      r.Surface.recovered
   in
   replay snapshot;
   replay journal;

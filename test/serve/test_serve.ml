@@ -60,7 +60,7 @@ let manual_clock () =
 
 let admission_backpressure =
   test "a full queue refuses with a positive retry hint; release frees it" (fun () ->
-      let a = Admission.create ~max_per_home:2 ~max_global:8 ~est_service_ms:40 () in
+      let a = Admission.create ~max_per_home:2 () in
       let t1 =
         match Admission.try_admit a ~home:"h" Admission.Interactive with
         | Ok t -> t
@@ -88,15 +88,15 @@ let admission_backpressure =
       Admission.release a t1;
       check_int "in flight" 2 (Admission.in_flight a))
 
+(* The reserve is fixed at 2 of the {!Admission.max_global} slots. *)
 let admission_interactive_reserve =
   test "background work cannot occupy the interactive reserve" (fun () ->
-      let a =
-        Admission.create ~max_per_home:10 ~max_global:4 ~interactive_reserve:2 ()
-      in
+      let a = Admission.create ~max_per_home:(2 * Admission.max_global) () in
       let admit p = Admission.try_admit a ~home:"h" p in
-      check_bool "bg 1" true (Result.is_ok (admit Admission.Background));
-      check_bool "bg 2" true (Result.is_ok (admit Admission.Background));
-      check_bool "bg 3 refused at max_global - reserve" true
+      for i = 1 to Admission.max_global - 2 do
+        check_bool (Printf.sprintf "bg %d" i) true (Result.is_ok (admit Admission.Background))
+      done;
+      check_bool "bg refused at max_global - reserve" true
         (Result.is_error (admit Admission.Background));
       check_bool "interactive still admitted" true
         (Result.is_ok (admit Admission.Interactive));
@@ -437,12 +437,11 @@ let replay_determinism =
       check_bool "two post-damage recoveries are byte-identical" true
         (d1 = recover_text ()))
 
+(* The service estimate is fixed at 50 ms per queued request. *)
 let admission_retry_hint_scales =
   test "refusal hints scale with the depth of the queue ahead" (fun () ->
       let hint bound =
-        let a =
-          Admission.create ~max_per_home:bound ~max_global:64 ~est_service_ms:40 ()
-        in
+        let a = Admission.create ~max_per_home:bound () in
         for _ = 1 to bound do
           match Admission.try_admit a ~home:"h" Admission.Interactive with
           | Ok _ -> ()
@@ -452,14 +451,11 @@ let admission_retry_hint_scales =
         | Error ms -> ms
         | Ok _ -> Alcotest.fail "bound should refuse"
       in
-      check_int "per-home depth 2" 80 (hint 2);
-      check_int "per-home depth 4 pushes further out" 160 (hint 4);
+      check_int "per-home depth 2" 100 (hint 2);
+      check_int "per-home depth 4 pushes further out" 200 (hint 4);
       (* global refusals scale with the global backlog, not a constant *)
-      let a =
-        Admission.create ~max_per_home:8 ~max_global:4 ~interactive_reserve:2
-          ~est_service_ms:50 ()
-      in
-      for i = 1 to 4 do
+      let a = Admission.create ~max_per_home:8 () in
+      for i = 1 to Admission.max_global do
         match
           Admission.try_admit a ~home:(string_of_int i) Admission.Interactive
         with
@@ -467,7 +463,7 @@ let admission_retry_hint_scales =
         | Error _ -> Alcotest.fail "distinct homes should fill the global pool"
       done;
       match Admission.try_admit a ~home:"late" Admission.Interactive with
-      | Error ms -> check_int "global depth 4" 200 ms
+      | Error ms -> check_int "global depth 16" (50 * Admission.max_global) ms
       | Ok _ -> Alcotest.fail "global bound should refuse")
 
 (* -- one shared app per source ------------------------------------------------ *)

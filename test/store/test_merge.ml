@@ -1,15 +1,16 @@
-(** Differential tests of replicated recovery. {!Rjournal.merge_records}
+(** Differential tests of replicated recovery. {!Scrub.merge_records}
     against the full-table shortest-common-supersequence fold it
     replaced, on generated replica sets (identical, truncated, with lost
     interior frames, duplicate payloads, damage on several replicas,
     three replicas, empty and missing replicas), plus an allocation
-    guard for the identical-replica case. Then {!Rjournal.recover} and
+    guard for the identical-replica case. Then {!Surface.recover} and
     {!Surface.scrub}, which scan each distinct replica image once,
     against references that read and scan every replica separately, on
     generated replica files: the reports and every file left on disk,
-    sidecars included, must match. *)
+    sidecars included, must match. Last, recovery and scrub agree: a
+    scrub right after recovery finds the replica set healthy and writes
+    nothing. *)
 
-module Rjournal = Homeguard_store.Rjournal
 module Journal = Homeguard_store.Journal
 module Scrub = Homeguard_store.Scrub
 module Surface = Homeguard_store.Surface
@@ -102,7 +103,7 @@ let is_subsequence sub l =
 let show rs = String.concat " | " (List.map (String.concat ",") rs)
 
 let agree name replicas =
-  let got = Rjournal.merge_records replicas in
+  let got = Scrub.merge_records replicas in
   let want = reference_merge replicas in
   if got <> want then
     Alcotest.failf "%s: merge differs from the reference on [%s]" name (show replicas);
@@ -188,7 +189,7 @@ let identical_merge_is_linear =
       let a = List.init n (Printf.sprintf "record-%06d") in
       let b = List.init n (Printf.sprintf "record-%06d") in
       let before = Gc.allocated_bytes () in
-      let merged = Rjournal.merge_records [ a; b ] in
+      let merged = Scrub.merge_records [ a; b ] in
       let allocated = Gc.allocated_bytes () -. before in
       Alcotest.(check bool) "merged stream is the replica" true (merged = a);
       if allocated >= 10e6 then
@@ -222,11 +223,11 @@ let reference_recover ?(fsync = true) paths =
         in
         if sc.Journal.damage <> [] then Journal.quarantine_damage path sc.Journal.damage;
         if needs_rewrite then begin
-          Rjournal.mkdirs (Filename.dirname path);
+          Journal.mkdirs (Filename.dirname path);
           Journal.write_atomic ~fsync ~epoch:max_epoch path merged
         end;
         {
-          Rjournal.path;
+          Surface.path;
           present;
           records = List.length sc.Journal.records;
           torn_bytes = List.fold_left (fun a d -> a + damage_bytes d) 0 torn;
@@ -236,18 +237,18 @@ let reference_recover ?(fsync = true) paths =
         })
       scans
   in
-  let hurt (r : Rjournal.replica_report) = r.torn_bytes > 0 || r.quarantined > 0 in
+  let hurt (r : Surface.replica_report) = r.torn_bytes > 0 || r.quarantined > 0 in
   let merged_len = List.length merged in
   {
-    Rjournal.recovered = merged;
+    Surface.recovered = merged;
     replicas;
     torn_bytes =
-      List.fold_left (fun a (r : Rjournal.replica_report) -> a + r.torn_bytes) 0 replicas;
+      List.fold_left (fun a (r : Surface.replica_report) -> a + r.torn_bytes) 0 replicas;
     quarantined =
-      List.fold_left (fun a (r : Rjournal.replica_report) -> a + r.quarantined) 0 replicas;
+      List.fold_left (fun a (r : Surface.replica_report) -> a + r.quarantined) 0 replicas;
     damage_index =
       List.fold_left
-        (fun acc (r : Rjournal.replica_report) ->
+        (fun acc (r : Surface.replica_report) ->
           match (acc, r.damage_index) with
           | None, d | d, None -> d
           | Some a, Some b -> Some (min a b))
@@ -256,11 +257,11 @@ let reference_recover ?(fsync = true) paths =
     diverged = List.exists (fun (_, _, sc) -> sc.Journal.records <> merged) scans;
     healed =
       List.fold_left
-        (fun a (r : Rjournal.replica_report) -> a + (merged_len - r.records))
+        (fun a (r : Surface.replica_report) -> a + (merged_len - r.records))
         0 replicas;
     all_replicas_damaged =
       List.exists hurt replicas
-      && List.for_all (fun (r : Rjournal.replica_report) -> hurt r || not r.present) replicas;
+      && List.for_all (fun (r : Surface.replica_report) -> hurt r || not r.present) replicas;
   }
 
 (* The scrub reference: every file of every replica read and scanned
@@ -285,7 +286,7 @@ let reference_patch path ~current ~target =
   let p = ref 0 in
   while !p < min cl tl && current.[!p] = target.[!p] do incr p done;
   let prefix = !p in
-  Rjournal.mkdirs (Filename.dirname path);
+  Journal.mkdirs (Filename.dirname path);
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
@@ -477,6 +478,9 @@ let corrupt rs frames =
     Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor (1 + Random.State.int rs 255)));
     Bytes.to_string b
 
+(* A home surface's files, in replay order. *)
+let home_files = [ "snapshot"; "journal" ]
+
 (* A replica set of one file: [None] is a missing replica. *)
 type kind = Identical | Ahead | Torn | Same_corrupt | Missing | Three
 
@@ -523,7 +527,7 @@ let fresh =
   fun () ->
     incr n;
     let d = Filename.concat scratch_root (string_of_int !n) in
-    Rjournal.mkdirs d;
+    Journal.mkdirs d;
     d
 
 let rec rm_rf path =
@@ -534,7 +538,7 @@ let rec rm_rf path =
   else Sys.remove path
 
 let write_file path contents =
-  Rjournal.mkdirs (Filename.dirname path);
+  Journal.mkdirs (Filename.dirname path);
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   Journal.write_sub fd contents 0 (String.length contents);
   Unix.close fd
@@ -557,8 +561,8 @@ let relative root path =
     String.sub path n (String.length path - n)
   else path
 
-let recovery_view root (r : Rjournal.recovery) =
-  let view (x : Rjournal.replica_report) = { x with path = relative root x.path } in
+let recovery_view root (r : Surface.file_recovery) =
+  let view (x : Surface.replica_report) = { x with path = relative root x.path } in
   { r with replicas = List.map view r.replicas }
 
 let recover_agrees =
@@ -569,13 +573,16 @@ let recover_agrees =
           for case = 1 to 60 do
             let set = replica_set rs kind in
             let a = fresh () and b = fresh () in
-            let paths root =
-              List.mapi (fun i _ -> Filename.concat root (Printf.sprintf "r%d/journal" i)) set
+            let dirs root =
+              List.mapi (fun i _ -> Filename.concat root (Printf.sprintf "r%d" i)) set
             in
+            let paths root = List.map (fun d -> Filename.concat d "journal") (dirs root) in
             List.iter
               (fun root -> List.iter2 (fun p img -> Option.iter (write_file p) img) (paths root) set)
               [ a; b ];
-            let got = Rjournal.recover ~fsync:false (paths a) in
+            let got =
+              (Surface.recover (Surface.at ~fsync:false Surface.Home (dirs a))).Surface.journal
+            in
             let want = reference_recover ~fsync:false (paths b) in
             if recovery_view a got <> recovery_view b want then
               Alcotest.failf "%s case %d: recovery reports differ" (kind_name kind) case;
@@ -585,32 +592,54 @@ let recover_agrees =
         kinds;
       rm_rf scratch_root)
 
+(* One generated replica set per file of a home surface, written alike
+   under every root; each root's replica directories, primary first. *)
+let home_sets rs roots =
+  let kind () = List.nth kinds (Random.State.int rs (List.length kinds)) in
+  let sets = List.map (fun _ -> replica_set rs (kind ())) home_files in
+  let width = List.fold_left (fun a s -> max a (List.length s)) 0 sets in
+  List.map
+    (fun root ->
+      let dirs = List.init width (fun i -> Filename.concat root (Printf.sprintf "r%d" i)) in
+      List.iter Journal.mkdirs dirs;
+      List.iter2
+        (fun name set ->
+          List.iteri
+            (fun i img -> Option.iter (write_file (Filename.concat (List.nth dirs i) name)) img)
+            set)
+        home_files sets;
+      dirs)
+    roots
+
 let scrub_agrees =
   test "scrub matches the scan-every-replica reference" (fun () ->
       let rs = Random.State.make [| 31 |] in
-      let files = [ "snapshot"; "journal" ] in
       for case = 1 to 200 do
-        let kind () = List.nth kinds (Random.State.int rs (List.length kinds)) in
-        let sets = List.map (fun _ -> replica_set rs (kind ())) files in
-        let width = List.fold_left (fun a s -> max a (List.length s)) 0 sets in
         let a = fresh () and b = fresh () in
-        let dirs root = List.init width (fun i -> Filename.concat root (Printf.sprintf "r%d" i)) in
-        List.iter
-          (fun root ->
-            List.iter (fun d -> Rjournal.mkdirs d) (dirs root);
-            List.iter2
-              (fun name set ->
-                List.iteri
-                  (fun i img ->
-                    Option.iter (write_file (Filename.concat (List.nth (dirs root) i) name)) img)
-                  set)
-              files sets)
-          [ a; b ];
-        let got = Surface.scrub (Surface.at ~fsync:false Surface.Home (dirs a)) in
-        let want = reference_scrub files (dirs b) in
+        let dirs_a, dirs_b =
+          match home_sets rs [ a; b ] with [ x; y ] -> (x, y) | _ -> assert false
+        in
+        let got = Surface.scrub (Surface.at ~fsync:false Surface.Home dirs_a) in
+        let want = reference_scrub home_files dirs_b in
         if got <> want then
           Alcotest.failf "case %d: scrub reports differ" case;
         if tree a <> tree b then Alcotest.failf "case %d: files on disk differ" case
+      done;
+      rm_rf scratch_root)
+
+(* Recovery's whole-file rewrite and scrub's in-place patch are two
+   write policies over one damage tally: once recovery has run, scrub
+   must find nothing left to do. *)
+let recover_then_scrub_is_healthy =
+  test "a scrub right after recovery is healthy and writes nothing" (fun () ->
+      let rs = Random.State.make [| 37 |] in
+      for case = 1 to 200 do
+        let dirs = List.hd (home_sets rs [ fresh () ]) in
+        let surface = Surface.at ~fsync:false Surface.Home dirs in
+        ignore (Surface.recover surface);
+        let r = Surface.scrub surface in
+        if not (r.Scrub.healthy && r.repair_bytes = 0 && r.patched_frames = 0) then
+          Alcotest.failf "case %d: scrub after recovery: %s" case (Scrub.report_text r)
       done;
       rm_rf scratch_root)
 
@@ -627,4 +656,5 @@ let tests =
     identical_merge_is_linear;
     recover_agrees;
     scrub_agrees;
+    recover_then_scrub_is_healthy;
   ]

@@ -10,7 +10,6 @@
 
 module Crc32 = Homeguard_store.Crc32
 module Journal = Homeguard_store.Journal
-module Rjournal = Homeguard_store.Rjournal
 module Fence = Homeguard_store.Fence
 module Scrub = Homeguard_store.Scrub
 module Event = Homeguard_store.Event
@@ -201,25 +200,26 @@ let recover_rewrites_and_quarantines =
   test "recover truncates, quarantines and leaves a clean journal" (fun () ->
       let dir = fresh_dir () in
       Unix.mkdir dir 0o755;
-      let path = Filename.concat dir "j" in
+      let path = Filename.concat dir "journal" in
       let b = Bytes.of_string (joined ^ "HGJ1 0000") in
       (* flip a payload byte of record 2 *)
       let off = String.length (Journal.frame "alpha") + Journal.header_len in
       Bytes.set b off '?';
       write_file path (Bytes.to_string b);
-      let rewritten (r : Rjournal.recovery) =
-        List.exists (fun (p : Rjournal.replica_report) -> p.Rjournal.repaired) r.Rjournal.replicas
+      let rewritten (r : Surface.file_recovery) =
+        List.exists (fun (p : Surface.replica_report) -> p.repaired) r.replicas
       in
-      let r = Rjournal.recover [ path ] in
-      check_int "quarantined" 1 r.Rjournal.quarantined;
-      check_int "torn bytes" 9 r.Rjournal.torn_bytes;
+      let recover () = (Surface.recover (Surface.at Surface.Home [ dir ])).Surface.journal in
+      let r = recover () in
+      check_int "quarantined" 1 r.quarantined;
+      check_int "torn bytes" 9 r.torn_bytes;
       check_bool "rewritten" true (rewritten r);
       check_bool "sidecar exists" true (Sys.file_exists (path ^ ".quarantine"));
       let sc = Journal.scan path in
       check_bool "clean after rewrite" true (sc.Journal.damage = []);
-      check_bool "survivors" true (sc.Journal.records = r.Rjournal.recovered);
+      check_bool "survivors" true (sc.Journal.records = r.recovered);
       (* recovering a clean journal is a no-op *)
-      let r2 = Rjournal.recover [ path ] in
+      let r2 = recover () in
       check_bool "idempotent" true (not (rewritten r2)))
 
 let scan_spans_are_the_frames =
@@ -405,7 +405,7 @@ let interned_never_caches_failures =
           (match Event.of_string bad with exception Event.Decode_error _ -> true | _ -> false)
       done;
       let dir = fresh_dir () in
-      Rjournal.mkdirs dir;
+      Journal.mkdirs dir;
       Journal.write_atomic (Filename.concat dir "journal") [ bad ];
       for _ = 1 to 2 do
         let home, r = Home.open_ ~dir () in
@@ -431,15 +431,19 @@ let interned_past_the_bound =
 
 (* -- ingestion ---------------------------------------------------------------- *)
 
+(* Ingest's fixed reorder window. *)
+let window = 64
+
 let ingest_outcomes =
   test "ingest dedups, buffers out-of-order and bounds the window" (fun () ->
       let applied = ref [] in
-      let t = Ingest.create ~window:4 (fun ~seq p -> applied := (seq, p) :: !applied) in
+      let t = Ingest.create (fun ~seq p -> applied := (seq, p) :: !applied) in
       check_bool "in order" true (Ingest.receive t ~seq:1 "a" = Ingest.Applied 1);
       check_bool "dup of applied" true (Ingest.receive t ~seq:1 "a" = Ingest.Duplicate);
       check_bool "gap buffers" true (Ingest.receive t ~seq:3 "c" = Ingest.Buffered);
       check_bool "dup of buffered" true (Ingest.receive t ~seq:3 "c" = Ingest.Duplicate);
-      check_bool "beyond window" true (Ingest.receive t ~seq:6 "f" = Ingest.Overflow);
+      check_bool "beyond window" true
+        (Ingest.receive t ~seq:(window + 2) "f" = Ingest.Overflow);
       check_bool "gap fills, run drains" true (Ingest.receive t ~seq:2 "b" = Ingest.Applied 2);
       check_int "ack" 3 (Ingest.ack t);
       check_bool "apply order" true
@@ -451,34 +455,39 @@ let ingest_outcomes =
 let ingest_window_boundaries =
   test "reorder window edges: at the edge buffers, one past overflows" (fun () ->
       let applied = ref [] in
-      let t = Ingest.create ~window:4 (fun ~seq p -> applied := (seq, p) :: !applied) in
-      check_bool "seed" true (Ingest.receive t ~seq:1 "a" = Ingest.Applied 1);
+      let t = Ingest.create (fun ~seq p -> applied := (seq, p) :: !applied) in
+      let edge = 1 + window in
+      let msg = string_of_int in
+      check_bool "seed" true (Ingest.receive t ~seq:1 (msg 1) = Ingest.Applied 1);
       check_int "watermark after seed" 1 (Ingest.ack t);
-      (* last = 1, window = 4: 5 = last + window is the buffer's last
-         admissible slot; 6 = last + window + 1 is one past it *)
+      (* last = 1: last + window is the buffer's last admissible slot;
+         last + window + 1 is one past it *)
       check_bool "exactly at the window edge buffers" true
-        (Ingest.receive t ~seq:5 "e" = Ingest.Buffered);
+        (Ingest.receive t ~seq:edge (msg edge) = Ingest.Buffered);
       check_bool "one past the edge overflows" true
-        (Ingest.receive t ~seq:6 "f" = Ingest.Overflow);
+        (Ingest.receive t ~seq:(edge + 1) (msg (edge + 1)) = Ingest.Overflow);
       check_int "watermark unmoved by buffering and overflow" 1 (Ingest.ack t);
-      check_bool "nothing applied yet" true (!applied = [ (1, "a") ]);
+      check_bool "nothing applied yet" true (!applied = [ (1, msg 1) ]);
       (* filling the gap drains the run up to the edge message *)
-      check_bool "2 fills" true (Ingest.receive t ~seq:2 "b" = Ingest.Applied 1);
-      check_bool "3 fills" true (Ingest.receive t ~seq:3 "c" = Ingest.Applied 1);
-      check_bool "4 drains through the buffered edge" true
-        (Ingest.receive t ~seq:4 "d" = Ingest.Applied 2);
-      check_int "watermark at the edge" 5 (Ingest.ack t);
-      (* the window slides with the watermark: 6 is now admissible *)
+      for seq = 2 to edge - 2 do
+        check_bool (Printf.sprintf "%d fills" seq) true
+          (Ingest.receive t ~seq (msg seq) = Ingest.Applied 1)
+      done;
+      check_bool "the last gap drains through the buffered edge" true
+        (Ingest.receive t ~seq:(edge - 1) (msg (edge - 1)) = Ingest.Applied 2);
+      check_int "watermark at the edge" edge (Ingest.ack t);
+      (* the window slides with the watermark: one past the old edge is
+         now admissible *)
       check_bool "previously overflowed seq now applies" true
-        (Ingest.receive t ~seq:6 "f" = Ingest.Applied 1);
-      check_int "watermark follows" 6 (Ingest.ack t);
+        (Ingest.receive t ~seq:(edge + 1) (msg (edge + 1)) = Ingest.Applied 1);
+      check_int "watermark follows" (edge + 1) (Ingest.ack t);
       check_bool "apply order" true
-        (List.rev !applied = [ (1, "a"); (2, "b"); (3, "c"); (4, "d"); (5, "e"); (6, "f") ]))
+        (List.rev !applied = List.init (edge + 1) (fun i -> (i + 1, msg (i + 1)))))
 
 let ingest_duplicate_after_ack =
   test "a duplicate arriving after its ack is dropped, watermark intact" (fun () ->
       let count = ref 0 in
-      let t = Ingest.create ~window:4 (fun ~seq:_ _ -> incr count) in
+      let t = Ingest.create (fun ~seq:_ _ -> incr count) in
       check_bool "1" true (Ingest.receive t ~seq:1 "a" = Ingest.Applied 1);
       check_bool "2" true (Ingest.receive t ~seq:2 "b" = Ingest.Applied 1);
       check_int "acked" 2 (Ingest.ack t);
@@ -545,7 +554,7 @@ let home_skips_undecodable_payloads =
       List.iter
         (fun payload ->
           let dir = fresh_dir () in
-          Rjournal.mkdirs dir;
+          Journal.mkdirs dir;
           Journal.write_atomic (Filename.concat dir "journal") [ payload ];
           let home, r = Home.open_ ~dir () in
           Home.close home;
@@ -559,7 +568,7 @@ let homes_from_same_bytes_agree =
       workload home;
       Home.close home;
       let b = fresh_dir () in
-      Rjournal.mkdirs b;
+      Journal.mkdirs b;
       List.iter
         (fun f -> write_file (Filename.concat b f) (read_file (Filename.concat a f)))
         [ "snapshot"; "journal" ];
@@ -607,7 +616,7 @@ let surfaced_corruption_counts_corrupt_only =
   test "surfaced corruption counts corrupt regions, not torn ones" (fun () ->
       let dir = fresh_dir () in
       let replica = Filename.concat dir "r1" in
-      Rjournal.mkdirs replica;
+      Journal.mkdirs replica;
       let region kind offset raw =
         if kind = `Torn then Journal.Torn_tail { offset; raw } else Journal.Corrupt { offset; raw }
       in
@@ -806,17 +815,19 @@ let rjournal_merge_repairs =
       Unix.mkdir d0 0o755;
       Unix.mkdir d1 0o755;
       let p0 = Filename.concat d0 "journal" and p1 = Filename.concat d1 "journal" in
-      let w = Rjournal.open_append ~epoch:4 [ p0; p1 ] in
+      let surface = Surface.at Surface.Home [ d0; d1 ] in
+      Surface.open_writer surface ~epoch:4;
       let records = [ "r1"; "r2"; "r3"; "r4"; "r5" ] in
-      List.iter (Rjournal.append w) records;
-      Rjournal.close w;
+      List.iter (Surface.append surface) records;
+      Surface.close surface;
+      let recover () = (Surface.recover surface).Surface.journal in
       (* destroy replica 0 entirely: everything survives on replica 1 *)
       Sys.remove p0;
-      let r = Rjournal.recover [ p0; p1 ] in
-      check_bool "all records back" true (r.Rjournal.recovered = records);
-      check_bool "loss was not honest-loss" true (not r.Rjournal.all_replicas_damaged);
-      check_int "destroyed replica healed" 5 r.Rjournal.healed;
-      check_int "fencing floor survives the merge" 4 r.Rjournal.max_epoch;
+      let r = recover () in
+      check_bool "all records back" true (r.recovered = records);
+      check_bool "loss was not honest-loss" true (not r.all_replicas_damaged);
+      check_int "destroyed replica healed" 5 r.healed;
+      check_int "fencing floor survives the merge" 4 r.max_epoch;
       let sc0 = Journal.scan p0 in
       check_bool "replica 0 rewritten with the merge" true
         (sc0.Journal.records = records && sc0.Journal.max_epoch = 4);
@@ -826,11 +837,11 @@ let rjournal_merge_repairs =
       let off = String.length (Journal.frame_epoch ~epoch:4 "r1") + Journal.header_len2 in
       Bytes.set b off '?';
       write_file p1 (Bytes.to_string b);
-      let r = Rjournal.recover [ p0; p1 ] in
-      check_bool "merge keeps every record" true (r.Rjournal.recovered = records);
-      check_int "one frame quarantined" 1 r.Rjournal.quarantined;
+      let r = recover () in
+      check_bool "merge keeps every record" true (r.recovered = records);
+      check_int "one frame quarantined" 1 r.quarantined;
       check_bool "not honest-loss: a healthy replica survived" true
-        (not r.Rjournal.all_replicas_damaged);
+        (not r.all_replicas_damaged);
       check_bool "replica 1 sidecar written" true
         (Sys.file_exists (p1 ^ ".quarantine"));
       check_bool "replica 1 repaired" true
@@ -841,9 +852,9 @@ let rjournal_merge_repairs =
       Bytes.set b off '?';
       write_file p0 (Bytes.to_string b);
       Sys.remove p1;
-      let r = Rjournal.recover [ p0; p1 ] in
-      check_int "the doubly-lost record is gone" 4 (List.length r.Rjournal.recovered);
-      check_bool "honest loss is carved out" true r.Rjournal.all_replicas_damaged)
+      let r = recover () in
+      check_int "the doubly-lost record is gone" 4 (List.length r.recovered);
+      check_bool "honest loss is carved out" true r.all_replicas_damaged)
 
 let fence_rejects_stale_appends =
   test "a stale-epoch writer is fenced off before touching the disk" (fun () ->
@@ -852,29 +863,56 @@ let fence_rejects_stale_appends =
       let p = Filename.concat dir "journal" in
       let before = Fence.rejections_for dir in
       ignore (Fence.acquire dir 1);
-      let old_owner = Rjournal.open_append ~epoch:1 ~fence_key:dir [ p ] in
-      Rjournal.append old_owner "acked-before-handover";
+      let old_owner = Surface.at Surface.Home [ dir ] in
+      Surface.open_writer ~fence_key:dir old_owner ~epoch:1;
+      Surface.append old_owner "acked-before-handover";
       (* ownership moves on: a later epoch is granted for the home *)
       ignore (Fence.acquire dir 2);
-      (match Rjournal.append old_owner "zombie-write" with
+      (match Surface.append old_owner "zombie-write" with
       | () -> Alcotest.fail "stale append must raise"
       | exception Fence.Stale { held; current; _ } ->
         check_int "held" 1 held;
         check_int "current" 2 current);
-      Rjournal.close old_owner;
+      Surface.close old_owner;
       check_int "rejection counted" (before + 1) (Fence.rejections_for dir);
       let sc = Journal.scan p in
       check_bool "nothing reached the disk" true
         (sc.Journal.records = [ "acked-before-handover" ]);
       (* the new owner writes through the same fence *)
-      let new_owner = Rjournal.open_append ~epoch:2 ~fence_key:dir [ p ] in
-      Rjournal.append new_owner "after-handover";
-      Rjournal.close new_owner;
+      let new_owner = Surface.at Surface.Home [ dir ] in
+      Surface.open_writer ~fence_key:dir new_owner ~epoch:2;
+      Surface.append new_owner "after-handover";
+      Surface.close new_owner;
       check_bool "new owner appends fine" true
         ((Journal.scan p).Journal.records
         = [ "acked-before-handover"; "after-handover" ]);
       (* an old grant never lowers the fence *)
       check_int "acquire keeps the maximum" 2 (Fence.acquire dir 1))
+
+let fence_rejects_stale_compaction =
+  test "a stale-epoch home's compaction is fenced off before touching the disk"
+    (fun () ->
+      let dir = fresh_dir () in
+      let replica = Filename.concat dir "r1" in
+      let old_owner, _ = Home.open_ ~replicas:[ replica ] ~epoch:1 ~dir () in
+      ignore (Home.record_uri old_owner "http://my.com/appname:A/v:1/");
+      let new_owner, _ = Home.open_ ~replicas:[ replica ] ~epoch:2 ~dir () in
+      ignore (Home.record_uri new_owner "http://my.com/appname:B/v:2/");
+      let files =
+        List.concat_map
+          (fun d -> List.map (Filename.concat d) [ "snapshot"; "journal" ])
+          [ dir; replica ]
+      in
+      let bytes () = List.map (fun p -> (p, Journal.read_file p)) files in
+      let before = bytes () in
+      (match Home.compact old_owner with
+      | () -> Alcotest.fail "a stale compaction must raise"
+      | exception Fence.Stale { held; current; _ } ->
+        check_int "held" 1 held;
+        check_int "current" 2 current);
+      check_bool "every replica's bytes unchanged" true (bytes () = before);
+      Home.close old_owner;
+      Home.close new_owner)
 
 let scrub_repairs_and_audit_is_identical =
   test "scrub read-repairs a damaged replica set; audit is byte-identical"
@@ -1096,18 +1134,18 @@ let fixture_recovers =
           [ "fixtures/corrupted.journal"; "test/store/fixtures/corrupted.journal" ]
       in
       write_file path (read_file fixture);
-      let r = Rjournal.recover [ path ] in
-      check_int "three records survive" 3 (List.length r.Rjournal.recovered);
-      check_int "one quarantined" 1 r.Rjournal.quarantined;
-      check_int "torn bytes" 17 r.Rjournal.torn_bytes;
-      check_bool "damage index" true (r.Rjournal.damage_index = Some 2);
+      let r = (Surface.recover (Surface.at Surface.Home [ dir ])).Surface.journal in
+      check_int "three records survive" 3 (List.length r.recovered);
+      check_int "one quarantined" 1 r.quarantined;
+      check_int "torn bytes" 17 r.torn_bytes;
+      check_bool "damage index" true (r.damage_index = Some 2);
       (* the surviving records are decodable config events *)
       List.iter
         (fun p ->
           match Event.of_string p with
           | Event.Config _ -> ()
           | _ -> Alcotest.fail "expected a config event")
-        r.Rjournal.recovered;
+        r.recovered;
       (* and a Home opens over the recovered directory *)
       let home, hr = Home.open_ ~dir () in
       check_int "watermark from configs" 4 (Home.last_seq home);
@@ -1164,6 +1202,7 @@ let () =
           epoch_frames;
           rjournal_merge_repairs;
           fence_rejects_stale_appends;
+          fence_rejects_stale_compaction;
           scrub_repairs_and_audit_is_identical;
           replay_determinism_property;
           replayed_install_equals_live;

@@ -4,12 +4,13 @@
 # Sums `git diff --numstat BASE` over the .ml and .mli files (BASE
 # against the working tree, so staged new files count). Prints one line
 # per changed file under lib/, then the lines added, removed and net for
-# lib/, and one total line each for bench/, bin/ and test/. Last, three
-# counts at BASE and in the working tree: the settable values (the
-# `?label:` occurrences in lib/**/*.mli plus the fields of every
-# `type config` record there), the exported values (`val` lines in
-# lib/**/*.mli) and the length of tools/dead-exports.sh's report of
-# values only tests use (this checkout's tool, run on both trees).
+# lib/, and one total line each for bench/, bin/ and test/. Last, four
+# counts at BASE and in the working tree: the modules (the
+# lib/**/*.ml files), the settable values (the `?label:` occurrences
+# in lib/**/*.mli plus the fields of every `type config` record
+# there), the exported values (`val` lines in lib/**/*.mli) and the
+# length of tools/dead-exports.sh's report of values only tests use
+# (this checkout's tool, run on both trees).
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -43,6 +44,9 @@ base_mlis() {
   git ls-tree -r --name-only "$1" -- lib | grep '\.mli$' |
     while IFS= read -r f; do git show "$1:$f"; done
 }
+
+echo "modules: $1 $(git ls-tree -r --name-only "$1" -- lib | grep -c '\.ml$')," \
+  "working tree $(find lib -name '*.ml' | wc -l)"
 
 echo "settable values: $1 $(base_mlis "$1" | settable)," \
   "working tree $(find lib -name '*.mli' -exec cat {} + | settable)"
