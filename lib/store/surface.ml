@@ -172,7 +172,7 @@ let open_writer ?fence_key t ~epoch =
       (journal_paths t)
 
 let reopen t = open_writer ?fence_key:t.fence_key t ~epoch:t.epoch
-let is_open t = t.writers <> []
+let is_open t = match t.writers with [] -> false | _ :: _ -> true
 
 (* Every write to the surface's files is made under the writer's epoch:
    a stale owner is refused before it touches the disk. *)
@@ -180,9 +180,11 @@ let check_fence t =
   Option.iter (fun key -> Fence.check ~key ~epoch:t.epoch) t.fence_key
 
 let append t payload =
-  if t.writers = [] then invalid_arg "Surface.append: the writer is parked";
-  check_fence t;
-  List.iter (fun j -> Journal.append j payload) t.writers
+  match t.writers with
+  | [] -> invalid_arg "Surface.append: the writer is parked"
+  | writers ->
+    check_fence t;
+    List.iter (fun j -> Journal.append j payload) writers
 
 (* -- maintenance --------------------------------------------------------------- *)
 
