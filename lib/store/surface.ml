@@ -174,8 +174,8 @@ let open_writer ?fence_key t ~epoch =
 let reopen t = open_writer ?fence_key:t.fence_key t ~epoch:t.epoch
 let is_open t = match t.writers with [] -> false | _ :: _ -> true
 
-(* Every write to the surface's files is made under the writer's epoch:
-   a stale owner is refused before it touches the disk. *)
+(* Appends and compaction are made under the writer's epoch: a stale
+   owner is refused before it touches the disk. *)
 let check_fence t =
   Option.iter (fun key -> Fence.check ~key ~epoch:t.epoch) t.fence_key
 
